@@ -1,8 +1,10 @@
-// Command modbench runs the reproduction experiments E1–E7 (see
-// DESIGN.md's per-experiment index) and prints the tables recorded in
+// Command modbench runs the reproduction experiments E1–E15 (see
+// DESIGN.md's per-experiment index; E8 and E9 are testing.B benchmarks
+// in bench_test.go only) and prints the tables recorded in
 // EXPERIMENTS.md: complexity-shape measurements for Theorems 4, 5 and 10,
-// Corollary 6 and Lemma 9, the Proposition 1 baseline comparison, and the
-// Song–Roussopoulos accuracy comparison of Section 5.
+// Corollary 6 and Lemma 9, the Proposition 1 baseline comparison, the
+// Song–Roussopoulos accuracy comparison of Section 5, and the engine
+// experiments e10–e15.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -47,7 +50,7 @@ import (
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "comma-separated experiments (e1..e10) or 'all'")
+	expFlag     = flag.String("exp", "all", "comma-separated experiments (e1..e15; e8 and e9 are go test benchmarks) or 'all'")
 	quickFlag   = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
 	seedFlag    = flag.Int64("seed", 1, "workload seed")
 	jsonFlag    = flag.String("json", "", "write all BENCH records as a JSON document to this file")
@@ -194,8 +197,14 @@ func queryDist() (gdist.GDistance, error) {
 	return gdist.EuclideanSq{Query: q}, nil
 }
 
-// e1 — Theorem 4: past 1-NN in O((m+N) log N). The normalized column
-// T/((m+N) log2 N) should be roughly constant across N.
+// fullOrder hides an evaluator's query.Bound, so RunPast sweeps every
+// curve: what the experiments that measure the sweep itself (e1) or
+// compare against it (e10) need, now that a past k-NN by itself is
+// bounded to the curves that can reach its answer.
+type fullOrder struct{ query.Evaluator }
+
+// e1 — Theorem 4: past 1-NN in O((m+N) log N), over the full order. The
+// normalized column T/((m+N) log2 N) should be roughly constant across N.
 func e1() error {
 	fmt.Println("== E1: past query cost, Theorem 4: O((m+N) log N) ==")
 	ns := sizes([]int{1000, 2000, 4000, 8000, 16000})
@@ -210,9 +219,8 @@ func e1() error {
 		if err != nil {
 			return err
 		}
-		knn := query.NewKNN(1)
 		start := time.Now()
-		st, err := query.RunPast(db, f, 0, 50, knn)
+		st, err := query.RunPast(db, f, 0, 50, fullOrder{query.NewKNN(1)})
 		if err != nil {
 			return err
 		}
@@ -561,10 +569,11 @@ func e7() error {
 
 // e10 — shard scaling (internal/shard): hash-partition the population
 // over P shards, replay a concurrent update stream through the router,
-// then fan a past k-NN query out across the shards and merge. Because
-// objects in different shards never have their curve crossings
-// scheduled, total event work shrinks as P grows — so the speedup is
-// visible even on a single core; extra cores only add to it.
+// then fan a past k-NN query out across the shards and merge. The
+// shards only scan; the one bounded sweep runs over the same pool at
+// every P, so events and time stay flat as P grows. The full-order
+// sweep of the same query is timed once for reference (what P=1 cost
+// before the sweep was bounded) and its answer compared too.
 func e10() error {
 	fmt.Println("== E10: shard scaling (internal/shard fan-out), P ∈ {1,2,4,8} ==")
 	n := 8000
@@ -637,6 +646,20 @@ func e10() error {
 		}
 		if p == 1 {
 			baseQ, baseAns = bestQ, ans.String()
+			full := query.NewKNN(k)
+			start := time.Now()
+			st, err := query.RunPast(eng.Shard(0), f, lo, hi, fullOrder{full})
+			if err != nil {
+				return err
+			}
+			fullT := time.Since(start).Seconds()
+			if full.Answer().String() != baseAns {
+				return errors.New("bounded k-NN answer diverges from the full-order sweep")
+			}
+			emitBench(benchRecord{Exp: "e10", Name: "knn-full-order", P: 1, Workers: 1,
+				N: n, K: k, Seconds: fullT, Events: st.Events})
+			rows = append(rows, []string{"full order", fmt.Sprint(st.Events),
+				fmt.Sprintf("%.3g", fullT), fmt.Sprintf("%.4fx", bestQ/fullT), "-"})
 		} else if s := ans.String(); s != baseAns {
 			return fmt.Errorf("P=%d k-NN answer diverges from P=1", p)
 		}
@@ -653,6 +676,6 @@ func e10() error {
 		})
 	}
 	table("P\tevents\tknn s\tspeedup vs P=1\tingest s", rows)
-	fmt.Println("sharded answers verified identical to P=1 at every P")
+	fmt.Println("answers verified identical at every P and to the full-order sweep")
 	return nil
 }

@@ -1,7 +1,9 @@
 package gdist
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -357,5 +359,91 @@ func TestGDistanceErrorPaths(t *testing.T) {
 	}
 	if _, err := (Const{C: 1}).Curve(undef, 0, 1); err == nil {
 		t.Error("const over undefined trajectory accepted")
+	}
+}
+
+// TestLowerBoundMatchesCurveMinimum: on random piecewise trajectories
+// and windows the closed-form bound of PointSq and EuclideanSq (with a
+// turning query) agrees with the minimum of the built curve up to
+// rounding, and fails on exactly the windows Curve fails on.
+func TestLowerBoundMatchesCurveMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	vec := func(s float64) geom.Vec { return geom.Of(s*(rng.Float64()-0.5), s*(rng.Float64()-0.5)) }
+	for i := 0; i < 400; i++ {
+		tr := trajectory.Linear(10*rng.Float64(), vec(20), vec(500))
+		tau := tr.Start()
+		for n := rng.Intn(4); n > 0; n-- {
+			tau += 0.1 + 10*rng.Float64()
+			next, err := tr.ChDir(tau, vec(20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr = next
+		}
+		if rng.Intn(4) == 0 {
+			next, err := tr.Terminate(tau + 1 + 10*rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr = next
+		}
+		q := trajectory.Linear(5*rng.Float64(), vec(8), vec(100))
+		q, err := q.ChDir(q.Start()+1+20*rng.Float64(), vec(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := 40 * rng.Float64()
+		to := from + 0.01 + 30*rng.Float64()
+		for _, f := range []LowerBounder{PointSq{Point: vec(300)}, EuclideanSq{Query: q}} {
+			cf, cerr := f.Curve(tr, from, to)
+			lb, lerr := f.LowerBound(tr, from, to)
+			if (cerr == nil) != (lerr == nil) {
+				t.Fatalf("case %d %s [%g,%g]: Curve err %v, LowerBound err %v", i, f.Name(), from, to, cerr, lerr)
+			}
+			if cerr != nil {
+				continue
+			}
+			if min := cf.Min(); math.Abs(lb-min) > 1e-9*(1+math.Abs(min)) {
+				t.Errorf("case %d %s [%g,%g]: LowerBound %.12g, curve minimum %.12g", i, f.Name(), from, to, lb, min)
+			}
+		}
+	}
+}
+
+func TestLowerBoundEdges(t *testing.T) {
+	o := trajectory.Linear(0, geom.Of(1, 0), geom.Of(-10, 3))
+	p := PointSq{Point: geom.Of(0, 0)}
+	for _, c := range []struct {
+		from, to, want float64
+	}{
+		{0, 100, 9},            // closest approach at t=10
+		{0, 5, 25 + 9},         // window ends before it
+		{12, 20, 4 + 9},        // window starts after it
+		{0, math.Inf(1), 9},    // unbounded window
+		{10, 10.5, 9},          // vertex on the window's edge
+		{20, math.Inf(1), 109}, // receding for good
+	} {
+		got, err := p.LowerBound(o, c.from, c.to)
+		if err != nil || math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("LowerBound over [%g,%g] = %g, %v; want %g", c.from, c.to, got, err, c.want)
+		}
+	}
+	gone, err := o.Terminate(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.LowerBound(gone, 6, 9); !errors.Is(err, ErrWindow) {
+		t.Errorf("window past the trajectory's end: err = %v, want ErrWindow", err)
+	}
+	if _, err := p.LowerBound(o, 0, 9.5); err != nil {
+		t.Error(err)
+	}
+	if _, err := (PointSq{Point: geom.Of(0, 0, 0)}).LowerBound(o, 0, 1); err == nil {
+		t.Error("dimension mismatch accepted")
+	}
+	// A query at rest since -Inf (how PointSq.Curve models its point).
+	q := EuclideanSq{Query: trajectory.Stationary(math.Inf(-1), geom.Of(0, 0))}
+	if got, err := q.LowerBound(o, 0, 100); err != nil || math.Abs(got-9) > 1e-12 {
+		t.Errorf("query at rest since -Inf: %g, %v; want 9", got, err)
 	}
 }

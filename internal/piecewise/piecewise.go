@@ -146,6 +146,29 @@ func (f Func) Eval(t float64) float64 {
 	return f.pieces[i].P.Eval(t)
 }
 
+// Min returns the least value f takes on its domain: the smallest of
+// every piece's endpoint and interior critical values. An unbounded last
+// piece that falls without limit gives -Inf.
+func (f Func) Min() float64 {
+	m := math.Inf(1)
+	for _, pc := range f.pieces {
+		m = math.Min(m, pc.P.Eval(pc.Start))
+		if !math.IsInf(pc.End, 1) {
+			m = math.Min(m, pc.P.Eval(pc.End))
+		} else if pc.P.Degree() >= 1 && pc.P.Lead() < 0 {
+			return math.Inf(-1)
+		}
+		if pc.P.Degree() < 2 {
+			continue
+		}
+		crit, _ := pc.P.Derivative().RootsIn(pc.Start, pc.End)
+		for _, c := range crit {
+			m = math.Min(m, pc.P.Eval(c))
+		}
+	}
+	return m
+}
+
 // InDomain reports whether t lies within the domain (with boundTol slack).
 func (f Func) InDomain(t float64) bool { return f.pieceIndexAt(t) >= 0 }
 

@@ -355,3 +355,31 @@ func TestStringer(t *testing.T) {
 		}
 	}
 }
+
+func TestMin(t *testing.T) {
+	// (t-3)^2 + 1 on [0,2] then on [2,10]: minimum 1 at the interior vertex.
+	p := poly.New(10, -6, 1)
+	f := MustNew(Piece{Start: 0, End: 2, P: p}, Piece{Start: 2, End: 10, P: p})
+	if got := f.Min(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("Min = %g, want 1", got)
+	}
+	// Clipped before the vertex: the minimum is at the end point.
+	if got := FromPoly(p, 0, 2).Min(); math.Abs(got-2) > 1e-12 {
+		t.Errorf("Min on [0,2] = %g, want 2", got)
+	}
+	// A cubic's interior local minimum beats both end points.
+	c := poly.New(0, -3, 0, 1) // t^3 - 3t: local min -2 at t=1
+	if got := FromPoly(c, -1.5, 3).Min(); math.Abs(got+2) > 1e-9 {
+		t.Errorf("cubic Min = %g, want -2", got)
+	}
+	// Unbounded tails: rising keeps the vertex, falling has no minimum.
+	if got := FromPoly(p, 0, math.Inf(1)).Min(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("Min on [0,+Inf) = %g, want 1", got)
+	}
+	if got := FromPoly(poly.New(5, -1), 0, math.Inf(1)).Min(); !math.IsInf(got, -1) {
+		t.Errorf("falling line on [0,+Inf): Min = %g, want -Inf", got)
+	}
+	if got := Constant(7, 0, math.Inf(1)).Min(); got != 7 {
+		t.Errorf("constant Min = %g, want 7", got)
+	}
+}

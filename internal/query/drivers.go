@@ -22,30 +22,26 @@ type TrajSource interface {
 // trajectory (with all its recorded turns) is final and the sweep runs
 // start to finish without external updates — Theorem 4's O((m+N) log N)
 // regime. Creations and terminations recorded inside the window are
-// replayed as insertion/expiry events.
+// replayed as insertion/expiry events. When every evaluator is a Bounder
+// the sweep is bounded to the curves that can reach the part of the
+// order the answers read (see RunScans); the answers are the same.
 func RunPast(db TrajSource, f gdist.GDistance, lo, hi float64, evs ...Evaluator) (core.Stats, error) {
-	return RunPastTerms(db, f, lo, hi, nil, evs...)
-}
-
-// RunPastTerms is RunPast with explicit polynomial time terms (the FO(f)
-// queries that use f(z, p(t)) for non-identity p).
-func RunPastTerms(db TrajSource, f gdist.GDistance, lo, hi float64, terms []poly.Poly, evs ...Evaluator) (core.Stats, error) {
-	e, err := NewEngine(EngineConfig{F: f, Lo: lo, Hi: hi, TimeTerms: terms})
+	sc, err := ScanPast(db, f, lo, hi)
 	if err != nil {
 		return core.Stats{}, err
 	}
-	for _, ev := range evs {
-		if err := e.AddEvaluator(ev); err != nil {
-			return core.Stats{}, err
-		}
+	run, err := RunScans([]*Scan{sc}, evs...)
+	return run.Stats, err
+}
+
+// RunPastTerms is RunPast with explicit polynomial time terms (the FO(f)
+// queries that use f(z, p(t)) for non-identity p). No evaluator that
+// takes such terms states a bound, so it always sweeps the full order.
+func RunPastTerms(db TrajSource, f gdist.GDistance, lo, hi float64, terms []poly.Poly, evs ...Evaluator) (core.Stats, error) {
+	if len(terms) == 0 {
+		return RunPast(db, f, lo, hi, evs...)
 	}
-	if err := e.Seed(db.Trajectories()); err != nil {
-		return core.Stats{}, err
-	}
-	if err := e.Finish(); err != nil {
-		return core.Stats{}, err
-	}
-	return e.Sweeper().Stats(), nil
+	return sweepOnce(f, lo, hi, terms, func(e *Engine) error { return e.Seed(db.Trajectories()) }, nil, evs)
 }
 
 // Session is the future/continuing-query driver (Theorem 5): it seeds the

@@ -89,27 +89,45 @@ type Engine struct {
 }
 
 type pendingInsert struct {
-	at float64
-	o  mod.OID
+	at    float64
+	o     mod.OID
+	curve piecewise.Func // ready-built by a scan, or empty
 }
 
 // Errors returned by the engine.
 var (
 	ErrBadWindow = errors.New("query: empty or inverted window")
 	ErrBadOID    = errors.New("query: OID exceeds 48-bit id space")
+
+	errNilGDistance = errors.New("query: nil g-distance")
+	errNoScans      = errors.New("query: no scans to sweep")
 )
+
+// windowEnd resolves the unset-horizon sentinel (0 means +Inf) and
+// rejects an empty or inverted window.
+func windowEnd(lo, hi float64) (float64, error) {
+	if hi == 0 { //modlint:allow floatcmp -- unset-config sentinel: zero horizon means unbounded
+		hi = math.Inf(1)
+	}
+	if !(lo < hi) {
+		return 0, fmt.Errorf("%w: [%g,%g]", ErrBadWindow, lo, hi)
+	}
+	return hi, nil
+}
+
+// inWindow reports whether tr's lifetime overlaps the window (lo, hi).
+func inWindow(tr trajectory.Trajectory, lo, hi float64) bool {
+	return tr.IsDefined() && tr.End() > lo && tr.Start() < hi
+}
 
 // NewEngine builds an engine over the window [cfg.Lo, cfg.Hi].
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.F == nil {
-		return nil, errors.New("query: nil g-distance")
+		return nil, errNilGDistance
 	}
-	hi := cfg.Hi
-	if hi == 0 { //modlint:allow floatcmp -- unset-config sentinel: zero horizon means unbounded
-		hi = math.Inf(1)
-	}
-	if !(cfg.Lo < hi) {
-		return nil, fmt.Errorf("%w: [%g,%g]", ErrBadWindow, cfg.Lo, hi)
+	hi, err := windowEnd(cfg.Lo, cfg.Hi)
+	if err != nil {
+		return nil, err
 	}
 	terms := cfg.TimeTerms
 	if len(terms) == 0 {
@@ -240,30 +258,31 @@ func isIdentity(p poly.Poly) bool {
 // times (a past query replays recorded creations as updates). Objects
 // whose lifetime misses the window entirely are skipped.
 func (e *Engine) Seed(trajs map[mod.OID]trajectory.Trajectory) error {
-	type entry struct {
-		o  mod.OID
-		tr trajectory.Trajectory
-	}
-	entries := make([]entry, 0, len(trajs))
+	entries := make([]candidate, 0, len(trajs))
 	for o, tr := range trajs {
-		entries = append(entries, entry{o, tr})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].o < entries[j].o })
-	for _, en := range entries {
-		o, tr := en.o, en.tr
 		if uint64(o) > oidMask {
 			return fmt.Errorf("%w: %s", ErrBadOID, o)
 		}
-		if !tr.IsDefined() || tr.End() <= e.lo || tr.Start() >= e.hi {
-			continue
+		if inWindow(tr, e.lo, e.hi) {
+			entries = append(entries, candidate{o: o, tr: tr})
 		}
-		e.trajs[o] = tr
-		if tr.Start() <= e.lo {
-			if err := e.insertObject(o, tr, e.lo); err != nil {
+	}
+	return e.seed(entries)
+}
+
+// seed is Seed over trajectories already known to meet the window. An
+// entry may carry its sweep curve over [lo, hi] ready-built. It sorts
+// entries by OID.
+func (e *Engine) seed(entries []candidate) error {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].o < entries[j].o })
+	for _, en := range entries {
+		e.trajs[en.o] = en.tr
+		if en.tr.Start() <= e.lo {
+			if err := e.insertObject(en.o, en.tr, e.lo, en.curve); err != nil {
 				return err
 			}
 		} else {
-			e.pending = append(e.pending, pendingInsert{at: tr.Start(), o: o})
+			e.pending = append(e.pending, pendingInsert{at: en.tr.Start(), o: en.o, curve: en.curve})
 		}
 	}
 	sort.Slice(e.pending, func(i, j int) bool {
@@ -275,10 +294,11 @@ func (e *Engine) Seed(trajs map[mod.OID]trajectory.Trajectory) error {
 	return nil
 }
 
-// insertObject adds the curves of all time terms for o starting at from.
+// insertObject adds the curves of all time terms for o starting at from;
+// a non-empty built is the ready-made curve of the single identity term.
 // On failure, any term curves already inserted are rolled back so the
 // sweep never holds a partially-registered object.
-func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64) (err error) {
+func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64, built piecewise.Func) (err error) {
 	inserted := make([]uint64, 0, len(e.terms))
 	defer func() {
 		if err == nil {
@@ -289,9 +309,12 @@ func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64)
 		}
 	}()
 	for term := range e.terms {
-		cf, berr := e.buildTermCurve(tr, term, from)
-		if berr != nil {
-			return fmt.Errorf("query: curve for %s term %d: %w", o, term, berr)
+		cf := built
+		if cf.IsZeroLen() || len(e.terms) > 1 {
+			var berr error
+			if cf, berr = e.buildTermCurve(tr, term, from); berr != nil {
+				return fmt.Errorf("query: curve for %s term %d: %w", o, term, berr)
+			}
 		}
 		id := packObj(o, term)
 		if aerr := e.sw.AddCurve(id, cf); aerr != nil {
@@ -325,7 +348,7 @@ func (e *Engine) InsertObject(o mod.OID, tr trajectory.Trajectory, from float64)
 		return err
 	}
 	e.trajs[o] = tr
-	return e.insertObject(o, tr, from)
+	return e.insertObject(o, tr, from, piecewise.Func{})
 }
 
 // NextEventTime peeks the earliest instant at which the engine has work
@@ -351,7 +374,7 @@ func (e *Engine) RunTo(t float64) error {
 		if err := e.sw.AdvanceTo(p.at); err != nil {
 			return err
 		}
-		if err := e.insertObject(p.o, e.trajs[p.o], p.at); err != nil {
+		if err := e.insertObject(p.o, e.trajs[p.o], p.at, p.curve); err != nil {
 			return err
 		}
 	}
@@ -395,7 +418,7 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 		}
 		tr := trajectory.Linear(u.Tau, u.A, u.B)
 		e.trajs[u.O] = tr
-		return e.insertObject(u.O, tr, u.Tau)
+		return e.insertObject(u.O, tr, u.Tau, piecewise.Func{})
 	case mod.KindTerminate:
 		tr, ok := e.trajs[u.O]
 		if !ok {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/mod"
@@ -22,6 +23,7 @@ type KNN struct {
 	e   *Engine
 	ans *AnswerSet
 	cur map[mod.OID]bool
+	now []mod.OID // refresh's scratch: the first K object entries
 }
 
 // NewKNN builds a k-NN evaluator.
@@ -41,19 +43,8 @@ func (q *KNN) Attach(e *Engine) error {
 	return nil
 }
 
-// firstK walks the order collecting the first K object entries (skipping
-// constant curves registered by other evaluators).
-func (q *KNN) firstK() []mod.OID {
-	out := make([]mod.OID, 0, q.K)
-	q.e.sw.Walk(func(id uint64) bool {
-		if !IsConstID(id) {
-			o, _ := UnpackObj(id)
-			out = append(out, o)
-		}
-		return len(out) < q.K
-	})
-	return out
-}
+// Bound implements Bounder: the answer is the first K object entries.
+func (q *KNN) Bound() Bound { return Bound{Below: math.Inf(-1), First: q.K} }
 
 // OnChange implements Evaluator.
 func (q *KNN) OnChange(c core.Change) {
@@ -79,23 +70,38 @@ func (q *KNN) OnChange(c core.Change) {
 	}
 }
 
-// refresh reconciles the maintained answer with the current first-k set.
+// refresh reconciles the maintained answer with the current first-k
+// set. It runs on every support change, nearly all of which leave the
+// set as it was; that path allocates nothing.
 func (q *KNN) refresh(t float64) {
-	now := q.firstK()
-	inNow := make(map[mod.OID]bool, len(now))
-	for _, o := range now {
-		inNow[o] = true
+	q.now = q.AppendCurrent(q.now[:0])
+	for _, o := range q.now {
 		if !q.cur[o] {
 			q.cur[o] = true
 			q.ans.Enter(o, t)
 		}
 	}
+	// cur holds every current member, so it is larger than the first-k
+	// set exactly when someone left.
+	if len(q.cur) == len(q.now) {
+		return
+	}
 	for o := range q.cur {
-		if !inNow[o] {
+		if !containsOID(q.now, o) {
 			delete(q.cur, o)
 			q.ans.Leave(o, t)
 		}
 	}
+}
+
+// containsOID reports whether os holds o (answers are small).
+func containsOID(os []mod.OID, o mod.OID) bool {
+	for _, x := range os {
+		if x == o {
+			return true
+		}
+	}
+	return false
 }
 
 // Finish implements Evaluator.
@@ -110,7 +116,7 @@ func (q *KNN) Current() []mod.OID {
 	if q.e == nil {
 		return nil
 	}
-	return q.firstK()
+	return q.AppendCurrent(make([]mod.OID, 0, q.K))
 }
 
 // AppendCurrent appends the current k-NN set, in rank order, to dst and

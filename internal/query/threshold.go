@@ -42,6 +42,10 @@ func (q *Within) Attach(e *Engine) error {
 	return nil
 }
 
+// Bound implements Bounder: membership is decided against the constant
+// alone, so a curve that never comes down to it never matters.
+func (q *Within) Bound() Bound { return Bound{Below: q.C} }
+
 // memberAfter decides membership of object id on (t, t+delta): its curve
 // is below (or coinciding with) the constant.
 func (q *Within) memberAfter(id uint64, t float64) bool {

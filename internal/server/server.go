@@ -275,11 +275,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	oids := s.be.Objects()
+	tau := s.be.Tau()
+	// "live" counts the objects that can still be updated. LiveAt is
+	// closed at a trajectory's end, so at tau itself it would still list
+	// an object terminated by the very last update; just past tau only
+	// the unterminated remain (every recorded end is <= tau).
+	live := s.be.LiveAt(math.Nextafter(tau, math.Inf(1)))
 	out := struct {
 		Tau     float64   `json:"tau"`
 		Objects []mod.OID `json:"objects"`
 		Live    int       `json:"live"`
-	}{Tau: s.be.Tau(), Objects: oids, Live: len(s.be.LiveAt(s.be.Tau()))}
+	}{Tau: tau, Objects: oids, Live: len(live)}
 	s.ok(w, out)
 }
 

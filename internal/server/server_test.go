@@ -84,6 +84,27 @@ func TestHealthAndObjects(t *testing.T) {
 	}
 }
 
+// TestObjectsLiveExcludesLastTerminated: an object terminated by the
+// very last update is still defined at tau (a trajectory's domain is
+// closed at its end) but can no longer be updated, so it is not live.
+func TestObjectsLiveExcludesLastTerminated(t *testing.T) {
+	ts, db := newTestServer(t)
+	if err := db.Apply(mod.Terminate(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	var objs struct {
+		Tau     float64  `json:"tau"`
+		Objects []uint64 `json:"objects"`
+		Live    int      `json:"live"`
+	}
+	if code := getJSON(t, ts.URL+"/objects", &objs); code != 200 {
+		t.Fatalf("objects code %d", code)
+	}
+	if len(objs.Objects) != 2 || objs.Tau != 2 || objs.Live != 1 {
+		t.Errorf("objects = %+v, want 2 objects, tau 2, 1 live", objs)
+	}
+}
+
 func TestObjectEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	var obj struct {

@@ -1,9 +1,8 @@
 package shard
 
-// Fan-out query execution: every shard sweeps its own objects with the
-// ordinary single-threaded engine of internal/query, at most Workers
-// sweeps in flight at a time, and a coordinator merges the per-shard
-// results.
+// Fan-out query execution: a coordinator reads one epoch snapshot per
+// shard, lets the shards work on their own objects in parallel (at most
+// Workers at a time) and merges.
 //
 // Correctness of the merges:
 //
@@ -12,19 +11,20 @@ package shard
 //     constant curve, which every shard materializes for itself), so
 //     the per-shard answer restricted to a shard's objects IS the
 //     global answer restricted to them. The merged answer is their
-//     disjoint union.
+//     disjoint union. Each shard's sweep is bounded at C by
+//     query.RunPast, so it only holds the curves that can come down
+//     to C.
 //
-//   - KNN: the global k nearest at any instant t is a subset of the
-//     union of the per-shard k nearest at t. (If o has at most k-1
-//     objects strictly closer than it globally at t, then at most k-1
-//     of them are in o's own shard, so o is among its shard's top k at
-//     t.) Each shard therefore reports, as candidates, every object
-//     that ever enters its local top-k answer over the window — a
-//     superset of every object that ever enters (or ties) the global
-//     top-k — and the coordinator runs one final sweep over the merged
-//     candidate pool. Restricting that sweep to candidates cannot
-//     change the answer: all boundary events of the global top-k
-//     involve candidate curves only.
+//   - KNN: one sweep, over the whole database. The shards only scan:
+//     each computes, per object, the closed-form span of its curve
+//     (query.ScanPast — no curve is built, nothing is swept). The
+//     coordinator hands the scans to query.RunScans, which takes one
+//     threshold from the merged starting values, sweeps the objects of
+//     every shard that can come down to it, and lets a sentinel curve
+//     prove the threshold sufficient — or restarts with a larger one.
+//     Nothing here depends on the partition: the pool is the one an
+//     unsharded database would sweep, so the answer is the same at
+//     every P by construction (DESIGN.md, "Threshold-bounded sweep").
 //
 // Every query also reports the tau of the snapshot set it ran over
 // (the max of the per-shard snapshot taus): under concurrent updates
@@ -35,13 +35,11 @@ package shard
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gdist"
-	"repro/internal/mod"
 	"repro/internal/query"
 )
 
@@ -126,73 +124,37 @@ func (e *Engine) Within(f gdist.GDistance, c float64, lo, hi float64) (*query.An
 	return ans, st, tau, nil
 }
 
-// KNN evaluates the k-nearest-neighbors query over [lo, hi]: each shard
-// sweeps its own objects and reports its local top-k candidate set (the
-// objects of its local k-NN answer), then the coordinator runs the
-// final sweep over the merged candidate pool — at most P*k curves in
-// the order at any instant, typically far fewer than N. See the package
-// comment for why the candidate pool is sufficient. The returned tau is
+// KNN evaluates the k-nearest-neighbors query over [lo, hi]: the shards
+// scan their objects in parallel and the coordinator runs one bounded,
+// sentinel-guarded sweep over the merged pool (see the package
+// comment). The sweep's work is recorded under the coordinator's label,
+// or under shard 0 when there is nothing to merge. The returned tau is
 // the snapshot set's last-update time.
 func (e *Engine) KNN(f gdist.GDistance, k int, lo, hi float64) (*query.AnswerSet, core.Stats, float64, error) {
 	start := time.Now()
 	snaps := e.snapshots()
 	tau := maxTau(snaps)
-	if len(snaps) == 1 {
-		// Unsharded: the local answer is the global answer.
-		knn := query.NewKNN(k)
-		st, err := query.RunPast(snaps[0], f, lo, hi, knn)
-		e.recordSweep(0, st, time.Since(start))
-		if err != nil {
-			return nil, st, tau, err
-		}
-		e.recordQuery("knn", 1, time.Since(start))
-		return knn.Answer(), st, tau, nil
-	}
-	cands := make([][]mod.OID, len(snaps))
-	stats := make([]core.Stats, len(snaps))
+	scans := make([]*query.Scan, len(snaps))
 	err := e.forEach(func(i int) error {
-		knn := query.NewKNN(k)
-		sweepStart := time.Now()
-		st, rerr := query.RunPast(snaps[i], f, lo, hi, knn)
-		e.recordSweep(i, st, time.Since(sweepStart))
-		if rerr != nil {
-			return rerr
-		}
-		cands[i] = knn.Answer().Objects()
-		stats[i] = st
-		return nil
+		var serr error
+		scans[i], serr = query.ScanPast(snaps[i], f, lo, hi)
+		return serr
 	})
-	var total core.Stats
-	for _, st := range stats {
-		total.Add(st)
-	}
 	if err != nil {
-		return nil, total, tau, err
+		return nil, core.Stats{}, tau, err
 	}
-	// Coordinator: one sweep over the union of the candidate pools.
-	pool := mod.NewDB(e.dim, math.Inf(-1))
-	nCands := 0
-	for i, os := range cands {
-		for _, o := range os {
-			tr, terr := snaps[i].Traj(o)
-			if terr != nil {
-				return nil, total, tau, terr
-			}
-			if lerr := pool.Load(o, tr); lerr != nil {
-				return nil, total, tau, lerr
-			}
-			nCands++
-		}
+	label := -1
+	if len(snaps) == 1 {
+		label = 0
 	}
-	e.recordCandidates(nCands)
-	final := query.NewKNN(k)
-	finalStart := time.Now()
-	st, err := query.RunPast(pool, f, lo, hi, final)
-	e.recordSweep(-1, st, time.Since(finalStart))
-	total.Add(st)
+	knn := query.NewKNN(k)
+	sweepStart := time.Now()
+	run, err := query.RunScans(scans, knn)
+	e.recordSweep(label, run.Stats, time.Since(sweepStart))
 	if err != nil {
-		return nil, total, tau, err
+		return nil, run.Stats, tau, err
 	}
-	e.recordQuery("knn", len(e.shards), time.Since(start))
-	return final.Answer(), total, tau, nil
+	e.recordCandidates(run.Pool)
+	e.recordQuery("knn", len(snaps), time.Since(start))
+	return knn.Answer(), run.Stats, tau, nil
 }

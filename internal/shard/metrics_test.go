@@ -84,3 +84,44 @@ func TestUninstrumentedEngineRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKNNRunsOneSweepPerQuery: the shards only scan; the single bounded
+// sweep over the merged pool is the coordinator's — at every P, and with
+// one candidate-pool observation a query.
+func TestKNNRunsOneSweepPerQuery(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		db, err := workload.RandomMovers(workload.Config{Seed: 5, N: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := FromDB(db, Config{Shards: p, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		eng.Instrument(reg)
+		_, st, _, err := eng.KNN(gdist.PointSq{Point: []float64{0, 0}}, 3, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Inserts >= 100 {
+			t.Errorf("P=%d: %d curves inserted, want a small pool out of 200 objects", p, st.Inserts)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sweeps := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "mod_shard_sweep_seconds_count{") {
+				if !strings.HasSuffix(line, " 1") {
+					t.Errorf("P=%d: %s, want one sweep under the label", p, line)
+				}
+				sweeps++
+			}
+		}
+		if sweeps != 1 || !strings.Contains(buf.String(), "mod_knn_candidates_count 1") {
+			t.Errorf("P=%d: %d sweep labels recorded, want exactly one sweep and one pool observation:\n%s", p, sweeps, buf.String())
+		}
+	}
+}

@@ -15,15 +15,14 @@
 // stream it equals the tau a single unsharded DB would report, because
 // the shard that received the final update carries it.
 //
-// Why sharding helps even on one core: the plane sweep costs
-// O((m+N) log N) where m counts order exchanges among the curves it
-// sweeps (Theorem 4). A shard sweeps only its own objects, so
-// cross-shard curve crossings are never scheduled or processed; with a
-// hash partition a 1/P fraction of pairs are co-sharded in expectation,
-// shrinking the event term from m to ~m/P in total across shards. On
-// top of that, the per-shard sweeps are independent and run in parallel
-// on the worker pool. Correctness of the merged answers is argued per
-// query in fanout.go and DESIGN.md ("Sharded evaluation").
+// What sharding buys: independent write locks, and reads that fan out —
+// each shard scans or sweeps only its own objects, in parallel on the
+// worker pool. It does not change how much sweeping a query does: a
+// k-NN runs one sweep over the curves that can reach its answer,
+// whatever the partition (query.RunScans), and a within sweeps, per
+// shard, only the curves that can come down to its constant.
+// Correctness of the merged answers is argued per query in fanout.go
+// and DESIGN.md ("Sharded evaluation", "Threshold-bounded sweep").
 package shard
 
 import (

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -244,5 +245,87 @@ func TestConfigNormalization(t *testing.T) {
 	}
 	if eng.NumShards() != 1 {
 		t.Fatalf("default NumShards = %d, want 1", eng.NumShards())
+	}
+}
+
+// TestBatchIngestAndShardAdoption covers the write paths the query tests
+// never take: ApplyAll and ApplyBatch route by OID and report how far a
+// rejected group got, listeners see every applied update, and
+// FromShards re-adopts a partition only if every object sits in the
+// shard its OID hashes to.
+func TestBatchIngestAndShardAdoption(t *testing.T) {
+	for _, p := range []int{1, 3} {
+		eng, err := New(Config{Shards: p, Dim: 2, Tau0: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Dim() != 2 {
+			t.Fatalf("Dim = %d", eng.Dim())
+		}
+		seen := 0
+		var mu sync.Mutex
+		eng.OnUpdate(func(mod.Update) { mu.Lock(); seen++; mu.Unlock() })
+
+		var us []mod.Update
+		for i := 1; i <= 12; i++ {
+			us = append(us, mod.New(mod.OID(i), float64(i), geom.Of(1, 0), geom.Of(float64(i), 0)))
+		}
+		if err := eng.ApplyAll(us[:4]...); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := eng.ApplyBatch(us[4:]); n != 8 || err != nil {
+			t.Fatalf("P=%d: ApplyBatch = %d, %v; want 8 applied", p, n, err)
+		}
+		if n, err := eng.ApplyBatch(nil); n != 0 || err != nil {
+			t.Fatalf("empty batch = %d, %v", n, err)
+		}
+		// A stale update is rejected; ApplyAll names it, ApplyBatch counts
+		// what its shard applied before it.
+		if err := eng.ApplyAll(mod.ChDir(1, 0.5, geom.Of(0, 1))); err == nil {
+			t.Fatalf("P=%d: stale ApplyAll accepted", p)
+		}
+		if n, err := eng.ApplyBatch([]mod.Update{mod.ChDir(1, 20, geom.Of(0, 1)), mod.ChDir(1, 19, geom.Of(1, 1))}); n != 1 || err == nil {
+			t.Fatalf("P=%d: ApplyBatch with a stale tail = %d, %v; want 1 applied and an error", p, n, err)
+		}
+		if eng.Len() != 12 || seen != 13 {
+			t.Fatalf("P=%d: %d objects, listener saw %d updates; want 12 and 13", p, eng.Len(), seen)
+		}
+
+		parts := make([]*mod.DB, p)
+		for i := range parts {
+			parts[i] = eng.Shard(i)
+		}
+		back, err := FromShards(parts, Config{})
+		if err != nil {
+			t.Fatalf("P=%d: FromShards: %v", p, err)
+		}
+		if back.NumShards() != p || back.Len() != 12 {
+			t.Fatalf("P=%d: adopted %d shards, %d objects", p, back.NumShards(), back.Len())
+		}
+		if p > 1 {
+			parts[0], parts[1] = parts[1], parts[0]
+			if _, err := FromShards(parts, Config{}); err == nil {
+				t.Fatal("FromShards accepted objects filed under the wrong shard")
+			}
+		}
+	}
+	if _, err := FromShards(nil, Config{}); err == nil {
+		t.Fatal("FromShards accepted no shards")
+	}
+	if _, err := FromShards([]*mod.DB{mod.NewDB(2, 0), mod.NewDB(3, 0)}, Config{}); err == nil {
+		t.Fatal("FromShards accepted shards of different dimensions")
+	}
+}
+
+// TestKNNScanErrorSurfaces: an object the sweep cannot address fails the
+// shard's scan, and the fan-out reports it instead of an answer.
+func TestKNNScanErrorSurfaces(t *testing.T) {
+	eng, _ := seededEngine(t, 20, 4, 2)
+	if err := eng.Load(mod.OID(1)<<50, trajectory.Linear(0, geom.Of(1, 0), geom.Of(0, 0))); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.QueryTrajectory(workload.Config{}, 2)
+	if _, _, _, err := eng.KNN(evalDist(q), 2, 0, 10); !errors.Is(err, query.ErrBadOID) {
+		t.Fatalf("KNN err = %v, want ErrBadOID", err)
 	}
 }

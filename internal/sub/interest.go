@@ -4,22 +4,33 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/trajectory"
 )
 
-// padAbs is the absolute padding added to interest-box half-widths so
-// the box strictly contains the candidate ball even after the rounding
-// in sqrt and the corner subtractions. The box test is a conservative
-// pre-filter; the exact per-piece segment-vs-ball test runs behind it.
-const padAbs = 1e-9
+// padRel and padAbs pad interest-box half-widths so the box strictly
+// contains the candidate ball even after the rounding in sqrt and the
+// corner subtractions. The box test is a conservative pre-filter; the
+// exact reach test (query.Reaches) runs behind it.
+const (
+	padRel = 1e-9
+	padAbs = 1e-9
+)
+
+// ballRadius is the padded radius of the ball every trajectory that
+// reaches the pool threshold r2 must enter.
+func ballRadius(r2 float64) float64 {
+	return math.Sqrt(query.Inflate(r2))*(1+padRel) + padAbs
+}
 
 // ballRect is the axis-aligned box of the ball with squared radius r2
 // (inflated) around c.
 func ballRect(c geom.Vec, r2 float64) rtree.Rect {
-	r := math.Sqrt(inflate(r2))*(1+relEps) + padAbs
+	r := ballRadius(r2)
 	lo := make(geom.Vec, len(c))
 	hi := make(geom.Vec, len(c))
 	for i, x := range c {
@@ -186,23 +197,23 @@ func (ix *poolIndex) collect(snap *mod.DB, c geom.Vec, r2, lo, hi float64, dst [
 		return append(dst, ix.objects...)
 	}
 	base := len(dst)
-	rad := math.Sqrt(inflate(r2))*(1+relEps) + padAbs
+	var f gdist.GDistance = gdist.PointSq{Point: c} // boxed once, not per reach test
 	// VisitRadius streams matches without materializing a result slice
 	// (SearchRadius would allocate one per Subscribe).
-	ix.tree.VisitRadius(c, rad, func(it rtree.Item) bool {
+	ix.tree.VisitRadius(c, ballRadius(r2), func(it rtree.Item) bool {
 		o := mod.OID(it.ID)
 		tr, err := snap.Traj(o)
 		if err != nil {
 			return true
 		}
 		// The box-radius search over-approximates; confirm exactly.
-		if trajReaches(tr, c, r2, lo, hi) {
+		if reaches(f, tr, r2, lo, hi) {
 			dst = append(dst, poolEntry{o: o, tr: tr})
 		}
 		return true
 	})
 	for _, m := range ix.movers {
-		if trajReaches(m.tr, c, r2, lo, hi) {
+		if reaches(f, m.tr, r2, lo, hi) {
 			dst = append(dst, m)
 		}
 	}

@@ -6,42 +6,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
 )
-
-func TestTrajReaches(t *testing.T) {
-	c := geom.Vec{0, 0}
-	through := trajectory.Linear(0, geom.Vec{1, 0}, geom.Vec{-10, 1})
-	if !trajReaches(through, c, 4, 0, 100) {
-		t.Fatal("passing trajectory not detected")
-	}
-	if trajReaches(through, c, 4, 0, 5) { // window ends before closest approach at t=10
-		t.Fatal("window clipping ignored")
-	}
-	miss := trajectory.Linear(0, geom.Vec{1, 0}, geom.Vec{-10, 5})
-	if trajReaches(miss, c, 4, 0, 100) {
-		t.Fatal("missing trajectory detected as reaching")
-	}
-	if !trajReaches(miss, c, math.Inf(1), 0, 100) {
-		t.Fatal("infinite radius must always reach")
-	}
-	// Terminated before it arrives.
-	term, err := through.Terminate(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trajReaches(term, c, 4, 0, 100) {
-		t.Fatal("terminated trajectory still reaching")
-	}
-	// Exact boundary: closest approach lands exactly on the radius; the
-	// inflation margin must keep it in.
-	graze := trajectory.Linear(0, geom.Vec{1, 0}, geom.Vec{-10, 2})
-	if !trajReaches(graze, c, 4, 0, 100) {
-		t.Fatal("grazing trajectory excluded (inflation margin broken)")
-	}
-}
 
 func TestInterestIndexRoutingAndRebuild(t *testing.T) {
 	ix := newInterestIndex(2)
@@ -119,7 +88,7 @@ func TestPoolIndexCollectAndKth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trajReaches(tr, center, r2, lo, hi) {
+		if reaches(gdist.PointSq{Point: center}, tr, r2, lo, hi) {
 			want[o] = true
 		}
 	}

@@ -274,6 +274,7 @@ func (r *Registry) buildSub(q Query) (*subscription, error) {
 		key:            q.key(),
 		q:              q,
 		center:         q.Point,
+		f:              gdist.PointSq{Point: q.Point},
 		lastRefreshTau: math.Inf(-1),
 	}
 	if err := r.materialize(s, buildInit); err != nil {
@@ -309,11 +310,7 @@ func (r *Registry) materialize(s *subscription, reason int) error {
 	}
 	s.lastRefreshTau = snap.Tau()
 
-	eng, err := query.NewEngine(query.EngineConfig{
-		F:  gdist.PointSq{Point: s.center},
-		Lo: lo,
-		Hi: s.q.Hi,
-	})
+	eng, err := query.NewEngine(query.EngineConfig{F: s.f, Lo: lo, Hi: s.q.Hi})
 	if err != nil {
 		return err
 	}
@@ -331,12 +328,6 @@ func (r *Registry) materialize(s *subscription, reason int) error {
 	if err != nil {
 		return err
 	}
-	var sentinel uint64
-	if knn != nil && !math.IsInf(poolR2, 1) {
-		if sentinel, err = eng.ConstID(poolR2); err != nil {
-			return err
-		}
-	}
 	pool := idx.collect(snap, s.center, poolR2, lo, s.q.Hi, nil)
 	trajs := make(map[mod.OID]trajectory.Trajectory, len(pool))
 	for _, pe := range pool {
@@ -344,6 +335,14 @@ func (r *Registry) materialize(s *subscription, reason int) error {
 	}
 	if err := eng.Seed(trajs); err != nil {
 		return err
+	}
+	// The guard goes in after the pool: it judges a seeded order only.
+	var guard *query.Guard
+	if knn != nil {
+		guard = query.NewGuard(poolR2, s.q.K)
+		if err := eng.AddEvaluator(guard); err != nil {
+			return err
+		}
 	}
 
 	// Swap in: retire the old registrations (which depend on the old
@@ -354,7 +353,7 @@ func (r *Registry) materialize(s *subscription, reason int) error {
 	}
 	s.eng, s.knn, s.within = eng, knn, within
 	s.poolR2 = poolR2
-	s.sentinel = sentinel
+	s.guard = guard
 	s.tracked = make(map[mod.OID]struct{}, len(pool))
 	for _, pe := range pool {
 		s.tracked[pe.o] = struct{}{}
@@ -508,7 +507,7 @@ func (r *Registry) applyToSub(s *subscription, u mod.Update) {
 	switch u.Kind {
 	case mod.KindNew:
 		if !tracked {
-			if !trajReaches(trajectory.Linear(u.Tau, u.A, u.B), s.center, s.poolR2, u.Tau, s.q.Hi) {
+			if !reaches(s.f, trajectory.Linear(u.Tau, u.A, u.B), s.poolR2, u.Tau, s.q.Hi) {
 				return
 			}
 			if err := s.eng.ApplyUpdate(u); err != nil {
@@ -529,7 +528,7 @@ func (r *Registry) applyToSub(s *subscription, u mod.Update) {
 			if err != nil {
 				return
 			}
-			if !trajReaches(tr, s.center, s.poolR2, u.Tau, s.q.Hi) {
+			if !reaches(s.f, tr, s.poolR2, u.Tau, s.q.Hi) {
 				return
 			}
 			if err := s.eng.InsertObject(u.O, tr, u.Tau); err != nil {
@@ -614,7 +613,7 @@ func (r *Registry) graftStale(s *subscription, o mod.OID, now float64) bool {
 	if err != nil || !tr.IsDefined() || tr.End() <= now {
 		return false
 	}
-	if !trajReaches(tr, s.center, s.poolR2, now, s.q.Hi) {
+	if !reaches(s.f, tr, s.poolR2, now, s.q.Hi) {
 		return false
 	}
 	if err := s.eng.InsertObject(o, tr, now); err != nil {

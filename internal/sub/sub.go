@@ -18,10 +18,11 @@
 //     (core.Sweeper.NextEventTime) parks untouched subscriptions: their
 //     answers are provably constant between events, so they pay nothing
 //     while other objects churn;
-//   - k-NN pools carry a constant sentinel curve at the pool radius;
-//     the sweep itself schedules the "k-th neighbor left the pool"
-//     event, and the registry refreshes the pool (doubling discipline)
-//     exactly when sufficiency is violated.
+//   - k-NN pools carry the query layer's guard (query.Guard): a constant
+//     sentinel curve at the pool radius, so the sweep itself schedules
+//     the "k-th neighbor left the pool" event, and the registry
+//     refreshes the pool (doubling discipline) exactly when sufficiency
+//     is violated.
 //
 // Exactness: pool curves are built from the authoritative trajectories
 // (gdist curve coefficients are independent of the clip start), so a
@@ -41,8 +42,10 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/query"
 	"repro/internal/trajectory"
 )
 
@@ -222,61 +225,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// relEps and absEps inflate candidate-ball acceptance tests so float
-// rounding in the segment-distance computation can never exclude an
-// object whose curve the sweep would judge to reach the region.
-const (
-	relEps = 1e-9
-	absEps = 1e-12
-)
-
-// inflate widens a squared-radius threshold for pool-membership tests.
-func inflate(r2 float64) float64 { return r2*(1+relEps) + absEps }
-
-// segMinDist2 returns the minimum of |p(t) - c|^2 over the motion
-// segment p(t) = pos + (t-t0)*vel for t in [t0, t1]: the quadratic in
-// dt = t-t0 is minimized at the clamped vertex.
-func segMinDist2(pos, vel, c geom.Vec, t0, t1 float64) float64 {
-	// d(dt) = |D + dt*vel|^2, D = pos - c.
-	var dd, dv, vv float64
-	for i := range pos {
-		di := pos[i] - c[i]
-		dd += di * di
-		dv += di * vel[i]
-		vv += vel[i] * vel[i]
-	}
-	L := t1 - t0
-	if vv == 0 { //modlint:allow floatcmp -- stationary piece: exact zero velocity has a constant distance
-		return dd
-	}
-	dt := -dv / vv
-	if dt < 0 {
-		dt = 0
-	} else if dt > L {
-		dt = L
-	}
-	return dd + 2*dv*dt + vv*dt*dt
-}
-
-// trajReaches reports whether tr's motion during [from, hi] can come
-// within the (inflated) squared radius r2 of center c. Only pieces
-// overlapping the window matter; r2 = +Inf always reaches.
-func trajReaches(tr trajectory.Trajectory, c geom.Vec, r2, from, hi float64) bool {
-	if math.IsInf(r2, 1) {
-		return true
-	}
-	thr := inflate(r2)
-	for _, pc := range tr.Pieces() {
-		t0 := math.Max(from, pc.Start)
-		t1 := math.Min(hi, pc.End)
-		if t1 < t0 {
-			continue
-		}
-		if segMinDist2(pc.At(t0), pc.A, c, t0, t1) <= thr {
-			return true
-		}
-	}
-	return false
+// reaches reports whether tr's motion during [from, hi] can bring f's
+// curve down to the pool threshold r2 — the query layer's pool-membership
+// test. A trajectory that misses the window reaches nothing.
+func reaches(f gdist.GDistance, tr trajectory.Trajectory, r2, from, hi float64) bool {
+	ok, err := query.Reaches(f, tr, r2, from, hi)
+	return err == nil && ok
 }
 
 // oidsEqual compares two OID slices element-wise without allocating.

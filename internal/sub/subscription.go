@@ -1,8 +1,7 @@
 package sub
 
 import (
-	"math"
-
+	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/query"
@@ -20,16 +19,17 @@ type subscription struct {
 	center geom.Vec // == q.Point
 	lastT  float64  // time of the last emitted delta (or the build time)
 
+	f      gdist.GDistance // squared distance to center
 	eng    *query.Engine
 	knn    *query.KNN
 	within *query.Within
 
 	// poolR2 is the squared candidate-ball radius: for k-NN a doubling
 	// margin over the k-th neighbor distance (+Inf when the pool must be
-	// the whole database), for within exactly Radius². sentinel is the
-	// pool-radius constant curve's id in the sweep (k-NN, finite pools).
-	poolR2   float64
-	sentinel uint64
+	// the whole database), for within exactly Radius². guard watches a
+	// k-NN pool's sufficiency at that radius.
+	poolR2 float64
+	guard  *query.Guard
 
 	tracked map[mod.OID]struct{} // objects inserted into eng
 	cur     []mod.OID            // current answer (k-NN: rank order; within: ascending)
@@ -95,29 +95,12 @@ func (s *subscription) answer() (add, remove, order []mod.OID, changed bool) {
 	return add, remove, order, true
 }
 
-// poolInsufficient reports whether the sentinel outranks the k-th
-// nearest object: fewer than k objects are inside the candidate ball,
-// so the true answer may include objects outside the pool and it must
-// be rebuilt. Ties with the k-th object count as insufficient
-// (conservative).
+// poolInsufficient reports whether the guard has seen its sentinel
+// among the first k entries: fewer than k objects were inside the
+// candidate ball, so the true answer may include objects outside the
+// pool and it must be rebuilt.
 func (s *subscription) poolInsufficient() bool {
-	if s.knn == nil || math.IsInf(s.poolR2, 1) {
-		return false
-	}
-	n := 0
-	insufficient := false
-	s.eng.Sweeper().Walk(func(id uint64) bool {
-		if query.IsConstID(id) {
-			if id == s.sentinel {
-				insufficient = n < s.q.K
-				return false
-			}
-			return true
-		}
-		n++
-		return n < s.q.K
-	})
-	return insufficient
+	return s.guard != nil && s.guard.Violated()
 }
 
 // sortOIDsAsc sorts ascending (insertion sort: answers are small).

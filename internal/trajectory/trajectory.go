@@ -222,6 +222,14 @@ func (tr Trajectory) Pieces() []Piece {
 	return out
 }
 
+// NumPieces returns the number of linear pieces.
+func (tr Trajectory) NumPieces() int { return len(tr.pieces) }
+
+// PieceAt returns piece i without copying the piece list — the accessor
+// for per-object scans that must not allocate. The piece's vectors are
+// shared with the trajectory and must not be modified.
+func (tr Trajectory) PieceAt(i int) Piece { return tr.pieces[i] }
+
 // LastPiece returns the final motion piece.
 func (tr Trajectory) LastPiece() (Piece, error) {
 	if len(tr.pieces) == 0 {
