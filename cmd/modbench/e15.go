@@ -1,7 +1,8 @@
 package main
 
 // e15 — uncertainty broad phase (internal/query.BeadIndex): the
-// space-time box R-tree + gen-stamped track cache against the scan path
+// space-time box R-tree + gen-stamped track cache, as the engine runs
+// it, against the reference scan (query.PossiblyWithin, query.Alibi)
 // that evaluates the bead kernel for every chain. The workload is a
 // large, spatially spread fleet (10k objects over a ~1000-wide arena;
 // 2k under -quick) asked small-radius possibly-within queries, so the
@@ -20,8 +21,10 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/bead"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/query"
 	"repro/internal/shard"
 )
 
@@ -92,107 +95,98 @@ func e15() error {
 		als[i] = alibiQ{o1: o1, o2: o2, lo: lo, hi: lo + 2 + 8*rng.Float64()}
 	}
 
+	// The reference: the scan evaluates the bead kernel for every chain
+	// of the unsharded database (query.PossiblyWithin, query.Alibi). It
+	// is timed once; every engine below must answer bit-identically.
+	snap := db.EpochSnapshot()
+	scanPW := make([]string, len(pws))
+	start := time.Now()
+	for i, q := range pws {
+		ans, err := query.PossiblyWithin(snap, q.q, 5, q.lo, q.hi, defaultVmax)
+		if err != nil {
+			return err
+		}
+		scanPW[i] = ans.String()
+	}
+	scanS := time.Since(start).Seconds()
+	emitBench(benchRecord{Exp: "e15", Name: "pw-scan",
+		N: nObjects, Seconds: scanS, UpdatesPerSec: float64(nQueries) / scanS})
+
+	alibiString := func(res bead.Result) string {
+		if res.Possible {
+			return fmt.Sprintf("possible@%x", math.Float64bits(res.At))
+		}
+		return "impossible"
+	}
+	// An alibi takes microseconds: the pair list is walked alibiReps
+	// times so the timed stretch is tens of milliseconds, not a few.
+	const alibiReps = 20
+	scanAl := make([]string, len(als))
+	start = time.Now()
+	for r := 0; r < alibiReps; r++ {
+		for i, q := range als {
+			res, err := query.Alibi(snap, q.o1, q.o2, q.lo, q.hi, defaultVmax)
+			if err != nil {
+				return err
+			}
+			scanAl[i] = alibiString(res)
+		}
+	}
+	scanAlS := time.Since(start).Seconds() / alibiReps
+	emitBench(benchRecord{Exp: "e15", Name: "alibi-scan",
+		N: nAlibi, Seconds: scanAlS, UpdatesPerSec: float64(nAlibi) / scanAlS})
+
 	var rows [][]string
 	speedupAt := map[int]float64{}
 	for _, p := range []int{1, 4} {
-		// Two engines over copies of the same state: the scan control and
-		// the broad phase under test. Answers must be bit-identical.
-		runPW := func(broad bool) (float64, []string, error) {
-			eng, err := shard.FromDB(db.Snapshot(), shard.Config{Shards: p, Workers: p})
+		eng, err := shard.FromDB(db.Snapshot(), shard.Config{Shards: p, Workers: p})
+		if err != nil {
+			return err
+		}
+		// The first query builds the per-shard indexes: the one-time
+		// construction is charged to pw-index.
+		start = time.Now()
+		for i, q := range pws {
+			ans, _, err := eng.PossiblyWithin(q.q, 5, q.lo, q.hi, defaultVmax)
 			if err != nil {
-				return 0, nil, err
+				return err
 			}
-			eng.SetBeadBroadPhase(broad)
-			out := make([]string, len(pws))
-			start := time.Now()
-			for i, q := range pws {
-				ans, _, qerr := eng.PossiblyWithin(q.q, 5, q.lo, q.hi, defaultVmax)
-				if qerr != nil {
-					return 0, nil, qerr
-				}
-				out[i] = ans.String()
-			}
-			return time.Since(start).Seconds(), out, nil
-		}
-		scanS, scanAns, err := runPW(false)
-		if err != nil {
-			return err
-		}
-		ixS, ixAns, err := runPW(true)
-		if err != nil {
-			return err
-		}
-		for i := range pws {
-			if scanAns[i] != ixAns[i] {
+			if got := ans.String(); got != scanPW[i] {
 				return fmt.Errorf("e15: P=%d query %d: broad phase diverges from scan:\nscan  %s\nindex %s",
-					p, i, scanAns[i], ixAns[i])
+					p, i, scanPW[i], got)
 			}
 		}
-		scanQPS := float64(nQueries) / scanS
-		ixQPS := float64(nQueries) / ixS
-		speedup := scanS / ixS
-		speedupAt[p] = speedup
-		emitBench(benchRecord{Exp: "e15", Name: "pw-scan", P: p,
-			N: nObjects, Seconds: scanS, UpdatesPerSec: scanQPS})
+		ixS := time.Since(start).Seconds()
+		speedupAt[p] = scanS / ixS
 		emitBench(benchRecord{Exp: "e15", Name: "pw-index", P: p,
-			N: nObjects, Seconds: ixS, UpdatesPerSec: ixQPS, Speedup: speedup})
+			N: nObjects, Seconds: ixS, UpdatesPerSec: float64(nQueries) / ixS, Speedup: scanS / ixS})
 		rows = append(rows, []string{fmt.Sprintf("possibly-within P=%d", p),
-			fmt.Sprintf("%.0f", scanQPS), fmt.Sprintf("%.0f", ixQPS),
-			fmt.Sprintf("%.1fx", speedup), "bit-identical"})
-	}
-
-	for _, p := range []int{1, 4} {
-		runAlibi := func(broad bool) (float64, []string, error) {
-			eng, err := shard.FromDB(db.Snapshot(), shard.Config{Shards: p, Workers: p})
-			if err != nil {
-				return 0, nil, err
-			}
-			eng.SetBeadBroadPhase(broad)
-			// Warm outside the timer: the one-time index construction is
-			// already charged to the pw-index records above; this loop
-			// measures steady-state per-query cost, where the cache trades
-			// two track rebuilds for two map lookups. A possibly-within
-			// touches every shard, so all per-shard indexes build here.
-			if _, _, err := eng.PossiblyWithin(geom.Of(0, 0), 1, 5, 6, defaultVmax); err != nil {
-				return 0, nil, err
-			}
-			out := make([]string, len(als))
-			start := time.Now()
-			for i, q := range als {
-				res, _, qerr := eng.Alibi(q.o1, q.o2, q.lo, q.hi, defaultVmax)
-				if qerr != nil {
-					return 0, nil, qerr
-				}
-				if res.Possible {
-					out[i] = fmt.Sprintf("possible@%x", math.Float64bits(res.At))
-				} else {
-					out[i] = "impossible"
-				}
-			}
-			return time.Since(start).Seconds(), out, nil
-		}
-		scanS, scanAns, err := runAlibi(false)
-		if err != nil {
-			return err
-		}
-		ixS, ixAns, err := runAlibi(true)
-		if err != nil {
-			return err
-		}
-		for i := range als {
-			if scanAns[i] != ixAns[i] {
-				return fmt.Errorf("e15: P=%d alibi %d (%v): index says %s, scan says %s",
-					p, i, als[i], ixAns[i], scanAns[i])
-			}
-		}
-		emitBench(benchRecord{Exp: "e15", Name: "alibi-scan", P: p,
-			N: nAlibi, Seconds: scanS, UpdatesPerSec: float64(nAlibi) / scanS})
-		emitBench(benchRecord{Exp: "e15", Name: "alibi-index", P: p,
-			N: nAlibi, Seconds: ixS, UpdatesPerSec: float64(nAlibi) / ixS,
-			Speedup: scanS / ixS})
-		rows = append(rows, []string{fmt.Sprintf("alibi P=%d", p),
-			fmt.Sprintf("%.0f", float64(nAlibi)/scanS), fmt.Sprintf("%.0f", float64(nAlibi)/ixS),
+			fmt.Sprintf("%.0f", float64(nQueries)/scanS), fmt.Sprintf("%.0f", float64(nQueries)/ixS),
 			fmt.Sprintf("%.1fx", scanS/ixS), "bit-identical"})
+
+		// Alibi on the same engine, indexes warm: steady-state per-query
+		// cost, where the cache trades two track rebuilds for two map
+		// lookups.
+		start = time.Now()
+		for r := 0; r < alibiReps; r++ {
+			for i, q := range als {
+				res, _, err := eng.Alibi(q.o1, q.o2, q.lo, q.hi, defaultVmax)
+				if err != nil {
+					return err
+				}
+				if got := alibiString(res); got != scanAl[i] {
+					return fmt.Errorf("e15: P=%d alibi %d (%v): index says %s, scan says %s",
+						p, i, als[i], got, scanAl[i])
+				}
+			}
+		}
+		ixAlS := time.Since(start).Seconds() / alibiReps
+		emitBench(benchRecord{Exp: "e15", Name: "alibi-index", P: p,
+			N: nAlibi, Seconds: ixAlS, UpdatesPerSec: float64(nAlibi) / ixAlS,
+			Speedup: scanAlS / ixAlS})
+		rows = append(rows, []string{fmt.Sprintf("alibi P=%d", p),
+			fmt.Sprintf("%.0f", float64(nAlibi)/scanAlS), fmt.Sprintf("%.0f", float64(nAlibi)/ixAlS),
+			fmt.Sprintf("%.1fx", scanAlS/ixAlS), "bit-identical"})
 	}
 
 	table("query\tscan q/s\tindex q/s\tspeedup\tanswers", rows)

@@ -227,6 +227,7 @@ type Store struct {
 	manifestSeq uint64   // seq the on-disk manifest commits to
 	walSeq      uint64   // seq of the segment the live journal writes
 	walBinary   bool     // codec of the live segment (may lag opts.Format until rotation)
+	snapBytes   int      // size of the last snapshot written: pre-sizes the next one's buffer
 	closed      bool
 
 	c *committer // non-nil iff the policy is CommitGroup
@@ -594,9 +595,17 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		_ = old.Close()
 	}
 
-	// 3+4. Snapshot after the swap, persist atomically.
+	// 3+4. Snapshot after the swap, persist atomically. The epoch
+	// snapshot is immutable and taken without the database lock, and it
+	// still covers the old segment: mod.DB bumps its epoch under its
+	// write lock before it notifies the journal listener, so every entry
+	// that reached the old segment before the swap above had already
+	// moved the epoch, and EpochSnapshot never returns a view older than
+	// the current epoch. Entries applied but not yet journaled land in
+	// the new segment; replay deduplicates those the snapshot also has.
 	var buf bytes.Buffer
-	snap := s.db.Snapshot()
+	buf.Grow(s.snapBytes + s.snapBytes/8)
+	snap := s.db.EpochSnapshot()
 	var encErr error
 	if binary {
 		encErr = snap.SaveBinary(&buf)
@@ -606,6 +615,7 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	if encErr != nil {
 		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: encode snapshot: %w", encErr)
 	}
+	s.snapBytes = buf.Len()
 	newSnap := snapName(newSeq, s.opts.Format)
 	if err := vfs.WriteFileAtomic(s.fs, path.Join(s.dir, newSnap), buf.Bytes()); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: write snapshot: %w", err)

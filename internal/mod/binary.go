@@ -20,14 +20,20 @@ package mod
 //
 // Snapshot layout (SaveBinary/LoadBinary):
 //
-//	magic "MODS" | version byte (2) | body | crc32c(body) LE32
+//	magic "MODS" | version byte (3) | body | crc32c(body) LE32
 //	body = uvarint dim | tau bits LE64
 //	     | uvarint #objects | object...   (ascending OID)
-//	     | uvarint #log     | payload...  (update payloads, unframed)
-//	     | uvarint #bounds  | bound...    (version >= 2; ascending OID)
+//	     | uvarint #bounds  | bound...    (ascending OID)
 //	object = uvarint oid | uvarint #pieces | piece...
 //	piece  = start bits LE64 | end bits LE64 | dim A bits | dim B bits
 //	bound  = uvarint oid | vmax bits LE64
+//
+// The body is the state (O, T, tau) and nothing else, so its size is a
+// function of the state, not of the history that produced it. Versions
+// 1 and 2 are read-only: both carried the applied-update log between
+// the objects and the bounds (uvarint #log | unframed update payloads;
+// version 1 had no bounds section), and LoadBinary decodes that section
+// to step over it and discards it. SaveBinary writes version 3 only.
 //
 // Wire batch layout (EncodeUpdatesBinary/DecodeUpdatesBinary, the
 // POST /update/batch binary body):
@@ -47,7 +53,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
@@ -59,10 +64,9 @@ import (
 // kind, and the framing is identical.
 const binaryVersion = 1
 
-// snapVersion is the current version byte of the snapshot layout.
-// Version 2 appends a speed-bounds section after the log; LoadBinary
-// still reads version-1 snapshots (no bounds section) unchanged.
-const snapVersion = 2
+// snapVersion is the version byte SaveBinary writes; LoadBinary reads
+// 1..snapVersion (see the layout comment for what 1 and 2 carried).
+const snapVersion = 3
 
 // BinaryJournalHeaderLen is the size of the header a binary journal
 // segment starts with (magic + version).
@@ -192,6 +196,19 @@ func (c *binCursor) vec() (geom.Vec, error) {
 // writer and reader disagree about the format.
 func decodeUpdatePayload(p []byte) (Update, error) {
 	c := binCursor{p: p}
+	u, err := c.update()
+	if err != nil {
+		return Update{}, err
+	}
+	if len(c.p) != 0 {
+		return Update{}, fmt.Errorf("mod: binary update has %d trailing bytes", len(c.p))
+	}
+	return u, nil
+}
+
+// update decodes one update payload from the cursor, leaving it at the
+// first byte after the payload.
+func (c *binCursor) update() (Update, error) {
 	kind, err := c.byte()
 	if err != nil {
 		return Update{}, err
@@ -214,9 +231,6 @@ func decodeUpdatePayload(p []byte) (Update, error) {
 	b, err := c.vec()
 	if err != nil {
 		return Update{}, err
-	}
-	if len(c.p) != 0 {
-		return Update{}, fmt.Errorf("mod: binary update has %d trailing bytes", len(c.p))
 	}
 	return Update{Kind: UpdateKind(kind), O: OID(oid), Tau: tau, A: a, B: b}, nil
 }
@@ -341,27 +355,34 @@ func ReplayTolerantBinary(db *DB, r io.Reader) (ReplayStats, error) {
 	}
 }
 
-// SaveBinary writes a binary snapshot of the database to w: the same
-// state SaveJSON captures (dimension, tau, every trajectory piece, the
-// applied update log), in the raw-bits layout, with a trailing CRC over
-// the body. Unlike SaveJSON it represents every reachable state,
-// including the -Inf seed tau and open-ended pieces.
-func (db *DB) SaveBinary(w io.Writer) error {
-	db.mu.RLock()
-	body := make([]byte, 0, 64+len(db.objs)*64+len(db.log)*32)
-	body = binary.AppendUvarint(body, uint64(db.dim))
-	body = appendFloat(body, db.tau)
-	oids := make([]OID, 0, len(db.objs))
-	for o := range db.objs {
-		oids = append(oids, o)
+// SaveBinary writes a binary snapshot of the database's current epoch
+// to w; see (*Snap).SaveBinary.
+func (db *DB) SaveBinary(w io.Writer) error { return db.EpochSnapshot().SaveBinary(w) }
+
+// SaveBinary writes the snapshot to w in the raw-bits layout: dimension,
+// tau, every trajectory piece and the declared speed bounds, with a
+// trailing CRC over the body. Unlike SaveJSON it represents every
+// reachable state, including the -Inf seed tau and open-ended pieces.
+// The body is built once in a buffer sized from the piece counts, and
+// header, body and CRC go to w in turn, so no second copy of the
+// snapshot is alive while it is written.
+func (s *Snap) SaveBinary(w io.Writer) error {
+	oids := s.Objects()
+	pieceBytes := (2 + 2*s.dim) * 8
+	size := 4*binary.MaxVarintLen64 + len(s.bounds)*(binary.MaxVarintLen64+8)
+	for _, tr := range s.objs {
+		size += 2*binary.MaxVarintLen64 + tr.NumPieces()*pieceBytes
 	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	body := make([]byte, 0, size)
+	body = binary.AppendUvarint(body, uint64(s.dim))
+	body = appendFloat(body, s.tau)
 	body = binary.AppendUvarint(body, uint64(len(oids)))
 	for _, o := range oids {
-		pieces := db.objs[o].Pieces()
+		tr := s.objs[o]
 		body = binary.AppendUvarint(body, uint64(o))
-		body = binary.AppendUvarint(body, uint64(len(pieces)))
-		for _, pc := range pieces {
+		body = binary.AppendUvarint(body, uint64(tr.NumPieces()))
+		for i := 0; i < tr.NumPieces(); i++ {
+			pc := tr.PieceAt(i)
 			body = appendFloat(body, pc.Start)
 			body = appendFloat(body, pc.End)
 			for _, x := range pc.A {
@@ -372,38 +393,34 @@ func (db *DB) SaveBinary(w io.Writer) error {
 			}
 		}
 	}
-	body = binary.AppendUvarint(body, uint64(len(db.log)))
-	for _, u := range db.log {
-		body = appendUpdatePayload(body, u)
-	}
-	// Version-2 trailer: declared speed bounds, ascending OID.
 	nBounds := 0
 	for _, o := range oids {
-		if _, ok := db.bounds[o]; ok {
+		if _, ok := s.bounds[o]; ok {
 			nBounds++
 		}
 	}
 	body = binary.AppendUvarint(body, uint64(nBounds))
 	for _, o := range oids {
-		if v, ok := db.bounds[o]; ok {
+		if v, ok := s.bounds[o]; ok {
 			body = binary.AppendUvarint(body, uint64(o))
 			body = appendFloat(body, v)
 		}
 	}
-	db.mu.RUnlock()
-	out := make([]byte, 0, BinaryJournalHeaderLen+len(body)+4)
-	out = append(out, snapMagic[0], snapMagic[1], snapMagic[2], snapMagic[3], snapVersion)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	_, err := w.Write(out)
+	if _, err := w.Write([]byte{snapMagic[0], snapMagic[1], snapMagic[2], snapMagic[3], snapVersion}); err != nil {
+		return err
+	}
+	if _, err := w.Write(body); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(body, crcTable)))
 	return err
 }
 
-// LoadBinary reads a snapshot produced by SaveBinary and reconstructs
-// the database. The body CRC is verified before any of it is parsed,
-// trajectories are validated for continuity on the way in, and log
-// entries are validated against the snapshot dimension exactly as
-// LoadJSON validates them.
+// LoadBinary reads a snapshot produced by SaveBinary (any version) and
+// reconstructs the database. The body CRC is verified before any of it
+// is parsed and trajectories are validated for continuity on the way
+// in. The update-log section of a version 1 or 2 snapshot is decoded
+// only to find its end; the state never depended on it.
 func LoadBinary(r io.Reader) (*DB, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -485,20 +502,16 @@ func LoadBinary(r io.Reader) (*DB, error) {
 			return nil, err
 		}
 	}
-	nLog, err := c.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("mod: binary snapshot log count: %w", err)
-	}
-	log := make([]Update, 0, min(nLog, uint64(len(c.p))))
-	for i := uint64(0); i < nLog; i++ {
-		u, err := decodeLogUpdate(&c)
+	if version < 3 {
+		nLog, err := c.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("mod: binary snapshot log entry %d: %w", i, err)
+			return nil, fmt.Errorf("mod: binary snapshot log count: %w", err)
 		}
-		if err := validateLoadedUpdate(u, dim); err != nil {
-			return nil, fmt.Errorf("mod: snapshot log entry %d: %w", i, err)
+		for i := uint64(0); i < nLog; i++ {
+			if _, err := c.update(); err != nil {
+				return nil, fmt.Errorf("mod: binary snapshot log entry %d: %w", i, err)
+			}
 		}
-		log = append(log, u)
 	}
 	if version >= 2 {
 		nBounds, err := c.uvarint()
@@ -530,40 +543,10 @@ func LoadBinary(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("mod: binary snapshot has %d trailing bytes", len(c.p))
 	}
 	db.mu.Lock()
-	db.log = log
 	db.tau = tau
 	db.epoch.Add(1)
 	db.mu.Unlock()
 	return db, nil
-}
-
-// decodeLogUpdate decodes one unframed update payload from the cursor
-// (snapshot log entries are unframed: the body CRC already covers them).
-func decodeLogUpdate(c *binCursor) (Update, error) {
-	kind, err := c.byte()
-	if err != nil {
-		return Update{}, err
-	}
-	if kind > byte(KindBound) {
-		return Update{}, fmt.Errorf("mod: unknown binary update kind %d", kind)
-	}
-	oid, err := c.uvarint()
-	if err != nil {
-		return Update{}, err
-	}
-	tau, err := c.float()
-	if err != nil {
-		return Update{}, err
-	}
-	a, err := c.vec()
-	if err != nil {
-		return Update{}, err
-	}
-	b, err := c.vec()
-	if err != nil {
-		return Update{}, err
-	}
-	return Update{Kind: UpdateKind(kind), O: OID(oid), Tau: tau, A: a, B: b}, nil
 }
 
 // vecHasNaN reports whether any component is NaN. Infinities are left
@@ -576,55 +559,6 @@ func vecHasNaN(v geom.Vec) bool {
 		}
 	}
 	return false
-}
-
-// validateLoadedUpdate checks a snapshot log entry against the snapshot
-// dimension: the fields the update's kind actually uses must have
-// exactly the database dimension and finite values. Without this a
-// corrupt or crafted snapshot smuggles mismatched-dim updates into
-// db.log and a re-save propagates them.
-func validateLoadedUpdate(u Update, dim int) error {
-	if math.IsNaN(u.Tau) || math.IsInf(u.Tau, 0) {
-		return fmt.Errorf("%w: non-finite time %g", ErrBadOperation, u.Tau)
-	}
-	checkVec := func(name string, v geom.Vec) error {
-		if v.Dim() != dim {
-			return fmt.Errorf("%w: %s(%s) %s has dim %d, snapshot dim %d",
-				ErrDimMismatch, u.Kind, u.O, name, v.Dim(), dim)
-		}
-		for _, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("%w: %s(%s) has non-finite %s component %g",
-					ErrBadOperation, u.Kind, u.O, name, x)
-			}
-		}
-		return nil
-	}
-	switch u.Kind {
-	case KindNew:
-		if err := checkVec("A", u.A); err != nil {
-			return err
-		}
-		return checkVec("B", u.B)
-	case KindChDir:
-		return checkVec("A", u.A)
-	case KindTerminate:
-		return nil
-	case KindBound:
-		if len(u.A) != 1 {
-			return fmt.Errorf("%w: bound(%s) wants a single [vmax], got %d values",
-				ErrBadOperation, u.O, len(u.A))
-		}
-		if math.IsNaN(u.A[0]) || math.IsInf(u.A[0], 0) || u.A[0] < 0 {
-			return fmt.Errorf("%w: bound(%s) bad vmax %g", ErrBadOperation, u.O, u.A[0])
-		}
-		if u.B.Dim() != 0 {
-			return fmt.Errorf("%w: bound(%s) carries a position", ErrBadOperation, u.O)
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: kind %d", ErrBadOperation, u.Kind)
-	}
 }
 
 // EncodeUpdatesBinary writes a batch of updates in the binary wire

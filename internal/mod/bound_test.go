@@ -127,39 +127,47 @@ func TestBoundSnapshotRoundTrips(t *testing.T) {
 	}
 }
 
-// TestBoundBinarySnapshotV1Compat proves version-1 snapshots (written
-// before the bounds section existed) still load: a v2 snapshot of a
-// bound-free database is exactly the v1 body plus a zero bounds count.
-func TestBoundBinarySnapshotV1Compat(t *testing.T) {
+// TestBinarySnapshotOldVersionsCompat proves the read-only layouts still
+// load, built by hand from today's writer: a version-3 body of a
+// bound-free database ends in a zero bounds count; version 1 had the
+// update log in that place and no bounds section, version 2 the log
+// followed by the bounds. (The fixture test in compat_test.go loads a
+// version-2 file the parent commit's writer produced.)
+func TestBinarySnapshotOldVersionsCompat(t *testing.T) {
 	db := NewDB(2, 0)
-	if err := db.ApplyAll(
+	us := []Update{
 		New(1, 1, geom.Of(1, 0), geom.Of(0, 0)),
 		ChDir(1, 2, geom.Of(0, 1)),
-	); err != nil {
+	}
+	if err := db.ApplyAll(us...); err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := db.SaveBinary(&v2); err != nil {
+	var v3 bytes.Buffer
+	if err := db.SaveBinary(&v3); err != nil {
 		t.Fatal(err)
 	}
-	raw := v2.Bytes()
+	raw := v3.Bytes()
 	body := raw[BinaryJournalHeaderLen : len(raw)-4]
-	if body[len(body)-1] != 0 {
-		t.Fatalf("expected trailing zero bounds count, got %#x", body[len(body)-1])
+	if raw[4] != 3 || body[len(body)-1] != 0 {
+		t.Fatalf("expected version 3 with a trailing zero bounds count, got version %d, last byte %#x", raw[4], body[len(body)-1])
 	}
-	v1body := body[:len(body)-1]
-	v1 := make([]byte, 0, len(raw))
-	v1 = append(v1, raw[:4]...)
-	v1 = append(v1, 1) // version byte
-	v1 = append(v1, v1body...)
-	v1 = binary.LittleEndian.AppendUint32(v1,
-		crc32.Checksum(v1body, crc32.MakeTable(crc32.Castagnoli)))
-	got, err := LoadBinary(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("LoadBinary(v1): %v", err)
+	v1body := append([]byte(nil), body[:len(body)-1]...)
+	v1body = binary.AppendUvarint(v1body, uint64(len(us)))
+	for _, u := range us {
+		v1body = appendUpdatePayload(v1body, u)
 	}
-	if !got.StateEqual(db) {
-		t.Fatal("v1 snapshot loads to different state")
+	for version, oldBody := range map[byte][]byte{1: v1body, 2: append(append([]byte(nil), v1body...), 0)} {
+		old := append(append([]byte(nil), raw[:4]...), version)
+		old = append(old, oldBody...)
+		old = binary.LittleEndian.AppendUint32(old,
+			crc32.Checksum(oldBody, crc32.MakeTable(crc32.Castagnoli)))
+		got, err := LoadBinary(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("LoadBinary(v%d): %v", version, err)
+		}
+		if !got.StateEqual(db) {
+			t.Fatalf("v%d snapshot loads to different state", version)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package mod
 
 // JSON persistence for moving object databases: a stable snapshot format
 // carrying the dimension, the last-update time, every trajectory (as its
-// linear pieces) and the applied update log. Used by the CLI tools to
+// linear pieces) and the declared speed bounds. Used by the CLI tools to
 // save and restore databases and by tests for round-trip validation.
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
@@ -30,8 +29,11 @@ type jsonDB struct {
 	// Bounds lists declared per-object max speeds (KindBound), ascending
 	// by OID. Absent on snapshots written before the uncertainty layer
 	// existed — LoadJSON treats a missing list as "no bounds declared".
-	Bounds []jsonBound  `json:"bounds,omitempty"`
-	Log    []jsonUpdate `json:"log,omitempty"`
+	Bounds []jsonBound `json:"bounds,omitempty"`
+	// Log is the applied-update log that snapshots written before format
+	// version 3 carried. It is accepted so those files still open, and
+	// ignored: the trajectories are the state. SaveJSON never writes it.
+	Log json.RawMessage `json:"log,omitempty"`
 }
 
 type jsonBound struct {
@@ -100,27 +102,22 @@ func fromJSONUpdate(j jsonUpdate) (Update, error) {
 	return u, nil
 }
 
-// SaveJSON writes a snapshot of the database to w.
-func (db *DB) SaveJSON(w io.Writer) error {
-	db.mu.RLock()
-	out := jsonDB{Dim: db.dim}
-	if !math.IsInf(db.tau, -1) {
-		if math.IsNaN(db.tau) || math.IsInf(db.tau, 1) {
-			db.mu.RUnlock()
-			return fmt.Errorf("mod: cannot encode tau %g as JSON", db.tau)
+// SaveJSON writes a JSON snapshot of the database's current epoch to w.
+func (db *DB) SaveJSON(w io.Writer) error { return db.EpochSnapshot().SaveJSON(w) }
+
+// SaveJSON writes the snapshot to w.
+func (s *Snap) SaveJSON(w io.Writer) error {
+	out := jsonDB{Dim: s.dim}
+	if !math.IsInf(s.tau, -1) {
+		if math.IsNaN(s.tau) || math.IsInf(s.tau, 1) {
+			return fmt.Errorf("mod: cannot encode tau %g as JSON", s.tau)
 		}
-		tau := db.tau
-		out.Tau = &tau
+		out.Tau = &s.tau
 	}
-	oids := make([]OID, 0, len(db.objs))
-	for o := range db.objs {
-		oids = append(oids, o)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	oids := s.Objects()
 	for _, o := range oids {
-		tr := db.objs[o]
 		jo := jsonObject{OID: uint64(o)}
-		for _, pc := range tr.Pieces() {
+		for _, pc := range s.objs[o].Pieces() {
 			jp := jsonPiece{Start: pc.Start, A: pc.A, B: pc.B}
 			if !math.IsInf(pc.End, 1) {
 				end := pc.End
@@ -131,14 +128,10 @@ func (db *DB) SaveJSON(w io.Writer) error {
 		out.Objects = append(out.Objects, jo)
 	}
 	for _, o := range oids {
-		if v, ok := db.bounds[o]; ok {
+		if v, ok := s.bounds[o]; ok {
 			out.Bounds = append(out.Bounds, jsonBound{OID: uint64(o), Vmax: v})
 		}
 	}
-	for _, u := range db.log {
-		out.Log = append(out.Log, toJSONUpdate(u))
-	}
-	db.mu.RUnlock()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -186,23 +179,11 @@ func LoadJSON(r io.Reader) (*DB, error) {
 		}
 		db.bounds[OID(jb.OID)] = jb.Vmax
 	}
-	log := make([]Update, 0, len(in.Log))
-	for i, ju := range in.Log {
-		u, err := fromJSONUpdate(ju)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateLoadedUpdate(u, in.Dim); err != nil {
-			return nil, fmt.Errorf("mod: snapshot log entry %d: %w", i, err)
-		}
-		log = append(log, u)
-	}
 	tau := math.Inf(-1)
 	if in.Tau != nil {
 		tau = *in.Tau
 	}
 	db.mu.Lock()
-	db.log = log
 	db.tau = tau
 	db.epoch.Add(1)
 	db.mu.Unlock()

@@ -69,12 +69,11 @@ func TestGenStamps(t *testing.T) {
 		t.Fatalf("rejected update bumped gen(2): %d -> %d", before, db.Gen(2))
 	}
 
-	// SpeedBounds reflects declarations (object 1 declared above).
-	bounds := db.SpeedBounds()
-	if v, ok := bounds[1]; !ok || v != 4 {
-		t.Fatalf("SpeedBounds()[1] = %v,%v, want 4,true", v, ok)
+	// SpeedBound reflects declarations (object 1 declared above).
+	if v, ok := db.SpeedBound(1); !ok || v != 4 {
+		t.Fatalf("SpeedBound(1) = %v,%v, want 4,true", v, ok)
 	}
-	if _, ok := bounds[2]; ok {
+	if _, ok := db.SpeedBound(2); ok {
 		t.Fatal("object 2 has no declaration")
 	}
 }

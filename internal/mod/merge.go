@@ -3,98 +3,82 @@ package mod
 // Merge and Partition: the composition primitives behind internal/shard.
 // A sharded engine holds P disjoint DBs; Partition splits one database
 // into such a family and Merge reassembles a single consistent view.
-// Both live here because they must compose the parts the public API
-// keeps private: the last-update time tau and the applied-update log.
+// Both read their sources through EpochSnapshot, so neither holds a
+// source's lock while it copies.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trajectory"
 )
 
 // Merge combines databases with pairwise-disjoint object sets into one
-// snapshot: the union of the objects, tau the maximum of the parts'
-// taus, and the update logs merged into chronological order. The inputs
-// are not modified; the result shares no mutable state with them.
+// independent database: the union of the objects and of their speed
+// bounds, and tau the maximum of the parts' taus. The inputs are not
+// modified; the result shares no mutable state with them.
 func Merge(dbs ...*DB) (*DB, error) {
 	if len(dbs) == 0 {
 		return nil, fmt.Errorf("%w: merge of zero databases", ErrBadOperation)
 	}
-	out := &DB{
-		dim:    dbs[0].Dim(),
-		objs:   make(map[OID]trajectory.Trajectory),
-		bounds: make(map[OID]float64),
-		tau:    dbs[0].Tau(),
-	}
+	snaps := make([]*Snap, len(dbs))
+	n := 0
 	for i, db := range dbs {
-		db.mu.RLock()
-		if db.dim != out.dim {
-			db.mu.RUnlock()
-			return nil, fmt.Errorf("%w: merge dim %d vs %d", ErrDimMismatch, db.dim, out.dim)
+		snaps[i] = db.EpochSnapshot()
+		n += len(snaps[i].objs)
+	}
+	out := &DB{
+		dim:    snaps[0].dim,
+		objs:   make(map[OID]trajectory.Trajectory, n),
+		bounds: make(map[OID]float64),
+		tau:    snaps[0].tau,
+	}
+	for i, s := range snaps {
+		if s.dim != out.dim {
+			return nil, fmt.Errorf("%w: merge dim %d vs %d", ErrDimMismatch, s.dim, out.dim)
 		}
-		for o, tr := range db.objs {
+		for o, tr := range s.objs {
 			if _, dup := out.objs[o]; dup {
-				db.mu.RUnlock()
 				return nil, fmt.Errorf("%w: %s present in more than one shard (shard %d)", ErrExists, o, i)
 			}
 			out.objs[o] = tr
 		}
-		for o, v := range db.bounds {
+		for o, v := range s.bounds {
 			out.bounds[o] = v
 		}
-		if db.tau > out.tau {
-			out.tau = db.tau
+		if s.tau > out.tau {
+			out.tau = s.tau
 		}
-		out.log = append(out.log, db.log...)
-		db.mu.RUnlock()
 	}
-	// Each part's log is chronological; a stable sort by time is a k-way
-	// merge that keeps the global log chronological and deterministic.
-	sort.SliceStable(out.log, func(i, j int) bool { return out.log[i].Tau < out.log[j].Tau })
 	return out, nil
 }
 
 // Partition splits the database into p parts routed by route(oid) (which
 // must return a value in [0, p)). Every part inherits the full database
 // tau — so a chronological update stream routed by the same function
-// stays chronological per part — and the subset of the update log whose
-// updates route to it. The source is not modified.
+// stays chronological per part. The source is not modified.
 func (db *DB) Partition(p int, route func(OID) int) ([]*DB, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("%w: partition into %d parts", ErrBadOperation, p)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	s := db.EpochSnapshot()
 	parts := make([]*DB, p)
 	for i := range parts {
 		parts[i] = &DB{
-			dim:    db.dim,
+			dim:    s.dim,
 			objs:   make(map[OID]trajectory.Trajectory),
 			bounds: make(map[OID]float64),
-			tau:    db.tau,
+			tau:    s.tau,
 		}
 	}
-	for o, tr := range db.objs {
+	for o, tr := range s.objs {
 		i := route(o)
 		if i < 0 || i >= p {
 			return nil, fmt.Errorf("%w: route(%s) = %d outside [0,%d)", ErrBadOperation, o, i, p)
 		}
 		parts[i].objs[o] = tr
-	}
-	for o, v := range db.bounds {
-		i := route(o)
-		if i < 0 || i >= p {
-			return nil, fmt.Errorf("%w: route(%s) = %d outside [0,%d)", ErrBadOperation, o, i, p)
+		if v, ok := s.bounds[o]; ok {
+			parts[i].bounds[o] = v
 		}
-		parts[i].bounds[o] = v
-	}
-	for _, u := range db.log {
-		i := route(u.O)
-		if i < 0 || i >= p {
-			return nil, fmt.Errorf("%w: route(%s) = %d outside [0,%d)", ErrBadOperation, u.O, i, p)
-		}
-		parts[i].log = append(parts[i].log, u)
 	}
 	return parts, nil
 }

@@ -56,7 +56,7 @@ func TestPartitionMergeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMergeLogChronological(t *testing.T) {
+func TestMergeTauAndObjects(t *testing.T) {
 	a, b := NewDB(1, -1), NewDB(1, -1)
 	if err := a.ApplyAll(New(1, 0, geom.Of(1), geom.Of(0)), ChDir(1, 4, geom.Of(2))); err != nil {
 		t.Fatal(err)
@@ -71,14 +71,22 @@ func TestMergeLogChronological(t *testing.T) {
 	if m.Tau() != 4 {
 		t.Fatalf("merged tau = %g, want 4", m.Tau())
 	}
-	log := m.Log()
-	for i := 1; i < len(log); i++ {
-		if log[i].Tau < log[i-1].Tau {
-			t.Fatalf("merged log not chronological at %d: %v", i, log)
+	for o, src := range map[OID]*DB{1: a, 2: b} {
+		want, _ := src.Traj(o)
+		got, err := m.Traj(o)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("merged %s = %v, %v; want %v", o, got, err, want)
 		}
 	}
-	if len(log) != 4 {
-		t.Fatalf("merged log has %d entries, want 4", len(log))
+	// The merged database continues from the later part's tau.
+	if err := m.Apply(ChDir(2, 3.5, geom.Of(0))); !errors.Is(err, ErrChronology) {
+		t.Fatalf("update before the merged tau: %v, want ErrChronology", err)
+	}
+	if err := m.Apply(ChDir(2, 5, geom.Of(0))); err != nil {
+		t.Fatal(err)
+	}
+	if tr, _ := b.Traj(2); tr.NumPieces() != 2 {
+		t.Fatalf("update of the merged database reached a source: %v", tr)
 	}
 }
 

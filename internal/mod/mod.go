@@ -12,6 +12,7 @@ package mod
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -164,7 +165,6 @@ type DB struct {
 	// object does.
 	gens      map[OID]uint64
 	tau       float64
-	log       []Update
 	listeners []Listener
 	// notifyMu serializes the whole apply-then-notify section so
 	// listeners observe updates in application (chronological) order
@@ -267,15 +267,6 @@ func (db *DB) PositionAt(o OID, t float64) (geom.Vec, error) {
 		return nil, err
 	}
 	return tr.At(t)
-}
-
-// Log returns a copy of the applied update log in order.
-func (db *DB) Log() []Update {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]Update, len(db.log))
-	copy(out, db.log)
-	return out
 }
 
 // OnUpdate registers a listener invoked after each successful update.
@@ -399,7 +390,6 @@ func (db *DB) applyLocked(u Update) error {
 		return fmt.Errorf("%w: kind %d", ErrBadOperation, u.Kind)
 	}
 	db.tau = u.Tau
-	db.log = append(db.log, u)
 	if db.gens == nil {
 		db.gens = make(map[OID]uint64)
 	}
@@ -424,17 +414,6 @@ func (db *DB) SpeedBound(o OID) (float64, bool) {
 	defer db.mu.RUnlock()
 	v, ok := db.bounds[o]
 	return v, ok
-}
-
-// SpeedBounds returns a copy of the declared per-object speed bounds.
-func (db *DB) SpeedBounds() map[OID]float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[OID]float64, len(db.bounds))
-	for o, v := range db.bounds {
-		out[o] = v
-	}
-	return out
 }
 
 // Gen returns o's generation stamp. The stamp changes whenever the
@@ -527,33 +506,20 @@ func (db *DB) ApplyBatch(us []Update) (int, error) {
 	return n, err
 }
 
-// Snapshot returns an independent copy of the database state. Because
-// trajectories are immutable values, the copy shares no mutable state
-// with the original.
+// Snapshot returns an independent, mutable copy of the database state:
+// the current epoch snapshot thawed into a fresh DB. The maps are copied
+// outside db.mu (the snapshot is immutable), and because trajectories
+// are immutable values the copy shares no mutable state with the
+// original. Readers that do not need to mutate use EpochSnapshot.
 func (db *DB) Snapshot() *DB {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	objs := make(map[OID]trajectory.Trajectory, len(db.objs))
-	for o, tr := range db.objs {
-		objs[o] = tr
-	}
-	log := make([]Update, len(db.log))
-	copy(log, db.log)
-	bounds := make(map[OID]float64, len(db.bounds))
-	for o, v := range db.bounds {
-		bounds[o] = v
-	}
-	gens := make(map[OID]uint64, len(db.gens))
-	for o, g := range db.gens {
-		gens[o] = g
-	}
-	return &DB{dim: db.dim, objs: objs, bounds: bounds, gens: gens, tau: db.tau, log: log}
+	s := db.EpochSnapshot()
+	return &DB{dim: s.dim, tau: s.tau, objs: maps.Clone(s.objs), bounds: maps.Clone(s.bounds), gens: maps.Clone(s.gens)}
 }
 
 // StateEqual reports whether two databases hold identical state: same
 // dimension, same last-update time and the same trajectory (piece for
-// piece, bit-exact) for the same object set. The applied-update log is
-// NOT compared — two databases reaching one state along different paths
+// piece, bit-exact) for the same object set and the same declared speed
+// bounds. Two databases reaching one state along different paths
 // (direct updates vs snapshot-load plus journal replay) are equal. The
 // bit-exact float comparison is intentional: recovery is required to
 // reproduce state exactly, and JSON float64 round-tripping is lossless.
@@ -561,7 +527,7 @@ func (db *DB) StateEqual(other *DB) bool {
 	if db == other {
 		return true
 	}
-	a, b := db.Snapshot(), other.Snapshot()
+	a, b := db.EpochSnapshot(), other.EpochSnapshot()
 	if a.dim != b.dim || len(a.objs) != len(b.objs) {
 		return false
 	}
@@ -603,11 +569,5 @@ func (db *DB) StateEqual(other *DB) bool {
 
 // Trajectories returns a copy of the full object->trajectory mapping.
 func (db *DB) Trajectories() map[OID]trajectory.Trajectory {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[OID]trajectory.Trajectory, len(db.objs))
-	for o, tr := range db.objs {
-		out[o] = tr
-	}
-	return out
+	return maps.Clone(db.EpochSnapshot().objs)
 }

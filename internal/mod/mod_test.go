@@ -132,23 +132,31 @@ func TestObjectsSorted(t *testing.T) {
 	}
 }
 
-func TestLogAndSnapshot(t *testing.T) {
+func TestListenerOrderAndSnapshot(t *testing.T) {
 	db := NewDB(1, 0)
+	var seen []Update
+	db.OnUpdate(func(u Update) { seen = append(seen, u) })
 	must(t, db.ApplyAll(
 		New(1, 1, geom.Of(1), geom.Of(0)),
 		ChDir(1, 2, geom.Of(-1)),
 	))
-	if got := db.Log(); len(got) != 2 || got[0].Kind != KindNew || got[1].Kind != KindChDir {
-		t.Errorf("Log = %v", got)
+	if len(seen) != 2 || seen[0].Kind != KindNew || seen[1].Kind != KindChDir {
+		t.Errorf("listener saw %v", seen)
 	}
 	snap := db.Snapshot()
 	must(t, db.Apply(Terminate(1, 3)))
-	if snap.Tau() != 2 || len(snap.Log()) != 2 {
+	if snap.Tau() != 2 || snap.Len() != 1 {
 		t.Error("snapshot mutated by later update")
 	}
 	str, _ := snap.Traj(1)
 	if str.IsTerminated() {
 		t.Error("snapshot trajectory mutated")
+	}
+	// The snapshot is a database of its own: updating it leaves the
+	// source (and the source's listeners) alone.
+	must(t, snap.Apply(New(2, 2.5, geom.Of(1), geom.Of(0))))
+	if db.Contains(2) || len(seen) != 3 {
+		t.Errorf("update of the snapshot reached the source: contains=%v, listener saw %d", db.Contains(2), len(seen))
 	}
 }
 

@@ -1,14 +1,15 @@
 package mod
 
-// Copy-on-write epoch snapshots: the lock-free read path for query
-// fan-out. Every mutation bumps the database's epoch counter; the first
-// reader after a mutation pays one O(n) map copy under the read lock
-// and publishes it, and every subsequent reader of the same epoch gets
-// that immutable view with two atomic loads and no lock at all. Under a
-// query-heavy load the per-query cost drops from "copy the object map
-// AND the whole update log under the shard lock" (what Snapshot does)
-// to a pointer read, so past-query fan-out no longer contends with the
-// writer for the shard lock.
+// Copy-on-write epoch snapshots: the one view of the state (O, T, tau)
+// that readers, query fan-out and the snapshot codecs share. Every
+// mutation bumps the database's epoch counter; the first reader after a
+// mutation pays one O(n) map copy under the read lock and publishes it,
+// and every subsequent reader of the same epoch gets that immutable view
+// with two atomic loads and no lock at all. This rebuild is the only
+// place that copies the object map under db.mu: DB.Snapshot, Merge,
+// Partition, SaveBinary and SaveJSON all start from the Snap it returns,
+// so neither a query nor a checkpoint contends with the writer for the
+// shard lock beyond that one copy per epoch.
 
 import (
 	"fmt"

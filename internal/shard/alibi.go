@@ -9,12 +9,12 @@ package shard
 // Within. Both report the snapshot set's tau, keeping the server's
 // window-classification discipline intact under concurrent updates.
 //
-// With the broad phase enabled (the default; see bead.go), both queries
-// go through the per-shard BeadIndex: Alibi reuses cached tracks
-// instead of rebuilding sample chains per query, and PossiblyWithin
-// collects candidates from the space-time box R-tree instead of running
-// the kernel against every chain. The index path is bit-identical to
-// the scan — the broad phase only skips work it can prove fruitless.
+// Both queries go through the per-shard BeadIndex (see bead.go): Alibi
+// reuses cached tracks instead of rebuilding sample chains per query,
+// and PossiblyWithin collects candidates from the space-time box R-tree
+// instead of running the kernel against every chain. The index path is
+// bit-identical to the scan (query.PossiblyWithin, query.TrackOf) — the
+// broad phase only skips work it can prove fruitless.
 
 import (
 	"math"
@@ -42,15 +42,10 @@ func (e *Engine) Alibi(o1, o2 mod.OID, lo, hi, defaultVmax float64) (bead.Result
 		_, err := query.Alibi(snaps[e.ShardOf(o1)], o1, o2, lo, hi, defaultVmax)
 		return bead.Result{}, tau, err
 	}
+	ixs := e.beadIndexes()
 	trackOf := func(o mod.OID) (*bead.Track, error) {
-		return query.TrackOf(snaps[e.ShardOf(o)], o, defaultVmax)
-	}
-	if e.beadEnabled() {
-		ixs := e.beadIndexes()
-		trackOf = func(o mod.OID) (*bead.Track, error) {
-			i := e.ShardOf(o)
-			return ixs[i].TrackOf(snaps[i], o, defaultVmax)
-		}
+		i := e.ShardOf(o)
+		return ixs[i].TrackOf(snaps[i], o, defaultVmax)
 	}
 	t1, err := trackOf(o1)
 	if err != nil {
@@ -104,27 +99,15 @@ func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (
 	if err := e.validateSpeedBounds(snaps, defaultVmax); err != nil {
 		return nil, tau, err
 	}
-	useIx := e.beadEnabled()
-	var ixs []*query.BeadIndex
-	if useIx {
-		ixs = e.beadIndexes()
-	}
+	ixs := e.beadIndexes()
 	parts := make([]*query.AnswerSet, len(snaps))
 	stats := make([]query.BeadStats, len(snaps))
 	err := e.forEach(func(i int) error {
-		if useIx {
-			ans, st, perr := ixs[i].PossiblyWithin(snaps[i], q, dist, lo, hi, defaultVmax)
-			if perr != nil {
-				return perr
-			}
-			parts[i], stats[i] = ans, st
-			return nil
-		}
-		ans, perr := query.PossiblyWithin(snaps[i], q, dist, lo, hi, defaultVmax)
+		ans, st, perr := ixs[i].PossiblyWithin(snaps[i], q, dist, lo, hi, defaultVmax)
 		if perr != nil {
 			return perr
 		}
-		parts[i] = ans
+		parts[i], stats[i] = ans, st
 		return nil
 	})
 	if err != nil {
@@ -133,16 +116,14 @@ func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (
 	ans := query.MergeDisjoint(parts...)
 	dur := time.Since(start)
 	e.recordQuery("possibly-within", len(e.shards), dur)
-	if useIx {
-		var total query.BeadStats
-		for _, st := range stats {
-			total.Population += st.Population
-			total.Candidates += st.Candidates
-			total.Windows += st.Windows
-			total.Pruned += st.Pruned
-			total.Kernel += st.Kernel
-		}
-		e.recordBeadPW(total, dur)
+	var total query.BeadStats
+	for _, st := range stats {
+		total.Population += st.Population
+		total.Candidates += st.Candidates
+		total.Windows += st.Windows
+		total.Pruned += st.Pruned
+		total.Kernel += st.Kernel
 	}
+	e.recordBeadPW(total, dur)
 	return ans, tau, nil
 }

@@ -11,9 +11,10 @@ package shard
 // margin 1000x wider than the kernel's tolerance) and says Unresolved
 // otherwise, so a disagreement is never a knife-edge rounding artifact.
 // Scenarios with an unresolved oracle verdict are skipped and counted;
-// everything else must agree exactly — across both shard counts AND
-// with the bead broad phase forced on and off — for both the alibi
-// decision and per-object possibly-within membership.
+// everything else must agree exactly — the engine's indexed path at
+// both shard counts with the reference scan over the unsharded epoch
+// snapshot (query.Alibi, query.PossiblyWithin), bit for bit — for both
+// the alibi decision and per-object possibly-within membership.
 // A divergence is shrunk by truncating the update tail and printed with
 // its seed for replay.
 //
@@ -132,45 +133,55 @@ func runAlibiScenario(sc alibiScenario, ps []int) (string, int, error) {
 	orc := bead.NewOracle()
 	skipped := 0
 
-	// Exact answers per (shard count, broad-phase mode) combination,
-	// compared pairwise afterwards. Running each engine with the bead
-	// broad phase forced on AND off makes the scan path a true in-process
-	// control for the index path, on top of whatever MOD_BEAD_BROADPHASE
-	// selects for the rest of the suite.
+	// Exact answers: first the scan (query.Alibi / query.PossiblyWithin
+	// evaluate the kernel for every chain of the unsharded database, no
+	// index, no cache, no partition), then the engine at each shard
+	// count. Every engine is compared against the scan afterwards.
 	type pAnswers struct {
 		label string
 		alibi []bead.Result
 		pw    *query.AnswerSet
 	}
-	answers := make([]pAnswers, 0, 2*len(ps))
-	for _, p := range ps {
-		for _, broad := range []bool{true, false} {
-			eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
-			if err != nil {
-				return "", skipped, err
-			}
-			eng.SetBeadBroadPhase(broad)
-			pa := pAnswers{label: fmt.Sprintf("P=%d/broad=%v", p, broad)}
-			for _, pr := range sc.pairs {
-				res, _, aerr := eng.Alibi(pr[0], pr[1], sc.lo, sc.hi, sc.vmax)
-				if aerr != nil {
-					return "", skipped, fmt.Errorf("alibi %s %v: %w", pa.label, pr, aerr)
-				}
-				pa.alibi = append(pa.alibi, res)
-			}
-			pw, _, err := eng.PossiblyWithin(sc.point, sc.rad, sc.lo, sc.hi, sc.vmax)
-			if err != nil {
-				return "", skipped, fmt.Errorf("possibly-within %s: %w", pa.label, err)
-			}
-			pa.pw = pw
-			answers = append(answers, pa)
+	snap := db.EpochSnapshot()
+	scan := pAnswers{label: "scan"}
+	for _, pr := range sc.pairs {
+		res, aerr := query.Alibi(snap, pr[0], pr[1], sc.lo, sc.hi, sc.vmax)
+		if aerr != nil {
+			return "", skipped, fmt.Errorf("alibi scan %v: %w", pr, aerr)
 		}
+		scan.alibi = append(scan.alibi, res)
+	}
+	pw, err := query.PossiblyWithin(snap, sc.point, sc.rad, sc.lo, sc.hi, sc.vmax)
+	if err != nil {
+		return "", skipped, fmt.Errorf("possibly-within scan: %w", err)
+	}
+	scan.pw = pw
+	answers := []pAnswers{scan}
+	for _, p := range ps {
+		eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+		if err != nil {
+			return "", skipped, err
+		}
+		pa := pAnswers{label: fmt.Sprintf("P=%d", p)}
+		for _, pr := range sc.pairs {
+			res, _, aerr := eng.Alibi(pr[0], pr[1], sc.lo, sc.hi, sc.vmax)
+			if aerr != nil {
+				return "", skipped, fmt.Errorf("alibi %s %v: %w", pa.label, pr, aerr)
+			}
+			pa.alibi = append(pa.alibi, res)
+		}
+		pw, _, err := eng.PossiblyWithin(sc.point, sc.rad, sc.lo, sc.hi, sc.vmax)
+		if err != nil {
+			return "", skipped, fmt.Errorf("possibly-within %s: %w", pa.label, err)
+		}
+		pa.pw = pw
+		answers = append(answers, pa)
 	}
 
-	// Cross-run agreement must be exact: same decision, same earliest
+	// Agreement with the scan must be exact: same decision, same earliest
 	// instant, same membership. The runs share the kernel but not
-	// partitioning, snapshots, goroutine interleaving, or the broad
-	// phase's candidate collection.
+	// partitioning, snapshots, goroutine interleaving, the track cache or
+	// the broad phase's candidate collection.
 	for i := 1; i < len(answers); i++ {
 		for j, pr := range sc.pairs {
 			a0, ai := answers[0].alibi[j], answers[i].alibi[j]
@@ -284,7 +295,7 @@ func TestDifferentialAlibiVsOracle(t *testing.T) {
 		}
 	}
 	if failures == 0 {
-		t.Logf("%d scenarios x P in {1,4} x broad phase on/off: zero divergences (%d oracle-unresolved checks skipped of ~%d)",
+		t.Logf("%d scenarios x (scan, index at P in {1,4}): zero divergences (%d oracle-unresolved checks skipped of ~%d)",
 			scenarios, skipped, checks)
 	}
 }

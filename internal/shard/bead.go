@@ -7,60 +7,12 @@ package shard
 // creation and synchronize themselves against each query's snapshot, so
 // no engine mutation path needs to know they exist.
 //
-// The toggle exists for differential testing: the scan path is the
-// straightforward per-chain evaluation the broad phase must agree with
-// bit-for-bit, so CI runs the alibi/possibly-within harnesses under
-// both settings. MOD_BEAD_BROADPHASE=0/off/false/no disables the index
-// at process level; SetBeadBroadPhase overrides per engine.
+// query.PossiblyWithin / query.TrackOf — the straightforward per-chain
+// scan the broad phase must agree with bit for bit — stay in
+// internal/query as the reference the differential tests and modbench
+// e15 call directly; the engine itself has one execution path.
 
-import (
-	"os"
-	"strings"
-
-	"repro/internal/query"
-)
-
-// beadMode values cached in Engine.beadMode.
-const (
-	beadModeUnset = iota
-	beadModeOn
-	beadModeOff
-)
-
-// SetBeadBroadPhase forces the uncertainty broad phase on or off for
-// this engine, overriding the MOD_BEAD_BROADPHASE environment toggle.
-// Safe to call at any time; queries pick the mode up atomically.
-func (e *Engine) SetBeadBroadPhase(on bool) {
-	if on {
-		e.beadMode.Store(beadModeOn)
-	} else {
-		e.beadMode.Store(beadModeOff)
-	}
-}
-
-// beadEnabled reports whether uncertainty queries should run through
-// the broad phase. Defaults to on; the environment variable
-// MOD_BEAD_BROADPHASE set to 0/off/false/no selects the scan path. The
-// first read caches the decision.
-func (e *Engine) beadEnabled() bool {
-	switch e.beadMode.Load() {
-	case beadModeOn:
-		return true
-	case beadModeOff:
-		return false
-	}
-	on := true
-	switch strings.ToLower(os.Getenv("MOD_BEAD_BROADPHASE")) {
-	case "0", "off", "false", "no":
-		on = false
-	}
-	if on {
-		e.beadMode.Store(beadModeOn)
-	} else {
-		e.beadMode.Store(beadModeOff)
-	}
-	return on
-}
+import "repro/internal/query"
 
 // beadIndexes returns the per-shard broad-phase indexes, creating and
 // registering them on first use.

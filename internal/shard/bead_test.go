@@ -1,7 +1,7 @@
 package shard
 
-// Broad-phase wiring tests: the env/flag toggle, the coordinator's
-// speed-bound pre-validation (one error naming every undeclared object,
+// Broad-phase wiring tests: the coordinator's speed-bound
+// pre-validation (one error naming every undeclared object,
 // independent of the partition count), and the bead_* metric families
 // an instrumented engine must emit for both uncertainty query kinds.
 
@@ -18,41 +18,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/workload"
 )
-
-// TestBeadEnvToggle: MOD_BEAD_BROADPHASE selects the default path per
-// engine (cached on first read), and SetBeadBroadPhase overrides it.
-func TestBeadEnvToggle(t *testing.T) {
-	cases := []struct {
-		env  string
-		want bool
-	}{
-		{"", true}, {"1", true}, {"on", true}, {"yes", true},
-		{"0", false}, {"off", false}, {"FALSE", false}, {"No", false},
-	}
-	db, err := workload.RandomMovers(workload.Config{Seed: 3, N: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cases {
-		t.Setenv("MOD_BEAD_BROADPHASE", c.env)
-		eng, err := FromDB(db, Config{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.beadEnabled(); got != c.want {
-			t.Errorf("MOD_BEAD_BROADPHASE=%q: beadEnabled() = %v, want %v", c.env, got, c.want)
-		}
-		// The decision is cached — a later env change must not flip it.
-		t.Setenv("MOD_BEAD_BROADPHASE", map[bool]string{true: "0", false: "1"}[c.want])
-		if got := eng.beadEnabled(); got != c.want {
-			t.Errorf("MOD_BEAD_BROADPHASE=%q: cached decision flipped to %v", c.env, got)
-		}
-		eng.SetBeadBroadPhase(!c.want)
-		if got := eng.beadEnabled(); got == c.want {
-			t.Errorf("MOD_BEAD_BROADPHASE=%q: SetBeadBroadPhase did not override", c.env)
-		}
-	}
-}
 
 // TestValidateSpeedBoundsAcrossShards: with declarations required, the
 // pre-pass must name EVERY undeclared object in ascending order no
@@ -115,7 +80,6 @@ func TestBeadMetricsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetBeadBroadPhase(true)
 	reg := obs.NewRegistry()
 	eng.Instrument(reg)
 
@@ -146,23 +110,5 @@ func TestBeadMetricsRecorded(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
-	}
-	// The scan path must not touch the bead instruments.
-	eng2, err := FromDB(db, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.SetBeadBroadPhase(false)
-	reg2 := obs.NewRegistry()
-	eng2.Instrument(reg2)
-	if _, _, err := eng2.PossiblyWithin(geom.Of(0, 0), 5, 0, 50, 2); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := reg2.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `bead_queries_total{`) {
-		t.Error("scan path recorded broad-phase series")
 	}
 }

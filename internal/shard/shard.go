@@ -71,10 +71,9 @@ type Engine struct {
 	subObs *obs.Registry
 
 	// beadMu guards the lazily created per-shard uncertainty broad-phase
-	// indexes; beadMode caches the broad-phase toggle (see bead.go).
-	beadMu   sync.Mutex
-	beadIx   []*query.BeadIndex
-	beadMode atomic.Int32
+	// indexes (see bead.go).
+	beadMu sync.Mutex
+	beadIx []*query.BeadIndex
 }
 
 func (c Config) normalized() Config {
@@ -320,16 +319,12 @@ func (e *Engine) Contains(o mod.OID) bool {
 	return e.shards[e.ShardOf(o)].Contains(o)
 }
 
-// Snapshot composes a single consistent unsharded copy of the whole
-// database: union of the objects, max of the taus, logs merged
-// chronologically. Per-shard snapshots are taken first (each under its
-// own read lock), so a snapshot never blocks updates for long.
+// Snapshot composes a single unsharded copy of the whole database:
+// union of the objects, max of the taus. It merges the shards' epoch
+// snapshots in one map copy and takes no shard lock of its own, so it
+// never blocks updates.
 func (e *Engine) Snapshot() *mod.DB {
-	snaps := make([]*mod.DB, len(e.shards))
-	for i, db := range e.shards {
-		snaps[i] = db.Snapshot()
-	}
-	merged, err := mod.Merge(snaps...)
+	merged, err := mod.Merge(e.shards...)
 	if err != nil {
 		// Disjointness and equal dims are structural invariants of the
 		// engine; a failure here is a bug, not a runtime condition.
@@ -341,8 +336,8 @@ func (e *Engine) Snapshot() *mod.DB {
 // snapshots captures one consistent per-shard view for a fan-out
 // query. These are MVCC epoch snapshots (mod.DB.EpochSnapshot): after
 // the first query of an epoch the per-shard cost is two atomic loads —
-// no shard lock, no map copy, no log copy — so query fan-out never
-// contends with the sweeper/writer for the shard lock.
+// no shard lock, no map copy — so query fan-out never contends with the
+// sweeper/writer for the shard lock.
 func (e *Engine) snapshots() []*mod.Snap {
 	out := make([]*mod.Snap, len(e.shards))
 	for i, db := range e.shards {

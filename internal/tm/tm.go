@@ -138,21 +138,25 @@ func Encode(trace []Config) []mod.Update {
 }
 
 // Decode reconstructs the configuration trace from a database built by
-// applying an Encode-d update sequence.
+// applying an Encode-d update sequence. The trajectories are the whole
+// encoding: every encoded object is a point at rest since its creation,
+// and its position is the (step, cell, symbol) triple, so no record of
+// the updates themselves is needed. Anything else — an object that was
+// redirected, terminated or is moving — is not an encoding.
 func Decode(db *mod.DB) ([]Config, error) {
-	// Reconstruct insertion order from the update log.
 	byStep := map[int]*Config{}
 	maxStep := -1
-	for _, u := range db.Log() {
-		if u.Kind != mod.KindNew {
-			return nil, fmt.Errorf("tm: unexpected update %v in encoding", u)
-		}
-		if len(u.B) != 3 {
+	for o, tr := range db.Trajectories() {
+		if tr.Dim() != 3 {
 			return nil, errors.New("tm: encoded objects must be 3-D")
 		}
-		step := int(u.B[0])
-		cell := int(u.B[1])
-		val := u.B[2]
+		if tr.NumPieces() != 1 || tr.IsTerminated() || !tr.PieceAt(0).A.Equal(geom.Of(0, 0, 0)) {
+			return nil, fmt.Errorf("tm: object %v is not a resting point of an encoding", o)
+		}
+		pos := tr.PieceAt(0).B
+		step := int(pos[0])
+		cell := int(pos[1])
+		val := pos[2]
 		if step > maxStep {
 			maxStep = step
 		}
