@@ -111,7 +111,7 @@ func Alibi(a, b *Track, lo, hi float64) (Result, error) {
 	if err := checkWindow(lo, hi); err != nil {
 		return Result{}, err
 	}
-	as, bs := a.segments(), b.segments()
+	as, bs := a.segs, b.segs
 	res := Result{}
 	i, j := 0, 0
 	for i < len(as) && j < len(bs) {
@@ -131,9 +131,8 @@ func Alibi(a, b *Track, lo, hi float64) (Result, error) {
 			if windowDisjoint(sa.cons, sb.cons, w0, w1) {
 				res.Pruned++
 			} else {
-				cons := make([]ball, 0, len(sa.cons)+len(sb.cons))
-				cons = append(cons, sa.cons...)
-				cons = append(cons, sb.cons...)
+				var buf [scratchBalls]ball
+				cons := append(append(buf[:0], sa.cons...), sb.cons...)
 				if t0, _, ok := feasibleInterval(cons, w0, w1); ok {
 					res.Possible = true
 					res.At = t0
@@ -166,41 +165,59 @@ type PWStats struct {
 	Kernel  int
 }
 
-// PossiblyWithin returns the exact set of instants in [lo, hi] at which
-// the track's object could have been within dist of q, as a sorted list
-// of disjoint closed intervals. Within each bead the feasible set is a
-// single interval (the distance condition is one more ball constraint,
-// and the system stays jointly convex); intervals meeting at a bead
-// boundary are merged.
-func (tr *Track) PossiblyWithin(q geom.Vec, dist, lo, hi float64) ([]Interval, error) {
-	ivs, _, err := tr.PossiblyWithinStats(q, dist, lo, hi)
-	return ivs, err
+// Within validates the question "when could an object have been within
+// dist of the point q during [lo, hi]?" for tracks of dimension dim,
+// and returns the function that answers it for one track: the exact set
+// of such instants as a sorted list of disjoint closed intervals, plus
+// the work counters the observability layer records. Within each bead
+// the feasible set is a single interval (the distance condition is one
+// more ball constraint, and the system stays jointly convex); intervals
+// meeting at a bead boundary are merged. A query over many tracks
+// validates once, here, so a bad question is refused whatever the
+// tracks are — or whether there are any. The returned function may be
+// called from several goroutines.
+func Within(dim int, q geom.Vec, dist, lo, hi float64) (func(*Track) ([]Interval, PWStats), error) {
+	if err := checkWithin(dim, q, dist, lo, hi); err != nil {
+		return nil, err
+	}
+	qcons := []ball{{c: q.Clone(), ra: 0, rb: dist}}
+	return func(tr *Track) ([]Interval, PWStats) { return tr.within(qcons, lo, hi) }, nil
 }
 
-// PossiblyWithinStats is PossiblyWithin plus the work counters the
-// observability layer records. The answer is identical: the pre-test
-// only discards windows that are provably infeasible by a margin wider
-// than the kernel's own tolerance.
-func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interval, PWStats, error) {
-	var st PWStats
-	if q.Dim() != tr.dim {
-		return nil, st, fmt.Errorf("bead: query point dim %d, track dim %d", q.Dim(), tr.dim)
+// checkWithin is the validation of a possibly-within question.
+func checkWithin(dim int, q geom.Vec, dist, lo, hi float64) error {
+	if q.Dim() != dim {
+		return fmt.Errorf("bead: query point dim %d, track dim %d", q.Dim(), dim)
 	}
 	for _, c := range q {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, st, fmt.Errorf("bead: non-finite query coordinate %g", c)
+			return fmt.Errorf("bead: non-finite query coordinate %g", c)
 		}
 	}
 	if math.IsNaN(dist) || math.IsInf(dist, 0) || dist < 0 {
-		return nil, st, fmt.Errorf("bead: bad query distance %g", dist)
+		return fmt.Errorf("bead: bad query distance %g", dist)
 	}
-	if err := checkWindow(lo, hi); err != nil {
-		return nil, st, err
+	return checkWindow(lo, hi)
+}
+
+// PossiblyWithinStats asks Within's question of this one track. The
+// pre-test the counters report only discards windows that are provably
+// infeasible by a margin wider than the kernel's own tolerance.
+func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interval, PWStats, error) {
+	if err := checkWithin(tr.dim, q, dist, lo, hi); err != nil {
+		return nil, PWStats{}, err
 	}
-	qb := ball{c: q.Clone(), ra: 0, rb: dist}
-	qcons := []ball{qb}
+	qcons := [1]ball{{c: q, ra: 0, rb: dist}}
+	ivs, st := tr.within(qcons[:], lo, hi)
+	return ivs, st, nil
+}
+
+// within walks the chain against the one-ball system qcons over a
+// validated window. It allocates the returned list and nothing else.
+func (tr *Track) within(qcons []ball, lo, hi float64) ([]Interval, PWStats) {
+	var st PWStats
 	var out []Interval
-	for _, s := range tr.segments() {
+	for _, s := range tr.segs {
 		w0 := math.Max(s.t0, lo)
 		w1 := math.Min(s.t1, hi)
 		if !(w0 <= w1) {
@@ -212,9 +229,8 @@ func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interv
 			continue
 		}
 		st.Kernel++
-		cons := make([]ball, 0, len(s.cons)+1)
-		cons = append(cons, s.cons...)
-		cons = append(cons, qb)
+		var buf [scratchBalls]ball
+		cons := append(append(buf[:0], s.cons...), qcons...)
 		a, b, ok := feasibleInterval(cons, w0, w1)
 		if !ok {
 			continue
@@ -227,5 +243,5 @@ func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interv
 		}
 		out = append(out, Interval{Lo: a, Hi: b})
 	}
-	return out, st, nil
+	return out, st
 }

@@ -17,8 +17,8 @@
 //
 //   - Alibi(a, b, lo, hi): could objects a and b have met during
 //     [lo, hi]? (Is there a time t and a point x inside both beads?)
-//   - Track.PossiblyWithin(q, r, lo, hi): when could the object have
-//     been within distance r of the point q?
+//   - Within(dim, q, r, lo, hi), asked of a track: when could the
+//     object have been within distance r of the point q?
 //
 // The decision procedure lives in kernel.go; oracle.go carries a
 // deliberately-dumb certified approximation used by the differential
@@ -42,11 +42,14 @@ type Sample struct {
 // Track is a chronological sample list plus the object's declared
 // maximum speed. If live, the track's uncertainty extends past the last
 // sample (the cap bead); a terminated track ends at its final sample.
+// A track is immutable: its bead chain is laid out once, at
+// construction, and every query walks the same chain.
 type Track struct {
 	dim     int
 	samples []Sample
 	vmax    float64
 	live    bool
+	segs    []segment
 }
 
 // NewTrack builds a track from samples in strictly increasing time
@@ -84,7 +87,9 @@ func NewTrack(vmax float64, live bool, samples []Sample) (*Track, error) {
 	}
 	cp := make([]Sample, len(samples))
 	copy(cp, samples)
-	return &Track{dim: dim, samples: cp, vmax: vmax, live: live}, nil
+	tr := &Track{dim: dim, samples: cp, vmax: vmax, live: live}
+	tr.segs = tr.chain()
+	return tr, nil
 }
 
 // FromTrajectory reinterprets an exact piecewise-linear trajectory as a
@@ -145,12 +150,13 @@ type segment struct {
 	cons   []ball
 }
 
-// segments lays the track out as its bead chain, in time order. A
+// chain lays the track out as its bead chain, in time order. A
 // single-sample live track is just a cap; a single-sample terminated
 // track is a degenerate segment pinning the object to one instant.
-func (tr *Track) segments() []segment {
+func (tr *Track) chain() []segment {
 	n := len(tr.samples)
 	segs := make([]segment, 0, n)
+	balls := make([]ball, 0, 2*n) // every segment's constraints, one backing array
 	for i := 0; i+1 < n; i++ {
 		a, b := tr.samples[i], tr.samples[i+1]
 		v := tr.vmax
@@ -158,26 +164,19 @@ func (tr *Track) segments() []segment {
 		if req := b.X.Dist(a.X) / (b.T - a.T); req > v {
 			v = req
 		}
-		segs = append(segs, segment{
-			t0: a.T, t1: b.T,
-			cons: []ball{
-				{c: a.X, ra: v, rb: -v * a.T},
-				{c: b.X, ra: -v, rb: v * b.T},
-			},
-		})
+		balls = append(balls,
+			ball{c: a.X, ra: v, rb: -v * a.T},
+			ball{c: b.X, ra: -v, rb: v * b.T})
+		segs = append(segs, segment{t0: a.T, t1: b.T, cons: balls[len(balls)-2 : len(balls) : len(balls)]})
 	}
 	last := tr.samples[n-1]
 	if tr.live {
-		segs = append(segs, segment{
-			t0: last.T, t1: math.Inf(1),
-			cons: []ball{{c: last.X, ra: tr.vmax, rb: -tr.vmax * last.T}},
-		})
+		balls = append(balls, ball{c: last.X, ra: tr.vmax, rb: -tr.vmax * last.T})
+		segs = append(segs, segment{t0: last.T, t1: math.Inf(1), cons: balls[len(balls)-1 : len(balls) : len(balls)]})
 	} else if n == 1 {
 		// Terminated immediately: the object existed exactly at last.T.
-		segs = append(segs, segment{
-			t0: last.T, t1: last.T,
-			cons: []ball{{c: last.X, ra: 0, rb: 0}},
-		})
+		balls = append(balls, ball{c: last.X, ra: 0, rb: 0})
+		segs = append(segs, segment{t0: last.T, t1: last.T, cons: balls[len(balls)-1 : len(balls) : len(balls)]})
 	}
 	return segs
 }
@@ -233,12 +232,7 @@ func (tr *Track) ChainBoxes() []SegBox {
 	}
 	for i := 0; i+1 < n; i++ {
 		a, b := tr.samples[i], tr.samples[i+1]
-		v := tr.vmax
-		// Effective speed, exactly as segments() computes it: the
-		// recorded leg must stay reachable.
-		if req := b.X.Dist(a.X) / (b.T - a.T); req > v {
-			v = req
-		}
+		v := tr.segs[i].cons[0].ra // the chain's effective speed for this leg
 		reach := v * (b.T - a.T)
 		mid := a.X.Add(b.X).Scale(0.5)
 		out = append(out, box(a.T, b.T, mid, reach/2+boxPad(maxAbs(mid)+reach)))

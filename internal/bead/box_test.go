@@ -115,7 +115,7 @@ func TestCapReachesConservative(t *testing.T) {
 		dist := 0.5 + 2*rng.Float64()
 		lo := rng.Float64() * 3
 		hi := lo + rng.Float64()*3
-		ivs, err := tr.PossiblyWithin(q, dist, lo, hi)
+		ivs, _, err := tr.PossiblyWithinStats(q, dist, lo, hi)
 		if err != nil {
 			t.Fatalf("trial %d: PossiblyWithin: %v", trial, err)
 		}

@@ -288,7 +288,7 @@ func TestPossiblyWithinFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr(t)
-			got, err := tr.PossiblyWithin(tc.q, tc.dist, tc.lo, tc.hi)
+			got, _, err := tr.PossiblyWithinStats(tc.q, tc.dist, tc.lo, tc.hi)
 			if err != nil {
 				t.Fatalf("PossiblyWithin: %v", err)
 			}

@@ -76,6 +76,38 @@ func consScale(cons []ball, w0, w1 float64) float64 {
 	return s
 }
 
+// The kernel's working storage. A possibly-within window is three balls
+// (one bead and the query ball), an alibi window four (two beads), and
+// the model's space has at most a handful of dimensions — so every
+// buffer below is a fixed-size array on the caller's stack and the
+// kernel allocates nothing. Larger systems run through the very same
+// code: fit hands out heap storage when an array is too small, and the
+// candidate lists simply append past their arrays.
+const (
+	scratchBalls = 4
+	scratchDim   = 4
+	scratchHull  = scratchBalls - 1 // dimension of the centers' affine hull
+)
+
+// fit returns buf[:n], or fresh heap storage when buf is too small.
+func fit(buf []float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
+}
+
+// meets reports whether x lies in every ball, rs[i] being the radius
+// of cons[i], with the eps slack.
+func meets(cons []ball, rs []float64, x geom.Vec, eps float64) bool {
+	for i := range cons {
+		if x.Dist(cons[i].c) > rs[i]+eps {
+			return false
+		}
+	}
+	return true
+}
+
 // feasibleAt decides whether all balls share a point at time t, by
 // candidate enumeration in the affine hull of the centers:
 //
@@ -94,8 +126,11 @@ func consScale(cons []ball, w0, w1 float64) float64 {
 // Each candidate is tested against every ball with the eps slack.
 func feasibleAt(cons []ball, t, eps float64) bool {
 	n := len(cons)
-	cs := make([]geom.Vec, n)
-	rs := make([]float64, n)
+	if n == 0 {
+		return false
+	}
+	var rbuf [scratchBalls]float64
+	rs := fit(rbuf[:], n)
 	for i, b := range cons {
 		r := b.rad(t)
 		if r < -eps {
@@ -104,27 +139,21 @@ func feasibleAt(cons []ball, t, eps float64) bool {
 		if r < 0 {
 			r = 0
 		}
-		cs[i] = b.c
 		rs[i] = r
 	}
-	meets := func(x geom.Vec) bool {
-		for i := range cs {
-			if x.Dist(cs[i]) > rs[i]+eps {
-				return false
-			}
-		}
-		return true
-	}
 	// |A| = 1: centers.
-	for i := range cs {
-		if meets(cs[i]) {
+	for i := range cons {
+		if meets(cons, rs, cons[i].c, eps) {
 			return true
 		}
 	}
 	// |A| = 2: the equalized point on each center segment.
+	var xbuf [scratchDim]float64
+	x := geom.Vec(fit(xbuf[:], len(cons[0].c)))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := cs[i].Dist(cs[j])
+			ci, cj := cons[i].c, cons[j].c
+			d := ci.Dist(cj)
 			if d <= eps {
 				continue // concentric: dominated by the center candidates
 			}
@@ -134,26 +163,28 @@ func feasibleAt(cons []ball, t, eps float64) bool {
 			} else if u > d {
 				u = d
 			}
-			if meets(cs[i].AddScaled(u/d, cs[j].Sub(cs[i]))) {
+			s := u / d
+			for k := range x {
+				x[k] = ci[k] + s*(cj[k]-ci[k])
+			}
+			if meets(cons, rs, x, eps) {
 				return true
 			}
 		}
 	}
 	// |A| ≥ 3: Apollonius points of each affinely-independent subset.
 	for _, sub := range affineSubsets(n) {
-		for _, x := range apolloniusPoints(cs, rs, sub, eps) {
-			if meets(x) {
-				return true
-			}
+		if apolloniusMeets(cons, rs, sub, x, eps) {
+			return true
 		}
 	}
 	return false
 }
 
-// affineSubsets enumerates the index subsets of size 3 and 4 (the only
+// enumSubsets enumerates the index subsets of size 3 and 4 (the only
 // sizes whose Apollonius systems are not already covered by the center
-// and pair candidates). n is at most 5 in practice.
-func affineSubsets(n int) [][]int {
+// and pair candidates).
+func enumSubsets(n int) [][]int {
 	var out [][]int
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -168,82 +199,128 @@ func affineSubsets(n int) [][]int {
 	return out
 }
 
-// orthoBasis builds an orthonormal basis of span{c_j − c_0} by modified
-// Gram–Schmidt, returning the basis and each difference's coordinates.
-// ok is false when the centers are affinely dependent (rank < m−1) —
-// those subsets are skipped: their pinches are already covered by
-// smaller subsets (e.g. collinear centers reduce to pair tangencies).
-func orthoBasis(cs []geom.Vec, sub []int, eps float64) (basis []geom.Vec, coords [][]float64, ok bool) {
-	origin := cs[sub[0]]
-	for _, idx := range sub[1:] {
-		v := cs[idx].Sub(origin)
+// subsetTable holds enumSubsets(n) for every n the scratch covers; it
+// is filled once and only read afterwards.
+var subsetTable = func() (tab [scratchBalls + 1][][]int) {
+	for n := range tab {
+		tab[n] = enumSubsets(n)
+	}
+	return tab
+}()
+
+// affineSubsets returns enumSubsets(n), from the table when it has it.
+func affineSubsets(n int) [][]int {
+	if n < len(subsetTable) {
+		return subsetTable[n]
+	}
+	return enumSubsets(n)
+}
+
+// frame is an orthonormal frame of the affine hull of a center subset:
+// m = len(sub) − 1 basis vectors (row d of basis, dim wide) and every
+// center difference's coordinates in them (row j of coords, m wide;
+// lower-triangular with positive diagonal).
+type frame struct {
+	m, dim int
+	basis  []float64
+	coords []float64
+}
+
+// frameScratch is the storage of one frame within the scratch bounds.
+type frameScratch struct {
+	basis  [scratchHull * scratchDim]float64
+	coords [scratchHull * scratchHull]float64
+}
+
+// buildFrame fills a frame for span{c_j − c_0} by modified
+// Gram–Schmidt, in buf when it is large enough. ok is false when the
+// centers are affinely dependent (rank < m) — those subsets are
+// skipped: their pinches are already covered by smaller subsets (e.g.
+// collinear centers reduce to pair tangencies).
+func buildFrame(cons []ball, sub []int, eps float64, buf *frameScratch) (f frame, ok bool) {
+	origin := cons[sub[0]].c
+	f.m, f.dim = len(sub)-1, len(origin)
+	f.basis = fit(buf.basis[:], f.m*f.dim)
+	f.coords = fit(buf.coords[:], f.m*f.m)
+	for row, idx := range sub[1:] {
+		c := cons[idx].c
+		v := geom.Vec(f.basis[row*f.dim : (row+1)*f.dim])
+		for k := range v {
+			v[k] = c[k] - origin[k]
+		}
 		orig := v.Len()
-		p := make([]float64, 0, len(sub)-1)
-		for _, e := range basis {
-			d := v.Dot(e)
-			p = append(p, d)
-			v = v.AddScaled(-d, e)
+		p := f.coords[row*f.m : (row+1)*f.m]
+		for d := 0; d < row; d++ {
+			e := geom.Vec(f.basis[d*f.dim : (d+1)*f.dim])
+			a := v.Dot(e)
+			p[d] = a
+			for k := range v {
+				v[k] += -a * e[k]
+			}
 		}
 		res := v.Len()
 		if res <= eps || res <= 1e-7*orig {
-			return nil, nil, false
+			return f, false
 		}
-		basis = append(basis, v.Scale(1/res))
-		p = append(p, res)
-		// Pad to full width so every coords row has len(sub)-1 entries.
-		for len(p) < len(sub)-1 {
-			p = append(p, 0)
+		inv := 1 / res
+		for k := range v {
+			v[k] = inv * v[k]
 		}
-		coords = append(coords, p)
+		p[row] = res
+		for d := row + 1; d < f.m; d++ {
+			p[d] = 0
+		}
 	}
-	return basis, coords, true
+	return f, true
 }
 
-// apolloniusPoints returns the candidate points with equal slack s to
+// apolloniusMeets tests the candidate points with equal slack s to
 // every ball of the subset: ‖x − c_j‖ = s + r_j. Subtracting the first
 // equation from the others eliminates the quadratic term and leaves a
 // triangular linear system M·x = q0 + s·q1 in the subset's own
 // coordinates; substituting x(s) back into the first sphere equation
-// closes it with a quadratic in s.
-func apolloniusPoints(cs []geom.Vec, rs []float64, sub []int, eps float64) []geom.Vec {
-	basis, coords, ok := orthoBasis(cs, sub, eps)
+// closes it with a quadratic in s. x is scratch of the space's
+// dimension.
+func apolloniusMeets(cons []ball, rs []float64, sub []int, x geom.Vec, eps float64) bool {
+	var buf frameScratch
+	f, ok := buildFrame(cons, sub, eps, &buf)
 	if !ok {
-		return nil
+		return false
 	}
-	m := len(sub) - 1 // system size = hull dimension
+	m := f.m
 	r0 := rs[sub[0]]
-	q0 := make([]float64, m)
-	q1 := make([]float64, m)
+	var vbuf [4 * scratchHull]float64
+	v := fit(vbuf[:], 4*m)
+	q0, q1, x0, x1 := v[:m], v[m:2*m], v[2*m:3*m], v[3*m:]
 	for row := 0; row < m; row++ {
 		rj := rs[sub[row+1]]
-		p := coords[row]
 		var p2 float64
-		for _, x := range p {
-			p2 += x * x
+		for _, c := range f.coords[row*m : (row+1)*m] {
+			p2 += c * c
 		}
 		q0[row] = (p2 - rj*rj + r0*r0) / 2
 		q1[row] = -(rj - r0)
 	}
-	// coords is lower-triangular with positive diagonal by construction.
-	x0 := solveLowerTriangular(coords, q0)
-	x1 := solveLowerTriangular(coords, q1)
-	if x0 == nil || x1 == nil {
-		return nil
+	if !solveLowerTriangular(f.coords, q0, x0) || !solveLowerTriangular(f.coords, q1, x1) {
+		return false
 	}
-	var a, b, c float64
-	a = dot(x1, x1) - 1
-	b = dot(x0, x1) - r0
-	c = dot(x0, x0) - r0*r0
-	origin := cs[sub[0]]
-	var out []geom.Vec
-	for _, s := range solveQuadratic(a, 2*b, c) {
-		x := origin.Clone()
+	a := dot(x1, x1) - 1
+	b := dot(x0, x1) - r0
+	c := dot(x0, x0) - r0*r0
+	roots, nr := solveQuadratic(a, 2*b, c)
+	for _, s := range roots[:nr] {
+		copy(x, cons[sub[0]].c)
 		for d := 0; d < m; d++ {
-			x = x.AddScaled(x0[d]+s*x1[d], basis[d])
+			w := x0[d] + s*x1[d]
+			for k, e := range f.basis[d*f.dim : (d+1)*f.dim] {
+				x[k] += w * e
+			}
 		}
-		out = append(out, x)
+		if meets(cons, rs, x, eps) {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 func dot(a, b []float64) float64 {
@@ -254,41 +331,42 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// solveLowerTriangular solves M·x = q by forward substitution. Returns
-// nil on a vanishing pivot (the caller's rank check makes that
-// unreachable, but numeric dust gets the benefit of the doubt).
-func solveLowerTriangular(M [][]float64, q []float64) []float64 {
+// solveLowerTriangular solves M·x = q by forward substitution, M being
+// len(q) rows of len(q) entries. It reports false on a vanishing pivot
+// (the caller's rank check makes that unreachable, but numeric dust
+// gets the benefit of the doubt).
+func solveLowerTriangular(M, q, x []float64) bool {
 	n := len(q)
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		s := q[i]
 		for j := 0; j < i; j++ {
-			s -= M[i][j] * x[j]
+			s -= M[i*n+j] * x[j]
 		}
-		piv := M[i][i]
+		piv := M[i*n+i]
 		if math.Abs(piv) < 1e-300 {
-			return nil
+			return false
 		}
 		x[i] = s / piv
 	}
-	return x
+	return true
 }
 
-// solveQuadratic returns the real roots of a·s² + b·s + c, treating a
-// slightly negative discriminant as a tangency (one double root) so
+// solveQuadratic returns the n real roots of a·s² + b·s + c, treating
+// a slightly negative discriminant as a tangency (one double root) so
 // touching configurations are not lost to rounding.
-func solveQuadratic(a, b, c float64) []float64 {
+func solveQuadratic(a, b, c float64) (roots [2]float64, n int) {
 	scale := math.Abs(a) + math.Abs(b) + math.Abs(c)
 	if math.Abs(a) <= 1e-14*scale {
 		if math.Abs(b) <= 1e-14*scale {
-			return nil
+			return roots, 0
 		}
-		return []float64{-c / b}
+		roots[0] = -c / b
+		return roots, 1
 	}
 	disc := b*b - 4*a*c
 	tol := 1e-10 * (b*b + math.Abs(4*a*c))
 	if disc < -tol {
-		return nil
+		return roots, 0
 	}
 	if disc < 0 {
 		disc = 0
@@ -300,14 +378,111 @@ func solveQuadratic(a, b, c float64) []float64 {
 	} else {
 		q = -(b - sq) / 2
 	}
-	roots := []float64{q / a}
+	roots[0] = q / a
 	if math.Abs(q) > 1e-300 {
-		roots = append(roots, c/q)
+		roots[1] = c / q
+		return roots, 2
 	}
-	return roots
+	return roots, 1
 }
 
-// pinchTimes returns the candidate times at which the subset's balls
+// quartic is a polynomial of degree ≤ 4 in fixed storage: c[:n] holds
+// the coefficients, lowest degree first. The pinch polynomial below is
+// assembled from a handful of products and sums of linear and
+// quadratic terms, and doing that on poly.Poly values costs some fifty
+// allocations a call. The methods here compute, value for value, what
+// the poly.Poly operation of the same name computes — including its
+// canonical form: after every operation but neg, coefficients within
+// polyTrimEps of the largest are flushed to zero and trailing ones
+// dropped — so the roots handed to the root isolator are the same.
+type quartic struct {
+	c [5]float64
+	n int
+}
+
+// polyTrimEps is poly's relative threshold for a negligible coefficient.
+const polyTrimEps = 1e-12
+
+func (p quartic) trim() quartic {
+	max := 0.0
+	for _, c := range p.c[:p.n] {
+		if a := math.Abs(c); a > max {
+			max = a
+		}
+	}
+	cut := max * polyTrimEps
+	for p.n > 0 && math.Abs(p.c[p.n-1]) <= cut {
+		p.n--
+	}
+	for i, c := range p.c[:p.n] {
+		if math.Abs(c) <= cut {
+			p.c[i] = 0
+		}
+	}
+	return p
+}
+
+func linearQuartic(a, b float64) quartic {
+	return quartic{c: [5]float64{b, a}, n: 2}.trim()
+}
+
+func constantQuartic(c float64) quartic {
+	if c == 0 { //modlint:allow floatcmp -- exact: poly.Constant's choice of the empty representation
+		return quartic{}
+	}
+	return quartic{c: [5]float64{c}, n: 1}
+}
+
+// plus returns p + sign·q for sign ±1: poly's Add and Sub.
+func (p quartic) plus(sign float64, q quartic) quartic {
+	r := quartic{n: max(p.n, q.n)}
+	for i := range r.c[:r.n] {
+		if i < p.n {
+			r.c[i] += p.c[i]
+		}
+		if i < q.n {
+			r.c[i] += sign * q.c[i]
+		}
+	}
+	return r.trim()
+}
+
+func (p quartic) scale(c float64) quartic {
+	if c == 0 { //modlint:allow floatcmp -- exact: poly.Scale's fast path to the zero polynomial
+		return quartic{}
+	}
+	for i := range p.c[:p.n] {
+		p.c[i] *= c
+	}
+	return p.trim()
+}
+
+// mul needs deg p + deg q ≤ 4; the pinch polynomial only squares
+// linear and quadratic terms.
+func (p quartic) mul(q quartic) quartic {
+	if p.n == 0 || q.n == 0 {
+		return quartic{}
+	}
+	r := quartic{n: p.n + q.n - 1}
+	for i, a := range p.c[:p.n] {
+		if a == 0 { //modlint:allow floatcmp -- exact: poly.Mul skips the zeros trim flushed
+			continue
+		}
+		for j, b := range q.c[:q.n] {
+			r.c[i+j] += a * b
+		}
+	}
+	return r.trim()
+}
+
+func (p quartic) neg() quartic {
+	for i := range p.c[:p.n] {
+		p.c[i] = -p.c[i]
+	}
+	return p
+}
+
+// pinchTimes appends to cand the times at which the subset's balls
 // could pinch to a single shared point: ‖x(t) − c_j‖ = r_j(t) for all j
 // in the subset simultaneously. Subtracting the first sphere equation
 // from the others gives a linear system with SCALAR matrix (centers are
@@ -315,86 +490,92 @@ func solveQuadratic(a, b, c float64) []float64 {
 // quadratics; substituting into the first sphere equation yields a
 // degree-4 polynomial whose real roots in the window are the pinch
 // candidates.
-func pinchTimes(cons []ball, sub []int, w0, w1, eps float64) []float64 {
-	cs := make([]geom.Vec, len(cons))
-	for i, b := range cons {
-		cs[i] = b.c
-	}
-	_, coords, ok := orthoBasis(cs, sub, eps)
+func pinchTimes(cand []float64, cons []ball, sub []int, w0, w1, eps float64) []float64 {
+	var buf frameScratch
+	f, ok := buildFrame(cons, sub, eps, &buf)
 	if !ok {
-		return nil
+		return cand
 	}
-	m := len(sub) - 1
+	m := f.m
 	b0 := cons[sub[0]]
-	r0 := poly.Linear(b0.ra, b0.rb)
-	r0sq := r0.Mul(r0)
-	// W_j(t) = (|p_j|² + r_0(t)² − r_j(t)²) / 2, quadratic in t.
-	W := make([]poly.Poly, m)
-	for row := 0; row < m; row++ {
-		bj := cons[sub[row+1]]
-		rj := poly.Linear(bj.ra, bj.rb)
-		p := coords[row]
-		var p2 float64
-		for _, x := range p {
-			p2 += x * x
-		}
-		W[row] = poly.Constant(p2).Add(r0sq).Sub(rj.Mul(rj)).Scale(0.5)
-	}
-	// Forward-substitute the triangular system with polynomial RHS:
-	// x_d(t) quadratic in t.
-	X := make([]poly.Poly, m)
+	r0 := linearQuartic(b0.ra, b0.rb)
+	r0sq := r0.mul(r0)
+	// Forward-substitute the triangular system with the polynomial
+	// right-hand sides W_j(t) = (|p_j|² + r_0(t)² − r_j(t)²) / 2:
+	// every x_d(t) is quadratic in t.
+	var xbuf [scratchHull]quartic
+	X := xbuf[:0]
 	for i := 0; i < m; i++ {
-		s := W[i]
+		bj := cons[sub[i+1]]
+		rj := linearQuartic(bj.ra, bj.rb)
+		p := f.coords[i*m : (i+1)*m]
+		var p2 float64
+		for _, c := range p {
+			p2 += c * c
+		}
+		s := constantQuartic(p2).plus(1, r0sq).plus(-1, rj.mul(rj)).scale(0.5)
 		for j := 0; j < i; j++ {
-			s = s.Sub(X[j].Scale(coords[i][j]))
+			s = s.plus(-1, X[j].scale(p[j]))
 		}
-		piv := coords[i][i]
-		if math.Abs(piv) < 1e-300 {
-			return nil
+		if math.Abs(p[i]) < 1e-300 {
+			return cand
 		}
-		X[i] = s.Scale(1 / piv)
+		X = append(X, s.scale(1/p[i]))
 	}
 	// F(t) = Σ x_d(t)² − r_0(t)², degree ≤ 4.
-	F := r0sq.Neg()
-	for d := 0; d < m; d++ {
-		F = F.Add(X[d].Mul(X[d]))
+	F := r0sq.neg()
+	for _, x := range X {
+		F = F.plus(1, x.mul(x))
 	}
-	roots, _ := F.RootsIn(w0, w1)
-	return roots
+	cand, _ = poly.Poly(F.c[:F.n]).AppendRootsIn(cand, w0, w1)
+	return cand
 }
 
 // feasibleInterval returns the exact sub-interval of [w0, w1] during
 // which all balls share a point (empty ⇒ ok = false). By convexity the
 // feasible set is an interval, and its endpoints are always among the
 // closed-form candidates (see the package comment at the top of this
-// file); the interval is read off the feasible candidates directly.
+// file). The answer is the least and the greatest feasible candidate,
+// and the scan looks for nothing else: it walks the sorted candidate
+// list from the left to its first feasible time and from the right to
+// its first feasible time. Those are the minimum and the maximum an
+// evaluation of every candidate reports — no convexity is assumed, the
+// candidates in between are simply never read. When both window ends
+// are feasible they are the answer, and no candidate is built at all.
 func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 	if !(w0 <= w1) {
 		return 0, 0, false
 	}
 	scale := consScale(cons, w0, w1)
 	eps := relEps * scale
+	f0 := feasibleAt(cons, w0, eps)
+	f1 := feasibleAt(cons, w1, eps)
+	// A zero window end may meet a candidate that is the zero of the
+	// other sign, and which of the two the sorted list then holds first
+	// is the sort's business — so those windows go through the list.
+	//modlint:allow floatcmp -- exact: only zero has two encodings
+	if f0 && f1 && w0 != 0 && w1 != 0 {
+		return w0, w1, true
+	}
 	n := len(cons)
-	cand := make([]float64, 0, 32)
-	cand = append(cand, w0, w1)
+	var cbuf [48]float64
+	cand := append(cbuf[:0], w0, w1)
 	for _, b := range cons {
 		// Apex: the ball's radius crosses zero.
-		if math.Abs(b.ra) > 1e-300 {
-			cand = append(cand, -b.rb/b.ra)
-		}
+		cand = appendLinearRoot(cand, b.ra, b.rb)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := cons[i].c.Dist(cons[j].c)
 			// External tangency r_i + r_j = d and internal tangencies
 			// r_i − r_j = ±d: all linear in t.
-			addLinearRoot(&cand, cons[i].ra+cons[j].ra, cons[i].rb+cons[j].rb-d)
-			addLinearRoot(&cand, cons[i].ra-cons[j].ra, cons[i].rb-cons[j].rb-d)
-			addLinearRoot(&cand, cons[i].ra-cons[j].ra, cons[i].rb-cons[j].rb+d)
+			cand = appendLinearRoot(cand, cons[i].ra+cons[j].ra, cons[i].rb+cons[j].rb-d)
+			cand = appendLinearRoot(cand, cons[i].ra-cons[j].ra, cons[i].rb-cons[j].rb-d)
+			cand = appendLinearRoot(cand, cons[i].ra-cons[j].ra, cons[i].rb-cons[j].rb+d)
 		}
 	}
 	for _, sub := range affineSubsets(n) {
-		cand = append(cand, pinchTimes(cons, sub, w0, w1, eps)...)
+		cand = pinchTimes(cand, cons, sub, w0, w1, eps)
 	}
 	// Clip into the window, sort, add midpoints of consecutive distinct
 	// candidates (cheap insurance against degenerate root isolation).
@@ -405,35 +586,45 @@ func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 		}
 	}
 	sort.Float64s(pts)
-	withMid := make([]float64, 0, 2*len(pts))
+	var mbuf [2 * len(cbuf)]float64
+	ts := mbuf[:0]
 	for i, t := range pts {
 		if i > 0 && pts[i-1] < t {
-			withMid = append(withMid, (pts[i-1]+t)/2)
+			ts = append(ts, (pts[i-1]+t)/2)
 		}
-		withMid = append(withMid, t)
+		ts = append(ts, t)
 	}
-	found := false
-	for _, t := range withMid {
-		if feasibleAt(cons, t, eps) {
-			if !found {
-				lo, hi = t, t
-				found = true
-			} else {
-				if t < lo {
-					lo = t
-				}
-				if t > hi {
-					hi = t
-				}
-			}
+	// ts ascends, starts with the times equal to w0 and ends with the
+	// times equal to w1, whose verdicts f0 and f1 are known.
+	i, j := 0, len(ts)-1
+	if !f0 {
+		//modlint:allow floatcmp -- exact: steps over the copies of w0, found infeasible above
+		for i <= j && (ts[i] == w0 || !feasibleAt(cons, ts[i], eps)) {
+			i++
+		}
+		if i > j {
+			return 0, 0, false
 		}
 	}
-	return lo, hi, found
+	if !f1 {
+		//modlint:allow floatcmp -- exact: steps over the copies of w1, found infeasible above
+		for j > i && (ts[j] == w1 || !feasibleAt(cons, ts[j], eps)) {
+			j--
+		}
+	}
+	// Of several equal greatest times, an evaluation of every candidate
+	// keeps the first.
+	//modlint:allow floatcmp -- exact: equal times share one verdict
+	for j > i && ts[j-1] == ts[j] {
+		j--
+	}
+	return ts[i], ts[j], true
 }
 
-// addLinearRoot appends the root of a·t + b = 0 when it exists.
-func addLinearRoot(cand *[]float64, a, b float64) {
+// appendLinearRoot appends the root of a·t + b = 0 when it exists.
+func appendLinearRoot(cand []float64, a, b float64) []float64 {
 	if math.Abs(a) > 1e-300 {
-		*cand = append(*cand, -b/a)
+		cand = append(cand, -b/a)
 	}
+	return cand
 }

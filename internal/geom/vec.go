@@ -110,8 +110,10 @@ func (v Vec) Len() float64 { return math.Sqrt(v.Dot(v)) }
 // prefers Len2 over Len.
 func (v Vec) Len2() float64 { return v.Dot(v) }
 
-// Dist returns the Euclidean distance between u and v.
-func (u Vec) Dist(v Vec) float64 { return u.Sub(v).Len() }
+// Dist returns the Euclidean distance between u and v. It sums the
+// squared differences in the order u.Sub(v).Len() would, without the
+// temporary.
+func (u Vec) Dist(v Vec) float64 { return math.Sqrt(u.Dist2(v)) }
 
 // Dist2 returns the squared Euclidean distance between u and v.
 func (u Vec) Dist2(v Vec) float64 {

@@ -155,3 +155,17 @@ func TestCauchySchwarz(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDistAllocatesNothing: Dist is on the bead kernel's innermost
+// loop, and used to build the difference vector to measure it.
+func TestDistAllocatesNothing(t *testing.T) {
+	u, v := Of(1, 2, 3), Of(4, 6, 3)
+	var d float64
+	if allocs := testing.AllocsPerRun(100, func() { d = u.Dist(v) }); allocs != 0 {
+		t.Errorf("Dist: %v allocations, want 0", allocs)
+	}
+	// The same operations in the same order as the difference's length.
+	if want := u.Sub(v).Len(); math.Float64bits(d) != math.Float64bits(want) {
+		t.Errorf("Dist = %v, Sub.Len = %v", d, want)
+	}
+}

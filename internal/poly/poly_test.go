@@ -445,3 +445,51 @@ func BenchmarkSturmRootsDeg6(b *testing.B) {
 		_, _ = p.RootsIn(0, 10)
 	}
 }
+
+// TestAppendRootsInAllocatesNothing: with room in dst, isolating the
+// roots of a sweep-sized polynomial works on the stack alone, and
+// appends exactly what RootsIn returns.
+func TestAppendRootsInAllocatesNothing(t *testing.T) {
+	for _, p := range []Poly{
+		FromRoots(1, 2),
+		FromRoots(-1, 0.5, 3),
+		FromRoots(-2, -1, 1, 2),
+		FromRoots(1, 1, 4, 7), // a tangency
+		FromRoots(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 1.1),
+		New(1, 0, 0, 0, 1), // no real root
+	} {
+		want, _ := p.RootsIn(-10, 10)
+		dst := make([]float64, 1, 16)
+		var got []float64
+		allocs := testing.AllocsPerRun(10, func() { got, _ = p.AppendRootsIn(dst, -10, 10) })
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations", p, allocs)
+		}
+		if len(got) != 1+len(want) {
+			t.Fatalf("%v: appended %v, RootsIn %v", p, got[1:], want)
+		}
+		for i, r := range want {
+			if math.Float64bits(got[1+i]) != math.Float64bits(r) {
+				t.Errorf("%v: root %d appended as %v, RootsIn %v", p, i, got[1+i], r)
+			}
+		}
+	}
+	// Past the stack bound the same code runs on heap storage.
+	long := FromRoots(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+	if roots, ok := long.RootsIn(0, 14); !ok || len(roots) != 13 {
+		t.Errorf("degree 13: roots %v ok %v", roots, ok)
+	}
+}
+
+// quadraticRoots is quadRoots as a slice, for the tests that read it so.
+func quadraticRoots(a, b, c float64) []float64 {
+	r1, r2, n := quadRoots(a, b, c)
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return []float64{r1}
+	default:
+		return []float64{r1, r2}
+	}
+}

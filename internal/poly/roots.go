@@ -198,29 +198,6 @@ func signChanges(seq []Poly, x float64) int {
 	return changes
 }
 
-// signChangesAtInf counts sign alternations as x -> +inf (dir > 0) or
-// x -> -inf (dir < 0), using leading-term signs.
-func signChangesAtInf(seq []Poly, dir int) int {
-	changes, last := 0, 0
-	for _, q := range seq {
-		if q.IsZero() {
-			continue
-		}
-		s := 1
-		if q.Lead() < 0 {
-			s = -1
-		}
-		if dir < 0 && q.Degree()%2 == 1 {
-			s = -s
-		}
-		if last != 0 && s != last {
-			changes++
-		}
-		last = s
-	}
-	return changes
-}
-
 // CountRootsIn returns the number of distinct real roots of p in the
 // half-open interval (a, b]. p must not be the zero polynomial.
 func (p Poly) CountRootsIn(a, b float64) int {
@@ -256,18 +233,42 @@ func newton(p Poly, x, lo, hi float64) float64 {
 // (every point is a root); callers in the sweep treat that case
 // separately (curves identical on an interval).
 func (p Poly) RootsIn(a, b float64) (roots []float64, ok bool) {
+	return p.AppendRootsIn(nil, a, b)
+}
+
+// AppendRootsIn is RootsIn appending the roots to dst. For up to
+// maxStackCoeffs coefficients all working storage is on the stack, so
+// with room in dst it allocates nothing.
+func (p Poly) AppendRootsIn(dst []float64, a, b float64) (roots []float64, ok bool) {
+	var buf [maxStackCoeffs]float64
+	out := stackOr(buf[:], len(p))
+	n, ok := p.rootsIn(out, a, b)
+	return append(dst, out[:n]...), ok
+}
+
+// stackOr returns buf when it holds n values and heap storage when not.
+func stackOr(buf []float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf
+	}
+	return make([]float64, n)
+}
+
+// rootsIn writes the roots of RootsIn to out, which has room for len(p)
+// values, and returns their number.
+func (p Poly) rootsIn(out []float64, a, b float64) (n int, ok bool) {
 	if p.IsZero() {
-		return nil, false
+		return 0, false
 	}
 	if p.Degree() == 0 {
-		return nil, true
+		return 0, true
 	}
 	if a > b {
-		return nil, true
+		return 0, true
 	}
 	// Fast paths for the degrees that dominate sweep workloads.
 	if p.Degree() <= 2 {
-		return lowDegreeRootsIn(p, a, b), true
+		return lowDegreeRootsIn(out, p, a, b), true
 	}
 	// Critical-point decomposition for higher degrees: between
 	// consecutive roots of p' the polynomial is monotone, so every real
@@ -280,12 +281,21 @@ func (p Poly) RootsIn(a, b float64) (roots []float64, ok bool) {
 	lo := math.Max(a, -bound-1)
 	hi := math.Min(b, bound+1)
 	if !(lo <= hi) {
-		return nil, true
+		return 0, true
 	}
-	crit, _ := p.Derivative().RootsIn(lo, hi)
-	pts := make([]float64, 0, len(crit)+2)
-	pts = append(pts, lo)
-	for _, c := range crit {
+	// len(p) coefficients leave at most len(p)-2 critical points, so at
+	// most len(p) points cut [lo, hi] and 2·len(p)-1 candidates come out
+	// of them; the appends below spill to the heap past the arrays.
+	var (
+		dbuf, cbuf, pbuf [maxStackCoeffs]float64
+		sbuf             [maxStackCoeffs]int
+		rbuf             [2 * maxStackCoeffs]float64
+	)
+	d := derivTrimInPlace(append(Poly(dbuf[:0]), p...))
+	crit := stackOr(cbuf[:], len(d))
+	nc, _ := d.rootsIn(crit, lo, hi)
+	pts := append(pbuf[:0], lo)
+	for _, c := range crit[:nc] {
 		if c > pts[len(pts)-1] {
 			pts = append(pts, c)
 		}
@@ -293,11 +303,12 @@ func (p Poly) RootsIn(a, b float64) (roots []float64, ok bool) {
 	if hi > pts[len(pts)-1] {
 		pts = append(pts, hi)
 	}
-	var cand []float64
-	signs := make([]int, len(pts))
-	for i, x := range pts {
-		signs[i] = p.SignAt(x)
-		if signs[i] == 0 {
+	cand := rbuf[:0]
+	signs := sbuf[:0]
+	for _, x := range pts {
+		s := p.SignAt(x)
+		signs = append(signs, s)
+		if s == 0 {
 			cand = append(cand, x)
 		}
 	}
@@ -307,17 +318,17 @@ func (p Poly) RootsIn(a, b float64) (roots []float64, ok bool) {
 		}
 	}
 	sort.Float64s(cand)
-	var out []float64
 	for _, r := range cand {
 		if r < a-RootTol || r > b+RootTol {
 			continue
 		}
 		r = math.Min(math.Max(r, a), b)
-		if len(out) == 0 || r-out[len(out)-1] > RootTol {
-			out = append(out, r)
+		if n == 0 || r-out[n-1] > RootTol {
+			out[n] = r
+			n++
 		}
 	}
-	return out, true
+	return n, true
 }
 
 // monotoneBisect finds the unique root of p inside (lo, hi), where p is
@@ -341,47 +352,32 @@ func monotoneBisect(p Poly, lo, hi float64, slo int) float64 {
 	return newton(p, 0.5*(lo+hi), lo, hi)
 }
 
-// lowDegreeRootsIn solves degree <= 2 in closed form.
-func lowDegreeRootsIn(p Poly, a, b float64) []float64 {
-	var rs []float64
+// lowDegreeRootsIn solves degree <= 2 in closed form, into out.
+func lowDegreeRootsIn(out []float64, p Poly, a, b float64) (n int) {
+	var rs [2]float64
+	nr := 0
 	switch p.Degree() {
 	case 1:
-		rs = []float64{-p[0] / p[1]}
+		rs[0], nr = -p[0]/p[1], 1
 	case 2:
-		rs = quadraticRoots(p[2], p[1], p[0])
-	default:
-		return nil
+		rs[0], rs[1], nr = quadRoots(p[2], p[1], p[0])
 	}
-	var out []float64
-	for _, r := range rs {
+	for _, r := range rs[:nr] {
 		if r >= a-RootTol && r <= b+RootTol {
 			r = math.Min(math.Max(r, a), b)
-			if len(out) == 0 || r-out[len(out)-1] > RootTol {
-				out = append(out, r)
+			if n == 0 || r-out[n-1] > RootTol {
+				out[n] = r
+				n++
 			}
 		}
 	}
-	return out
+	return n
 }
 
-// quadraticRoots returns the real roots of a*x^2 + b*x + c in ascending
-// order using the numerically-stable quadratic formula. A double root is
-// returned once.
-func quadraticRoots(a, b, c float64) []float64 {
-	r1, r2, n := quadRoots(a, b, c)
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return []float64{r1}
-	default:
-		return []float64{r1, r2}
-	}
-}
-
-// quadRoots is the value-returning core of quadraticRoots: the roots of
-// a*x^2 + b*x + c in ascending order (n of them, 0..2) with no slice
-// allocation, for the sweep's zero-alloc scheduling path.
+// quadRoots returns the real roots of a*x^2 + b*x + c in ascending
+// order (n of them, 0..2; a double root once) by the numerically-stable
+// quadratic formula, with no slice allocation, for the sweep's
+// zero-alloc scheduling path.
 func quadRoots(a, b, c float64) (r1, r2 float64, n int) {
 	//modlint:allow floatcmp -- degree dispatch on pre-trimmed coefficients is exact
 	if a == 0 {
@@ -478,14 +474,4 @@ func (p Poly) Roots() ([]float64, bool) {
 	}
 	bound := p.RootBound()
 	return p.RootsIn(-bound-1, bound+1)
-}
-
-// SignChangesAtInf exposes the asymptotic sign-change count of p's Sturm
-// sequence for diagnostic use (dir=+1 for +inf, -1 for -inf).
-func (p Poly) SignChangesAtInf(dir int) int {
-	sf := p.SquareFree()
-	if sf.Degree() < 1 {
-		return 0
-	}
-	return signChangesAtInf(sturmSeq(sf), dir)
 }

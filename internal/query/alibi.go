@@ -62,11 +62,11 @@ func needsDeclarations(defaultVmax float64) bool {
 	return defaultVmax < 0 || math.IsNaN(defaultVmax)
 }
 
-// ValidateSpeedBounds checks in one pass that every object of the view
+// validateSpeedBounds checks in one pass that every object of the view
 // has a usable speed bound, returning a NoSpeedBoundError naming every
 // object that lacks one. With a usable default nothing can be missing
 // and the pass is skipped.
-func ValidateSpeedBounds(src UncertainSource, defaultVmax float64) error {
+func validateSpeedBounds(src UncertainSource, defaultVmax float64) error {
 	if !needsDeclarations(defaultVmax) {
 		return nil
 	}
@@ -127,31 +127,34 @@ func Alibi(src UncertainSource, o1, o2 mod.OID, lo, hi, defaultVmax float64) (be
 // Within asks about recorded positions, this asks about every movement
 // consistent with the record and the speed bounds.
 func PossiblyWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax float64) (*AnswerSet, error) {
-	if q.Dim() != src.Dim() {
-		return nil, fmt.Errorf("query: point dim %d, database dim %d", q.Dim(), src.Dim())
-	}
-	if err := ValidateSpeedBounds(src, defaultVmax); err != nil {
+	within, err := validateWithin(src, q, dist, lo, hi, defaultVmax)
+	if err != nil {
 		return nil, err
 	}
-	ans := NewAnswerSet()
+	ans := newFinishedAnswerSet(0, hi)
 	for _, o := range src.Objects() {
 		tr, err := TrackOf(src, o, defaultVmax)
 		if err != nil {
 			return nil, err
 		}
-		ivs, err := tr.PossiblyWithin(q, dist, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		for _, iv := range ivs {
-			if iv.Hi > iv.Lo {
-				ans.Enter(o, iv.Lo)
-				ans.Leave(o, iv.Hi)
-			} else {
-				ans.Point(o, iv.Lo)
-			}
-		}
+		ivs, _ := within(tr)
+		ans.appendSorted(o, ivs)
 	}
-	ans.Finish(hi)
 	return ans, nil
+}
+
+// validateWithin is the one place a possibly-within question is
+// checked, before any object is looked at: the scan and the BeadIndex
+// both start here, so whether a question is refused — and with which
+// error — never depends on what the database holds near the query
+// point. The checks run in a fixed order: point dimension, speed
+// bounds, then the bead layer's own (finite point, distance, window).
+func validateWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax float64) (func(*bead.Track) ([]bead.Interval, bead.PWStats), error) {
+	if q.Dim() != src.Dim() {
+		return nil, fmt.Errorf("query: point dim %d, database dim %d", q.Dim(), src.Dim())
+	}
+	if err := validateSpeedBounds(src, defaultVmax); err != nil {
+		return nil, err
+	}
+	return bead.Within(src.Dim(), q, dist, lo, hi)
 }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bead"
 	"repro/internal/mod"
 )
 
@@ -49,6 +50,33 @@ func NewAnswerSet() *AnswerSet {
 	return &AnswerSet{
 		closed: make(map[mod.OID][]Interval),
 		open:   make(map[mod.OID]float64),
+	}
+}
+
+// newFinishedAnswerSet returns an empty answer set already finalized at
+// endT, with room for n objects: the shape of an answer that is
+// computed whole (the uncertainty queries) instead of accumulated from
+// a sweep's enter/leave events.
+func newFinishedAnswerSet(n int, endT float64) *AnswerSet {
+	return &AnswerSet{
+		closed: make(map[mod.OID][]Interval, n),
+		open:   make(map[mod.OID]float64),
+		endT:   endT,
+		done:   true,
+	}
+}
+
+// appendSorted records o's memberships from the bead layer's sorted,
+// disjoint intervals — what Enter+Leave (or Point, for a single
+// instant) would record for each in turn, without the round trip
+// through the open map.
+func (r *AnswerSet) appendSorted(o mod.OID, ivs []bead.Interval) {
+	for _, iv := range ivs {
+		hi := iv.Hi
+		if !(hi > iv.Lo) {
+			hi = iv.Lo // a single instant, as Point records it
+		}
+		r.appendInterval(o, Interval{Lo: iv.Lo, Hi: hi})
 	}
 }
 
@@ -125,6 +153,21 @@ func (r *AnswerSet) Intervals(o mod.OID) []Interval {
 	out := make([]Interval, len(ivs))
 	copy(out, ivs)
 	return out
+}
+
+// Each calls fn once for every object Objects lists, in no particular
+// order, with the object's recorded intervals: the set's own storage,
+// which fn must neither modify nor keep. An object whose only
+// membership is still open has none yet.
+func (r *AnswerSet) Each(fn func(o mod.OID, ivs []Interval)) {
+	for o, ivs := range r.closed {
+		fn(o, ivs)
+	}
+	for o := range r.open {
+		if _, ok := r.closed[o]; !ok {
+			fn(o, nil)
+		}
+	}
 }
 
 // Objects returns all objects with any membership, ascending.
@@ -210,7 +253,21 @@ func (r *AnswerSet) Universal(lo, hi float64) []mod.OID {
 // appears in more than one part (the sharding invariant is violated) or
 // if a part still has open memberships (not finalized).
 func MergeDisjoint(sets ...*AnswerSet) *AnswerSet {
-	out := NewAnswerSet()
+	objs, ivals := 0, 0
+	for _, s := range sets {
+		if s == nil {
+			continue
+		}
+		objs += len(s.closed)
+		for _, ivs := range s.closed {
+			ivals += len(ivs)
+		}
+	}
+	out := &AnswerSet{closed: make(map[mod.OID][]Interval, objs), open: make(map[mod.OID]float64)}
+	// One backing array for every copied interval; each object's list is
+	// capped at its own length, so a later append to one cannot run into
+	// its neighbour.
+	all := make([]Interval, 0, ivals)
 	for _, s := range sets {
 		if s == nil {
 			continue
@@ -222,9 +279,9 @@ func MergeDisjoint(sets ...*AnswerSet) *AnswerSet {
 			if _, dup := out.closed[o]; dup {
 				panic(fmt.Sprintf("query: MergeDisjoint: %s in more than one part", o))
 			}
-			cp := make([]Interval, len(ivs))
-			copy(cp, ivs)
-			out.closed[o] = cp
+			n := len(all)
+			all = append(all, ivs...)
+			out.closed[o] = all[n:len(all):len(all)]
 		}
 		if s.done {
 			out.done = true

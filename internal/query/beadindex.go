@@ -29,7 +29,6 @@ package query
 // no intervals — the index answers are bit-identical to the scan's.
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -68,11 +67,12 @@ type BeadStats struct {
 }
 
 // BeadIndex caches bead tracks and indexes their chain boxes for one
-// database (one shard). Safe for concurrent use; the mutex covers
-// synchronization and candidate collection, while kernel evaluation
-// runs outside it on immutable tracks.
+// database (one shard). Safe for concurrent use: queries that find the
+// index in step with their snapshot collect candidates under the read
+// lock, side by side; the update listener and a sync take the write
+// lock; kernel evaluation runs outside both on immutable tracks.
 type BeadIndex struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	dim   int
 	built bool
 	dirty bool // an update was applied since the last sync
@@ -132,13 +132,39 @@ func (ix *BeadIndex) boxRect(b bead.SegBox) rtree.Rect {
 	return rtree.Rect{Min: lo, Max: hi}
 }
 
-// sync brings the index up to date with snap. Called with mu held.
-func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
-	defBits := math.Float64bits(defaultVmax)
-	if ix.built && !ix.dirty && ix.syncedEpoch == snap.Epoch() &&
-		(ix.undeclared == 0 || ix.defBits == defBits) {
+// inStep reports whether the index already reflects snap under
+// defaultVmax. Called with mu held, in either mode.
+func (ix *BeadIndex) inStep(snap *mod.Snap, defaultVmax float64) bool {
+	return ix.built && !ix.dirty && ix.syncedEpoch == snap.Epoch() &&
+		(ix.undeclared == 0 || ix.defBits == math.Float64bits(defaultVmax))
+}
+
+// view runs read, which may only read the index, with the index in step
+// with snap: under the read lock when it already is, else under the
+// write lock right after syncing it (a reader that let go of the write
+// lock first could find the index moved on to another query's
+// snapshot).
+func (ix *BeadIndex) view(snap *mod.Snap, defaultVmax float64, read func()) {
+	ix.mu.RLock()
+	if ix.inStep(snap, defaultVmax) {
+		read()
+		ix.mu.RUnlock()
 		return
 	}
+	ix.mu.RUnlock()
+	ix.mu.Lock()
+	ix.sync(snap, defaultVmax)
+	read()
+	ix.mu.Unlock()
+}
+
+// sync brings the index up to date with snap. Called with the write
+// lock held.
+func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
+	if ix.inStep(snap, defaultVmax) {
+		return
+	}
+	defBits := math.Float64bits(defaultVmax)
 	// Post-snapshot updates set dirty again through the listener and
 	// bump the epoch, so clearing it against this snap is safe.
 	ix.dirty = false
@@ -303,8 +329,8 @@ func (ix *BeadIndex) maybeRebuild() {
 
 // candidates returns, ascending and deduplicated, every object whose
 // bead chain or cap could intersect the ball (q, dist) during [lo, hi].
-// Called with mu held; allocates a fresh slice because concurrent
-// queries share the index.
+// Called with mu held in either mode; allocates a fresh slice because
+// concurrent queries share the index.
 func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
 	pad := dist + bead.Pad(maxAbsVec(q)+dist)
 	rlo := make(geom.Vec, ix.dim+1)
@@ -333,7 +359,7 @@ func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
 
 // firstErr returns the lowest-OID cached construction error — the same
 // error, for the same object, the ascending scan would hit first.
-// Called with mu held.
+// Called with mu held in either mode.
 func (ix *BeadIndex) firstErr(snap *mod.Snap) error {
 	for _, o := range snap.Objects() {
 		if e := ix.entries[o]; e != nil && e.err != nil {
@@ -345,52 +371,42 @@ func (ix *BeadIndex) firstErr(snap *mod.Snap) error {
 
 // PossiblyWithin answers the possibly-within query through the broad
 // phase: identical results to query.PossiblyWithin on the same snap,
-// plus work statistics. Candidates are collected under the index lock;
-// the kernel then runs lock-free over the immutable cached tracks, in
-// ascending OID order like the scan.
+// plus work statistics. The question is validated before the index is
+// touched (validateWithin); candidates are collected under the index
+// lock; the kernel then runs lock-free over the immutable cached
+// tracks, in ascending OID order like the scan.
 func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, defaultVmax float64) (*AnswerSet, BeadStats, error) {
 	var st BeadStats
-	if q.Dim() != snap.Dim() {
-		return nil, st, fmt.Errorf("query: point dim %d, database dim %d", q.Dim(), snap.Dim())
-	}
-	if err := ValidateSpeedBounds(snap, defaultVmax); err != nil {
+	within, err := validateWithin(snap, q, dist, lo, hi, defaultVmax)
+	if err != nil {
 		return nil, st, err
 	}
-	ix.mu.Lock()
-	ix.sync(snap, defaultVmax)
-	if ix.errs > 0 {
-		err := ix.firstErr(snap)
-		ix.mu.Unlock()
+	var cands []mod.OID
+	var tracks []*bead.Track
+	ix.view(snap, defaultVmax, func() {
+		if ix.errs > 0 {
+			err = ix.firstErr(snap)
+			return
+		}
+		cands = ix.candidates(q, dist, lo, hi)
+		tracks = make([]*bead.Track, len(cands))
+		for i, o := range cands {
+			tracks[i] = ix.entries[o].track
+		}
+	})
+	if err != nil {
 		return nil, st, err
-	}
-	cands := ix.candidates(q, dist, lo, hi)
-	tracks := make([]*bead.Track, len(cands))
-	for i, o := range cands {
-		tracks[i] = ix.entries[o].track
 	}
 	st.Population = snap.Len()
-	ix.mu.Unlock()
-
 	st.Candidates = len(cands)
-	ans := NewAnswerSet()
+	ans := newFinishedAnswerSet(len(cands), hi)
 	for i, o := range cands {
-		ivs, pw, err := tracks[i].PossiblyWithinStats(q, dist, lo, hi)
-		if err != nil {
-			return nil, st, err
-		}
+		ivs, pw := within(tracks[i])
 		st.Windows += pw.Windows
 		st.Pruned += pw.Pruned
 		st.Kernel += pw.Kernel
-		for _, iv := range ivs {
-			if iv.Hi > iv.Lo {
-				ans.Enter(o, iv.Lo)
-				ans.Leave(o, iv.Hi)
-			} else {
-				ans.Point(o, iv.Lo)
-			}
-		}
+		ans.appendSorted(o, ivs)
 	}
-	ans.Finish(hi)
 	return ans, st, nil
 }
 
@@ -399,10 +415,8 @@ func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, de
 // the index has no valid entry for fall back to the uncached TrackOf,
 // which produces the scan path's exact error.
 func (ix *BeadIndex) TrackOf(snap *mod.Snap, o mod.OID, defaultVmax float64) (*bead.Track, error) {
-	ix.mu.Lock()
-	ix.sync(snap, defaultVmax)
-	e := ix.entries[o]
-	ix.mu.Unlock()
+	var e *beadEntry
+	ix.view(snap, defaultVmax, func() { e = ix.entries[o] })
 	if e != nil {
 		if e.err != nil {
 			return nil, e.err

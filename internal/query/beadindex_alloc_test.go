@@ -1,0 +1,155 @@
+package query
+
+// What a possibly-within query through the index allocates, and that
+// its lock lets queries run side by side.
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/mod"
+	"repro/internal/workload"
+)
+
+// uncertainPopulation is n random movers with two turns each, a third
+// of them with a declared speed bound — the shape of the benchmark's
+// uncertain-read population.
+func uncertainPopulation(tb testing.TB, n int) *mod.DB {
+	tb.Helper()
+	db, err := workload.RandomMovers(workload.Config{Seed: 11, N: n, Turns: 2, TurnHorizon: 40})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tau := db.Tau()
+	for _, o := range db.Objects() {
+		if o%3 == 0 {
+			tau += 1e-3
+			if err := db.Apply(mod.Bound(o, tau, 20)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// TestBeadIndexPossiblyWithinAllocatesWithItsAnswer: a query allocates
+// a bounded amount per object of its answer (the kernel walk's interval
+// list and the answer set's copy of it) plus a bounded amount of its
+// own (candidate list, track list, the answer map) — and nothing per
+// candidate, per window or per kernel call. The two queries differ
+// sixfold in candidates and in answer size.
+func TestBeadIndexPossiblyWithinAllocatesWithItsAnswer(t *testing.T) {
+	db := uncertainPopulation(t, 3000)
+	ix := NewBeadIndex(db)
+	snap := db.EpochSnapshot()
+	for _, radius := range []float64{80, 500} {
+		var ans *AnswerSet
+		var st BeadStats
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if ans, st, err = ix.PossiblyWithin(snap, geom.Of(100, -50), radius, 10, 30, 15); err != nil {
+				t.Fatal(err)
+			}
+		})
+		answer := len(ans.Objects())
+		if answer < 10 || st.Kernel < st.Candidates/2 {
+			t.Fatalf("radius %g: answer of %d objects, stats %+v: the query is too small to measure", radius, answer, st)
+		}
+		if ceiling := float64(64 + 3*answer); allocs > ceiling {
+			t.Errorf("radius %g: %v allocations for an answer of %d objects (%d candidates, %d kernel calls), ceiling %v",
+				radius, allocs, answer, st.Candidates, st.Kernel, ceiling)
+		}
+		t.Logf("radius %g: %v allocations, answer %d, stats %+v", radius, allocs, answer, st)
+	}
+}
+
+// TestBeadIndexConcurrentQueriesAndUpdates runs possibly-within and
+// TrackOf from several goroutines while updates keep invalidating the
+// index; under -race it checks the read-lock path, the upgrade to the
+// write lock for a sync, and the listener's dirty store against each
+// other. Every answer must be the scan's on the same snapshot.
+func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
+	db := uncertainPopulation(t, 300)
+	ix := NewBeadIndex(db)
+	objs := db.Objects()
+	var queriers, updater sync.WaitGroup
+	answered := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		queriers.Add(1)
+		go func(g int) {
+			defer queriers.Done()
+			for i := 0; i < 40; i++ {
+				snap := db.EpochSnapshot()
+				q := geom.Of(float64(100*g), float64(-50*i%400))
+				got, _, err := ix.PossiblyWithin(snap, q, 300, 5, 45, 15)
+				if err != nil {
+					t.Errorf("index: %v", err)
+					return
+				}
+				want, err := PossiblyWithin(snap, q, 300, 5, 45, 15)
+				if err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				if diff := answersEqual(want, got); diff != "" {
+					t.Errorf("goroutine %d query %d: index diverges from scan: %s", g, i, diff)
+					return
+				}
+				o := objs[(g*31+i)%len(objs)]
+				tr, err := ix.TrackOf(snap, o, 15)
+				ref, rerr := TrackOf(snap, o, 15)
+				if err != nil || rerr != nil || len(tr.Samples()) != len(ref.Samples()) {
+					t.Errorf("TrackOf(%v): %v / %v", o, err, rerr)
+					return
+				}
+				select {
+				case answered <- struct{}{}:
+				default: // the updater is busy applying one
+				}
+			}
+		}(g)
+	}
+	// One update for every other answered query, until the last: some
+	// queries find the index in step, some must sync it first.
+	updater.Add(1)
+	go func() {
+		defer updater.Done()
+		tau := db.Tau()
+		i := 0
+		for range answered {
+			if i++; i%2 == 1 {
+				continue
+			}
+			tau += 0.01
+			o := objs[(i*7)%len(objs)]
+			if err := db.Apply(mod.ChDir(o, tau, geom.Of(float64(i%5), 1))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	queriers.Wait()
+	close(answered)
+	updater.Wait()
+}
+
+// BenchmarkBeadIndexPossiblyWithin is one possibly-within query on one
+// shard of 5000 movers: candidates from the box tree and the cap list,
+// the kernel walk over each, and the answer set.
+func BenchmarkBeadIndexPossiblyWithin(b *testing.B) {
+	db := uncertainPopulation(b, 5000)
+	ix := NewBeadIndex(db)
+	snap := db.EpochSnapshot()
+	q := geom.Of(100, -50)
+	if _, _, err := ix.PossiblyWithin(snap, q, 300, 10, 30, 15); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ix.PossiblyWithin(snap, q, 300, 10, 30, 15); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

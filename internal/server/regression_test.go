@@ -373,3 +373,35 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Errorf("slow-query record missing class/ms: %+v", rec)
 	}
 }
+
+// TestPossiblyWithinInvertedWindowIs400WhateverTheData: a question the
+// uncertainty layer refuses is a 400 with its reason, not a 200 with an
+// empty answer whenever no object happens to be near the query point.
+func TestPossiblyWithinInvertedWindowIs400WhateverTheData(t *testing.T) {
+	for name, updates := range map[string][]mod.Update{
+		"empty": nil,
+		"far":   {mod.New(1, 1, geom.Of(0, 0), geom.Of(1e6, 0))},
+		"near":  {mod.New(1, 1, geom.Of(0, 0), geom.Of(1, 0))},
+	} {
+		for _, shards := range []int{1, 4} {
+			eng, err := shard.New(shard.Config{Shards: shards, Dim: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.ApplyAll(updates...); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(New(eng, nil))
+			var env struct {
+				Error string `json:"error"`
+			}
+			code := postJSON(t, ts.URL+"/query/possibly-within", map[string]interface{}{
+				"radius": 10, "lo": 10, "hi": 5, "point": []float64{0, 0}, "vmax": 20,
+			}, &env)
+			ts.Close()
+			if want := "bead: inverted query window [10, 5]"; code != 400 || env.Error != want {
+				t.Errorf("%s database, %d shard(s): code %d error %q, want 400 %q", name, shards, code, env.Error, want)
+			}
+		}
+	}
+}

@@ -387,36 +387,6 @@ type knnRequest struct {
 	Point []float64 `json:"point"`
 }
 
-// answerJSON is the wire form of an AnswerSet. Tau is the snapshot
-// time the answer was computed over; Class always equals
-// query.Classify(lo, hi, Tau) — the invariant the race test pins.
-type answerJSON struct {
-	Class   string                    `json:"class"`
-	Tau     float64                   `json:"tau"`
-	Answers map[string][]intervalJSON `json:"answers"`
-	Events  int                       `json:"events"`
-}
-
-type intervalJSON struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
-}
-
-func toAnswerJSON(ans *query.AnswerSet, cls query.Class, tau float64, events int) answerJSON {
-	out := answerJSON{Class: cls.String(), Tau: tau, Answers: map[string][]intervalJSON{}, Events: events}
-	for _, o := range ans.Objects() {
-		// Start non-nil so an object with an empty interval list
-		// marshals as [] — clients iterate the wire value, and null
-		// breaks them.
-		ivs := []intervalJSON{}
-		for _, iv := range ans.Intervals(o) {
-			ivs = append(ivs, intervalJSON{Lo: iv.Lo, Hi: iv.Hi})
-		}
-		out.Answers[o.String()] = ivs
-	}
-	return out
-}
-
 // slowQueryRecord is one structured slow-query log line (logged as
 // "SLOWQUERY {json}").
 type slowQueryRecord struct {
@@ -475,7 +445,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		Endpoint: "/query/knn", Lo: req.Lo, Hi: req.Hi, K: req.K,
 		Events: st.Events, Tau: tau, Class: cls.String(),
 	})
-	s.ok(w, toAnswerJSON(ans, cls, tau, st.Events))
+	s.okAnswer(w, ans, cls, tau, st.Events)
 }
 
 // withinRequest is the body of /query/within.
@@ -518,7 +488,7 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 		Endpoint: "/query/within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
 		Events: st.Events, Tau: tau, Class: cls.String(),
 	})
-	s.ok(w, toAnswerJSON(ans, cls, tau, st.Events))
+	s.okAnswer(w, ans, cls, tau, st.Events)
 }
 
 // alibiRequest is the body of /query/alibi. Vmax is the default speed
@@ -643,7 +613,7 @@ func (s *Server) handlePossiblyWithin(w http.ResponseWriter, r *http.Request) {
 	})
 	// The uncertainty query is not a sweep, so there is no event count;
 	// the envelope stays the same shape as /query/within with Events=0.
-	s.ok(w, toAnswerJSON(ans, cls, tau, 0))
+	s.okAnswer(w, ans, cls, tau, 0)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ package shard
 // broad phase only skips work it can prove fruitless.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -97,6 +98,15 @@ func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (
 	snaps := e.snapshots()
 	tau := maxTau(snaps)
 	if err := e.validateSpeedBounds(snaps, defaultVmax); err != nil {
+		return nil, tau, err
+	}
+	// The question itself is checked here as well as in every shard, in
+	// the shards' order: a refusal then reads the same at every partition
+	// count instead of once per shard, and nothing is fanned out for it.
+	if q.Dim() != e.Dim() {
+		return nil, tau, fmt.Errorf("query: point dim %d, database dim %d", q.Dim(), e.Dim())
+	}
+	if _, err := bead.Within(e.Dim(), q, dist, lo, hi); err != nil {
 		return nil, tau, err
 	}
 	ixs := e.beadIndexes()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,5 +111,67 @@ func TestBeadMetricsRecorded(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestPossiblyWithinValidationIgnoresData: whether a possibly-within
+// question is refused, and with which error, is a property of the
+// question alone. Before the question was validated up front the checks
+// ran once per candidate inside the kernel walk, so an inverted window
+// came back as an empty answer from an empty database or one whose
+// objects were all far away, and as an error only once an object was
+// near the query point.
+func TestPossiblyWithinValidationIgnoresData(t *testing.T) {
+	build := func(at ...float64) *mod.DB {
+		db := mod.NewDB(2, 0)
+		for i, x := range at {
+			if err := db.Apply(mod.New(mod.OID(i+1), float64(i+1), geom.Of(0, 0), geom.Of(x, 0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	dbs := map[string]*mod.DB{"empty": build(), "far": build(1e6), "near": build(1), "mixed": build(1e6, 1, 2)}
+	q, nan := geom.Of(0, 0), geom.Of(0, math.NaN())
+	for _, tc := range []struct {
+		name         string
+		q            geom.Vec
+		dist, lo, hi float64
+		want         string
+	}{
+		{"inverted window", q, 10, 10, 5, "bead: inverted query window [10, 5]"},
+		{"negative distance", q, -1, 0, 5, "bead: bad query distance -1"},
+		{"non-finite window", q, 10, 0, math.Inf(1), "bead: non-finite query window [0, +Inf]"},
+		{"non-finite point", nan, 10, 0, 5, "bead: non-finite query coordinate NaN"},
+		// Several faults at once: point, then distance, then window.
+		{"point before distance", nan, -1, 10, 5, "bead: non-finite query coordinate NaN"},
+		{"distance before window", q, -1, 10, 5, "bead: bad query distance -1"},
+		{"point dimension first", geom.Of(0), -1, 10, 5, "query: point dim 1, database dim 2"},
+	} {
+		for name, db := range dbs {
+			_, err := query.PossiblyWithin(db.EpochSnapshot(), tc.q, tc.dist, tc.lo, tc.hi, 20)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %s database, scan: error %v, want %q", tc.name, name, err, tc.want)
+			}
+			for _, p := range []int{1, 4} {
+				eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ans, _, err := eng.PossiblyWithin(tc.q, tc.dist, tc.lo, tc.hi, 20)
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s, %s database, P=%d: answer %v error %v, want %q", tc.name, name, p, ans, err, tc.want)
+				}
+			}
+		}
+	}
+	// And a well-formed question still gets its answer.
+	eng, err := FromDB(dbs["mixed"].Snapshot(), Config{Shards: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, _, err := eng.PossiblyWithin(q, 10, 0, 5, 20)
+	if err != nil || fmt.Sprint(ans.Objects()) != "[o2 o3]" {
+		t.Errorf("valid question: objects %v error %v, want [o2 o3]", ans.Objects(), err)
 	}
 }
