@@ -111,11 +111,13 @@ func Alibi(a, b *Track, lo, hi float64) (Result, error) {
 	if err := checkWindow(lo, hi); err != nil {
 		return Result{}, err
 	}
-	as, bs := a.segs, b.segs
 	res := Result{}
-	i, j := 0, 0
-	for i < len(as) && j < len(bs) {
-		sa, sb := as[i], bs[j]
+	// A bead that ends before lo is in no window; the merge from the
+	// first bead of each chain that reaches lo visits the windows the
+	// merge from the first samples does, in the same order.
+	i, j := a.firstSegTo(lo), b.firstSegTo(lo)
+	for i < a.numSegs() && j < b.numSegs() {
+		sa, sb := a.segAt(i), b.segAt(j)
 		w0 := math.Max(math.Max(sa.t0, sb.t0), lo)
 		if w0 > hi {
 			break // every later pair starts even later
@@ -217,12 +219,15 @@ func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interv
 func (tr *Track) within(qcons []ball, lo, hi float64) ([]Interval, PWStats) {
 	var st PWStats
 	var out []Interval
-	for _, s := range tr.segs {
+	for i, n := tr.firstSegTo(lo), tr.numSegs(); i < n; i++ {
+		s := tr.segAt(i)
+		if s.t0 > hi {
+			break // every later bead starts even later
+		}
+		// s ends at or after lo and starts by hi, so the window is not
+		// empty.
 		w0 := math.Max(s.t0, lo)
 		w1 := math.Min(s.t1, hi)
-		if !(w0 <= w1) {
-			continue
-		}
 		st.Windows++
 		if windowDisjoint(s.cons, qcons, w0, w1) {
 			st.Pruned++

@@ -28,6 +28,9 @@ package bead
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
@@ -42,14 +45,27 @@ type Sample struct {
 // Track is a chronological sample list plus the object's declared
 // maximum speed. If live, the track's uncertainty extends past the last
 // sample (the cap bead); a terminated track ends at its final sample.
-// A track is immutable: its bead chain is laid out once, at
-// construction, and every query walks the same chain.
+// A track is immutable: its bead chain is laid out once, when the track
+// is made, and every query walks the same chain. A track made by Extend
+// shares the samples and beads of the track it extends — they sit in
+// the same arrays, the longer track's slices simply reach further — so
+// growing a track costs what is added to it.
 type Track struct {
 	dim     int
 	samples []Sample
 	vmax    float64
 	live    bool
-	segs    []segment
+	// chain holds one bead per pair of consecutive samples. What
+	// follows the last sample — a live track's cap, or the single
+	// instant of a one-sample terminated track; other terminated
+	// tracks have none — is tail, kept out of chain because it is the
+	// one bead an extension replaces.
+	chain []segment
+	tail  segment
+	// claimed is set by the first track grown from this one: that track
+	// appends into the spare capacity behind samples and chain, which
+	// no reader of this track looks at. A second one must copy.
+	claimed atomic.Bool
 }
 
 // NewTrack builds a track from samples in strictly increasing time
@@ -61,14 +77,27 @@ func NewTrack(vmax float64, live bool, samples []Sample) (*Track, error) {
 	if math.IsNaN(vmax) || math.IsInf(vmax, 0) || vmax < 0 {
 		return nil, fmt.Errorf("bead: bad vmax %g", vmax)
 	}
-	if len(samples) == 0 {
+	return (&Track{vmax: vmax}).grow(live, samples)
+}
+
+// grow is the one routine that lays a bead chain: it returns the track
+// that holds tr's samples followed by more, under tr's speed bound. tr
+// may be the empty track, which is how every track starts, so a track
+// grown in steps and a track built from all its samples at once come
+// out of the same code. tr itself is left as it was.
+func (tr *Track) grow(live bool, more []Sample) (*Track, error) {
+	have := len(tr.samples)
+	if have+len(more) == 0 {
 		return nil, fmt.Errorf("bead: track needs at least one sample")
 	}
-	dim := samples[0].X.Dim()
-	if dim == 0 {
+	dim, prev := tr.dim, math.Inf(-1)
+	if have > 0 {
+		prev = tr.samples[have-1].T
+	} else if dim = more[0].X.Dim(); dim == 0 {
 		return nil, fmt.Errorf("bead: zero-dimensional sample")
 	}
-	for i, s := range samples {
+	for k, s := range more {
+		i := have + k
 		if math.IsNaN(s.T) || math.IsInf(s.T, 0) {
 			return nil, fmt.Errorf("bead: sample %d has non-finite time %g", i, s.T)
 		}
@@ -80,39 +109,113 @@ func NewTrack(vmax float64, live bool, samples []Sample) (*Track, error) {
 				return nil, fmt.Errorf("bead: sample %d has non-finite coordinate %g", i, c)
 			}
 		}
-		if i > 0 && !(s.T > samples[i-1].T) {
+		if !(s.T > prev) {
 			return nil, fmt.Errorf("bead: sample times not strictly increasing at %d (%g after %g)",
-				i, s.T, samples[i-1].T)
+				i, s.T, prev)
 		}
+		prev = s.T
 	}
-	cp := make([]Sample, len(samples))
-	copy(cp, samples)
-	tr := &Track{dim: dim, samples: cp, vmax: vmax, live: live}
-	tr.segs = tr.chain()
-	return tr, nil
+
+	samples, chain := tr.samples, tr.chain
+	if !tr.claimed.CompareAndSwap(false, true) {
+		samples, chain = slices.Clip(samples), slices.Clip(chain)
+	}
+	nt := &Track{dim: dim, samples: append(samples, more...), vmax: tr.vmax, live: live}
+	n := len(nt.samples)
+	legs := n - 1 - len(chain)
+	chain = slices.Grow(chain, legs)
+	balls := make([]ball, 0, 2*legs+1) // the new beads' constraints, one backing array
+	for i := len(chain); i+1 < n; i++ {
+		a, b := nt.samples[i], nt.samples[i+1]
+		v := nt.vmax
+		// Effective speed: the recorded leg must stay reachable.
+		if req := b.X.Dist(a.X) / (b.T - a.T); req > v {
+			v = req
+		}
+		balls = append(balls,
+			ball{c: a.X, ra: v, rb: -v * a.T},
+			ball{c: b.X, ra: -v, rb: v * b.T})
+		chain = append(chain, segment{t0: a.T, t1: b.T, cons: balls[len(balls)-2 : len(balls) : len(balls)]})
+	}
+	nt.chain = chain
+	// A single-sample live track is just a cap; a single-sample
+	// terminated track is a degenerate bead pinning the object to the
+	// one instant it existed.
+	last := nt.samples[n-1]
+	switch {
+	case live:
+		balls = append(balls, ball{c: last.X, ra: nt.vmax, rb: -nt.vmax * last.T})
+		nt.tail = segment{t0: last.T, t1: math.Inf(1), cons: balls[len(balls)-1:]}
+	case n == 1:
+		balls = append(balls, ball{c: last.X, ra: 0, rb: 0})
+		nt.tail = segment{t0: last.T, t1: last.T, cons: balls[len(balls)-1:]}
+	}
+	return nt, nil
+}
+
+// knots reads the samples a trajectory induces from piece `from` on:
+// each piece's start and, for a terminated trajectory, the termination
+// instant. live reports that the trajectory is not terminated.
+func knots(traj trajectory.Trajectory, from int) (samples []Sample, live bool) {
+	n := traj.NumPieces()
+	samples = make([]Sample, 0, n-from+1)
+	for i := from; i < n; i++ {
+		pc := traj.PieceAt(i)
+		samples = append(samples, Sample{T: pc.Start, X: pc.At(pc.Start)})
+	}
+	live = !traj.IsTerminated()
+	if !live {
+		last := traj.PieceAt(n - 1)
+		samples = append(samples, Sample{T: last.End, X: last.At(last.End)})
+	}
+	return samples, live
 }
 
 // FromTrajectory reinterprets an exact piecewise-linear trajectory as a
 // sampled track: the knots (piece starts, plus the termination instant)
 // become the samples, and everything between them is uncertainty
 // governed by vmax. A non-terminated trajectory yields a live track.
-func FromTrajectory(tr trajectory.Trajectory, vmax float64) (*Track, error) {
-	pieces := tr.Pieces()
-	if len(pieces) == 0 {
+func FromTrajectory(traj trajectory.Trajectory, vmax float64) (*Track, error) {
+	if !traj.IsDefined() {
 		return nil, fmt.Errorf("bead: empty trajectory")
 	}
-	samples := make([]Sample, 0, len(pieces)+1)
-	for _, pc := range pieces {
-		samples = append(samples, Sample{T: pc.Start, X: pc.At(pc.Start)})
+	samples, live := knots(traj, 0)
+	return NewTrack(vmax, live, samples)
+}
+
+// Extend returns the track of traj, given that tr is the track of an
+// earlier state of the same object under the same speed bound: the
+// samples traj has beyond the ones tr holds are laid behind tr's chain,
+// which the two tracks then share. The result equals
+// FromTrajectory(traj, tr.Vmax()) in every sample and bead. ok is false
+// when traj does not continue tr — tr is terminated, or the last sample
+// they should share differs in a single bit — and the caller builds the
+// track from scratch.
+func (tr *Track) Extend(traj trajectory.Trajectory) (nt *Track, ok bool) {
+	n := len(tr.samples)
+	if !tr.live || traj.NumPieces() < n {
+		return nil, false
 	}
-	live := !tr.IsTerminated()
-	if !live {
-		last := pieces[len(pieces)-1]
-		if last.End > samples[len(samples)-1].T {
-			samples = append(samples, Sample{T: last.End, X: last.At(last.End)})
+	pc, last := traj.PieceAt(n-1), tr.samples[n-1]
+	if math.Float64bits(pc.Start) != math.Float64bits(last.T) || !sameBits(pc.At(pc.Start), last.X) {
+		return nil, false
+	}
+	more, live := knots(traj, n)
+	nt, err := tr.grow(live, more)
+	return nt, err == nil
+}
+
+// sameBits reports whether u and v hold the same floats bit for bit.
+func sameBits(u, v geom.Vec) bool {
+	if len(u) != len(v) {
+		return false
+	}
+	for i := range u {
+		if math.Float64bits(u[i]) != math.Float64bits(v[i]) {
+			return false
 		}
 	}
-	return NewTrack(vmax, live, samples)
+	return true
 }
 
 // Dim returns the track's spatial dimension.
@@ -150,35 +253,27 @@ type segment struct {
 	cons   []ball
 }
 
-// chain lays the track out as its bead chain, in time order. A
-// single-sample live track is just a cap; a single-sample terminated
-// track is a degenerate segment pinning the object to one instant.
-func (tr *Track) chain() []segment {
-	n := len(tr.samples)
-	segs := make([]segment, 0, n)
-	balls := make([]ball, 0, 2*n) // every segment's constraints, one backing array
-	for i := 0; i+1 < n; i++ {
-		a, b := tr.samples[i], tr.samples[i+1]
-		v := tr.vmax
-		// Effective speed: the recorded leg must stay reachable.
-		if req := b.X.Dist(a.X) / (b.T - a.T); req > v {
-			v = req
-		}
-		balls = append(balls,
-			ball{c: a.X, ra: v, rb: -v * a.T},
-			ball{c: b.X, ra: -v, rb: v * b.T})
-		segs = append(segs, segment{t0: a.T, t1: b.T, cons: balls[len(balls)-2 : len(balls) : len(balls)]})
+// numSegs and segAt present the chain and the tail as one list of
+// beads in time order.
+func (tr *Track) numSegs() int {
+	if tr.live || len(tr.samples) == 1 {
+		return len(tr.chain) + 1
 	}
-	last := tr.samples[n-1]
-	if tr.live {
-		balls = append(balls, ball{c: last.X, ra: tr.vmax, rb: -tr.vmax * last.T})
-		segs = append(segs, segment{t0: last.T, t1: math.Inf(1), cons: balls[len(balls)-1 : len(balls) : len(balls)]})
-	} else if n == 1 {
-		// Terminated immediately: the object existed exactly at last.T.
-		balls = append(balls, ball{c: last.X, ra: 0, rb: 0})
-		segs = append(segs, segment{t0: last.T, t1: last.T, cons: balls[len(balls)-1 : len(balls) : len(balls)]})
+	return len(tr.chain)
+}
+
+func (tr *Track) segAt(i int) segment {
+	if i < len(tr.chain) {
+		return tr.chain[i]
 	}
-	return segs
+	return tr.tail
+}
+
+// firstSegTo returns the index of the first bead that ends at or after
+// t — where a walk over the beads meeting a window that starts at t
+// begins — or numSegs() when every bead ends before t.
+func (tr *Track) firstSegTo(t float64) int {
+	return sort.Search(tr.numSegs(), func(i int) bool { return tr.segAt(i).t1 >= t })
 }
 
 // SegBox is the conservative space-time bounding box of one chain bead:
@@ -214,13 +309,15 @@ func maxAbs(v geom.Vec) float64 {
 	return m
 }
 
-// ChainBoxes returns one SegBox per chain bead, in time order. A live
-// track's cap is unbounded and deliberately not boxed — Cap exposes it
-// for a closed-form side test. A single-sample terminated track yields
-// one degenerate box pinning the object to its only recorded instant.
-func (tr *Track) ChainBoxes() []SegBox {
+// ChainBoxes returns one SegBox per chain bead from bead `from` on, in
+// time order; ChainBoxes(0) is the whole chain, and the track Extend
+// made of a track with k boxes adds ChainBoxes(k). A live track's cap is
+// unbounded and deliberately not boxed — Cap exposes it for a
+// closed-form side test. A single-sample terminated track yields one
+// degenerate box pinning the object to its only recorded instant.
+func (tr *Track) ChainBoxes(from int) []SegBox {
 	n := len(tr.samples)
-	out := make([]SegBox, 0, n)
+	out := make([]SegBox, 0, max(n-from, 0))
 	box := func(t0, t1 float64, mid geom.Vec, pad float64) SegBox {
 		min := make(geom.Vec, tr.dim)
 		max := make(geom.Vec, tr.dim)
@@ -230,14 +327,14 @@ func (tr *Track) ChainBoxes() []SegBox {
 		}
 		return SegBox{T0: t0, T1: t1, Min: min, Max: max}
 	}
-	for i := 0; i+1 < n; i++ {
+	for i := from; i+1 < n; i++ {
 		a, b := tr.samples[i], tr.samples[i+1]
-		v := tr.segs[i].cons[0].ra // the chain's effective speed for this leg
+		v := tr.chain[i].cons[0].ra // the chain's effective speed for this leg
 		reach := v * (b.T - a.T)
 		mid := a.X.Add(b.X).Scale(0.5)
 		out = append(out, box(a.T, b.T, mid, reach/2+boxPad(maxAbs(mid)+reach)))
 	}
-	if !tr.live && n == 1 {
+	if !tr.live && n == 1 && from == 0 {
 		last := tr.samples[0]
 		out = append(out, box(last.T, last.T, last.X, boxPad(maxAbs(last.X))))
 	}

@@ -33,7 +33,7 @@ func TestChainBoxesContainFeasiblePoints(t *testing.T) {
 		}
 		vmax := 0.1 + 3*rng.Float64() // sometimes below the required leg speed
 		tr := mustTrack(t, vmax, rng.Intn(2) == 0, samples...)
-		boxes := tr.ChainBoxes()
+		boxes := tr.ChainBoxes(0)
 		if len(boxes) != n-1 {
 			t.Fatalf("trial %d: %d samples gave %d boxes, want %d", trial, n, len(boxes), n-1)
 		}
@@ -77,7 +77,7 @@ func TestChainBoxesContainFeasiblePoints(t *testing.T) {
 // live one yields no boxes at all (the cap covers everything).
 func TestChainBoxesSingleSample(t *testing.T) {
 	dead := mustTrack(t, 1, false, s(2, 3, -4))
-	boxes := dead.ChainBoxes()
+	boxes := dead.ChainBoxes(0)
 	if len(boxes) != 1 || boxes[0].T0 != 2 || boxes[0].T1 != 2 {
 		t.Fatalf("terminated single sample: boxes %+v, want one degenerate box at t=2", boxes)
 	}
@@ -87,7 +87,7 @@ func TestChainBoxesSingleSample(t *testing.T) {
 		}
 	}
 	live := mustTrack(t, 1, true, s(2, 3, -4))
-	if got := live.ChainBoxes(); len(got) != 0 {
+	if got := live.ChainBoxes(0); len(got) != 0 {
 		t.Fatalf("live single sample: boxes %+v, want none (cap only)", got)
 	}
 	if _, ok := live.Cap(); !ok {

@@ -316,8 +316,9 @@ func (q *boxQueue) swap(i, j int) {
 // combined constraint system, calling fn on each. fn returns false to
 // stop early.
 func windowPairs(a, b *Track, lo, hi float64, fn func(cons []ball, w0, w1 float64) bool) {
-	for _, sa := range a.segs {
-		for _, sb := range b.segs {
+	for i := 0; i < a.numSegs(); i++ {
+		for j := 0; j < b.numSegs(); j++ {
+			sa, sb := a.segAt(i), b.segAt(j)
 			w0 := math.Max(math.Max(sa.t0, sb.t0), lo)
 			w1 := math.Min(math.Min(sa.t1, sb.t1), hi)
 			if !(w0 <= w1) {
@@ -356,7 +357,8 @@ func (o *Oracle) Alibi(a, b *Track, lo, hi float64) Verdict {
 func (o *Oracle) PossiblyWithin(tr *Track, q geom.Vec, dist, lo, hi float64) Verdict {
 	qb := ball{c: q.Clone(), ra: 0, rb: dist}
 	out := Impossible
-	for _, s := range tr.segs {
+	for i := 0; i < tr.numSegs(); i++ {
+		s := tr.segAt(i)
 		w0 := math.Max(s.t0, lo)
 		w1 := math.Min(s.t1, hi)
 		if !(w0 <= w1) {

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/piecewise"
@@ -53,6 +54,34 @@ func window(tr trajectory.Trajectory, from, to float64) (float64, float64, error
 	return lo, hi, nil
 }
 
+// axisSq builds (tr.i(t) - q.i(t))^2 from the pieces of tr and q that
+// matter to [lo, hi] (trajectory.Coordinate). Its domain covers the
+// window and is not clipped to it: the caller's Add or Restrict does
+// that, and yields what the same steps yield on whole trajectories.
+func axisSq(tr, q trajectory.Trajectory, i int, lo, hi float64) (piecewise.Func, error) {
+	ci, err := tr.Coordinate(i, lo, hi)
+	if err != nil {
+		return piecewise.Func{}, err
+	}
+	qi, err := q.Coordinate(i, lo, hi)
+	if err != nil {
+		return piecewise.Func{}, err
+	}
+	di, err := ci.Sub(qi)
+	if err != nil {
+		return piecewise.Func{}, err
+	}
+	return di.Mul(di)
+}
+
+// firstPieceTo returns the index of the first piece of tr that ends at
+// or after t — where a walk over the pieces meeting a window that
+// starts at t begins. It is tr.NumPieces() when every piece ends before
+// t.
+func firstPieceTo(tr trajectory.Trajectory, t float64) int {
+	return sort.Search(tr.NumPieces(), func(i int) bool { return tr.PieceAt(i).End >= t })
+}
+
 // relativeSq builds |tr(t) - q(t)|^2 as a piecewise quadratic on the
 // overlap of domains clipped to [from, to].
 func relativeSq(tr, q trajectory.Trajectory, from, to float64) (piecewise.Func, error) {
@@ -71,19 +100,7 @@ func relativeSq(tr, q trajectory.Trajectory, from, to float64) (piecewise.Func, 
 
 	sum := piecewise.Constant(0, lo, hi)
 	for i := 0; i < tr.Dim(); i++ {
-		ci, err := tr.Coordinate(i)
-		if err != nil {
-			return piecewise.Func{}, err
-		}
-		qi, err := q.Coordinate(i)
-		if err != nil {
-			return piecewise.Func{}, err
-		}
-		di, err := ci.Sub(qi)
-		if err != nil {
-			return piecewise.Func{}, err
-		}
-		sq, err := di.Mul(di)
+		sq, err := axisSq(tr, q, i, lo, hi)
 		if err != nil {
 			return piecewise.Func{}, err
 		}
@@ -149,25 +166,11 @@ func (a AxisSq) Curve(tr trajectory.Trajectory, from, to float64) (piecewise.Fun
 	if err != nil {
 		return piecewise.Func{}, err
 	}
-	_ = lo
-	_ = hi
-	ci, err := tr.Coordinate(a.Axis)
+	sq, err := axisSq(tr, a.Query, a.Axis, lo, hi)
 	if err != nil {
 		return piecewise.Func{}, err
 	}
-	qi, err := a.Query.Coordinate(a.Axis)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	di, err := ci.Sub(qi)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	sq, err := di.Mul(di)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	return sq.Restrict(math.Max(from, math.Inf(-1)), to)
+	return sq.Restrict(lo, hi)
 }
 
 // Coordinate exposes one coordinate of the trajectory itself as a
@@ -185,7 +188,7 @@ func (c Coordinate) Curve(tr trajectory.Trajectory, from, to float64) (piecewise
 	if err != nil {
 		return piecewise.Func{}, err
 	}
-	f, err := tr.Coordinate(c.Axis)
+	f, err := tr.Coordinate(c.Axis, lo, hi)
 	if err != nil {
 		return piecewise.Func{}, err
 	}
@@ -268,7 +271,11 @@ func (SpeedSq) Curve(tr trajectory.Trajectory, from, to float64) (piecewise.Func
 		return piecewise.Func{}, err
 	}
 	var pieces []piecewise.Piece
-	for _, pc := range tr.Pieces() {
+	for i := firstPieceTo(tr, lo); i < tr.NumPieces(); i++ {
+		pc := tr.PieceAt(i)
+		if pc.Start >= hi {
+			break
+		}
 		a := math.Max(pc.Start, lo)
 		b := math.Min(pc.End, hi)
 		if !(a < b) {

@@ -51,20 +51,27 @@ func relativeMin(tr, q trajectory.Trajectory, p geom.Vec, from, to float64) (flo
 		return 0, err
 	}
 	rest := trajectory.Piece{Start: math.Inf(-1), End: math.Inf(1), B: p}
-	nq := 1
+	nq, j := 1, 0
 	if q.IsDefined() {
 		if lo, hi, err = window(q, lo, hi); err != nil {
 			return 0, err
 		}
-		nq = q.NumPieces()
+		nq, j = q.NumPieces(), firstPieceTo(q, lo)
 	}
 	least := math.Inf(1)
-	for i, j := 0, 0; i < tr.NumPieces() && j < nq; {
+	// Only stretches that meet [lo, hi] count; the pieces before the
+	// first one reaching lo and after the first one starting past hi
+	// contribute none.
+	for i := firstPieceTo(tr, lo); i < tr.NumPieces() && j < nq; {
 		pc, qc := tr.PieceAt(i), rest
 		if q.IsDefined() {
 			qc = q.PieceAt(j)
 		}
-		a, b := math.Max(lo, math.Max(pc.Start, qc.Start)), math.Min(hi, math.Min(pc.End, qc.End))
+		start := math.Max(pc.Start, qc.Start)
+		if start > hi {
+			break
+		}
+		a, b := math.Max(lo, start), math.Min(hi, math.Min(pc.End, qc.End))
 		if a <= b {
 			// d(s) = |D + s*V|^2 on s in [0, b-a], with D the relative
 			// position at a and V the relative velocity.

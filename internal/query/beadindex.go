@@ -14,10 +14,13 @@ package query
 // snapshot that still reports gen g for its object. Entries whose track
 // was built from the query's defaultVmax additionally remember the
 // default they used, so changing the default invalidates them and
-// nothing else. The update listener only sets a dirty bit; all real
-// work happens on the query path, against an immutable snapshot, so
-// cached answers are exactly what the scan path would compute on the
-// same snap.
+// nothing else. An entry whose object only gained samples since (chdir,
+// terminate) is not rebuilt: its track is extended (bead.Track.Extend)
+// and only the new chain boxes enter the tree, so a sync costs what the
+// updates added, whatever the object's history. The update listener
+// only sets a dirty bit; all real work happens on the query path,
+// against an immutable snapshot, so cached answers are exactly what the
+// scan path would compute on the same snap.
 //
 // Candidate collection is conservative by construction: every chain
 // bead's box is inflated by bead.Pad on the track side, the query ball
@@ -32,11 +35,13 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bead"
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/rtree"
+	"repro/internal/trajectory"
 )
 
 // beadEntry is one object's cached track and its registrations in the
@@ -69,13 +74,15 @@ type BeadStats struct {
 // BeadIndex caches bead tracks and indexes their chain boxes for one
 // database (one shard). Safe for concurrent use: queries that find the
 // index in step with their snapshot collect candidates under the read
-// lock, side by side; the update listener and a sync take the write
-// lock; kernel evaluation runs outside both on immutable tracks.
+// lock, side by side; a sync takes the write lock; kernel evaluation
+// runs outside both on immutable tracks. The update listener touches
+// only dirty, never mu: it runs inside the database's apply section,
+// and an update must not wait for a sync or a re-pack.
 type BeadIndex struct {
 	mu    sync.RWMutex
 	dim   int
 	built bool
-	dirty bool // an update was applied since the last sync
+	dirty atomic.Bool // an update was applied since the last sync
 
 	syncedEpoch uint64
 	defBits     uint64 // bits of the defaultVmax entries were built with
@@ -101,11 +108,7 @@ func NewBeadIndex(db *mod.DB) *BeadIndex {
 		tree:    rtree.NewRectTree(db.Dim()+1, rtree.DefaultFanout),
 		owner:   make(map[uint64]mod.OID),
 	}
-	db.OnUpdate(func(mod.Update) {
-		ix.mu.Lock()
-		ix.dirty = true
-		ix.mu.Unlock()
-	})
+	db.OnUpdate(func(mod.Update) { ix.dirty.Store(true) })
 	return ix
 }
 
@@ -135,7 +138,7 @@ func (ix *BeadIndex) boxRect(b bead.SegBox) rtree.Rect {
 // inStep reports whether the index already reflects snap under
 // defaultVmax. Called with mu held, in either mode.
 func (ix *BeadIndex) inStep(snap *mod.Snap, defaultVmax float64) bool {
-	return ix.built && !ix.dirty && ix.syncedEpoch == snap.Epoch() &&
+	return ix.built && !ix.dirty.Load() && ix.syncedEpoch == snap.Epoch() &&
 		(ix.undeclared == 0 || ix.defBits == math.Float64bits(defaultVmax))
 }
 
@@ -167,7 +170,7 @@ func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
 	defBits := math.Float64bits(defaultVmax)
 	// Post-snapshot updates set dirty again through the listener and
 	// bump the epoch, so clearing it against this snap is safe.
-	ix.dirty = false
+	ix.dirty.Store(false)
 	if !ix.built {
 		ix.bulkBuild(snap, defaultVmax)
 	} else {
@@ -196,21 +199,31 @@ func (ix *BeadIndex) bulkBuild(snap *mod.Snap, defaultVmax float64) {
 	ix.dead = 0
 }
 
-// diffSync retires and rebuilds exactly the entries whose object
-// changed since they were built (gen mismatch), appeared, disappeared,
-// or depended on a default speed bound that differs from this query's.
+// diffSync brings up to date exactly the entries whose object changed
+// since they were built (gen mismatch), appeared, disappeared, or
+// depended on a default speed bound that differs from this query's. It
+// finds them by walking the snapshot's generation stamps, not from the
+// update listener: the listener runs after the database's lock is
+// released, so snap can already hold an update the listener has yet to
+// report. A changed entry is extended when it can be, else retired and
+// rebuilt.
 func (ix *BeadIndex) diffSync(snap *mod.Snap, defaultVmax float64) {
 	defBits := math.Float64bits(defaultVmax)
 	objs := snap.Trajectories()
-	for o := range objs {
+	for o, traj := range objs {
 		e := ix.entries[o]
 		if e != nil && e.gen == snap.Gen(o) && (e.declared || e.vmaxBits == defBits) {
 			continue
 		}
 		if e != nil {
+			if ix.extendEntry(snap, o, e, traj, defaultVmax) {
+				continue
+			}
 			ix.retire(o, e)
 		}
-		_ = ix.insertEntry(snap, o, defaultVmax)
+		for _, it := range ix.addEntry(snap, o, defaultVmax, nil) {
+			ix.insert(it)
+		}
 	}
 	for o, e := range ix.entries {
 		if _, ok := objs[o]; !ok {
@@ -220,9 +233,55 @@ func (ix *BeadIndex) diffSync(snap *mod.Snap, defaultVmax float64) {
 	ix.maybeRebuild()
 }
 
+// extendEntry brings e up to snap by extending its track with the
+// samples traj gained, when the speed bound the track was built with
+// still holds and traj continues the track: only the new chain boxes
+// are inserted, the cap is swapped for the new one (or dropped, if the
+// object terminated) and no tombstone is left behind. It reports false,
+// with e untouched, when the entry has to be rebuilt instead.
+func (ix *BeadIndex) extendEntry(snap *mod.Snap, o mod.OID, e *beadEntry, traj trajectory.Trajectory, defaultVmax float64) bool {
+	vmax, declared := snap.SpeedBound(o)
+	if !declared {
+		vmax = defaultVmax
+	}
+	if e.track == nil || declared != e.declared || math.Float64bits(vmax) != e.vmaxBits {
+		return false
+	}
+	tr, ok := e.track.Extend(traj)
+	if !ok {
+		return false
+	}
+	e.gen, e.track = snap.Gen(o), tr
+	for _, b := range tr.ChainBoxes(len(e.boxIDs)) {
+		ix.insert(ix.ownBox(o, e, b))
+	}
+	if c, live := tr.Cap(); live {
+		ix.caps[e.capIdx].c = c
+	} else {
+		ix.dropCap(e)
+	}
+	return true
+}
+
+// ownBox registers the next chain box of o's entry and returns the tree
+// item for it.
+func (ix *BeadIndex) ownBox(o mod.OID, e *beadEntry, b bead.SegBox) rtree.RectItem {
+	ix.nextBox++
+	ix.owner[ix.nextBox] = o
+	e.boxIDs = append(e.boxIDs, ix.nextBox)
+	return rtree.RectItem{ID: ix.nextBox, R: ix.boxRect(b)}
+}
+
+// insert puts one box into the live tree.
+func (ix *BeadIndex) insert(it rtree.RectItem) {
+	if err := ix.tree.Insert(it); err != nil {
+		panic("query: bead index insert: " + err.Error())
+	}
+}
+
 // addEntry caches o's track and appends its chain boxes to items,
-// registering ownership; used by bulkBuild (and, via insertEntry, by
-// diffSync, which inserts the returned boxes instead).
+// registering ownership; bulkBuild packs the returned boxes, diffSync
+// inserts them.
 func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, items []rtree.RectItem) []rtree.RectItem {
 	e := &beadEntry{gen: snap.Gen(o), capIdx: -1}
 	vmax, ok := snap.SpeedBound(o)
@@ -252,11 +311,8 @@ func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, it
 		ix.entries[o] = e
 		return items
 	}
-	for _, b := range e.track.ChainBoxes() {
-		ix.nextBox++
-		ix.owner[ix.nextBox] = o
-		e.boxIDs = append(e.boxIDs, ix.nextBox)
-		items = append(items, rtree.RectItem{ID: ix.nextBox, R: ix.boxRect(b)})
+	for _, b := range e.track.ChainBoxes(0) {
+		items = append(items, ix.ownBox(o, e, b))
 	}
 	if c, ok := e.track.Cap(); ok {
 		e.capIdx = len(ix.caps)
@@ -264,18 +320,6 @@ func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, it
 	}
 	ix.entries[o] = e
 	return items
-}
-
-// insertEntry is addEntry for the incremental path: the new boxes go
-// straight into the live tree.
-func (ix *BeadIndex) insertEntry(snap *mod.Snap, o mod.OID, defaultVmax float64) *beadEntry {
-	items := ix.addEntry(snap, o, defaultVmax, nil)
-	for _, it := range items {
-		if err := ix.tree.Insert(it); err != nil {
-			panic("query: bead index insert: " + err.Error())
-		}
-	}
-	return ix.entries[o]
 }
 
 // retire drops o's entry: box ownership is severed (the boxes become
@@ -286,15 +330,7 @@ func (ix *BeadIndex) retire(o mod.OID, e *beadEntry) {
 		delete(ix.owner, id)
 		ix.dead++
 	}
-	if e.capIdx >= 0 {
-		last := len(ix.caps) - 1
-		moved := ix.caps[last]
-		ix.caps[e.capIdx] = moved
-		ix.caps = ix.caps[:last]
-		if e.capIdx != last {
-			ix.entries[moved.o].capIdx = e.capIdx
-		}
-	}
+	ix.dropCap(e)
 	if !e.declared {
 		ix.undeclared--
 	}
@@ -302,6 +338,21 @@ func (ix *BeadIndex) retire(o mod.OID, e *beadEntry) {
 		ix.errs--
 	}
 	delete(ix.entries, o)
+}
+
+// dropCap swap-removes e's cap, if it has one, from the side list.
+func (ix *BeadIndex) dropCap(e *beadEntry) {
+	if e.capIdx < 0 {
+		return
+	}
+	last := len(ix.caps) - 1
+	moved := ix.caps[last]
+	ix.caps[e.capIdx] = moved
+	ix.caps = ix.caps[:last]
+	if e.capIdx != last {
+		ix.entries[moved.o].capIdx = e.capIdx
+	}
+	e.capIdx = -1
 }
 
 // maybeRebuild compacts tombstoned boxes away with a fresh STR pack
@@ -315,7 +366,7 @@ func (ix *BeadIndex) maybeRebuild() {
 		if e.track == nil {
 			continue
 		}
-		for i, b := range e.track.ChainBoxes() {
+		for i, b := range e.track.ChainBoxes(0) {
 			items = append(items, rtree.RectItem{ID: e.boxIDs[i], R: ix.boxRect(b)})
 		}
 	}

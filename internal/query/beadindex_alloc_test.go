@@ -67,8 +67,9 @@ func TestBeadIndexPossiblyWithinAllocatesWithItsAnswer(t *testing.T) {
 // TestBeadIndexConcurrentQueriesAndUpdates runs possibly-within and
 // TrackOf from several goroutines while updates keep invalidating the
 // index; under -race it checks the read-lock path, the upgrade to the
-// write lock for a sync, and the listener's dirty store against each
-// other. Every answer must be the scan's on the same snapshot.
+// write lock for a sync, the listener's dirty store, and kernel walks
+// over tracks a sync is extending, against each other. Every answer
+// must be the scan's on the same snapshot.
 func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
 	db := uncertainPopulation(t, 300)
 	ix := NewBeadIndex(db)
@@ -111,11 +112,15 @@ func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
 		}(g)
 	}
 	// One update for every other answered query, until the last: some
-	// queries find the index in step, some must sync it first.
+	// queries find the index in step, some must sync it first. Direction
+	// changes and terminations extend cached tracks, new speed bounds
+	// retire and rebuild them, so both branches of a sync run against
+	// concurrent readers of the tracks they replace.
 	updater.Add(1)
 	go func() {
 		defer updater.Done()
 		tau := db.Tau()
+		dead := make(map[mod.OID]bool)
 		i := 0
 		for range answered {
 			if i++; i%2 == 1 {
@@ -123,7 +128,14 @@ func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
 			}
 			tau += 0.01
 			o := objs[(i*7)%len(objs)]
-			if err := db.Apply(mod.ChDir(o, tau, geom.Of(float64(i%5), 1))); err != nil {
+			u := mod.ChDir(o, tau, geom.Of(float64(i%5), 1))
+			switch {
+			case dead[o] || i%6 == 0:
+				u = mod.Bound(o, tau, float64(10+i%7))
+			case i%10 == 0:
+				u, dead[o] = mod.Terminate(o, tau), true
+			}
+			if err := db.Apply(u); err != nil {
 				t.Error(err)
 				return
 			}

@@ -155,15 +155,25 @@ func TestBeadIndexRebuildCompaction(t *testing.T) {
 		}
 	}
 	check()
-	// Every ChDir retires the object's entry (every chain box becomes a
-	// tombstone) and rebuilds it; 20 rounds × 30 objects crosses the
-	// dead > 64 compaction threshold many times over.
+	// A chdir extends the object's entry and leaves no tombstone; a new
+	// speed bound retires it (every chain box becomes a tombstone) and
+	// rebuilds it. 20 rounds × 30 objects of both cross the dead > 64
+	// compaction threshold many times over.
+	packs, tree := 0, ix.tree
 	for round := 0; round < 20; round++ {
 		for o := mod.OID(1); o <= n; o++ {
 			tau += 0.05
 			must(t, db.Apply(mod.ChDir(o, tau, geom.Of(rng.Float64()-0.5, rng.Float64()-0.5))))
+			tau += 0.01
+			must(t, db.Apply(mod.Bound(o, tau, 1+float64(round%3))))
 		}
 		check()
+		if ix.tree != tree {
+			packs, tree = packs+1, ix.tree
+		}
+	}
+	if packs < 2 {
+		t.Fatalf("the tree was re-packed %d times; the churn no longer reaches compaction", packs)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/geom"
@@ -256,19 +257,22 @@ func (tr Trajectory) ChDir(tau float64, a geom.Vec) (Trajectory, error) {
 		return Trajectory{}, fmt.Errorf("trajectory: chdir dimension %d != %d", a.Dim(), tr.Dim())
 	}
 	pos := tr.MustAt(tau)
-	var pieces []Piece
-	for _, pc := range tr.pieces {
-		if pc.End <= tau {
-			pieces = append(pieces, pc)
-			continue
-		}
-		if pc.Start < tau {
-			pieces = append(pieces, Piece{Start: pc.Start, End: tau, A: pc.A, B: pc.B})
-		}
-		break
-	}
-	pieces = append(pieces, Piece{Start: tau, End: math.Inf(1), A: a.Clone(), B: pos})
+	pieces := append(tr.upTo(tau, 1), Piece{Start: tau, End: math.Inf(1), A: a.Clone(), B: pos})
 	return Trajectory{pieces: pieces}, nil
+}
+
+// upTo returns a fresh copy of the trajectory's pieces restricted to
+// t <= tau: the pieces that end by tau, then the piece holding tau cut
+// short there. The copy is one allocation, sized from the index of the
+// piece holding tau, with room for extra pieces the caller appends.
+func (tr Trajectory) upTo(tau float64, extra int) []Piece {
+	k := sort.Search(len(tr.pieces), func(i int) bool { return tr.pieces[i].End > tau })
+	pieces := append(make([]Piece, 0, k+1+extra), tr.pieces[:k]...)
+	if k < len(tr.pieces) && tr.pieces[k].Start < tau {
+		pc := tr.pieces[k]
+		pieces = append(pieces, Piece{Start: pc.Start, End: tau, A: pc.A, B: pc.B})
+	}
+	return pieces
 }
 
 // Terminate returns the trajectory truncated at tau (the paper's
@@ -280,32 +284,38 @@ func (tr Trajectory) Terminate(tau float64) (Trajectory, error) {
 	if tau <= tr.Start() {
 		return Trajectory{}, fmt.Errorf("trajectory: terminate at start t=%g leaves empty domain", tau)
 	}
-	var pieces []Piece
-	for _, pc := range tr.pieces {
-		if pc.End <= tau {
-			pieces = append(pieces, pc)
-			continue
-		}
-		if pc.Start < tau {
-			pieces = append(pieces, Piece{Start: pc.Start, End: tau, A: pc.A, B: pc.B})
-		}
-		break
-	}
-	return Trajectory{pieces: pieces}, nil
+	return Trajectory{pieces: tr.upTo(tau, 0)}, nil
 }
 
-// Coordinate returns coordinate i of the trajectory as a piecewise-linear
-// function of time — the bridge from the spatial model into the
-// piecewise-polynomial curve algebra.
-func (tr Trajectory) Coordinate(i int) (piecewise.Func, error) {
+// Coordinate returns coordinate i of the trajectory, as a
+// piecewise-linear function of time, on the pieces that matter to the
+// window [lo, hi] — the bridge from the spatial model into the
+// piecewise-polynomial curve algebra, at a cost that follows the window
+// and not the trajectory's length. The pieces are the ones meeting
+// [lo, hi] (found by binary search) and the one after them, each with
+// its own unclipped Start and End: a curve built from these and then
+// clipped to the window has the breaks and coefficients, bit for bit, of
+// the one built from every piece. The piece after is there because the
+// curve algebra looks a piece up at the midpoint of two breaks and, when
+// that midpoint rounds onto the later break, takes the piece that starts
+// there. The window must meet the trajectory's domain.
+func (tr Trajectory) Coordinate(i int, lo, hi float64) (piecewise.Func, error) {
 	if len(tr.pieces) == 0 {
 		return piecewise.Func{}, ErrEmpty
 	}
 	if i < 0 || i >= tr.Dim() {
 		return piecewise.Func{}, fmt.Errorf("trajectory: coordinate %d out of range (dim %d)", i, tr.Dim())
 	}
-	pieces := make([]piecewise.Piece, len(tr.pieces))
-	for k, pc := range tr.pieces {
+	first := sort.Search(len(tr.pieces), func(k int) bool { return tr.pieces[k].End >= lo })
+	end := sort.Search(len(tr.pieces), func(k int) bool { return tr.pieces[k].Start > hi })
+	if end < len(tr.pieces) {
+		end++
+	}
+	if first >= end {
+		return piecewise.Func{}, fmt.Errorf("%w: window [%g,%g]", ErrUndefined, lo, hi)
+	}
+	pieces := make([]piecewise.Piece, end-first)
+	for k, pc := range tr.pieces[first:end] {
 		// x_i(t) = A_i*(t - Start) + B_i = A_i*t + (B_i - A_i*Start)
 		b := pc.B[i]
 		//modlint:allow floatcmp -- zero velocity is exact (geom.New zeros); 0*Start is NaN for stationary pieces anchored at -Inf

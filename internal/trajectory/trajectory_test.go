@@ -182,7 +182,7 @@ func TestFromPiecesRejectsDiscontinuity(t *testing.T) {
 
 func TestCoordinate(t *testing.T) {
 	tr := example1(t)
-	x0, err := tr.Coordinate(0)
+	x0, err := tr.Coordinate(0, math.Inf(-1), math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCoordinate(t *testing.T) {
 			t.Errorf("x0(%g) = %g, want %g", tt, got, want)
 		}
 	}
-	if _, err := tr.Coordinate(5); err == nil {
+	if _, err := tr.Coordinate(5, 0, 1); err == nil {
 		t.Error("out-of-range coordinate accepted")
 	}
 }
