@@ -466,13 +466,24 @@ func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, de
 // the index has no valid entry for fall back to the uncached TrackOf,
 // which produces the scan path's exact error.
 func (ix *BeadIndex) TrackOf(snap *mod.Snap, o mod.OID, defaultVmax float64) (*bead.Track, error) {
-	var e *beadEntry
-	ix.view(snap, defaultVmax, func() { e = ix.entries[o] })
-	if e != nil {
-		if e.err != nil {
-			return nil, e.err
+	// The entry is read under the lock: a later sync extends it in place
+	// (extendEntry), so outside the lock its track could already belong
+	// to another snapshot. The *Track itself is immutable.
+	var (
+		found bool
+		track *bead.Track
+		err   error
+	)
+	ix.view(snap, defaultVmax, func() {
+		if e := ix.entries[o]; e != nil {
+			found, track, err = true, e.track, e.err
 		}
-		return e.track, nil
+	})
+	if !found {
+		return TrackOf(snap, o, defaultVmax)
 	}
-	return TrackOf(snap, o, defaultVmax)
+	if err != nil {
+		return nil, err
+	}
+	return track, nil
 }

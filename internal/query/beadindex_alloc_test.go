@@ -146,6 +146,70 @@ func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
 	updater.Wait()
 }
 
+// TestBeadIndexTrackOfKeepsToItsSnapshot: a sync that extends an
+// object's entry rewrites it in place, so TrackOf must take the track
+// out of the entry under the index lock. Readers hold a snapshot across
+// several lookups while a writer turns the same object and syncs the
+// index to each newer snapshot; every track returned must have the
+// samples the scan builds for the reader's own snapshot. Under -race the
+// detector also sees any read of the entry outside the lock.
+func TestBeadIndexTrackOfKeepsToItsSnapshot(t *testing.T) {
+	db, ix := historyDB(t, 16)
+	var writer, readers sync.WaitGroup
+	looked := make(chan struct{})
+	// One turn of object 1, and a sync to the snapshot holding it, for
+	// every lookup a reader reports: the readers' snapshots fall behind.
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		tau := db.Tau()
+		for range looked {
+			tau++
+			if err := db.Apply(mod.ChDir(1, tau, geom.Of(float64(int(tau)%3), 1))); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := ix.TrackOf(db.EpochSnapshot(), 1, 2); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 60; i++ {
+				snap := db.EpochSnapshot()
+				ref, err := TrackOf(snap, 1, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < 3; k++ {
+					tr, err := ix.TrackOf(snap, 1, 2)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, want := tr.Samples(), ref.Samples(); len(got) != len(want) || got[len(got)-1].T != want[len(want)-1].T {
+						t.Errorf("TrackOf at epoch %d returned %d samples, the scan %d: the track of another snapshot",
+							snap.Epoch(), len(got), len(want))
+						return
+					}
+					select {
+					case looked <- struct{}{}:
+					default: // the writer is busy with the last one
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(looked)
+	writer.Wait()
+}
+
 // BenchmarkBeadIndexPossiblyWithin is one possibly-within query on one
 // shard of 5000 movers: candidates from the box tree and the cap list,
 // the kernel walk over each, and the answer set.

@@ -86,22 +86,11 @@ func (r Rect) area() float64 {
 	return a
 }
 
-// enlargement returns the area growth needed to cover o: the area of r
-// expanded over o, less r's own, computed without building the
-// expanded rect (an insert asks this of every child on its way down).
+// enlargement returns the area growth needed to cover o.
 func (r Rect) enlargement(o Rect) float64 {
-	grown := 1.0
-	for i := range r.Min {
-		lo, hi := r.Min[i], r.Max[i]
-		if o.Min[i] < lo {
-			lo = o.Min[i]
-		}
-		if o.Max[i] > hi {
-			hi = o.Max[i]
-		}
-		grown *= hi - lo
-	}
-	return grown - r.area()
+	grown := Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
+	grown.expand(o)
+	return grown.area() - r.area()
 }
 
 // dist2 returns the squared distance from p to the rect (0 if inside).

@@ -146,10 +146,7 @@ func TestStressChurnEvictionCheckpoint(t *testing.T) {
 					errs <- fmt.Errorf("churner %d: delta (seq %d) poppable after Cancel+Sync", c, d.Seq)
 					return
 				}
-				// A churner the scheduler starves during the storm can be
-				// evicted like any slow consumer before it cancels; its
-				// stream then keeps that error.
-				if err := st.Err(); err != sub.ErrCanceled && err != sub.ErrSlowConsumer {
+				if err := st.Err(); err != sub.ErrCanceled {
 					errs <- fmt.Errorf("churner %d: Err after Cancel = %v", c, err)
 					return
 				}

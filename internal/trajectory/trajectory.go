@@ -308,11 +308,11 @@ func (tr Trajectory) Coordinate(i int, lo, hi float64) (piecewise.Func, error) {
 	}
 	first := sort.Search(len(tr.pieces), func(k int) bool { return tr.pieces[k].End >= lo })
 	end := sort.Search(len(tr.pieces), func(k int) bool { return tr.pieces[k].Start > hi })
-	if end < len(tr.pieces) {
-		end++
-	}
 	if first >= end {
 		return piecewise.Func{}, fmt.Errorf("%w: window [%g,%g]", ErrUndefined, lo, hi)
+	}
+	if end < len(tr.pieces) {
+		end++
 	}
 	pieces := make([]piecewise.Piece, end-first)
 	for k, pc := range tr.pieces[first:end] {

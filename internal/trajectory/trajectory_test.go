@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -194,6 +195,22 @@ func TestCoordinate(t *testing.T) {
 	}
 	if _, err := tr.Coordinate(5, 0, 1); err == nil {
 		t.Error("out-of-range coordinate accepted")
+	}
+	// A window that misses the domain is rejected on either side of it.
+	done, err := tr.Terminate(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]float64{{-5, -1}, {31, 40}} {
+		if _, err := done.Coordinate(0, w[0], w[1]); !errors.Is(err, ErrUndefined) {
+			t.Errorf("Coordinate over [%g, %g], outside [0, 30]: err = %v, want ErrUndefined", w[0], w[1], err)
+		}
+	}
+	// One that touches it at an endpoint is not.
+	for _, w := range [][2]float64{{-5, 0}, {30, 40}} {
+		if _, err := done.Coordinate(0, w[0], w[1]); err != nil {
+			t.Errorf("Coordinate over [%g, %g], touching [0, 30]: %v", w[0], w[1], err)
+		}
 	}
 }
 
