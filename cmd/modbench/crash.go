@@ -318,7 +318,7 @@ func e11() error {
 	// Durable with batched journal writes (no per-update flush), closed
 	// without a checkpoint so reopening must replay the whole journal.
 	bdir := filepath.Join(root, "batch")
-	beng, err := durable.Open(bdir, durable.Config{Shards: p, Workers: p, Dim: 2, NoFlushEach: true})
+	beng, err := durable.Open(bdir, durable.Config{Shards: p, Workers: p, Dim: 2, Commit: durable.CommitNone})
 	if err != nil {
 		return err
 	}

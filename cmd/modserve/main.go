@@ -4,10 +4,14 @@
 //
 // Usage:
 //
-//	modserve [-addr :8723] [-dim 2] [-shards 4] [-seed-demo]
-//	         [-data-dir DIR] [-checkpoint-every 30s] [-format binary|json]
-//	         [-load snapshot.json] [-journal wal.jsonl]
+//	modserve [-addr :8723] [-dim 2] [-shards 4]
+//	         [-data-dir DIR [-commit flush|sync|group|none] [-checkpoint-every 30s]]
+//	         [-load SNAPSHOT | -seed-demo]
 //	         [-slow-query-threshold 50ms] [-watch-heartbeat 15s] [-pprof=true]
+//
+// The server runs in one of two modes: durable (-data-dir) or in-memory
+// (everything else: an empty database, one restored from -load, or the
+// -seed-demo movers; nothing is written to disk).
 //
 // POST /watch/knn and /watch/within serve continuing queries as SSE
 // delta streams off the materialized-subscription registry
@@ -45,18 +49,16 @@
 //	       -commit-max-batch N fsyncs early once N entries wait.
 //	none   no per-update flush (bulk loads; checkpoint at the end)
 //
-// The -format flag picks the codec for NEW journal segments and
-// snapshots: "binary" (default) is the compact length-prefixed,
-// CRC-framed raw-IEEE-754 format of internal/mod — it round-trips
-// every float (±Inf taus, denormals) bit-exactly and costs a fraction
-// of the JSON encode time; "json" keeps the legacy line-delimited JSON.
-// Existing files are always read by their own codec (sniffed per
-// file), so flipping the flag on a live data dir is safe: the next
-// checkpoint migrates the live {snapshot, journal} pair.
+// The data directory is written in the binary codec of internal/mod
+// (length-prefixed, CRC-framed records, raw IEEE-754 floats). A
+// directory an older build wrote as JSON is imported at boot: recovered
+// as usual, then checkpointed into the binary format before the server
+// accepts an update. The durability flags (-commit, -commit-interval,
+// -commit-max-batch, -checkpoint-every) are rejected without -data-dir
+// rather than silently ignored.
 //
-// The older -load/-journal flags remain for single-file workflows and
-// are mutually exclusive with -data-dir; both sniff the file format
-// on read and honor -format for files they create.
+// -load restores a snapshot file (binary or JSON, sniffed) into the
+// in-memory mode and is mutually exclusive with -data-dir.
 //
 // Observability (internal/obs):
 //
@@ -115,9 +117,7 @@ var (
 	dataDirFlag = flag.String("data-dir", "", "durable data directory: recover at boot, journal every update, checkpoint on signal/interval")
 	ckptFlag    = flag.Duration("checkpoint-every", 0, "checkpoint period with -data-dir (0 = only at shutdown)")
 	loadFlag    = flag.String("load", "", "snapshot file to restore at startup (exclusive with -data-dir)")
-	journalFlag = flag.String("journal", "", "append-only update journal; replayed at startup, extended while serving (exclusive with -data-dir)")
 	commitFlag  = flag.String("commit", "flush", "update durability with -data-dir: flush | sync | group | none (see header)")
-	formatFlag  = flag.String("format", "binary", "codec for new journal/snapshot files: binary | json (existing files are sniffed)")
 	civFlag     = flag.Duration("commit-interval", 0, "group-commit coalescing window before each fsync (0 = fsync-rate batching only)")
 	cmbFlag     = flag.Int("commit-max-batch", 0, "fsync as soon as this many entries wait, skipping the window (0 = default 256)")
 	demoFlag    = flag.Bool("seed-demo", false, "seed 50 random movers for demos")
@@ -137,15 +137,16 @@ func main() {
 
 	var backend server.Backend
 	var deng *durable.Engine
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkDurabilityFlags(*dataDirFlag, set); err != nil {
+		logger.Fatal(err)
+	}
 	if *dataDirFlag != "" {
-		if *loadFlag != "" || *journalFlag != "" || *demoFlag {
-			logger.Fatal("-data-dir is exclusive with -load, -journal and -seed-demo")
+		if *loadFlag != "" || *demoFlag {
+			logger.Fatal("-data-dir is exclusive with -load and -seed-demo")
 		}
 		policy, err := parseCommitPolicy(*commitFlag)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		format, err := parseFormat(*formatFlag)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -157,7 +158,6 @@ func main() {
 			Commit:         policy,
 			CommitInterval: *civFlag,
 			CommitMaxBatch: *cmbFlag,
-			Format:         format,
 		})
 		if err != nil {
 			logger.Fatal(err)
@@ -278,19 +278,25 @@ func parseCommitPolicy(s string) (durable.CommitPolicy, error) {
 	return 0, fmt.Errorf("unknown -commit policy %q (want flush, sync, group, or none)", s)
 }
 
-func parseFormat(s string) (durable.Format, error) {
-	switch s {
-	case "binary", "":
-		return durable.FormatBinary, nil
-	case "json":
-		return durable.FormatJSON, nil
+// checkDurabilityFlags rejects a durability flag given without
+// -data-dir: the server would run in memory, ignore it, and the operator
+// would believe acks are flushed or fsynced. set holds the names of the
+// flags present on the command line (flag.Visit).
+func checkDurabilityFlags(dataDir string, set []string) error {
+	if dataDir != "" {
+		return nil
 	}
-	return 0, fmt.Errorf("unknown -format %q (want binary or json)", s)
+	for _, name := range set {
+		switch name {
+		case "commit", "commit-interval", "commit-max-batch", "checkpoint-every":
+			return fmt.Errorf("-%s configures durability and needs -data-dir; without it nothing is written to disk", name)
+		}
+	}
+	return nil
 }
 
-// openEphemeral builds the non-durable backend the pre-data-dir flags
-// describe: optional snapshot restore, optional single-file journal
-// replay + append, optional demo seed.
+// openEphemeral builds the in-memory backend: an optional snapshot
+// restore or demo seed, nothing persisted.
 func openEphemeral(logger *log.Logger) *shard.Engine {
 	var db *mod.DB
 	switch {
@@ -323,60 +329,12 @@ func openEphemeral(logger *log.Logger) *shard.Engine {
 	default:
 		db = mod.NewDB(*dimFlag, 0)
 	}
-	// Replay any existing journal into the unsharded view first
-	// (tolerantly, so a snapshot that already includes a prefix of it is
-	// fine); the engine partitions the fully-restored state. The codec
-	// is sniffed per file ("MODJ" magic = binary), and -format decides
-	// what a journal created by this run is written as.
-	jbinary := *formatFlag != "json"
-	if *journalFlag != "" {
-		if data, err := os.ReadFile(*journalFlag); err == nil && len(data) > 0 {
-			var st mod.ReplayStats
-			var rerr error
-			if jbinary = bytes.HasPrefix(data, mod.JournalMagic()); jbinary {
-				st, rerr = mod.ReplayTolerantBinary(db, bytes.NewReader(data))
-			} else {
-				st, rerr = mod.ReplayTolerant(db, bytes.NewReader(data))
-			}
-			if rerr != nil {
-				logger.Fatalf("journal replay: %v", rerr)
-			}
-			logger.Printf("journal replay: %d applied, %d already present", st.Applied, st.Skipped)
-			if st.TornTail {
-				logger.Printf("journal replay: dropped %d-byte torn tail", st.TailBytes)
-			}
-		}
-	}
 	eng, err := shard.FromDB(db, shard.Config{Shards: *shardsFlag, Workers: *workersFlag})
 	if err != nil {
 		logger.Fatal(err)
 	}
 	if eng.NumShards() > 1 {
 		logger.Printf("sharded engine: %d shards, %d objects", eng.NumShards(), eng.Len())
-	}
-	if *journalFlag != "" {
-		jf, err := os.OpenFile(*journalFlag, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		var j *mod.Journal
-		if jbinary {
-			// A fresh (empty) binary journal needs its header before
-			// the first record; an existing one already carries it.
-			if fi, serr := jf.Stat(); serr == nil && fi.Size() == 0 {
-				if _, werr := jf.Write(mod.BinaryJournalHeader()); werr != nil {
-					logger.Fatal(werr)
-				}
-			}
-			j = mod.NewJournalBinary(eng, jf)
-		} else {
-			j = mod.NewJournal(eng, jf)
-		}
-		eng.OnUpdate(func(mod.Update) {
-			if err := j.Flush(); err != nil {
-				logger.Printf("journal flush: %v", err)
-			}
-		})
 	}
 	return eng
 }

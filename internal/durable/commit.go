@@ -158,10 +158,10 @@ func (c *committer) finishLocked(target uint64, err error) {
 // an fsync of the new segment can never ack entries that only ever
 // reached the old one. Returns the old segment's flush/sync error (the
 // caller decides whether the old tail matters; see Store.Checkpoint).
-func (c *committer) rotate(w io.Writer, binary bool) error {
+func (c *committer) rotate(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seq, err := c.j.RotateBinary(w, binary)
+	seq, err := c.j.Rotate(w)
 	c.finishLocked(seq, err)
 	return err
 }

@@ -63,8 +63,6 @@ type Config struct {
 	// Query/update metrics are separate: call Instrument (promoted from
 	// the embedded shard engine).
 	Registry *obs.Registry
-	// NoFlushEach disables the per-update journal flush (StoreOptions).
-	NoFlushEach bool
 	// Commit selects the update-path durability policy (StoreOptions);
 	// CommitGroup enables group commit, making Apply/ApplyBatch block
 	// until the fsync covering their entries returns.
@@ -74,11 +72,6 @@ type Config struct {
 	// CommitMaxBatch skips the window once this many entries wait
 	// (StoreOptions).
 	CommitMaxBatch int
-	// Format selects the codec for new journal segments and snapshots
-	// (StoreOptions); zero is FormatBinary. Existing files open by
-	// their own codec, so switching formats on a live data dir is safe
-	// and migrates one checkpoint at a time.
-	Format Format
 }
 
 // rootManifest is the wire form of the engine's root manifest.
@@ -166,10 +159,8 @@ func Open(dir string, cfg Config) (*Engine, error) {
 	e.gcGenerations()
 
 	opts := StoreOptions{
-		Dim: man.Dim, Tau0: cfg.Tau0,
-		NoFlushEach: cfg.NoFlushEach, Commit: cfg.Commit,
+		Dim: man.Dim, Tau0: cfg.Tau0, Commit: cfg.Commit,
 		CommitInterval: cfg.CommitInterval, CommitMaxBatch: cfg.CommitMaxBatch,
-		Format:        cfg.Format,
 		commitMetrics: e.m,
 	}
 	if cfg.Shards != 0 && cfg.Shards != man.Shards {

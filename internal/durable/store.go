@@ -14,9 +14,10 @@
 //
 // On-disk layout of one store directory:
 //
-//	MANIFEST            {"version":1,"seq":k,"snapshot":"snap-...","journal":"wal-...","dim":d,"tau0":t}
-//	snap-0000007.json   mod.SaveJSON snapshot (absent while seq==1 with no checkpoint yet)
-//	wal-0000007.jsonl   journal segment: one JSON line per applied update
+//	MANIFEST           {"version":1,"seq":k,"snapshot":"snap-...","journal":"wal-...","dim":d,"tau0":t}
+//	snap-0000007.bin   mod.SaveBinary snapshot (absent while seq==1 with no checkpoint yet)
+//	wal-0000007.wal    journal segment: 5-byte header, then one framed,
+//	                   checksummed binary record per applied update
 //
 // Checkpoint protocol (see DESIGN.md "Durability & recovery" for the
 // crash matrix):
@@ -36,6 +37,16 @@
 // replays any orphaned newer segments, so updates journaled between
 // steps 2 and 5 survive too. A crash after step 5 merely leaves
 // garbage for the next open to collect.
+//
+// Legacy import: stores written before the binary codec hold
+// snap-N.json (mod.SaveJSON) and wal-N.jsonl (one JSON line per update).
+// They are read, never written. Recovery replays them like any other
+// pair, leaves the .jsonl segment as it found it (torn tail included),
+// puts the live journal on a fresh binary segment, and runs one
+// checkpoint before OpenStore returns — so the store is binary before
+// the first update arrives, and a crash inside that checkpoint is a
+// crash inside a checkpoint: the old manifest still commits to the JSON
+// pair and the next open does it again.
 package durable
 
 import (
@@ -89,57 +100,37 @@ func tau0Ptr(t float64) *float64 {
 	return &t
 }
 
-// Format selects the codec of newly written journal segments and
-// snapshots. Either format is always READ correctly — recovery detects
-// each file's codec from its name, so stores migrate segment by
-// segment: reopening a JSON store with the binary format keeps
-// appending JSON to the recovered tail segment and switches to binary
-// at the next rotation.
-type Format int
+func walName(seq uint64) string  { return fmt.Sprintf("wal-%07d.wal", seq) }
+func snapName(seq uint64) string { return fmt.Sprintf("snap-%07d.bin", seq) }
+
+// fileKind says what a name in a store directory is.
+type fileKind int
 
 const (
-	// FormatBinary is the compact raw-bits codec (mod.SaveBinary /
-	// binary journal records): every float round-trips bit-exactly,
-	// including the ±Inf values JSON rejects, and records carry CRCs.
-	// The default.
-	FormatBinary Format = iota
-	// FormatJSON is the legacy human-readable codec (mod.SaveJSON /
-	// JSON-lines journal).
-	FormatJSON
+	otherFile fileKind = iota // manifest, temp files, foreign files
+	walFile
+	snapFile
 )
 
-func walName(seq uint64, f Format) string {
-	if f == FormatJSON {
-		return fmt.Sprintf("wal-%07d.jsonl", seq)
+// classify recognises the journal-segment and snapshot names a store
+// directory can hold and extracts their sequence number. It is the one
+// place that knows the legacy JSON names; legacy files are only ever
+// read and collected.
+func classify(name string) (kind fileKind, seq uint64, legacy bool) {
+	stem, ext, _ := strings.Cut(name, ".")
+	switch {
+	case strings.HasPrefix(stem, "wal-") && (ext == "wal" || ext == "jsonl"):
+		kind, legacy, stem = walFile, ext == "jsonl", stem[len("wal-"):]
+	case strings.HasPrefix(stem, "snap-") && (ext == "bin" || ext == "json"):
+		kind, legacy, stem = snapFile, ext == "json", stem[len("snap-"):]
+	default:
+		return otherFile, 0, false
 	}
-	return fmt.Sprintf("wal-%07d.wal", seq)
-}
-
-func snapName(seq uint64, f Format) string {
-	if f == FormatJSON {
-		return fmt.Sprintf("snap-%07d.json", seq)
-	}
-	return fmt.Sprintf("snap-%07d.bin", seq)
-}
-
-// isBinaryName reports whether a wal/snap file name carries the binary
-// codec, by suffix.
-func isBinaryName(name string) bool {
-	return strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".bin")
-}
-
-// parseSeq extracts the sequence number of a wal-/snap- file name, or
-// ok=false for anything else (tmp files, the manifest, foreign files).
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
-	n, err := strconv.ParseUint(mid, 10, 64)
+	seq, err := strconv.ParseUint(stem, 10, 64)
 	if err != nil {
-		return 0, false
+		return otherFile, 0, false
 	}
-	return n, true
+	return kind, seq, legacy
 }
 
 // StoreOptions parametrize a store.
@@ -149,15 +140,8 @@ type StoreOptions struct {
 	// against the manifest.
 	Dim  int
 	Tau0 float64
-	// NoFlushEach disables the per-update journal flush. The default
-	// (flush after every applied update) bounds data loss on a process
-	// crash to the single in-flight entry; disabling trades that for
-	// update throughput (the loss bound becomes the bufio buffer).
-	// Shorthand for Commit: CommitNone; ignored when Commit is set.
-	NoFlushEach bool
 	// Commit selects the durability policy of the update path (see
-	// CommitPolicy). The zero value is CommitFlushEach, unless
-	// NoFlushEach selects CommitNone.
+	// CommitPolicy). The zero value is CommitFlushEach.
 	Commit CommitPolicy
 	// CommitInterval is CommitGroup's coalescing window: how long the
 	// committer waits before each fsync so concurrent appliers can join
@@ -167,22 +151,10 @@ type StoreOptions struct {
 	// CommitMaxBatch skips the coalescing window once this many entries
 	// are already waiting; 0 means a default (256).
 	CommitMaxBatch int
-	// Format selects the codec for new journal segments and snapshots;
-	// the zero value is FormatBinary. Existing files are read by their
-	// own codec regardless.
-	Format Format
 
 	// commitMetrics, when non-nil, receives the group-commit series
 	// (set by the engine, which owns the registry).
 	commitMetrics *engineMetrics
-}
-
-// policy resolves the effective commit policy.
-func (o StoreOptions) policy() CommitPolicy {
-	if o.Commit == CommitFlushEach && o.NoFlushEach {
-		return CommitNone
-	}
-	return o.Commit
 }
 
 // RecoveryInfo reports what opening a store did.
@@ -213,8 +185,8 @@ type CheckpointInfo struct {
 // locking into the journal, and checkpoints serialize on the store's
 // mutex while updates continue. The store mutex is never held while
 // writing an entry — the journal writes straight to the current segment
-// file under its own lock, and rotation redirects it via SwapWriter —
-// so checkpointing never blocks the update path beyond the one flush
+// file under its own lock, and rotation redirects it via Journal.Rotate
+// — so checkpointing never blocks the update path beyond the one flush
 // inside the swap.
 type Store struct {
 	fs  vfs.FS
@@ -226,7 +198,6 @@ type Store struct {
 	jfile       vfs.File // current segment's handle (journal writes to it)
 	manifestSeq uint64   // seq the on-disk manifest commits to
 	walSeq      uint64   // seq of the segment the live journal writes
-	walBinary   bool     // codec of the live segment (may lag opts.Format until rotation)
 	snapBytes   int      // size of the last snapshot written: pre-sizes the next one's buffer
 	closed      bool
 
@@ -269,6 +240,7 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 		return nil, fmt.Errorf("durable: mkdir %s: %w", dir, err)
 	}
 	man, err := readStoreManifest(fsys, path.Join(dir, manifestName))
+	legacy := false
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		if adopt != nil {
@@ -283,7 +255,7 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	case adopt != nil:
 		return nil, fmt.Errorf("durable: %s already holds a store", dir)
 	default:
-		if err := s.recover(man); err != nil {
+		if legacy, err = s.recover(man); err != nil {
 			return nil, err
 		}
 	}
@@ -295,27 +267,56 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	// then flush/sync) is guaranteed by registration order, and
 	// application order by the database's notification serialization.
 	// The journal writes to the segment file directly; checkpoint
-	// rotation redirects it with SwapWriter/Rotate. The journal's record
-	// format follows the live segment's codec — for a recovered legacy
-	// JSON tail that means JSON until the next rotation switches it.
-	if s.walBinary {
-		s.j = mod.NewJournalBinary(s.db, s.jfile)
-	} else {
-		s.j = mod.NewJournal(s.db, s.jfile)
-	}
-	switch opts.policy() {
+	// rotation redirects it with Journal.Rotate.
+	s.j = mod.NewJournal(s.db, s.jfile)
+	switch opts.Commit {
 	case CommitFlushEach:
-		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable/JournalErr
+		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable
 		s.db.OnUpdate(func(mod.Update) { _ = s.j.Flush() })
 	case CommitSyncEach:
-		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable/JournalErr
+		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable
 		s.db.OnUpdate(func(mod.Update) { _ = s.j.Sync() })
 	case CommitGroup:
 		s.c = newCommitter(s.j, opts.CommitInterval, opts.CommitMaxBatch, opts.commitMetrics)
 	}
+	if legacy {
+		// Recovery read JSON files and left the live journal on a fresh
+		// binary segment. This checkpoint writes the binary snapshot,
+		// commits the binary pair and collects the JSON files before any
+		// update can arrive; if it fails, the manifest still commits to
+		// the JSON pair and the next open starts over.
+		if _, err := s.Checkpoint(); err != nil {
+			_ = s.Close()
+			return nil, fmt.Errorf("durable: %s: import of the legacy JSON store: %w", dir, err)
+		}
+	}
 	s.recovery.Duration = time.Since(start)
-	s.gc()
+	s.gcLocked() // the store is not shared yet: nothing to lock out
 	return s, nil
+}
+
+// createSegment creates journal segment seq and makes it durable while
+// it is still empty: file, header, directory entry. No entry can reach
+// it before the caller hands it to the journal, so nothing interleaves
+// with the header. A crash that leaves the header partial is handled on
+// recovery, which starts such a segment over.
+func (s *Store) createSegment(seq uint64) (vfs.File, error) {
+	p := path.Join(s.dir, walName(seq))
+	f, err := s.fs.Create(p)
+	if err != nil {
+		return nil, fmt.Errorf("create segment: %w", err)
+	}
+	if _, err = f.Write(mod.BinaryJournalHeader()); err != nil {
+		err = fmt.Errorf("write segment header: %w", err)
+	} else if err = s.fs.SyncDir(s.dir); err != nil {
+		err = fmt.Errorf("sync dir: %w", err)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = s.fs.Remove(p)
+		return nil, err
+	}
+	return f, nil
 }
 
 // initFresh lays out a brand-new store: an empty first journal segment,
@@ -332,26 +333,26 @@ func (s *Store) initFresh() error {
 	if s.db == nil {
 		s.db = mod.NewDB(dim, s.opts.Tau0)
 	}
-	jname := walName(1, s.opts.Format)
-	f, err := s.fs.Create(path.Join(s.dir, jname))
+	// No manifest means nothing here was ever committed. A legacy build
+	// that crashed at this point left its first segment under the JSON
+	// name, which the Create below does not overwrite and recovery would
+	// refuse as a second copy of segment 1.
+	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("durable: create journal: %w", err)
+		return fmt.Errorf("durable: list %s: %w", s.dir, err)
 	}
-	if s.opts.Format == FormatBinary {
-		// The segment header goes in before any entry can arrive (the
-		// journal is wired up only after initFresh returns). A crash
-		// leaving it partial is handled on recovery: a tail torn inside
-		// the header truncates to zero and the header is rewritten.
-		if _, err := f.Write(mod.BinaryJournalHeader()); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("durable: write journal header: %w", err)
+	for _, n := range names {
+		if _, _, legacy := classify(n); legacy {
+			if err := s.fs.Remove(path.Join(s.dir, n)); err != nil {
+				return fmt.Errorf("durable: fresh store %s: %w", s.dir, err)
+			}
 		}
 	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("durable: sync dir: %w", err)
+	f, err := s.createSegment(1)
+	if err != nil {
+		return fmt.Errorf("durable: fresh store %s: %w", s.dir, err)
 	}
-	man := storeManifest{Version: 1, Seq: 1, Journal: jname, Dim: dim, Tau0: tau0Ptr(s.opts.Tau0)}
+	man := storeManifest{Version: 1, Seq: 1, Journal: walName(1), Dim: dim, Tau0: tau0Ptr(s.opts.Tau0)}
 	if err := writeStoreManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
 		_ = f.Close()
 		return err
@@ -359,42 +360,45 @@ func (s *Store) initFresh() error {
 	s.jfile = f
 	s.manifestSeq = 1
 	s.walSeq = 1
-	s.walBinary = s.opts.Format == FormatBinary
 	return nil
 }
 
 // recover restores the database named by the manifest: snapshot, then
 // the manifest's segment and every orphaned newer segment in sequence
-// order, each replayed tolerantly. The final segment is truncated past
-// its last complete entry and reopened for appending.
-func (s *Store) recover(man storeManifest) error {
+// order, each replayed tolerantly by its own codec. A binary final
+// segment is truncated past its last complete entry and reopened for
+// appending. legacy reports that a JSON file was read (or is named by
+// the manifest): the live journal is then on a fresh binary segment
+// past everything replayed, and the caller owes the checkpoint that
+// commits it.
+func (s *Store) recover(man storeManifest) (legacy bool, err error) {
 	if man.Version != 1 {
-		return fmt.Errorf("durable: %s: unsupported manifest version %d", s.dir, man.Version)
+		return false, fmt.Errorf("durable: %s: unsupported manifest version %d", s.dir, man.Version)
 	}
 	if s.opts.Dim != 0 && s.opts.Dim != man.Dim {
-		return fmt.Errorf("durable: %s holds a %d-D database, want %d-D", s.dir, man.Dim, s.opts.Dim)
+		return false, fmt.Errorf("durable: %s holds a %d-D database, want %d-D", s.dir, man.Dim, s.opts.Dim)
 	}
+	_, _, legacy = classify(man.Journal)
 	if man.Snapshot != "" {
+		load := mod.LoadBinary
+		if _, _, snapLegacy := classify(man.Snapshot); snapLegacy {
+			legacy = true
+			load = mod.LoadJSON
+		}
 		r, err := s.fs.Open(path.Join(s.dir, man.Snapshot))
 		if err != nil {
-			return fmt.Errorf("durable: open snapshot: %w", err)
+			return false, fmt.Errorf("durable: open snapshot: %w", err)
 		}
-		var db *mod.DB
-		var lerr error
-		if isBinaryName(man.Snapshot) {
-			db, lerr = mod.LoadBinary(r)
-		} else {
-			db, lerr = mod.LoadJSON(r)
-		}
+		db, lerr := load(r)
 		cerr := r.Close()
 		if lerr != nil {
-			return fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, lerr)
+			return false, fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, lerr)
 		}
 		if cerr != nil {
-			return cerr
+			return false, cerr
 		}
 		if db.Dim() != man.Dim {
-			return fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", man.Snapshot, db.Dim(), man.Dim)
+			return false, fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", man.Snapshot, db.Dim(), man.Dim)
 		}
 		s.db = db
 		s.recovery.SnapshotLoaded = true
@@ -403,45 +407,27 @@ func (s *Store) recover(man storeManifest) error {
 	}
 	segs, err := s.segmentsFrom(man.Seq)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if len(segs) == 0 {
-		// The manifest's segment is created (and the directory synced)
-		// before the manifest commits to it, so this is reachable only
-		// by outside interference; heal by recreating the segment the
-		// manifest names, in that name's codec.
-		segs = []walSegment{{seq: man.Seq, name: man.Journal}}
-		f, cerr := s.fs.Create(path.Join(s.dir, man.Journal))
-		if cerr != nil {
-			return fmt.Errorf("durable: recreate journal: %w", cerr)
-		}
-		if isBinaryName(man.Journal) {
-			if _, werr := f.Write(mod.BinaryJournalHeader()); werr != nil {
-				_ = f.Close()
-				return fmt.Errorf("durable: write journal header: %w", werr)
-			}
-		}
-		_ = f.Close()
-	}
+	var tail walSegment // the last segment replayed
+	var tailStats mod.ReplayStats
 	for i, seg := range segs {
-		bin := isBinaryName(seg.name)
 		r, oerr := s.fs.Open(path.Join(s.dir, seg.name))
 		if errors.Is(oerr, os.ErrNotExist) && i > 0 {
 			continue // gap beyond the manifest segment: nothing to replay
 		}
 		if oerr != nil {
-			return fmt.Errorf("durable: open journal %s: %w", seg.name, oerr)
+			return false, fmt.Errorf("durable: open journal %s: %w", seg.name, oerr)
 		}
-		var st mod.ReplayStats
-		var rerr error
-		if bin {
-			st, rerr = mod.ReplayTolerantBinary(s.db, r)
-		} else {
-			st, rerr = mod.ReplayTolerant(s.db, r)
+		replay := mod.ReplayTolerantBinary
+		if seg.legacy {
+			legacy = true
+			replay = mod.ReplayTolerant
 		}
+		st, rerr := replay(s.db, r)
 		_ = r.Close()
 		if rerr != nil {
-			return fmt.Errorf("durable: replay %s: %w", seg.name, rerr)
+			return false, fmt.Errorf("durable: replay %s: %w", seg.name, rerr)
 		}
 		s.recovery.Segments++
 		s.recovery.Replay.Applied += st.Applied
@@ -450,40 +436,44 @@ func (s *Store) recover(man storeManifest) error {
 			s.recovery.Replay.TornTail = true
 			s.recovery.Replay.TailBytes += st.TailBytes
 		}
-		if i == len(segs)-1 {
-			if st.TornTail {
-				if terr := s.fs.Truncate(path.Join(s.dir, seg.name), st.GoodBytes); terr != nil {
-					return fmt.Errorf("durable: truncate torn tail of %s: %w", seg.name, terr)
-				}
-			}
-			f, aerr := s.fs.Append(path.Join(s.dir, seg.name))
-			if aerr != nil {
-				return fmt.Errorf("durable: reopen journal %s: %w", seg.name, aerr)
-			}
-			if bin && st.GoodBytes == 0 {
-				// The crash happened before (or inside) the segment's
-				// 5-byte header: the file is empty now (any torn header
-				// bytes were truncated above), so write the header the
-				// appended records need.
-				if _, werr := f.Write(mod.BinaryJournalHeader()); werr != nil {
-					_ = f.Close()
-					return fmt.Errorf("durable: rewrite journal header: %w", werr)
-				}
-			}
-			s.jfile = f
-			s.walSeq = seg.seq
-			s.walBinary = bin
-		}
+		tail, tailStats = seg, st
 	}
 	s.manifestSeq = man.Seq
-	return nil
+	// The live journal goes on the last segment replayed when that is a
+	// binary segment with at least its header intact. Otherwise a segment
+	// is created: past a JSON tail, which is history and stays as found
+	// (torn tail and all) until the checkpoint collects it; in place of a
+	// segment whose crash came before or inside the header; or, no
+	// segment found at all, in place of the manifest's — created and
+	// synced before the manifest committed to it, so that is reachable
+	// only by outside interference.
+	s.walSeq = max(man.Seq, tail.seq)
+	switch {
+	case tail.legacy:
+		s.walSeq++
+	case tailStats.GoodBytes > 0:
+		p := path.Join(s.dir, tail.name)
+		if tailStats.TornTail {
+			if err := s.fs.Truncate(p, tailStats.GoodBytes); err != nil {
+				return false, fmt.Errorf("durable: truncate torn tail of %s: %w", tail.name, err)
+			}
+		}
+		if s.jfile, err = s.fs.Append(p); err != nil {
+			return false, fmt.Errorf("durable: reopen journal %s: %w", tail.name, err)
+		}
+		return legacy, nil
+	}
+	if s.jfile, err = s.createSegment(s.walSeq); err != nil {
+		return false, fmt.Errorf("durable: recover %s: %w", s.dir, err)
+	}
+	return legacy, nil
 }
 
-// walSegment names one on-disk journal segment; the name's suffix
-// carries its codec.
+// walSegment names one on-disk journal segment.
 type walSegment struct {
-	seq  uint64
-	name string
+	seq    uint64
+	name   string
+	legacy bool // a JSON-lines segment: replayed, never appended to
 }
 
 // segmentsFrom lists existing journal segments with seq >= from,
@@ -499,18 +489,15 @@ func (s *Store) segmentsFrom(from uint64) ([]walSegment, error) {
 	var segs []walSegment
 	seen := make(map[uint64]string)
 	for _, n := range names {
-		seq, ok := parseSeq(n, "wal-", ".jsonl")
-		if !ok {
-			seq, ok = parseSeq(n, "wal-", ".wal")
-		}
-		if !ok || seq < from {
+		kind, seq, legacy := classify(n)
+		if kind != walFile || seq < from {
 			continue
 		}
 		if prev, dup := seen[seq]; dup {
 			return nil, fmt.Errorf("durable: journal segment %d exists as both %s and %s", seq, prev, n)
 		}
 		seen[seq] = n
-		segs = append(segs, walSegment{seq: seq, name: n})
+		segs = append(segs, walSegment{seq: seq, name: n, legacy: legacy})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	return segs, nil
@@ -529,12 +516,6 @@ func (s *Store) Seq() uint64 {
 	return s.manifestSeq
 }
 
-// JournalErr surfaces the live journal's sticky write error, if any —
-// non-nil means updates applied since the error are NOT durable and a
-// checkpoint (which supersedes the journal with a snapshot) is the way
-// to restore durability.
-func (s *Store) JournalErr() error { return s.j.Err() }
-
 // Checkpoint runs the atomic checkpoint protocol described in the
 // package comment: rotate the journal onto a fresh segment, snapshot
 // the database, persist the snapshot atomically, commit the new
@@ -550,27 +531,12 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		return CheckpointInfo{}, errors.New("durable: store closed")
 	}
 	newSeq := s.walSeq + 1
-	binary := s.opts.Format == FormatBinary
-	newWal := walName(newSeq, s.opts.Format)
 
-	// 1. Fresh segment, durable before any entry can land in it. A
-	// binary segment gets its header now, while the live journal still
-	// writes to the old segment — no entry can interleave before it.
-	f, err := s.fs.Create(path.Join(s.dir, newWal))
+	// 1. Fresh segment, durable before any entry can land in it; the
+	// live journal still writes to the old one.
+	f, err := s.createSegment(newSeq)
 	if err != nil {
-		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: create segment: %w", err)
-	}
-	if binary {
-		if _, err := f.Write(mod.BinaryJournalHeader()); err != nil {
-			_ = f.Close()
-			_ = s.fs.Remove(path.Join(s.dir, newWal))
-			return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: write segment header: %w", err)
-		}
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		_ = f.Close()
-		_ = s.fs.Remove(path.Join(s.dir, newWal))
-		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: sync dir: %w", err)
+		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: %w", err)
 	}
 
 	// 2. Redirect the live journal. From here on every new entry goes
@@ -584,13 +550,12 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	// before the manifest commit would lose them).
 	old := s.jfile
 	if s.c != nil {
-		_ = s.c.rotate(f, binary) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next; waiters get the outcome via resolve
+		_ = s.c.rotate(f) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next; waiters get the outcome via resolve
 	} else {
-		_, _ = s.j.RotateBinary(f, binary) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next
+		_, _ = s.j.Rotate(f) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next
 	}
 	s.jfile = f
 	s.walSeq = newSeq
-	s.walBinary = binary
 	if old != nil {
 		_ = old.Close()
 	}
@@ -605,18 +570,11 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	// the new segment; replay deduplicates those the snapshot also has.
 	var buf bytes.Buffer
 	buf.Grow(s.snapBytes + s.snapBytes/8)
-	snap := s.db.EpochSnapshot()
-	var encErr error
-	if binary {
-		encErr = snap.SaveBinary(&buf)
-	} else {
-		encErr = snap.SaveJSON(&buf)
-	}
-	if encErr != nil {
-		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: encode snapshot: %w", encErr)
+	if err := s.db.EpochSnapshot().SaveBinary(&buf); err != nil {
+		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: encode snapshot: %w", err)
 	}
 	s.snapBytes = buf.Len()
-	newSnap := snapName(newSeq, s.opts.Format)
+	newSnap := snapName(newSeq)
 	if err := vfs.WriteFileAtomic(s.fs, path.Join(s.dir, newSnap), buf.Bytes()); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: write snapshot: %w", err)
 	}
@@ -624,7 +582,7 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	// 5. Commit.
 	man := storeManifest{
 		Version: 1, Seq: newSeq,
-		Snapshot: newSnap, Journal: newWal,
+		Snapshot: newSnap, Journal: walName(newSeq),
 		Dim: s.db.Dim(), Tau0: tau0Ptr(s.opts.Tau0),
 	}
 	if err := writeStoreManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
@@ -685,15 +643,9 @@ func (s *Store) Close() error {
 	return cerr
 }
 
-// gc removes files the manifest no longer references: older segments
-// and snapshots, orphaned newer snapshots, leftover temp files. Errors
-// are ignored — garbage is re-collectable on the next open.
-func (s *Store) gc() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gcLocked()
-}
-
+// gcLocked removes files the manifest no longer references: older
+// segments and snapshots, orphaned newer snapshots, leftover temp files.
+// Errors are ignored — garbage is re-collectable on the next open.
 func (s *Store) gcLocked() {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -710,23 +662,14 @@ func (s *Store) gcLocked() {
 		case n == man.Snapshot || n == man.Journal || n == manifestName:
 			// live
 		default:
-			seq, isWal := parseSeq(n, "wal-", ".jsonl")
-			if !isWal {
-				seq, isWal = parseSeq(n, "wal-", ".wal")
-			}
-			if isWal {
+			switch kind, seq, _ := classify(n); kind {
+			case walFile:
 				// Newer segments than the manifest's hold updates the
 				// manifest pair does not cover — never collect those.
 				if seq < man.Seq {
 					_ = s.fs.Remove(path.Join(s.dir, n))
 				}
-				continue
-			}
-			_, isSnap := parseSeq(n, "snap-", ".json")
-			if !isSnap {
-				_, isSnap = parseSeq(n, "snap-", ".bin")
-			}
-			if isSnap {
+			case snapFile:
 				// Snapshots other than the manifest's are either
 				// superseded or orphans of a failed checkpoint; the
 				// manifest pair plus newer segments re-derive them.

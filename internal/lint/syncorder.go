@@ -16,8 +16,8 @@ package lint
 //  2. rename-without-dirsync: a Rename with no SyncDir after it in the
 //     same function. The rename itself is not durable until the
 //     directory entry is — a crash can un-publish the manifest.
-//  3. sync-error-dropped: discarding the error of Sync, SyncDir, Flush,
-//     Rotate or SwapWriter (`_ =` or a bare call statement). On the
+//  3. sync-error-dropped: discarding the error of Sync, SyncDir, Flush
+//     or Rotate (`_ =` or a bare call statement). On the
 //     durability path a swallowed sync outcome can turn into a false
 //     ack; every deliberate swallow must carry a justified
 //     //modlint:allow syncorder annotation.
@@ -44,9 +44,9 @@ var SyncOrder = &Analyzer{
 }
 
 // syncOrderApplies gates the analyzer to the durability packages:
-// internal/mod is included because the journal writer (JSON and binary
-// framing) lives there — a dropped Flush/Rotate error on the journal
-// is exactly the ack-without-durability bug the analyzer exists for.
+// internal/mod is included because the journal writer lives there — a
+// dropped Flush/Rotate error on the journal is exactly the
+// ack-without-durability bug the analyzer exists for.
 func syncOrderApplies(pkgPath string) bool {
 	pkgPath = strings.TrimSuffix(pkgPath, "_test")
 	return strings.HasSuffix(pkgPath, "internal/durable") ||
@@ -63,8 +63,7 @@ var syncWriteNames = map[string]bool{
 // syncDropNames are the durability-path calls whose error must not be
 // discarded (rule 3).
 var syncDropNames = map[string]bool{
-	"Sync": true, "SyncDir": true, "Flush": true, "Rotate": true,
-	"RotateBinary": true, "rotate": true, "SwapWriter": true,
+	"Sync": true, "SyncDir": true, "Flush": true, "Rotate": true, "rotate": true,
 }
 
 func runSyncOrder(pass *Pass) []Diagnostic {

@@ -56,13 +56,24 @@ type file interface {
 	Flush() error
 }
 
+type journal interface {
+	Rotate(w file) (uint64, error)
+}
+
 type committer struct {
 	synced uint64
 	err    error
 }
 
+func (c *committer) rotate(w file) error { return c.err }
+
 func dropSync(f file) {
 	_ = f.Sync() // want "discards its error"
+}
+
+func dropRotate(j journal, c *committer, f file) {
+	_, _ = j.Rotate(f) // want "discards its error"
+	_ = c.rotate(f)    // want "discards its error"
 }
 
 func bareFlush(f file) {
@@ -148,7 +159,7 @@ func TestSyncOrderSuppressed(t *testing.T) {
 type file interface{ Sync() error }
 
 func listenerPath(f file) {
-	_ = f.Sync() //modlint:allow syncorder -- sticky error surfaced via JournalErr; listener must not block
+	_ = f.Sync() //modlint:allow syncorder -- sticky error surfaced via WaitDurable; listener must not block
 }
 `)
 	if len(findings) != 0 {

@@ -9,8 +9,8 @@ package mod
 // frames records with a length prefix plus a CRC so recovery can tell
 // a torn tail from corruption without parsing heuristics.
 //
-// Journal stream layout (what Journal writes in binary mode and
-// ReplayTolerantBinary reads):
+// Journal stream layout (what Journal writes and ReplayTolerantBinary
+// reads):
 //
 //	header  = magic "MODJ" | version byte (1)
 //	record  = uvarint len(payload) | payload | crc32c(payload) LE32
@@ -41,9 +41,10 @@ package mod
 //	magic "MODU" | version byte (1) | record... (journal framing)
 //
 // The version byte is the migration story: readers reject versions they
-// do not know, and the JSON formats remain readable forever (format is
-// detected per file, never assumed), so a store can carry JSON segments
-// written by an old binary next to binary segments written by this one.
+// do not know. The JSON formats that preceded this codec remain
+// readable (LoadJSON, ReplayTolerant) but are no longer written to
+// disk: the durable store imports a JSON pair and checkpoints it into
+// this format before it accepts an update.
 
 import (
 	"bufio"
@@ -95,10 +96,6 @@ var (
 func BinaryJournalHeader() []byte {
 	return []byte{journalMagic[0], journalMagic[1], journalMagic[2], journalMagic[3], binaryVersion}
 }
-
-// JournalMagic returns the 4-byte magic prefix of binary journal
-// segments, for format sniffing by tools that accept either codec.
-func JournalMagic() []byte { return append([]byte(nil), journalMagic[:]...) }
 
 // SnapshotMagic returns the 4-byte magic prefix of binary snapshots.
 func SnapshotMagic() []byte { return append([]byte(nil), snapMagic[:]...) }

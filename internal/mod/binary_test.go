@@ -132,13 +132,13 @@ func TestLoadBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestBinaryJournalWriter drives the Journal in binary mode and replays
-// its output: the writer and ReplayTolerantBinary are inverses.
+// TestBinaryJournalWriter drives the Journal and replays its output:
+// the writer and ReplayTolerantBinary are inverses.
 func TestBinaryJournalWriter(t *testing.T) {
 	db := NewDB(2, -1)
 	var seg bytes.Buffer
 	seg.Write(BinaryJournalHeader())
-	j := NewJournalBinary(db, &seg)
+	j := NewJournal(db, &seg)
 	defer j.Close()
 	us := []Update{
 		New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),
@@ -169,7 +169,7 @@ func TestBinaryReplayTornTail(t *testing.T) {
 	db := NewDB(2, -1)
 	var seg bytes.Buffer
 	seg.Write(BinaryJournalHeader())
-	j := NewJournalBinary(db, &seg)
+	j := NewJournal(db, &seg)
 	defer j.Close()
 	must(t, db.ApplyAll(
 		New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),

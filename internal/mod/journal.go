@@ -1,9 +1,9 @@
 package mod
 
-// Journal: a durable append-only update log (JSON lines). Together with
-// SaveJSON snapshots it gives the MOD a conventional persistence story:
-// snapshot + journal replay reconstructs the database after a restart,
-// and the journal doubles as a distribution format for update streams.
+// Journal: a durable append-only update log in the binary record format
+// (binary.go). Snapshot + journal replay reconstructs the database after
+// a restart. JSON lines, the format journals were written in before the
+// binary codec, are still read by ReplayTolerant.
 
 import (
 	"bufio"
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // UpdateSource is anything that can feed applied updates to a listener:
@@ -33,7 +32,8 @@ type SyncWriter interface {
 // by the source's listener hook; create it before applying updates and
 // every successful update is recorded. The journal is safe for
 // concurrent sources (e.g. per-shard writers applying in parallel):
-// entries are serialized internally, each as one JSON line.
+// entries are serialized internally, each as one framed, checksummed
+// record.
 type Journal struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
@@ -41,94 +41,40 @@ type Journal struct {
 	err    error
 	closed bool
 	seq    uint64 // entries successfully buffered since creation
-	// binary is the current segment's record format. Written only under
-	// mu (creation, rotation); atomic so the listener can pick an
-	// encoding optimistically before taking the lock.
-	binary atomic.Bool
 }
 
-// encBuf is a pooled encode scratch: updates are serialized into it
+// recordBuf is a pooled encode scratch: updates are serialized into it
 // outside the journal lock, so concurrent appliers pay for encoding in
-// parallel and the lock covers only the buffered byte copy. buf/enc
-// serve the JSON format, bin the binary one; a journal uses whichever
-// matches its current segment.
-type encBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-	bin []byte
-}
+// parallel and the lock covers only the buffered byte copy.
+type recordBuf struct{ b []byte }
 
-var encBufPool = sync.Pool{New: func() any {
-	b := &encBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
+var recordPool = sync.Pool{New: func() any { return new(recordBuf) }}
 
 // ErrJournalClosed is returned by operations on a closed journal.
 var ErrJournalClosed = errors.New("mod: journal closed")
 
 // NewJournal wires a journal to src: every subsequently applied update
-// is appended to w as one JSON line. Call Close before closing the
-// underlying writer.
+// is appended to w as one binary record. The caller owns the segment
+// header — write BinaryJournalHeader() to a fresh file before any update
+// can arrive (the durable store does this when it creates a segment).
+// Call Close before closing the underlying writer.
 func NewJournal(src UpdateSource, w io.Writer) *Journal {
-	return newJournal(src, w, false)
-}
-
-// NewJournalBinary wires a journal to src in the binary record format
-// (see binary.go): every applied update is appended as one framed,
-// checksummed record. The caller owns the segment header — write
-// BinaryJournalHeader() to a fresh file before any update can arrive
-// (the durable store does this when it creates a segment).
-func NewJournalBinary(src UpdateSource, w io.Writer) *Journal {
-	return newJournal(src, w, true)
-}
-
-func newJournal(src UpdateSource, w io.Writer, bin bool) *Journal {
 	j := &Journal{w: bufio.NewWriter(w)}
-	j.binary.Store(bin)
-	if sw, ok := w.(SyncWriter); ok {
-		j.syncer = sw
-	}
-	encode := func(b *encBuf, u Update, bin bool) ([]byte, error) {
-		if bin {
-			b.bin = AppendUpdateRecord(b.bin[:0], u)
-			return b.bin, nil
-		}
-		// Encoder.Encode writes exactly the bytes the original
-		// under-lock encoder did (one JSON value plus '\n'), so the
-		// on-disk JSON format is unchanged.
-		b.buf.Reset()
-		if err := b.enc.Encode(u); err != nil {
-			return nil, err
-		}
-		return b.buf.Bytes(), nil
-	}
+	j.syncer, _ = w.(SyncWriter)
 	src.OnUpdate(func(u Update) {
-		// Encode outside the lock into pooled scratch, so concurrent
-		// appliers pay for encoding in parallel and the lock covers only
-		// the buffered byte copy. The format is re-checked under the
-		// lock: a rotation may have switched it between the optimistic
-		// encode and the write, in which case the entry is re-encoded in
-		// the new segment's format (rare — rotations happen once per
-		// checkpoint).
-		b := encBufPool.Get().(*encBuf)
-		bin := j.binary.Load()
-		payload, encErr := encode(b, u, bin)
+		rec := recordPool.Get().(*recordBuf)
+		b := AppendUpdateRecord(rec.b[:0], u)
 		j.mu.Lock()
 		if j.err == nil && !j.closed {
-			if now := j.binary.Load(); now != bin {
-				payload, encErr = encode(b, u, now)
-			}
-			if encErr != nil {
-				j.err = encErr
-			} else if _, werr := j.w.Write(payload); werr != nil {
+			if _, werr := j.w.Write(b); werr != nil {
 				j.err = werr
 			} else {
 				j.seq++
 			}
 		}
 		j.mu.Unlock()
-		encBufPool.Put(b)
+		rec.b = b // keep the grown scratch
+		recordPool.Put(rec)
 	})
 	return j
 }
@@ -183,36 +129,21 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// SwapWriter atomically redirects subsequent entries to w: it flushes
-// (and fsyncs, when supported) the current writer, then installs w as
-// the journal's sink. The swap happens at an entry boundary — entries
-// are serialized under the journal's lock — so no entry is ever split
-// across writers. A sticky error is cleared by a successful swap: the
-// caller is rotating to a fresh segment precisely because everything
+// Rotate atomically redirects subsequent entries to w: it flushes (and
+// fsyncs, when supported) the current writer, then installs w as the
+// journal's sink. The swap happens at an entry boundary — entries are
+// serialized under the journal's lock — so no entry is ever split
+// across writers. A sticky error is cleared by a successful rotation:
+// the caller is rotating to a fresh segment precisely because everything
 // the old writer held is being superseded by a snapshot, so the old
 // writer's failure no longer taints the new segment. The flush/sync
 // error of the old writer is still reported so the caller can decide
-// whether the old segment's tail is trustworthy.
-func (j *Journal) SwapWriter(w io.Writer) error {
-	_, err := j.Rotate(w) //modlint:allow syncorder -- the blank is the sequence number; the error is returned
-	return err
-}
-
-// Rotate is SwapWriter returning, additionally, the sequence number of
-// the last entry written to the old writer — taken under the same lock
-// as the swap, so group commit can resolve exactly the entries whose
-// durability the old writer's final flush+fsync decided. The record
-// format is preserved; use RotateBinary to switch it.
+// whether the old segment's tail is trustworthy. The returned sequence
+// number is that of the last entry written to the old writer — taken
+// under the same lock as the swap, so group commit can resolve exactly
+// the entries whose durability the old writer's final flush+fsync
+// decided.
 func (j *Journal) Rotate(w io.Writer) (uint64, error) {
-	return j.RotateBinary(w, j.binary.Load())
-}
-
-// RotateBinary is Rotate with an explicit record format for the new
-// writer: the swap happens at an entry boundary, so the old segment is
-// purely one format and the new segment purely the other. This is how
-// a store whose recovery reopened a legacy JSON segment migrates to
-// the binary format at its next checkpoint.
-func (j *Journal) RotateBinary(w io.Writer, bin bool) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -223,11 +154,7 @@ func (j *Journal) RotateBinary(w io.Writer, bin bool) (uint64, error) {
 		oldErr = j.syncLocked()
 	}
 	j.w = bufio.NewWriter(w)
-	j.syncer = nil
-	if sw, ok := w.(SyncWriter); ok {
-		j.syncer = sw
-	}
-	j.binary.Store(bin)
+	j.syncer, _ = w.(SyncWriter)
 	j.err = nil
 	return j.seq, oldErr
 }
@@ -254,26 +181,6 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Replay applies a journal stream to db in order. It stops at the first
-// malformed line or failed update and reports how many updates were
-// applied.
-func Replay(db *DB, r io.Reader) (int, error) {
-	dec := json.NewDecoder(r)
-	n := 0
-	for {
-		var u Update
-		if err := dec.Decode(&u); err == io.EOF {
-			return n, nil
-		} else if err != nil {
-			return n, fmt.Errorf("mod: journal entry %d: %w", n, err)
-		}
-		if err := db.Apply(u); err != nil {
-			return n, fmt.Errorf("mod: journal entry %d: %w", n, err)
-		}
-		n++
-	}
 }
 
 // ReplayStats reports what a tolerant replay did with a journal stream.
@@ -306,8 +213,10 @@ type ReplayStats struct {
 // corruption and aborts with an error; everything decoded up to that
 // point stays applied and is reflected in the stats.
 //
-// Entries are framed as JSON lines (the format Journal writes); JSON
-// values never contain raw newlines, so line framing is lossless.
+// Entries are framed as JSON lines, the format journals were written in
+// before the binary codec (ReplayTolerantBinary reads what Journal
+// writes now); JSON values never contain raw newlines, so line framing
+// is lossless.
 func ReplayTolerant(db *DB, r io.Reader) (ReplayStats, error) {
 	var st ReplayStats
 	br := bufio.NewReader(r)

@@ -2,7 +2,6 @@ package mod
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -25,7 +24,7 @@ func (s *syncRecorder) Sync() error {
 
 func TestJournalCloseFlushesAndSyncs(t *testing.T) {
 	db := NewDB(2, -1)
-	w := &syncRecorder{}
+	w := &syncRecorder{Buffer: *newSegment()}
 	j := NewJournal(db, w)
 	if err := db.Apply(New(1, 0, geom.Of(1, 0), geom.Of(0, 0))); err != nil {
 		t.Fatal(err)
@@ -36,9 +35,8 @@ func TestJournalCloseFlushesAndSyncs(t *testing.T) {
 	if w.syncs != 1 {
 		t.Fatalf("Close performed %d syncs, want 1", w.syncs)
 	}
-	var u Update
-	if err := json.Unmarshal(w.Bytes(), &u); err != nil {
-		t.Fatalf("closed journal not flushed: %v (%q)", err, w.String())
+	if st, err := ReplayTolerantBinary(NewDB(2, -1), bytes.NewReader(w.Bytes())); err != nil || st.Applied != 1 || st.TornTail {
+		t.Fatalf("closed journal not flushed: %+v, %v", st, err)
 	}
 	// Updates after Close are not recorded.
 	n := w.Len()
@@ -97,7 +95,7 @@ func (m multiSource) OnUpdate(l Listener) {
 
 func TestJournalConcurrentShardWriters(t *testing.T) {
 	shards := multiSource{NewDB(2, -1), NewDB(2, -1), NewDB(2, -1)}
-	var buf syncRecorder
+	buf := syncRecorder{Buffer: *newSegment()}
 	j := NewJournal(shards, &buf)
 	const perShard = 50
 	var wg sync.WaitGroup
@@ -118,18 +116,18 @@ func TestJournalConcurrentShardWriters(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Every line must be one intact JSON update: interleaved writers
-	// may order lines arbitrarily but never tear them.
-	dec := json.NewDecoder(&buf.Buffer)
-	n := 0
-	for dec.More() {
-		var u Update
-		if err := dec.Decode(&u); err != nil {
-			t.Fatalf("entry %d corrupt: %v", n, err)
-		}
-		n++
+	// Every record must be intact (framing and checksum): interleaved
+	// writers may order records arbitrarily but never tear them. The
+	// shards' taus interleave, so replay into one database skips some
+	// entries as stale; decoded = applied + skipped.
+	st, err := ReplayTolerantBinary(NewDB(2, -1), bytes.NewReader(buf.Bytes()))
+	if err != nil || st.TornTail {
+		t.Fatalf("journal corrupt: %+v, %v", st, err)
 	}
-	if n != 3*perShard {
+	if n := st.Applied + st.Skipped; n != 3*perShard {
 		t.Fatalf("journal has %d entries, want %d", n, 3*perShard)
+	}
+	if st.GoodBytes != int64(buf.Len()) {
+		t.Fatalf("GoodBytes %d, want the whole %d-byte segment", st.GoodBytes, buf.Len())
 	}
 }

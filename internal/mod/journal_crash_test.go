@@ -1,8 +1,9 @@
 package mod
 
 // Crash-shaped journal tests: truncation at every byte offset of the
-// tail record (the state a mid-append crash leaves behind), writer
-// rotation at an entry boundary, and the listener-ordering guarantee
+// tail record (the state a mid-append crash leaves behind) for the
+// JSON-lines importer, writer rotation at an entry boundary, and the
+// listener-ordering guarantee
 // the durable subsystem depends on (journal entries must be written in
 // application order even under concurrent writers).
 
@@ -30,24 +31,13 @@ func crashStream() []Update {
 	}
 }
 
-// journalBytes journals us and returns the raw bytes.
-func journalBytes(t *testing.T, us []Update) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	db := NewDB(2, -1)
-	j := NewJournal(db, &buf)
-	must(t, db.ApplyAll(us...))
-	must(t, j.Close())
-	return buf.Bytes()
-}
-
 // TestReplayTolerantTornTailEveryOffset truncates a journal at every
 // byte offset of its final record and asserts tolerant replay recovers
 // exactly the complete entries, reports the torn tail, and returns a
 // GoodBytes boundary that is itself cleanly replayable and appendable.
 func TestReplayTolerantTornTailEveryOffset(t *testing.T) {
 	us := crashStream()
-	data := journalBytes(t, us)
+	data := jsonLines(t, us...)
 	// Locate the tail record: the byte after the second-to-last newline.
 	trimmed := bytes.TrimSuffix(data, []byte("\n"))
 	tailStart := bytes.LastIndexByte(trimmed, '\n') + 1
@@ -95,7 +85,7 @@ func TestReplayTolerantTornTailEveryOffset(t *testing.T) {
 // after it is corruption, not a torn tail.
 func TestReplayTolerantMidCorruptionAborts(t *testing.T) {
 	us := crashStream()
-	data := journalBytes(t, us)
+	data := jsonLines(t, us...)
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	var corrupt []byte
 	for i, l := range lines {
@@ -133,39 +123,37 @@ func TestReplayTolerantBlankLinesAndEmpty(t *testing.T) {
 	}
 }
 
-// TestJournalSwapWriter rotates the sink mid-stream: entries land in
-// exactly one segment, split at the swap boundary, and the pair of
+// TestJournalRotate rotates the sink mid-stream: entries land in
+// exactly one segment, split at the rotation boundary, Rotate reports
+// the last sequence number the old segment holds, and the pair of
 // segments replays to the full state.
-func TestJournalSwapWriter(t *testing.T) {
-	var seg1, seg2 bytes.Buffer
+func TestJournalRotate(t *testing.T) {
+	seg1, seg2 := newSegment(), newSegment()
 	db := NewDB(2, -1)
-	j := NewJournal(db, &seg1)
+	j := NewJournal(db, seg1)
 	us := crashStream()
 	must(t, db.ApplyAll(us[:4]...))
-	if err := j.SwapWriter(&seg2); err != nil {
-		t.Fatal(err)
+	if seq, err := j.Rotate(seg2); err != nil || seq != 4 {
+		t.Fatalf("Rotate = %d, %v; want 4 entries in the old segment", seq, err)
 	}
 	must(t, db.ApplyAll(us[4:]...))
 	must(t, j.Close())
-	if n := bytes.Count(seg1.Bytes(), []byte("\n")); n != 4 {
-		t.Fatalf("segment 1 has %d entries, want 4", n)
-	}
-	if n := bytes.Count(seg2.Bytes(), []byte("\n")); n != len(us)-4 {
-		t.Fatalf("segment 2 has %d entries, want %d", n, len(us)-4)
-	}
 	fresh := NewDB(2, -1)
-	if _, err := ReplayTolerant(fresh, bytes.NewReader(seg1.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplayTolerant(fresh, bytes.NewReader(seg2.Bytes())); err != nil {
-		t.Fatal(err)
+	for i, tc := range []struct {
+		seg  *bytes.Buffer
+		want int
+	}{{seg1, 4}, {seg2, len(us) - 4}} {
+		st, err := ReplayTolerantBinary(fresh, bytes.NewReader(tc.seg.Bytes()))
+		if err != nil || st.TornTail || st.Applied != tc.want {
+			t.Fatalf("segment %d: %+v, %v; want %d entries", i+1, st, err, tc.want)
+		}
 	}
 	if !fresh.StateEqual(db) {
 		t.Fatal("segments do not replay to the journaled state")
 	}
-	// A closed journal refuses to swap.
-	if err := j.SwapWriter(&seg1); err != ErrJournalClosed {
-		t.Fatalf("swap after close: %v", err)
+	// A closed journal refuses to rotate.
+	if seq, err := j.Rotate(seg1); err != ErrJournalClosed || seq != uint64(len(us)) {
+		t.Fatalf("rotate after close: %d, %v", seq, err)
 	}
 }
 

@@ -2,16 +2,38 @@ package mod
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-func TestJournalRecordsAndReplays(t *testing.T) {
+// newSegment returns a buffer holding the header a journal segment
+// starts with; the journal itself writes records only.
+func newSegment() *bytes.Buffer {
+	return bytes.NewBuffer(BinaryJournalHeader())
+}
+
+// jsonLines renders updates as the JSON-lines journal older builds
+// wrote (one json.Marshal(Update) per line) — the input of the
+// ReplayTolerant importer, which no code in this repository produces
+// any more.
+func jsonLines(t *testing.T, us ...Update) []byte {
+	t.Helper()
 	var buf bytes.Buffer
+	for _, u := range us {
+		line, err := json.Marshal(u)
+		must(t, err)
+		buf.Write(line)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
+}
+
+func TestJournalRecordsAndReplays(t *testing.T) {
+	seg := newSegment()
 	db := NewDB(2, -1)
-	j := NewJournal(db, &buf)
+	j := NewJournal(db, seg)
 	must(t, db.ApplyAll(
 		New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),
 		ChDir(1, 5, geom.Of(0, 1)),
@@ -24,76 +46,58 @@ func TestJournalRecordsAndReplays(t *testing.T) {
 	if j.Err() != nil {
 		t.Fatal(j.Err())
 	}
-	if got := strings.Count(buf.String(), "\n"); got != 4 {
-		t.Fatalf("journal has %d lines, want 4:\n%s", got, buf.String())
+	if j.Seq() != 4 {
+		t.Fatalf("journal buffered %d entries, want 4", j.Seq())
 	}
 
 	// Replay into a fresh database reproduces the state.
 	fresh := NewDB(2, -1)
-	n, err := Replay(fresh, bytes.NewReader(buf.Bytes()))
-	if err != nil || n != 4 {
-		t.Fatalf("replay: n=%d err=%v", n, err)
+	st, err := ReplayTolerantBinary(fresh, bytes.NewReader(seg.Bytes()))
+	if err != nil || st.Applied != 4 || st.Skipped != 0 || st.TornTail {
+		t.Fatalf("replay: %+v err=%v, want 4 applied", st, err)
 	}
-	if fresh.Tau() != db.Tau() || fresh.Len() != db.Len() {
+	if !fresh.StateEqual(db) {
 		t.Fatalf("replayed state differs: tau %g/%g len %d/%d",
 			fresh.Tau(), db.Tau(), fresh.Len(), db.Len())
 	}
-	a, _ := db.Traj(1)
-	b, _ := fresh.Traj(1)
-	if !a.Equal(b) {
-		t.Error("trajectory differs after replay")
-	}
 }
 
-func TestReplayStopsOnBadEntry(t *testing.T) {
-	db := NewDB(2, -1)
-	input := `{"kind":"new","oid":1,"tau":1,"a":[1,0],"b":[0,0]}
-{"kind":"warp","oid":2,"tau":2}
-`
-	n, err := Replay(db, strings.NewReader(input))
-	if err == nil {
-		t.Fatal("bad entry accepted")
-	}
-	if n != 1 || !db.Contains(1) {
-		t.Errorf("applied %d before failure", n)
-	}
-	// Chronology violation also aborts strict replay.
-	db2 := NewDB(2, -1)
-	input2 := `{"kind":"new","oid":1,"tau":5,"a":[1,0],"b":[0,0]}
-{"kind":"new","oid":2,"tau":3,"a":[1,0],"b":[0,0]}
-`
-	if _, err := Replay(db2, strings.NewReader(input2)); err == nil {
-		t.Error("stale entry accepted by strict replay")
-	}
-}
-
+// TestReplayTolerantSkipsApplied: the snapshot already contains the
+// first update; tolerant replay skips it and applies the rest, in
+// either codec.
 func TestReplayTolerantSkipsApplied(t *testing.T) {
-	// Snapshot already contains the first update; tolerant replay skips
-	// it and applies the rest.
-	var buf bytes.Buffer
-	db := NewDB(2, -1)
-	j := NewJournal(db, &buf)
-	must(t, db.ApplyAll(
+	us := []Update{
 		New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),
 		ChDir(1, 5, geom.Of(0, 1)),
-	))
-	must(t, j.Flush())
-
-	restored := NewDB(2, -1)
-	must(t, restored.Apply(New(1, 0, geom.Of(1, 0), geom.Of(0, 0))))
-	st, err := ReplayTolerant(restored, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
 	}
-	if st.Applied != 1 || st.Skipped != 1 {
-		t.Errorf("applied=%d skipped=%d, want 1/1", st.Applied, st.Skipped)
-	}
-	if st.TornTail || st.GoodBytes != int64(buf.Len()) {
-		t.Errorf("stats = %+v, want clean tail covering %d bytes", st, buf.Len())
-	}
-	a, _ := db.Traj(1)
-	b, _ := restored.Traj(1)
-	if !a.Equal(b) {
-		t.Error("state differs after tolerant replay")
+	want := NewDB(2, -1)
+	must(t, want.ApplyAll(us...))
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		replay func(*DB, []byte) (ReplayStats, error)
+	}{
+		{"binary", binJournal(us...), func(db *DB, b []byte) (ReplayStats, error) {
+			return ReplayTolerantBinary(db, bytes.NewReader(b))
+		}},
+		{"json", jsonLines(t, us...), func(db *DB, b []byte) (ReplayStats, error) {
+			return ReplayTolerant(db, bytes.NewReader(b))
+		}},
+	} {
+		restored := NewDB(2, -1)
+		must(t, restored.Apply(us[0]))
+		st, err := tc.replay(restored, tc.data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Applied != 1 || st.Skipped != 1 {
+			t.Errorf("%s: applied=%d skipped=%d, want 1/1", tc.name, st.Applied, st.Skipped)
+		}
+		if st.TornTail || st.GoodBytes != int64(len(tc.data)) {
+			t.Errorf("%s: stats = %+v, want clean tail covering %d bytes", tc.name, st, len(tc.data))
+		}
+		if !restored.StateEqual(want) {
+			t.Errorf("%s: state differs after tolerant replay", tc.name)
+		}
 	}
 }
