@@ -530,8 +530,9 @@ func (s *Sweeper) removeCurve(id uint64, kind ChangeKind) error {
 // curves coincide at the current time, so the entry keeps its position
 // and only the events involving id are recomputed (Section 5); cost
 // O(log N). If the new curve's value differs at the current instant (a
-// discontinuous g-distance jumping exactly at the update), the entry is
-// repositioned instead, as at any other jump.
+// discontinuous g-distance jumping exactly at the update), or the entry
+// now leaves a neighbor it coincided with on the wrong side (misplaced),
+// it is repositioned instead, as at any other jump.
 func (s *Sweeper) ReplaceCurve(id uint64, f piecewise.Func) error {
 	if !s.list.Contains(id) {
 		return fmt.Errorf("%w: %d", ErrMissing, id)
@@ -545,7 +546,7 @@ func (s *Sweeper) ReplaceCurve(id uint64, f piecewise.Func) error {
 	s.curves[id] = f
 	s.gens[id]++
 	scale := math.Max(1, math.Max(math.Abs(oldV), math.Abs(newV)))
-	if math.Abs(newV-oldV) > 1e-9*scale {
+	if math.Abs(newV-oldV) > 1e-9*scale || s.misplaced(id) {
 		s.scheduleExpiry(id, f)
 		return s.recertify(id, s.now)
 	}
@@ -554,6 +555,20 @@ func (s *Sweeper) ReplaceCurve(id uint64, f piecewise.Func) error {
 	s.emit(Change{T: s.now, Kind: ChangeReplace, A: id})
 	s.checkAudit()
 	return nil
+}
+
+// misplaced reports whether id is on the wrong side of a neighbor it
+// ties with at the current time. Among curves that coincide the order is
+// arbitrary (by id); once a replacement makes one of them leave the
+// others, "keeps its position" no longer holds, and the meeting is at
+// the current instant, where no later event would repair it.
+func (s *Sweeper) misplaced(id uint64) bool {
+	cmp := s.cmpAt(s.now)
+	if prev, ok := s.list.Prev(id); ok && cmp(prev, id) > 0 {
+		return true
+	}
+	next, ok := s.list.Next(id)
+	return ok && cmp(id, next) > 0
 }
 
 // ReplaceAll swaps every curve at once — the paper's Theorem 10 case of a

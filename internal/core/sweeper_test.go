@@ -201,6 +201,54 @@ func TestReplaceCurveCancelsCross(t *testing.T) {
 	}
 }
 
+// TestReplaceCurveLeavesCoincidingNeighbor: curves that coincide are
+// ordered by id, so when a replacement (a chdir's curve, starting now)
+// makes one of them leave the others, its position may be on the wrong
+// side of a curve it met at this very instant — no later event repairs
+// that, and the crossings beyond it were scheduled for the wrong
+// neighbor.
+func TestReplaceCurveLeavesCoincidingNeighbor(t *testing.T) {
+	s := newTestSweeper(t, nil)
+	mustAdd(t, s, 1, lineCurve(0, 10))
+	mustAdd(t, s, 2, lineCurve(0, 10))
+	mustAdd(t, s, 3, lineCurve(0, 20))
+	if err := s.AdvanceTo(4); err != nil {
+		t.Fatal(err)
+	}
+	// 1 starts to rise: (t-4)^2 + 10, passing 3 at t = 4 + sqrt(10).
+	rising := piecewise.FromPoly(poly.New(26, -8, 1), 4, 1000)
+	if err := s.ReplaceCurve(1, rising); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Order(); got[0] != 2 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("order after 1 left 2 upward: %v, want [2 1 3]", got)
+	}
+	if err := s.AdvanceTo(100); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Order(); got[0] != 2 || got[1] != 3 || got[2] != 1 {
+		t.Fatalf("order after 1 passed 3: %v, want [2 3 1]", got)
+	}
+	// 3 starts to fall from behind nothing it ties with: keeps its place,
+	// crosses 2 later as any chdir would.
+	falling := piecewise.FromPoly(poly.Linear(-1, 120), 100, 1000)
+	if err := s.ReplaceCurve(3, falling); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Order(); got[0] != 2 || got[1] != 3 {
+		t.Fatalf("order after an untied replacement: %v, want [2 3 1]", got)
+	}
+	if err := s.AdvanceTo(200); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Order(); got[0] != 3 || got[1] != 2 {
+		t.Fatalf("order after 3 fell past 2: %v, want [3 2 1]", got)
+	}
+	if err := s.AuditOrder(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExpiryRemovesCurve(t *testing.T) {
 	var log []Change
 	s := newTestSweeper(t, &log)

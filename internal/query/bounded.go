@@ -217,12 +217,36 @@ type Run struct {
 	Attempts int
 }
 
-// poolRankFactor sets both the first threshold guess and its growth: an
-// answer that reads the first k entries is first swept over the curves
-// that can come down to the 4k-th smallest starting value, and each
-// refuted guess moves to a 4 times higher rank. Ranks, not multiples of
-// a value, because g-distance values may be zero or negative.
-const poolRankFactor = 4
+// Threshold is the rank ladder of the bounded sweep, the one rule for
+// which curves a sweep holds: the value attempt number rung sweeps down
+// to, given what the answer reads (b) and every candidate's starting
+// value in ascending order. An answer that reads the first k entries is
+// first swept over the curves that can come down to the 4k-th smallest
+// starting value (or to b.Below, if higher), and each refuted guess
+// moves to a 4 times higher rank — ranks, not multiples of a value,
+// because g-distance values may be zero or negative. Rungs that would
+// repeat the previous threshold are skipped, and past the last starting
+// value the ladder stays at +Inf, the full order. A bound by value alone
+// has no guess to refute: its ladder is b.Below on every rung.
+func Threshold(b Bound, firsts []float64, rung int) float64 {
+	const poolRankFactor = 4
+	if b.First <= 0 {
+		return b.Below
+	}
+	rank, thr := b.First, b.Below
+	for reached := -1; reached < rung; { // reached: the last rung thr stands on
+		// Compared before multiplying: no First can overflow the rank.
+		if rank > len(firsts)/poolRankFactor {
+			return math.Inf(1)
+		}
+		rank *= poolRankFactor
+		if next := math.Max(b.Below, firsts[rank-1]); reached < 0 || next > thr {
+			thr = next
+			reached++
+		}
+	}
+	return thr
+}
 
 // RunScans evaluates evs over the scanned sources (all of one window
 // and g-distance). When every evaluator is a Bounder it sweeps only the
@@ -260,22 +284,12 @@ func RunScans(scans []*Scan, evs ...Evaluator) (Run, error) {
 	var (
 		run  Run
 		pool []candidate
-		last = math.Inf(-1)
 	)
-	for rank := poolRankFactor * bound.First; ; rank *= poolRankFactor {
+	for rung := 0; ; rung++ {
 		thr := math.Inf(1)
 		if bounded {
-			thr = bound.Below
-			if rank > len(firsts) {
-				thr = math.Inf(1)
-			} else if rank > 0 {
-				thr = math.Max(thr, firsts[rank-1])
-			}
+			thr = Threshold(bound, firsts, rung)
 		}
-		if run.Attempts > 0 && thr <= last {
-			continue // tied starting values: the same pool as the refuted attempt
-		}
-		last = thr
 
 		pool = pool[:0]
 		limit := Inflate(thr)

@@ -16,6 +16,7 @@ import (
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/gdist"
 	"repro/internal/geom"
@@ -338,6 +339,106 @@ func TestBoundedThresholdEdges(t *testing.T) {
 		same(t, db, f, 1, 9, func() Bounder { return NewWithin(100) },
 			func(ev Evaluator) *AnswerSet { return ev.(*Within).Answer() })
 	})
+}
+
+// TestThresholdLadder pins the rank ladder rung by rung.
+func TestThresholdLadder(t *testing.T) {
+	inf, none := math.Inf(1), math.Inf(-1)
+	seq := func(n int) []float64 { // 1, 2, ..., n
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i + 1)
+		}
+		return out
+	}
+	tied := append(append(make([]float64, 0, 20), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 5, 6, 7, 8)
+	cases := []struct {
+		name   string
+		b      Bound
+		firsts []float64
+		want   []float64 // rung 0, 1, ...
+	}{
+		{"by value alone: flat", Bound{Below: 9}, seq(100), []float64{9, 9, 9}},
+		{"no bound at all", Bound{Below: inf}, nil, []float64{inf, inf}},
+		{"k=1, empty", Bound{Below: none, First: 1}, nil, []float64{inf, inf}},
+		{"k=1, 3 values: below the first rung", Bound{Below: none, First: 1}, seq(3), []float64{inf, inf}},
+		{"k=1, 4 values: at the first rung", Bound{Below: none, First: 1}, seq(4), []float64{4, inf, inf}},
+		{"k=1, 5 values: above the first rung", Bound{Below: none, First: 1}, seq(5), []float64{4, inf}},
+		{"k=1, 15 values: below the second", Bound{Below: none, First: 1}, seq(15), []float64{4, inf}},
+		{"k=1, 16 values: at the second", Bound{Below: none, First: 1}, seq(16), []float64{4, 16, inf}},
+		{"k=1, 17 values: above the second", Bound{Below: none, First: 1}, seq(17), []float64{4, 16, inf}},
+		{"k=1, 64 values: at the third", Bound{Below: none, First: 1}, seq(64), []float64{4, 16, 64, inf, inf}},
+		{"k=4, 15 values", Bound{Below: none, First: 4}, seq(15), []float64{inf}},
+		{"k=4, 16 values", Bound{Below: none, First: 4}, seq(16), []float64{16, inf}},
+		{"k=4, 300 values", Bound{Below: none, First: 4}, seq(300), []float64{16, 64, 256, inf}},
+		{"ties across a rung are skipped", Bound{Below: none, First: 1}, tied, []float64{0, inf}},
+		{"ties across two rungs", Bound{Below: none, First: 1}, append(make([]float64, 63), 3), []float64{0, 3, inf}},
+		{"Below above the ranked value", Bound{Below: 10, First: 1}, seq(64), []float64{10, 16, 64, inf}},
+		{"Below above every value", Bound{Below: 100, First: 1}, seq(64), []float64{100, inf}},
+		{"negative values", Bound{Below: none, First: 1}, []float64{-9, -7, -5, -3, -1}, []float64{-3, inf}},
+		{"k = 2^61: 4k wraps to 0", Bound{Below: none, First: 1 << 61}, seq(50), []float64{inf, inf}},
+		{"k = 2^62: 4k wraps negative", Bound{Below: none, First: 1 << 62}, seq(50), []float64{inf, inf}},
+		{"k = MaxInt", Bound{Below: none, First: math.MaxInt}, seq(50), []float64{inf, inf}},
+		{"k just under the wrap", Bound{Below: 3, First: 1<<61 - 1}, seq(50), []float64{inf}},
+	}
+	for _, c := range cases {
+		for rung, want := range c.want {
+			if got := Threshold(c.b, c.firsts, rung); got != want {
+				t.Errorf("%s: rung %d = %v, want %v", c.name, rung, got, want)
+			}
+		}
+	}
+}
+
+// TestRunScansHugeK: a k whose 4-fold overflows int used to wrap the
+// ladder's rank to zero and spin on the same refuted pool for ever. Any
+// k at or above the population reads the whole order, as k = 10^9 does.
+func TestRunScansHugeK(t *testing.T) {
+	db := mod.NewDB(2, -1)
+	for i := 1; i <= 50; i++ {
+		a := float64(i)
+		if err := db.Apply(mod.New(mod.OID(i), a*1e-3, geom.Of(math.Cos(a), math.Sin(a)), geom.Of(3*a, -a))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := gdist.PointSq{Point: geom.Of(0, 0)}
+	answer := func(k int) string {
+		t.Helper()
+		sc, err := ScanPast(db, f, 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			run Run
+			ans *AnswerSet
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			knn := NewKNN(k)
+			run, err := RunScans([]*Scan{sc}, knn)
+			done <- result{run, knn.Answer(), err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("k = %d: %v", k, r.err)
+			}
+			if r.run.Attempts != 1 || r.run.Pool != 50 || len(r.ans.Objects()) != 50 {
+				t.Errorf("k = %d: run = %+v answering %d objects, want one attempt over all 50", k, r.run, len(r.ans.Objects()))
+			}
+			return r.ans.String()
+		case <-time.After(2 * time.Second):
+			t.Fatalf("k = %d: RunScans did not finish in 2 s", k)
+			return ""
+		}
+	}
+	want := answer(1_000_000_000)
+	for _, k := range []int{1 << 61, 1 << 62, math.MaxInt} {
+		if got := answer(k); got != want {
+			t.Errorf("k = %d:\n  %s\nk = 10^9:\n  %s", k, got, want)
+		}
+	}
 }
 
 // TestKNNRefreshSteadyStateAllocatesNothing: refresh runs on every

@@ -116,10 +116,3 @@ func PredictedAnswer(ans *AnswerSet, lo, hi, tau float64) *AnswerSet {
 	out.Finish(hi)
 	return out
 }
-
-// SessionAnswerSplit splits a continuing session's current answer into
-// valid and predicted parts around the given last-update time.
-func SessionAnswerSplit(s *Session, ans *AnswerSet, tau float64) (valid, predicted *AnswerSet) {
-	lo, hi := s.E.Window()
-	return ValidAnswer(ans, lo, hi, tau), PredictedAnswer(ans, lo, hi, tau)
-}

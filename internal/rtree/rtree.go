@@ -415,15 +415,6 @@ func (t *Tree) SearchRadiusAppend(center geom.Vec, rad float64, dst []Item) []It
 	return dst
 }
 
-// VisitRadius calls fn for every point within rad of center, in tree
-// order. Returning false from fn stops the traversal early. The
-// traversal itself performs no allocation.
-func (t *Tree) VisitRadius(center geom.Vec, rad float64, fn func(Item) bool) {
-	if t.n > 0 {
-		visitRadius(t.root, center, rad*rad, fn)
-	}
-}
-
 func appendRadius(n *node, center geom.Vec, r2 float64, dst []Item) []Item {
 	if n.rect.dist2(center) > r2 {
 		return dst
@@ -440,26 +431,6 @@ func appendRadius(n *node, center geom.Vec, r2 float64, dst []Item) []Item {
 		dst = appendRadius(c, center, r2, dst)
 	}
 	return dst
-}
-
-func visitRadius(n *node, center geom.Vec, r2 float64, fn func(Item) bool) bool {
-	if n.rect.dist2(center) > r2 {
-		return true
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.P.Dist2(center) <= r2 && !fn(it) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !visitRadius(c, center, r2, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // nnEntry is a best-first queue element: a node or an item.

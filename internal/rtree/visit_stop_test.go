@@ -1,8 +1,8 @@
 package rtree
 
-// Early-stop contract of the point-tree visitors: returning false from
+// Early-stop contract of the point-tree visitor: returning false from
 // the callback must abort the traversal — including unwinding through
-// interior levels — because internal/sub uses it to cap fan-out work.
+// interior levels.
 // Also pins fanout normalization and the stability of ID-sorted runs
 // under duplicate IDs.
 
@@ -33,21 +33,11 @@ func TestPointVisitorsEarlyStop(t *testing.T) {
 	if seen != 7 {
 		t.Fatalf("VisitRange visited %d items after stopping at 7", seen)
 	}
-	seen = 0
-	tree.VisitRadius(geom.Of(50, 50), 1000, func(Item) bool { seen++; return seen < 7 })
-	if seen != 7 {
-		t.Fatalf("VisitRadius visited %d items after stopping at 7", seen)
-	}
 	// Exhaustive visits agree with the search variants.
 	seen = 0
 	tree.VisitRange(all, func(Item) bool { seen++; return true })
 	if seen != n {
 		t.Fatalf("VisitRange saw %d of %d items", seen, n)
-	}
-	seen = 0
-	tree.VisitRadius(geom.Of(50, 50), 1000, func(Item) bool { seen++; return true })
-	if seen != n {
-		t.Fatalf("VisitRadius saw %d of %d items", seen, n)
 	}
 
 	// Duplicate IDs are allowed in a result run; the sort must not

@@ -57,6 +57,9 @@ func (b *stubBackend) ApplyBatch(us []mod.Update) (int, error) {
 }
 func (b *stubBackend) OnUpdate(mod.Listener) {}
 func (b *stubBackend) Snapshot() *mod.DB     { return mod.NewDB(2, b.liveTau) }
+func (b *stubBackend) Snapshots() []*mod.Snap {
+	return []*mod.Snap{b.Snapshot().EpochSnapshot()}
+}
 func (b *stubBackend) KNN(gdist.GDistance, int, float64, float64) (*query.AnswerSet, core.Stats, float64, error) {
 	return b.ans, b.stats, b.ansTau, nil
 }
@@ -403,5 +406,50 @@ func TestPossiblyWithinInvertedWindowIs400WhateverTheData(t *testing.T) {
 				t.Errorf("%s database, %d shard(s): code %d error %q, want 400 %q", name, shards, code, env.Error, want)
 			}
 		}
+	}
+}
+
+// TestKNNHugeKAnswers: POST /query/knn with k >= 2^61 used to spin a
+// handler goroutine for the life of the process (4k wrapped the bounded
+// sweep's rank ladder to zero). Any k at or above the population is
+// answered like k = 10^9: the whole order, promptly.
+func TestKNNHugeKAnswers(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		eng, err := shard.New(shard.Config{Shards: shards, Dim: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 50; i++ {
+			a := float64(i)
+			if err := eng.Apply(mod.New(mod.OID(i), a*1e-3, geom.Of(a/7, -a/9), geom.Of(3*a, -a))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(New(eng, nil))
+		client := &http.Client{Timeout: 2 * time.Second}
+		ask := func(k string) string {
+			t.Helper()
+			req := `{"k":` + k + `,"lo":0.01,"hi":0.04,"point":[0,0]}`
+			resp, err := client.Post(ts.URL+"/query/knn", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Fatalf("%d shard(s), k = %s: %v", shards, k, err)
+			}
+			defer resp.Body.Close()
+			var body bytes.Buffer
+			if _, err := body.ReadFrom(resp.Body); err != nil {
+				t.Fatalf("%d shard(s), k = %s: reading the answer: %v", shards, k, err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("%d shard(s), k = %s: code %d: %s", shards, k, resp.StatusCode, body.String())
+			}
+			return body.String()
+		}
+		want := ask("1000000000")
+		for _, k := range []string{"2305843009213693952", "4611686018427387904", "9223372036854775807"} {
+			if got := ask(k); got != want {
+				t.Errorf("%d shard(s), k = %s answers\n  %s\nk = 10^9 answers\n  %s", shards, k, got, want)
+			}
+		}
+		ts.Close()
 	}
 }

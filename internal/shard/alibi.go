@@ -34,7 +34,7 @@ import (
 // The returned tau is the snapshot set's last-update time.
 func (e *Engine) Alibi(o1, o2 mod.OID, lo, hi, defaultVmax float64) (bead.Result, float64, error) {
 	start := time.Now()
-	snaps := e.snapshots()
+	snaps := e.Snapshots()
 	tau := maxTau(snaps)
 	if o1 == o2 {
 		// Same validation the single-source path applies, kept here
@@ -95,7 +95,7 @@ func (e *Engine) validateSpeedBounds(snaps []*mod.Snap, defaultVmax float64) err
 // the snapshot set's last-update time.
 func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (*query.AnswerSet, float64, error) {
 	start := time.Now()
-	snaps := e.snapshots()
+	snaps := e.Snapshots()
 	tau := maxTau(snaps)
 	if err := e.validateSpeedBounds(snaps, defaultVmax); err != nil {
 		return nil, tau, err

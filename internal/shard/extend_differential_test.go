@@ -118,7 +118,7 @@ func compareWithRebuilt(long *Engine, p int, rng *rand.Rand, objs []mod.OID, vma
 		}
 	}
 
-	lsnaps, fsnaps := long.snapshots(), fresh.snapshots()
+	lsnaps, fsnaps := long.Snapshots(), fresh.Snapshots()
 	lixs, fixs := long.beadIndexes(), fresh.beadIndexes()
 	for i := range lsnaps {
 		la, lst, lerr := lixs[i].PossiblyWithin(lsnaps[i], q, dist, lo, hi, vmax)

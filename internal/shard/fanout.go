@@ -78,7 +78,7 @@ func (e *Engine) forEach(fn func(i int) error) error {
 // the generic building block; KNN and Within are the merged
 // front-ends.
 func (e *Engine) RunPast(f gdist.GDistance, lo, hi float64, mk func(i int) query.Evaluator) ([]query.Evaluator, core.Stats, float64, error) {
-	snaps := e.snapshots()
+	snaps := e.Snapshots()
 	tau := maxTau(snaps)
 	evs := make([]query.Evaluator, len(snaps))
 	stats := make([]core.Stats, len(snaps))
@@ -132,7 +132,7 @@ func (e *Engine) Within(f gdist.GDistance, c float64, lo, hi float64) (*query.An
 // the snapshot set's last-update time.
 func (e *Engine) KNN(f gdist.GDistance, k int, lo, hi float64) (*query.AnswerSet, core.Stats, float64, error) {
 	start := time.Now()
-	snaps := e.snapshots()
+	snaps := e.Snapshots()
 	tau := maxTau(snaps)
 	scans := make([]*query.Scan, len(snaps))
 	err := e.forEach(func(i int) error {

@@ -333,12 +333,13 @@ func (e *Engine) Snapshot() *mod.DB {
 	return merged
 }
 
-// snapshots captures one consistent per-shard view for a fan-out
-// query. These are MVCC epoch snapshots (mod.DB.EpochSnapshot): after
-// the first query of an epoch the per-shard cost is two atomic loads —
-// no shard lock, no map copy — so query fan-out never contends with the
+// Snapshots captures one consistent per-shard view for a fan-out query
+// or a subscription build (sub.Source). These are MVCC epoch snapshots
+// (mod.DB.EpochSnapshot): after the first read of an epoch the
+// per-shard cost is two atomic loads — no shard lock, no map copy — so
+// neither query fan-out nor the subscription registry contends with the
 // sweeper/writer for the shard lock.
-func (e *Engine) snapshots() []*mod.Snap {
+func (e *Engine) Snapshots() []*mod.Snap {
 	out := make([]*mod.Snap, len(e.shards))
 	for i, db := range e.shards {
 		out[i] = db.EpochSnapshot()

@@ -10,8 +10,15 @@ package sub_test
 // scenarios is the evidence that the materialized answers are exactly
 // the answers a client would get by re-asking.
 //
-// MOD_SUB_SCENARIOS overrides the scenario count (CI runs 500 under
-// -race; each scenario runs at P=1 and P=4).
+// Besides the general generator there are three families aimed at what
+// the pool rule has to get right with no heuristic to absorb it: a
+// mostly resting population, k or more objects resting exactly on a
+// k-NN query point when its pool is built (the k-th starting value is
+// 0 and ties with the pool's sentinel), and k above the live
+// population.
+//
+// MOD_SUB_SCENARIOS overrides the per-family scenario count (CI runs 500
+// under -race; each scenario runs at P=1 and P=4).
 
 import (
 	"errors"
@@ -167,18 +174,45 @@ type subScenario struct {
 	batched bool // drive churn through ApplyBatch (parallel shard groups)
 }
 
-func makeSubScenario(seed int64) subScenario {
+// Scenario families. famGeneral is the original generator and draws
+// the same random sequence it always did.
+const (
+	famGeneral    = iota
+	famStationary // four objects in five rest, and turns mostly stop
+	famColocated  // 4-8 objects rest on the point every k-NN query asks about
+	famFewerThanK // every k-NN asks for more neighbours than are alive at the start
+	numFamilies
+)
+
+var familyNames = [numFamilies]string{"general", "stationary-majority", "co-located", "k>live"}
+
+func makeSubScenario(seed int64, family int) subScenario {
 	rng := rand.New(rand.NewSource(seed))
 	n := 6 + rng.Intn(15)
 	m := 12 + rng.Intn(39)
 	vec := func(s float64) geom.Vec {
 		return geom.Of(s*(rng.Float64()-0.5), s*(rng.Float64()-0.5))
 	}
+	vel := func() geom.Vec {
+		if family == famStationary && rng.Intn(5) > 0 {
+			return geom.Of(0, 0)
+		}
+		return vec(6)
+	}
 	sc := subScenario{seed: seed, batched: rng.Intn(3) == 0}
 	tau := 0.5
 	for i := 0; i < n; i++ {
-		sc.initial = append(sc.initial, mod.New(mod.OID(i+1), tau, vec(6), vec(120)))
+		sc.initial = append(sc.initial, mod.New(mod.OID(i+1), tau, vel(), vec(120)))
 		tau += 0.1 + 0.5*rng.Float64()
+	}
+	var onPoint geom.Vec
+	if family == famColocated {
+		onPoint = vec(100)
+		for c := 4 + rng.Intn(5); c > 0; c-- {
+			n++
+			sc.initial = append(sc.initial, mod.New(mod.OID(n), tau, geom.Of(0, 0), onPoint))
+			tau += 0.1 + 0.5*rng.Float64()
+		}
 	}
 	next := mod.OID(n + 1)
 	dead := make(map[mod.OID]bool)
@@ -186,13 +220,13 @@ func makeSubScenario(seed int64) subScenario {
 		o := mod.OID(rng.Intn(n) + 1)
 		switch {
 		case rng.Float64() < 0.12:
-			sc.churn = append(sc.churn, mod.New(next, tau, vec(6), vec(120)))
+			sc.churn = append(sc.churn, mod.New(next, tau, vel(), vec(120)))
 			next++
 		case rng.Float64() < 0.12 && !dead[o] && len(dead) < n-2:
 			dead[o] = true
 			sc.churn = append(sc.churn, mod.Terminate(o, tau))
 		case !dead[o]:
-			sc.churn = append(sc.churn, mod.ChDir(o, tau, vec(6)))
+			sc.churn = append(sc.churn, mod.ChDir(o, tau, vel()))
 		default:
 			continue
 		}
@@ -210,7 +244,14 @@ func makeSubScenario(seed int64) subScenario {
 	}
 	mkQuery := func() sub.Query {
 		if rng.Intn(2) == 0 {
-			return sub.Query{Kind: sub.KNN, K: 1 + rng.Intn(4), Point: vec(100), Hi: horizon()}
+			q := sub.Query{Kind: sub.KNN, K: 1 + rng.Intn(4), Point: vec(100), Hi: horizon()}
+			switch family {
+			case famColocated:
+				q.Point = onPoint
+			case famFewerThanK:
+				q.K += n
+			}
+			return q
 		}
 		r := 10 + 60*rng.Float64()
 		return sub.Query{Kind: sub.Within, Radius: r, Point: vec(100), Hi: horizon()}
@@ -333,13 +374,13 @@ func TestDifferentialSubscriptionsVsOracle(t *testing.T) {
 	}
 	const baseSeed = 731000
 	failures := 0
-	for i := 0; i < scenarios; i++ {
-		seed := baseSeed + int64(i)
-		sc := makeSubScenario(seed)
+	for i := 0; i < scenarios*numFamilies; i++ {
+		seed, family := baseSeed+int64(i%scenarios), i/scenarios
+		sc := makeSubScenario(seed, family)
 		for _, p := range []int{1, 4} {
 			d, err := runSubScenario(sc, p)
 			if err != nil {
-				t.Fatalf("seed %d P=%d: %v", seed, p, err)
+				t.Fatalf("seed %d (%s) P=%d: %v", seed, familyNames[family], p, err)
 			}
 			if d == "" {
 				continue
@@ -358,14 +399,14 @@ func TestDifferentialSubscriptionsVsOracle(t *testing.T) {
 				}
 				min, minD = cand, cd
 			}
-			t.Errorf("seed %d P=%d diverges: %s\nshrunk to %d churn updates (of %d): replay with makeSubScenario(%d), churn[:%d]",
-				seed, p, minD, len(min.churn), len(sc.churn), seed, len(min.churn))
+			t.Errorf("seed %d (%s) P=%d diverges: %s\nshrunk to %d churn updates (of %d): replay with makeSubScenario(%d, %d), churn[:%d]",
+				seed, familyNames[family], p, minD, len(min.churn), len(sc.churn), seed, family, len(min.churn))
 			if failures++; failures >= 3 {
 				t.Fatal("stopping after 3 divergent seeds")
 			}
 		}
 	}
 	if failures == 0 {
-		t.Logf("%d scenarios x P in {1,4}: replayed deltas equal fresh re-evaluation at every update, zero divergences", scenarios)
+		t.Logf("%d scenarios x %d families x P in {1,4}: replayed deltas equal fresh re-evaluation at every update, zero divergences", scenarios, numFamilies)
 	}
 }

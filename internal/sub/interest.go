@@ -21,16 +21,11 @@ const (
 	padAbs = 1e-9
 )
 
-// ballRadius is the padded radius of the ball every trajectory that
-// reaches the pool threshold r2 must enter.
-func ballRadius(r2 float64) float64 {
-	return math.Sqrt(query.Inflate(r2))*(1+padRel) + padAbs
-}
-
-// ballRect is the axis-aligned box of the ball with squared radius r2
-// (inflated) around c.
+// ballRect is the axis-aligned box of the ball every trajectory that
+// reaches the pool threshold r2 must enter: squared radius r2
+// (inflated) around c, padded.
 func ballRect(c geom.Vec, r2 float64) rtree.Rect {
-	r := ballRadius(r2)
+	r := math.Sqrt(query.Inflate(r2))*(1+padRel) + padAbs
 	lo := make(geom.Vec, len(c))
 	hi := make(geom.Vec, len(c))
 	for i, x := range c {
@@ -127,122 +122,38 @@ func (ix *interestIndex) visitSegment(a, b geom.Vec, fn func(*subscription)) {
 	}
 }
 
-// visitAll calls fn for every registered subscription (used by
-// terminate updates, which have no motion segment of their own — the
-// routing segment comes from the object's trajectory instead).
-func (ix *interestIndex) visitAll(fn func(*subscription)) {
-	for _, s := range ix.entries {
-		fn(s)
-	}
-	for _, s := range ix.globals {
-		fn(s)
-	}
-}
-
-// poolIndex accelerates pool construction at Subscribe time. Built once
-// per database snapshot generation: every trajectory turn is <= the
-// snapshot time, so from any lo past it an object follows its last
-// piece forever — stationary objects (zero last velocity) go into a
-// point R-tree, the rest into a movers list that each Subscribe scans
-// with the exact segment test. With mostly-stationary populations this
-// makes a Subscribe O(pool + movers + log N) instead of O(N).
-type poolIndex struct {
-	dim     int
-	tree    *rtree.Tree
-	movers  []poolEntry
-	objects []poolEntry // every live object, for infinite pools
-}
-
-type poolEntry struct {
-	o  mod.OID
-	tr trajectory.Trajectory
-}
-
-// buildPoolIndex indexes the objects of snap that are alive at or after
-// lo. Positions of stationary objects are their (constant) last-piece
-// locations.
-func buildPoolIndex(snap *mod.DB, lo float64) *poolIndex {
-	dim := snap.Dim()
-	ix := &poolIndex{dim: dim}
-	var pts []rtree.Item
-	for o, tr := range snap.Trajectories() {
-		if !tr.IsDefined() || tr.End() <= lo {
-			continue
+// candidates picks a subscription's pool from the per-shard epoch
+// snapshots by the bounded sweep's own rule: the threshold is the rank
+// ladder's (query.Threshold) for what the evaluator reads (b) on the
+// given rung, over the starting values at lo of every object alive past
+// lo, and the pool is every such object whose curve reaches it during
+// [lo, hi] (query.Reaches). lo is just past the snapshots' last update,
+// so each starting value lies on its object's last piece. The pool is a
+// map because Engine.Seed takes one (and seeds in ascending OID order).
+func candidates(snaps []*mod.Snap, f gdist.GDistance, c geom.Vec, b query.Bound, rung int, lo, hi float64) (map[mod.OID]trajectory.Trajectory, float64) {
+	live := func(tr trajectory.Trajectory) bool { return tr.IsDefined() && tr.End() > lo }
+	var firsts []float64
+	if b.First > 0 {
+		for _, sn := range snaps {
+			for _, tr := range sn.Trajectories() {
+				if !live(tr) {
+					continue
+				}
+				if p, err := tr.At(lo); err == nil {
+					firsts = append(firsts, p.Dist2(c))
+				}
+			}
 		}
-		ix.objects = append(ix.objects, poolEntry{o: o, tr: tr})
-		last, err := tr.LastPiece()
-		if err != nil {
-			continue
-		}
-		if last.A.IsZero() {
-			pts = append(pts, rtree.Item{ID: uint64(o), P: last.B})
-		} else {
-			ix.movers = append(ix.movers, poolEntry{o: o, tr: tr})
+		sort.Float64s(firsts)
+	}
+	thr := query.Threshold(b, firsts, rung)
+	pool := make(map[mod.OID]trajectory.Trajectory)
+	for _, sn := range snaps {
+		for o, tr := range sn.Trajectories() {
+			if live(tr) && reaches(f, tr, thr, lo, hi) {
+				pool[o] = tr
+			}
 		}
 	}
-	sort.Slice(ix.objects, func(i, j int) bool { return ix.objects[i].o < ix.objects[j].o })
-	t, err := rtree.Bulk(pts, dim, rtree.DefaultFanout)
-	if err != nil {
-		panic("sub: pool index build: " + err.Error())
-	}
-	ix.tree = t
-	return ix
-}
-
-// collect appends (ascending by OID) every object whose trajectory can
-// reach the ball (c, r2) during [lo, hi]. r2 = +Inf yields all live
-// objects.
-func (ix *poolIndex) collect(snap *mod.DB, c geom.Vec, r2, lo, hi float64, dst []poolEntry) []poolEntry {
-	if math.IsInf(r2, 1) {
-		return append(dst, ix.objects...)
-	}
-	base := len(dst)
-	var f gdist.GDistance = gdist.PointSq{Point: c} // boxed once, not per reach test
-	// VisitRadius streams matches without materializing a result slice
-	// (SearchRadius would allocate one per Subscribe).
-	ix.tree.VisitRadius(c, ballRadius(r2), func(it rtree.Item) bool {
-		o := mod.OID(it.ID)
-		tr, err := snap.Traj(o)
-		if err != nil {
-			return true
-		}
-		// The box-radius search over-approximates; confirm exactly.
-		if reaches(f, tr, r2, lo, hi) {
-			dst = append(dst, poolEntry{o: o, tr: tr})
-		}
-		return true
-	})
-	for _, m := range ix.movers {
-		if reaches(f, m.tr, r2, lo, hi) {
-			dst = append(dst, m)
-		}
-	}
-	tail := dst[base:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].o < tail[j].o })
-	return dst
-}
-
-// kthDist2 returns the squared distance of the k-th nearest live object
-// to c at time lo, and the number of live objects considered. When
-// fewer than k objects are alive, ok is false.
-func (ix *poolIndex) kthDist2(c geom.Vec, lo float64, k int) (d2 float64, live int, ok bool) {
-	live = len(ix.objects)
-	if live < k {
-		return 0, live, false
-	}
-	d2s := make([]float64, 0, k+len(ix.movers))
-	for _, it := range ix.tree.NearestK(c, k) {
-		d2s = append(d2s, it.P.Dist2(c))
-	}
-	for _, m := range ix.movers {
-		p, err := m.tr.At(lo)
-		if err != nil {
-			// Mover starts strictly after lo cannot happen (turns <= snapshot
-			// time); a terminated-by-lo object was filtered at build.
-			continue
-		}
-		d2s = append(d2s, p.Dist2(c))
-	}
-	sort.Float64s(d2s)
-	return d2s[k-1], live, true
+	return pool, thr
 }

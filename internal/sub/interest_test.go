@@ -9,6 +9,7 @@ import (
 	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/query"
 	"repro/internal/trajectory"
 )
 
@@ -59,10 +60,15 @@ func TestInterestIndexRoutingAndRebuild(t *testing.T) {
 	}
 }
 
-func TestPoolIndexCollectAndKth(t *testing.T) {
+// TestPoolScanMatchesBruteForce holds candidates to a brute-force
+// reading of the same rule over a mostly stationary population split
+// across two snapshots: the threshold is the ranked starting value the
+// ladder names (the k-th starting value against a sort of the distances
+// at lo), and the pool is exactly the objects whose motion reaches it.
+func TestPoolScanMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	db := mod.NewDB(2, 0)
-	var oids []mod.OID
+	dbs := []*mod.DB{mod.NewDB(2, 0), mod.NewDB(2, 0)}
+	trajs := make(map[mod.OID]trajectory.Trajectory)
 	for i := 1; i <= 200; i++ {
 		o := mod.OID(i)
 		pos := geom.Vec{rng.Float64()*100 - 50, rng.Float64()*100 - 50}
@@ -70,47 +76,19 @@ func TestPoolIndexCollectAndKth(t *testing.T) {
 		if i%5 == 0 {
 			vel = geom.Vec{rng.Float64()*4 - 2, rng.Float64()*4 - 2}
 		}
-		if err := db.Load(o, trajectory.Linear(0, vel, pos)); err != nil {
+		trajs[o] = trajectory.Linear(0, vel, pos)
+		if err := dbs[i%2].Load(o, trajs[o]); err != nil {
 			t.Fatal(err)
 		}
-		oids = append(oids, o)
 	}
-	snap := db.Snapshot()
-	lo := math.Nextafter(snap.Tau(), math.Inf(1))
-	idx := buildPoolIndex(snap, lo)
-
+	snaps := []*mod.Snap{dbs[0].EpochSnapshot(), dbs[1].EpochSnapshot()}
+	lo := math.Nextafter(0, math.Inf(1))
+	const hi = 50.0
 	center := geom.Vec{3, -7}
-	const r2, hi = 81.0, 50.0
-	got := idx.collect(snap, center, r2, lo, hi, nil)
-	want := make(map[mod.OID]bool)
-	for _, o := range oids {
-		tr, err := snap.Traj(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reaches(gdist.PointSq{Point: center}, tr, r2, lo, hi) {
-			want[o] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("collect: %d entries, brute force %d", len(got), len(want))
-	}
-	for i, pe := range got {
-		if !want[pe.o] {
-			t.Fatalf("collect included %s which cannot reach", pe.o)
-		}
-		if i > 0 && got[i-1].o >= pe.o {
-			t.Fatal("collect output not ascending")
-		}
-	}
-	if all := idx.collect(snap, center, math.Inf(1), lo, hi, nil); len(all) != len(oids) {
-		t.Fatalf("infinite pool: %d entries, want %d", len(all), len(oids))
-	}
+	f := gdist.PointSq{Point: center}
 
-	// kthDist2 against a brute-force sort of distances at lo.
 	var d2s []float64
-	for _, o := range oids {
-		tr, _ := snap.Traj(o)
+	for _, tr := range trajs {
 		p, err := tr.At(lo)
 		if err != nil {
 			t.Fatal(err)
@@ -118,16 +96,42 @@ func TestPoolIndexCollectAndKth(t *testing.T) {
 		d2s = append(d2s, p.Dist2(center))
 	}
 	sort.Float64s(d2s)
-	for _, k := range []int{1, 7, 50} {
-		got, live, ok := idx.kthDist2(center, lo, k)
-		if !ok || live != len(oids) {
-			t.Fatalf("kthDist2(%d): ok=%v live=%d", k, ok, live)
+
+	check := func(what string, b query.Bound, rung int, wantThr float64) {
+		t.Helper()
+		pool, thr := candidates(snaps, f, center, b, rung, lo, hi)
+		if thr != wantThr {
+			t.Fatalf("%s: threshold %v, want %v", what, thr, wantThr)
 		}
-		if got != d2s[k-1] {
-			t.Fatalf("kthDist2(%d) = %v, want %v", k, got, d2s[k-1])
+		for o, tr := range trajs {
+			_, got := pool[o]
+			if want := reaches(f, tr, wantThr, lo, hi); got != want {
+				t.Fatalf("%s: %s in pool = %v, brute force says %v", what, o, got, want)
+			}
+		}
+		if math.IsInf(wantThr, 1) && len(pool) != len(trajs) {
+			t.Fatalf("%s: infinite pool holds %d of %d", what, len(pool), len(trajs))
 		}
 	}
-	if _, _, ok := idx.kthDist2(center, lo, len(oids)+1); ok {
-		t.Fatal("kthDist2 beyond population must report !ok")
+	none := math.Inf(-1)
+	check("within", query.Bound{Below: 81, First: 0}, 0, 81)
+	check("within, rebuilt at the same instant", query.Bound{Below: 81}, 3, 81)
+	for _, k := range []int{1, 7, 50} {
+		check("k-NN rung 0", query.Bound{Below: none, First: k}, 0, d2s[4*k-1])
+	}
+	check("k-NN rung 1", query.Bound{Below: none, First: 7}, 1, d2s[16*7-1])
+	check("k-NN past the last starting value", query.Bound{Below: none, First: 7}, 2, math.Inf(1))
+	check("k-NN, 4k just past the population", query.Bound{Below: none, First: 51}, 0, math.Inf(1))
+	check("k-NN, k > live", query.Bound{Below: none, First: 201}, 0, math.Inf(1))
+	check("k-NN, k = MaxInt", query.Bound{Below: none, First: math.MaxInt}, 0, math.Inf(1))
+
+	// A terminated object is not a candidate, whatever the threshold.
+	if err := dbs[1].Apply(mod.Terminate(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	snaps[1] = dbs[1].EpochSnapshot()
+	pool, _ := candidates(snaps, f, center, query.Bound{Below: math.Inf(1)}, 0, math.Nextafter(1, 2), hi)
+	if _, ok := pool[1]; ok || len(pool) != len(trajs)-1 {
+		t.Fatalf("pool past a termination: %d objects, terminated one present = %v", len(pool), ok)
 	}
 }

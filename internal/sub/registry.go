@@ -47,10 +47,9 @@ type Registry struct {
 	nStreams  int
 	targets   []*subscription // per-route scratch
 
-	snap      *mod.DB
-	snapIdx   *poolIndex
-	snapLo    float64
-	snapDirty bool
+	snaps   []*mod.Snap // per-shard epoch snapshots; nil after a routed update
+	snapTau float64     // their aggregate last-update time
+	snapLo  float64     // the seed time just past it
 
 	metrics atomic.Pointer[metrics]
 	wg      sync.WaitGroup
@@ -243,16 +242,19 @@ func (r *Registry) dropStream(st *Stream) {
 	r.recordCounts(len(r.subs), r.nStreams)
 }
 
-// snapshot returns the cached database snapshot (re-taken after any
-// routed update), its pool index, and the seed time just past it.
-func (r *Registry) snapshot() (*mod.DB, *poolIndex, float64) {
-	if r.snap == nil || r.snapDirty {
-		r.snap = r.src.Snapshot()
-		r.snapLo = math.Nextafter(r.snap.Tau(), math.Inf(1))
-		r.snapIdx = buildPoolIndex(r.snap, r.snapLo)
-		r.snapDirty = false
+// snapshot returns the cached per-shard epoch snapshots (re-read after
+// any routed update) — the views the engine's own queries read — and
+// the seed time just past their aggregate last-update time.
+func (r *Registry) snapshot() ([]*mod.Snap, float64) {
+	if r.snaps == nil {
+		r.snaps = r.src.Snapshots()
+		r.snapTau = math.Inf(-1)
+		for _, sn := range r.snaps {
+			r.snapTau = math.Max(r.snapTau, sn.Tau())
+		}
+		r.snapLo = math.Nextafter(r.snapTau, math.Inf(1))
 	}
-	return r.snap, r.snapIdx, r.snapLo
+	return r.snaps, r.snapLo
 }
 
 // Materialization reasons (metrics only).
@@ -264,85 +266,72 @@ const (
 
 // buildSub materializes a fresh subscription at the current snapshot.
 func (r *Registry) buildSub(q Query) (*subscription, error) {
-	_, _, lo := r.snapshot()
+	_, lo := r.snapshot()
 	if q.Hi <= lo {
 		return nil, ErrHorizon
 	}
 	r.nextSid++
 	s := &subscription{
-		sid:            r.nextSid,
-		key:            q.key(),
-		q:              q,
-		center:         q.Point,
-		f:              gdist.PointSq{Point: q.Point},
-		lastRefreshTau: math.Inf(-1),
+		sid:      r.nextSid,
+		key:      q.key(),
+		q:        q,
+		center:   q.Point,
+		f:        gdist.PointSq{Point: q.Point},
+		builtTau: math.Inf(-1),
+	}
+	if q.Kind == KNN {
+		s.ev = query.NewKNN(q.K)
+	} else {
+		s.ev = query.NewWithin(q.Radius * q.Radius)
 	}
 	if err := r.materialize(s, buildInit); err != nil {
 		return nil, err
 	}
 	s.answer() // seed s.cur with the initial answer
-	s.lastT = r.snap.Tau()
+	s.lastT = r.snapTau
 	r.reschedule(s)
 	return s, nil
 }
 
-// materialize (re)builds s's engine over the current snapshot: pick the
-// pool radius, seed a sweep over the candidate pool just past the
-// snapshot time, and swap the interest registrations. On error s is
-// left on its previous engine. Caller guarantees snapLo < s.q.Hi.
+// materialize (re)builds s's engine over the current snapshots: the
+// evaluator says what its answer reads, the rank ladder turns that into
+// a threshold, a sweep is seeded over the candidate pool just past the
+// snapshot time, and the interest registrations are swapped. A rebuild
+// at the instant of the previous build found that build refuted with
+// nothing new to read, so it takes the ladder's next rung; once time has
+// moved the ladder starts over. On error s is unusable (its evaluator
+// has left the previous engine) and the caller drops or kills it.
+// Caller guarantees snapLo < s.q.Hi.
 func (r *Registry) materialize(s *subscription, reason int) error {
-	snap, idx, lo := r.snapshot()
-	var poolR2 float64
-	if s.q.Kind == Within {
-		poolR2 = s.q.Radius * s.q.Radius
+	snaps, lo := r.snapshot()
+	if r.snapTau > s.builtTau {
+		s.rung = 0
 	} else {
-		if d2k, _, ok := idx.kthDist2(s.center, lo, s.q.K); ok {
-			poolR2 = 4 * d2k
-			if poolR2 < 1e-12 {
-				poolR2 = 1e-12
-			}
-		} else {
-			poolR2 = math.Inf(1)
-		}
-		if s.lastRefreshTau == snap.Tau() { //modlint:allow floatcmp -- thrash guard: a second rebuild at the same instant means the doubled radius was still too tight
-			poolR2 = math.Inf(1)
-		}
+		s.rung++
 	}
-	s.lastRefreshTau = snap.Tau()
+	s.builtTau = r.snapTau
 
 	eng, err := query.NewEngine(query.EngineConfig{F: s.f, Lo: lo, Hi: s.q.Hi})
 	if err != nil {
 		return err
 	}
-	var (
-		knn    *query.KNN
-		within *query.Within
-	)
-	if s.q.Kind == KNN {
-		knn = query.NewKNN(s.q.K)
-		err = eng.AddEvaluator(knn)
-	} else {
-		within = query.NewWithin(s.q.Radius * s.q.Radius)
-		err = eng.AddEvaluator(within)
-	}
-	if err != nil {
+	if err := eng.AddEvaluator(s.ev); err != nil {
 		return err
 	}
-	pool := idx.collect(snap, s.center, poolR2, lo, s.q.Hi, nil)
-	trajs := make(map[mod.OID]trajectory.Trajectory, len(pool))
-	for _, pe := range pool {
-		trajs[pe.o] = pe.tr
-	}
-	if err := eng.Seed(trajs); err != nil {
+	bound := s.ev.Bound()
+	pool, thr := candidates(snaps, s.f, s.center, bound, s.rung, lo, s.q.Hi)
+	if err := eng.Seed(pool); err != nil {
 		return err
 	}
 	// The guard goes in after the pool: it judges a seeded order only.
-	var guard *query.Guard
-	if knn != nil {
-		guard = query.NewGuard(poolR2, s.q.K)
-		if err := eng.AddEvaluator(guard); err != nil {
-			return err
-		}
+	guard := query.NewGuard(thr, bound.First)
+	if err := eng.AddEvaluator(guard); err != nil {
+		return err
+	}
+	if guard.Violated() {
+		// Refuted at the seed instant (starting values tied with the
+		// threshold): climb before anything is swapped in.
+		return r.materialize(s, reason)
 	}
 
 	// Swap in: retire the old registrations (which depend on the old
@@ -351,13 +340,11 @@ func (r *Registry) materialize(s *subscription, reason int) error {
 		r.untrackAll(s)
 		r.interest.remove(s)
 	}
-	s.eng, s.knn, s.within = eng, knn, within
-	s.poolR2 = poolR2
-	s.guard = guard
+	s.eng, s.poolR2, s.guard = eng, thr, guard
 	s.tracked = make(map[mod.OID]struct{}, len(pool))
-	for _, pe := range pool {
-		s.tracked[pe.o] = struct{}{}
-		r.track(pe.o, s)
+	for o := range pool {
+		s.tracked[o] = struct{}{}
+		r.track(o, s)
 	}
 	r.interest.add(s)
 	r.recordBuild(len(pool), reason == buildRefresh, reason == buildResync)
@@ -395,7 +382,7 @@ func (r *Registry) route(u mod.Update) {
 	if u.Tau > r.tau {
 		r.tau = u.Tau
 	}
-	r.snapDirty = true
+	r.snaps = nil
 	r.processWakes(u.Tau)
 	if u.Kind == mod.KindBound {
 		// Speed-bound declarations feed the uncertainty layer only; the
@@ -482,7 +469,7 @@ func (r *Registry) advanceSub(s *subscription, t float64) {
 		r.resyncSub(s)
 		return
 	}
-	if s.poolInsufficient() {
+	if s.guard.Violated() {
 		r.refreshSub(s)
 		return
 	}
@@ -549,7 +536,7 @@ func (r *Registry) applyToSub(s *subscription, u mod.Update) {
 		delete(s.tracked, u.O)
 		r.untrack(u.O, s)
 	}
-	if s.poolInsufficient() {
+	if s.guard.Violated() {
 		r.refreshSub(s)
 		return
 	}
@@ -597,7 +584,7 @@ func (r *Registry) applyStale(s *subscription, u mod.Update) {
 		r.resyncSub(s)
 		return
 	}
-	if s.poolInsufficient() {
+	if s.guard.Violated() {
 		r.refreshSub(s)
 		return
 	}
@@ -643,7 +630,7 @@ func (r *Registry) refreshSub(s *subscription) { r.rebuildSub(s, buildRefresh) }
 func (r *Registry) resyncSub(s *subscription) { r.rebuildSub(s, buildResync) }
 
 func (r *Registry) rebuildSub(s *subscription, reason int) {
-	_, _, lo := r.snapshot()
+	_, lo := r.snapshot()
 	if lo >= s.q.Hi {
 		r.finishSub(s)
 		return
@@ -652,7 +639,7 @@ func (r *Registry) rebuildSub(s *subscription, reason int) {
 		r.killSub(s, err)
 		return
 	}
-	t := r.snap.Tau()
+	t := r.snapTau
 	if t < s.lastT {
 		t = s.lastT
 	}

@@ -18,11 +18,12 @@
 //     (core.Sweeper.NextEventTime) parks untouched subscriptions: their
 //     answers are provably constant between events, so they pay nothing
 //     while other objects churn;
-//   - k-NN pools carry the query layer's guard (query.Guard): a constant
-//     sentinel curve at the pool radius, so the sweep itself schedules
-//     the "k-th neighbor left the pool" event, and the registry
-//     refreshes the pool (doubling discipline) exactly when sufficiency
-//     is violated.
+//   - which objects a pool holds is the bounded sweep's decision, made
+//     where past queries make it: the threshold is query.Threshold's
+//     rank ladder over the engine's epoch snapshots, membership is
+//     query.Reaches, and query.Guard's sentinel curve at the threshold
+//     has the sweep itself schedule the "k-th neighbor left the pool"
+//     event, on which the registry rebuilds the pool.
 //
 // Exactness: pool curves are built from the authoritative trajectories
 // (gdist curve coefficients are independent of the clip start), so a
@@ -191,10 +192,13 @@ type Delta struct {
 
 // Source is the database a registry maintains subscriptions over; it is
 // implemented by shard.Engine (and, through embedding, durable.Engine).
+// Snapshots returns one MVCC epoch snapshot per shard — the immutable
+// views the engine's own queries read, shared, never copied; Traj reads
+// one object's live trajectory when an update is routed.
 type Source interface {
 	Dim() int
 	Tau() float64
-	Snapshot() *mod.DB
+	Snapshots() []*mod.Snap
 	Traj(o mod.OID) (trajectory.Trajectory, error)
 	OnUpdate(l mod.Listener)
 }

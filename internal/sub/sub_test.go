@@ -9,9 +9,16 @@ import (
 	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/trajectory"
 )
+
+// single serves one database as a Source: its epoch snapshot is the
+// whole snapshot set.
+type single struct{ *mod.DB }
+
+func (s single) Snapshots() []*mod.Snap { return []*mod.Snap{s.EpochSnapshot()} }
 
 // oracle evaluates the query fresh over the database's current state: a
 // new engine seeded just past the last update, exactly what the
@@ -153,7 +160,7 @@ func TestWithinDeltasMatchOracle(t *testing.T) {
 	mustLoad(t, db, 3, 0, []float64{-1, 0}, []float64{30, 0})    // approaching
 	mustLoad(t, db, 4, 0, []float64{0.5, 0.5}, []float64{2, -2}) // leaving
 
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 5, Point: geom.Vec{0, 0}, Hi: 200}
@@ -192,7 +199,7 @@ func TestKNNDeltasWithPoolRefresh(t *testing.T) {
 	mustLoad(t, db, 2, 0, []float64{0}, []float64{10}) // outside initial pool
 	mustLoad(t, db, 3, 0, []float64{0}, []float64{25})
 
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	q := Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 100}
@@ -225,6 +232,55 @@ func TestKNNDeltasWithPoolRefresh(t *testing.T) {
 	}
 }
 
+// TestKNNLadder drives a k-NN subscription up the rank ladder both ways
+// it can be refuted. At the seed instant: the four nearest objects start
+// at the same distance and flee, so the first threshold (the 4k-th
+// starting value) ties with all of them, the sentinel sorts ahead, and
+// the build must climb before it answers — no routed update would ever
+// come by to notice. Later: everything under the second threshold (the
+// 16th starting value) flees past it too, and the refresh starts the
+// ladder over at the new instant.
+func TestKNNLadder(t *testing.T) {
+	db := mod.NewDB(2, 0)
+	for i, dir := range [][]float64{{1, 0}, {0, 1}, {-1, 0}, {0, -1}} {
+		mustLoad(t, db, mod.OID(i+1), 0, dir, dir)
+	}
+	for i := 0; i < 12; i++ { // 2 to 13 away, fleeing at half the speed
+		mustLoad(t, db, mod.OID(5+i), 0, []float64{0.5, 0}, []float64{float64(2 + i), 0})
+	}
+	for i := 0; i < 44; i++ { // at rest, 50 to 93 away
+		mustLoad(t, db, mod.OID(20+i), 0, []float64{0, 0}, []float64{0, float64(50 + i)})
+	}
+	reg := NewRegistry(single{db}, Config{})
+	defer reg.Close()
+	reg.Instrument(obs.NewRegistry())
+
+	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0, 0}, Hi: 1000})
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	_, initial := st.Initial()
+	checkAnswer(t, initial, oracle(t, db, st.Query()), "initial k-NN")
+	rp := newReplay(KNN, initial)
+	// Updates far outside every pool: only the wake heap and the guard
+	// can keep the answer right.
+	for i, tau := range []float64{30, 55, 70, 200} {
+		u := mod.New(mod.OID(1000+i), tau, []float64{0, 0}, []float64{1e6, 1e6})
+		mustApply(t, db, u)
+		reg.Sync()
+		for _, d := range drain(st) {
+			rp.apply(t, d)
+		}
+		checkAnswer(t, rp.current(), oracle(t, db, st.Query()), u.String())
+	}
+	if got := rp.current(); !oidsEqual(got, []mod.OID{20}) {
+		t.Fatalf("once the sixteen have fled want the nearest resting object [20], got %v", got)
+	}
+	if n := reg.metrics.Load().refreshes.Value(); n == 0 {
+		t.Error("no pool refresh recorded: the fleeing objects never crossed the sentinel")
+	}
+}
+
 // TestWakeTimestamps pins the wake-heap contract: kinetic events between
 // updates surface as deltas stamped with the event instant, not the
 // update instant that triggered processing.
@@ -233,7 +289,7 @@ func TestWakeTimestamps(t *testing.T) {
 	mustLoad(t, db, 1, 0, []float64{1}, []float64{-5}) // passes through [-2, 2] during t in [3, 7]
 	mustLoad(t, db, 2, 0, []float64{0}, []float64{50}) // far bystander
 
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	st, err := reg.Subscribe(Query{Kind: Within, Radius: 2, Point: geom.Vec{0}, Hi: 100})
@@ -270,7 +326,7 @@ func TestWakeTimestamps(t *testing.T) {
 
 func TestSubscribeValidation(t *testing.T) {
 	db := mod.NewDB(2, 0)
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	cases := []Query{
@@ -304,7 +360,7 @@ func TestHorizonDone(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 5})
@@ -338,7 +394,7 @@ func TestSharedSubscriptionAndCancel(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 3, Point: geom.Vec{0}, Hi: 50}
@@ -380,7 +436,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(db, Config{QueueCap: 2, MaxCoalesce: 1000})
+	reg := NewRegistry(single{db}, Config{QueueCap: 2, MaxCoalesce: 1000})
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 10, Point: geom.Vec{0}, Hi: 1000}
@@ -420,7 +476,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 		t.Fatalf("subscribe 2: %v", err)
 	}
 	_ = st2
-	reg2 := NewRegistry(db, Config{QueueCap: 1, MaxCoalesce: 1})
+	reg2 := NewRegistry(single{db}, Config{QueueCap: 1, MaxCoalesce: 1})
 	defer reg2.Close()
 	ev, err := reg2.Subscribe(Query{Kind: Within, Radius: 10, Point: geom.Vec{0}, Hi: 1000})
 	if err != nil {
@@ -447,7 +503,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 
 func TestRegistryClose(t *testing.T) {
 	db := mod.NewDB(1, 0)
-	reg := NewRegistry(db, Config{})
+	reg := NewRegistry(single{db}, Config{})
 	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 10})
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)

@@ -19,15 +19,19 @@ type subscription struct {
 	center geom.Vec // == q.Point
 	lastT  float64  // time of the last emitted delta (or the build time)
 
-	f      gdist.GDistance // squared distance to center
-	eng    *query.Engine
-	knn    *query.KNN
-	within *query.Within
+	f   gdist.GDistance // squared distance to center
+	eng *query.Engine
+	// ev is the query's evaluator, built once and re-attached to every
+	// engine the subscription is rebuilt on (Attach resets it).
+	ev evaluator
 
-	// poolR2 is the squared candidate-ball radius: for k-NN a doubling
-	// margin over the k-th neighbor distance (+Inf when the pool must be
-	// the whole database), for within exactly Radius². guard watches a
-	// k-NN pool's sufficiency at that radius.
+	// poolR2 is the pool threshold the rank ladder gave at the last
+	// build — the squared candidate-ball radius; +Inf when the pool is
+	// the whole database, Radius² for within. guard watches the pool's
+	// sufficiency at that threshold: once its sentinel ranks among the
+	// first k entries, fewer than k objects are inside the ball, the
+	// answer may include objects outside the pool, and the pool must be
+	// rebuilt.
 	poolR2 float64
 	guard  *query.Guard
 
@@ -36,15 +40,23 @@ type subscription struct {
 	scratch []mod.OID
 	seq     uint64
 
-	// Thrash guard: a second refresh at the same database time forces
-	// the pool to +Inf instead of looping on a too-tight radius.
-	lastRefreshTau float64
-	refreshedHere  bool
+	// builtTau is the snapshot time of the last build and rung its place
+	// on the ladder: a rebuild at the same instant climbs, a later one
+	// starts over (Registry.materialize).
+	builtTau float64
+	rung     int
 
 	streams    []*Stream
 	wakeGen    uint64 // invalidates parked wake-heap entries
 	routeEpoch uint64 // dedup stamp during routing
 	done       bool
+}
+
+// evaluator is what a subscription needs of query.KNN and query.Within:
+// what the answer reads of the order, and the answer.
+type evaluator interface {
+	query.Bounder
+	AppendCurrent(dst []mod.OID) []mod.OID
 }
 
 // answer reconciles s.cur with the evaluator's current answer and
@@ -54,18 +66,13 @@ type subscription struct {
 // nothing: the fresh answer lands in s.scratch and is compared in
 // place.
 func (s *subscription) answer() (add, remove, order []mod.OID, changed bool) {
-	s.scratch = s.scratch[:0]
-	if s.knn != nil {
-		s.scratch = s.knn.AppendCurrent(s.scratch)
-	} else {
-		s.scratch = s.within.AppendCurrent(s.scratch)
-	}
+	s.scratch = s.ev.AppendCurrent(s.scratch[:0])
 	if oidsEqual(s.cur, s.scratch) {
 		return nil, nil, nil, false
 	}
 	oldSorted := append([]mod.OID(nil), s.cur...)
 	newSorted := append([]mod.OID(nil), s.scratch...)
-	if s.knn != nil {
+	if s.q.Kind == KNN {
 		sortOIDsAsc(oldSorted)
 		sortOIDsAsc(newSorted)
 		order = append([]mod.OID(nil), s.scratch...)
@@ -93,14 +100,6 @@ func (s *subscription) answer() (add, remove, order []mod.OID, changed bool) {
 	}
 	s.cur, s.scratch = s.scratch, s.cur
 	return add, remove, order, true
-}
-
-// poolInsufficient reports whether the guard has seen its sentinel
-// among the first k entries: fewer than k objects were inside the
-// candidate ball, so the true answer may include objects outside the
-// pool and it must be rebuilt.
-func (s *subscription) poolInsufficient() bool {
-	return s.guard != nil && s.guard.Violated()
 }
 
 // sortOIDsAsc sorts ascending (insertion sort: answers are small).
