@@ -170,20 +170,22 @@ type PWStats struct {
 // Within validates the question "when could an object have been within
 // dist of the point q during [lo, hi]?" for tracks of dimension dim,
 // and returns the function that answers it for one track: the exact set
-// of such instants as a sorted list of disjoint closed intervals, plus
-// the work counters the observability layer records. Within each bead
-// the feasible set is a single interval (the distance condition is one
-// more ball constraint, and the system stays jointly convex); intervals
-// meeting at a bead boundary are merged. A query over many tracks
-// validates once, here, so a bad question is refused whatever the
-// tracks are — or whether there are any. The returned function may be
-// called from several goroutines.
-func Within(dim int, q geom.Vec, dist, lo, hi float64) (func(*Track) ([]Interval, PWStats), error) {
+// of such instants as a sorted list of disjoint closed intervals,
+// appended to dst, plus the work counters the observability layer
+// records. Within each bead the feasible set is a single interval (the
+// distance condition is one more ball constraint, and the system stays
+// jointly convex); intervals meeting at a bead boundary are merged. A
+// query over many tracks validates once, here, so a bad question is
+// refused whatever the tracks are — or whether there are any — and
+// hands every track the same dst[:0], so it allocates for its longest
+// list and not once per object. The returned function may be called
+// from several goroutines.
+func Within(dim int, q geom.Vec, dist, lo, hi float64) (func(tr *Track, dst []Interval) ([]Interval, PWStats), error) {
 	if err := checkWithin(dim, q, dist, lo, hi); err != nil {
 		return nil, err
 	}
 	qcons := []ball{{c: q.Clone(), ra: 0, rb: dist}}
-	return func(tr *Track) ([]Interval, PWStats) { return tr.within(qcons, lo, hi) }, nil
+	return func(tr *Track, dst []Interval) ([]Interval, PWStats) { return tr.within(dst, qcons, lo, hi) }, nil
 }
 
 // checkWithin is the validation of a possibly-within question.
@@ -210,15 +212,17 @@ func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interv
 		return nil, PWStats{}, err
 	}
 	qcons := [1]ball{{c: q, ra: 0, rb: dist}}
-	ivs, st := tr.within(qcons[:], lo, hi)
+	ivs, st := tr.within(nil, qcons[:], lo, hi)
 	return ivs, st, nil
 }
 
 // within walks the chain against the one-ball system qcons over a
-// validated window. It allocates the returned list and nothing else.
-func (tr *Track) within(qcons []ball, lo, hi float64) ([]Interval, PWStats) {
+// validated window and appends the track's intervals to dst, whose own
+// elements it neither reads nor merges into. It allocates what the
+// append grows dst by and nothing else.
+func (tr *Track) within(dst []Interval, qcons []ball, lo, hi float64) ([]Interval, PWStats) {
 	var st PWStats
-	var out []Interval
+	first := len(dst)
 	for i, n := tr.firstSegTo(lo), tr.numSegs(); i < n; i++ {
 		s := tr.segAt(i)
 		if s.t0 > hi {
@@ -240,13 +244,13 @@ func (tr *Track) within(qcons []ball, lo, hi float64) ([]Interval, PWStats) {
 		if !ok {
 			continue
 		}
-		if n := len(out); n > 0 && a <= out[n-1].Hi+1e-12*math.Max(1, math.Abs(a)) {
-			if b > out[n-1].Hi {
-				out[n-1].Hi = b
+		if n := len(dst); n > first && a <= dst[n-1].Hi+1e-12*math.Max(1, math.Abs(a)) {
+			if b > dst[n-1].Hi {
+				dst[n-1].Hi = b
 			}
 			continue
 		}
-		out = append(out, Interval{Lo: a, Hi: b})
+		dst = append(dst, Interval{Lo: a, Hi: b})
 	}
-	return out, st
+	return dst, st
 }

@@ -76,14 +76,25 @@ func TestPossiblyWithinAllocatesOnlyItsResult(t *testing.T) {
 		if allocs != doublings(len(ivs)) {
 			t.Errorf("%s: %v allocations for %d intervals, want %v", tc.name, allocs, len(ivs), doublings(len(ivs)))
 		}
-		// The prepared form a query over many tracks uses costs the
-		// same per track.
+		// The prepared form a query over many tracks uses appends to
+		// the list it is handed: the same cost from nil, nothing once
+		// the list has room, and nothing ahead of the appended run is
+		// read or merged into.
 		within, err := Within(2, tc.q, tc.dist, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { within(tr) }); allocs != doublings(len(ivs)) {
-			t.Errorf("%s: Within(...)(track): %v allocations, want %v", tc.name, allocs, doublings(len(ivs)))
+		if allocs := testing.AllocsPerRun(10, func() { within(tr, nil) }); allocs != doublings(len(ivs)) {
+			t.Errorf("%s: Within(...)(track, nil): %v allocations, want %v", tc.name, allocs, doublings(len(ivs)))
+		}
+		before := Interval{Lo: -1, Hi: 1e9} // would swallow any interval merged into it
+		dst := append(make([]Interval, 0, 1+len(ivs)), before)
+		var got []Interval
+		if allocs := testing.AllocsPerRun(10, func() { got, _ = within(tr, dst) }); allocs != 0 {
+			t.Errorf("%s: Within(...)(track, roomy): %v allocations, want 0", tc.name, allocs)
+		}
+		if got[0] != before || !sameIntervals(got[1:], ivs) {
+			t.Errorf("%s: appended after %v: %v, want %v", tc.name, before, got, ivs)
 		}
 	}
 }

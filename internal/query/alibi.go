@@ -132,12 +132,13 @@ func PossiblyWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax f
 		return nil, err
 	}
 	ans := newFinishedAnswerSet(0, hi)
+	var ivs []bead.Interval // one object's at a time
 	for _, o := range src.Objects() {
 		tr, err := TrackOf(src, o, defaultVmax)
 		if err != nil {
 			return nil, err
 		}
-		ivs, _ := within(tr)
+		ivs, _ = within(tr, ivs[:0])
 		ans.appendSorted(o, ivs)
 	}
 	return ans, nil
@@ -149,7 +150,7 @@ func PossiblyWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax f
 // error — never depends on what the database holds near the query
 // point. The checks run in a fixed order: point dimension, speed
 // bounds, then the bead layer's own (finite point, distance, window).
-func validateWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax float64) (func(*bead.Track) ([]bead.Interval, bead.PWStats), error) {
+func validateWithin(src UncertainSource, q geom.Vec, dist, lo, hi, defaultVmax float64) (func(*bead.Track, []bead.Interval) ([]bead.Interval, bead.PWStats), error) {
 	if q.Dim() != src.Dim() {
 		return nil, fmt.Errorf("query: point dim %d, database dim %d", q.Dim(), src.Dim())
 	}

@@ -451,8 +451,10 @@ func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, de
 	st.Population = snap.Len()
 	st.Candidates = len(cands)
 	ans := newFinishedAnswerSet(len(cands), hi)
+	var ivs []bead.Interval // one candidate's at a time
 	for i, o := range cands {
-		ivs, pw := within(tracks[i])
+		var pw bead.PWStats
+		ivs, pw = within(tracks[i], ivs[:0])
 		st.Windows += pw.Windows
 		st.Pruned += pw.Pruned
 		st.Kernel += pw.Kernel

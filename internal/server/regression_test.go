@@ -377,6 +377,55 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// slowWriter is a ResponseWriter whose client is slow to take the body.
+type slowWriter struct {
+	*httptest.ResponseRecorder
+	delay time.Duration
+}
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowQueryLogCoversTheAnswer: the SLOWQUERY clock stops after the
+// answer is encoded and written, and the line says how big the answer
+// was. The backend answers at once and only the write is slow, so a
+// line logged before the write would not be logged at all.
+func TestSlowQueryLogCoversTheAnswer(t *testing.T) {
+	ans := query.NewAnswerSet()
+	for o := 0; o < 2000; o++ {
+		ans.Enter(mod.OID(o), 1)
+		ans.Leave(mod.OID(o), 2)
+	}
+	ans.Finish(2)
+	const delay = 60 * time.Millisecond
+	for _, req := range []struct{ path, body string }{
+		{"/query/knn", `{"k":1,"lo":1,"hi":2,"point":[0,0]}`},
+		{"/query/within", `{"radius":1,"lo":1,"hi":2,"point":[0,0]}`},
+		{"/query/possibly-within", `{"radius":1,"lo":1,"hi":2,"point":[0,0],"vmax":1}`},
+	} {
+		var buf syncBuf
+		srv := NewWithOptions(&stubBackend{ans: ans, ansTau: 100}, Options{
+			Logger:             log.New(&buf, "", 0),
+			SlowQueryThreshold: delay / 2,
+		})
+		w := slowWriter{httptest.NewRecorder(), delay}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: code %d: %s", req.path, w.Code, w.Body)
+		}
+		_, rest, ok := strings.Cut(buf.String(), "SLOWQUERY ")
+		var rec slowQueryRecord
+		if !ok || json.Unmarshal([]byte(rest), &rec) != nil {
+			t.Fatalf("%s: no SLOWQUERY line for a request whose write took %v:\n%s", req.path, delay, buf.String())
+		}
+		if rec.Endpoint != req.path || rec.Objects != 2000 || rec.Bytes != w.Body.Len() || rec.Ms < float64(delay/time.Millisecond) {
+			t.Errorf("%s: record %+v, want 2000 objects, %d bytes and at least %v", req.path, rec, w.Body.Len(), delay)
+		}
+	}
+}
+
 // TestPossiblyWithinInvertedWindowIs400WhateverTheData: a question the
 // uncertainty layer refuses is a 400 with its reason, not a 200 with an
 // empty answer whenever no object happens to be near the query point.

@@ -399,9 +399,13 @@ type slowQueryRecord struct {
 	Events   int     `json:"events"`
 	Tau      float64 `json:"tau"`
 	Class    string  `json:"class"`
+	Objects  int     `json:"objects,omitempty"` // objects the answer names
+	Bytes    int     `json:"bytes,omitempty"`   // answer bytes written
 }
 
-// logSlowQuery emits rec if the request exceeded the threshold.
+// logSlowQuery emits rec if the request exceeded the threshold. The
+// answer-set handlers call it after the answer is written, so elapsed
+// covers encoding and the write.
 func (s *Server) logSlowQuery(elapsed time.Duration, rec slowQueryRecord) {
 	if s.slowQuery <= 0 || elapsed < s.slowQuery || s.log == nil {
 		return
@@ -441,11 +445,11 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	// Tau(): an update landing mid-query must not relabel the window
 	// the answer was actually computed over.
 	cls, _ := query.Classify(req.Lo, req.Hi, tau)
+	objects, bytes := s.okAnswer(w, ans, cls, tau, st.Events)
 	s.logSlowQuery(time.Since(start), slowQueryRecord{
 		Endpoint: "/query/knn", Lo: req.Lo, Hi: req.Hi, K: req.K,
-		Events: st.Events, Tau: tau, Class: cls.String(),
+		Events: st.Events, Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
 	})
-	s.okAnswer(w, ans, cls, tau, st.Events)
 }
 
 // withinRequest is the body of /query/within.
@@ -484,11 +488,11 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cls, _ := query.Classify(req.Lo, req.Hi, tau)
+	objects, bytes := s.okAnswer(w, ans, cls, tau, st.Events)
 	s.logSlowQuery(time.Since(start), slowQueryRecord{
 		Endpoint: "/query/within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
-		Events: st.Events, Tau: tau, Class: cls.String(),
+		Events: st.Events, Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
 	})
-	s.okAnswer(w, ans, cls, tau, st.Events)
 }
 
 // alibiRequest is the body of /query/alibi. Vmax is the default speed
@@ -607,13 +611,13 @@ func (s *Server) handlePossiblyWithin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cls, _ := query.Classify(req.Lo, req.Hi, tau)
-	s.logSlowQuery(time.Since(start), slowQueryRecord{
-		Endpoint: "/query/possibly-within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
-		Tau: tau, Class: cls.String(),
-	})
 	// The uncertainty query is not a sweep, so there is no event count;
 	// the envelope stays the same shape as /query/within with Events=0.
-	s.okAnswer(w, ans, cls, tau, 0)
+	objects, bytes := s.okAnswer(w, ans, cls, tau, 0)
+	s.logSlowQuery(time.Since(start), slowQueryRecord{
+		Endpoint: "/query/possibly-within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
+		Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
+	})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

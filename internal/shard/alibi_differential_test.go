@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -298,4 +299,77 @@ func TestDifferentialAlibiVsOracle(t *testing.T) {
 		t.Logf("%d scenarios x (scan, index at P in {1,4}): zero divergences (%d oracle-unresolved checks skipped of ~%d)",
 			scenarios, skipped, checks)
 	}
+}
+
+// TestCopiedAnswersEqualRemerged: a possibly-within answer copies the
+// kernel's interval lists into its run without testing them for
+// coalescing again (query.AnswerSet's appendSorted says why the second,
+// absolute 1e-12 rule can never fire on what the kernel's relative one
+// left apart). Over 300 scenarios of the alibi corpus the copied
+// answer — the scan's and the index's at P in {1, 4} — must equal, bit
+// for bit, the one that re-merges: every kernel interval recorded
+// through Enter/Leave/Point, which do test.
+func TestCopiedAnswersEqualRemerged(t *testing.T) {
+	const baseSeed = 173000
+	objects, intervals := 0, 0
+	for i := int64(0); i < 300; i++ {
+		sc := makeAlibiScenario(baseSeed + i)
+		db := mod.NewDB(2, -1)
+		if err := db.ApplyAll(sc.us...); err != nil {
+			t.Fatalf("seed %d: %v", sc.seed, err)
+		}
+		remerged := query.NewAnswerSet()
+		for _, o := range db.Objects() {
+			tr, err := query.TrackOf(db, o, sc.vmax)
+			if err != nil {
+				t.Fatalf("seed %d: %v", sc.seed, err)
+			}
+			ivs, _, err := tr.PossiblyWithinStats(sc.point, sc.rad, sc.lo, sc.hi)
+			if err != nil {
+				t.Fatalf("seed %d: %v", sc.seed, err)
+			}
+			for _, iv := range ivs {
+				if iv.Hi > iv.Lo {
+					remerged.Enter(o, iv.Lo)
+					remerged.Leave(o, iv.Hi)
+				} else {
+					remerged.Point(o, iv.Lo)
+				}
+			}
+		}
+		remerged.Finish(sc.hi)
+		wantO, wantF, wantI := remerged.Run()
+		objects += len(wantO)
+		intervals += len(wantI)
+
+		copied := map[string]*query.AnswerSet{}
+		var err error
+		if copied["scan"], err = query.PossiblyWithin(db.EpochSnapshot(), sc.point, sc.rad, sc.lo, sc.hi, sc.vmax); err != nil {
+			t.Fatalf("seed %d: %v", sc.seed, err)
+		}
+		for _, p := range []int{1, 4} {
+			eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copied[fmt.Sprintf("P=%d", p)], _, err = eng.PossiblyWithin(sc.point, sc.rad, sc.lo, sc.hi, sc.vmax); err != nil {
+				t.Fatalf("seed %d: %v", sc.seed, err)
+			}
+		}
+		for label, ans := range copied {
+			gotO, gotF, gotI := ans.Run()
+			same := slices.Equal(gotO, wantO) && slices.Equal(gotF, wantF)
+			for k := 0; same && k < len(wantI); k++ {
+				same = math.Float64bits(gotI[k].Lo) == math.Float64bits(wantI[k].Lo) &&
+					math.Float64bits(gotI[k].Hi) == math.Float64bits(wantI[k].Hi)
+			}
+			if !same {
+				t.Fatalf("seed %d %s: copied %v, re-merged %v", sc.seed, label, ans, remerged)
+			}
+		}
+	}
+	if objects < 300 || intervals < objects {
+		t.Fatalf("%d objects and %d intervals over 300 scenarios: the corpus answers too little to pin anything", objects, intervals)
+	}
+	t.Logf("300 scenarios, %d answering objects, %d intervals: copied and re-merged answers equal bit for bit", objects, intervals)
 }
