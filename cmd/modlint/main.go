@@ -1,8 +1,9 @@
 // Command modlint runs the repo's static-analysis suite (internal/lint)
-// over the module: floatcmp, lockcopy, goroutinecapture, errdrop,
-// unlockpath, poolescape, atomicmix, waitforget and syncorder — the
-// mechanical form of the numeric-comparison, lock-discipline and
-// fsync-ordering invariants the engine depends on.
+// over the module: floatcmp, goroutinecapture, errdrop, unlockpath,
+// poolescape, atomicmix and syncorder — the mechanical form of the
+// numeric-comparison, lock-discipline and fsync-ordering invariants the
+// engine depends on. Lock copies are go vet's copylocks check
+// (`go vet ./...`).
 //
 // Usage:
 //
@@ -11,9 +12,8 @@
 //	go run ./cmd/modlint -json ./...       # machine-readable findings
 //	go run ./cmd/modlint -stale ./...      # fail on stale suppressions
 //
-// Packages load and analyze in parallel, with per-package results
-// cached on disk keyed by file-content hashes (-cache-dir to move the
-// cache, -no-cache to disable, -jobs to bound parallelism).
+// Every run loads, type-checks and analyzes the whole module in one
+// sequential pass, in dependency order; nothing is cached between runs.
 //
 // Exit status: 0 clean, 1 findings (or stale suppressions under
 // -stale), 2 load/type errors. Suppress a finding with a
@@ -71,9 +71,7 @@ type jsonStale struct {
 }
 
 type jsonStatsBlock struct {
-	Packages    int `json:"packages"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
+	Packages int `json:"packages"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -81,12 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings and the suppression audit as JSON on stdout")
-	noCache := fs.Bool("no-cache", false, "disable the on-disk result cache")
-	cacheDir := fs.String("cache-dir", "", "result cache directory (default: user cache dir)")
-	jobs := fs.Int("jobs", 0, "max concurrent type-check/analyze workers (default: GOMAXPROCS)")
 	failStale := fs.Bool("stale", false, "exit nonzero when stale modlint:allow suppressions exist")
 	fs.Usage = func() {
-		fprintf(stderr, "usage: modlint [-list] [-json] [-no-cache] [-cache-dir dir] [-jobs n] [-stale] [packages]\n")
+		fprintf(stderr, "usage: modlint [-list] [-json] [-stale] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -115,11 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, err := lint.AnalyzeModule(root, modPath, lint.AnalyzeOptions{
-		NoCache:  *noCache,
-		CacheDir: *cacheDir,
-		Jobs:     *jobs,
-	})
+	res, err := lint.AnalyzeModule(root, modPath, lint.AnalyzeOptions{})
 	if err != nil {
 		fprintf(stderr, "modlint: %v\n", err)
 		return 2
@@ -167,11 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Module:   modPath,
 			Findings: []jsonFinding{},
 			Stale:    []jsonStale{},
-			Stats: jsonStatsBlock{
-				Packages:    matched,
-				CacheHits:   res.CacheHits,
-				CacheMisses: res.CacheMisses,
-			},
+			Stats:    jsonStatsBlock{Packages: matched},
 		}
 		for _, f := range findings {
 			rep.Findings = append(rep.Findings, jsonFinding{

@@ -123,7 +123,7 @@ func Open(dir string, cfg Config) (*Engine, error) {
 		e.m = newEngineMetrics(cfg.Registry)
 	}
 
-	man, err := readRootManifest(fsys, path.Join(dir, manifestName))
+	man, err := readManifest[rootManifest](fsys, path.Join(dir, manifestName))
 	fresh := errors.Is(err, os.ErrNotExist)
 	if err != nil && !fresh {
 		return nil, err
@@ -141,7 +141,7 @@ func Open(dir string, cfg Config) (*Engine, error) {
 		// manifest whose shard directories open as fresh empty stores,
 		// and a crash right before leaves an empty dir re-initialized
 		// by the next open. Either way, a consistent empty database.
-		if err := writeRootManifest(fsys, path.Join(dir, manifestName), man); err != nil {
+		if err := writeManifest(fsys, path.Join(dir, manifestName), man); err != nil {
 			return nil, err
 		}
 	} else {
@@ -246,7 +246,7 @@ func (e *Engine) reshard(man rootManifest, cfg Config, opts StoreOptions) error 
 	}
 	man.Shards = se.NumShards()
 	man.Generation = newGen
-	if err := writeRootManifest(e.fs, path.Join(e.dir, manifestName), man); err != nil {
+	if err := writeManifest(e.fs, path.Join(e.dir, manifestName), man); err != nil {
 		closeStores(stores)
 		return err
 	}
@@ -414,29 +414,4 @@ func (e *Engine) Close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// readRootManifest loads and decodes the root manifest.
-func readRootManifest(fsys vfs.FS, p string) (rootManifest, error) {
-	data, err := vfs.ReadFile(fsys, p)
-	if err != nil {
-		return rootManifest{}, err
-	}
-	var man rootManifest
-	if err := unmarshalStrict(data, &man); err != nil {
-		return rootManifest{}, fmt.Errorf("durable: manifest %s: %w", p, err)
-	}
-	return man, nil
-}
-
-// writeRootManifest encodes and atomically persists the root manifest.
-func writeRootManifest(fsys vfs.FS, p string, man rootManifest) error {
-	data, err := marshalLine(man)
-	if err != nil {
-		return err
-	}
-	if err := vfs.WriteFileAtomic(fsys, p, data); err != nil {
-		return fmt.Errorf("durable: write manifest: %w", err)
-	}
-	return nil
 }

@@ -239,7 +239,7 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("durable: mkdir %s: %w", dir, err)
 	}
-	man, err := readStoreManifest(fsys, path.Join(dir, manifestName))
+	man, err := readManifest[storeManifest](fsys, path.Join(dir, manifestName))
 	legacy := false
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -353,7 +353,7 @@ func (s *Store) initFresh() error {
 		return fmt.Errorf("durable: fresh store %s: %w", s.dir, err)
 	}
 	man := storeManifest{Version: 1, Seq: 1, Journal: walName(1), Dim: dim, Tau0: tau0Ptr(s.opts.Tau0)}
-	if err := writeStoreManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
+	if err := writeManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -585,7 +585,7 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 		Snapshot: newSnap, Journal: walName(newSeq),
 		Dim: s.db.Dim(), Tau0: tau0Ptr(s.opts.Tau0),
 	}
-	if err := writeStoreManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
+	if err := writeManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
 		return CheckpointInfo{}, err
 	}
 	s.manifestSeq = newSeq
@@ -651,7 +651,7 @@ func (s *Store) gcLocked() {
 	if err != nil {
 		return
 	}
-	man, err := readStoreManifest(s.fs, path.Join(s.dir, manifestName))
+	man, err := readManifest[storeManifest](s.fs, path.Join(s.dir, manifestName))
 	if err != nil {
 		return
 	}
@@ -679,45 +679,31 @@ func (s *Store) gcLocked() {
 	}
 }
 
-// readStoreManifest loads and decodes a manifest.
-func readStoreManifest(fsys vfs.FS, p string) (storeManifest, error) {
+// readManifest loads and decodes a manifest — a store's or the root's —
+// rejecting unknown fields: a manifest with fields this version doesn't
+// know is a manifest it must not half-understand.
+func readManifest[M storeManifest | rootManifest](fsys vfs.FS, p string) (man M, err error) {
 	data, err := vfs.ReadFile(fsys, p)
 	if err != nil {
-		return storeManifest{}, err
+		return man, err
 	}
-	var man storeManifest
-	if err := unmarshalStrict(data, &man); err != nil {
-		return storeManifest{}, fmt.Errorf("durable: manifest %s: %w", p, err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&man); err != nil {
+		return *new(M), fmt.Errorf("durable: manifest %s: %w", p, err)
 	}
 	return man, nil
 }
 
-// writeStoreManifest encodes and atomically persists a manifest.
-func writeStoreManifest(fsys vfs.FS, p string, man storeManifest) error {
-	data, err := marshalLine(man)
+// writeManifest encodes a manifest as one newline-terminated JSON line
+// and atomically persists it.
+func writeManifest[M storeManifest | rootManifest](fsys vfs.FS, p string, man M) error {
+	data, err := json.Marshal(man)
 	if err != nil {
 		return err
 	}
-	if err := vfs.WriteFileAtomic(fsys, p, data); err != nil {
+	if err := vfs.WriteFileAtomic(fsys, p, append(data, '\n')); err != nil {
 		return fmt.Errorf("durable: write manifest: %w", err)
 	}
 	return nil
-}
-
-// unmarshalStrict decodes JSON rejecting unknown fields — a manifest
-// with fields this version doesn't know is a manifest it must not
-// half-understand.
-func unmarshalStrict(data []byte, v interface{}) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// marshalLine encodes v as one newline-terminated JSON line.
-func marshalLine(v interface{}) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

@@ -1,15 +1,9 @@
 package lint
 
-// goroutinecapture: `go func` literals that capture loop variables, or
-// that read mutex-guarded fields without holding the lock.
+// goroutinecapture: `go func` literals that read mutex-guarded fields
+// without holding the lock.
 //
-// Two repo policies are enforced here. First, goroutines take their
-// per-iteration data as arguments, never by closure over the loop
-// variable: even with Go 1.22 per-iteration loop variables the capture
-// reads as shared state, and the fan-out paths (watch subscriber
-// broadcast, batched sweep workers) are exactly where a reader must be
-// able to see at a glance that iterations are independent. Second, a
-// goroutine that touches a field of a lock-guarded struct must acquire
+// A goroutine that touches a field of a lock-guarded struct must acquire
 // that struct's lock inside the literal; reading a guarded field through
 // a captured pointer is a data race the type system cannot see.
 
@@ -22,112 +16,63 @@ import (
 // GoroutineCapture is the goroutine-capture analyzer.
 var GoroutineCapture = &Analyzer{
 	Name: "goroutinecapture",
-	Doc:  "flags go-func literals capturing loop variables or unguarded lock-protected fields",
+	Doc:  "flags go-func literals reading lock-protected fields without the lock",
 	Run:  runGoroutineCapture,
 }
 
 func runGoroutineCapture(pass *Pass) []Diagnostic {
 	var out []Diagnostic
 	for _, file := range pass.Files {
-		loopVars := collectLoopVars(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			lit, ok := gs.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
+			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
+				out = append(out, checkGoLiteral(pass, lit)...)
 			}
-			out = append(out, checkGoLiteral(pass, gs, lit, loopVars)...)
 			return true
 		})
 	}
 	return out
 }
 
-// collectLoopVars gathers the objects introduced by for/range clauses.
-func collectLoopVars(pass *Pass, file *ast.File) map[types.Object]bool {
-	vars := map[types.Object]bool{}
-	add := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := pass.Info.Defs[id]; obj != nil {
-				vars[obj] = true
-			}
-		}
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if n.Tok == token.DEFINE {
-				if n.Key != nil {
-					add(n.Key)
-				}
-				if n.Value != nil {
-					add(n.Value)
-				}
-			}
-		case *ast.ForStmt:
-			if init, ok := n.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				for _, lhs := range init.Lhs {
-					add(lhs)
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
 // checkGoLiteral inspects one `go func(){...}()` literal.
-func checkGoLiteral(pass *Pass, gs *ast.GoStmt, lit *ast.FuncLit, loopVars map[types.Object]bool) []Diagnostic {
+func checkGoLiteral(pass *Pass, lit *ast.FuncLit) []Diagnostic {
 	var out []Diagnostic
-	reportedLoop := map[types.Object]bool{}
-	reportedField := map[string]bool{}
+	reported := map[string]bool{}
 	locked := lockedBases(pass, lit)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			obj := pass.Info.Uses[n]
-			if obj == nil || !capturedBy(obj, lit) {
-				return true
-			}
-			if loopVars[obj] && !reportedLoop[obj] {
-				reportedLoop[obj] = true
-				out = append(out, Diag(n.Pos(),
-					"go-func literal captures loop variable %s by reference; pass it as an argument", obj.Name()))
-			}
-		case *ast.SelectorExpr:
-			base, ok := n.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pass.Info.Uses[base]
-			if obj == nil || !capturedBy(obj, lit) {
-				return true
-			}
-			v, ok := obj.(*types.Var)
-			if !ok || lockPath(pass, deref(v.Type())) == "" {
-				return true
-			}
-			sel := pass.Info.Selections[n]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return true
-			}
-			// Touching the lock itself (w.mu.Lock()) is the guarded
-			// idiom, not a violation.
-			if lockPathRec(sel.Type(), map[types.Type]bool{}) != "" {
-				return true
-			}
-			if locked[obj] {
-				return true
-			}
-			key := obj.Name() + "." + n.Sel.Name
-			if !reportedField[key] {
-				reportedField[key] = true
-				out = append(out, Diag(n.Pos(),
-					"go-func literal reads guarded field %s without acquiring %s's lock inside the goroutine", key, obj.Name()))
-			}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		base, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := pass.Info.Uses[base]
+		if obj == nil || !capturedBy(obj, lit) || locked[obj] {
+			return true
+		}
+		v, ok := obj.(*types.Var)
+		if !ok || lockPath(deref(v.Type())) == "" {
+			return true
+		}
+		s := pass.Info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return true
+		}
+		// Touching the lock itself (w.mu.Lock()) is the guarded idiom,
+		// not a violation.
+		if lockPath(s.Type()) != "" {
+			return true
+		}
+		key := obj.Name() + "." + sel.Sel.Name
+		if !reported[key] {
+			reported[key] = true
+			out = append(out, Diag(sel.Pos(),
+				"go-func literal reads guarded field %s without acquiring %s's lock inside the goroutine", key, obj.Name()))
 		}
 		return true
 	})
@@ -185,4 +130,47 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
+}
+
+// noCopySyncTypes are the sync primitives that must never be copied after
+// first use; a struct holding one by value is lock-guarded state.
+var noCopySyncTypes = map[string]bool{
+	"Mutex": true, "RWMutex": true, "WaitGroup": true,
+	"Once": true, "Cond": true, "Pool": true, "Map": true,
+}
+
+// lockPath reports a human-readable path to the first no-copy sync
+// primitive contained by value in t ("" if none): e.g. "sync.Mutex" or
+// "watcher.mu (sync.Mutex)".
+func lockPath(t types.Type) string {
+	return lockPathRec(t, map[types.Type]bool{})
+}
+
+func lockPathRec(t types.Type, seen map[types.Type]bool) string {
+	if t == nil || seen[t] {
+		return ""
+	}
+	seen[t] = true
+	if named, ok := t.(*types.Named); ok {
+		obj := named.Obj()
+		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && noCopySyncTypes[obj.Name()] {
+			return "sync." + obj.Name()
+		}
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if p := lockPathRec(f.Type(), seen); p != "" {
+				if f.Embedded() {
+					return p
+				}
+				return f.Name() + " (" + p + ")"
+			}
+		}
+	case *types.Array:
+		return lockPathRec(u.Elem(), seen)
+	}
+	// Pointers, slices, maps, chans and interfaces share, not copy.
+	return ""
 }

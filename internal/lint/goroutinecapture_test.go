@@ -14,22 +14,6 @@ type guarded struct {
 
 type plain struct{ n int }
 
-func rangeCapture(xs []int, ch chan int) {
-	for _, x := range xs {
-		go func() {
-			ch <- x // want "captures loop variable x"
-		}()
-	}
-}
-
-func forCapture(ch chan int) {
-	for i := 0; i < 3; i++ {
-		go func() {
-			ch <- i // want "captures loop variable i"
-		}()
-	}
-}
-
 func argPassOK(xs []int, ch chan int) {
 	for _, x := range xs {
 		go func(x int) {

@@ -2,21 +2,22 @@
 // repo-specific analyzers that guard the engine's invariants. The
 // plane-sweep core (Lemmas 7-8, Theorems 4-5 of the paper) is only correct
 // if the numeric comparisons on curve/event times go through epsilon-aware
-// helpers and the concurrent server/watch layers never copy or escape
-// lock-guarded kinetic state; the crash-safe, concurrent engine grown on
+// helpers and the concurrent server/watch layers never read lock-guarded
+// kinetic state unlocked; the crash-safe, concurrent engine grown on
 // top (committer goroutines with ack watermarks, pooled scratch buffers,
 // the six-step fsync/rename checkpoint protocol) adds invariant families
 // of its own. One analyzer per family:
 //
 //	floatcmp          exact float ==/!= on computed values
-//	lockcopy          by-value copies of lock-containing types
-//	goroutinecapture  loop-variable capture in goroutines
+//	goroutinecapture  guarded fields read in a goroutine without the lock
 //	errdrop           silently discarded error results
 //	unlockpath        Lock() without Unlock() on some path (per-function CFG)
 //	poolescape        sync.Pool values escaping their Get..Put window
 //	atomicmix         mixed atomic and plain access to one variable
-//	waitforget        WaitGroup Add/Done/Wait imbalance, goroutine errors dropped
 //	syncorder         checkpoint-protocol fsync ordering (durable/vfs only)
+//
+// Copies of lock-containing values are go vet's copylocks check, which
+// `go vet ./...` runs; the suite does not repeat it.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of the surface: an Analyzer inspects one type-checked package
@@ -127,8 +128,8 @@ func (d Directive) covers(a string, pos token.Position) bool {
 // All returns the repo's analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FloatCmp, LockCopy, GoroutineCapture, ErrDrop,
-		UnlockPath, PoolEscape, AtomicMix, WaitForget, SyncOrder,
+		FloatCmp, GoroutineCapture, ErrDrop,
+		UnlockPath, PoolEscape, AtomicMix, SyncOrder,
 	}
 }
 
@@ -143,7 +144,7 @@ func Run(pass *Pass, analyzers []*Analyzer) []Finding {
 // RunRaw applies the analyzers and returns every finding, suppressed or
 // not, sorted by position. The caller pairs it with CollectDirectives
 // and ApplySuppressions; keeping the raw set around is what makes the
-// stale-suppression audit and the result cache possible.
+// stale-suppression audit possible.
 func RunRaw(pass *Pass, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, a := range analyzers {

@@ -1,28 +1,13 @@
 package lint
 
-// The modlint driver: a deliberately small module loader plus a
-// parallel, cached analysis pipeline. modlint must not depend on
+// The modlint driver: a deliberately small module loader plus one
+// sequential analysis pass. modlint must not depend on
 // golang.org/x/tools, so packages are discovered by walking the module
-// tree, parsed with go/parser, and type-checked with go/types; imports
-// inside the module resolve to freshly checked packages and
-// standard-library imports resolve through go/importer (compiled
-// export data when available, source otherwise).
-//
-// The pipeline:
-//
-//  1. Discover package directories and parse every file concurrently
-//     (token.FileSet and go/parser are safe for concurrent use). File
-//     bytes are read once and feed both the parser and the cache key.
-//  2. Compute each package's cache key in dependency order (a key
-//     covers the package's own files plus its in-module deps' keys —
-//     see cache.go) and probe the on-disk cache.
-//  3. Type-check only what a cache miss needs: the misses themselves
-//     plus their transitive in-module dependencies. Packages
-//     type-check concurrently as their dependencies complete, bounded
-//     by Jobs; a cache hit whose result no miss depends on is never
-//     parsed into types at all.
-//  4. Run the analyzer suite over each miss (in the same worker that
-//     type-checked it) and persist raw findings + directives.
+// tree, parsed with go/parser, and type-checked with go/types in
+// dependency order; imports inside the module resolve to the packages
+// checked before them and standard-library imports resolve through
+// go/importer (compiled export data when available, source otherwise).
+// The analyzer suite runs over each package as soon as it is checked.
 //
 // Raw findings and suppression directives come back per package with
 // module-root-relative filenames; the caller applies suppressions and
@@ -38,25 +23,15 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // AnalyzeOptions configures one AnalyzeModule run.
 type AnalyzeOptions struct {
 	// Analyzers is the suite to run; nil means All().
 	Analyzers []*Analyzer
-	// CacheDir is the on-disk cache location; empty means
-	// DefaultCacheDir().
-	CacheDir string
-	// NoCache disables the result cache entirely (no reads, no writes).
-	NoCache bool
-	// Jobs bounds concurrent parse/type-check workers; <=0 means
-	// GOMAXPROCS.
-	Jobs int
 }
 
 // PackageResult is one package's analysis outcome.
@@ -73,11 +48,8 @@ type PackageResult struct {
 	// relative to the module root.
 	Directives []Directive
 	// TypeErrors holds type-checker soft failures. Analysis still runs
-	// (go/types recovers well), but callers should surface them; a
-	// package with type errors is never cached.
+	// (go/types recovers well), but callers should surface them.
 	TypeErrors []error
-	// Cached reports whether Raw/Directives came from the cache.
-	Cached bool
 }
 
 // ModuleResult is the outcome of analyzing a whole module.
@@ -85,8 +57,7 @@ type ModuleResult struct {
 	Root    string
 	ModPath string
 	// Pkgs is sorted by import path.
-	Pkgs                   []*PackageResult
-	CacheHits, CacheMisses int
+	Pkgs []*PackageResult
 }
 
 // FindModuleRoot walks up from dir to the nearest go.mod, returning the
@@ -128,45 +99,24 @@ func parseModulePath(gomod string) string {
 	return ""
 }
 
-// srcFile is one parsed source file plus the content hash the cache
-// key needs.
-type srcFile struct {
-	rel  string // module-root-relative, slash-separated
-	ast  *ast.File
-	hash string
-}
-
 // rawPkg is one discovered package before type-checking.
 type rawPkg struct {
 	importPath string
 	dir        string
-	files      []srcFile
+	files      []*ast.File // in filename order
 	imports    map[string]bool
 	external   bool // external test package (name ends in _test)
-	key        string
-
-	// Filled by the pipeline.
-	result   *PackageResult
-	done     chan struct{} // closed when type-checked (or failed)
-	pass     *Pass         // set on successful type-check
-	typeErrs []error       // type-checker soft failures
-	hard     error         // type-check produced no package at all
 }
 
-// AnalyzeModule runs the analyzer suite over every package under root,
-// reusing cached results where the key matches.
+// AnalyzeModule type-checks every package under root in dependency
+// order and runs the analyzer suite over each.
 func AnalyzeModule(root, modPath string, opts AnalyzeOptions) (*ModuleResult, error) {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All()
 	}
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-
 	fset := token.NewFileSet()
-	raws, byPath, err := discoverPackages(fset, root, modPath, jobs)
+	raws, byPath, err := discoverPackages(fset, root, modPath)
 	if err != nil {
 		return nil, err
 	}
@@ -174,90 +124,52 @@ func AnalyzeModule(root, modPath string, opts AnalyzeOptions) (*ModuleResult, er
 	if err != nil {
 		return nil, err
 	}
-	computeKeys(order, byPath, analyzers)
-
-	var cache *diskCache
-	if !opts.NoCache {
-		dir := opts.CacheDir
-		if dir == "" {
-			dir = DefaultCacheDir()
-		}
-		// A cache that cannot open degrades to a cold run.
-		cache, _ = openCache(dir)
-	}
-
+	imp := newModuleImporter(fset)
 	res := &ModuleResult{Root: root, ModPath: modPath}
 	for _, rp := range order {
-		if cache != nil {
-			if e, ok := cache.get(rp.key); ok {
-				rp.result = &PackageResult{
-					ImportPath: rp.importPath, Dir: rp.dir,
-					Raw: e.Findings, Directives: e.Directives, Cached: true,
-				}
-				res.CacheHits++
-				continue
-			}
+		pass, typeErrs, err := checkOne(fset, imp, rp)
+		if err != nil {
+			return nil, fmt.Errorf("lint: type-check %s failed: %v", rp.importPath, err)
 		}
-		res.CacheMisses++
-	}
-
-	// Type-check set: misses plus their transitive in-module deps.
-	required := requiredSet(order, byPath)
-	checkAndAnalyze(fset, root, required, byPath, analyzers, jobs, cache)
-
-	for _, rp := range order {
-		if rp.hard != nil {
-			return nil, fmt.Errorf("lint: type-check %s failed: %v", rp.importPath, rp.hard)
-		}
-		if rp.result != nil {
-			res.Pkgs = append(res.Pkgs, rp.result)
-		}
+		res.Pkgs = append(res.Pkgs, analyzeOne(root, rp, pass, typeErrs, analyzers))
 	}
 	sort.Slice(res.Pkgs, func(i, j int) bool { return res.Pkgs[i].ImportPath < res.Pkgs[j].ImportPath })
 	return res, nil
 }
 
-// discoverPackages walks the module tree and parses every package's
-// files, jobs directories at a time.
-func discoverPackages(fset *token.FileSet, root, modPath string, jobs int) ([]*rawPkg, map[string]*rawPkg, error) {
-	dirs, err := goSourceDirs(root)
+// discoverPackages walks the module tree, skipping hidden dirs, testdata
+// and vendor trees, and parses every package it finds.
+func discoverPackages(fset *token.FileSet, root, modPath string) ([]*rawPkg, map[string]*rawPkg, error) {
+	var raws []*rawPkg
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
+		}
+		pkgs, err := parseDir(fset, root, modPath, path)
+		raws = append(raws, pkgs...)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	perDir := make([][]*rawPkg, len(dirs))
-	errs := make([]error, len(dirs))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			perDir[i], errs[i] = parseDir(fset, root, modPath, dir)
-		}(i, dir)
-	}
-	wg.Wait()
-	var raws []*rawPkg
 	byPath := map[string]*rawPkg{}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, rp := range perDir[i] {
-			raws = append(raws, rp)
-			if !rp.external {
-				byPath[rp.importPath] = rp
-			}
+	for _, rp := range raws {
+		if !rp.external {
+			byPath[rp.importPath] = rp
 		}
 	}
 	sort.Slice(raws, func(i, j int) bool { return raws[i].importPath < raws[j].importPath })
 	return raws, byPath, nil
 }
 
-// parseDir reads and parses one directory's .go files, grouping them by
-// package name: the primary package (with its in-package tests) and at
-// most one external _test package.
+// parseDir parses one directory's .go files, grouping them by package
+// name: the primary package (with its in-package tests) and at most one
+// external _test package. A directory without .go files yields none.
 func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*rawPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -271,35 +183,26 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*rawPkg, error)
 	if rel != "." {
 		importPath = modPath + "/" + filepath.ToSlash(rel)
 	}
-	groups := map[string][]srcFile{}
-	for _, e := range entries {
+	groups := map[string][]*ast.File{}
+	for _, e := range entries { // os.ReadDir sorts by filename
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		full := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		f, err := parser.ParseFile(fset, full, data, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", e.Name(), err)
 		}
-		relFile := filepath.ToSlash(filepath.Join(filepath.FromSlash(relOrDot(rel)), e.Name()))
-		groups[f.Name.Name] = append(groups[f.Name.Name], srcFile{rel: relFile, ast: f, hash: hashBytes(data)})
+		groups[f.Name.Name] = append(groups[f.Name.Name], f)
 	}
 	var out []*rawPkg
 	for name, files := range groups {
-		sort.Slice(files, func(i, j int) bool { return files[i].rel < files[j].rel })
-		rp := &rawPkg{dir: dir, files: files, imports: map[string]bool{}, done: make(chan struct{})}
+		rp := &rawPkg{importPath: importPath, dir: dir, files: files, imports: map[string]bool{}}
 		if strings.HasSuffix(name, "_test") {
-			rp.importPath = importPath + "_test"
+			rp.importPath += "_test"
 			rp.external = true
-		} else {
-			rp.importPath = importPath
 		}
-		for _, sf := range files {
-			for _, imp := range sf.ast.Imports {
+		for _, f := range files {
+			for _, imp := range f.Imports {
 				if p, err := strconv.Unquote(imp.Path.Value); err == nil {
 					rp.imports[p] = true
 				}
@@ -308,13 +211,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) ([]*rawPkg, error)
 		out = append(out, rp)
 	}
 	return out, nil
-}
-
-func relOrDot(rel string) string {
-	if rel == "." {
-		return ""
-	}
-	return rel
 }
 
 // topoOrder sorts packages so every in-module dependency precedes its
@@ -371,87 +267,10 @@ func inModuleDeps(rp *rawPkg, byPath map[string]*rawPkg) []*rawPkg {
 	return deps
 }
 
-// computeKeys fills each package's cache key; order must be
-// topological so dependency keys exist when needed.
-func computeKeys(order []*rawPkg, byPath map[string]*rawPkg, analyzers []*Analyzer) {
-	for _, rp := range order {
-		w := newHashWriter()
-		w.field(cacheGeneration)
-		w.field(runtime.Version())
-		for _, a := range analyzers {
-			w.field(a.Name)
-		}
-		w.field(rp.importPath)
-		for _, sf := range rp.files {
-			w.field(sf.rel)
-			w.field(sf.hash)
-		}
-		for _, dep := range inModuleDeps(rp, byPath) {
-			w.field(dep.key)
-		}
-		rp.key = w.sum()
-	}
-}
-
-// requiredSet computes the packages that must be type-checked: every
-// cache miss plus the transitive in-module dependencies its types
-// come from.
-func requiredSet(order []*rawPkg, byPath map[string]*rawPkg) map[*rawPkg]bool {
-	required := map[*rawPkg]bool{}
-	var need func(rp *rawPkg)
-	need = func(rp *rawPkg) {
-		if required[rp] {
-			return
-		}
-		required[rp] = true
-		for _, dep := range inModuleDeps(rp, byPath) {
-			need(dep)
-		}
-	}
-	for _, rp := range order {
-		if rp.result == nil { // cache miss
-			need(rp)
-		}
-	}
-	return required
-}
-
-// checkAndAnalyze type-checks the required packages concurrently —
-// each as soon as its dependencies finish, at most jobs at a time —
-// and runs the analyzers over the cache misses in the same worker.
-func checkAndAnalyze(fset *token.FileSet, root string, required map[*rawPkg]bool,
-	byPath map[string]*rawPkg, analyzers []*Analyzer, jobs int, cache *diskCache) {
-	imp := newModuleImporter(fset)
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for rp := range required {
-		wg.Add(1)
-		go func(rp *rawPkg) {
-			defer wg.Done()
-			defer close(rp.done)
-			for _, dep := range inModuleDeps(rp, byPath) {
-				<-dep.done
-			}
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			checkOne(fset, imp, rp)
-			if rp.pass == nil || rp.result != nil {
-				return // hard failure, or a hit that was only needed for types
-			}
-			rp.result = analyzeOne(root, rp, analyzers)
-			if cache != nil && len(rp.result.TypeErrors) == 0 {
-				cache.put(&cacheEntry{
-					Key: rp.key, ImportPath: rp.importPath,
-					Findings: rp.result.Raw, Directives: rp.result.Directives,
-				})
-			}
-		}(rp)
-	}
-	wg.Wait()
-}
-
-// checkOne type-checks one package and publishes it to the importer.
-func checkOne(fset *token.FileSet, imp *moduleImporter, rp *rawPkg) {
+// checkOne type-checks one package and registers it with the importer
+// for the packages after it. err is set only when the checker produced
+// no package at all; softer failures come back as typeErrs.
+func checkOne(fset *token.FileSet, imp *moduleImporter, rp *rawPkg) (pass *Pass, typeErrs []error, err error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -460,39 +279,32 @@ func checkOne(fset *token.FileSet, imp *moduleImporter, rp *rawPkg) {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	var softErrs []error
 	conf := types.Config{
 		Importer: imp,
-		Error:    func(err error) { softErrs = append(softErrs, err) },
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	files := make([]*ast.File, len(rp.files))
-	for i, sf := range rp.files {
-		files[i] = sf.ast
-	}
-	tpkg, _ := conf.Check(rp.importPath, fset, files, info)
+	tpkg, _ := conf.Check(rp.importPath, fset, rp.files, info)
 	if tpkg == nil {
-		rp.hard = firstErr(softErrs)
-		if rp.hard == nil {
-			rp.hard = fmt.Errorf("no package produced")
+		if len(typeErrs) > 0 {
+			return nil, nil, typeErrs[0]
 		}
-		return
+		return nil, nil, fmt.Errorf("no package produced")
 	}
-	rp.pass = &Pass{Fset: fset, Files: files, Pkg: tpkg, Info: info}
-	rp.typeErrs = softErrs
 	if !rp.external {
-		imp.publish(rp.importPath, tpkg)
+		imp.pkgs[rp.importPath] = tpkg
 	}
+	return &Pass{Fset: fset, Files: rp.files, Pkg: tpkg, Info: info}, typeErrs, nil
 }
 
 // analyzeOne runs the suite over one type-checked package and
 // normalizes positions to module-root-relative paths.
-func analyzeOne(root string, rp *rawPkg, analyzers []*Analyzer) *PackageResult {
-	res := &PackageResult{ImportPath: rp.importPath, Dir: rp.dir, TypeErrors: rp.typeErrs}
-	res.Raw = RunRaw(rp.pass, analyzers)
+func analyzeOne(root string, rp *rawPkg, pass *Pass, typeErrs []error, analyzers []*Analyzer) *PackageResult {
+	res := &PackageResult{ImportPath: rp.importPath, Dir: rp.dir, TypeErrors: typeErrs}
+	res.Raw = RunRaw(pass, analyzers)
 	for i := range res.Raw {
 		res.Raw[i].Position.Filename = rootRel(root, res.Raw[i].Position.Filename)
 	}
-	res.Directives = CollectDirectives(rp.pass)
+	res.Directives = CollectDirectives(pass)
 	for i := range res.Directives {
 		res.Directives[i].Position.Filename = rootRel(root, res.Directives[i].Position.Filename)
 	}
@@ -509,87 +321,27 @@ func rootRel(root, filename string) string {
 	return filepath.ToSlash(rel)
 }
 
-func firstErr(errs []error) error {
-	if len(errs) == 0 {
-		return nil
-	}
-	return errs[0]
-}
-
-// goSourceDirs lists directories under root holding .go files, skipping
-// hidden dirs, testdata and vendor trees.
-func goSourceDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-			name == "testdata" || name == "vendor") {
-			return filepath.SkipDir
-		}
-		entries, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				dirs = append(dirs, path)
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// moduleImporter resolves module-internal paths to freshly checked
-// packages and everything else through the standard importers. All
-// methods are safe for concurrent use: the driver type-checks
-// packages in parallel, and go/types calls Import from those
-// concurrent checks.
+// moduleImporter resolves module-internal paths to the packages checked
+// so far and everything else through the standard importers.
 type moduleImporter struct {
-	mu     sync.Mutex
-	module map[string]*types.Package
-	gc     types.Importer
-	src    types.Importer
-	cache  map[string]*types.Package
+	// pkgs holds the in-module packages checked so far and every other
+	// package imported so far.
+	pkgs map[string]*types.Package
+	gc   types.Importer
+	src  types.Importer
 }
 
 func newModuleImporter(fset *token.FileSet) *moduleImporter {
 	return &moduleImporter{
-		module: map[string]*types.Package{},
-		gc:     importer.Default(),
-		src:    importer.ForCompiler(fset, "source", nil),
-		cache:  map[string]*types.Package{},
+		pkgs: map[string]*types.Package{},
+		gc:   importer.Default(),
+		src:  importer.ForCompiler(fset, "source", nil),
 	}
 }
 
-// publish registers a freshly checked in-module package.
-func (m *moduleImporter) publish(path string, pkg *types.Package) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.module[path] = pkg
-}
-
-// Import implements types.Importer. The single lock serializes the
-// underlying gc/source importers, which are not safe for concurrent
-// use; module-internal lookups ride the same lock.
+// Import implements types.Importer.
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p, ok := m.module[path]; ok {
-		return p, nil
-	}
-	if p, ok := m.cache[path]; ok {
+	if p, ok := m.pkgs[path]; ok {
 		return p, nil
 	}
 	p, err := m.gc.Import(path)
@@ -605,6 +357,6 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 			return nil, fmt.Errorf("lint: import %q: %v", path, err)
 		}
 	}
-	m.cache[path] = p
+	m.pkgs[path] = p
 	return p, nil
 }

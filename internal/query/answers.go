@@ -44,17 +44,18 @@ func (iv Interval) String() string { return fmt.Sprintf("[%g,%g]", iv.Lo, iv.Hi)
 // A finished set — one that Finish sealed, one born whole from the
 // uncertainty queries, one MergeDisjoint produced — is a single sorted
 // run: its objects ascending in oids, object i's intervals
-// ivs[offs[i]:offs[i+1]] of one backing array, and no closed map at
-// all. Every stage from the bead kernel to the wire keeps that order
-// instead of rebuilding it.
+// ivs[offs[i]:offs[i+1]] of one backing array, and no maps at all.
+// Every stage from the bead kernel to the wire keeps that order instead
+// of rebuilding it.
 type AnswerSet struct {
 	oids []mod.OID
 	offs []int // one more than oids, from 0
 	ivs  []Interval
 
-	closed map[mod.OID][]Interval // nil once the set is a run
-	open   map[mod.OID]float64    // entry time of currently-open membership
-	endT   float64                // time at which the set was finalized
+	// Both maps are nil once the set is a run.
+	closed map[mod.OID][]Interval
+	open   map[mod.OID]float64 // entry time of currently-open membership
+	endT   float64             // time at which the set was finalized
 	done   bool
 }
 
@@ -114,9 +115,9 @@ func (r *AnswerSet) appendSorted(o mod.OID, ivs []bead.Interval) {
 }
 
 // Enter records that o satisfies the query from time t (idempotent while
-// already a member).
+// already a member). Enter, Leave and Point record into a set a sweep is
+// accumulating; recording into a finished set panics.
 func (r *AnswerSet) Enter(o mod.OID, t float64) {
-	r.accumulate()
 	if _, ok := r.open[o]; !ok {
 		r.open[o] = t
 	}
@@ -158,42 +159,22 @@ func (r *AnswerSet) Member(o mod.OID) bool {
 }
 
 // Finish closes all open intervals at the end of the evaluation window
-// and seals the set into its run. A sweep's answer names few objects,
-// so sorting them here is cheap; the answers that name thousands are
-// born as runs.
+// and seals the set into its run, dropping both maps. A sweep's answer
+// names few objects, so sorting them here is cheap; the answers that
+// name thousands are born as runs.
 func (r *AnswerSet) Finish(t float64) {
 	for o, start := range r.open {
 		r.appendInterval(o, Interval{Lo: start, Hi: t})
-		delete(r.open, o)
 	}
 	r.endT = t
 	r.done = true
 	if r.closed != nil {
 		r.oids, r.offs, r.ivs = r.Run()
-		r.closed = nil
 	}
-}
-
-// accumulate takes a set that is recorded into after it became a run
-// back to the maps a sweep accumulates in, with what the run holds.
-// Each list is capped at its own length, so an append to one cannot run
-// into its neighbour.
-func (r *AnswerSet) accumulate() {
-	if r.closed != nil {
-		return
-	}
-	r.closed = make(map[mod.OID][]Interval, len(r.oids))
-	for i, o := range r.oids {
-		r.closed[o] = r.ivs[r.offs[i]:r.offs[i+1]:r.offs[i+1]]
-	}
-	if r.open == nil {
-		r.open = make(map[mod.OID]float64)
-	}
-	r.oids, r.offs, r.ivs = nil, nil, nil
+	r.closed, r.open = nil, nil
 }
 
 func (r *AnswerSet) appendInterval(o mod.OID, iv Interval) {
-	r.accumulate()
 	ivs := r.closed[o]
 	// Merge with the previous interval when contiguous (an object that
 	// leaves and re-enters at the same instant never really left).

@@ -226,8 +226,8 @@ func sortedWith(oids []mod.OID, o mod.OID) []mod.OID {
 
 // TestRunIsTheSetsOrderedForm: whatever way a set came about, Run lists
 // what Objects and Intervals report, ascending; a finished set hands
-// out its own storage and holds no map; and a set recorded into after
-// Finish goes back to accumulating with everything the run held.
+// out its own storage and holds no map; and recording into a finished
+// set panics without changing it.
 func TestRunIsTheSetsOrderedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	oids := edgeOIDs()
@@ -249,27 +249,21 @@ func TestRunIsTheSetsOrderedForm(t *testing.T) {
 			t.Fatalf("round %d: a finished set built its run again", round)
 		}
 
-		// Recording after Finish: the sweep forms come back, nothing is
-		// lost, and the neighbour's intervals are not overwritten.
+		// Recording into a finished set panics and leaves it as it was.
 		before := MergeDisjoint(ans)
-		first, last := ans.Intervals(oids[3]), ans.Intervals(oids[4])
-		ans.Enter(5, 60)
-		ans.Enter(oids[3], 1e7)
-		ans.Leave(oids[3], 2e7)
-		if !ans.Member(5) || ans.closed == nil {
-			t.Fatalf("round %d: Enter after Finish did not reopen the set", round)
+		for _, record := range []func(){
+			func() { ans.Enter(5, 60) },
+			func() { ans.Enter(oids[3], 1e7) },
+			func() { ans.Point(oids[3], 1e7) },
+			func() { ans.Point(5, 60) },
+		} {
+			if caught(record) == "" {
+				t.Fatalf("round %d: recording into a finished set did not panic", round)
+			}
 		}
-		ans.Finish(3e7)
-		want := append(first, Interval{Lo: 1e7, Hi: 2e7})
-		if got := ans.Intervals(oids[3]); !slices.Equal(got, want) || !slices.Equal(ans.Intervals(oids[4]), last) {
-			t.Fatalf("round %d: after reopening %v has %v, want %v; its neighbour %v, want %v",
-				round, oids[3], got, want, ans.Intervals(oids[4]), last)
-		}
-		if got := ans.Intervals(5); len(got) != 1 || got[0] != (Interval{Lo: 60, Hi: 3e7}) {
-			t.Fatalf("round %d: the membership opened after Finish closed as %v", round, got)
-		}
-		if len(ans.Objects()) != len(before.Objects())+1 {
-			t.Fatalf("round %d: %d objects after reopening, %d before", round, len(ans.Objects()), len(before.Objects()))
+		ans.Leave(oids[3], 2e7) // not a member: nothing to record
+		if diff := sameRun(ans, before); diff != "" || ans.Member(5) {
+			t.Fatalf("round %d: a finished set changed after recording into it: %s", round, diff)
 		}
 	}
 
