@@ -75,7 +75,7 @@ func SR01KNN(db *mod.DB, query trajectory.Trajectory, cfg SR01Config, lo, hi flo
 	if db.Dim() != 2 {
 		return SampledAnswer{}, 0, fmt.Errorf("baseline: SR01 needs 2-D data, got %d-D", db.Dim())
 	}
-	var items []rtree.Item
+	var items []rtree.RectItem
 	for o, tr := range db.Trajectories() {
 		pos, err := tr.At(lo)
 		if err != nil {
@@ -85,9 +85,9 @@ func SR01KNN(db *mod.DB, query trajectory.Trajectory, cfg SR01Config, lo, hi flo
 		if !vel.IsZero() {
 			return SampledAnswer{}, 0, fmt.Errorf("baseline: SR01 requires stationary objects; %s moves", o)
 		}
-		items = append(items, rtree.Item{ID: uint64(o), P: pos})
+		items = append(items, rtree.RectItem{ID: uint64(o), R: rtree.Rect{Min: pos, Max: pos}})
 	}
-	tree, err := rtree.Bulk(items, 2, cfg.Fanout)
+	tree, err := rtree.BulkRects(items, 2, cfg.Fanout)
 	if err != nil {
 		return SampledAnswer{}, 0, err
 	}
@@ -99,7 +99,7 @@ func SR01KNN(db *mod.DB, query trajectory.Trajectory, cfg SR01Config, lo, hi flo
 		if err != nil {
 			return SampledAnswer{}, 0, err
 		}
-		var got []rtree.Item
+		var got []rtree.RectItem
 		if !math.IsInf(radius, 1) {
 			// Expand the previous radius by the query's displacement
 			// since the last search (their re-calculation rule).
@@ -114,7 +114,7 @@ func SR01KNN(db *mod.DB, query trajectory.Trajectory, cfg SR01Config, lo, hi flo
 		}
 		// Keep the K nearest of the candidates.
 		sort.Slice(got, func(i, j int) bool {
-			di, dj := got[i].P.Dist2(qpos), got[j].P.Dist2(qpos)
+			di, dj := got[i].R.Min.Dist2(qpos), got[j].R.Min.Dist2(qpos)
 			if di != dj { //modlint:allow floatcmp -- comparator: strict weak ordering needs exact compares; ties break by OID
 				return di < dj
 			}
@@ -124,7 +124,7 @@ func SR01KNN(db *mod.DB, query trajectory.Trajectory, cfg SR01Config, lo, hi flo
 			got = got[:cfg.K]
 		}
 		if len(got) > 0 {
-			radius = got[len(got)-1].P.Dist(qpos)
+			radius = got[len(got)-1].R.Min.Dist(qpos)
 		}
 		set := make([]mod.OID, len(got))
 		for i, it := range got {

@@ -174,15 +174,15 @@ func broadPhase(items []boxItem, dim, fanout int, emit func(a, b uint64)) error 
 	if len(items) < 2 {
 		return nil
 	}
-	pts := make([]rtree.Item, len(items))
+	pts := make([]rtree.RectItem, len(items))
 	maxHalf := 0.0
 	for i, it := range items {
-		pts[i] = rtree.Item{ID: it.oid, P: it.center}
+		pts[i] = rtree.RectItem{ID: it.oid, R: rtree.Rect{Min: it.center, Max: it.center}}
 		if it.half > maxHalf {
 			maxHalf = it.half
 		}
 	}
-	tree, err := rtree.Bulk(pts, dim, fanout)
+	tree, err := rtree.BulkRects(pts, dim, fanout)
 	if err != nil {
 		return err
 	}

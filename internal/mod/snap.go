@@ -13,6 +13,7 @@ package mod
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/trajectory"
@@ -37,6 +38,19 @@ func (s *Snap) Dim() int { return s.dim }
 
 // Tau returns the last-update time the snapshot was taken at.
 func (s *Snap) Tau() float64 { return s.tau }
+
+// MaxTau is the aggregate last-update time of a set of per-shard
+// snapshots — the tau a query over all of them is answered as of. It is
+// -Inf for an empty set.
+func MaxTau(snaps []*Snap) float64 {
+	t := math.Inf(-1)
+	for _, s := range snaps {
+		if s.tau > t {
+			t = s.tau
+		}
+	}
+	return t
+}
 
 // Epoch returns the database epoch the snapshot reflects.
 func (s *Snap) Epoch() uint64 { return s.epoch }

@@ -44,6 +44,20 @@ func TestEpochSnapshotCaching(t *testing.T) {
 	}
 }
 
+// TestMaxTau: the aggregate tau of a snapshot set is its largest tau,
+// and -Inf for no snapshots at all.
+func TestMaxTau(t *testing.T) {
+	if got := MaxTau(nil); !math.IsInf(got, -1) {
+		t.Fatalf("MaxTau(nil) = %g, want -Inf", got)
+	}
+	a, b := NewDB(2, 3), NewDB(2, math.Inf(-1))
+	must(t, b.Apply(New(1, 7, geom.Of(1, 0), geom.Of(0, 0))))
+	snaps := []*Snap{a.EpochSnapshot(), b.EpochSnapshot(), NewDB(2, -1).EpochSnapshot()}
+	if got := MaxTau(snaps); got != 7 {
+		t.Fatalf("MaxTau = %g, want 7", got)
+	}
+}
+
 // TestEpochSnapshotLoadPaths: Load (historical bulk-load) bumps the
 // epoch too — a cached pre-load snapshot must not be served after the
 // database's contents changed without going through Apply.
@@ -68,7 +82,8 @@ func TestEpochSnapshotLoadPaths(t *testing.T) {
 // tau matches a prefix of the applied stream, never a torn mix) and
 // epochs must be monotone per reader. Run under -race in CI.
 func TestEpochSnapshotConcurrent(t *testing.T) {
-	db := NewDB(2, -1)
+	// Start at -Inf, the tau the readers skip as "nothing applied yet".
+	db := NewDB(2, math.Inf(-1))
 	const updates = 400
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

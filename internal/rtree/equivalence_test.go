@@ -2,16 +2,19 @@ package rtree
 
 // Property test: STR bulk loading and one-at-a-time insertion must be
 // two constructions of the SAME search structure, as observed through
-// every query API. The trees differ internally (packing vs split
+// the box visits. The trees differ internally (packing vs split
 // heuristics), so the equivalence is over results: on random workloads,
-// range/radius/rect searches and their append/visitor variants return
-// identical item sets in identical (ID) order. This is the contract the
-// uncertainty broad phase (internal/query) leans on when it STR-builds
-// at first sync and inserts incrementally afterwards.
+// VisitRect, VisitSegment and SearchRadius report identical item sets.
+// This is the contract the uncertainty broad phase (internal/query) leans
+// on when it STR-builds at first sync and inserts incrementally
+// afterwards. The point searches are also checked against brute force in
+// rtree_test.go.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -34,20 +37,43 @@ func eqRandRect(rng *rand.Rand, dim int, scale float64) Rect {
 	return Rect{Min: lo, Max: hi}
 }
 
+// byID sorts a visit's items into ID order.
+func byID(items []RectItem) []RectItem {
+	slices.SortFunc(items, func(a, b RectItem) int { return cmp.Compare(a.ID, b.ID) })
+	return items
+}
+
+// rectHits collects the items VisitRect reports, in ID order.
+func rectHits(t *RectTree, r Rect) []RectItem {
+	var out []RectItem
+	t.VisitRect(r, func(it RectItem) bool { out = append(out, it); return true })
+	return byID(out)
+}
+
+// segmentHits collects the items VisitSegment reports, in ID order.
+func segmentHits(t *RectTree, a, b geom.Vec) []RectItem {
+	var out []RectItem
+	t.VisitSegment(a, b, func(it RectItem) bool { out = append(out, it); return true })
+	return byID(out)
+}
+
+// Points stored as degenerate boxes: a VisitRect is a range search and
+// SearchRadius is a point radius search; both constructions agree.
 func TestBulkVsInsertSearchEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
 		dim := 2 + rng.Intn(2)
 		n := rng.Intn(400)
-		items := make([]Item, n)
+		items := make([]RectItem, n)
 		for i := range items {
-			items[i] = Item{ID: uint64(i + 1), P: eqRandVec(rng, dim, 100)}
+			p := eqRandVec(rng, dim, 100)
+			items[i] = RectItem{ID: uint64(i + 1), R: Rect{Min: p, Max: p}}
 		}
-		bulk, err := Bulk(items, dim, DefaultFanout)
+		bulk, err := BulkRects(items, dim, DefaultFanout)
 		if err != nil {
-			t.Fatalf("trial %d: Bulk: %v", trial, err)
+			t.Fatalf("trial %d: BulkRects: %v", trial, err)
 		}
-		inc := New(dim, DefaultFanout)
+		inc := NewRectTree(dim, DefaultFanout)
 		for _, it := range items {
 			if err := inc.Insert(it); err != nil {
 				t.Fatalf("trial %d: Insert: %v", trial, err)
@@ -58,17 +84,10 @@ func TestBulkVsInsertSearchEquivalence(t *testing.T) {
 		}
 		for q := 0; q < 25; q++ {
 			r := eqRandRect(rng, dim, 120)
-			br := bulk.SearchRange(r)
-			ir := inc.SearchRange(r)
+			br := rectHits(bulk, r)
+			ir := rectHits(inc, r)
 			if fmt.Sprint(br) != fmt.Sprint(ir) {
-				t.Fatalf("trial %d query %d: SearchRange diverges:\nbulk %v\ninc  %v", trial, q, br, ir)
-			}
-			// The append variant must agree with the allocating one and
-			// respect pre-existing slice contents.
-			pre := []Item{{ID: 777}}
-			ba := bulk.SearchRangeAppend(r, pre)
-			if len(ba) != 1+len(br) || ba[0].ID != 777 || fmt.Sprint(ba[1:]) != fmt.Sprint(br) {
-				t.Fatalf("trial %d query %d: SearchRangeAppend mismatch", trial, q)
+				t.Fatalf("trial %d query %d: range visit diverges:\nbulk %v\ninc  %v", trial, q, br, ir)
 			}
 
 			c := eqRandVec(rng, dim, 120)
@@ -103,19 +122,14 @@ func TestBulkVsInsertRectSearchEquivalence(t *testing.T) {
 		}
 		for q := 0; q < 25; q++ {
 			r := eqRandRect(rng, dim, 120)
-			br := bulk.SearchRect(r)
-			ir := inc.SearchRect(r)
+			br := rectHits(bulk, r)
+			ir := rectHits(inc, r)
 			if fmt.Sprint(br) != fmt.Sprint(ir) {
-				t.Fatalf("trial %d query %d: SearchRect diverges:\nbulk %v\ninc  %v", trial, q, br, ir)
-			}
-			visited := 0
-			bulk.VisitRect(r, func(RectItem) bool { visited++; return true })
-			if visited != len(br) {
-				t.Fatalf("trial %d query %d: VisitRect saw %d, SearchRect %d", trial, q, visited, len(br))
+				t.Fatalf("trial %d query %d: VisitRect diverges:\nbulk %v\ninc  %v", trial, q, br, ir)
 			}
 			// Early stop: the visitor must halt after the first match.
 			if len(br) > 1 {
-				visited = 0
+				visited := 0
 				bulk.VisitRect(r, func(RectItem) bool { visited++; return false })
 				if visited != 1 {
 					t.Fatalf("trial %d query %d: early-stop visit saw %d items", trial, q, visited)
@@ -123,8 +137,8 @@ func TestBulkVsInsertRectSearchEquivalence(t *testing.T) {
 			}
 
 			a, b := eqRandVec(rng, dim, 120), eqRandVec(rng, dim, 120)
-			if fmt.Sprint(bulk.SearchSegment(a, b)) != fmt.Sprint(inc.SearchSegment(a, b)) {
-				t.Fatalf("trial %d query %d: SearchSegment diverges", trial, q)
+			if fmt.Sprint(segmentHits(bulk, a, b)) != fmt.Sprint(segmentHits(inc, a, b)) {
+				t.Fatalf("trial %d query %d: VisitSegment diverges", trial, q)
 			}
 		}
 	}

@@ -12,32 +12,33 @@ import (
 
 func TestFanoutNormalizationAndDuplicateIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	tree := New(2, 2) // fanout 2 normalizes, and the tree grows interior levels
+	tree := NewRectTree(2, 2) // fanout 2 normalizes, and the tree grows interior levels
 	if tree.max != DefaultFanout {
 		t.Fatalf("fanout 2 normalized to %d, want %d", tree.max, DefaultFanout)
 	}
 	n := 500
 	for i := 0; i < n; i++ {
 		p := geom.Of(rng.Float64()*100, rng.Float64()*100)
-		if err := tree.Insert(Item{ID: uint64(i), P: p}); err != nil {
+		if err := tree.Insert(RectItem{ID: uint64(i), R: Rect{Min: p, Max: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	all := Rect{Min: geom.Of(-1, -1), Max: geom.Of(101, 101)}
 
-	if got := tree.SearchRange(all); len(got) != n {
-		t.Fatalf("SearchRange over everything returned %d of %d items", len(got), n)
+	if got := rectHits(tree, all); len(got) != n {
+		t.Fatalf("VisitRect over everything returned %d of %d items", len(got), n)
 	}
 
 	// Duplicate IDs are allowed in a result run; the sort must not
 	// drop or reorder them into an invalid sequence.
-	dup := New(2, 0)
+	dup := NewRectTree(2, 0)
 	for i := 0; i < 6; i++ {
-		if err := dup.Insert(Item{ID: uint64(i % 2), P: geom.Of(float64(i), 0)}); err != nil {
+		p := geom.Of(float64(i), 0)
+		if err := dup.Insert(RectItem{ID: uint64(i % 2), R: Rect{Min: p, Max: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := dup.SearchRange(Rect{Min: geom.Of(-1, -1), Max: geom.Of(10, 1)})
+	got := dup.SearchRadius(geom.Of(2.5, 0), 3)
 	if len(got) != 6 {
 		t.Fatalf("duplicate-ID search returned %d of 6 items", len(got))
 	}

@@ -1,16 +1,11 @@
 package rtree
 
-// RectTree is an R-tree over axis-aligned boxes — the substrate of the
-// subscription interest index (internal/sub): each entry is the bounding
-// box of one subscription's candidate ball, and the query shape is a
-// motion segment (where an updated object can travel inside its new
-// linear piece). Same STR bulk loading and linear-split insertion as the
-// point Tree; deletions are handled by the caller with tombstones and a
-// periodic rebuild, which keeps this structure append-only and simple.
+// The tree itself: STR bulk loading over the boxes' min corners,
+// linear-split insertion, and the two visits the serving path uses —
+// by box (query.BeadIndex) and by segment (internal/sub).
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -280,17 +275,6 @@ func (t *RectTree) VisitSegment(a, b geom.Vec, fn func(RectItem) bool) {
 	walk(t.root)
 }
 
-// SearchSegment returns the boxes the segment a→b touches, in ID order.
-func (t *RectTree) SearchSegment(a, b geom.Vec) []RectItem {
-	var out []RectItem
-	t.VisitSegment(a, b, func(it RectItem) bool {
-		out = append(out, it)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // VisitRect calls fn for every stored box intersecting r (closed-box
 // overlap: touching counts), in tree order. Returning false from fn
 // stops the traversal early. The traversal itself performs no
@@ -321,48 +305,4 @@ func visitRect(n *rnode, r Rect, fn func(RectItem) bool) bool {
 		}
 	}
 	return true
-}
-
-// SearchRectAppend appends every stored box intersecting r to dst and
-// returns the extended slice, with the appended run sorted by ID — the
-// recycled-storage counterpart of VisitRect.
-func (t *RectTree) SearchRectAppend(r Rect, dst []RectItem) []RectItem {
-	if t.n == 0 {
-		return dst
-	}
-	n := len(dst)
-	dst = appendRect(t.root, r, dst)
-	slices.SortFunc(dst[n:], func(a, b RectItem) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	return dst
-}
-
-// SearchRect returns the boxes intersecting r, in ID order.
-func (t *RectTree) SearchRect(r Rect) []RectItem {
-	return t.SearchRectAppend(r, nil)
-}
-
-func appendRect(n *rnode, r Rect, dst []RectItem) []RectItem {
-	if !n.rect.intersects(r) {
-		return dst
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.R.intersects(r) {
-				dst = append(dst, it)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = appendRect(c, r, dst)
-	}
-	return dst
 }

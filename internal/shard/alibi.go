@@ -35,7 +35,7 @@ import (
 func (e *Engine) Alibi(o1, o2 mod.OID, lo, hi, defaultVmax float64) (bead.Result, float64, error) {
 	start := time.Now()
 	snaps := e.Snapshots()
-	tau := maxTau(snaps)
+	tau := mod.MaxTau(snaps)
 	if o1 == o2 {
 		// Same validation the single-source path applies, kept here
 		// because the two-snapshot fetch below would happily race an
@@ -96,7 +96,7 @@ func (e *Engine) validateSpeedBounds(snaps []*mod.Snap, defaultVmax float64) err
 func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (*query.AnswerSet, float64, error) {
 	start := time.Now()
 	snaps := e.Snapshots()
-	tau := maxTau(snaps)
+	tau := mod.MaxTau(snaps)
 	if err := e.validateSpeedBounds(snaps, defaultVmax); err != nil {
 		return nil, tau, err
 	}

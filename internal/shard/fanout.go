@@ -16,22 +16,24 @@ package shard
 //     to C.
 //
 //   - KNN: one sweep, over the whole database. The shards only scan:
-//     each computes, per object, the closed-form span of its curve
-//     (query.ScanPast — no curve is built, nothing is swept). The
-//     coordinator hands the scans to query.RunScans, which takes one
-//     threshold from the merged starting values, sweeps the objects of
-//     every shard that can come down to it, and lets a sentinel curve
-//     prove the threshold sufficient — or restarts with a larger one.
+//     each builds, per object, the curve over the window with f.Curve
+//     and reads its starting value and minimum (query.ScanPast; nothing
+//     is swept there). The coordinator hands the scans to
+//     query.RunScans, which takes one threshold from the merged starting
+//     values, sweeps the objects of every shard that can come down to
+//     it, and lets a sentinel curve prove the threshold sufficient — or
+//     restarts with a larger one.
 //     Nothing here depends on the partition: the pool is the one an
 //     unsharded database would sweep, so the answer is the same at
 //     every P by construction (DESIGN.md, "Threshold-bounded sweep").
 //
 // Every query also reports the tau of the snapshot set it ran over
-// (the max of the per-shard snapshot taus): under concurrent updates
-// the engine's live Tau() keeps moving, and classifying the query
-// window (past/future/continuing) against anything but the snapshot
-// tau misstates what the answer was computed over — the wire-level
-// race this return value fixes (see server.handleKNN).
+// (mod.MaxTau, the max of the per-shard snapshot taus): under
+// concurrent updates the engine's live Tau() keeps moving, and
+// classifying the query window (past/future/continuing) against
+// anything but the snapshot tau misstates what the answer was computed
+// over — the wire-level race this return value fixes (see
+// server.handleKNN).
 
 import (
 	"errors"
@@ -40,6 +42,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gdist"
+	"repro/internal/mod"
 	"repro/internal/query"
 )
 
@@ -79,7 +82,7 @@ func (e *Engine) forEach(fn func(i int) error) error {
 // front-ends.
 func (e *Engine) RunPast(f gdist.GDistance, lo, hi float64, mk func(i int) query.Evaluator) ([]query.Evaluator, core.Stats, float64, error) {
 	snaps := e.Snapshots()
-	tau := maxTau(snaps)
+	tau := mod.MaxTau(snaps)
 	evs := make([]query.Evaluator, len(snaps))
 	stats := make([]core.Stats, len(snaps))
 	err := e.forEach(func(i int) error {
@@ -133,7 +136,7 @@ func (e *Engine) Within(f gdist.GDistance, c float64, lo, hi float64) (*query.An
 func (e *Engine) KNN(f gdist.GDistance, k int, lo, hi float64) (*query.AnswerSet, core.Stats, float64, error) {
 	start := time.Now()
 	snaps := e.Snapshots()
-	tau := maxTau(snaps)
+	tau := mod.MaxTau(snaps)
 	scans := make([]*query.Scan, len(snaps))
 	err := e.forEach(func(i int) error {
 		var serr error

@@ -347,18 +347,6 @@ func (e *Engine) Snapshots() []*mod.Snap {
 	return out
 }
 
-// maxTau is the aggregate last-update time of a set of per-shard
-// snapshots — the tau a query over those snapshots is answered as of.
-func maxTau(snaps []*mod.Snap) float64 {
-	t := snaps[0].Tau()
-	for _, s := range snaps[1:] {
-		if st := s.Tau(); st > t {
-			t = st
-		}
-	}
-	return t
-}
-
 // Subscriptions returns the engine's materialized-subscription registry
 // (internal/sub), creating it on first use. The registry ingests the
 // engine's update feed and maintains every continuing query

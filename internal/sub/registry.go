@@ -248,10 +248,7 @@ func (r *Registry) dropStream(st *Stream) {
 func (r *Registry) snapshot() ([]*mod.Snap, float64) {
 	if r.snaps == nil {
 		r.snaps = r.src.Snapshots()
-		r.snapTau = math.Inf(-1)
-		for _, sn := range r.snaps {
-			r.snapTau = math.Max(r.snapTau, sn.Tau())
-		}
+		r.snapTau = mod.MaxTau(r.snaps)
 		r.snapLo = math.Nextafter(r.snapTau, math.Inf(1))
 	}
 	return r.snaps, r.snapLo
