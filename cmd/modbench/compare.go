@@ -2,11 +2,10 @@ package main
 
 // Bench-regression gate: -compare loads a committed baseline document
 // (the bench/*.json artifacts written by -json) and fails the run if
-// any throughput record regressed by more than regressFactor, or if a
-// zero-alloc hot path started allocating. The threshold is deliberately
-// generous — CI machines differ from the machine that wrote the
-// baseline — so only step-function regressions (a lost fast path, a
-// reintroduced per-update fsync, a new allocation per op) trip it.
+// any throughput record regressed by more than regressFactor. The
+// threshold is deliberately generous — CI machines differ from the
+// machine that wrote the baseline — so only step-function regressions
+// (a lost fast path, a routing index that stopped pruning) trip it.
 
 import (
 	"encoding/json"
@@ -19,17 +18,13 @@ import (
 // baseline before the gate fails (>2x regression fails).
 const regressFactor = 2.0
 
-// allocSlack is the allowed allocs/op increase over the baseline; 0.5
-// distinguishes "still amortized-zero" from "allocates every op".
-const allocSlack = 0.5
-
 func recordKey(r benchRecord) string {
 	return fmt.Sprintf("%s/%s/p=%d", r.Exp, r.Name, r.P)
 }
 
 // compareBaseline checks this run's records against the baseline at
 // path. Only baseline records whose experiment was selected this run
-// are compared, so a -exp e12 smoke ignores e10/e11 baselines.
+// are compared, so a -exp e13 smoke ignores e14/e15 baselines.
 func compareBaseline(path string, ran map[string]bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -67,17 +62,6 @@ func compareBaseline(path string, ran map[string]bool) error {
 					key, cur.UpdatesPerSec, base.UpdatesPerSec, ratio))
 			}
 			fmt.Printf("  %-40s %.2fx throughput vs baseline  %s\n", key, ratio, status)
-		}
-		if base.AllocsPerOp != nil && cur.AllocsPerOp != nil {
-			status := "ok"
-			if *cur.AllocsPerOp > *base.AllocsPerOp+allocSlack {
-				status = "REGRESSED"
-				failures = append(failures, fmt.Errorf(
-					"%s: %.3g allocs/op vs baseline %.3g",
-					key, *cur.AllocsPerOp, *base.AllocsPerOp))
-			}
-			fmt.Printf("  %-40s %.3g allocs/op (baseline %.3g)  %s\n",
-				key, *cur.AllocsPerOp, *base.AllocsPerOp, status)
 		}
 	}
 	return errors.Join(failures...)

@@ -1,7 +1,6 @@
 package main
 
-// Crash-recovery smoke support (the CI "crash" job) and E11, the
-// durability-overhead experiment.
+// Crash-recovery smoke support (the CI "crash-recovery" job).
 //
 // The smoke test is two modbench invocations around a kill -9:
 //
@@ -31,14 +30,11 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/geom"
 	"repro/internal/mod"
-	"repro/internal/shard"
 )
 
 var (
@@ -241,135 +237,5 @@ func runCrashCheck(base string) error {
 		return fmt.Errorf("recovered state is not the stream prefix of length %d", j)
 	}
 	log.Printf("crashcheck OK: %d acked, recovered prefix %d of %d, state matches exactly", len(acked), j, len(us))
-	return nil
-}
-
-// e11 — durability overhead (internal/durable): what the journal's
-// flush-per-update guarantee costs at ingest, what a checkpoint costs,
-// and what recovery costs from a snapshot vs by journal replay.
-func e11() error {
-	fmt.Println("== E11: durability overhead (internal/durable) ==")
-	count := 20000
-	if *quickFlag {
-		count = 4000
-	}
-	const p = 4
-	us := crashStream(*seedFlag+6, count)
-	root, err := os.MkdirTemp("", "modbench-e11-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-
-	applyAll := func(apply func(mod.Update) error) (float64, error) {
-		start := time.Now()
-		for _, u := range us {
-			if err := apply(u); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Seconds(), nil
-	}
-
-	// Volatile baseline: the same sharded engine with no journal.
-	veng, err := shard.FromDB(mod.NewDB(2, 0), shard.Config{Shards: p, Workers: p})
-	if err != nil {
-		return err
-	}
-	volT, err := applyAll(veng.Apply)
-	if err != nil {
-		return err
-	}
-
-	// Durable, flushed per update (the kill -9 guarantee modserve runs
-	// with), then a checkpoint, then recovery from that snapshot.
-	fdir := filepath.Join(root, "flush")
-	feng, err := durable.Open(fdir, durable.Config{Shards: p, Workers: p, Dim: 2})
-	if err != nil {
-		return err
-	}
-	flushT, err := applyAll(feng.Apply)
-	if err != nil {
-		return err
-	}
-	ckStart := time.Now()
-	infos, err := feng.Checkpoint()
-	if err != nil {
-		return err
-	}
-	ckT := time.Since(ckStart).Seconds()
-	snapBytes := 0
-	for _, info := range infos {
-		snapBytes += info.SnapshotBytes
-	}
-	if err := feng.Close(); err != nil {
-		return err
-	}
-	rsStart := time.Now()
-	reng, err := durable.Open(fdir, durable.Config{Shards: p, Workers: p, Dim: 2})
-	if err != nil {
-		return err
-	}
-	recSnapT := time.Since(rsStart).Seconds()
-	if err := reng.Close(); err != nil {
-		return err
-	}
-
-	// Durable with batched journal writes (no per-update flush), closed
-	// without a checkpoint so reopening must replay the whole journal.
-	bdir := filepath.Join(root, "batch")
-	beng, err := durable.Open(bdir, durable.Config{Shards: p, Workers: p, Dim: 2, Commit: durable.CommitNone})
-	if err != nil {
-		return err
-	}
-	batchT, err := applyAll(beng.Apply)
-	if err != nil {
-		return err
-	}
-	if err := beng.Sync(); err != nil {
-		return err
-	}
-	if err := beng.Close(); err != nil {
-		return err
-	}
-	rrStart := time.Now()
-	breng, err := durable.Open(bdir, durable.Config{Shards: p, Workers: p, Dim: 2})
-	if err != nil {
-		return err
-	}
-	recReplayT := time.Since(rrStart).Seconds()
-	replayed := 0
-	for _, info := range breng.Recovery() {
-		replayed += info.Replay.Applied
-	}
-	if err := breng.Close(); err != nil {
-		return err
-	}
-	if replayed != count {
-		return fmt.Errorf("journal replay recovered %d of %d updates", replayed, count)
-	}
-
-	ups := func(t float64) float64 { return float64(count) / t }
-	emitBench(benchRecord{Exp: "e11", Name: "ingest-volatile", P: p, N: count,
-		Seconds: volT, UpdatesPerSec: ups(volT)})
-	emitBench(benchRecord{Exp: "e11", Name: "ingest-durable-flush", P: p, N: count,
-		Seconds: flushT, UpdatesPerSec: ups(flushT)})
-	emitBench(benchRecord{Exp: "e11", Name: "ingest-durable-batched", P: p, N: count,
-		Seconds: batchT, UpdatesPerSec: ups(batchT)})
-	emitBench(benchRecord{Exp: "e11", Name: "checkpoint", P: p, N: count,
-		Seconds: ckT, Bytes: snapBytes})
-	emitBench(benchRecord{Exp: "e11", Name: "recovery-snapshot", P: p, N: count,
-		Seconds: recSnapT})
-	emitBench(benchRecord{Exp: "e11", Name: "recovery-replay", P: p, N: count,
-		Seconds: recReplayT, Events: replayed})
-
-	table("mode\tingest s\tupdates/s\tvs volatile", [][]string{
-		{"volatile", fmt.Sprintf("%.3g", volT), fmt.Sprintf("%.0f", ups(volT)), "1.00x"},
-		{"durable (flush/update)", fmt.Sprintf("%.3g", flushT), fmt.Sprintf("%.0f", ups(flushT)), fmt.Sprintf("%.2fx", flushT/volT)},
-		{"durable (batched)", fmt.Sprintf("%.3g", batchT), fmt.Sprintf("%.0f", ups(batchT)), fmt.Sprintf("%.2fx", batchT/volT)},
-	})
-	fmt.Printf("checkpoint (P=%d): %.3g ms, %d snapshot bytes\n", p, ckT*1e3, snapBytes)
-	fmt.Printf("recovery: %.3g ms from snapshot, %.3g ms replaying %d journal entries\n",
-		recSnapT*1e3, recReplayT*1e3, replayed)
 	return nil
 }

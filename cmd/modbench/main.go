@@ -1,38 +1,38 @@
-// Command modbench runs the reproduction experiments E1–E15 (see
-// DESIGN.md's per-experiment index; E8 and E9 are testing.B benchmarks
-// in bench_test.go only) and prints the tables recorded in
-// EXPERIMENTS.md: complexity-shape measurements for Theorems 4, 5 and 10,
-// Corollary 6 and Lemma 9, the Proposition 1 baseline comparison, the
-// Song–Roussopoulos accuracy comparison of Section 5, and the engine
-// experiments e10–e15.
+// Command modbench runs the reproduction experiments of EXPERIMENTS.md
+// and prints their tables: complexity-shape measurements for Theorems 4,
+// 5 and 10, Corollary 6 and Lemma 9 (E1–E4, E6), the Proposition 1
+// baseline comparison (E5) and the Song–Roussopoulos accuracy comparison
+// of Section 5 (E7). E8 and E9 are testing.B benchmarks in bench_test.go.
+// Three engine experiments ride along: subscription scaling (e13,
+// internal/sub interest routing under a growing subscriber population),
+// the alibi deciders (e14) and the uncertainty broad phase (e15,
+// internal/query.BeadIndex vs the full bead scan, answers compared bit
+// for bit). The shard fan-out, durability and update-path experiments
+// that used to be e10–e12 are measured end to end by benchmark/
+// (past-sweep at -shards 2, and ingest-durable).
 //
 // Usage:
 //
-//	modbench [-exp all|e1,e3,e10] [-quick] [-seed N] [-json out.json]
+//	modbench [-exp all|e1,e3,e13] [-quick] [-seed N] [-json out.json] [-compare base.json]
 //	modbench -drive http://HOST:PORT [-acked acked.jsonl]      (crash smoke)
 //	modbench -crashcheck http://HOST:PORT [-acked acked.jsonl]
 //
-// Experiments that measure machine-scaling (e10, the internal/shard
-// fan-out), durability cost (e11, internal/durable), update-path
-// throughput (e12, batched ingestion + group commit + the zero-alloc
-// sweep hot path), subscription scaling (e13, internal/sub interest
-// routing under a growing subscriber population), the alibi deciders
-// (e14) or the uncertainty broad phase (e15, internal/query.BeadIndex
-// vs the full bead scan, answers compared bit-for-bit) additionally emit
-// one `BENCH {...}` JSON line per measurement on stdout; -json collects
-// all BENCH records into a file (the artifact CI uploads and
-// EXPERIMENTS.md records). The -drive/-crashcheck modes are the two
-// halves of the kill -9 crash-recovery smoke test (see crash.go).
+// e13–e15 additionally emit one `BENCH {...}` JSON line per measurement
+// on stdout; -json collects all BENCH records into a file (the artifact
+// CI uploads and EXPERIMENTS.md records), and -compare gates them
+// against a committed baseline (compare.go). The -drive/-crashcheck
+// modes are the two halves of the kill -9 crash-recovery smoke test (see
+// crash.go).
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -44,37 +44,73 @@ import (
 	"repro/internal/mod"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "comma-separated experiments (e1..e15; e8 and e9 are go test benchmarks) or 'all'")
+	expFlag     = flag.String("exp", "all", "comma-separated experiments (e1..e7, e13..e15) or 'all'")
 	quickFlag   = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
 	seedFlag    = flag.Int64("seed", 1, "workload seed")
 	jsonFlag    = flag.String("json", "", "write all BENCH records as a JSON document to this file")
 	compareFlag = flag.String("compare", "", "baseline -json document to regression-check this run against")
 )
 
+// experiments is every experiment modbench runs, in run order; -exp all
+// selects them all.
+var experiments = []struct {
+	name string
+	run  func() error
+}{
+	{"e1", e1}, {"e2", e2}, {"e3", e3}, {"e4", e4}, {"e5", e5}, {"e6", e6}, {"e7", e7},
+	{"e13", e13}, {"e14", e14}, {"e15", e15},
+}
+
+// measuredElsewhere names the experiments of EXPERIMENTS.md that modbench
+// does not run, and what measures each instead.
+var measuredElsewhere = map[string]string{
+	"e8":  "BenchmarkE8Historian (go test -bench E8Historian .)",
+	"e9":  "BenchmarkE9Envelope (go test -bench E9Envelope .)",
+	"e10": "benchmark/'s past-sweep workload at -shards 2",
+	"e11": "benchmark/'s ingest-durable workload (its durable.* rows)",
+	"e12": "benchmark/'s ingest-durable workload",
+}
+
+// selectExperiments parses an -exp value, "all" or a comma-separated
+// list of experiment names, into the set to run. A name that is not in
+// experiments is an error listing the valid ones.
+func selectExperiments(spec string) (map[string]bool, error) {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	if spec == "all" {
+		spec = strings.Join(names, ",")
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(names, name) {
+			why := fmt.Sprintf("unknown experiment %q", name)
+			if where, ok := measuredElsewhere[name]; ok {
+				why = name + " is not run by modbench; it is measured by " + where
+			}
+			return nil, fmt.Errorf("-exp: %s (valid: all, %s)", why, strings.Join(names, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 // benchRecord is one machine-readable measurement (a BENCH line).
 type benchRecord struct {
 	Exp           string  `json:"exp"`
 	Name          string  `json:"name"`
 	P             int     `json:"p,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
 	N             int     `json:"n"`
-	K             int     `json:"k,omitempty"`
 	Seconds       float64 `json:"seconds"`
-	Events        int     `json:"events,omitempty"`
-	Bytes         int     `json:"bytes,omitempty"`
 	Speedup       float64 `json:"speedup,omitempty"`
 	UpdatesPerSec float64 `json:"updates_per_sec,omitempty"`
-	Batch         int     `json:"batch,omitempty"`
-	// AllocsPerOp is a pointer so a measured zero (the e12 hot-path
-	// acceptance value) still serializes instead of vanishing under
-	// omitempty.
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	// Latency digests all repetitions of the measured operation through
 	// the same fixed-bucket histogram the live server exposes on
 	// /metrics (internal/obs), so bench JSON and production metrics
@@ -121,38 +157,19 @@ func main() {
 		crashMain()
 		return
 	}
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e10", "e11", "e12", "e13", "e14", "e15"} {
-			want[e] = true
-		}
-	} else {
-		for _, e := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(e)] = true
-		}
+	want, err := selectExperiments(*expFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
-	run := func(name string, fn func() error) {
-		if !want[name] {
-			return
+	for _, e := range experiments {
+		if !want[e.name] {
+			continue
 		}
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
+		if err := e.run(); err != nil {
+			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println()
 	}
-	run("e1", e1)
-	run("e2", e2)
-	run("e3", e3)
-	run("e4", e4)
-	run("e5", e5)
-	run("e6", e6)
-	run("e7", e7)
-	run("e10", e10)
-	run("e11", e11)
-	run("e12", e12)
-	run("e13", e13)
-	run("e14", e14)
-	run("e15", e15)
 	if *jsonFlag != "" {
 		if err := writeBenchJSON(*jsonFlag); err != nil {
 			log.Fatalf("write %s: %v", *jsonFlag, err)
@@ -198,9 +215,8 @@ func queryDist() (gdist.GDistance, error) {
 }
 
 // fullOrder hides an evaluator's query.Bound, so RunPast sweeps every
-// curve: what the experiments that measure the sweep itself (e1) or
-// compare against it (e10) need, now that a past k-NN by itself is
-// bounded to the curves that can reach its answer.
+// curve: what e1, which measures the sweep itself, needs now that a past
+// k-NN by itself is bounded to the curves that can reach its answer.
 type fullOrder struct{ query.Evaluator }
 
 // e1 — Theorem 4: past 1-NN in O((m+N) log N), over the full order. The
@@ -564,118 +580,5 @@ func e7() error {
 	}
 	table("period\tsearches\ttime ms\twrong answers\tmissed answer intervals", rows)
 	fmt.Printf("sweep (exact; %d answer intervals): %.3g ms\n", len(changes)/2, sweepT*1e3)
-	return nil
-}
-
-// e10 — shard scaling (internal/shard): hash-partition the population
-// over P shards, replay a concurrent update stream through the router,
-// then fan a past k-NN query out across the shards and merge. The
-// shards only scan; the one bounded sweep runs over the same pool at
-// every P, so events and time stay flat as P grows. The full-order
-// sweep of the same query is timed once for reference (what P=1 cost
-// before the sweep was bounded) and its answer compared too.
-func e10() error {
-	fmt.Println("== E10: shard scaling (internal/shard fan-out), P ∈ {1,2,4,8} ==")
-	n := 8000
-	if *quickFlag {
-		n = 2000
-	}
-	const k, lo, hi = 4, 0.0, 50.0
-	f, err := queryDist()
-	if err != nil {
-		return err
-	}
-	base, err := movers(n)
-	if err != nil {
-		return err
-	}
-	us, err := workload.Stream(base, workload.StreamConfig{
-		Seed: *seedFlag + 5, Count: n / 4, From: 1, To: 30})
-	if err != nil {
-		return err
-	}
-	reps := 3
-	if *quickFlag {
-		reps = 2
-	}
-	var rows [][]string
-	var baseQ float64
-	var baseAns string
-	for _, p := range []int{1, 2, 4, 8} {
-		// Ingest is a few milliseconds of wall clock, so a single-shot
-		// timing is scheduler noise; take the best of reps like the query
-		// side does. Each rep needs a fresh engine (FromDB adopts the DB
-		// at P=1, and the replay mutates whichever DB backs the engine);
-		// every rep replays the same stream, so any of the resulting
-		// engines serves the query phase.
-		var eng *shard.Engine
-		ingest := math.Inf(1)
-		for r := 0; r < reps; r++ {
-			e, err := shard.FromDB(base.Snapshot(), shard.Config{Shards: p, Workers: p})
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			if err := workload.ReplayConcurrent(us, p, e.ShardOf, e.Apply); err != nil {
-				return err
-			}
-			if el := time.Since(start).Seconds(); el < ingest {
-				ingest = el
-			}
-			eng = e
-		}
-		bestQ := math.Inf(1)
-		var ans *query.AnswerSet
-		var events int
-		// Every repetition lands in the same fixed-bucket histogram the
-		// live server serves on /metrics, so the BENCH record carries
-		// p50/p90/p99 alongside the best time.
-		lat := obs.NewRegistry().NewHistogram("bench_knn_seconds", "", obs.DefLatencyBuckets)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			a, st, _, err := eng.KNN(f, k, lo, hi)
-			if err != nil {
-				return err
-			}
-			el := time.Since(start).Seconds()
-			lat.Observe(el)
-			if el < bestQ {
-				bestQ = el
-			}
-			ans, events = a, st.Events
-		}
-		if p == 1 {
-			baseQ, baseAns = bestQ, ans.String()
-			full := query.NewKNN(k)
-			start := time.Now()
-			st, err := query.RunPast(eng.Shard(0), f, lo, hi, fullOrder{full})
-			if err != nil {
-				return err
-			}
-			fullT := time.Since(start).Seconds()
-			if full.Answer().String() != baseAns {
-				return errors.New("bounded k-NN answer diverges from the full-order sweep")
-			}
-			emitBench(benchRecord{Exp: "e10", Name: "knn-full-order", P: 1, Workers: 1,
-				N: n, K: k, Seconds: fullT, Events: st.Events})
-			rows = append(rows, []string{"full order", fmt.Sprint(st.Events),
-				fmt.Sprintf("%.3g", fullT), fmt.Sprintf("%.4fx", bestQ/fullT), "-"})
-		} else if s := ans.String(); s != baseAns {
-			return fmt.Errorf("P=%d k-NN answer diverges from P=1", p)
-		}
-		speedup := baseQ / bestQ
-		latSum := lat.Summary()
-		emitBench(benchRecord{Exp: "e10", Name: "knn-fanout", P: p, Workers: p,
-			N: n, K: k, Seconds: bestQ, Events: events, Speedup: speedup,
-			Latency: &latSum})
-		emitBench(benchRecord{Exp: "e10", Name: "ingest", P: p, N: n,
-			Seconds: ingest, UpdatesPerSec: float64(len(us)) / ingest})
-		rows = append(rows, []string{
-			fmt.Sprint(p), fmt.Sprint(events), fmt.Sprintf("%.3g", bestQ),
-			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.3g", ingest),
-		})
-	}
-	table("P\tevents\tknn s\tspeedup vs P=1\tingest s", rows)
-	fmt.Println("answers verified identical at every P and to the full-order sweep")
 	return nil
 }

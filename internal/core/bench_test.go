@@ -43,22 +43,78 @@ func zigzagCurve(i int, amp, lo, hi float64) piecewise.Func {
 	return piecewise.MustNew(pieces...)
 }
 
-func benchSweeper(b *testing.B, n int, horizon float64) *Sweeper {
-	b.Helper()
+func benchSweeper(tb testing.TB, n int, horizon float64) *Sweeper {
+	tb.Helper()
 	s := NewSweeper(Config{Start: 0, Horizon: horizon})
 	for i := 0; i < n; i++ {
 		if err := s.AddCurve(uint64(i+1), zigzagCurve(i, float64(n), 0, horizon)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return s
 }
 
+// warmSweeper is benchSweeper advanced to t=64, past the growth phase:
+// the pair-diff cache, the event queue and the scratch storage are at
+// capacity from there on.
+func warmSweeper(t *testing.T) *Sweeper {
+	t.Helper()
+	s := benchSweeper(t, 64, 1<<14)
+	if err := s.AdvanceTo(64); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestAdvanceToAllocatesNothing: a steady-state advance over 64 movers
+// that keep crossing processes swap events and reschedules, and
+// allocates nothing doing it. A count, so it holds on any machine.
+func TestAdvanceToAllocatesNothing(t *testing.T) {
+	s := warmSweeper(t)
+	now := s.Now()
+	var err error
+	allocs := testing.AllocsPerRun(2000, func() {
+		now += 0.25
+		if e := s.AdvanceTo(now); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("AdvanceTo: %v allocations per call, want 0", allocs)
+	}
+	if s.Stats().Swaps == 0 {
+		t.Fatal("the advances processed no swap")
+	}
+}
+
+// TestReplaceCurveAllocatesNothing: replacing a curve (the exported
+// operation that drives schedulePair for both new neighbours) allocates
+// nothing once the sweep is warm.
+func TestReplaceCurveAllocatesNothing(t *testing.T) {
+	s := warmSweeper(t)
+	curve := zigzagCurve(0, 64, 0, 1<<14)
+	var err error
+	allocs := testing.AllocsPerRun(2000, func() {
+		if e := s.ReplaceCurve(1, curve); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("ReplaceCurve: %v allocations per call, want 0", allocs)
+	}
+}
+
 // BenchmarkAdvanceTo measures the steady-state sweep: n zigzag movers
 // crossing continually, the clock advanced in small increments so every
-// iteration processes a realistic trickle of swap events. ReportAllocs
-// is the acceptance gate: after warmup (pair-diff cache, event queue and
-// scratch storage at capacity) each advance must allocate nothing.
+// iteration processes a realistic trickle of swap events. That each
+// advance allocates nothing after warmup is TestAdvanceToAllocatesNothing's
+// to fail on; a benchmark fails on nothing.
 func BenchmarkAdvanceTo(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("movers=%d", n), func(b *testing.B) {
@@ -94,8 +150,9 @@ func BenchmarkAdvanceTo(b *testing.B) {
 
 // BenchmarkSchedulePair isolates the adjacency re-scheduling primitive:
 // one pair re-queried at an advancing time, exactly as the sweep does
-// after each swap. Steady state must be allocation-free — the pair-diff
-// cache answers every repeat query from recycled storage.
+// after each swap. Steady state is allocation-free — the pair-diff
+// cache answers every repeat query from recycled storage;
+// TestReplaceCurveAllocatesNothing holds it there.
 func BenchmarkSchedulePair(b *testing.B) {
 	const horizon = 1 << 14
 	s := benchSweeper(b, 2, horizon)

@@ -9,8 +9,8 @@ package durable
 // goroutine's next fsync covers their entry. The committer loop reads
 // the journal's high-water sequence, issues one flush+fsync, and
 // resolves every waiter at or below that sequence — so however many
-// entries arrived while the previous fsync was in flight are all made
-// durable by the next one. Under concurrency the entries-per-fsync
+// entries were buffered since the previous fsync are all made durable
+// by the next one. Under concurrency the entries-per-fsync
 // ratio grows with offered load and the per-update fsync cost shrinks
 // proportionally; this is classic write-ahead-log group commit.
 //
@@ -97,8 +97,11 @@ func newCommitter(j *mod.Journal, interval time.Duration, maxBatch int, m *engin
 
 // run is the committer loop: sleep until a waiter needs an fsync,
 // optionally hold a coalescing window, then fsync and resolve everything
-// the fsync covered. Entries keep accumulating in the journal buffer
-// while the fsync is in flight — that concurrency is the whole point.
+// the fsync covered. Entries accumulate in the journal buffer during the
+// coalescing window only: mod.Journal.Sync holds the journal's lock
+// across the fsync, and the journal's update listener takes that lock,
+// so an apply on this shard waits out the fsync in flight and its entry
+// rides the next one (ROADMAP item 4, durability finding).
 func (c *committer) run() {
 	defer close(c.done)
 	for {

@@ -55,11 +55,7 @@ func (b *stubBackend) Apply(mod.Update) error { return nil }
 func (b *stubBackend) ApplyBatch(us []mod.Update) (int, error) {
 	return len(us), nil
 }
-func (b *stubBackend) OnUpdate(mod.Listener) {}
-func (b *stubBackend) Snapshot() *mod.DB     { return mod.NewDB(2, b.liveTau) }
-func (b *stubBackend) Snapshots() []*mod.Snap {
-	return []*mod.Snap{b.Snapshot().EpochSnapshot()}
-}
+func (b *stubBackend) Snapshot() *mod.DB { return mod.NewDB(2, b.liveTau) }
 func (b *stubBackend) KNN(gdist.GDistance, int, float64, float64) (*query.AnswerSet, core.Stats, float64, error) {
 	return b.ans, b.stats, b.ansTau, nil
 }
@@ -73,9 +69,15 @@ func (b *stubBackend) PossiblyWithin(geom.Vec, float64, float64, float64, float6
 	return b.ans, b.ansTau, nil
 }
 func (b *stubBackend) Subscriptions() *sub.Registry {
-	// The stub is itself a sub.Source; the registry is unused by these
-	// tests beyond the server's eager creation.
-	b.subOnce.Do(func() { b.subReg = sub.NewRegistry(b, sub.Config{}) })
+	// The registry is unused by these tests beyond the server's eager
+	// creation, so an empty engine is its source.
+	b.subOnce.Do(func() {
+		eng, err := shard.New(shard.Config{Dim: 2})
+		if err != nil {
+			panic(err)
+		}
+		b.subReg = eng.Subscriptions()
+	})
 	return b.subReg
 }
 

@@ -82,7 +82,6 @@ type Backend interface {
 	// how many updates were applied; on error the applied count is the
 	// durable prefix per shard, not a rollback.
 	ApplyBatch(us []mod.Update) (int, error)
-	OnUpdate(l mod.Listener)
 	// Snapshot returns a consistent unsharded copy of the full state.
 	Snapshot() *mod.DB
 	// KNN and Within evaluate the two built-in past/continuing queries

@@ -60,25 +60,3 @@ func ReplayConcurrent(us []mod.Update, parts int, route func(mod.OID) int, apply
 	wg.Wait()
 	return errors.Join(errs...)
 }
-
-// ReplayBatches slices us into consecutive batches of batchSize
-// (preserving stream order, hence per-object and per-shard chronology)
-// and feeds each to apply — e.g. shard.Engine.ApplyBatch or the
-// /update/batch endpoint. It stops at the first failed batch; the
-// batch's partially applied prefix stays applied, exactly as the
-// underlying batch appliers behave.
-func ReplayBatches(us []mod.Update, batchSize int, apply func([]mod.Update) (int, error)) error {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
-	for lo := 0; lo < len(us); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(us) {
-			hi = len(us)
-		}
-		if _, err := apply(us[lo:hi]); err != nil {
-			return fmt.Errorf("workload: batch at %d: %w", lo, err)
-		}
-	}
-	return nil
-}
