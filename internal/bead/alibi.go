@@ -38,49 +38,6 @@ type Result struct {
 // window can never be one the kernel would have accepted at a boundary.
 const pruneMargin = 1e-6
 
-// windowDisjoint reports whether the ball system ca ∪ cb is provably
-// infeasible throughout [w0, w1] by radius arithmetic alone: some ball
-// stays empty for the whole window (its linear radius is negative at
-// both ends), or some cross pair's centers sit farther apart than the
-// sum of the radii ever reaches inside the window. Only cross pairs are
-// tested — balls within one group belong to the same bead, and their
-// joint feasibility is the kernel's business. Every comparison carries
-// pruneMargin × (problem scale) of slack: a point the kernel would
-// accept satisfies ‖x−c‖ ≤ r + relEps·scale per ball, and summing two
-// such inequalities still violates the margin tested here, so a
-// "disjoint" verdict is a proof the kernel would find the window
-// infeasible too.
-func windowDisjoint(ca, cb []ball, w0, w1 float64) bool {
-	scale := consScale(ca, w0, w1)
-	if s := consScale(cb, w0, w1); s > scale {
-		scale = s
-	}
-	margin := pruneMargin * scale
-	reach := func(b ball) float64 {
-		return math.Max(b.rad(w0), b.rad(w1)) // linear: max sits at an endpoint
-	}
-	for _, b := range ca {
-		if reach(b) < -margin {
-			return true
-		}
-	}
-	for _, b := range cb {
-		if reach(b) < -margin {
-			return true
-		}
-	}
-	for _, ba := range ca {
-		ra := math.Max(0, reach(ba))
-		for _, bb := range cb {
-			rb := math.Max(0, reach(bb))
-			if ba.c.Dist(bb.c) > ra+rb+margin {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func checkWindow(lo, hi float64) error {
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
 		return fmt.Errorf("bead: non-finite query window [%g, %g]", lo, hi)
@@ -116,6 +73,7 @@ func Alibi(a, b *Track, lo, hi float64) (Result, error) {
 	// first bead of each chain that reaches lo visits the windows the
 	// merge from the first samples does, in the same order.
 	i, j := a.firstSegTo(lo), b.firstSegTo(lo)
+	var scratch windowScratch
 	for i < a.numSegs() && j < b.numSegs() {
 		sa, sb := a.segAt(i), b.segAt(j)
 		w0 := math.Max(math.Max(sa.t0, sb.t0), lo)
@@ -127,19 +85,16 @@ func Alibi(a, b *Track, lo, hi float64) (Result, error) {
 			res.Checked++
 			// Bounding-ball pre-reject: most bead pairs of far-apart
 			// tracks die here, before the kernel's candidate enumeration.
-			// A pruned window is provably infeasible (windowDisjoint's
-			// margin dominates the kernel's tolerance), so skipping it
-			// cannot change the earliest-meeting answer.
-			if windowDisjoint(sa.cons, sb.cons, w0, w1) {
+			// A pruned window is provably infeasible (disjoint's margin
+			// dominates the kernel's tolerance), so skipping it cannot
+			// change the earliest-meeting answer.
+			w := scratch.window(sa.cons, sb.cons, consScale(sb.cons, w0, w1), w0, w1)
+			if w.disjoint() {
 				res.Pruned++
-			} else {
-				var buf [scratchBalls]ball
-				cons := append(append(buf[:0], sa.cons...), sb.cons...)
-				if t0, _, ok := feasibleInterval(cons, w0, w1); ok {
-					res.Possible = true
-					res.At = t0
-					return res, nil
-				}
+			} else if t0, _, ok := w.interval(); ok {
+				res.Possible = true
+				res.At = t0
+				return res, nil
 			}
 		}
 		// Advance the chain whose bead ends first; on a tie both ended
@@ -185,7 +140,8 @@ func Within(dim int, q geom.Vec, dist, lo, hi float64) (func(tr *Track, dst []In
 		return nil, err
 	}
 	qcons := []ball{{c: q.Clone(), ra: 0, rb: dist}}
-	return func(tr *Track, dst []Interval) ([]Interval, PWStats) { return tr.within(dst, qcons, lo, hi) }, nil
+	qscale := consScale(qcons, lo, hi)
+	return func(tr *Track, dst []Interval) ([]Interval, PWStats) { return tr.within(dst, qcons, qscale, lo, hi) }, nil
 }
 
 // checkWithin is the validation of a possibly-within question.
@@ -212,16 +168,18 @@ func (tr *Track) PossiblyWithinStats(q geom.Vec, dist, lo, hi float64) ([]Interv
 		return nil, PWStats{}, err
 	}
 	qcons := [1]ball{{c: q, ra: 0, rb: dist}}
-	ivs, st := tr.within(nil, qcons[:], lo, hi)
+	ivs, st := tr.within(nil, qcons[:], consScale(qcons[:], lo, hi), lo, hi)
 	return ivs, st, nil
 }
 
 // within walks the chain against the one-ball system qcons over a
 // validated window and appends the track's intervals to dst, whose own
-// elements it neither reads nor merges into. It allocates what the
-// append grows dst by and nothing else.
-func (tr *Track) within(dst []Interval, qcons []ball, lo, hi float64) ([]Interval, PWStats) {
+// elements it neither reads nor merges into. qscale is consScale(qcons)
+// over any window: the query ball's radius is constant. It allocates
+// what the append grows dst by and nothing else.
+func (tr *Track) within(dst []Interval, qcons []ball, qscale, lo, hi float64) ([]Interval, PWStats) {
 	var st PWStats
+	var scratch windowScratch
 	first := len(dst)
 	for i, n := tr.firstSegTo(lo), tr.numSegs(); i < n; i++ {
 		s := tr.segAt(i)
@@ -233,14 +191,13 @@ func (tr *Track) within(dst []Interval, qcons []ball, lo, hi float64) ([]Interva
 		w0 := math.Max(s.t0, lo)
 		w1 := math.Min(s.t1, hi)
 		st.Windows++
-		if windowDisjoint(s.cons, qcons, w0, w1) {
+		w := scratch.window(s.cons, qcons, qscale, w0, w1)
+		if w.disjoint() {
 			st.Pruned++
 			continue
 		}
 		st.Kernel++
-		var buf [scratchBalls]ball
-		cons := append(append(buf[:0], s.cons...), qcons...)
-		a, b, ok := feasibleInterval(cons, w0, w1)
+		a, b, ok := w.interval()
 		if !ok {
 			continue
 		}

@@ -6,6 +6,7 @@ package bead
 // thousands of windows.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestFeasibleIntervalAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for s := 0; s < 1500; s++ {
 		n, dim := 2+s%3, 1+(s/3)%3
-		cons, w0, w1 := genSystem(rng, n, dim)
+		cons, w0, w1, _ := genSystem(rng, n, dim)
 		if allocs := testing.AllocsPerRun(1, func() { feasibleInterval(cons, w0, w1) }); allocs != 0 {
 			t.Fatalf("system %d (n=%d dim=%d) %+v over [%g, %g]: %v allocations", s, n, dim, cons, w0, w1, allocs)
 		}
@@ -112,22 +113,50 @@ func TestAlibiAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkFeasibleInterval times the kernel on a fixed mix of
-// generated three- and four-ball systems.
+// generated three- and four-ball systems, and on the two-ball windows
+// of a live cap against a query ball, the bulk of a possibly-within
+// query's kernel calls. Each call sets its window up as the chain walks
+// do.
 func BenchmarkFeasibleInterval(b *testing.B) {
 	type system struct {
-		cons   []ball
+		a, q   []ball
 		w0, w1 float64
 	}
-	rng := rand.New(rand.NewSource(31))
-	systems := make([]system, 512)
-	for s := range systems {
-		cons, w0, w1 := genSystem(rng, 3+s%2, 2+s%2)
-		systems[s] = system{cons, w0, w1}
+	run := func(b *testing.B, systems []system) {
+		var scratch windowScratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := systems[i%len(systems)]
+			w := scratch.window(s.a, s.q, consScale(s.q, s.w0, s.w1), s.w0, s.w1)
+			w.interval()
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := systems[i%len(systems)]
-		feasibleInterval(s.cons, s.w0, s.w1)
-	}
+	b.Run("3-4 balls", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(31))
+		systems := make([]system, 512)
+		for s := range systems {
+			cons, w0, w1, _ := genSystem(rng, 3+s%2, 2+s%2)
+			systems[s] = system{a: cons, w0: w0, w1: w1}
+		}
+		run(b, systems)
+	})
+	b.Run("cap+query", func(b *testing.B) {
+		// Caps opened at a last sample in [0, 10] with speed bounds up
+		// to 15, asked of radius-100 balls over ten-second windows; the
+		// ones the broad-phase test prunes never reach the kernel.
+		rng := rand.New(rand.NewSource(37))
+		systems := make([]system, 0, 512)
+		for len(systems) < cap(systems) {
+			T, v := 10*rng.Float64(), 1+14*rng.Float64()
+			c := geom.Of(1000*rng.Float64(), 1000*rng.Float64())
+			q := []ball{{c: geom.Of(1000*rng.Float64(), 1000*rng.Float64()), ra: 0, rb: 100}}
+			hi := 10 + 40*rng.Float64()
+			s := system{a: []ball{{c: c, ra: v, rb: -v * T}}, q: q, w0: math.Max(T, hi-10), w1: hi}
+			if !windowDisjoint(s.a, s.q, s.w0, s.w1) {
+				systems = append(systems, s)
+			}
+		}
+		run(b, systems)
+	})
 }

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -271,9 +270,24 @@ func (tr *Track) segAt(i int) segment {
 
 // firstSegTo returns the index of the first bead that ends at or after
 // t — where a walk over the beads meeting a window that starts at t
-// begins — or numSegs() when every bead ends before t.
+// begins — or numSegs() when every bead ends before t. The chain's end
+// times ascend, so it binary-searches them, and when every chain bead
+// ends before t the answer is the tail, if there is one and it reaches
+// t.
 func (tr *Track) firstSegTo(t float64) int {
-	return sort.Search(tr.numSegs(), func(i int) bool { return tr.segAt(i).t1 >= t })
+	lo, hi := 0, len(tr.chain)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tr.chain[m].t1 >= t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(tr.chain) && lo < tr.numSegs() && !(tr.tail.t1 >= t) {
+		lo++
+	}
+	return lo
 }
 
 // SegBox is the conservative space-time bounding box of one chain bead:
@@ -346,11 +360,13 @@ func (tr *Track) ChainBoxes(from int) []SegBox {
 // so the broad phase keeps caps out of the box index and tests them in
 // closed form instead: the cap can reach a query ball (center q, radius
 // dist) within [lo, hi] only if hi ≥ T and ‖q−C‖ ≤ dist + V·(hi−T),
-// up to the same conservative margins the boxes carry.
+// up to the same conservative margins the boxes carry. A Cap is made by
+// Track.Cap, which works out the magnitude of C its margin needs once.
 type Cap struct {
-	T float64
-	C geom.Vec
-	V float64
+	T    float64
+	C    geom.Vec
+	V    float64
+	cmag float64 // maxAbs(C)
 }
 
 // Cap returns the live cap, if the track has one.
@@ -359,7 +375,7 @@ func (tr *Track) Cap() (Cap, bool) {
 		return Cap{}, false
 	}
 	last := tr.samples[len(tr.samples)-1]
-	return Cap{T: last.T, C: last.X, V: tr.vmax}, true
+	return Cap{T: last.T, C: last.X, V: tr.vmax, cmag: maxAbs(last.X)}, true
 }
 
 // Pad is the conservative inflation a broad phase must add around
@@ -374,12 +390,13 @@ func Pad(scale float64) float64 { return boxPad(scale) }
 // means "run the kernel"). The cap's reachable set at time t is the
 // ball of radius V·(t−T) around C, largest at t = hi; before T the
 // object is covered by the chain boxes instead, and a window entirely
-// before T cannot see the cap.
-func (c Cap) Reaches(q geom.Vec, dist, lo, hi float64) bool {
+// before T cannot see the cap. qpad is the query side's inflation,
+// Pad(max_k |q_k| + dist): a query testing every cap works it out once.
+func (c Cap) Reaches(q geom.Vec, dist, qpad, lo, hi float64) bool {
 	if hi < c.T {
 		return false
 	}
-	reach := dist + c.V*(hi-c.T)
-	margin := Pad(maxAbs(c.C)+c.V*(hi-c.T)) + Pad(maxAbs(q)+dist)
-	return q.Dist(c.C) <= reach+margin
+	grow := c.V * (hi - c.T)
+	margin := Pad(c.cmag+grow) + qpad
+	return q.Dist(c.C) <= dist+grow+margin
 }

@@ -109,8 +109,8 @@ func TestCapReachesConservative(t *testing.T) {
 	pruned, kept := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		c := geom.Of(8*(rng.Float64()-0.5), 8*(rng.Float64()-0.5))
-		cap0 := Cap{T: 1 + rng.Float64(), C: c, V: 0.2 + 2*rng.Float64()}
-		tr := mustTrack(t, cap0.V, true, Sample{T: cap0.T, X: c})
+		tr := mustTrack(t, 0.2+2*rng.Float64(), true, Sample{T: 1 + rng.Float64(), X: c})
+		cap0, _ := tr.Cap()
 		q := geom.Of(12*(rng.Float64()-0.5), 12*(rng.Float64()-0.5))
 		dist := 0.5 + 2*rng.Float64()
 		lo := rng.Float64() * 3
@@ -119,7 +119,7 @@ func TestCapReachesConservative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: PossiblyWithin: %v", trial, err)
 		}
-		if cap0.Reaches(q, dist, lo, hi) {
+		if cap0.Reaches(q, dist, queryPad(q, dist), lo, hi) {
 			kept++
 		} else {
 			pruned++
@@ -133,9 +133,78 @@ func TestCapReachesConservative(t *testing.T) {
 		t.Fatalf("degenerate trial mix: %d pruned, %d kept", pruned, kept)
 	}
 	// Window entirely before the cap opens: nothing to reach.
-	far := Cap{T: 5, C: geom.Of(0, 0), V: 100}
-	if far.Reaches(geom.Of(0, 0), 1, 0, 4) {
+	far, _ := mustTrack(t, 100, true, s(5, 0, 0)).Cap()
+	if far.Reaches(geom.Of(0, 0), 1, queryPad(geom.Of(0, 0), 1), 0, 4) {
 		t.Fatal("cap reaches a window that ends before it starts")
+	}
+}
+
+// queryPad is the query-side inflation Cap.Reaches is handed.
+func queryPad(q geom.Vec, dist float64) float64 { return Pad(maxAbs(q) + dist) }
+
+// TestCapReachesIsTheExpression holds Cap.Reaches, whose magnitudes are
+// worked out once per cap and once per query, to the expression that
+// worked both out on every call, on random caps and windows — windows
+// ending before the cap opens, at its very instant, and after it, at
+// the scales the kernel's differential uses.
+func TestCapReachesIsTheExpression(t *testing.T) {
+	expr := func(c Cap, q geom.Vec, dist, lo, hi float64) bool {
+		if hi < c.T {
+			return false
+		}
+		reach := dist + c.V*(hi-c.T)
+		margin := Pad(maxAbs(c.C)+c.V*(hi-c.T)) + Pad(maxAbs(q)+dist)
+		return q.Dist(c.C) <= reach+margin
+	}
+	rng := rand.New(rand.NewSource(43))
+	var before, at, near, reached int
+	for trial := 0; trial < 20000; trial++ {
+		scale := []float64{1e-3, 1, 1e9, 1e12}[rng.Intn(4)]
+		vec := func() geom.Vec {
+			v := make(geom.Vec, 1+trial%3)
+			for k := range v {
+				v[k] = scale * 8 * (rng.Float64() - 0.5)
+			}
+			return v
+		}
+		tr := mustTrack(t, scale*2*rng.Float64(), true, Sample{T: 10 * (rng.Float64() - 0.5), X: vec()})
+		c, _ := tr.Cap()
+		q, dist := vec(), scale*3*rng.Float64()
+		var hi float64
+		switch rng.Intn(3) {
+		case 0:
+			hi = c.T - 2*rng.Float64()
+		case 1:
+			hi = c.T
+		default:
+			hi = c.T + 3*rng.Float64()
+		}
+		lo := hi - 3*rng.Float64()
+		if rng.Intn(4) == 0 {
+			// On the edge: q as far from C as the cap's reach plus part
+			// of the margin.
+			dir := vec()
+			grow := c.V * math.Max(0, hi-c.T)
+			at := dist + grow + rng.Float64()*2*(Pad(c.cmag+grow)+queryPad(q, dist))
+			q = c.C.AddScaled(at/dir.Len(), dir)
+			near++
+		}
+		got, want := c.Reaches(q, dist, queryPad(q, dist), lo, hi), expr(c, q, dist, lo, hi)
+		if got != want {
+			t.Fatalf("trial %d: cap %+v q=%v dist=%g [%g, %g]: Reaches %v, expression %v", trial, c, q, dist, lo, hi, got, want)
+		}
+		switch {
+		case hi < c.T:
+			before++
+		case hi == c.T:
+			at++
+		}
+		if got {
+			reached++
+		}
+	}
+	if before == 0 || at == 0 || near == 0 || reached == 0 || reached == 20000 {
+		t.Fatalf("degenerate mix: %d before the cap, %d at its instant, %d on the edge, %d reached", before, at, near, reached)
 	}
 }
 

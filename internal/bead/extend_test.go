@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -335,4 +336,33 @@ func sameIntervals(a, b []Interval) bool {
 		}
 	}
 	return true
+}
+
+// TestFirstSegToIsTheSearch holds the walk start to the sort.Search it
+// replaces, on every track shape the chain and tail take, at every
+// sample time, one ulp either side of each, and before and after the
+// track.
+func TestFirstSegToIsTheSearch(t *testing.T) {
+	tracks := map[string]*Track{
+		"live":                   mustTrack(t, 1, true, s(-2, 0, 0), s(0, 1, 0), s(1.5, 1, 1), s(4, 0, 2)),
+		"terminated":             mustTrack(t, 1, false, s(-2, 0, 0), s(0, 1, 0), s(1.5, 1, 1), s(4, 0, 2)),
+		"one-sample live":        mustTrack(t, 1, true, s(3, 1, 1)),
+		"one-sample terminated":  mustTrack(t, 1, false, s(3, 1, 1)),
+		"two-sample terminated":  mustTrack(t, 1, false, s(0, 0, 0), s(1, 1, 0)),
+		"live from a zero start": mustTrack(t, 1, true, s(0, 0, 0), s(1, 1, 0)),
+	}
+	for name, tr := range tracks {
+		ref := func(x float64) int {
+			return sort.Search(tr.numSegs(), func(i int) bool { return tr.segAt(i).t1 >= x })
+		}
+		times := []float64{math.Inf(-1), tr.Start() - 100, tr.samples[len(tr.samples)-1].T + 100, math.Inf(1), math.Copysign(0, -1)}
+		for _, sm := range tr.samples {
+			times = append(times, sm.T, math.Nextafter(sm.T, math.Inf(-1)), math.Nextafter(sm.T, math.Inf(1)))
+		}
+		for _, x := range times {
+			if got, want := tr.firstSegTo(x), ref(x); got != want {
+				t.Errorf("%s: firstSegTo(%v) = %d, sort.Search %d", name, x, got, want)
+			}
+		}
+	}
 }

@@ -77,10 +77,11 @@ func consScale(cons []ball, w0, w1 float64) float64 {
 }
 
 // The kernel's working storage. A possibly-within window is three balls
-// (one bead and the query ball), an alibi window four (two beads), and
-// the model's space has at most a handful of dimensions — so every
-// buffer below is a fixed-size array on the caller's stack and the
-// kernel allocates nothing. Larger systems run through the very same
+// (one bead and the query ball) or two (a live cap and the query ball),
+// an alibi window four (two beads), and the model's space has at most a
+// handful of dimensions — so every buffer below, windowScratch among
+// them, is a fixed-size array on the caller's stack and the kernel
+// allocates nothing. Larger systems run through the very same
 // code: fit hands out heap storage when an array is too small, and the
 // candidate lists simply append past their arrays.
 const (
@@ -90,11 +91,116 @@ const (
 )
 
 // fit returns buf[:n], or fresh heap storage when buf is too small.
-func fit(buf []float64, n int) []float64 {
+func fit[T any](buf []T, n int) []T {
 	if n <= len(buf) {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
+}
+
+// window is one bead window's ball system over [w0, w1] with the work
+// that does not depend on t done once: the tolerance scale and eps, the
+// center distances of every pair, and — on first use — the Gram–Schmidt
+// frame of every center subset. A query asks a window at a dozen or
+// more instants; every one of them reads these instead of working them
+// out again. cons[:na] and cons[na:] are the two groups disjoint pairs
+// across: a bead, and the query ball or the other bead.
+type window struct {
+	cons   []ball
+	na     int
+	w0, w1 float64
+	scale  float64   // consScale of cons over the window
+	eps    float64   // relEps × scale
+	dist   []float64 // ‖c_i − c_j‖ at dist[i*n+j], i < j
+	// frames holds the frame of affineSubsets(n)[k] at
+	// frames[k*stride:], built records whether it is there yet.
+	frames []float64
+	built  []uint8
+	stride int
+}
+
+// The states of a window's subset frame.
+const (
+	frameUnbuilt uint8 = iota
+	frameOK
+	frameDependent // the subset's centers are affinely dependent
+)
+
+// scratchSubsets is len(affineSubsets(scratchBalls)): four triples and
+// one quadruple.
+const scratchSubsets = 5
+
+// frameStride is the storage of one subset frame in a window of
+// dimension dim: the basis, the coordinates and their squared row
+// lengths of the largest subset (scratchHull + 1 centers).
+func frameStride(dim int) int { return scratchHull * (dim + scratchHull + 1) }
+
+// windowScratch is the storage of a window within the scratch bounds.
+// A walk keeps one on its stack and sets every window it asks up in it.
+type windowScratch struct {
+	cons   [scratchBalls]ball
+	dist   [scratchBalls * scratchBalls]float64
+	built  [scratchSubsets]uint8
+	frames [scratchSubsets * scratchHull * (scratchDim + scratchHull + 1)]float64
+}
+
+// window sets the system a ∪ b over [w0, w1] up in s, on the heap where
+// s is too small, replacing the window s held before. bScale must be
+// consScale(b, w0, w1): a walk asking the same b of every window — the
+// query ball, whose radius is constant — works it out once.
+func (s *windowScratch) window(a, b []ball, bScale, w0, w1 float64) window {
+	n := len(a) + len(b)
+	w := window{na: len(a), w0: w0, w1: w1}
+	w.cons = append(append(fit(s.cons[:], n)[:0], a...), b...)
+	// consScale(a ∪ b) is the larger of the two groups' scales.
+	w.scale = math.Max(consScale(a, w0, w1), bScale)
+	w.eps = relEps * w.scale
+	w.dist = fit(s.dist[:], n*n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w.dist[i*n+j] = w.cons[i].c.Dist(w.cons[j].c)
+		}
+	}
+	if subs := len(affineSubsets(n)); subs > 0 {
+		w.stride = frameStride(len(w.cons[0].c))
+		w.frames = fit(s.frames[:], subs*w.stride)
+		w.built = fit(s.built[:], subs)
+		clear(w.built)
+	}
+	return w
+}
+
+// disjoint reports whether the window is provably infeasible
+// throughout by radius arithmetic alone: some ball stays empty for the
+// whole window (its linear radius is negative at both ends), or some
+// cross pair's centers sit farther apart than the sum of the radii ever
+// reaches inside the window. Only cross pairs are tested — balls within
+// one group belong to the same bead, and their joint feasibility is the
+// kernel's business. Every comparison carries pruneMargin × scale of
+// slack: a point the kernel would accept satisfies ‖x−c‖ ≤ r + eps per
+// ball, and summing two such inequalities still violates the margin
+// tested here, so a "disjoint" verdict is a proof the kernel would find
+// the window infeasible too.
+func (w *window) disjoint() bool {
+	margin := pruneMargin * w.scale
+	reach := func(b ball) float64 {
+		return math.Max(b.rad(w.w0), b.rad(w.w1)) // linear: max sits at an endpoint
+	}
+	for _, b := range w.cons {
+		if reach(b) < -margin {
+			return true
+		}
+	}
+	n := len(w.cons)
+	for i := 0; i < w.na; i++ {
+		ra := math.Max(0, reach(w.cons[i]))
+		for j := w.na; j < n; j++ {
+			if w.dist[i*n+j] > ra+math.Max(0, reach(w.cons[j]))+margin {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // meets reports whether x lies in every ball, rs[i] being the radius
@@ -124,7 +230,17 @@ func meets(cons []ball, rs []float64, x geom.Vec, eps float64) bool {
 //     a linear system in x given s, closed by a quadratic in s).
 //
 // Each candidate is tested against every ball with the eps slack.
-func feasibleAt(cons []ball, t, eps float64) bool {
+//
+// Before any candidate is built, an instant is rejected when some pair
+// of balls lies apart by more than 3·eps: ‖c_i − c_j‖ > r_i + r_j + 3·eps.
+// A candidate x accepted against both would have ‖x − c_i‖ ≤ r_i + eps
+// and ‖x − c_j‖ ≤ r_j + eps, and by the triangle inequality
+// ‖c_i − c_j‖ ≤ r_i + r_j + 2·eps. The computed distances carry a
+// rounding error of a few ulps of the scale, ~1e-15·scale, and eps is
+// 1e-9·scale: the spare eps covers it a million times over, so the
+// pre-test refuses only instants at which every candidate would fail.
+func (w *window) feasibleAt(t float64) bool {
+	cons, eps := w.cons, w.eps
 	n := len(cons)
 	if n == 0 {
 		return false
@@ -141,6 +257,13 @@ func feasibleAt(cons []ball, t, eps float64) bool {
 		}
 		rs[i] = r
 	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if w.dist[i*n+j] > rs[i]+rs[j]+3*eps {
+				return false
+			}
+		}
+	}
 	// |A| = 1: centers.
 	for i := range cons {
 		if meets(cons, rs, cons[i].c, eps) {
@@ -153,7 +276,7 @@ func feasibleAt(cons []ball, t, eps float64) bool {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			ci, cj := cons[i].c, cons[j].c
-			d := ci.Dist(cj)
+			d := w.dist[i*n+j]
 			if d <= eps {
 				continue // concentric: dominated by the center candidates
 			}
@@ -173,8 +296,8 @@ func feasibleAt(cons []ball, t, eps float64) bool {
 		}
 	}
 	// |A| ≥ 3: Apollonius points of each affinely-independent subset.
-	for _, sub := range affineSubsets(n) {
-		if apolloniusMeets(cons, rs, sub, x, eps) {
+	for k, sub := range affineSubsets(n) {
+		if w.apolloniusMeets(rs, k, sub, x) {
 			return true
 		}
 	}
@@ -217,31 +340,45 @@ func affineSubsets(n int) [][]int {
 }
 
 // frame is an orthonormal frame of the affine hull of a center subset:
-// m = len(sub) − 1 basis vectors (row d of basis, dim wide) and every
+// m = len(sub) − 1 basis vectors (row d of basis, dim wide), every
 // center difference's coordinates in them (row j of coords, m wide;
-// lower-triangular with positive diagonal).
+// lower-triangular with positive diagonal) and the squared length of
+// each coordinate row (p2).
 type frame struct {
 	m, dim int
 	basis  []float64
 	coords []float64
+	p2     []float64
 }
 
-// frameScratch is the storage of one frame within the scratch bounds.
-type frameScratch struct {
-	basis  [scratchHull * scratchDim]float64
-	coords [scratchHull * scratchHull]float64
+// frame returns the frame of sub = affineSubsets(n)[k], building it on
+// first use. ok is false when the centers are affinely dependent (rank
+// < m) — those subsets are skipped: their pinches are already covered
+// by smaller subsets (e.g. collinear centers reduce to pair
+// tangencies).
+func (w *window) frame(k int, sub []int) (f frame, ok bool) {
+	f.m, f.dim = len(sub)-1, len(w.cons[0].c)
+	mem := w.frames[k*w.stride : (k+1)*w.stride]
+	b, c := f.m*f.dim, f.m*(f.dim+f.m)
+	f.basis, f.coords, f.p2 = mem[:b], mem[b:c], mem[c:c+f.m]
+	switch w.built[k] {
+	case frameOK:
+		return f, true
+	case frameDependent:
+		return f, false
+	}
+	ok = buildFrame(f, w.cons, sub, w.eps)
+	w.built[k] = frameDependent
+	if ok {
+		w.built[k] = frameOK
+	}
+	return f, ok
 }
 
-// buildFrame fills a frame for span{c_j − c_0} by modified
-// Gram–Schmidt, in buf when it is large enough. ok is false when the
-// centers are affinely dependent (rank < m) — those subsets are
-// skipped: their pinches are already covered by smaller subsets (e.g.
-// collinear centers reduce to pair tangencies).
-func buildFrame(cons []ball, sub []int, eps float64, buf *frameScratch) (f frame, ok bool) {
+// buildFrame fills f for span{c_j − c_0} by modified Gram–Schmidt and
+// reports whether the centers are affinely independent.
+func buildFrame(f frame, cons []ball, sub []int, eps float64) bool {
 	origin := cons[sub[0]].c
-	f.m, f.dim = len(sub)-1, len(origin)
-	f.basis = fit(buf.basis[:], f.m*f.dim)
-	f.coords = fit(buf.coords[:], f.m*f.m)
 	for row, idx := range sub[1:] {
 		c := cons[idx].c
 		v := geom.Vec(f.basis[row*f.dim : (row+1)*f.dim])
@@ -260,7 +397,7 @@ func buildFrame(cons []ball, sub []int, eps float64, buf *frameScratch) (f frame
 		}
 		res := v.Len()
 		if res <= eps || res <= 1e-7*orig {
-			return f, false
+			return false
 		}
 		inv := 1 / res
 		for k := range v {
@@ -271,7 +408,14 @@ func buildFrame(cons []ball, sub []int, eps float64, buf *frameScratch) (f frame
 			p[d] = 0
 		}
 	}
-	return f, true
+	for row := range f.p2 {
+		var p2 float64
+		for _, c := range f.coords[row*f.m : (row+1)*f.m] {
+			p2 += c * c
+		}
+		f.p2[row] = p2
+	}
+	return true
 }
 
 // apolloniusMeets tests the candidate points with equal slack s to
@@ -280,10 +424,9 @@ func buildFrame(cons []ball, sub []int, eps float64, buf *frameScratch) (f frame
 // triangular linear system M·x = q0 + s·q1 in the subset's own
 // coordinates; substituting x(s) back into the first sphere equation
 // closes it with a quadratic in s. x is scratch of the space's
-// dimension.
-func apolloniusMeets(cons []ball, rs []float64, sub []int, x geom.Vec, eps float64) bool {
-	var buf frameScratch
-	f, ok := buildFrame(cons, sub, eps, &buf)
+// dimension; sub is affineSubsets(n)[k].
+func (w *window) apolloniusMeets(rs []float64, k int, sub []int, x geom.Vec) bool {
+	f, ok := w.frame(k, sub)
 	if !ok {
 		return false
 	}
@@ -294,11 +437,7 @@ func apolloniusMeets(cons []ball, rs []float64, sub []int, x geom.Vec, eps float
 	q0, q1, x0, x1 := v[:m], v[m:2*m], v[2*m:3*m], v[3*m:]
 	for row := 0; row < m; row++ {
 		rj := rs[sub[row+1]]
-		var p2 float64
-		for _, c := range f.coords[row*m : (row+1)*m] {
-			p2 += c * c
-		}
-		q0[row] = (p2 - rj*rj + r0*r0) / 2
+		q0[row] = (f.p2[row] - rj*rj + r0*r0) / 2
 		q1[row] = -(rj - r0)
 	}
 	if !solveLowerTriangular(f.coords, q0, x0) || !solveLowerTriangular(f.coords, q1, x1) {
@@ -309,14 +448,14 @@ func apolloniusMeets(cons []ball, rs []float64, sub []int, x geom.Vec, eps float
 	c := dot(x0, x0) - r0*r0
 	roots, nr := solveQuadratic(a, 2*b, c)
 	for _, s := range roots[:nr] {
-		copy(x, cons[sub[0]].c)
+		copy(x, w.cons[sub[0]].c)
 		for d := 0; d < m; d++ {
-			w := x0[d] + s*x1[d]
-			for k, e := range f.basis[d*f.dim : (d+1)*f.dim] {
-				x[k] += w * e
+			xd := x0[d] + s*x1[d]
+			for i, e := range f.basis[d*f.dim : (d+1)*f.dim] {
+				x[i] += xd * e
 			}
 		}
-		if meets(cons, rs, x, eps) {
+		if meets(w.cons, rs, x, w.eps) {
 			return true
 		}
 	}
@@ -489,15 +628,14 @@ func (p quartic) neg() quartic {
 // fixed!) and right-hand sides quadratic in t, so x(t) is a vector of
 // quadratics; substituting into the first sphere equation yields a
 // degree-4 polynomial whose real roots in the window are the pinch
-// candidates.
-func pinchTimes(cand []float64, cons []ball, sub []int, w0, w1, eps float64) []float64 {
-	var buf frameScratch
-	f, ok := buildFrame(cons, sub, eps, &buf)
+// candidates. sub is affineSubsets(n)[k].
+func (w *window) pinchTimes(cand []float64, k int, sub []int) []float64 {
+	f, ok := w.frame(k, sub)
 	if !ok {
 		return cand
 	}
 	m := f.m
-	b0 := cons[sub[0]]
+	b0 := w.cons[sub[0]]
 	r0 := linearQuartic(b0.ra, b0.rb)
 	r0sq := r0.mul(r0)
 	// Forward-substitute the triangular system with the polynomial
@@ -506,14 +644,10 @@ func pinchTimes(cand []float64, cons []ball, sub []int, w0, w1, eps float64) []f
 	var xbuf [scratchHull]quartic
 	X := xbuf[:0]
 	for i := 0; i < m; i++ {
-		bj := cons[sub[i+1]]
+		bj := w.cons[sub[i+1]]
 		rj := linearQuartic(bj.ra, bj.rb)
 		p := f.coords[i*m : (i+1)*m]
-		var p2 float64
-		for _, c := range p {
-			p2 += c * c
-		}
-		s := constantQuartic(p2).plus(1, r0sq).plus(-1, rj.mul(rj)).scale(0.5)
+		s := constantQuartic(f.p2[i]).plus(1, r0sq).plus(-1, rj.mul(rj)).scale(0.5)
 		for j := 0; j < i; j++ {
 			s = s.plus(-1, X[j].scale(p[j]))
 		}
@@ -527,12 +661,12 @@ func pinchTimes(cand []float64, cons []ball, sub []int, w0, w1, eps float64) []f
 	for _, x := range X {
 		F = F.plus(1, x.mul(x))
 	}
-	cand, _ = poly.Poly(F.c[:F.n]).AppendRootsIn(cand, w0, w1)
+	cand, _ = poly.Poly(F.c[:F.n]).AppendRootsIn(cand, w.w0, w.w1)
 	return cand
 }
 
-// feasibleInterval returns the exact sub-interval of [w0, w1] during
-// which all balls share a point (empty ⇒ ok = false). By convexity the
+// interval returns the exact sub-interval of [w0, w1] during which all
+// balls share a point (empty ⇒ ok = false). By convexity the
 // feasible set is an interval, and its endpoints are always among the
 // closed-form candidates (see the package comment at the top of this
 // file). The answer is the least and the greatest feasible candidate,
@@ -542,14 +676,13 @@ func pinchTimes(cand []float64, cons []ball, sub []int, w0, w1, eps float64) []f
 // evaluation of every candidate reports — no convexity is assumed, the
 // candidates in between are simply never read. When both window ends
 // are feasible they are the answer, and no candidate is built at all.
-func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
+func (w *window) interval() (lo, hi float64, ok bool) {
+	cons, w0, w1, eps := w.cons, w.w0, w.w1, w.eps
 	if !(w0 <= w1) {
 		return 0, 0, false
 	}
-	scale := consScale(cons, w0, w1)
-	eps := relEps * scale
-	f0 := feasibleAt(cons, w0, eps)
-	f1 := feasibleAt(cons, w1, eps)
+	f0 := w.feasibleAt(w0)
+	f1 := w.feasibleAt(w1)
 	// A zero window end may meet a candidate that is the zero of the
 	// other sign, and which of the two the sorted list then holds first
 	// is the sort's business — so those windows go through the list.
@@ -566,7 +699,7 @@ func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := cons[i].c.Dist(cons[j].c)
+			d := w.dist[i*n+j]
 			// External tangency r_i + r_j = d and internal tangencies
 			// r_i − r_j = ±d: all linear in t.
 			cand = appendLinearRoot(cand, cons[i].ra+cons[j].ra, cons[i].rb+cons[j].rb-d)
@@ -574,8 +707,8 @@ func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 			cand = appendLinearRoot(cand, cons[i].ra-cons[j].ra, cons[i].rb-cons[j].rb+d)
 		}
 	}
-	for _, sub := range affineSubsets(n) {
-		cand = pinchTimes(cand, cons, sub, w0, w1, eps)
+	for k, sub := range affineSubsets(n) {
+		cand = w.pinchTimes(cand, k, sub)
 	}
 	// Clip into the window, sort, add midpoints of consecutive distinct
 	// candidates (cheap insurance against degenerate root isolation).
@@ -599,7 +732,7 @@ func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 	i, j := 0, len(ts)-1
 	if !f0 {
 		//modlint:allow floatcmp -- exact: steps over the copies of w0, found infeasible above
-		for i <= j && (ts[i] == w0 || !feasibleAt(cons, ts[i], eps)) {
+		for i <= j && (ts[i] == w0 || !w.feasibleAt(ts[i])) {
 			i++
 		}
 		if i > j {
@@ -608,7 +741,7 @@ func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
 	}
 	if !f1 {
 		//modlint:allow floatcmp -- exact: steps over the copies of w1, found infeasible above
-		for j > i && (ts[j] == w1 || !feasibleAt(cons, ts[j], eps)) {
+		for j > i && (ts[j] == w1 || !w.feasibleAt(ts[j])) {
 			j--
 		}
 	}

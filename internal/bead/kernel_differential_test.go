@@ -14,18 +14,35 @@ import (
 	"repro/internal/poly"
 )
 
+// The modes genSystem steers a system's centers and radii into.
+const (
+	modeConcentric = iota
+	modeCollinear
+	modeTangent
+	// modeMargin places balls 0 and 1 k·eps apart at one instant of the
+	// window. k ∈ {1.5, 2, 2.5, 3, 3.5} straddles both 2·eps, the widest
+	// gap an accepted candidate can bridge, and 3·eps, beyond which the
+	// pair pre-test of feasibleAt rejects the instant.
+	modeMargin
+	modes = modeMargin + 3 // the rest place centers at random
+)
+
 // genSystem draws one ball system and window. The radii have the three
 // shapes the queries produce — growing from a sample (ra = v,
 // rb = −v·t), shrinking toward one (ra = −v, rb = v·t), constant (the
-// query ball) — and mode steers the centers into the degenerate
+// query ball) — and mode steers the system into the degenerate
 // placements the bead differential (internal/shard) is built around.
-func genSystem(rng *rand.Rand, n, dim int) (cons []ball, w0, w1 float64) {
+func genSystem(rng *rand.Rand, n, dim int) (cons []ball, w0, w1 float64, mode int) {
+	mode = rng.Intn(modes)
 	scale := 1.0
 	switch rng.Intn(8) {
 	case 0:
 		scale = 1e9
 	case 1:
 		scale = 1e-3
+	}
+	if mode == modeMargin {
+		scale = []float64{1e-3, 1, 1e9, 1e12}[rng.Intn(4)]
 	}
 	coord := func() float64 {
 		if rng.Intn(3) == 0 {
@@ -40,14 +57,13 @@ func genSystem(rng *rand.Rand, n, dim int) (cons []ball, w0, w1 float64) {
 		}
 		return p
 	}
-	mode := rng.Intn(6)
 	base, dir := point(), point()
 	centers := make([]geom.Vec, n)
 	for i := range centers {
 		switch {
-		case mode == 0 && i > 0 && rng.Intn(2) == 0: // concentric
+		case mode == modeConcentric && i > 0 && rng.Intn(2) == 0:
 			centers[i] = centers[rng.Intn(i)]
-		case mode == 1: // collinear
+		case mode == modeCollinear:
 			centers[i] = base.AddScaled(float64(rng.Intn(9)-4), dir)
 		default:
 			centers[i] = point()
@@ -102,14 +118,28 @@ func genSystem(rng *rand.Rand, n, dim int) (cons []ball, w0, w1 float64) {
 			cons[i].rb += p.Dist(cons[i].c)*(0.8+rng.Float64()) - cons[i].rad(t)
 		}
 	}
-	if mode == 2 && n >= 2 {
+	if mode == modeTangent && n >= 2 {
 		// Tangent: make balls 0 and 1 touch exactly (as far as floats
 		// allow) at an instant of the window.
 		t := w0 + (w1-w0)*rng.Float64()
 		d := cons[0].c.Dist(cons[1].c)
 		cons[1].rb += d - cons[0].rad(t) - cons[1].rad(t)
 	}
-	return cons, w0, w1
+	if mode == modeMargin && n >= 2 {
+		// The instant is one the differential asks feasibleAt about
+		// directly. The radii split d − k·eps; eps follows the radii
+		// through the scale, so the split is made again until it holds.
+		t := []float64{w0, w1, (w0 + w1) / 2}[rng.Intn(3)]
+		k := []float64{1.5, 2, 2.5, 3, 3.5}[rng.Intn(5)]
+		share := 0.1 + 0.8*rng.Float64()
+		d := cons[0].c.Dist(cons[1].c)
+		for range 3 {
+			gap := d - k*relEps*consScale(cons, w0, w1)
+			cons[0].rb += share*gap - cons[0].rad(t)
+			cons[1].rb += gap - cons[0].rad(t) - cons[1].rad(t)
+		}
+	}
+	return cons, w0, w1, mode
 }
 
 func TestKernelMatchesReferenceBitForBit(t *testing.T) {
@@ -118,10 +148,13 @@ func TestKernelMatchesReferenceBitForBit(t *testing.T) {
 		systems = 12000
 	}
 	rng := rand.New(rand.NewSource(17))
-	var feasible, bothEnds, scanned, zeroEnd int
+	var feasible, bothEnds, scanned, zeroEnd, margin int
 	for s := 0; s < systems; s++ {
 		n, dim := 2+s%3, 1+(s/3)%3
-		cons, w0, w1 := genSystem(rng, n, dim)
+		cons, w0, w1, mode := genSystem(rng, n, dim)
+		if mode == modeMargin {
+			margin++
+		}
 		lo, hi, ok := feasibleInterval(cons, w0, w1)
 		rlo, rhi, rok := refFeasibleInterval(cons, w0, w1)
 		if ok != rok || math.Float64bits(lo) != math.Float64bits(rlo) || math.Float64bits(hi) != math.Float64bits(rhi) {
@@ -150,11 +183,11 @@ func TestKernelMatchesReferenceBitForBit(t *testing.T) {
 			scanned++
 		}
 	}
-	t.Logf("%d systems: %d feasible (%d on both window ends, %d found by the scan, %d with a zero window end)",
-		systems, feasible, bothEnds, scanned, zeroEnd)
+	t.Logf("%d systems: %d feasible (%d on both window ends, %d found by the scan, %d with a zero window end), %d on the pair margin",
+		systems, feasible, bothEnds, scanned, zeroEnd, margin)
 	// The generator must keep every path of the kernel busy, or the
 	// comparison proves nothing about it.
-	for name, c := range map[string]int{"both ends": bothEnds, "scan": scanned, "zero end": zeroEnd} {
+	for name, c := range map[string]int{"both ends": bothEnds, "scan": scanned, "zero end": zeroEnd, "pair margin": margin} {
 		if c < systems/50 {
 			t.Errorf("only %d of %d systems exercise the %q path", c, systems, name)
 		}
@@ -169,7 +202,7 @@ func TestKernelHeapFallbackMatchesReference(t *testing.T) {
 	feasible := 0
 	for s := 0; s < 600; s++ {
 		n, dim := 5+s%2, 2+s%4
-		cons, w0, w1 := genSystem(rng, n, dim)
+		cons, w0, w1, _ := genSystem(rng, n, dim)
 		lo, hi, ok := feasibleInterval(cons, w0, w1)
 		rlo, rhi, rok := refFeasibleInterval(cons, w0, w1)
 		if ok != rok || math.Float64bits(lo) != math.Float64bits(rlo) || math.Float64bits(hi) != math.Float64bits(rhi) {

@@ -16,6 +16,29 @@ func static(r float64, cs ...float64) ball {
 	return ball{c: geom.Of(cs...), ra: 0, rb: r}
 }
 
+// feasibleInterval asks the kernel about one whole system, set up as a
+// window the way the chain walks set theirs up.
+func feasibleInterval(cons []ball, w0, w1 float64) (lo, hi float64, ok bool) {
+	var s windowScratch
+	w := s.window(cons, nil, 1, w0, w1)
+	return w.interval()
+}
+
+// feasibleAt decides one instant of a system with the tolerance eps.
+func feasibleAt(cons []ball, t, eps float64) bool {
+	var s windowScratch
+	w := s.window(cons, nil, 1, t, t)
+	w.eps = eps
+	return w.feasibleAt(t)
+}
+
+// windowDisjoint is the broad-phase test of the window ca ∪ cb.
+func windowDisjoint(ca, cb []ball, w0, w1 float64) bool {
+	var s windowScratch
+	w := s.window(ca, cb, consScale(cb, w0, w1), w0, w1)
+	return w.disjoint()
+}
+
 // TestFeasibleAtHelly is the reason the kernel does real multi-ball
 // feasibility: three circles with centers (0,0), (4,0), (2,3) intersect
 // pairwise for any radius ≥ 2, yet share a common point only when the

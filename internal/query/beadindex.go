@@ -383,7 +383,8 @@ func (ix *BeadIndex) maybeRebuild() {
 // Called with mu held in either mode; allocates a fresh slice because
 // concurrent queries share the index.
 func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
-	pad := dist + bead.Pad(maxAbsVec(q)+dist)
+	qpad := bead.Pad(maxAbsVec(q) + dist)
+	pad := dist + qpad
 	rlo := make(geom.Vec, ix.dim+1)
 	rhi := make(geom.Vec, ix.dim+1)
 	for d := 0; d < ix.dim; d++ {
@@ -400,7 +401,7 @@ func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
 		return true
 	})
 	for _, cr := range ix.caps {
-		if cr.c.Reaches(q, dist, lo, hi) {
+		if cr.c.Reaches(q, dist, qpad, lo, hi) {
 			out = append(out, cr.o)
 		}
 	}
