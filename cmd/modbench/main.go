@@ -3,30 +3,22 @@
 // 5 and 10, Corollary 6 and Lemma 9 (E1–E4, E6), the Proposition 1
 // baseline comparison (E5) and the Song–Roussopoulos accuracy comparison
 // of Section 5 (E7). E8 and E9 are testing.B benchmarks in bench_test.go.
-// Three engine experiments ride along: subscription scaling (e13,
-// internal/sub interest routing under a growing subscriber population),
-// the alibi deciders (e14) and the uncertainty broad phase (e15,
-// internal/query.BeadIndex vs the full bead scan, answers compared bit
-// for bit). The shard fan-out, durability and update-path experiments
-// that used to be e10–e12 are measured end to end by benchmark/
-// (past-sweep at -shards 2, and ingest-durable).
+// The engine experiments that used to be e10–e15 are measured end to
+// end by benchmark/ (past-sweep at -shards 2, ingest-durable,
+// uncertain-read and live-mix); what they claimed about work, not time,
+// is held by count tests in internal/sub and internal/query.
 //
 // Usage:
 //
-//	modbench [-exp all|e1,e3,e13] [-quick] [-seed N] [-json out.json] [-compare base.json]
+//	modbench [-exp all|e1,e3] [-quick] [-seed N]
 //	modbench -drive http://HOST:PORT [-acked acked.jsonl]      (crash smoke)
 //	modbench -crashcheck http://HOST:PORT [-acked acked.jsonl]
 //
-// e13–e15 additionally emit one `BENCH {...}` JSON line per measurement
-// on stdout; -json collects all BENCH records into a file (the artifact
-// CI uploads and EXPERIMENTS.md records), and -compare gates them
-// against a committed baseline (compare.go). The -drive/-crashcheck
-// modes are the two halves of the kill -9 crash-recovery smoke test (see
-// crash.go).
+// The -drive/-crashcheck modes are the two halves of the kill -9
+// crash-recovery smoke test (see crash.go).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -42,18 +34,15 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/gdist"
 	"repro/internal/mod"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "comma-separated experiments (e1..e7, e13..e15) or 'all'")
-	quickFlag   = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
-	seedFlag    = flag.Int64("seed", 1, "workload seed")
-	jsonFlag    = flag.String("json", "", "write all BENCH records as a JSON document to this file")
-	compareFlag = flag.String("compare", "", "baseline -json document to regression-check this run against")
+	expFlag   = flag.String("exp", "all", "comma-separated experiments (e1..e7) or 'all'")
+	quickFlag = flag.Bool("quick", false, "smaller sizes for a fast smoke run")
+	seedFlag  = flag.Int64("seed", 1, "workload seed")
 )
 
 // experiments is every experiment modbench runs, in run order; -exp all
@@ -63,7 +52,6 @@ var experiments = []struct {
 	run  func() error
 }{
 	{"e1", e1}, {"e2", e2}, {"e3", e3}, {"e4", e4}, {"e5", e5}, {"e6", e6}, {"e7", e7},
-	{"e13", e13}, {"e14", e14}, {"e15", e15},
 }
 
 // measuredElsewhere names the experiments of EXPERIMENTS.md that modbench
@@ -74,6 +62,9 @@ var measuredElsewhere = map[string]string{
 	"e10": "benchmark/'s past-sweep workload at -shards 2",
 	"e11": "benchmark/'s ingest-durable workload (its durable.* rows)",
 	"e12": "benchmark/'s ingest-durable workload",
+	"e13": "benchmark/'s live-mix workload (its sub.* rows); TestRoutingIgnoresColdSubscriptions in internal/sub holds its routing claim",
+	"e14": "benchmark/'s uncertain-read workload (op2, alibi); TestDifferentialAlibiVsOracle in internal/shard holds its answers",
+	"e15": "benchmark/'s uncertain-read workload (op1, possibly-within); TestBroadPhaseCandidatesFollowTheQuery in internal/query holds its pruning claim",
 }
 
 // selectExperiments parses an -exp value, "all" or a comma-separated
@@ -102,53 +93,6 @@ func selectExperiments(spec string) (map[string]bool, error) {
 	return want, nil
 }
 
-// benchRecord is one machine-readable measurement (a BENCH line).
-type benchRecord struct {
-	Exp           string  `json:"exp"`
-	Name          string  `json:"name"`
-	P             int     `json:"p,omitempty"`
-	N             int     `json:"n"`
-	Seconds       float64 `json:"seconds"`
-	Speedup       float64 `json:"speedup,omitempty"`
-	UpdatesPerSec float64 `json:"updates_per_sec,omitempty"`
-	// Latency digests all repetitions of the measured operation through
-	// the same fixed-bucket histogram the live server exposes on
-	// /metrics (internal/obs), so bench JSON and production metrics
-	// report comparable percentiles.
-	Latency *obs.Summary `json:"latency,omitempty"`
-}
-
-var benchRecords []benchRecord
-
-// emitBench prints one BENCH line and retains the record for -json.
-func emitBench(r benchRecord) {
-	data, err := json.Marshal(r)
-	if err != nil {
-		log.Fatalf("bench record: %v", err)
-	}
-	fmt.Printf("BENCH %s\n", data)
-	benchRecords = append(benchRecords, r)
-}
-
-func writeBenchJSON(path string) error {
-	doc := struct {
-		Seed    int64         `json:"seed"`
-		Quick   bool          `json:"quick"`
-		Records []benchRecord `json:"records"`
-	}{Seed: *seedFlag, Quick: *quickFlag, Records: benchRecords}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("modbench: ")
@@ -169,16 +113,6 @@ func main() {
 			log.Fatalf("%s: %v", e.name, err)
 		}
 		fmt.Println()
-	}
-	if *jsonFlag != "" {
-		if err := writeBenchJSON(*jsonFlag); err != nil {
-			log.Fatalf("write %s: %v", *jsonFlag, err)
-		}
-	}
-	if *compareFlag != "" {
-		if err := compareBaseline(*compareFlag, want); err != nil {
-			log.Fatalf("bench regression:\n%v", err)
-		}
 	}
 }
 

@@ -18,6 +18,7 @@ package cql
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/gdist"
 	"repro/internal/mod"
@@ -265,7 +266,7 @@ func Sometime(db *mod.DB, f TimeFormula, lo, hi float64) ([]mod.OID, error) {
 	for o := range m {
 		out = append(out, o)
 	}
-	sortOIDs(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -282,7 +283,7 @@ func Always(db *mod.DB, f TimeFormula, lo, hi float64) ([]mod.OID, error) {
 			out = append(out, o)
 		}
 	}
-	sortOIDs(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -291,13 +292,4 @@ func clipLife(tr trajectory.Trajectory, lo, hi float64) (float64, float64, bool)
 	clo := math.Max(lo, tr.Start())
 	chi := math.Min(hi, tr.End())
 	return clo, chi, clo < chi
-}
-
-// sortOIDs sorts ascending (insertion sort; answer lists are short).
-func sortOIDs(os []mod.OID) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j] < os[j-1]; j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
 }

@@ -158,9 +158,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Summary is a compact JSON-ready digest of a histogram — the form
-// modbench embeds in BENCH records so bench/*.json carries latency
-// percentiles alongside the raw seconds.
+// Summary is a compact JSON-ready digest of a histogram — the form the
+// JSON view of a registry renders it in.
 type Summary struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`

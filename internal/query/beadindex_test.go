@@ -247,3 +247,72 @@ func TestBeadIndexTrackOfMatchesScan(t *testing.T) {
 		t.Fatalf("unknown object error %v, want ErrNotFound", err)
 	}
 }
+
+// TestBroadPhaseCandidatesFollowTheQuery holds the broad phase to its
+// reason for existing: on a fleet spread over an arena two hundred
+// times wider than the query ball, a possibly-within passes a small
+// share of the population to the kernel path, and answers exactly as
+// the scan that evaluates every chain does.
+func TestBroadPhaseCandidatesFollowTheQuery(t *testing.T) {
+	const (
+		nObjects    = 2000
+		nQueries    = 60
+		arena       = 1000.0
+		radius      = 5.0
+		defaultVmax = 1.5
+		horizon     = 30.0
+		// Measured: 83 of 120,000 (0.07 %). A broad phase that passes
+		// every live chain through reads 100 %.
+		maxShare = 0.005
+	)
+	rng := rand.New(rand.NewSource(16))
+	vec := func(s float64) geom.Vec {
+		return geom.Of(s*(rng.Float64()-0.5), s*(rng.Float64()-0.5))
+	}
+	// Creations over the first few time units, one declared bound each,
+	// then two direction changes apiece across the horizon. Everything
+	// stays live, so every track ends in a cap.
+	db := mod.NewDB(2, -1)
+	ix := NewBeadIndex(db)
+	tau := 0.5
+	step := 4.0 / nObjects
+	for i := 1; i <= nObjects; i++ {
+		must(t, db.Apply(mod.New(mod.OID(i), tau, vec(2), vec(arena))))
+		tau += step
+		must(t, db.Apply(mod.Bound(mod.OID(i), tau, 0.5+2*rng.Float64())))
+		tau += step
+	}
+	step = (horizon - tau) / (2*nObjects + 1)
+	for round := 0; round < 2; round++ {
+		for i := 1; i <= nObjects; i++ {
+			must(t, db.Apply(mod.ChDir(mod.OID(i), tau, vec(2))))
+			tau += step
+		}
+	}
+
+	snap := db.EpochSnapshot()
+	candidates, population, found := 0, 0, 0
+	for i := 0; i < nQueries; i++ {
+		q, lo := vec(0.9*arena), 5+20*rng.Float64()
+		want, err := PossiblyWithin(snap, q, radius, lo, lo+3, defaultVmax)
+		must(t, err)
+		got, st, err := ix.PossiblyWithin(snap, q, radius, lo, lo+3, defaultVmax)
+		must(t, err)
+		if diff := answersEqual(want, got); diff != "" {
+			t.Fatalf("query %d: broad phase diverges from the scan: %s", i, diff)
+		}
+		candidates += st.Candidates
+		population += st.Population
+		found += len(got.Objects())
+	}
+	share := float64(candidates) / float64(population)
+	t.Logf("broad phase passed %d of %d chains to the kernel path (%.2f %%); %d answers",
+		candidates, population, 100*share, found)
+	if found == 0 {
+		t.Error("no query found an object: the comparison with the scan checked only empty answers")
+	}
+	if share > maxShare {
+		t.Errorf("broad phase passed %d of %d chains (%.1f %%), want at most %.1f %%",
+			candidates, population, 100*share, 100*maxShare)
+	}
+}

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mod"
@@ -87,21 +88,11 @@ func (q *KNN) refresh(t float64) {
 		return
 	}
 	for o := range q.cur {
-		if !containsOID(q.now, o) {
+		if !slices.Contains(q.now, o) {
 			delete(q.cur, o)
 			q.ans.Leave(o, t)
 		}
 	}
-}
-
-// containsOID reports whether os holds o (answers are small).
-func containsOID(os []mod.OID, o mod.OID) bool {
-	for _, x := range os {
-		if x == o {
-			return true
-		}
-	}
-	return false
 }
 
 // Finish implements Evaluator.

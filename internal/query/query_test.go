@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -381,7 +382,7 @@ func bruteKNN(db *mod.DB, q trajectory.Trajectory, k int, tt float64) []mod.OID 
 	for i, x := range ds {
 		out[i] = x.o
 	}
-	sortOIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -409,7 +410,7 @@ func TestRandomizedWithinAgainstBruteForce(t *testing.T) {
 					want = append(want, o)
 				}
 			}
-			sortOIDs(want)
+			slices.Sort(want)
 			got := w.Answer().At(tt)
 			if !sameOIDs(got, want) {
 				t.Fatalf("trial %d t=%g c=%g: %v vs brute %v", trial, tt, c, got, want)

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mod"
@@ -140,7 +141,7 @@ func (q *Within) Current() []mod.OID {
 	for o := range q.cur {
 		out = append(out, o)
 	}
-	sortOIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -152,15 +153,6 @@ func (q *Within) AppendCurrent(dst []mod.OID) []mod.OID {
 	for o := range q.cur {
 		dst = append(dst, o)
 	}
-	sortOIDs(dst[base:])
+	slices.Sort(dst[base:])
 	return dst
-}
-
-// sortOIDs sorts ascending (tiny helper shared by evaluators).
-func sortOIDs(os []mod.OID) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j] < os[j-1]; j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
 }

@@ -80,11 +80,22 @@ func (r Rect) area() float64 {
 	return a
 }
 
-// enlargement returns the area growth needed to cover o.
+// enlargement returns the area growth needed to cover o. The grown
+// box's extent on each axis takes the same comparisons as expand, so
+// the result is bit for bit that of expanding a copy of r.
 func (r Rect) enlargement(o Rect) float64 {
-	grown := Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
-	grown.expand(o)
-	return grown.area() - r.area()
+	a := 1.0
+	for i := range r.Min {
+		lo, hi := r.Min[i], r.Max[i]
+		if o.Min[i] < lo {
+			lo = o.Min[i]
+		}
+		if o.Max[i] > hi {
+			hi = o.Max[i]
+		}
+		a *= hi - lo
+	}
+	return a - r.area()
 }
 
 // dist2 returns the squared distance from p to the rect (0 if inside).

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -247,5 +248,55 @@ func BenchmarkNearestK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.NearestK(geom.Of(float64(i%1000), 500), 5)
+	}
+}
+
+// TestEnlargementMatchesExpandedCopy holds enlargement bit for bit to
+// the form it replaced, expanding a copy of the box, so insertion weighs
+// children exactly as before and builds the same tree. The cases cover
+// random boxes, degenerate boxes, corners at +0 and -0 on both sides,
+// and boxes at 1e12, where the two areas are close and their difference
+// is a few ulps.
+func TestEnlargementMatchesExpandedCopy(t *testing.T) {
+	reference := func(r, o Rect) float64 {
+		grown := Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
+		grown.expand(o)
+		return grown.area() - r.area()
+	}
+	rng := rand.New(rand.NewSource(8))
+	coord := func(kind int) float64 {
+		switch kind {
+		case 0:
+			return rng.Float64()*200 - 100
+		case 1:
+			return float64(rng.Intn(3) - 1)
+		case 2:
+			return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)]
+		default:
+			return 1e12 + rng.Float64()*1e3
+		}
+	}
+	box := func(dim, kind int, degenerate bool) Rect {
+		r := Rect{Min: make(geom.Vec, dim), Max: make(geom.Vec, dim)}
+		for i := 0; i < dim; i++ {
+			a, b := coord(kind), coord(kind)
+			if degenerate || rng.Intn(4) == 0 {
+				b = a
+			}
+			if b < a {
+				a, b = b, a
+			}
+			r.Min[i], r.Max[i] = a, b
+		}
+		return r
+	}
+	for n := 0; n < 40000; n++ {
+		dim := 1 + rng.Intn(3)
+		r := box(dim, rng.Intn(4), rng.Intn(5) == 0)
+		o := box(dim, rng.Intn(4), rng.Intn(5) == 0)
+		if got, want := r.enlargement(o), reference(r, o); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("enlargement of %v by %v: %v (bits %#x), the expanded copy gives %v (bits %#x)",
+				r, o, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

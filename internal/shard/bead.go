@@ -9,8 +9,8 @@ package shard
 //
 // query.PossiblyWithin / query.TrackOf — the straightforward per-chain
 // scan the broad phase must agree with bit for bit — stay in
-// internal/query as the reference the differential tests and modbench
-// e15 call directly; the engine itself has one execution path.
+// internal/query as the reference the differential tests call directly;
+// the engine itself has one execution path.
 
 import "repro/internal/query"
 

@@ -1,11 +1,11 @@
 package sub
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/eventq"
 	"repro/internal/gdist"
 	"repro/internal/mod"
 	"repro/internal/query"
@@ -39,7 +39,8 @@ type Registry struct {
 	subs      map[string]*subscription
 	trackedBy map[mod.OID]map[*subscription]struct{}
 	interest  *interestIndex
-	wake      wakeHeap
+	wake      *eventq.Heap // one entry per parked subscription, keyed by sid
+	bySid     map[uint64]*subscription
 	tau       float64 // highest routed update time
 	epoch     uint64  // routing dedup stamp
 	nextSid   uint64
@@ -70,6 +71,8 @@ func NewRegistry(src Source, cfg Config) *Registry {
 		dim:       src.Dim(),
 		subs:      make(map[string]*subscription),
 		trackedBy: make(map[mod.OID]map[*subscription]struct{}),
+		wake:      eventq.NewHeap(),
+		bySid:     make(map[uint64]*subscription),
 		tau:       src.Tau(),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -286,6 +289,7 @@ func (r *Registry) buildSub(q Query) (*subscription, error) {
 	}
 	s.answer() // seed s.cur with the initial answer
 	s.lastT = r.snapTau
+	r.bySid[s.sid] = s
 	r.reschedule(s)
 	return s, nil
 }
@@ -445,13 +449,14 @@ func (r *Registry) route(u mod.Update) {
 // processWakes advances every subscription whose next kinetic event (or
 // horizon) is due at or before upTo.
 func (r *Registry) processWakes(upTo float64) {
-	for len(r.wake) > 0 && r.wake[0].t <= upTo {
-		e := heap.Pop(&r.wake).(wakeEntry)
-		if e.s.done || e.gen != e.s.wakeGen {
-			continue
+	for {
+		e, ok := r.wake.Peek()
+		if !ok || e.T > upTo {
+			return
 		}
+		r.wake.Pop()
 		r.recordWakeup()
-		r.advanceSub(e.s, e.t)
+		r.advanceSub(r.bySid[e.Left], e.T)
 	}
 }
 
@@ -719,7 +724,8 @@ func (r *Registry) teardownSub(s *subscription) {
 		return
 	}
 	s.done = true
-	s.wakeGen++
+	r.wake.RemoveByLeft(s.sid)
+	delete(r.bySid, s.sid)
 	for _, st := range s.streams {
 		st.detached = true
 		r.nStreams--
@@ -740,9 +746,10 @@ func (r *Registry) teardownSub(s *subscription) {
 }
 
 // reschedule re-parks s at its next due instant: the earlier of its
-// next kinetic event and its horizon.
+// next kinetic event and its horizon. The queue holds one entry per
+// subscription, so the push replaces the one s had; entries pop in
+// (time, sid) order.
 func (r *Registry) reschedule(s *subscription) {
-	s.wakeGen++
 	if s.done {
 		return
 	}
@@ -750,32 +757,5 @@ func (r *Registry) reschedule(s *subscription) {
 	if et, ok := s.eng.NextEventTime(); ok && et < key {
 		key = et
 	}
-	heap.Push(&r.wake, wakeEntry{t: key, gen: s.wakeGen, s: s})
-}
-
-// wakeEntry parks one subscription until time t; gen invalidates
-// superseded entries (lazy deletion).
-type wakeEntry struct {
-	t   float64
-	gen uint64
-	s   *subscription
-}
-
-type wakeHeap []wakeEntry
-
-func (h wakeHeap) Len() int { return len(h) }
-func (h wakeHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t { //modlint:allow floatcmp -- comparator: strict weak ordering needs exact compares
-		return h[i].t < h[j].t
-	}
-	return h[i].s.sid < h[j].s.sid
-}
-func (h wakeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wakeHeap) Push(x interface{}) { *h = append(*h, x.(wakeEntry)) }
-func (h *wakeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	r.wake.Push(eventq.Event{T: key, Left: s.sid})
 }

@@ -236,16 +236,3 @@ func reaches(f gdist.GDistance, tr trajectory.Trajectory, r2, from, hi float64) 
 	ok, err := query.Reaches(f, tr, r2, from, hi)
 	return err == nil && ok
 }
-
-// oidsEqual compares two OID slices element-wise without allocating.
-func oidsEqual(a, b []mod.OID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

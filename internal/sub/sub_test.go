@@ -3,6 +3,7 @@ package sub
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,7 +118,7 @@ func (r *replay) current() []mod.OID {
 	for o := range r.set {
 		out = append(out, o)
 	}
-	sortOIDsAsc(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -148,7 +149,7 @@ func mustApply(t *testing.T, db *mod.DB, u mod.Update) {
 
 func checkAnswer(t *testing.T, got, want []mod.OID, what string) {
 	t.Helper()
-	if !oidsEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: got %v, want %v", what, got, want)
 	}
 }
@@ -227,7 +228,7 @@ func TestKNNDeltasWithPoolRefresh(t *testing.T) {
 		}
 		checkAnswer(t, rp.current(), oracle(t, db, st.Query()), u.String())
 	}
-	if got := rp.current(); !oidsEqual(got, []mod.OID{2}) {
+	if got := rp.current(); !slices.Equal(got, []mod.OID{2}) {
 		t.Fatalf("after handover want answer [2], got %v", got)
 	}
 }
@@ -273,11 +274,48 @@ func TestKNNLadder(t *testing.T) {
 		}
 		checkAnswer(t, rp.current(), oracle(t, db, st.Query()), u.String())
 	}
-	if got := rp.current(); !oidsEqual(got, []mod.OID{20}) {
+	if got := rp.current(); !slices.Equal(got, []mod.OID{20}) {
 		t.Fatalf("once the sixteen have fled want the nearest resting object [20], got %v", got)
 	}
 	if n := reg.metrics.Load().refreshes.Value(); n == 0 {
 		t.Error("no pool refresh recorded: the fleeing objects never crossed the sentinel")
+	}
+}
+
+// TestUnchangedAnswerAllocatesNothing: re-reading an answer that did
+// not change, which is what most routed updates and wake-ups do, costs
+// no allocation for k-NN or within.
+func TestUnchangedAnswerAllocatesNothing(t *testing.T) {
+	db := mod.NewDB(2, 0)
+	for i := 1; i <= 8; i++ {
+		mustLoad(t, db, mod.OID(i), 0, []float64{0, 0}, []float64{float64(9 - i), 0})
+	}
+	reg := NewRegistry(single{db}, Config{})
+	defer reg.Close()
+	for _, q := range []Query{
+		{Kind: KNN, K: 3, Point: geom.Vec{0, 0}, Hi: 100},
+		{Kind: Within, Radius: 4.5, Point: geom.Vec{0, 0}, Hi: 100},
+	} {
+		if _, err := reg.Subscribe(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := map[Kind]float64{}
+	changed := false
+	done := make(chan struct{})
+	reg.enqueue(func() { // on the pump, which owns the subscriptions
+		for _, s := range reg.subs {
+			allocs[s.q.Kind] = testing.AllocsPerRun(100, func() {
+				_, _, _, c := s.answer()
+				changed = changed || c
+			})
+		}
+		close(done)
+	})
+	<-done
+	if changed || allocs[KNN] != 0 || allocs[Within] != 0 {
+		t.Errorf("unchanged answers: changed %v, allocations k-NN %v, within %v; want false, 0, 0",
+			changed, allocs[KNN], allocs[Within])
 	}
 }
 

@@ -1,6 +1,8 @@
 package sub
 
 import (
+	"slices"
+
 	"repro/internal/gdist"
 	"repro/internal/geom"
 	"repro/internal/mod"
@@ -47,7 +49,6 @@ type subscription struct {
 	rung     int
 
 	streams    []*Stream
-	wakeGen    uint64 // invalidates parked wake-heap entries
 	routeEpoch uint64 // dedup stamp during routing
 	done       bool
 }
@@ -67,14 +68,14 @@ type evaluator interface {
 // place.
 func (s *subscription) answer() (add, remove, order []mod.OID, changed bool) {
 	s.scratch = s.ev.AppendCurrent(s.scratch[:0])
-	if oidsEqual(s.cur, s.scratch) {
+	if slices.Equal(s.cur, s.scratch) {
 		return nil, nil, nil, false
 	}
 	oldSorted := append([]mod.OID(nil), s.cur...)
 	newSorted := append([]mod.OID(nil), s.scratch...)
 	if s.q.Kind == KNN {
-		sortOIDsAsc(oldSorted)
-		sortOIDsAsc(newSorted)
+		slices.Sort(oldSorted)
+		slices.Sort(newSorted)
 		order = append([]mod.OID(nil), s.scratch...)
 	}
 	// Merge walk over the ascending views.
@@ -100,13 +101,4 @@ func (s *subscription) answer() (add, remove, order []mod.OID, changed bool) {
 	}
 	s.cur, s.scratch = s.scratch, s.cur
 	return add, remove, order, true
-}
-
-// sortOIDsAsc sorts ascending (insertion sort: answers are small).
-func sortOIDsAsc(os []mod.OID) {
-	for i := 1; i < len(os); i++ {
-		for j := i; j > 0 && os[j] < os[j-1]; j-- {
-			os[j], os[j-1] = os[j-1], os[j]
-		}
-	}
 }
