@@ -292,8 +292,7 @@ entering <lo> <hi> <min> <max> | collide <r> <lo> <hi> | save <file> | open <fil
 
 func oid(s string) (mod.OID, error) {
 	// mod.ParseOID accepts the full 64-bit range ("o"-prefixed or
-	// bare); a narrower parse here once rejected OIDs >= 2^48 that the
-	// database happily stores.
+	// bare); the database refuses an OID above mod.MaxOID itself.
 	return mod.ParseOID(s)
 }
 

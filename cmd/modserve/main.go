@@ -5,7 +5,7 @@
 // Usage:
 //
 //	modserve [-addr :8723] [-dim 2] [-shards 4]
-//	         [-data-dir DIR [-commit flush|sync|group|none] [-checkpoint-every 30s]]
+//	         [-data-dir DIR [-commit flush|group] [-checkpoint-every 30s]]
 //	         [-load SNAPSHOT | -seed-demo]
 //	         [-slow-query-threshold 50ms] [-watch-heartbeat 15s] [-pprof=true]
 //
@@ -34,28 +34,24 @@
 // after the listener drains. Changing -shards across restarts
 // re-partitions the store (a generation bump) transparently.
 //
-// The -commit flag picks the update ack contract:
+// The -commit flag picks the update ack contract. Under both, POST
+// /update and /update/batch answer only after their journal entries are
+// durable, and a failure to make them so answers 500:
 //
-//	flush  (default) flush per update: an acked update survives a
-//	       process crash (kill -9) but not a power failure
-//	sync   fsync per update: an acked update survives power loss,
-//	       at one fsync per update
+//	flush  (default) the journal is flushed to the segment file before
+//	       the ack: an acked update survives a process crash (kill -9)
+//	       but not a power failure
 //	group  group commit: concurrent updates are coalesced into shared
-//	       fsyncs by a committer goroutine, and each POST /update or
-//	       /update/batch is acknowledged only after the fsync covering
-//	       its entries returns — the sync guarantee at a fraction of
-//	       the fsyncs. -commit-interval D stretches the coalescing
-//	       window (default 0: the fsync rate itself batches);
-//	       -commit-max-batch N fsyncs early once N entries wait.
-//	none   no per-update flush (bulk loads; checkpoint at the end)
+//	       fsyncs by a committer goroutine, and the ack waits for the
+//	       fsync covering its entries: an acked update survives power
+//	       loss
 //
 // The data directory is written in the binary codec of internal/mod
 // (length-prefixed, CRC-framed records, raw IEEE-754 floats). A
 // directory an older build wrote as JSON is imported at boot: recovered
 // as usual, then checkpointed into the binary format before the server
-// accepts an update. The durability flags (-commit, -commit-interval,
-// -commit-max-batch, -checkpoint-every) are rejected without -data-dir
-// rather than silently ignored.
+// accepts an update. The durability flags (-commit, -checkpoint-every)
+// are rejected without -data-dir rather than silently ignored.
 //
 // -load restores a snapshot file (binary or JSON, sniffed) into the
 // in-memory mode and is mutually exclusive with -data-dir.
@@ -117,9 +113,7 @@ var (
 	dataDirFlag = flag.String("data-dir", "", "durable data directory: recover at boot, journal every update, checkpoint on signal/interval")
 	ckptFlag    = flag.Duration("checkpoint-every", 0, "checkpoint period with -data-dir (0 = only at shutdown)")
 	loadFlag    = flag.String("load", "", "snapshot file to restore at startup (exclusive with -data-dir)")
-	commitFlag  = flag.String("commit", "flush", "update durability with -data-dir: flush | sync | group | none (see header)")
-	civFlag     = flag.Duration("commit-interval", 0, "group-commit coalescing window before each fsync (0 = fsync-rate batching only)")
-	cmbFlag     = flag.Int("commit-max-batch", 0, "fsync as soon as this many entries wait, skipping the window (0 = default 256)")
+	commitFlag  = flag.String("commit", "flush", "update durability with -data-dir: flush | group (see header)")
 	demoFlag    = flag.Bool("seed-demo", false, "seed 50 random movers for demos")
 	slowFlag    = flag.Duration("slow-query-threshold", 0, "log a structured SLOWQUERY line for queries at least this slow (0 disables)")
 	beatFlag    = flag.Duration("watch-heartbeat", 0, "interval between ': heartbeat' comments on idle /watch SSE streams (0 = 15s default, negative disables)")
@@ -151,19 +145,14 @@ func main() {
 			logger.Fatal(err)
 		}
 		eng, err := durable.Open(*dataDirFlag, durable.Config{
-			Shards:         *shardsFlag,
-			Workers:        *workersFlag,
-			Dim:            *dimFlag,
-			Registry:       reg,
-			Commit:         policy,
-			CommitInterval: *civFlag,
-			CommitMaxBatch: *cmbFlag,
+			Shards:   *shardsFlag,
+			Workers:  *workersFlag,
+			Dim:      *dimFlag,
+			Registry: reg,
+			Commit:   policy,
 		})
 		if err != nil {
 			logger.Fatal(err)
-		}
-		if policy == durable.CommitGroup {
-			logger.Printf("group commit: interval=%s max-batch=%d", civFlag.String(), *cmbFlag)
 		}
 		for i, info := range eng.Recovery() {
 			logger.Printf("shard %d recovery: snapshot=%v replayed=%d skipped=%d torn=%v (%s)",
@@ -267,15 +256,11 @@ func main() {
 func parseCommitPolicy(s string) (durable.CommitPolicy, error) {
 	switch s {
 	case "flush", "":
-		return durable.CommitFlushEach, nil
-	case "sync":
-		return durable.CommitSyncEach, nil
+		return durable.CommitFlush, nil
 	case "group":
 		return durable.CommitGroup, nil
-	case "none":
-		return durable.CommitNone, nil
 	}
-	return 0, fmt.Errorf("unknown -commit policy %q (want flush, sync, group, or none)", s)
+	return 0, fmt.Errorf("unknown -commit policy %q (want flush or group)", s)
 }
 
 // checkDurabilityFlags rejects a durability flag given without
@@ -288,7 +273,7 @@ func checkDurabilityFlags(dataDir string, set []string) error {
 	}
 	for _, name := range set {
 		switch name {
-		case "commit", "commit-interval", "commit-max-batch", "checkpoint-every":
+		case "commit", "checkpoint-every":
 			return fmt.Errorf("-%s configures durability and needs -data-dir; without it nothing is written to disk", name)
 		}
 	}

@@ -31,26 +31,20 @@ import (
 	"repro/internal/mod"
 )
 
-// CommitPolicy selects how an applied update becomes durable.
+// CommitPolicy selects what an acknowledged update has survived. Under
+// either policy Engine.Apply and ApplyBatch acknowledge through
+// Store.WaitDurable and return its error.
 type CommitPolicy int
 
 const (
-	// CommitFlushEach flushes (no fsync) the journal after every update:
-	// an acked update survives a process crash (kill -9) but not a power
-	// failure. The historical default.
-	CommitFlushEach CommitPolicy = iota
-	// CommitNone performs no per-update flush; the loss bound on a
-	// process crash is the journal's write buffer. Fastest, for bulk
-	// loads and replays that checkpoint at the end.
-	CommitNone
-	// CommitSyncEach flushes and fsyncs after every update: the
-	// strongest per-update guarantee, at one fsync per update.
-	CommitSyncEach
-	// CommitGroup enables group commit: appliers enqueue entries, a
-	// committer goroutine coalesces them into one fsync, and
-	// Store.WaitDurable (called by Engine.Apply/ApplyBatch) blocks until
-	// the fsync covering the caller's entries returns. Per-update
-	// guarantee of CommitSyncEach at a fraction of the fsyncs.
+	// CommitFlush flushes the journal's buffer to the segment file before
+	// an update is acknowledged: an acked update survives a process crash
+	// (kill -9) but not a power failure. The default.
+	CommitFlush CommitPolicy = iota
+	// CommitGroup enables group commit: a committer goroutine coalesces
+	// the entries of concurrent appliers into one fsync, and an update
+	// is acknowledged only after the fsync covering its entry returns.
+	// An acked update survives power loss.
 	CommitGroup
 )
 
@@ -67,10 +61,8 @@ type seqRange struct {
 
 // committer is the per-store group-commit pipeline.
 type committer struct {
-	j        *mod.Journal
-	interval time.Duration // coalescing window before each fsync (0: none)
-	maxBatch int           // skip the window once this many entries wait
-	m        *engineMetrics
+	j *mod.Journal
+	m *engineMetrics
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -85,52 +77,33 @@ type committer struct {
 	done     chan struct{}
 }
 
-func newCommitter(j *mod.Journal, interval time.Duration, maxBatch int, m *engineMetrics) *committer {
-	if maxBatch <= 0 {
-		maxBatch = 256
-	}
-	c := &committer{j: j, interval: interval, maxBatch: maxBatch, m: m, done: make(chan struct{})}
+func newCommitter(j *mod.Journal, m *engineMetrics) *committer {
+	c := &committer{j: j, m: m, done: make(chan struct{})}
 	c.cond = sync.NewCond(&c.mu)
 	go c.run()
 	return c
 }
 
-// run is the committer loop: sleep until a waiter needs an fsync,
-// optionally hold a coalescing window, then fsync and resolve everything
-// the fsync covered. Entries accumulate in the journal buffer during the
-// coalescing window only: mod.Journal.Sync holds the journal's lock
-// across the fsync, and the journal's update listener takes that lock,
-// so an apply on this shard waits out the fsync in flight and its entry
-// rides the next one (ROADMAP item 4, durability finding).
+// run is the committer loop: sleep until a waiter needs an fsync, then
+// fsync and resolve everything the fsync covered. Entries that arrive
+// during an fsync ride the next one, which is all the batching there
+// is. They wait to be buffered, though: mod.Journal.Sync holds the
+// journal's lock across the fsync, and the journal's update listener
+// takes that lock, so an apply on this shard waits out the fsync in
+// flight (ROADMAP item 4, durability finding).
 func (c *committer) run() {
 	defer close(c.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		c.mu.Lock()
 		for !c.closed && c.want <= c.resolved {
 			c.cond.Wait()
 		}
 		if c.want <= c.resolved { // closed and drained
-			c.mu.Unlock()
 			return
 		}
-		closed := c.closed
-		resolved := c.resolved
-		c.mu.Unlock()
-
-		if !closed && c.interval > 0 && int(c.j.Seq()-resolved) < c.maxBatch {
-			// Coalescing window: give concurrent appliers time to add
-			// their entries to this commit, unless a full batch already
-			// waits. Tunable via -commit-interval; 0 means the fsync
-			// rate itself is the only batching (still effective: every
-			// entry that arrives during an fsync rides the next one).
-			time.Sleep(c.interval)
-		}
-
-		c.mu.Lock()
 		target := c.j.Seq()
-		err := c.j.Sync()
-		c.finishLocked(target, err)
-		c.mu.Unlock()
+		c.finishLocked(target, c.j.Sync())
 	}
 }
 

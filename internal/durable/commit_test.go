@@ -1,15 +1,15 @@
 package durable_test
 
-// Group-commit tests: the ack contract (no Apply/ApplyBatch returns
-// before the fsync covering its entries), fsync coalescing under
-// concurrency, and the crash matrix extended to the group-commit
-// writer — both the sequential Apply path (global-prefix recovery,
-// with the stronger "confirmed = acked" accounting that group commit
-// makes possible) and the parallel ApplyBatch path (per-shard-prefix
-// recovery, the guarantee the batch API actually makes).
+// Ack tests: the ack contract of both commit policies (no Apply or
+// ApplyBatch returns nil before its entries are durable, and a journal
+// fault is an error, not a silent loss), and fsync coalescing under
+// group commit. The crash matrices over both policies are in
+// crash_matrix_test.go.
 
 import (
+	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,7 +81,6 @@ func TestGroupCommitConcurrentAck(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	cfg := groupConfig(vfs.OS{})
 	cfg.Shards = 4
-	cfg.CommitInterval = 1e6 // 1ms coalescing window
 	eng, err := durable.Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,223 +175,9 @@ func TestGroupCommitBatchCoalescing(t *testing.T) {
 	}
 }
 
-// runScriptGroup is runScript against a group-commit engine: the same
-// scripted scenario, but Apply errors are tolerated once the injector
-// has fired — under group commit a crashed fsync surfaces as an Apply
-// error (that is the ack contract) instead of being swallowed by a
-// fire-and-forget flush. confirmed counts acked (nil-returning)
-// applies: with group commit an ack IS the durability promise, so the
-// matrix holds recovery to exactly that.
-func runScriptGroup(t *testing.T, dir string, inj *errfs.FS, us []mod.Update) scriptResult {
-	t.Helper()
-	var res scriptResult
-	eng, err := durable.Open(dir, groupConfig(inj))
-	if err != nil {
-		if !inj.Crashed() {
-			t.Fatalf("open failed without a crash: %v", err)
-		}
-		return res
-	}
-	apply := func(from, to int) bool {
-		for i := from; i < to; i++ {
-			res.attempted = i + 1
-			if err := eng.Apply(us[i]); err != nil {
-				if !inj.Crashed() {
-					t.Fatalf("apply %d failed without a crash: %v", i, err)
-				}
-				return false
-			}
-			res.confirmed = i + 1
-			if inj.Crashed() {
-				return false
-			}
-		}
-		return true
-	}
-	checkpoint := func() bool {
-		_, err := eng.Checkpoint()
-		return err == nil && !inj.Crashed()
-	}
-	if apply(0, 4) && checkpoint() && apply(4, 8) && checkpoint() {
-		apply(8, len(us))
-	}
-	_ = eng.Close()
-	return res
-}
-
-// TestGroupCommitCrashMatrix sweeps every crash point in every fault
-// mode over the sequential group-commit script and requires recovery
-// to an exact stream prefix no shorter than everything acked. The
-// accounting is stricter than the base matrix: an update counts as
-// confirmed the moment Apply returns nil, because under group commit
-// that return is only issued after the covering fsync succeeded.
-func TestGroupCommitCrashMatrix(t *testing.T) {
-	us := stream10()
-
-	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	probeRes := runScriptGroup(t, filepath.Join(t.TempDir(), "data"), probe, us)
-	total := probe.Ops()
-	if probeRes.confirmed != len(us) || probe.Crashed() {
-		t.Fatalf("clean probe run confirmed %d/%d updates", probeRes.confirmed, len(us))
-	}
-	t.Logf("sweeping %d crash points x 3 fault modes", total)
-
-	for _, mode := range []errfs.Mode{errfs.FailOp, errfs.ShortWrite, errfs.FailSync} {
-		for k := 1; k <= total; k++ {
-			dir := filepath.Join(t.TempDir(), "data")
-			inj := errfs.New(vfs.OS{}, k, mode)
-			res := runScriptGroup(t, dir, inj, us)
-			if !inj.Crashed() {
-				t.Fatalf("mode=%v k=%d: injection never fired (%d ops)", mode, k, inj.Ops())
-			}
-			rec, err := durable.Open(dir, matrixConfig(vfs.OS{}))
-			if err != nil {
-				t.Fatalf("mode=%v k=%d: recovery failed: %v\ntrace:\n%s",
-					mode, k, err, traceOf(inj))
-			}
-			got := rec.Snapshot()
-			j := prefixLen(got.Tau(), us)
-			if j < 0 {
-				t.Fatalf("mode=%v k=%d: recovered tau %g matches no stream prefix\ntrace:\n%s",
-					mode, k, got.Tau(), traceOf(inj))
-			}
-			if j < res.confirmed || j > res.attempted {
-				t.Fatalf("mode=%v k=%d: recovered prefix %d outside [acked %d, attempted %d]\ntrace:\n%s",
-					mode, k, j, res.confirmed, res.attempted, traceOf(inj))
-			}
-			if !got.StateEqual(prefixDB(t, us, j)) {
-				t.Fatalf("mode=%v k=%d: recovered state is not prefix %d\ntrace:\n%s",
-					mode, k, j, traceOf(inj))
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatalf("mode=%v k=%d: close after recovery: %v", mode, k, err)
-			}
-		}
-	}
-}
-
-// TestGroupCommitBatchCrashMatrix is the crash matrix over ApplyBatch:
-// the stream is ingested as three batches with group commit, and a
-// crash mid-batch must lose only unacked suffixes. Because a batch is
-// applied per shard in parallel, the recovery guarantee is per shard —
-// each shard recovers an exact prefix of its own subsequence covering
-// every update of every acked batch — which is exactly the contract
-// ApplyBatch documents.
-func TestGroupCommitBatchCrashMatrix(t *testing.T) {
-	us := stream10()
-	batches := [][2]int{{0, 4}, {4, 8}, {8, len(us)}}
-
-	run := func(dir string, inj *errfs.FS) (acked, attempted int) {
-		eng, err := durable.Open(dir, groupConfig(inj))
-		if err != nil {
-			if !inj.Crashed() {
-				t.Fatalf("open failed without a crash: %v", err)
-			}
-			return 0, 0
-		}
-		for _, b := range batches {
-			attempted = b[1]
-			if _, err := eng.ApplyBatch(us[b[0]:b[1]]); err != nil {
-				if !inj.Crashed() {
-					t.Fatalf("batch [%d,%d) failed without a crash: %v", b[0], b[1], err)
-				}
-				break
-			}
-			acked = b[1]
-			if inj.Crashed() {
-				break
-			}
-			if _, err := eng.Checkpoint(); err != nil || inj.Crashed() {
-				break
-			}
-		}
-		_ = eng.Close()
-		return acked, attempted
-	}
-
-	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	probeDir := filepath.Join(t.TempDir(), "data")
-	if acked, _ := run(probeDir, probe); acked != len(us) || probe.Crashed() {
-		t.Fatalf("clean probe run acked %d/%d updates", acked, len(us))
-	}
-	total := probe.Ops()
-	t.Logf("sweeping %d crash points x 3 fault modes", total)
-
-	// shardSub extracts the subsequence of us owned by shard i (the
-	// hash partition is fixed, so one clean engine tells us routing).
-	rec0, err := durable.Open(probeDir, matrixConfig(vfs.OS{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nShards := rec0.NumShards()
-	shardSub := make([][]mod.Update, nShards)
-	for _, u := range us {
-		i := rec0.ShardOf(u.O)
-		shardSub[i] = append(shardSub[i], u)
-	}
-	_ = rec0.Close()
-
-	for _, mode := range []errfs.Mode{errfs.FailOp, errfs.ShortWrite, errfs.FailSync} {
-		for k := 1; k <= total; k++ {
-			dir := filepath.Join(t.TempDir(), "data")
-			inj := errfs.New(vfs.OS{}, k, mode)
-			acked, attempted := run(dir, inj)
-			if !inj.Crashed() {
-				t.Fatalf("mode=%v k=%d: injection never fired (%d ops)", mode, k, inj.Ops())
-			}
-			rec, err := durable.Open(dir, matrixConfig(vfs.OS{}))
-			if err != nil {
-				t.Fatalf("mode=%v k=%d: recovery failed: %v\ntrace:\n%s",
-					mode, k, err, traceOf(inj))
-			}
-			for i := 0; i < nShards; i++ {
-				sub := shardSub[i]
-				sdb := rec.Store(i).DB()
-				j := prefixLen(sdb.Tau(), sub)
-				if j < 0 {
-					t.Fatalf("mode=%v k=%d shard %d: recovered tau %g matches no prefix of the shard stream\ntrace:\n%s",
-						mode, k, i, sdb.Tau(), traceOf(inj))
-				}
-				ackedHere, attemptedHere := countOwned(sub, us, acked), countOwned(sub, us, attempted)
-				if j < ackedHere || j > attemptedHere {
-					t.Fatalf("mode=%v k=%d shard %d: recovered prefix %d outside [acked %d, attempted %d]\ntrace:\n%s",
-						mode, k, i, j, ackedHere, attemptedHere, traceOf(inj))
-				}
-				want := mod.NewDB(2, -1)
-				if err := want.ApplyAll(sub[:j]...); err != nil {
-					t.Fatal(err)
-				}
-				if !sdb.StateEqual(want) {
-					t.Fatalf("mode=%v k=%d shard %d: recovered state is not shard prefix %d\ntrace:\n%s",
-						mode, k, i, j, traceOf(inj))
-				}
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatalf("mode=%v k=%d: close after recovery: %v", mode, k, err)
-			}
-		}
-	}
-}
-
-// countOwned counts how many of the first n stream updates belong to
-// the shard subsequence sub.
-func countOwned(sub, us []mod.Update, n int) int {
-	inSub := make(map[string]bool, len(sub))
-	for _, u := range sub {
-		inSub[u.String()] = true
-	}
-	c := 0
-	for _, u := range us[:n] {
-		if inSub[u.String()] {
-			c++
-		}
-	}
-	return c
-}
-
-// TestGroupCommitWaitDurableAfterClose pins the committer's drain: a
-// Close with pending waiters must resolve them (one final fsync), and
-// updates applied before Close must survive.
+// TestGroupCommitCloseDrains pins the committer's drain: a Close with
+// pending waiters must resolve them (one final fsync), and updates
+// applied before Close must survive.
 func TestGroupCommitCloseDrains(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	eng, err := durable.Open(dir, groupConfig(vfs.OS{}))
@@ -413,5 +198,58 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	defer rec.Close()
 	if rec.Len() != len(us) {
 		t.Fatalf("recovered %d of %d", rec.Len(), len(us))
+	}
+}
+
+// TestFlushAckSurfacesJournalFault: under CommitFlush the ack is the
+// journal's flush, so a failed first write to the journal segment is
+// Apply's error, and a reopen recovers exactly the updates whose Apply
+// returned nil.
+func TestFlushAckSurfacesJournalFault(t *testing.T) {
+	us := stream10()[:3]
+	cfg := durable.Config{Shards: 1, Dim: 2, Tau0: -1}
+
+	// Every operation Open makes precedes the first journal write.
+	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
+	cfg.FS = probe
+	eng, err := durable.Open(filepath.Join(t.TempDir(), "probe"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := probe.Ops()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "data")
+	inj := errfs.New(vfs.OS{}, opens+1, errfs.FailOp)
+	cfg.FS = inj
+	eng, err = durable.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	for i, u := range us {
+		err := eng.Apply(u)
+		if i == 0 && !errors.Is(err, mod.ErrNotDurable) {
+			t.Fatalf("first Apply with the journal write failing returned %v, want mod.ErrNotDurable", err)
+		}
+		if err == nil {
+			acked++
+		}
+	}
+	if tr := inj.Trace(); !strings.HasPrefix(tr[opens], "write(") || !strings.Contains(tr[opens], ".wal, ") {
+		t.Fatalf("the fault did not hit a journal write:\n%s", traceOf(inj))
+	}
+	_ = eng.Close()
+
+	rec, err := durable.Open(dir, durable.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if !rec.Snapshot().StateEqual(prefixDB(t, us, acked)) {
+		t.Fatalf("recovered %d objects at tau %g, want exactly the %d acked updates",
+			rec.Len(), rec.Tau(), acked)
 	}
 }

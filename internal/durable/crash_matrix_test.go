@@ -1,18 +1,19 @@
 package durable_test
 
 // The crash matrix: a scripted run of the durable engine (open, apply,
-// checkpoint, apply, checkpoint, apply, close) is crashed at literally
-// every mutating filesystem operation, in every fault shape, and after
-// each crash the directory must recover — without error — to an exact
-// prefix of the applied update stream that includes everything the
-// crashed run had confirmed on disk. This is the recovery-equivalence
-// guarantee of ISSUE.md: no crash point may yield a partial or corrupt
-// database.
+// checkpoint, apply, checkpoint, apply, checkpoint, close) is crashed at
+// literally every mutating filesystem operation, in every fault shape,
+// and after each crash the directory must recover — without error — to
+// an exact prefix of the applied update stream that includes every
+// update the crashed run acknowledged. No crash point may yield a
+// partial or corrupt database, and none may lose an ack.
 //
 // The sweep is exhaustive by construction: a probe run with injection
 // disabled counts the script's operations (errfs counting is
 // deterministic for a deterministic caller), then every k in 1..total
-// is the injection point of one matrix entry.
+// is the injection point of one matrix entry. One script and one
+// accounting serve every matrix: both commit policies, Apply and
+// ApplyBatch, and the legacy JSON import (migration_test.go).
 
 import (
 	"path/filepath"
@@ -33,26 +34,25 @@ func matrixConfig(fs vfs.FS) durable.Config {
 
 // scriptResult reports how far a scripted run got before the crash.
 type scriptResult struct {
-	// attempted counts updates handed to Apply.
+	// attempted counts updates handed to Apply or ApplyBatch.
 	attempted int
-	// confirmed counts updates known durable: applied while the
-	// filesystem was still alive (the per-update flush reached the
-	// segment file), hence recoverable by any correct recovery.
-	confirmed int
+	// acked counts updates whose Apply or ApplyBatch returned nil: each
+	// is a durability promise, so any correct recovery holds it.
+	acked int
 }
 
-// runScript drives the fixed scenario against dir through the injector
-// inj. It stops at the first sign of the injected crash — a dead
-// process issues no further operations.
-func runScript(t *testing.T, dir string, inj *errfs.FS, us []mod.Update) scriptResult {
-	t.Helper()
-	return runScriptCfg(t, dir, inj, us, matrixConfig(inj))
-}
+// scriptRanges are the update ranges of the script; a checkpoint
+// follows each one.
+var scriptRanges = [][2]int{{0, 4}, {4, 8}, {8, 10}}
 
-// runScriptCfg is runScript under an explicit engine configuration
-// (the migration matrix crashes runs configured for the legacy JSON
-// format; cfg.FS must be inj).
-func runScriptCfg(t *testing.T, dir string, inj *errfs.FS, us []mod.Update, cfg durable.Config) scriptResult {
+// runScript drives the fixed scenario over us (stream10) against dir
+// through the injector inj (cfg.FS must be inj): each range of
+// scriptRanges is applied — one ApplyBatch per range when batch is
+// set, one Apply per update otherwise — and then checkpointed. An
+// apply error is allowed only once the injector has fired. The run
+// stops at the first sign of the injected crash: a dead process issues
+// no further operations.
+func runScript(t *testing.T, dir string, inj *errfs.FS, us []mod.Update, cfg durable.Config, batch bool) scriptResult {
 	t.Helper()
 	var res scriptResult
 	eng, err := durable.Open(dir, cfg)
@@ -62,74 +62,125 @@ func runScriptCfg(t *testing.T, dir string, inj *errfs.FS, us []mod.Update, cfg 
 		}
 		return res
 	}
-	apply := func(from, to int) bool {
-		for i := from; i < to; i++ {
-			res.attempted = i + 1
-			if err := eng.Apply(us[i]); err != nil {
-				t.Fatalf("apply %d: %v", i, err)
+	defer eng.Close()
+	ack := func(to int, err error) bool {
+		if err != nil {
+			if !inj.Crashed() {
+				t.Fatalf("apply up to %d failed without a crash: %v", to, err)
 			}
-			if inj.Crashed() {
-				return false
-			}
-			res.confirmed = i + 1
+			return false
 		}
-		return true
+		res.acked = to
+		return !inj.Crashed()
 	}
-	checkpoint := func() bool {
-		_, err := eng.Checkpoint()
-		return err == nil && !inj.Crashed()
+	for _, r := range scriptRanges {
+		if batch {
+			res.attempted = r[1]
+			if _, err := eng.ApplyBatch(us[r[0]:r[1]]); !ack(r[1], err) {
+				return res
+			}
+		} else {
+			for i := r[0]; i < r[1]; i++ {
+				res.attempted = i + 1
+				if !ack(i+1, eng.Apply(us[i])) {
+					return res
+				}
+			}
+		}
+		if _, err := eng.Checkpoint(); err != nil || inj.Crashed() {
+			return res
+		}
 	}
-	if apply(0, 4) && checkpoint() && apply(4, 8) && checkpoint() {
-		apply(8, len(us))
-	}
-	_ = eng.Close()
 	return res
 }
 
-func TestCrashMatrixRecoversExactPrefix(t *testing.T) {
+// sweepCrashMatrix crashes the script at every operation in every fault
+// mode under the given commit policy. A sequential Apply run recovers
+// an exact prefix of the stream (each ack gates the next apply); a
+// batch run recovers, per shard, an exact prefix of that shard's
+// subsequence (shards apply a batch in parallel) — the guarantee
+// ApplyBatch documents. Either way the prefix covers every acked
+// update, and the recovered engine takes further updates across
+// another clean cycle.
+func sweepCrashMatrix(t *testing.T, commit durable.CommitPolicy, batch bool) {
 	us := stream10()
+	config := func(fs vfs.FS) durable.Config {
+		cfg := matrixConfig(fs)
+		cfg.Commit = commit
+		return cfg
+	}
 
 	// Probe: count the operations of one clean run.
 	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	probeRes := runScript(t, filepath.Join(t.TempDir(), "data"), probe, us)
+	probeDir := filepath.Join(t.TempDir(), "data")
+	probeRes := runScript(t, probeDir, probe, us, config(probe), batch)
 	total := probe.Ops()
-	if probeRes.confirmed != len(us) || probe.Crashed() {
-		t.Fatalf("clean probe run confirmed %d/%d updates", probeRes.confirmed, len(us))
+	if probeRes.acked != len(us) || probe.Crashed() {
+		t.Fatalf("clean probe run acked %d/%d updates", probeRes.acked, len(us))
 	}
 	if total < 20 {
 		t.Fatalf("probe counted only %d ops — script lost its filesystem work?", total)
 	}
 	t.Logf("sweeping %d crash points x 3 fault modes", total)
 
+	// The hash partition is fixed, so one clean engine tells the
+	// routing of every shard subsequence.
+	rec0, err := durable.Open(probeDir, matrixConfig(vfs.OS{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardSub := make([][]mod.Update, rec0.NumShards())
+	for _, u := range us {
+		i := rec0.ShardOf(u.O)
+		shardSub[i] = append(shardSub[i], u)
+	}
+	_ = rec0.Close()
+
 	for _, mode := range []errfs.Mode{errfs.FailOp, errfs.ShortWrite, errfs.FailSync} {
 		for k := 1; k <= total; k++ {
 			dir := filepath.Join(t.TempDir(), "data")
 			inj := errfs.New(vfs.OS{}, k, mode)
-			res := runScript(t, dir, inj, us)
+			res := runScript(t, dir, inj, us, config(inj), batch)
 			if !inj.Crashed() {
 				t.Fatalf("mode=%v k=%d: injection never fired (%d ops)", mode, k, inj.Ops())
 			}
 
 			// Recovery with a healthy filesystem must succeed and yield
-			// an exact, sufficiently long prefix of the stream.
+			// an exact prefix covering every ack.
 			rec, err := durable.Open(dir, matrixConfig(vfs.OS{}))
 			if err != nil {
 				t.Fatalf("mode=%v k=%d: recovery failed: %v\ntrace:\n%s",
 					mode, k, err, traceOf(inj))
 			}
-			got := rec.Snapshot()
-			j := prefixLen(got.Tau(), us)
-			if j < 0 {
-				t.Fatalf("mode=%v k=%d: recovered tau %g matches no stream prefix\ntrace:\n%s",
-					mode, k, got.Tau(), traceOf(inj))
-			}
-			if j < res.confirmed || j > res.attempted {
-				t.Fatalf("mode=%v k=%d: recovered prefix %d outside [confirmed %d, attempted %d]\ntrace:\n%s",
-					mode, k, j, res.confirmed, res.attempted, traceOf(inj))
-			}
-			if !got.StateEqual(prefixDB(t, us, j)) {
-				t.Fatalf("mode=%v k=%d: recovered state is not prefix %d — a partial or corrupt database\ntrace:\n%s",
-					mode, k, j, traceOf(inj))
+			if batch {
+				for i, sub := range shardSub {
+					sdb := rec.Store(i).DB()
+					j := prefixLen(sdb.Tau(), sub)
+					acked, attempted := countOwned(sub, us, res.acked), countOwned(sub, us, res.attempted)
+					if j < acked || j > attempted {
+						t.Fatalf("mode=%v k=%d shard %d: recovered prefix %d (tau %g) outside [acked %d, attempted %d]\ntrace:\n%s",
+							mode, k, i, j, sdb.Tau(), acked, attempted, traceOf(inj))
+					}
+					want := mod.NewDB(2, -1)
+					if err := want.ApplyAll(sub[:j]...); err != nil {
+						t.Fatal(err)
+					}
+					if !sdb.StateEqual(want) {
+						t.Fatalf("mode=%v k=%d shard %d: recovered state is not shard prefix %d\ntrace:\n%s",
+							mode, k, i, j, traceOf(inj))
+					}
+				}
+			} else {
+				got := rec.Snapshot()
+				j := prefixLen(got.Tau(), us)
+				if j < res.acked || j > res.attempted {
+					t.Fatalf("mode=%v k=%d: recovered prefix %d (tau %g) outside [acked %d, attempted %d]\ntrace:\n%s",
+						mode, k, j, got.Tau(), res.acked, res.attempted, traceOf(inj))
+				}
+				if !got.StateEqual(prefixDB(t, us, j)) {
+					t.Fatalf("mode=%v k=%d: recovered state is not prefix %d — a partial or corrupt database\ntrace:\n%s",
+						mode, k, j, traceOf(inj))
+				}
 			}
 
 			// Append-safety: the recovered engine must accept and
@@ -157,6 +208,38 @@ func TestCrashMatrixRecoversExactPrefix(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestCrashMatrixRecoversExactPrefix(t *testing.T) {
+	sweepCrashMatrix(t, durable.CommitFlush, false)
+}
+
+func TestCrashMatrixBatch(t *testing.T) {
+	sweepCrashMatrix(t, durable.CommitFlush, true)
+}
+
+func TestGroupCommitCrashMatrix(t *testing.T) {
+	sweepCrashMatrix(t, durable.CommitGroup, false)
+}
+
+func TestGroupCommitBatchCrashMatrix(t *testing.T) {
+	sweepCrashMatrix(t, durable.CommitGroup, true)
+}
+
+// countOwned counts how many of the first n stream updates belong to
+// the shard subsequence sub.
+func countOwned(sub, us []mod.Update, n int) int {
+	inSub := make(map[string]bool, len(sub))
+	for _, u := range sub {
+		inSub[u.String()] = true
+	}
+	c := 0
+	for _, u := range us[:n] {
+		if inSub[u.String()] {
+			c++
+		}
+	}
+	return c
 }
 
 // traceOf renders an injector's operation log for a failure message.

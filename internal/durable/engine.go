@@ -63,15 +63,9 @@ type Config struct {
 	// Query/update metrics are separate: call Instrument (promoted from
 	// the embedded shard engine).
 	Registry *obs.Registry
-	// Commit selects the update-path durability policy (StoreOptions);
-	// CommitGroup enables group commit, making Apply/ApplyBatch block
-	// until the fsync covering their entries returns.
+	// Commit selects what an acknowledged update has survived (see
+	// CommitPolicy).
 	Commit CommitPolicy
-	// CommitInterval is CommitGroup's coalescing window (StoreOptions).
-	CommitInterval time.Duration
-	// CommitMaxBatch skips the window once this many entries wait
-	// (StoreOptions).
-	CommitMaxBatch int
 }
 
 // rootManifest is the wire form of the engine's root manifest.
@@ -158,11 +152,7 @@ func Open(dir string, cfg Config) (*Engine, error) {
 	// collect them before anything can mistake them for live stores.
 	e.gcGenerations()
 
-	opts := StoreOptions{
-		Dim: man.Dim, Tau0: cfg.Tau0, Commit: cfg.Commit,
-		CommitInterval: cfg.CommitInterval, CommitMaxBatch: cfg.CommitMaxBatch,
-		commitMetrics: e.m,
-	}
+	opts := StoreOptions{Dim: man.Dim, Tau0: cfg.Tau0, Commit: cfg.Commit, commitMetrics: e.m}
 	if cfg.Shards != 0 && cfg.Shards != man.Shards {
 		if err := e.reshard(man, cfg, opts); err != nil {
 			return nil, err
@@ -294,27 +284,34 @@ func (e *Engine) gcGenerations() {
 	}
 }
 
-// Apply routes one update to its shard (via the embedded engine) and,
-// under CommitGroup, blocks until the fsync covering its journal entry
-// returns: a nil return then means applied AND durable. Under the
-// per-update policies the behavior is unchanged — the journal listener
-// does the per-entry flush/fsync and Apply does not block on it.
+// Apply routes one update to its shard (via the embedded engine) and
+// acknowledges it through the shard store's WaitDurable: a nil return
+// means applied and durable under the commit policy. An update that
+// was applied but could not be made durable returns an error wrapping
+// mod.ErrNotDurable.
 func (e *Engine) Apply(u mod.Update) error {
-	i := e.ShardOf(u.O)
 	if err := e.Engine.Apply(u); err != nil {
 		return err
 	}
-	if st := e.stores[i]; st.c != nil {
-		return st.WaitDurable()
+	return e.waitDurable(e.ShardOf(u.O))
+}
+
+// ApplyAll applies us in order through Apply, stopping at the first
+// error, so each update is acknowledged as by Apply.
+func (e *Engine) ApplyAll(us ...mod.Update) error {
+	for i, u := range us {
+		if err := e.Apply(u); err != nil {
+			return fmt.Errorf("durable: update %d (%s): %w", i, u, err)
+		}
 	}
 	return nil
 }
 
 // ApplyBatch ingests a batch (via the embedded engine's sharded batch
-// path) and, under CommitGroup, blocks until every touched shard's
-// journal entries are covered by an fsync. The applied count reflects
-// in-memory application; the error includes any durability failure, so
-// a nil error acks the whole batch as durable.
+// path) and acknowledges it through WaitDurable once per touched shard.
+// The applied count reflects in-memory application; the error includes
+// any durability failure (wrapping mod.ErrNotDurable), so a nil error
+// acks the whole batch as durable.
 func (e *Engine) ApplyBatch(us []mod.Update) (int, error) {
 	n, err := e.Engine.ApplyBatch(us)
 	if n == 0 {
@@ -325,14 +322,23 @@ func (e *Engine) ApplyBatch(us []mod.Update) (int, error) {
 		touched[e.ShardOf(u.O)] = true
 	}
 	var waitErrs []error
-	for i, st := range e.stores {
-		if touched[i] && st.c != nil {
-			if werr := st.WaitDurable(); werr != nil {
-				waitErrs = append(waitErrs, fmt.Errorf("shard %d: durability: %w", i, werr))
+	for i := range e.stores {
+		if touched[i] {
+			if werr := e.waitDurable(i); werr != nil {
+				waitErrs = append(waitErrs, werr)
 			}
 		}
 	}
 	return n, errors.Join(err, errors.Join(waitErrs...))
+}
+
+// waitDurable acknowledges shard i's journaled updates, wrapping a
+// failure in mod.ErrNotDurable.
+func (e *Engine) waitDurable(i int) error {
+	if err := e.stores[i].WaitDurable(); err != nil {
+		return fmt.Errorf("%w: shard %d: %w", mod.ErrNotDurable, i, err)
+	}
+	return nil
 }
 
 // Generation returns the current on-disk generation.
@@ -380,18 +386,6 @@ func (e *Engine) Checkpoint() ([]CheckpointInfo, error) {
 	}
 	e.recordCheckpoint(infos, time.Since(start), nil)
 	return infos, nil
-}
-
-// Sync fsyncs every shard's journal — the strong-durability barrier
-// between checkpoints.
-func (e *Engine) Sync() error {
-	var errs []error
-	for i, st := range e.stores {
-		if err := st.Sync(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Close flushes and closes every store. The in-memory engine stays

@@ -288,10 +288,10 @@ func TestCrashMatrixJSONToBinaryMigration(t *testing.T) {
 	us := stream10()
 
 	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	probeRes := runScript(t, filepath.Join(t.TempDir(), "data"), probe, us)
+	probeRes := runScript(t, filepath.Join(t.TempDir(), "data"), probe, us, matrixConfig(probe), false)
 	total := probe.Ops()
-	if probeRes.confirmed != len(us) || probe.Crashed() {
-		t.Fatalf("clean probe run confirmed %d/%d updates", probeRes.confirmed, len(us))
+	if probeRes.acked != len(us) || probe.Crashed() {
+		t.Fatalf("clean probe run acked %d/%d updates", probeRes.acked, len(us))
 	}
 	t.Logf("sweeping %d crash points", total)
 
@@ -299,7 +299,7 @@ func TestCrashMatrixJSONToBinaryMigration(t *testing.T) {
 	for k := 1; k <= total; k++ {
 		dir := filepath.Join(t.TempDir(), "data")
 		inj := errfs.New(vfs.OS{}, k, errfs.FailOp)
-		res := runScript(t, dir, inj, us)
+		res := runScript(t, dir, inj, us, matrixConfig(inj), false)
 		if !inj.Crashed() {
 			t.Fatalf("k=%d: injection never fired (%d ops)", k, inj.Ops())
 		}
@@ -319,9 +319,9 @@ func TestCrashMatrixJSONToBinaryMigration(t *testing.T) {
 			t.Fatalf("k=%d: close binary recovery: %v", k, err)
 		}
 		j := prefixLen(refDB.Tau(), us)
-		if j < res.confirmed || j > res.attempted || !refDB.StateEqual(prefixDB(t, us, j)) {
-			t.Fatalf("k=%d: binary recovery not a valid prefix (tau %g, confirmed %d, attempted %d)",
-				k, refDB.Tau(), res.confirmed, res.attempted)
+		if j < res.acked || j > res.attempted || !refDB.StateEqual(prefixDB(t, us, j)) {
+			t.Fatalf("k=%d: binary recovery not a valid prefix (tau %g, acked %d, attempted %d)",
+				k, refDB.Tau(), res.acked, res.attempted)
 		}
 
 		transcodeToJSON(t, dir)

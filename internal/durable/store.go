@@ -140,17 +140,9 @@ type StoreOptions struct {
 	// against the manifest.
 	Dim  int
 	Tau0 float64
-	// Commit selects the durability policy of the update path (see
-	// CommitPolicy). The zero value is CommitFlushEach.
+	// Commit selects what WaitDurable waits for (see CommitPolicy). The
+	// zero value is CommitFlush.
 	Commit CommitPolicy
-	// CommitInterval is CommitGroup's coalescing window: how long the
-	// committer waits before each fsync so concurrent appliers can join
-	// the batch. 0 means no artificial wait — entries arriving during an
-	// fsync still ride the next one, which is usually batching enough.
-	CommitInterval time.Duration
-	// CommitMaxBatch skips the coalescing window once this many entries
-	// are already waiting; 0 means a default (256).
-	CommitMaxBatch int
 
 	// commitMetrics, when non-nil, receives the group-commit series
 	// (set by the engine, which owns the registry).
@@ -259,25 +251,15 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 			return nil, err
 		}
 	}
-	// Journal every subsequently applied update. The per-update listener
-	// depends on the commit policy: flush each (bound loss to one entry
-	// on process crash), fsync each (full durability, one fsync per
-	// update), nothing (CommitNone and CommitGroup — the latter fsyncs
-	// from the committer goroutine instead). Listener order (encode,
-	// then flush/sync) is guaranteed by registration order, and
-	// application order by the database's notification serialization.
-	// The journal writes to the segment file directly; checkpoint
-	// rotation redirects it with Journal.Rotate.
+	// Journal every subsequently applied update into the journal's
+	// buffer, in application order (the database serializes its
+	// listener calls). An entry reaches the segment file when the buffer
+	// fills, and at the latest when WaitDurable, a checkpoint or Close
+	// flushes it. The journal writes to the segment file directly;
+	// checkpoint rotation redirects it with Journal.Rotate.
 	s.j = mod.NewJournal(s.db, s.jfile)
-	switch opts.Commit {
-	case CommitFlushEach:
-		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable
-		s.db.OnUpdate(func(mod.Update) { _ = s.j.Flush() })
-	case CommitSyncEach:
-		//modlint:allow syncorder -- listener must not block updates; a sticky journal error is surfaced by WaitDurable
-		s.db.OnUpdate(func(mod.Update) { _ = s.j.Sync() })
-	case CommitGroup:
-		s.c = newCommitter(s.j, opts.CommitInterval, opts.CommitMaxBatch, opts.commitMetrics)
+	if opts.Commit == CommitGroup {
+		s.c = newCommitter(s.j, opts.commitMetrics)
 	}
 	if legacy {
 		// Recovery read JSON files and left the live journal on a fresh
@@ -503,7 +485,8 @@ func (s *Store) segmentsFrom(from uint64) ([]walSegment, error) {
 	return segs, nil
 }
 
-// DB returns the live database. Updates applied to it are journaled.
+// DB returns the live database. Updates applied to it are journaled;
+// one is acknowledged once WaitDurable returns nil after it.
 func (s *Store) DB() *mod.DB { return s.db }
 
 // Recovery reports what opening this store did.
@@ -595,24 +578,18 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	return CheckpointInfo{Seq: newSeq, SnapshotBytes: buf.Len(), Duration: time.Since(start)}, nil
 }
 
-// Sync flushes and fsyncs the live journal — the strong-durability
-// barrier between checkpoints.
-func (s *Store) Sync() error { return s.j.Sync() }
-
-// WaitDurable blocks until every journal entry buffered before the call
-// is durable under the store's commit policy, returning nil exactly
-// when it is. Under CommitGroup this is the ack point: Apply, then
-// WaitDurable; a nil return means the fsync covering the caller's
-// entries succeeded. Under the per-update policies the journal's
-// listener already did the per-entry work, so only the sticky error is
-// surfaced (nil under CommitNone means "accepted", not "on disk" —
-// that policy explicitly waives per-update durability).
+// WaitDurable is the ack point of every update: apply, then
+// WaitDurable. It returns nil exactly when every journal entry buffered
+// before the call is durable under the store's commit policy. Under
+// CommitFlush it flushes the journal to the segment file and returns
+// the journal's error; under CommitGroup it waits for the committer's
+// fsync covering the entries.
 func (s *Store) WaitDurable() error {
+	if s.c == nil {
+		return s.j.Flush()
+	}
 	if err := s.j.Err(); err != nil {
 		return err
-	}
-	if s.c == nil {
-		return nil
 	}
 	return s.c.waitFor(s.j.Seq())
 }

@@ -53,6 +53,12 @@ var recordPool = sync.Pool{New: func() any { return new(recordBuf) }}
 // ErrJournalClosed is returned by operations on a closed journal.
 var ErrJournalClosed = errors.New("mod: journal closed")
 
+// ErrNotDurable marks an update that was applied in memory but whose
+// journal entry could not be made durable: the write, flush or fsync
+// that should have carried it failed. The update may be lost in a
+// crash; it is not a conflict with the database's state.
+var ErrNotDurable = errors.New("mod: update applied but not durable")
+
 // NewJournal wires a journal to src: every subsequently applied update
 // is appended to w as one binary record. The caller owns the segment
 // header — write BinaryJournalHeader() to a fresh file before any update

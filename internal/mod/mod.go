@@ -27,14 +27,21 @@ import (
 // OID identifies a moving object.
 type OID uint64
 
+// MaxOID is the largest OID the database accepts. The plane sweep packs
+// an OID and a time-term index into one 64-bit curve id with 48 bits
+// for the OID (internal/query), so Apply and Load refuse larger ones
+// with ErrBadOperation rather than store an object no query can sweep.
+const MaxOID OID = 1<<48 - 1
+
 // String renders an OID in the paper's o1, o2, ... style.
 func (o OID) String() string { return fmt.Sprintf("o%d", uint64(o)) }
 
 // ParseOID parses a decimal OID, accepting the bare number or the
-// "o17" form String renders. OIDs are 64-bit everywhere — POST /update
-// decodes them as full uint64s — so every textual parser must accept
-// the full range too; this shared helper exists because two callers
-// once clipped at 48 bits and 400'd on objects that legitimately
+// "o17" form String renders. OIDs are 64-bit on the wire — POST
+// /update decodes them as full uint64s — so every textual parser
+// accepts the full range too and leaves refusing one above MaxOID to
+// the database; this shared helper exists because two callers once
+// parsed narrower than the database accepted and 400'd on objects that
 // existed.
 func ParseOID(s string) (OID, error) {
 	n, err := strconv.ParseUint(strings.TrimPrefix(s, "o"), 10, 64)
@@ -301,6 +308,9 @@ func (db *DB) Apply(u Update) error {
 }
 
 func (db *DB) applyLocked(u Update) error {
+	if u.O > MaxOID {
+		return fmt.Errorf("%w: %s exceeds %s", ErrBadOperation, u.O, MaxOID)
+	}
 	if math.IsNaN(u.Tau) || math.IsInf(u.Tau, 0) {
 		return fmt.Errorf("%w: non-finite time %g", ErrBadOperation, u.Tau)
 	}
@@ -431,6 +441,9 @@ func (db *DB) Gen(o OID) uint64 {
 // to lie at or before the database time, so tau advances to cover the
 // loaded trajectory's recorded events.
 func (db *DB) Load(o OID, tr trajectory.Trajectory) error {
+	if o > MaxOID {
+		return fmt.Errorf("%w: %s exceeds %s", ErrBadOperation, o, MaxOID)
+	}
 	if !tr.IsDefined() {
 		return fmt.Errorf("%w: undefined trajectory for %s", ErrBadOperation, o)
 	}

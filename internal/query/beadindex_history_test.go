@@ -80,8 +80,8 @@ func historyDB(tb testing.TB, n int) (*mod.DB, *BeadIndex) {
 // exactly one box into the tree and leaves no tombstone, whether the
 // object has 4 pieces or 4,000; over 64 consecutive chdirs the cycle of
 // update, snapshot and sync allocates no more than its measured count,
-// which on the long history is four more than on the short one; and
-// chdir-only traffic never triggers a re-pack.
+// the same on the long history as on the short one; and chdir-only
+// traffic never triggers a re-pack.
 func TestSyncCostsWhatTheUpdateAdded(t *testing.T) {
 	perCycle := make(map[int]float64)
 	for _, n := range []int{4, 4000} {
@@ -112,12 +112,11 @@ func TestSyncCostsWhatTheUpdateAdded(t *testing.T) {
 			t.Errorf("%d pieces: the extended track's samples differ from the rebuilt one's", n)
 		}
 	}
-	// What is left to differ is the logarithm: the tree over 4,000 boxes
-	// is two levels deeper than the tree over 40, and an insert re-fits
-	// each level's box into two fresh corners. Weighing the children
-	// allocates nothing. Measured: 31 and 35.
-	if perCycle[4] > 31 || perCycle[4000] > 35 {
-		t.Errorf("allocations per update+sync: %v on 4 pieces (want at most 31), %v on 4,000 (want at most 35)",
+	// The tree over 4,000 boxes is two levels deeper than the tree over
+	// 40, but an insert neither weighs the children nor re-fits a level's
+	// box with an allocation. Measured: 27 and 27.
+	if perCycle[4] > 27 || perCycle[4000] > 27 {
+		t.Errorf("allocations per update+sync: %v on 4 pieces (want at most 27), %v on 4,000 (want at most 27)",
 			perCycle[4], perCycle[4000])
 	}
 	t.Logf("allocations per update+snapshot+sync: %v on 4 pieces, %v on 4,000", perCycle[4], perCycle[4000])

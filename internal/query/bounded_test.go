@@ -604,11 +604,23 @@ func TestScanAndRunErrors(t *testing.T) {
 	if _, err := RunPast(db, f, 0, 5, NewKNN(0)); err == nil {
 		t.Error("k=0 accepted")
 	}
+	// The database refuses an OID the sweep cannot address and sweeps
+	// the largest one it accepts; a source that is not a database is
+	// still checked by the sweep.
+	line := trajectory.Linear(0, geom.Of(1, 0), geom.Of(0, 0))
 	big := mod.NewDB(2, -1)
-	if err := big.Load(mod.OID(1)<<50, trajectory.Linear(0, geom.Of(1, 0), geom.Of(0, 0))); err != nil {
-		t.Fatal(err)
+	if err := big.Load(mod.MaxOID+1, line); !errors.Is(err, mod.ErrBadOperation) {
+		t.Errorf("Load of an OID above mod.MaxOID: %v, want ErrBadOperation", err)
 	}
-	if _, err := RunPast(big, f, 0, 5, NewKNN(1)); !errors.Is(err, ErrBadOID) {
+	if err := big.Apply(mod.New(mod.MaxOID+1, 0, geom.Of(1, 0), geom.Of(0, 0))); !errors.Is(err, mod.ErrBadOperation) {
+		t.Errorf("Apply of an OID above mod.MaxOID: %v, want ErrBadOperation", err)
+	}
+	must(t, big.Load(mod.MaxOID, line))
+	knn := NewKNN(1)
+	if _, err := RunPast(big, f, 0, 5, knn); err != nil || len(knn.Answer().Intervals(mod.MaxOID)) != 1 {
+		t.Errorf("k-NN over mod.MaxOID: %v, answer %v", err, knn.Answer().Objects())
+	}
+	if _, err := RunPast(trajMap{mod.MaxOID + 1: line}, f, 0, 5, NewKNN(1)); !errors.Is(err, ErrBadOID) {
 		t.Errorf("48-bit overflow: %v", err)
 	}
 	// No evaluators: the sweep still runs, over everything.
@@ -616,3 +628,8 @@ func TestScanAndRunErrors(t *testing.T) {
 		t.Errorf("bare sweep: %+v, %v", st, err)
 	}
 }
+
+// trajMap is a trajectory source that is not a database.
+type trajMap map[mod.OID]trajectory.Trajectory
+
+func (m trajMap) Trajectories() map[mod.OID]trajectory.Trajectory { return m }

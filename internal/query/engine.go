@@ -21,8 +21,13 @@ import (
 const (
 	constBit  = uint64(1) << 63
 	termShift = 48
-	oidMask   = (uint64(1) << termShift) - 1
+	oidMask   = uint64(mod.MaxOID)
 )
+
+// Every OID the database accepts must fit below the term bits: the
+// array length goes negative, and the build fails, if mod.MaxOID grows
+// past them.
+var _ [1<<termShift - 1 - oidMask]struct{}
 
 // packObj builds the sweep id of (object, time-term index).
 func packObj(o mod.OID, term int) uint64 {

@@ -117,24 +117,39 @@ func packRNodes(children []*rnode, fanout int) []*rnode {
 	return parents
 }
 
+// recalcRect recomputes the node's box from its entries into the box's
+// own storage. Copying the first entry's corners and expanding by the
+// rest makes the comparisons cloning and expanding made, so the box is
+// bit for bit the same. Rewriting in place is sound because a node's
+// box storage is allocated here and nowhere else: items' and children's
+// boxes are only copied into it (under BulkRects, Insert and the splits
+// alike), and every new node, a split's sibling included, starts
+// without storage.
 func (n *rnode) recalcRect() {
-	if n.leaf {
-		if len(n.items) == 0 {
-			n.rect = Rect{}
-			return
-		}
-		r := Rect{Min: n.items[0].R.Min.Clone(), Max: n.items[0].R.Max.Clone()}
-		for _, it := range n.items[1:] {
-			r.expand(it.R)
-		}
-		n.rect = r
+	var first Rect
+	switch {
+	case !n.leaf:
+		first = n.children[0].rect
+	case len(n.items) > 0:
+		first = n.items[0].R
+	default:
+		n.rect = Rect{}
 		return
 	}
-	r := Rect{Min: n.children[0].rect.Min.Clone(), Max: n.children[0].rect.Max.Clone()}
-	for _, c := range n.children[1:] {
-		r.expand(c.rect)
+	if len(n.rect.Min) != len(first.Min) {
+		n.rect = Rect{Min: make(geom.Vec, len(first.Min)), Max: make(geom.Vec, len(first.Max))}
 	}
-	n.rect = r
+	copy(n.rect.Min, first.Min)
+	copy(n.rect.Max, first.Max)
+	if n.leaf {
+		for _, it := range n.items[1:] {
+			n.rect.expand(it.R)
+		}
+		return
+	}
+	for _, c := range n.children[1:] {
+		n.rect.expand(c.rect)
+	}
 }
 
 // Insert adds one box.

@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -142,5 +145,87 @@ func TestVisitSegmentEarlyStop(t *testing.T) {
 	})
 	if n > 3 {
 		t.Fatalf("visit continued after callback returned false: %d calls", n)
+	}
+}
+
+// TestNodeBoxesOwnTheirStorage: recalcRect rewrites a node's box in
+// place, which is sound only while no other node, no item and no
+// caller's box shares that storage. After a bulk load and enough inserts
+// to split leaves and interior nodes, every node box must sit in storage
+// of its own, each box must be bit for bit the clone-and-expand of its
+// entries, and the caller's boxes must be untouched.
+func TestNodeBoxesOwnTheirStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const dim = 3
+	items := make([]RectItem, 300)
+	for i := range items {
+		items[i] = RectItem{ID: uint64(i), R: randRect(rng, dim)}
+	}
+	tree, err := BulkRects(items, dim, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(items); i < 900; i++ {
+		it := RectItem{ID: uint64(i), R: randRect(rng, dim)}
+		items = append(items, it)
+		if err := tree.Insert(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]Rect, len(items))
+	for i, it := range items {
+		want[i] = Rect{Min: it.R.Min.Clone(), Max: it.R.Max.Clone()}
+	}
+	// One more round of inserts recomputes boxes along every path taken.
+	for i := 0; i < 300; i++ {
+		if err := tree.Insert(RectItem{ID: uint64(900 + i), R: randRect(rng, dim)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, it := range items {
+		if !slices.Equal(it.R.Min, want[i].Min) || !slices.Equal(it.R.Max, want[i].Max) {
+			t.Fatalf("item %d's box changed from %v to %v", i, want[i], it.R)
+		}
+	}
+
+	owner := make(map[*float64]string)
+	claim := func(v geom.Vec, who string) {
+		if prev, ok := owner[&v[0]]; ok {
+			t.Fatalf("%s shares its storage with %s", who, prev)
+		}
+		owner[&v[0]] = who
+	}
+	for i, it := range items {
+		claim(it.R.Min, fmt.Sprintf("item %d's min corner", i))
+		claim(it.R.Max, fmt.Sprintf("item %d's max corner", i))
+	}
+	nodes := 0
+	var walk func(n *rnode)
+	walk = func(n *rnode) {
+		nodes++
+		claim(n.rect.Min, fmt.Sprintf("node %d's min corner", nodes))
+		claim(n.rect.Max, fmt.Sprintf("node %d's max corner", nodes))
+		var boxes []Rect
+		for _, it := range n.items {
+			boxes = append(boxes, it.R)
+		}
+		for _, c := range n.children {
+			boxes = append(boxes, c.rect)
+			walk(c)
+		}
+		ref := Rect{Min: boxes[0].Min.Clone(), Max: boxes[0].Max.Clone()}
+		for _, b := range boxes[1:] {
+			ref.expand(b)
+		}
+		for d := 0; d < dim; d++ {
+			if math.Float64bits(n.rect.Min[d]) != math.Float64bits(ref.Min[d]) ||
+				math.Float64bits(n.rect.Max[d]) != math.Float64bits(ref.Max[d]) {
+				t.Fatalf("node %d's box %v, the clone-and-expand of its entries gives %v", nodes, n.rect, ref)
+			}
+		}
+	}
+	walk(tree.root)
+	if nodes < 100 {
+		t.Fatalf("only %d nodes: the tree did not split enough to exercise the splits", nodes)
 	}
 }

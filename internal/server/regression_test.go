@@ -39,6 +39,8 @@ type stubBackend struct {
 	ans     *query.AnswerSet
 	stats   core.Stats
 
+	updErr error // returned by Apply and ApplyBatch
+
 	subOnce sync.Once
 	subReg  *sub.Registry
 }
@@ -51,9 +53,9 @@ func (b *stubBackend) LiveAt(float64) []mod.OID { return []mod.OID{1} }
 func (b *stubBackend) Traj(mod.OID) (trajectory.Trajectory, error) {
 	return trajectory.Trajectory{}, nil
 }
-func (b *stubBackend) Apply(mod.Update) error { return nil }
+func (b *stubBackend) Apply(mod.Update) error { return b.updErr }
 func (b *stubBackend) ApplyBatch(us []mod.Update) (int, error) {
-	return len(us), nil
+	return len(us), b.updErr
 }
 func (b *stubBackend) Snapshot() *mod.DB { return mod.NewDB(2, b.liveTau) }
 func (b *stubBackend) KNN(gdist.GDistance, int, float64, float64) (*query.AnswerSet, core.Stats, float64, error) {
@@ -81,11 +83,12 @@ func (b *stubBackend) Subscriptions() *sub.Registry {
 	return b.subReg
 }
 
-// TestLargeOIDRoundTrip: an OID above 2^48 accepted by POST /update must
-// resolve on GET /object (a narrower 48-bit parse once 400'd here).
+// TestLargeOIDRoundTrip: the largest OID the database accepts,
+// accepted by POST /update, must resolve on GET /object; a still larger
+// one parses and is not found (a narrower parse once 400'd here).
 func TestLargeOIDRoundTrip(t *testing.T) {
 	ts, _ := newTestServer(t)
-	const big = uint64(1)<<52 + 7
+	const big = uint64(mod.MaxOID)
 	code := postJSON(t, ts.URL+"/update", map[string]interface{}{
 		"kind": "new", "oid": big, "tau": 9,
 		"a": []float64{1, 0}, "b": []float64{0, 0},
@@ -105,6 +108,82 @@ func TestLargeOIDRoundTrip(t *testing.T) {
 	// The "o"-prefixed String() form resolves too.
 	if code := getJSON(t, fmt.Sprintf("%s/object?oid=o%d", ts.URL, big), &obj); code != 200 {
 		t.Errorf("GET /object?oid=o%d: code %d", big, code)
+	}
+	if code := getJSON(t, fmt.Sprintf("%s/object?oid=%d", ts.URL, uint64(1)<<52+7), nil); code != http.StatusNotFound {
+		t.Errorf("GET /object for an OID above mod.MaxOID: code %d, want 404", code)
+	}
+}
+
+// TestOIDAboveMaxIsRefused: an update naming an OID the sweep cannot
+// address is a 400, on /update and on /update/batch (which keeps the
+// applied prefix), and the k-NN and within queries that follow answer
+// as before. Such an OID once answered 200 and broke every later
+// query with a 400.
+func TestOIDAboveMaxIsRefused(t *testing.T) {
+	ts, _ := newTestServer(t)
+	queries := func() string {
+		var knn, within struct {
+			Answers json.RawMessage `json:"answers"`
+		}
+		if code := postJSON(t, ts.URL+"/query/knn", map[string]interface{}{
+			"k": 1, "lo": 0, "hi": 5, "point": []float64{0, 0},
+		}, &knn); code != 200 {
+			t.Fatalf("/query/knn: code %d", code)
+		}
+		if code := postJSON(t, ts.URL+"/query/within", map[string]interface{}{
+			"radius": 10, "lo": 0, "hi": 5, "point": []float64{0, 0},
+		}, &within); code != 200 {
+			t.Fatalf("/query/within: code %d", code)
+		}
+		return string(knn.Answers) + string(within.Answers)
+	}
+	before := queries()
+	tooBig := uint64(mod.MaxOID) + 1
+	var resp struct {
+		Error   string `json:"error"`
+		Applied *int   `json:"applied"`
+	}
+	if code := postJSON(t, ts.URL+"/update", map[string]interface{}{
+		"kind": "new", "oid": tooBig, "tau": 9, "a": []float64{1, 0}, "b": []float64{0, 0},
+	}, &resp); code != http.StatusBadRequest {
+		t.Fatalf("/update with oid 2^48: code %d (%s), want 400", code, resp.Error)
+	}
+	// The batch's first update lands far away and after the query
+	// window, so the answers stay comparable.
+	if code := postJSON(t, ts.URL+"/update/batch", []map[string]interface{}{
+		{"kind": "new", "oid": 3, "tau": 10, "a": []float64{0, 0}, "b": []float64{1e6, 0}},
+		{"kind": "new", "oid": tooBig, "tau": 11, "a": []float64{1, 0}, "b": []float64{0, 0}},
+	}, &resp); code != http.StatusBadRequest || resp.Applied == nil || *resp.Applied != 1 {
+		t.Fatalf("/update/batch with oid 2^48: code %d, applied %v (%s), want 400 with 1 applied", code, resp.Applied, resp.Error)
+	}
+	if after := queries(); after != before {
+		t.Fatalf("answers changed after the refused updates:\n%s\nwant\n%s", after, before)
+	}
+}
+
+// TestDurabilityFailureIs500: an update applied in memory but not made
+// durable is the server's failure, not a conflict, on /update and on
+// /update/batch; the batch error still carries the applied count.
+func TestDurabilityFailureIs500(t *testing.T) {
+	be := &stubBackend{updErr: fmt.Errorf("%w: shard 0: disk full", mod.ErrNotDurable)}
+	ts := httptest.NewServer(New(be, nil))
+	defer ts.Close()
+	var resp struct {
+		Error   string `json:"error"`
+		Applied *int   `json:"applied"`
+	}
+	u := map[string]interface{}{"kind": "new", "oid": 1, "tau": 9, "a": []float64{1, 0}, "b": []float64{0, 0}}
+	if code := postJSON(t, ts.URL+"/update", u, &resp); code != http.StatusInternalServerError {
+		t.Errorf("/update: code %d, want 500", code)
+	}
+	if code := postJSON(t, ts.URL+"/update/batch", []map[string]interface{}{u}, &resp); code != http.StatusInternalServerError ||
+		resp.Applied == nil || *resp.Applied != 1 {
+		t.Errorf("/update/batch: code %d, applied %v, want 500 with 1 applied", code, resp.Applied)
+	}
+	// Any other error keeps its status.
+	be.updErr = mod.ErrChronology
+	if code := postJSON(t, ts.URL+"/update", u, nil); code != http.StatusConflict {
+		t.Errorf("/update with a chronology error: code %d, want 409", code)
 	}
 }
 

@@ -332,14 +332,23 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.be.Apply(u); err != nil {
-		code := http.StatusConflict
-		if errors.Is(err, mod.ErrBadOperation) || errors.Is(err, mod.ErrDimMismatch) {
-			code = http.StatusBadRequest
-		}
-		s.fail(w, code, err)
+		s.fail(w, updateStatus(err), err)
 		return
 	}
 	s.ok(w, map[string]interface{}{"applied": u.String(), "tau": s.be.Tau()})
+}
+
+// updateStatus maps an update error to its HTTP status: a durability
+// failure is the server's (500), a malformed update the client's (400),
+// and anything else a conflict with the database's state (409).
+func updateStatus(err error) int {
+	switch {
+	case errors.Is(err, mod.ErrNotDurable):
+		return http.StatusInternalServerError
+	case errors.Is(err, mod.ErrBadOperation), errors.Is(err, mod.ErrDimMismatch):
+		return http.StatusBadRequest
+	}
+	return http.StatusConflict
 }
 
 // handleUpdateBatch ingests a JSON array of updates in one request —
@@ -368,11 +377,7 @@ func (s *Server) handleUpdateBatch(w http.ResponseWriter, r *http.Request) {
 	s.recordBatchSize(len(us))
 	n, err := s.be.ApplyBatch(us)
 	if err != nil {
-		code := http.StatusConflict
-		if errors.Is(err, mod.ErrBadOperation) || errors.Is(err, mod.ErrDimMismatch) {
-			code = http.StatusBadRequest
-		}
-		s.failBatch(w, code, err, n)
+		s.failBatch(w, updateStatus(err), err, n)
 		return
 	}
 	s.ok(w, map[string]interface{}{"applied": n, "tau": s.be.Tau()})

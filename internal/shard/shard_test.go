@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -317,15 +318,27 @@ func TestBatchIngestAndShardAdoption(t *testing.T) {
 	}
 }
 
-// TestKNNScanErrorSurfaces: an object the sweep cannot address fails the
-// shard's scan, and the fan-out reports it instead of an answer.
+// TestKNNScanErrorSurfaces: an object the sweep could not address is
+// refused when it would enter a shard, so no shard's scan ever meets
+// one and the fan-out keeps answering as before.
 func TestKNNScanErrorSurfaces(t *testing.T) {
 	eng, _ := seededEngine(t, 20, 4, 2)
-	if err := eng.Load(mod.OID(1)<<50, trajectory.Linear(0, geom.Of(1, 0), geom.Of(0, 0))); err != nil {
+	q := workload.QueryTrajectory(workload.Config{}, 2)
+	before, _, _, err := eng.KNN(evalDist(q), 2, 0, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	q := workload.QueryTrajectory(workload.Config{}, 2)
-	if _, _, _, err := eng.KNN(evalDist(q), 2, 0, 10); !errors.Is(err, query.ErrBadOID) {
-		t.Fatalf("KNN err = %v, want ErrBadOID", err)
+	if err := eng.Load(mod.MaxOID+1, trajectory.Linear(0, geom.Of(1, 0), geom.Of(0, 0))); !errors.Is(err, mod.ErrBadOperation) {
+		t.Fatalf("Load of an OID above mod.MaxOID: %v, want ErrBadOperation", err)
+	}
+	if err := eng.Apply(mod.New(mod.MaxOID+1, eng.Tau()+1, geom.Of(1, 0), geom.Of(0, 0))); !errors.Is(err, mod.ErrBadOperation) {
+		t.Fatalf("Apply of an OID above mod.MaxOID: %v, want ErrBadOperation", err)
+	}
+	after, _, _, err := eng.KNN(evalDist(q), 2, 0, 10)
+	if err != nil {
+		t.Fatalf("KNN after the refusals: %v", err)
+	}
+	if fmt.Sprint(after.Run()) != fmt.Sprint(before.Run()) {
+		t.Fatalf("KNN answer changed after the refusals: %v, want %v", after.Objects(), before.Objects())
 	}
 }
