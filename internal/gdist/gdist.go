@@ -92,19 +92,33 @@ func relativeSq(tr, q trajectory.Trajectory, from, to float64) (piecewise.Func, 
 	if err != nil {
 		return piecewise.Func{}, err
 	}
-	lo2, hi2, err := window(q, lo, hi)
-	if err != nil {
+	if lo, hi, err = window(q, lo, hi); err != nil {
 		return piecewise.Func{}, err
 	}
-	lo, hi = lo2, hi2
+	return sumAxes(tr.Dim(), lo, hi, func(i int) (piecewise.Func, error) { return axisSq(tr, q, i, lo, hi) })
+}
 
-	sum := piecewise.Constant(0, lo, hi)
-	for i := 0; i < tr.Dim(); i++ {
-		sq, err := axisSq(tr, q, i, lo, hi)
+// sumAxes adds sq(0) … sq(dim-1) on [lo, hi]: the first square clipped
+// to the window, the others added to it. Each square's domain covers
+// the window, so this yields the pieces and bits that adding them all
+// to Constant(0, lo, hi) does, without building that seed; the one
+// exception, a one-ulp stretch at lo in one dimension, is in DESIGN.md
+// ("Why PointSq needs no query trajectory").
+func sumAxes(dim int, lo, hi float64, sq func(i int) (piecewise.Func, error)) (piecewise.Func, error) {
+	if dim == 0 {
+		return piecewise.Constant(0, lo, hi), nil
+	}
+	var sum piecewise.Func
+	for i := 0; i < dim; i++ {
+		si, err := sq(i)
 		if err != nil {
 			return piecewise.Func{}, err
 		}
-		sum, err = sum.Add(sq)
+		if i == 0 {
+			sum, err = si.Restrict(lo, hi)
+		} else {
+			sum, err = sum.Add(si)
+		}
 		if err != nil {
 			return piecewise.Func{}, err
 		}
@@ -136,10 +150,26 @@ type PointSq struct {
 // Name implements GDistance.
 func (p PointSq) Name() string { return "point-sq" }
 
-// Curve implements GDistance.
+// Curve implements GDistance. Each axis is the object's coordinate
+// shifted by -p[i] on every piece, then squared: the bits of subtracting
+// a query at rest at p since -Inf, since c + (-p) is c - p in IEEE
+// arithmetic and trimming flushes the signed zeros either leaves.
 func (p PointSq) Curve(tr trajectory.Trajectory, from, to float64) (piecewise.Func, error) {
-	q := trajectory.Stationary(math.Inf(-1), p.Point)
-	return relativeSq(tr, q, from, to)
+	if tr.Dim() != len(p.Point) {
+		return piecewise.Func{}, fmt.Errorf("gdist: dimension %d vs query %d", tr.Dim(), len(p.Point))
+	}
+	lo, hi, err := window(tr, from, to)
+	if err != nil {
+		return piecewise.Func{}, err
+	}
+	return sumAxes(tr.Dim(), lo, hi, func(i int) (piecewise.Func, error) {
+		ci, err := tr.Coordinate(i, lo, hi)
+		if err != nil {
+			return piecewise.Func{}, err
+		}
+		di := ci.AddPoly(poly.Constant(-p.Point[i]))
+		return di.Mul(di)
+	})
 }
 
 // AxisSq is the squared distance along one coordinate axis to the query

@@ -24,26 +24,34 @@ func unitHistory(n int) trajectory.Trajectory {
 	return tr
 }
 
-// TestCurveCostIgnoresHistory: a curve over a window that meets two
-// pieces allocates the same on a 4-piece and on a 4,000-piece
-// trajectory, and a lower bound over it allocates nothing on either.
+// TestCurveCostIgnoresHistory: a curve over a window that meets one or
+// two pieces allocates as often as pinned here on a 4-piece and on a
+// 4,000-piece trajectory, and a lower bound over it allocates nothing
+// on either.
 func TestCurveCostIgnoresHistory(t *testing.T) {
 	g := PointSq{Point: geom.Of(3, -2)}
-	var allocs []float64
-	for _, n := range []int{4, 4000} {
-		tr := unitHistory(n)
-		lo, hi := float64(n)-1.5, float64(n)+3 // the last two pieces
-		f, err := g.Curve(tr, lo, hi)
-		if err != nil || f.NumPieces() != 2 {
-			t.Fatalf("%d pieces: curve of %d pieces, err %v; want 2 pieces", n, f.NumPieces(), err)
+	for _, c := range []struct {
+		pieces int
+		before float64 // how far before the last break the window starts
+		allocs float64
+	}{
+		{pieces: 2, before: 0.5, allocs: 51},
+		{pieces: 1, before: -0.5, allocs: 27},
+	} {
+		for _, n := range []int{4, 4000} {
+			tr := unitHistory(n)
+			lo, hi := float64(n-1)-c.before, float64(n)+3
+			f, err := g.Curve(tr, lo, hi)
+			if err != nil || f.NumPieces() != c.pieces {
+				t.Fatalf("%d pieces: curve of %d pieces, err %v; want %d pieces", n, f.NumPieces(), err, c.pieces)
+			}
+			if got := testing.AllocsPerRun(20, func() { _, _ = g.Curve(tr, lo, hi) }); got != c.allocs {
+				t.Errorf("%d pieces: Curve over %d allocates %v times, want %v", n, c.pieces, got, c.allocs)
+			}
+			if got := testing.AllocsPerRun(20, func() { _, _ = g.LowerBound(tr, lo, hi) }); got != 0 {
+				t.Errorf("%d pieces: LowerBound allocates %v times", n, got)
+			}
 		}
-		allocs = append(allocs, testing.AllocsPerRun(20, func() { _, _ = g.Curve(tr, lo, hi) }))
-		if got := testing.AllocsPerRun(20, func() { _, _ = g.LowerBound(tr, lo, hi) }); got != 0 {
-			t.Errorf("%d pieces: LowerBound allocates %v times", n, got)
-		}
-	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("Curve over two pieces allocates %v times on 4 pieces and %v on 4,000", allocs[0], allocs[1])
 	}
 }
 
