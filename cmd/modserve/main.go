@@ -22,9 +22,9 @@
 //
 // With -shards P > 1 the database is hash-partitioned by OID across P
 // independent shards (internal/shard): updates route to their shard and
-// the /query endpoints fan out across the shards on a worker pool and
-// merge — same answers, less sweep work per query and parallel
-// execution across cores.
+// the /query endpoints fan out across the shards, one goroutine per
+// shard, and merge — same answers, with the shards' scans and sweeps
+// running in parallel across cores.
 //
 // Durability (-data-dir, internal/durable): the server recovers the
 // database from DIR at boot (snapshot + journal replay, tolerating the
@@ -109,7 +109,6 @@ var (
 	addrFlag    = flag.String("addr", ":8723", "listen address")
 	dimFlag     = flag.Int("dim", 2, "spatial dimension of a fresh database")
 	shardsFlag  = flag.Int("shards", 1, "hash-partition objects across P independent shards; queries fan out and merge")
-	workersFlag = flag.Int("workers", 0, "max concurrent per-shard query sweeps (0 = min(shards, GOMAXPROCS))")
 	dataDirFlag = flag.String("data-dir", "", "durable data directory: recover at boot, journal every update, checkpoint on signal/interval")
 	ckptFlag    = flag.Duration("checkpoint-every", 0, "checkpoint period with -data-dir (0 = only at shutdown)")
 	loadFlag    = flag.String("load", "", "snapshot file to restore at startup (exclusive with -data-dir)")
@@ -146,7 +145,6 @@ func main() {
 		}
 		eng, err := durable.Open(*dataDirFlag, durable.Config{
 			Shards:   *shardsFlag,
-			Workers:  *workersFlag,
 			Dim:      *dimFlag,
 			Registry: reg,
 			Commit:   policy,
@@ -314,7 +312,7 @@ func openEphemeral(logger *log.Logger) *shard.Engine {
 	default:
 		db = mod.NewDB(*dimFlag, 0)
 	}
-	eng, err := shard.FromDB(db, shard.Config{Shards: *shardsFlag, Workers: *workersFlag})
+	eng, err := shard.FromDB(db, shard.Config{Shards: *shardsFlag})
 	if err != nil {
 		logger.Fatal(err)
 	}

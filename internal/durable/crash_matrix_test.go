@@ -29,7 +29,7 @@ import (
 // shards, so the sweep also crosses the multi-store coordination
 // (per-shard manifests under one root manifest).
 func matrixConfig(fs vfs.FS) durable.Config {
-	return durable.Config{Shards: 2, Workers: 2, Dim: 2, Tau0: -1, FS: fs}
+	return durable.Config{Shards: 2, Dim: 2, Tau0: -1, FS: fs}
 }
 
 // scriptResult reports how far a scripted run got before the crash.

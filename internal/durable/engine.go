@@ -48,8 +48,6 @@ type Config struct {
 	// for a fresh directory); a different value than on disk triggers a
 	// re-shard during Open.
 	Shards int
-	// Workers bounds concurrent per-shard query sweeps (see shard.Config).
-	Workers int
 	// Dim is the spatial dimension; required for a fresh directory,
 	// validated (when non-zero) against an existing one.
 	Dim int
@@ -180,7 +178,7 @@ func (e *Engine) openGeneration(man rootManifest, cfg Config, opts StoreOptions)
 		stores[i] = st
 		dbs[i] = st.DB()
 	}
-	se, err := shard.FromShards(dbs, shard.Config{Workers: cfg.Workers})
+	se, err := shard.FromShards(dbs)
 	if err != nil {
 		closeStores(stores)
 		return err
@@ -214,7 +212,7 @@ func (e *Engine) reshard(man rootManifest, cfg Config, opts StoreOptions) error 
 	if err != nil {
 		return fmt.Errorf("durable: re-shard: merge: %w", err)
 	}
-	se, err := shard.FromDB(merged, shard.Config{Shards: cfg.Shards, Workers: cfg.Workers})
+	se, err := shard.FromDB(merged, shard.Config{Shards: cfg.Shards})
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,14 @@
 package durable_test
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/errfs"
 	"repro/internal/mod"
 	"repro/internal/obs"
 	"repro/internal/vfs"
@@ -189,4 +193,130 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("metrics exposition missing %s", want)
 		}
 	}
+}
+
+// TestEngineFaultMetrics: the failure families count what happened — a
+// checkpoint failed by an injected fault, a reopen over a torn journal
+// tail, and a reopen that replays an entry its snapshot already holds
+// (what an update applied between a checkpoint's journal swap and its
+// snapshot leaves behind).
+func TestEngineFaultMetrics(t *testing.T) {
+	us := stream10()
+	cfg := durable.Config{Shards: 1, Dim: 2, Tau0: -1}
+	counter := func(reg *obs.Registry, name string) uint64 {
+		t.Helper()
+		v, ok := reg.JSONValue()[name].(uint64)
+		if !ok {
+			t.Fatalf("no counter %s", name)
+		}
+		return v
+	}
+	// write runs the stream on a fresh directory, checkpointed or not,
+	// and returns the directory and its one journal segment.
+	write := func(checkpoint bool) (string, string) {
+		t.Helper()
+		dir := t.TempDir()
+		eng, err := durable.Open(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.ApplyAll(us...); err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if _, err := eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wals, err := filepath.Glob(filepath.Join(dir, "*", "wal-*.wal"))
+		if err != nil || len(wals) != 1 {
+			t.Fatalf("journal segments %v, %v; want one", wals, err)
+		}
+		return dir, wals[0]
+	}
+	reopen := func(dir string) *obs.Registry {
+		t.Helper()
+		reg := obs.NewRegistry()
+		rec, err := durable.Open(dir, durable.Config{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+
+	t.Run("checkpoint error", func(t *testing.T) {
+		// Count Open's operations; the next one is the checkpoint's first.
+		probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
+		pcfg := cfg
+		pcfg.FS = probe
+		eng, err := durable.Open(filepath.Join(t.TempDir(), "probe"), pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		fcfg := cfg
+		fcfg.FS, fcfg.Registry = errfs.New(vfs.OS{}, probe.Ops()+1, errfs.FailOp), reg
+		eng, err = durable.Open(filepath.Join(t.TempDir(), "data"), fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Checkpoint(); !errors.Is(err, errfs.ErrInjected) {
+			t.Fatalf("Checkpoint = %v, want the injected fault", err)
+		}
+		_ = eng.Close() // the simulated process is dead; Close fails too
+		if n := counter(reg, "mod_checkpoint_errors_total"); n != 1 {
+			t.Errorf("mod_checkpoint_errors_total = %d, want 1", n)
+		}
+		if n := counter(reg, "mod_checkpoints_total"); n != 0 {
+			t.Errorf("mod_checkpoints_total = %d, want 0", n)
+		}
+	})
+
+	t.Run("torn tail", func(t *testing.T) {
+		dir, wal := write(false)
+		fi, err := os.Stat(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(wal, fi.Size()-3); err != nil {
+			t.Fatal(err)
+		}
+		reg := reopen(dir)
+		if n := counter(reg, "mod_recovery_torn_tails_total"); n != 1 {
+			t.Errorf("mod_recovery_torn_tails_total = %d, want 1", n)
+		}
+		if n := counter(reg, "mod_recovery_skipped_total"); n != 0 {
+			t.Errorf("mod_recovery_skipped_total = %d, want 0", n)
+		}
+	})
+
+	t.Run("duplicate replayed", func(t *testing.T) {
+		dir, wal := write(true)
+		f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(mod.AppendUpdateRecord(nil, us[len(us)-1])); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reg := reopen(dir)
+		if n := counter(reg, "mod_recovery_skipped_total"); n != 1 {
+			t.Errorf("mod_recovery_skipped_total = %d, want 1", n)
+		}
+		if n := counter(reg, "mod_recovery_torn_tails_total"); n != 0 {
+			t.Errorf("mod_recovery_torn_tails_total = %d, want 0", n)
+		}
+	})
 }

@@ -53,7 +53,7 @@ func genUpdates(seed int64, n, m int) []mod.Update {
 func TestConcurrentCheckpointUpdatesQueries(t *testing.T) {
 	dir := t.TempDir()
 	const shards = 4
-	eng, err := durable.Open(dir, durable.Config{Shards: shards, Workers: shards, Dim: 2, Tau0: 0})
+	eng, err := durable.Open(dir, durable.Config{Shards: shards, Dim: 2, Tau0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,6 @@ import (
 	"sync"
 )
 
-// UpdateSource is anything that can feed applied updates to a listener:
-// a *DB, or a sharded engine composing several DBs.
-type UpdateSource interface {
-	OnUpdate(Listener)
-}
-
 // SyncWriter is implemented by writers that can force buffered data to
 // stable storage (notably *os.File). When the journal's underlying
 // writer implements it, Sync and Close fsync after flushing.
@@ -29,9 +23,9 @@ type SyncWriter interface {
 }
 
 // Journal appends updates to a writer as they are applied. It is driven
-// by the source's listener hook; create it before applying updates and
-// every successful update is recorded. The journal is safe for
-// concurrent sources (e.g. per-shard writers applying in parallel):
+// by its database's listener hook; create it before applying updates
+// and every successful update is recorded, in the order the database
+// applied them. Flush, Sync and Rotate may run concurrently with Apply:
 // entries are serialized internally, each as one framed, checksummed
 // record.
 type Journal struct {
@@ -44,8 +38,8 @@ type Journal struct {
 }
 
 // recordBuf is a pooled encode scratch: updates are serialized into it
-// outside the journal lock, so concurrent appliers pay for encoding in
-// parallel and the lock covers only the buffered byte copy.
+// outside the journal lock, so the lock covers only the buffered byte
+// copy and a Flush or Sync holding it never waits on an encode.
 type recordBuf struct{ b []byte }
 
 var recordPool = sync.Pool{New: func() any { return new(recordBuf) }}
@@ -59,15 +53,15 @@ var ErrJournalClosed = errors.New("mod: journal closed")
 // crash; it is not a conflict with the database's state.
 var ErrNotDurable = errors.New("mod: update applied but not durable")
 
-// NewJournal wires a journal to src: every subsequently applied update
+// NewJournal wires a journal to db: every subsequently applied update
 // is appended to w as one binary record. The caller owns the segment
 // header — write BinaryJournalHeader() to a fresh file before any update
 // can arrive (the durable store does this when it creates a segment).
 // Call Close before closing the underlying writer.
-func NewJournal(src UpdateSource, w io.Writer) *Journal {
+func NewJournal(db *DB, w io.Writer) *Journal {
 	j := &Journal{w: bufio.NewWriter(w)}
 	j.syncer, _ = w.(SyncWriter)
-	src.OnUpdate(func(u Update) {
+	db.OnUpdate(func(u Update) {
 		rec := recordPool.Get().(*recordBuf)
 		b := AppendUpdateRecord(rec.b[:0], u)
 		j.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -83,51 +84,84 @@ func TestJournalCloseSurfacesStickyError(t *testing.T) {
 	}
 }
 
-// multiSource fans one listener registration out to several DBs — the
-// shape of a sharded engine's OnUpdate.
-type multiSource []*DB
-
-func (m multiSource) OnUpdate(l Listener) {
-	for _, db := range m {
-		db.OnUpdate(l)
-	}
-}
-
+// TestJournalConcurrentShardWriters: concurrent Apply calls on one
+// shard's database journal every update while Flush and Rotate race
+// them. Every segment holds only whole records, as many as Rotate
+// counted into it, and the segments replayed in rotation order give
+// back every update, in order.
 func TestJournalConcurrentShardWriters(t *testing.T) {
-	shards := multiSource{NewDB(2, -1), NewDB(2, -1), NewDB(2, -1)}
-	buf := syncRecorder{Buffer: *newSegment()}
-	j := NewJournal(shards, &buf)
-	const perShard = 50
+	db := NewDB(2, -1)
+	segs := []*syncRecorder{{Buffer: *newSegment()}}
+	seqs := []uint64{0} // entries before each segment, as Rotate reports them
+	j := NewJournal(db, segs[0])
+	const writers, perWriter = 3, 50
+	var tau atomic.Int64
 	var wg sync.WaitGroup
-	for i, db := range shards {
+	for i := 0; i < writers; i++ {
 		wg.Add(1)
-		go func(i int, db *DB) {
+		go func(i int) {
 			defer wg.Done()
-			for k := 0; k < perShard; k++ {
-				u := New(OID(1000*i+k+1), float64(k), geom.Of(1, 0), geom.Of(0, 0))
-				if err := db.Apply(u); err != nil {
-					t.Errorf("shard %d apply: %v", i, err)
-					return
+			for k := 0; k < perWriter; k++ {
+				// A tau taken before another writer's later one is
+				// refused; take the next.
+				for {
+					u := New(OID(1000*i+k+1), float64(tau.Add(1)), geom.Of(1, 0), geom.Of(0, 0))
+					err := db.Apply(u)
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, ErrChronology) {
+						t.Errorf("writer %d apply: %v", i, err)
+						return
+					}
 				}
 			}
-		}(i, db)
+		}(i)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for n, racing := 1, true; racing; n++ {
+		select {
+		case <-done:
+			racing = false
+		default:
+		}
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n%4 == 0 {
+			next := &syncRecorder{Buffer: *newSegment()}
+			seq, err := j.Rotate(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs, seqs = append(segs, next), append(seqs, seq)
+		}
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Every record must be intact (framing and checksum): interleaved
-	// writers may order records arbitrarily but never tear them. The
-	// shards' taus interleave, so replay into one database skips some
-	// entries as stale; decoded = applied + skipped.
-	st, err := ReplayTolerantBinary(NewDB(2, -1), bytes.NewReader(buf.Bytes()))
-	if err != nil || st.TornTail {
-		t.Fatalf("journal corrupt: %+v, %v", st, err)
+	seqs = append(seqs, j.Seq())
+	replayed := NewDB(2, -1)
+	total := 0
+	for i, seg := range segs {
+		st, err := ReplayTolerantBinary(replayed, bytes.NewReader(seg.Bytes()))
+		if err != nil || st.TornTail || st.Skipped != 0 || uint64(st.Applied) != seqs[i+1]-seqs[i] {
+			t.Fatalf("segment %d of %d: %+v, %v; the journal counted %d entries into it", i, len(segs), st, err, seqs[i+1]-seqs[i])
+		}
+		if st.GoodBytes != int64(seg.Len()) {
+			t.Fatalf("segment %d: GoodBytes %d, want the whole %d-byte segment", i, st.GoodBytes, seg.Len())
+		}
+		total += st.Applied
 	}
-	if n := st.Applied + st.Skipped; n != 3*perShard {
-		t.Fatalf("journal has %d entries, want %d", n, 3*perShard)
+	t.Logf("%d updates over %d segments", total, len(segs))
+	if total != writers*perWriter {
+		t.Fatalf("%d segments replay %d updates, want %d", len(segs), total, writers*perWriter)
 	}
-	if st.GoodBytes != int64(buf.Len()) {
-		t.Fatalf("GoodBytes %d, want the whole %d-byte segment", st.GoodBytes, buf.Len())
+	if !replayed.StateEqual(db) {
+		t.Fatal("replayed segments differ from the database")
 	}
 }

@@ -14,10 +14,15 @@ package piecewise
 // walk's combo — Start = max(pa.Start, pb.Start), End = min(pa.End,
 // pb.End), P = pa.P - pb.P via poly.SubInto (bit-identical to Sub) —
 // and the query methods replicate the walkers' control flow over those
-// segments. The one restriction is the build origin: a cache built from
-// time `from` only materializes combos from the segment containing
-// `from` onward, so queries are answerable only for times its origin
-// covers (see Covers). The Sweeper rebuilds on a Covers miss.
+// segments. At the two edges of the overlap the walkers' one-sided signs
+// read the piece of one curve that lies before the other curve starts
+// or after it ends, which no segment holds; there SignBefore and
+// SignAfter ask the walker itself (an allocation, at those edges only).
+// The one restriction is the build origin: a cache built from time
+// `from` only materializes combos from the segment containing `from`
+// onward, so queries are answerable only for times its origin covers
+// (see Covers). The Sweeper rebuilds on a Covers miss.
+// TestPairDiffMatchesLazyWalkers holds the contract.
 
 import (
 	"math"
@@ -220,7 +225,10 @@ func (d *PairDiff) SignAfter(t float64) int {
 	if i < 0 {
 		return 0
 	}
-	if t >= d.pieces[i].End-boundTol && d.ensure(i+1) {
+	if t >= d.pieces[i].End-boundTol {
+		if !d.ensure(i + 1) {
+			return SignDiffAfter(d.f, d.g, t)
+		}
 		i++
 	}
 	return d.pieces[i].P.SignAfter(t)
@@ -237,7 +245,10 @@ func (d *PairDiff) SignBefore(t float64) int {
 	if i < 0 {
 		return 0
 	}
-	if i > 0 && t <= d.pieces[i].Start+boundTol {
+	if t <= d.pieces[i].Start+boundTol {
+		if i == 0 {
+			return SignDiffBefore(d.f, d.g, t)
+		}
 		i--
 	}
 	return d.pieces[i].P.SignBefore(t)

@@ -91,18 +91,42 @@ func TestFirstMeetingCoincideDetection(t *testing.T) {
 func TestSignDiffAfterBefore(t *testing.T) {
 	f := FromPoly(poly.Linear(1, 0), 0, 100)   // t
 	g := FromPoly(poly.Linear(-1, 10), 0, 100) // 10-t
-	if s := SignDiffAfter(f, g, 5); s != 1 {
-		t.Errorf("SignDiffAfter = %d", s)
-	}
-	if s := SignDiffBefore(f, g, 5); s != -1 {
-		t.Errorf("SignDiffBefore = %d", s)
-	}
-	if s := SignDiffAfter(f, g, 2); s != -1 {
-		t.Errorf("SignDiffAfter(2) = %d", s)
-	}
-	// Out of domain.
-	if s := SignDiffAfter(f, g, 200); s != 0 {
-		t.Errorf("SignDiffAfter out of domain = %d", s)
+	checkSignDiff(t, f, g, []signCase{
+		{"crossing", 5, 1, -1},
+		{"before the crossing", 2, -1, -1},
+		{"out of domain", 200, 0, 0},
+	})
+}
+
+// TestSignAfterBefore: a tent peaking at 2 against the constant 2 is below
+// it on both sides of the peak, where the tent's two pieces meet.
+func TestSignAfterBefore(t *testing.T) {
+	tent := MustNew(
+		Piece{Start: 0, End: 2, P: poly.Linear(1, 0)},
+		Piece{Start: 2, End: 10, P: poly.Linear(-1, 4)},
+	)
+	checkSignDiff(t, tent, Constant(2, 0, 10), []signCase{
+		{"tent peak", 2, -1, -1},
+		{"tent start", 0, -1, -1},
+		{"tent rising", 1.5, -1, -1},
+	})
+}
+
+type signCase struct {
+	name          string
+	at            float64
+	after, before int
+}
+
+func checkSignDiff(t *testing.T, f, g Func, cases []signCase) {
+	t.Helper()
+	for _, c := range cases {
+		if s := SignDiffAfter(f, g, c.at); s != c.after {
+			t.Errorf("%s: SignDiffAfter(%g) = %d, want %d", c.name, c.at, s, c.after)
+		}
+		if s := SignDiffBefore(f, g, c.at); s != c.before {
+			t.Errorf("%s: SignDiffBefore(%g) = %d, want %d", c.name, c.at, s, c.before)
+		}
 	}
 }
 

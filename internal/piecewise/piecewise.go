@@ -4,7 +4,8 @@
 // exactly a function that "consists of finitely many pieces and is
 // piecewise polynomial"; this package provides that type together with the
 // operations the sweep needs: pointwise algebra, composition with
-// polynomial time terms, first-zero search, and one-sided signs at a point.
+// polynomial time terms and, for a pair of curves, the next meeting time
+// and the one-sided signs of their difference (lazy.go, diff.go).
 package piecewise
 
 import (
@@ -284,21 +285,6 @@ func (f Func) Restrict(lo, hi float64) (Func, error) {
 	return Func{pieces: pieces}, nil
 }
 
-// ExtendTo extends the final piece's End to hi if hi is beyond the current
-// domain end (polynomial extrapolation of the last piece). Used when a
-// trajectory's final motion is open-ended.
-func (f Func) ExtendTo(hi float64) Func {
-	if len(f.pieces) == 0 {
-		return f
-	}
-	pieces := make([]Piece, len(f.pieces))
-	copy(pieces, f.pieces)
-	if hi > pieces[len(pieces)-1].End {
-		pieces[len(pieces)-1].End = hi
-	}
-	return Func{pieces: pieces}
-}
-
 // FirstZeroAfter returns the earliest time s with s > t (strictly, by
 // more than poly.RootTol) at which f(s) = 0, within f's domain.
 //
@@ -325,33 +311,6 @@ func (f Func) FirstZeroAfter(t float64) (s float64, coincide, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// SignAfter returns the sign of f on (t, t+delta) for infinitesimal
-// delta > 0. At a piece boundary the piece starting at t governs.
-func (f Func) SignAfter(t float64) int {
-	i := f.pieceIndexAt(t)
-	if i < 0 {
-		return 0
-	}
-	// If t is (numerically) at this piece's end, the next piece governs.
-	if i+1 < len(f.pieces) && t >= f.pieces[i].End-boundTol {
-		i++
-	}
-	return f.pieces[i].P.SignAfter(t)
-}
-
-// SignBefore returns the sign of f on (t-delta, t). At a piece boundary
-// the piece ending at t governs.
-func (f Func) SignBefore(t float64) int {
-	i := f.pieceIndexAt(t)
-	if i < 0 {
-		return 0
-	}
-	if i > 0 && t <= f.pieces[i].Start+boundTol {
-		i--
-	}
-	return f.pieces[i].P.SignBefore(t)
 }
 
 // Compose returns f(q(t)) on [lo, hi]. The image q([lo, hi]) must lie
@@ -437,39 +396,6 @@ func (f Func) String() string {
 		fmt.Fprintf(&b, "[%g,%g] %s", pc.Start, pc.End, pc.P)
 	}
 	return b.String()
-}
-
-// ApproxEqual reports whether f and g have the same domain and agree
-// within tol at a dense set of sample points (31 per piece). Intended for
-// tests.
-func (f Func) ApproxEqual(g Func, tol float64) bool {
-	flo, fhi := f.Domain()
-	glo, ghi := g.Domain()
-	if math.Abs(flo-glo) > boundTol {
-		return false
-	}
-	if !(math.IsInf(fhi, 1) && math.IsInf(ghi, 1)) && math.Abs(fhi-ghi) > boundTol {
-		return false
-	}
-	sample := func(h Func) []float64 {
-		var ts []float64
-		for _, pc := range h.pieces {
-			end := pc.End
-			if math.IsInf(end, 1) {
-				end = pc.Start + 100
-			}
-			for k := 0; k <= 30; k++ {
-				ts = append(ts, pc.Start+(end-pc.Start)*float64(k)/30)
-			}
-		}
-		return ts
-	}
-	for _, t := range append(sample(f), sample(g)...) {
-		if math.Abs(f.Eval(t)-g.Eval(t)) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Discontinuities returns the interior piece boundaries at which f jumps

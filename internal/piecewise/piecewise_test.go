@@ -132,22 +132,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestExtendTo(t *testing.T) {
-	f := FromPoly(poly.Linear(1, 0), 0, 5)
-	g := f.ExtendTo(100)
-	_, hi := g.Domain()
-	if hi != 100 {
-		t.Errorf("ExtendTo hi = %g", hi)
-	}
-	if got := g.Eval(50); math.Abs(got-50) > 1e-12 {
-		t.Errorf("extrapolated Eval = %g", got)
-	}
-	// Original untouched.
-	if _, ohi := f.Domain(); ohi != 5 {
-		t.Error("ExtendTo mutated receiver")
-	}
-}
-
 func TestFirstZeroAfter(t *testing.T) {
 	// f = (t-2)(t-6) on [0, 10].
 	f := FromPoly(poly.FromRoots(2, 6), 0, 10)
@@ -194,27 +178,6 @@ func TestFirstZeroCoincide(t *testing.T) {
 	s, coincide, ok = f.FirstZeroAfter(5)
 	if !ok || !coincide || math.Abs(s-5) > 1e-9 {
 		t.Errorf("mid-coincidence: s=%g coincide=%v ok=%v, want s=5 coincide", s, coincide, ok)
-	}
-}
-
-func TestSignAfterBefore(t *testing.T) {
-	// Tent: up then down; at the peak t=2 sign of (f - 2) flips.
-	f := MustNew(
-		Piece{Start: 0, End: 2, P: poly.Linear(1, 0)},
-		Piece{Start: 2, End: 10, P: poly.Linear(-1, 4)},
-	)
-	d := f.AddPoly(poly.Constant(-2)) // f - 2, zero exactly at t=2
-	if s := d.SignBefore(2); s != -1 {
-		t.Errorf("SignBefore(2) = %d, want -1", s)
-	}
-	if s := d.SignAfter(2); s != -1 {
-		t.Errorf("SignAfter(2) = %d, want -1 (descending side)", s)
-	}
-	if s := d.SignAfter(0); s != -1 {
-		t.Errorf("SignAfter(0) = %d", s)
-	}
-	if s := d.SignBefore(1.5); s != -1 {
-		t.Errorf("SignBefore(1.5) = %d", s)
 	}
 }
 
@@ -268,91 +231,10 @@ func TestConstantCurve(t *testing.T) {
 	}
 }
 
-func TestFirstIntersectionCrossing(t *testing.T) {
-	f := FromPoly(poly.Linear(1, 0), 0, 100)   // t
-	g := FromPoly(poly.Linear(-1, 10), 0, 100) // 10-t, cross at 5
-	x, ok := FirstIntersectionAfter(f, g, 0)
-	if !ok || x.Kind != Crossing || math.Abs(x.T-5) > 1e-9 {
-		t.Fatalf("got %+v ok=%v", x, ok)
-	}
-	if x.SignAfter != 1 {
-		t.Errorf("SignAfter = %d, want +1 (f above after)", x.SignAfter)
-	}
-	if _, ok := FirstIntersectionAfter(f, g, 5); ok {
-		t.Error("no further intersection expected")
-	}
-}
-
-func TestFirstIntersectionTouching(t *testing.T) {
-	f := FromPoly(poly.New(4, -4, 1), 0, 100) // (t-2)^2
-	g := FromPoly(poly.Poly{}, 0, 100)        // zero... use Constant(0)
-	g = Constant(0, 0, 100)
-	x, ok := FirstIntersectionAfter(f, g, 0)
-	if !ok || x.Kind != Touching || math.Abs(x.T-2) > 1e-9 {
-		t.Fatalf("got %+v ok=%v", x, ok)
-	}
-	if x.SignAfter != 1 {
-		t.Errorf("SignAfter = %d, want +1", x.SignAfter)
-	}
-}
-
-func TestFirstIntersectionCoincide(t *testing.T) {
-	shared := poly.Linear(2, 1)
-	f := MustNew(
-		Piece{Start: 0, End: 5, P: poly.Linear(1, 0)},
-		Piece{Start: 5, End: 20, P: shared},
-	)
-	g := FromPoly(shared, 0, 20)
-	x, ok := FirstIntersectionAfter(f, g, 0)
-	if !ok {
-		t.Fatal("expected intersection")
-	}
-	// f and g: difference is (t - (2t+1)) = -t-1 on [0,5] (no zero in
-	// domain... at t=-1, outside), then identically 0 from 5.
-	if x.Kind != Coinciding || math.Abs(x.T-5) > 1e-9 {
-		t.Errorf("got %+v, want coincide at 5", x)
-	}
-}
-
-func TestFirstIntersectionMultiplePieces(t *testing.T) {
-	// Intersections at t=8 and t=17 like Figure 3's o3/o4 pair: a
-	// parabola dipping below a line and coming back.
-	f := FromPoly(poly.FromRoots(8, 17), 0, 100) // (t-8)(t-17)
-	g := Constant(0, 0, 100)
-	x1, ok := FirstIntersectionAfter(f, g, 3)
-	if !ok || x1.Kind != Crossing || math.Abs(x1.T-8) > 1e-8 {
-		t.Fatalf("first: %+v ok=%v", x1, ok)
-	}
-	x2, ok := FirstIntersectionAfter(f, g, x1.T)
-	if !ok || x2.Kind != Crossing || math.Abs(x2.T-17) > 1e-8 {
-		t.Fatalf("second: %+v ok=%v", x2, ok)
-	}
-	if x1.SignAfter != -1 || x2.SignAfter != 1 {
-		t.Errorf("signs = %d,%d want -1,+1", x1.SignAfter, x2.SignAfter)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	f := FromPoly(poly.Linear(1, 0), 0, 10)
-	g := FromPoly(poly.New(1e-13, 1), 0, 10)
-	if !f.ApproxEqual(g, 1e-9) {
-		t.Error("near-identical curves reported different")
-	}
-	h := FromPoly(poly.Linear(2, 0), 0, 10)
-	if f.ApproxEqual(h, 1e-9) {
-		t.Error("different curves reported equal")
-	}
-}
-
 func TestStringer(t *testing.T) {
 	f := FromPoly(poly.Linear(1, 0), 0, 1)
 	if f.String() == "" || (Func{}).String() != "<empty>" {
 		t.Error("String failed")
-	}
-	for _, k := range []IntersectionKind{NoIntersection, Crossing, Touching, Coinciding, IntersectionKind(99)} {
-		if k.String() == "" {
-			t.Errorf("IntersectionKind(%d).String empty", k)
-		}
 	}
 }
 

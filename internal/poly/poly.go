@@ -10,11 +10,13 @@
 //   - the sign of a polynomial immediately before/after one of its roots
 //     (deciding whether an intersection is a crossing or a tangency).
 //
-// Root isolation uses square-free decomposition followed by Sturm
-// sequences and bisection, with Newton polishing. Degrees in this system
-// are small (g-distances of piecewise-linear trajectories are piecewise
-// quadratic; composed time terms raise the degree modestly), but the code
-// is written to stay robust through degree ~16.
+// Root isolation solves degrees up to 2 in closed form; above that it
+// splits the interval at the critical points (the roots of p', found the
+// same way) into monotone stretches and bisects each sign change, with
+// Newton polishing. Degrees in this system are small (g-distances of
+// piecewise-linear trajectories are piecewise quadratic; composed time
+// terms raise the degree modestly), but the code is written to stay
+// robust through degree ~16.
 package poly
 
 import (
@@ -29,9 +31,9 @@ import (
 type Poly []float64
 
 // relEps is the relative tolerance below which a coefficient is considered
-// zero when computing effective degrees during arithmetic and Sturm
-// sequences. It is deliberately loose compared to machine epsilon because
-// cancellation in curve differences leaves ~1e-16-scale dust.
+// zero when computing effective degrees during arithmetic. It is
+// deliberately loose compared to machine epsilon because cancellation in
+// curve differences leaves ~1e-16-scale dust.
 const relEps = 1e-12
 
 // New builds a polynomial from coefficients in ascending-degree order:
@@ -84,7 +86,7 @@ func (p Poly) trim() Poly {
 	}
 	q := p[:n]
 	// Flush sub-threshold interior dust to exact zeros so that later
-	// operations (notably GCD and Sturm remainders) see clean input.
+	// operations see clean input.
 	out := make(Poly, n)
 	for i, c := range q {
 		if math.Abs(c) <= cut {
@@ -284,150 +286,6 @@ func (p Poly) Compose(q Poly) Poly {
 		r = r.Mul(q).Add(Constant(p[i]))
 	}
 	return r
-}
-
-// Shift returns p(t+c), the Taylor shift of p by c.
-func (p Poly) Shift(c float64) Poly {
-	if c == 0 { //modlint:allow floatcmp -- exact fast path: shift by exact 0 is the identity
-		return p.Clone()
-	}
-	return p.Compose(Poly{c, 1})
-}
-
-// Div returns the quotient and remainder of p divided by q, so that
-// p = quo*q + rem with deg(rem) < deg(q). Division by the zero polynomial
-// panics: it indicates a bug in the caller, never bad data.
-func (p Poly) Div(q Poly) (quo, rem Poly) {
-	if q.IsZero() {
-		panic("poly: division by zero polynomial")
-	}
-	rem = p.Clone()
-	dq := q.Degree()
-	lead := q[dq]
-	if rem.Degree() < dq {
-		return Poly{}, rem
-	}
-	quo = make(Poly, rem.Degree()-dq+1)
-	for rem.Degree() >= dq {
-		dr := rem.Degree()
-		c := rem[dr] / lead
-		quo[dr-dq] = c
-		for i := 0; i <= dq; i++ {
-			rem[dr-dq+i] -= c * q[i]
-		}
-		// Force the cancelled leading term to an exact zero, then
-		// re-trim so the loop terminates.
-		rem[dr] = 0
-		rem = rem.trim()
-		if rem.IsZero() {
-			break
-		}
-	}
-	return quo.trim(), rem
-}
-
-// Monic returns p scaled to leading coefficient 1 (zero stays zero).
-func (p Poly) Monic() Poly {
-	if p.IsZero() {
-		return Poly{}
-	}
-	return p.Scale(1 / p.Lead())
-}
-
-// normalizeInf scales p so that its largest coefficient magnitude is 1.
-// Sturm-sequence remainders shrink geometrically; renormalizing keeps the
-// tolerance tests meaningful across the sequence.
-func (p Poly) normalizeInf() Poly {
-	max := 0.0
-	for _, c := range p {
-		if a := math.Abs(c); a > max {
-			max = a
-		}
-	}
-	if max == 0 { //modlint:allow floatcmp -- inf-norm is exactly 0 iff every coefficient is exactly 0
-		return Poly{}
-	}
-	return p.Scale(1 / max)
-}
-
-// gcdEps is the residual threshold (relative to inf-norm-1 operands)
-// below which a Euclidean remainder counts as zero. Without this cut,
-// 1e-16-scale remainder dust would be renormalized back up to magnitude 1
-// and a genuine common divisor would be missed. It sits near machine
-// precision: a looser cut makes close-but-separable root clusters (p and
-// p' with roots ~1e-4 apart) masquerade as multiple roots, and SquareFree
-// would then replace the cluster by a single bogus root.
-const gcdEps = 1e-12
-
-// infNorm returns the largest coefficient magnitude.
-func (p Poly) infNorm() float64 {
-	max := 0.0
-	for _, c := range p {
-		if a := math.Abs(c); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// GCD returns a (monic) greatest common divisor of p and q computed by the
-// Euclidean algorithm with renormalization. With floating-point
-// coefficients the result is a numerical GCD: a nontrivial candidate is
-// accepted only if it verifiably divides both (normalized) inputs —
-// remainder dust can otherwise masquerade as a common factor and, through
-// SquareFree, silently replace a polynomial by a non-factor.
-func GCD(p, q Poly) Poly {
-	a, b := p.normalizeInf(), q.normalizeInf()
-	if a.Degree() < b.Degree() {
-		a, b = b, a
-	}
-	if b.IsZero() {
-		if a.IsZero() {
-			return Poly{}
-		}
-		return a.Monic()
-	}
-	a0, b0 := a, b
-	for {
-		_, r := a.Div(b)
-		if r.infNorm() <= gcdEps {
-			g := b.Monic()
-			if g.Degree() >= 1 && (!divides(g, a0) || !divides(g, b0)) {
-				return Poly{1}
-			}
-			return g
-		}
-		a, b = b, r.normalizeInf()
-	}
-}
-
-// divides reports whether g divides p to within a tight relative residual
-// (p is expected inf-norm-normalized).
-func divides(g, p Poly) bool {
-	if g.Degree() < 1 {
-		return true
-	}
-	_, rem := p.Div(g)
-	return rem.infNorm() <= 1e-7*math.Max(1, p.infNorm())
-}
-
-// SquareFree returns the square-free part p/gcd(p, p'): a polynomial with
-// the same real roots as p, all simple. The zero polynomial maps to zero.
-func (p Poly) SquareFree() Poly {
-	if p.Degree() <= 1 {
-		return p.Clone()
-	}
-	g := GCD(p, p.Derivative())
-	if g.Degree() <= 0 {
-		return p.Clone()
-	}
-	q, _ := p.Div(g)
-	if q.IsZero() {
-		// Numerical breakdown; fall back to p itself. Root isolation
-		// then relies on bisection robustness.
-		return p.Clone()
-	}
-	return q
 }
 
 // ApproxEq reports |a-b| <= eps: the repo-wide epsilon comparison for

@@ -28,7 +28,15 @@ func signOf(x, tol float64) int {
 
 // coeffScale returns the largest coefficient magnitude, used to scale
 // zero-tolerances.
-func (p Poly) coeffScale() float64 { return p.infNorm() }
+func (p Poly) coeffScale() float64 {
+	max := 0.0
+	for _, c := range p {
+		if a := math.Abs(c); a > max {
+			max = a
+		}
+	}
+	return max
+}
 
 // evalWithAbs evaluates p at t by Horner's rule, and in the same pass
 // evaluates sum_i |c_i| |t|^i, the magnitude budget that bounds the
@@ -151,62 +159,6 @@ func (p Poly) RootBound() float64 {
 		}
 	}
 	return 1 + max/lead
-}
-
-// sturmSeq builds the Sturm sequence of p: p0 = p, p1 = p',
-// p_{i+1} = -rem(p_{i-1}, p_i), stopping at a (near-)zero remainder.
-// The input should be square-free for exact counts; on non-square-free
-// input the sequence still terminates and counts distinct roots of the
-// square-free part in well-conditioned cases.
-func sturmSeq(p Poly) []Poly {
-	seq := []Poly{p.normalizeInf()}
-	d := p.Derivative().normalizeInf()
-	if d.IsZero() {
-		return seq
-	}
-	seq = append(seq, d)
-	for {
-		n := len(seq)
-		_, rem := seq[n-2].Div(seq[n-1])
-		rem = rem.Neg().normalizeInf()
-		if rem.IsZero() {
-			return seq
-		}
-		seq = append(seq, rem)
-		if len(seq) > len(p)+2 {
-			// Defensive: numerically degenerate input; stop rather
-			// than loop. Counting falls back to bisection scanning.
-			return seq
-		}
-	}
-}
-
-// signChanges counts sign alternations of the Sturm sequence at x,
-// skipping zeros.
-func signChanges(seq []Poly, x float64) int {
-	changes, last := 0, 0
-	for _, q := range seq {
-		s := q.SignAt(x)
-		if s == 0 {
-			continue
-		}
-		if last != 0 && s != last {
-			changes++
-		}
-		last = s
-	}
-	return changes
-}
-
-// CountRootsIn returns the number of distinct real roots of p in the
-// half-open interval (a, b]. p must not be the zero polynomial.
-func (p Poly) CountRootsIn(a, b float64) int {
-	sf := p.SquareFree()
-	if sf.Degree() < 1 {
-		return 0
-	}
-	seq := sturmSeq(sf)
-	return signChanges(seq, a) - signChanges(seq, b)
 }
 
 // newton polishes x within [lo, hi]; it never leaves the bracket.
@@ -464,14 +416,4 @@ func (p Poly) FirstRootAfter(t, hi float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Roots returns all distinct real roots of p in ascending order (ok=false
-// for the zero polynomial).
-func (p Poly) Roots() ([]float64, bool) {
-	if p.IsZero() {
-		return nil, false
-	}
-	bound := p.RootBound()
-	return p.RootsIn(-bound-1, bound+1)
 }

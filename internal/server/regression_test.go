@@ -259,7 +259,7 @@ func TestClassTauInvariantUnderConcurrentUpdates(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := shard.FromDB(db, shard.Config{Shards: 4, Workers: 4})
+	eng, err := shard.FromDB(db, shard.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mod_http_request_seconds_bucket",
 		"mod_sweep_events_total",
 		"mod_query_seconds_bucket{kind=\"knn\"",
-		"mod_query_fanout_width_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -481,10 +480,14 @@ func TestSlowQueryLogCoversTheAnswer(t *testing.T) {
 	}
 	ans.Finish(2)
 	const delay = 60 * time.Millisecond
-	for _, req := range []struct{ path, body string }{
-		{"/query/knn", `{"k":1,"lo":1,"hi":2,"point":[0,0]}`},
-		{"/query/within", `{"radius":1,"lo":1,"hi":2,"point":[0,0]}`},
-		{"/query/possibly-within", `{"radius":1,"lo":1,"hi":2,"point":[0,0],"vmax":1}`},
+	for _, req := range []struct {
+		path, body string
+		objects    int // objects the answer names; an alibi names none
+	}{
+		{"/query/knn", `{"k":1,"lo":1,"hi":2,"point":[0,0]}`, 2000},
+		{"/query/within", `{"radius":1,"lo":1,"hi":2,"point":[0,0]}`, 2000},
+		{"/query/possibly-within", `{"radius":1,"lo":1,"hi":2,"point":[0,0],"vmax":1}`, 2000},
+		{"/query/alibi", `{"o1":1,"o2":2,"lo":1,"hi":2,"vmax":1}`, 0},
 	} {
 		var buf syncBuf
 		srv := NewWithOptions(&stubBackend{ans: ans, ansTau: 100}, Options{
@@ -501,8 +504,8 @@ func TestSlowQueryLogCoversTheAnswer(t *testing.T) {
 		if !ok || json.Unmarshal([]byte(rest), &rec) != nil {
 			t.Fatalf("%s: no SLOWQUERY line for a request whose write took %v:\n%s", req.path, delay, buf.String())
 		}
-		if rec.Endpoint != req.path || rec.Objects != 2000 || rec.Bytes != w.Body.Len() || rec.Ms < float64(delay/time.Millisecond) {
-			t.Errorf("%s: record %+v, want 2000 objects, %d bytes and at least %v", req.path, rec, w.Body.Len(), delay)
+		if rec.Endpoint != req.path || rec.Objects != req.objects || rec.Bytes != w.Body.Len() || rec.Ms < float64(delay/time.Millisecond) {
+			t.Errorf("%s: record %+v, want %d objects, %d bytes and at least %v", req.path, rec, req.objects, w.Body.Len(), delay)
 		}
 	}
 }

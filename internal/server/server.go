@@ -227,7 +227,9 @@ func (s *Server) failBatch(w http.ResponseWriter, code int, err error, applied i
 	_ = json.NewEncoder(w).Encode(httpError{Error: err.Error(), Applied: &applied})
 }
 
-func (s *Server) ok(w http.ResponseWriter, v interface{}) {
+// ok writes v as a JSON answer with status 200 and reports the bytes
+// written (0 if encoding failed).
+func (s *Server) ok(w http.ResponseWriter, v interface{}) int {
 	// Encode before touching the ResponseWriter: json.Marshal rejects
 	// values a handler let through (notably non-finite floats), and an
 	// encoder writing straight to w would fail AFTER the 200 header was
@@ -236,10 +238,12 @@ func (s *Server) ok(w http.ResponseWriter, v interface{}) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
-		return
+		return 0
 	}
+	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(data, '\n'))
+	_, _ = w.Write(data)
+	return len(data)
 }
 
 // finite rejects NaN/±Inf request parameters before they reach the
@@ -407,9 +411,9 @@ type slowQueryRecord struct {
 	Bytes    int     `json:"bytes,omitempty"`   // answer bytes written
 }
 
-// logSlowQuery emits rec if the request exceeded the threshold. The
-// answer-set handlers call it after the answer is written, so elapsed
-// covers encoding and the write.
+// logSlowQuery emits rec if the request exceeded the threshold. Every
+// query handler calls it after the answer is written, so elapsed covers
+// encoding and the write.
 func (s *Server) logSlowQuery(elapsed time.Duration, rec slowQueryRecord) {
 	if s.slowQuery <= 0 || elapsed < s.slowQuery || s.log == nil {
 		return
@@ -566,11 +570,11 @@ func (s *Server) handleAlibi(w http.ResponseWriter, r *http.Request) {
 		at := res.At
 		out.At = &at
 	}
+	bytes := s.ok(w, out)
 	s.logSlowQuery(time.Since(start), slowQueryRecord{
 		Endpoint: "/query/alibi", Lo: req.Lo, Hi: req.Hi,
-		Tau: tau, Class: cls.String(),
+		Tau: tau, Class: cls.String(), Bytes: bytes,
 	})
-	s.ok(w, out)
 }
 
 // possiblyWithinRequest is the body of /query/possibly-within.

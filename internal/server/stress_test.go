@@ -31,7 +31,7 @@ func TestStressInterleavedUpdatesAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := shard.FromDB(db, shard.Config{Shards: shards, Workers: shards})
+	eng, err := shard.FromDB(db, shard.Config{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

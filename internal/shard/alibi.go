@@ -61,7 +61,7 @@ func (e *Engine) Alibi(o1, o2 mod.OID, lo, hi, defaultVmax float64) (bead.Result
 		return bead.Result{}, tau, err
 	}
 	dur := time.Since(start)
-	e.recordQuery("alibi", len(e.shards), dur)
+	e.recordQuery("alibi", dur)
 	e.recordBeadAlibi(res, dur)
 	return res, tau, nil
 }
@@ -125,7 +125,7 @@ func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (
 	}
 	ans := query.MergeDisjoint(parts...)
 	dur := time.Since(start)
-	e.recordQuery("possibly-within", len(e.shards), dur)
+	e.recordQuery("possibly-within", dur)
 	var total query.BeadStats
 	for _, st := range stats {
 		total.Population += st.Population

@@ -159,7 +159,7 @@ func runAlibiScenario(sc alibiScenario, ps []int) (string, int, error) {
 	scan.pw = pw
 	answers := []pAnswers{scan}
 	for _, p := range ps {
-		eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 		if err != nil {
 			return "", skipped, err
 		}
@@ -348,7 +348,7 @@ func TestCopiedAnswersEqualRemerged(t *testing.T) {
 			t.Fatalf("seed %d: %v", sc.seed, err)
 		}
 		for _, p := range []int{1, 4} {
-			eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+			eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 			if err != nil {
 				t.Fatal(err)
 			}

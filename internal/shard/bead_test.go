@@ -46,7 +46,7 @@ func TestValidateSpeedBoundsAcrossShards(t *testing.T) {
 		}
 	}
 	for _, p := range []int{1, 4} {
-		eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestBeadMetricsRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := FromDB(db, Config{Shards: 4, Workers: 2})
+	eng, err := FromDB(db, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPossiblyWithinValidationIgnoresData(t *testing.T) {
 				t.Errorf("%s, %s database, scan: error %v, want %q", tc.name, name, err, tc.want)
 			}
 			for _, p := range []int{1, 4} {
-				eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+				eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func TestPossiblyWithinValidationIgnoresData(t *testing.T) {
 		}
 	}
 	// And a well-formed question still gets its answer.
-	eng, err := FromDB(dbs["mixed"].Snapshot(), Config{Shards: 4, Workers: 2})
+	eng, err := FromDB(dbs["mixed"].Snapshot(), Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

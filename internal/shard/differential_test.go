@@ -162,7 +162,7 @@ func runDiffScenario(sc diffScenario, ps []int) (string, error) {
 	}
 	f := gdist.EuclideanSq{Query: sc.gamma}
 	for _, p := range ps {
-		eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 		if err != nil {
 			return "", err
 		}

@@ -49,7 +49,7 @@ func TestKNNShardedEquivalence(t *testing.T) {
 	q := workload.QueryTrajectory(workload.Config{}, 5)
 	f := evalDist(q)
 	for _, p := range []int{1, 2, 3, 4, 8} {
-		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestWithinShardedEquivalence(t *testing.T) {
 	q := workload.QueryTrajectory(workload.Config{}, 6)
 	f := evalDist(q)
 	for _, p := range []int{2, 4, 7} {
-		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestKNNEquivalencePointQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4} {
-		eng, err := FromDB(db.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(db.Snapshot(), Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}

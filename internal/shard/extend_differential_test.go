@@ -91,7 +91,7 @@ func sameTracks(a, b *bead.Track) bool {
 // from its snapshot the same questions; it returns the first
 // disagreement, "" when there is none.
 func compareWithRebuilt(long *Engine, p int, rng *rand.Rand, objs []mod.OID, vmax, tau float64) (string, error) {
-	fresh, err := FromDB(long.Snapshot(), Config{Shards: p, Workers: p})
+	fresh, err := FromDB(long.Snapshot(), Config{Shards: p})
 	if err != nil {
 		return "", err
 	}
@@ -148,7 +148,7 @@ func compareWithRebuilt(long *Engine, p int, rng *rand.Rand, objs []mod.OID, vma
 // engine of p shards and compares at every interleaved query.
 func runExtendScenario(seed int64, p int) (string, int, error) {
 	rng := rand.New(rand.NewSource(seed))
-	long, err := New(Config{Shards: p, Workers: p, Dim: 2, Tau0: -1})
+	long, err := New(Config{Shards: p, Dim: 2, Tau0: -1})
 	if err != nil {
 		return "", 0, err
 	}

@@ -1,8 +1,9 @@
 package shard
 
 // Fan-out query execution: a coordinator reads one epoch snapshot per
-// shard, lets the shards work on their own objects in parallel (at most
-// Workers at a time) and merges.
+// shard, lets the shards work on their own objects in parallel (one
+// goroutine per shard; GOMAXPROCS bounds how many run at once) and
+// merges.
 //
 // Correctness of the merges:
 //
@@ -46,26 +47,18 @@ import (
 	"repro/internal/query"
 )
 
-// forEach runs fn(i) for every shard index on the bounded worker pool
-// and joins the per-shard errors.
+// forEach runs fn(i) for every shard index, one goroutine per shard
+// when there is more than one, and joins the per-shard errors.
 func (e *Engine) forEach(fn func(i int) error) error {
-	if e.workers <= 1 || len(e.shards) == 1 {
-		for i := range e.shards {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+	if len(e.shards) == 1 {
+		return fn(0)
 	}
-	sem := make(chan struct{}, e.workers)
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
 	for i := range e.shards {
-		sem <- struct{}{} // acquire before spawning: at most Workers in flight
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			errs[i] = fn(i)
 		}(i)
 	}
@@ -123,7 +116,7 @@ func (e *Engine) Within(f gdist.GDistance, c float64, lo, hi float64) (*query.An
 		parts[i] = ev.(*query.Within).Answer()
 	}
 	ans := query.MergeDisjoint(parts...)
-	e.recordQuery("within", len(e.shards), time.Since(start))
+	e.recordQuery("within", time.Since(start))
 	return ans, st, tau, nil
 }
 
@@ -158,6 +151,6 @@ func (e *Engine) KNN(f gdist.GDistance, k int, lo, hi float64) (*query.AnswerSet
 		return nil, run.Stats, tau, err
 	}
 	e.recordCandidates(run.Pool)
-	e.recordQuery("knn", len(snaps), time.Since(start))
+	e.recordQuery("knn", time.Since(start))
 	return knn.Answer(), run.Stats, tau, nil
 }

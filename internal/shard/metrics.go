@@ -32,7 +32,6 @@ type metrics struct {
 	maxQueue     *obs.GaugeVec     // high-water event-queue length, by shard
 	sweepSecs    *obs.HistogramVec // one shard's sweep duration, by shard
 	querySecs    *obs.HistogramVec // whole fan-out query duration, by kind
-	fanout       *obs.Histogram    // shards swept per query
 	candidates   *obs.Histogram    // merged k-NN candidate-pool size
 	batchSize    *obs.Histogram    // updates per ApplyBatch call
 
@@ -72,8 +71,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		querySecs: reg.NewHistogramVec("mod_query_seconds",
 			"whole query duration including fan-out and merge",
 			obs.DefLatencyBuckets, "kind"),
-		fanout: reg.NewHistogram("mod_query_fanout_width",
-			"shards swept per query", obs.DefSizeBuckets),
 		candidates: reg.NewHistogram("mod_knn_candidates",
 			"merged candidate-pool size of sharded k-NN queries", obs.DefSizeBuckets),
 		batchSize: reg.NewHistogram("mod_update_batch_size",
@@ -167,13 +164,12 @@ func (e *Engine) recordSweep(shard int, st core.Stats, dur time.Duration) {
 }
 
 // recordQuery observes one whole fan-out query.
-func (e *Engine) recordQuery(kind string, width int, dur time.Duration) {
+func (e *Engine) recordQuery(kind string, dur time.Duration) {
 	m := e.metrics.Load()
 	if m == nil {
 		return
 	}
 	m.querySecs.With(kind).Observe(dur.Seconds())
-	m.fanout.Observe(float64(width))
 }
 
 // recordBeadPW folds one broad-phase possibly-within query's work

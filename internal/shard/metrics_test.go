@@ -19,7 +19,7 @@ func TestInstrumentRecordsEngineWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := FromDB(db, Config{Shards: 4, Workers: 2})
+	eng, err := FromDB(db, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,6 @@ func TestInstrumentRecordsEngineWork(t *testing.T) {
 		"mod_shard_sweep_seconds_bucket{shard=",
 		`mod_query_seconds_count{kind="knn"} 1`,
 		`mod_query_seconds_count{kind="within"} 1`,
-		"mod_query_fanout_width_count 2",
 		"mod_knn_candidates_count 1",
 		// The coordinator's final k-NN sweep shows up under its own label.
 		`mod_shard_sweep_seconds_count{shard="coord"} 1`,
@@ -94,7 +93,7 @@ func TestKNNRunsOneSweepPerQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := FromDB(db, Config{Shards: p, Workers: 2})
+		eng, err := FromDB(db, Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}

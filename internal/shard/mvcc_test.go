@@ -22,7 +22,7 @@ func TestMVCCEquivalentToLockedSnapshot(t *testing.T) {
 	q := workload.QueryTrajectory(workload.Config{}, 3)
 	f := evalDist(q)
 	for _, p := range []int{1, 4} {
-		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p, Workers: p})
+		eng, err := FromDB(forShard.Snapshot(), Config{Shards: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestMVCCQueriesDuringChurn(t *testing.T) {
 	q := workload.QueryTrajectory(workload.Config{}, 2)
 	f := evalDist(q)
 	const p = 4
-	eng, err := FromDB(forShard.Snapshot(), Config{Shards: p, Workers: p})
+	eng, err := FromDB(forShard.Snapshot(), Config{Shards: p})
 	if err != nil {
 		t.Fatal(err)
 	}

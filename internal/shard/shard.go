@@ -2,7 +2,7 @@
 // hash-partitions the object set by OID across P independent shards,
 // each owning its own mod.DB (and therefore its own lock and, during
 // queries, its own kinetic sweep state). Updates route to the shard of
-// their object; queries fan out across shards on a bounded worker pool
+// their object; queries fan out across shards, one goroutine per shard,
 // and merge at a coordinator (see fanout.go).
 //
 // The partitioning invariant: every object lives in exactly one shard,
@@ -16,11 +16,11 @@
 // the shard that received the final update carries it.
 //
 // What sharding buys: independent write locks, and reads that fan out —
-// each shard scans or sweeps only its own objects, in parallel on the
-// worker pool. It does not change how much sweeping a query does: a
-// k-NN runs one sweep over the curves that can reach its answer,
-// whatever the partition (query.RunScans), and a within sweeps, per
-// shard, only the curves that can come down to its constant.
+// each shard scans or sweeps only its own objects, in parallel. It does
+// not change how much sweeping a query does: a k-NN runs one sweep over
+// the curves that can reach its answer, whatever the partition
+// (query.RunScans), and a within sweeps, per shard, only the curves
+// that can come down to its constant.
 // Correctness of the merged answers is argued per query in fanout.go
 // and DESIGN.md ("Sharded evaluation", "Threshold-bounded sweep").
 package shard
@@ -28,7 +28,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,9 +43,6 @@ import (
 type Config struct {
 	// Shards is the partition count P; 0 or 1 means unsharded.
 	Shards int
-	// Workers bounds the number of concurrently running per-shard query
-	// sweeps; 0 means min(Shards, GOMAXPROCS).
-	Workers int
 	// Dim is the spatial dimension (New only; FromDB inherits the
 	// source's).
 	Dim int
@@ -57,9 +53,8 @@ type Config struct {
 // Engine is a sharded moving object database. All methods are safe for
 // concurrent use; updates to different shards proceed in parallel.
 type Engine struct {
-	shards  []*mod.DB
-	workers int
-	dim     int
+	shards []*mod.DB
+	dim    int
 	// metrics is the optional observability hook (see Instrument in
 	// metrics.go); nil means uninstrumented.
 	metrics atomic.Pointer[metrics]
@@ -80,12 +75,6 @@ func (c Config) normalized() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = c.Shards
-		if mp := runtime.GOMAXPROCS(0); mp < c.Workers {
-			c.Workers = mp
-		}
-	}
 	return c
 }
 
@@ -100,7 +89,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range shards {
 		shards[i] = mod.NewDB(cfg.Dim, cfg.Tau0)
 	}
-	return &Engine{shards: shards, workers: cfg.Workers, dim: cfg.Dim}, nil
+	return &Engine{shards: shards, dim: cfg.Dim}, nil
 }
 
 // FromDB partitions an existing database across cfg.Shards shards. With
@@ -110,7 +99,7 @@ func New(cfg Config) (*Engine, error) {
 // the engine owns the parts.
 func FromDB(db *mod.DB, cfg Config) (*Engine, error) {
 	cfg = cfg.normalized()
-	e := &Engine{workers: cfg.Workers, dim: db.Dim()}
+	e := &Engine{dim: db.Dim()}
 	if cfg.Shards == 1 {
 		e.shards = []*mod.DB{db}
 		return e, nil
@@ -132,12 +121,10 @@ func FromDB(db *mod.DB, cfg Config) (*Engine, error) {
 // partitioning invariant (every object lives in the shard its OID
 // hashes to) is what makes update routing and fan-out merges correct,
 // so a mis-filed object is an error here, not a latent wrong answer.
-func FromShards(dbs []*mod.DB, cfg Config) (*Engine, error) {
+func FromShards(dbs []*mod.DB) (*Engine, error) {
 	if len(dbs) == 0 {
 		return nil, errors.New("shard: FromShards needs at least one shard")
 	}
-	cfg.Shards = len(dbs)
-	cfg = cfg.normalized()
 	dim := dbs[0].Dim()
 	for i, db := range dbs {
 		if db.Dim() != dim {
@@ -149,7 +136,7 @@ func FromShards(dbs []*mod.DB, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	return &Engine{shards: dbs, workers: cfg.Workers, dim: dim}, nil
+	return &Engine{shards: dbs, dim: dim}, nil
 }
 
 // Single adopts db as a one-shard engine: the unsharded backend, with
@@ -212,7 +199,7 @@ func (e *Engine) ApplyAll(us ...mod.Update) error {
 // ApplyBatch ingests a batch of updates: one pass of the OID router
 // groups them by owning shard (preserving batch order within each
 // group, which preserves per-shard chronology), then the per-shard
-// groups are applied in parallel on the worker pool, each under a
+// groups are applied in parallel, one goroutine per shard, each under a
 // single lock/listener session (mod.DB.ApplyBatch). It returns the
 // total number of updates applied across shards and the join of any
 // per-shard errors. Error semantics are per shard: a rejected update

@@ -14,13 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-func seededEngine(t *testing.T, n, p, workers int) (*Engine, *mod.DB) {
+func seededEngine(t *testing.T, n, p int) (*Engine, *mod.DB) {
 	t.Helper()
 	db, err := workload.ConvergingMovers(workload.Config{Seed: 11, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := FromDB(db, Config{Shards: p, Workers: workers})
+	eng, err := FromDB(db, Config{Shards: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func seededEngine(t *testing.T, n, p, workers int) (*Engine, *mod.DB) {
 }
 
 func TestShardOfRouting(t *testing.T) {
-	eng, _ := seededEngine(t, 50, 4, 1)
+	eng, _ := seededEngine(t, 50, 4)
 	counts := make([]int, 4)
 	for o := mod.OID(1); o <= 50; o++ {
 		i := eng.ShardOf(o)
@@ -50,7 +50,7 @@ func TestShardOfRouting(t *testing.T) {
 }
 
 func TestPartitionDisjointAndComplete(t *testing.T) {
-	eng, db := seededEngine(t, 40, 3, 1)
+	eng, db := seededEngine(t, 40, 3)
 	if got, want := eng.Len(), db.Len(); got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
@@ -102,7 +102,7 @@ func TestApplyRoutesToOwningShard(t *testing.T) {
 }
 
 func TestAggregatesComposePerShardState(t *testing.T) {
-	eng, db := seededEngine(t, 30, 4, 1)
+	eng, db := seededEngine(t, 30, 4)
 	if got, want := eng.Tau(), db.Tau(); got != want {
 		t.Fatalf("Tau = %g, want %g", got, want)
 	}
@@ -199,33 +199,31 @@ func TestLoadRoutes(t *testing.T) {
 }
 
 func TestRunPastFanOutCollectsEveryShard(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		eng, _ := seededEngine(t, 60, 4, workers)
-		q := workload.QueryTrajectory(workload.Config{}, 2)
-		evs, st, _, err := eng.RunPast(evalDist(q), 0, 20, func(int) query.Evaluator {
-			return query.NewWithin(500 * 500)
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(evs) != 4 {
-			t.Fatalf("workers=%d: %d evaluators, want 4", workers, len(evs))
-		}
-		total := 0
-		for _, ev := range evs {
-			total += len(ev.(*query.Within).Answer().Objects())
-		}
-		if total == 0 {
-			t.Fatalf("workers=%d: empty fan-out answer", workers)
-		}
-		if st.Inserts == 0 {
-			t.Fatalf("workers=%d: stats not aggregated", workers)
-		}
+	eng, _ := seededEngine(t, 60, 4)
+	q := workload.QueryTrajectory(workload.Config{}, 2)
+	evs, st, _, err := eng.RunPast(evalDist(q), 0, 20, func(int) query.Evaluator {
+		return query.NewWithin(500 * 500)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 4 {
+		t.Fatalf("%d evaluators, want 4", len(evs))
+	}
+	total := 0
+	for _, ev := range evs {
+		total += len(ev.(*query.Within).Answer().Objects())
+	}
+	if total == 0 {
+		t.Fatal("empty fan-out answer")
+	}
+	if st.Inserts == 0 {
+		t.Fatal("stats not aggregated")
 	}
 }
 
 func TestFanOutSurfacesErrors(t *testing.T) {
-	eng, _ := seededEngine(t, 20, 4, 4)
+	eng, _ := seededEngine(t, 20, 4)
 	q := workload.QueryTrajectory(workload.Config{}, 2)
 	// Inverted window: every shard's sweep construction fails.
 	if _, _, _, err := eng.KNN(evalDist(q), 1, 10, 5); err == nil {
@@ -296,7 +294,7 @@ func TestBatchIngestAndShardAdoption(t *testing.T) {
 		for i := range parts {
 			parts[i] = eng.Shard(i)
 		}
-		back, err := FromShards(parts, Config{})
+		back, err := FromShards(parts)
 		if err != nil {
 			t.Fatalf("P=%d: FromShards: %v", p, err)
 		}
@@ -305,15 +303,15 @@ func TestBatchIngestAndShardAdoption(t *testing.T) {
 		}
 		if p > 1 {
 			parts[0], parts[1] = parts[1], parts[0]
-			if _, err := FromShards(parts, Config{}); err == nil {
+			if _, err := FromShards(parts); err == nil {
 				t.Fatal("FromShards accepted objects filed under the wrong shard")
 			}
 		}
 	}
-	if _, err := FromShards(nil, Config{}); err == nil {
+	if _, err := FromShards(nil); err == nil {
 		t.Fatal("FromShards accepted no shards")
 	}
-	if _, err := FromShards([]*mod.DB{mod.NewDB(2, 0), mod.NewDB(3, 0)}, Config{}); err == nil {
+	if _, err := FromShards([]*mod.DB{mod.NewDB(2, 0), mod.NewDB(3, 0)}); err == nil {
 		t.Fatal("FromShards accepted shards of different dimensions")
 	}
 }
@@ -322,7 +320,7 @@ func TestBatchIngestAndShardAdoption(t *testing.T) {
 // refused when it would enter a shard, so no shard's scan ever meets
 // one and the fan-out keeps answering as before.
 func TestKNNScanErrorSurfaces(t *testing.T) {
-	eng, _ := seededEngine(t, 20, 4, 2)
+	eng, _ := seededEngine(t, 20, 4)
 	q := workload.QueryTrajectory(workload.Config{}, 2)
 	before, _, _, err := eng.KNN(evalDist(q), 2, 0, 10)
 	if err != nil {

@@ -269,7 +269,7 @@ func makeSubScenario(seed int64, family int) subScenario {
 // every live client against the oracle after every update. Returns a
 // divergence description ("" when equivalent) or a hard error.
 func runSubScenario(sc subScenario, p int) (string, error) {
-	eng, err := shard.New(shard.Config{Shards: p, Workers: p, Dim: 2, Tau0: -1})
+	eng, err := shard.New(shard.Config{Shards: p, Dim: 2, Tau0: -1})
 	if err != nil {
 		return "", err
 	}

@@ -38,7 +38,7 @@ func coldStorm(t *testing.T, cold int) routingCounts {
 	vec := func(s float64) geom.Vec {
 		return geom.Of(s*(rng.Float64()-0.5), s*(rng.Float64()-0.5))
 	}
-	eng, err := shard.New(shard.Config{Shards: 4, Workers: 4, Dim: 2, Tau0: -1})
+	eng, err := shard.New(shard.Config{Shards: 4, Dim: 2, Tau0: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

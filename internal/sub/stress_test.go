@@ -37,7 +37,7 @@ func TestStressChurnEvictionCheckpoint(t *testing.T) {
 		t.Skip("stress test")
 	}
 	eng, err := durable.Open(t.TempDir(), durable.Config{
-		Shards: 4, Workers: 4, Dim: 2, Tau0: -1,
+		Shards: 4, Dim: 2, Tau0: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -254,7 +254,8 @@ func TestKNNLadder(t *testing.T) {
 	}
 	reg := NewRegistry(single{db}, Config{})
 	defer reg.Close()
-	reg.Instrument(obs.NewRegistry())
+	instruments := obs.NewRegistry()
+	reg.Instrument(instruments)
 
 	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0, 0}, Hi: 1000})
 	if err != nil {
@@ -277,7 +278,7 @@ func TestKNNLadder(t *testing.T) {
 	if got := rp.current(); !slices.Equal(got, []mod.OID{20}) {
 		t.Fatalf("once the sixteen have fled want the nearest resting object [20], got %v", got)
 	}
-	if n := reg.metrics.Load().refreshes.Value(); n == 0 {
+	if n := instruments.JSONValue()["sub_pool_refreshes_total"].(uint64); n == 0 {
 		t.Error("no pool refresh recorded: the fleeing objects never crossed the sentinel")
 	}
 }
