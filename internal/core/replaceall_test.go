@@ -102,7 +102,7 @@ func TestChangeAndKindStrings(t *testing.T) {
 }
 
 func TestUnboundedHorizon(t *testing.T) {
-	s := NewSweeper(Config{Start: 0}) // horizon defaults to +Inf
+	s := NewSweeper(Config{Start: 0, Horizon: math.Inf(1)})
 	if !math.IsInf(s.Horizon(), 1) {
 		t.Fatalf("horizon = %g", s.Horizon())
 	}

@@ -139,7 +139,7 @@ type Config struct {
 	// Start is the initial sweep time.
 	Start float64
 	// Horizon bounds the sweep; events beyond it are not scheduled.
-	// Zero means +Inf.
+	// math.Inf(1) leaves the sweep unbounded.
 	Horizon float64
 	// Queue supplies the event-queue implementation; nil uses the
 	// indexed binary heap. (The leftist tree of Lemma 9 is the
@@ -203,13 +203,9 @@ func NewSweeper(cfg Config) *Sweeper {
 	if q == nil {
 		q = eventq.NewHeap()
 	}
-	h := cfg.Horizon
-	if h == 0 { //modlint:allow floatcmp -- unset-config sentinel: zero horizon means unbounded
-		h = math.Inf(1)
-	}
 	return &Sweeper{
 		now:      cfg.Start,
-		horizon:  h,
+		horizon:  cfg.Horizon,
 		curves:   make(map[uint64]piecewise.Func),
 		list:     order.NewList(),
 		queue:    q,

@@ -1,9 +1,10 @@
 package mod
 
-// Merge and Partition: the composition primitives behind internal/shard.
-// A sharded engine holds P disjoint DBs; Partition splits one database
-// into such a family and Merge reassembles a single consistent view.
-// Both read their sources through EpochSnapshot, so neither holds a
+// Union, Merge and Partition: the composition primitives behind
+// internal/shard. A sharded engine holds P disjoint DBs; Partition
+// splits one database into such a family, Union reassembles their epoch
+// snapshots into one view, and Merge thaws that view into a database.
+// All three read their sources through EpochSnapshot, so none holds a
 // source's lock while it copies.
 
 import (
@@ -12,29 +13,28 @@ import (
 	"repro/internal/trajectory"
 )
 
-// Merge combines databases with pairwise-disjoint object sets into one
-// independent database: the union of the objects and of their speed
-// bounds, and tau the maximum of the parts' taus. The inputs are not
-// modified; the result shares no mutable state with them.
-func Merge(dbs ...*DB) (*DB, error) {
-	if len(dbs) == 0 {
-		return nil, fmt.Errorf("%w: merge of zero databases", ErrBadOperation)
+// Union combines snapshots with pairwise-disjoint object sets into one
+// snapshot: the union of the objects and of their speed bounds, and tau
+// the maximum of the parts' taus. It copies the object and bound maps
+// once; the result carries no generation stamps and epoch 0, so it is
+// for encoding and reading, not for incremental caches.
+func Union(snaps ...*Snap) (*Snap, error) {
+	if len(snaps) == 0 {
+		return nil, fmt.Errorf("%w: union of zero snapshots", ErrBadOperation)
 	}
-	snaps := make([]*Snap, len(dbs))
 	n := 0
-	for i, db := range dbs {
-		snaps[i] = db.EpochSnapshot()
-		n += len(snaps[i].objs)
+	for _, s := range snaps {
+		n += len(s.objs)
 	}
-	out := &DB{
+	out := &Snap{
 		dim:    snaps[0].dim,
+		tau:    snaps[0].tau,
 		objs:   make(map[OID]trajectory.Trajectory, n),
 		bounds: make(map[OID]float64),
-		tau:    snaps[0].tau,
 	}
 	for i, s := range snaps {
 		if s.dim != out.dim {
-			return nil, fmt.Errorf("%w: merge dim %d vs %d", ErrDimMismatch, s.dim, out.dim)
+			return nil, fmt.Errorf("%w: union dim %d vs %d", ErrDimMismatch, s.dim, out.dim)
 		}
 		for o, tr := range s.objs {
 			if _, dup := out.objs[o]; dup {
@@ -50,6 +50,22 @@ func Merge(dbs ...*DB) (*DB, error) {
 		}
 	}
 	return out, nil
+}
+
+// Merge combines databases with pairwise-disjoint object sets into one
+// independent database: the Union of their epoch snapshots. The inputs
+// are not modified; the result shares no mutable state with them.
+func Merge(dbs ...*DB) (*DB, error) {
+	snaps := make([]*Snap, len(dbs))
+	for i, db := range dbs {
+		snaps[i] = db.EpochSnapshot()
+	}
+	u, err := Union(snaps...)
+	if err != nil {
+		return nil, err
+	}
+	// Union's maps are its own, so the database may adopt them.
+	return &DB{dim: u.dim, tau: u.tau, objs: u.objs, bounds: u.bounds}, nil
 }
 
 // Partition splits the database into p parts routed by route(oid) (which

@@ -252,21 +252,6 @@ func (db *DB) Contains(o OID) bool {
 	return ok
 }
 
-// LiveAt returns the OIDs whose trajectories are defined at time t,
-// ascending.
-func (db *DB) LiveAt(t float64) []OID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []OID
-	for o, tr := range db.objs {
-		if tr.DefinedAt(t) {
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // PositionAt returns the location of o at time t.
 func (db *DB) PositionAt(o OID, t float64) (geom.Vec, error) {
 	tr, err := db.Traj(o)

@@ -103,22 +103,6 @@ func TestChDir(t *testing.T) {
 	}
 }
 
-func TestLiveAt(t *testing.T) {
-	db := NewDB(1, 0)
-	must(t, db.Apply(New(1, 1, geom.Of(1), geom.Of(0))))
-	must(t, db.Apply(New(2, 2, geom.Of(1), geom.Of(0))))
-	must(t, db.Apply(Terminate(1, 5)))
-	if got := db.LiveAt(3); len(got) != 2 {
-		t.Errorf("LiveAt(3) = %v", got)
-	}
-	if got := db.LiveAt(6); len(got) != 1 || got[0] != 2 {
-		t.Errorf("LiveAt(6) = %v", got)
-	}
-	if got := db.LiveAt(0.5); len(got) != 0 {
-		t.Errorf("LiveAt(0.5) = %v", got)
-	}
-}
-
 func TestObjectsSorted(t *testing.T) {
 	db := NewDB(1, 0)
 	for i, o := range []OID{5, 3, 9, 1} {
@@ -221,7 +205,6 @@ func TestConcurrentReaders(t *testing.T) {
 				}
 				_ = db.Objects()
 				_, _ = db.Traj(1)
-				_ = db.LiveAt(10)
 				_ = db.Tau()
 			}
 		}()

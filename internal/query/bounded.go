@@ -178,14 +178,12 @@ type Scan struct {
 	cands  []candidate
 }
 
-// ScanPast scans src for the window [lo, hi] (hi == 0 means +Inf, as in
-// EngineConfig).
+// ScanPast scans src for the window [lo, hi].
 func ScanPast(src TrajSource, f gdist.GDistance, lo, hi float64) (*Scan, error) {
 	if f == nil {
 		return nil, errNilGDistance
 	}
-	hi, err := windowEnd(lo, hi)
-	if err != nil {
+	if err := checkWindow(lo, hi); err != nil {
 		return nil, err
 	}
 	trajs := src.Trajectories()

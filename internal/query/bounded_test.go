@@ -4,7 +4,7 @@ package query
 // within answer computed over the bounded pool must render — interval
 // for interval, bit for bit — exactly as the answer of the full-order
 // sweep, which a test-only wrapper forces by hiding the evaluator's
-// Bound. MOD_BOUND_SCENARIOS overrides the scenario count (CI runs 500
+// Bound. MOD_SCENARIOS overrides the scenario count (CI runs 500
 // under -race; each scenario is checked for three g-distances, three
 // k, two windows and both query kinds).
 
@@ -127,10 +127,10 @@ func compareBounded(db *mod.DB, f gdist.GDistance, lo, hi float64, mk func() Bou
 
 func TestDifferentialBoundedVsFullOrder(t *testing.T) {
 	scenarios := 25
-	if s := os.Getenv("MOD_BOUND_SCENARIOS"); s != "" {
+	if s := os.Getenv("MOD_SCENARIOS"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
-			t.Fatalf("MOD_BOUND_SCENARIOS=%q: %v", s, err)
+			t.Fatalf("MOD_SCENARIOS=%q: %v", s, err)
 		}
 		scenarios = n
 	}

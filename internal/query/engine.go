@@ -62,9 +62,8 @@ type Evaluator interface {
 type EngineConfig struct {
 	// F is the generalized distance. Required.
 	F gdist.GDistance
-	// Lo, Hi delimit the query interval I. Hi may be +Inf (pass
-	// math.Inf(1)) only for distances with closed-form curves; Hi == 0
-	// also means +Inf.
+	// Lo, Hi delimit the query interval I. Hi may be math.Inf(1) only
+	// for distances with closed-form curves.
 	Lo, Hi float64
 	// TimeTerms lists the polynomial time terms used by the query;
 	// empty means the single identity term t.
@@ -108,16 +107,12 @@ var (
 	errNoScans      = errors.New("query: no scans to sweep")
 )
 
-// windowEnd resolves the unset-horizon sentinel (0 means +Inf) and
-// rejects an empty or inverted window.
-func windowEnd(lo, hi float64) (float64, error) {
-	if hi == 0 { //modlint:allow floatcmp -- unset-config sentinel: zero horizon means unbounded
-		hi = math.Inf(1)
-	}
+// checkWindow rejects an empty or inverted window.
+func checkWindow(lo, hi float64) error {
 	if !(lo < hi) {
-		return 0, fmt.Errorf("%w: [%g,%g]", ErrBadWindow, lo, hi)
+		return fmt.Errorf("%w: [%g,%g]", ErrBadWindow, lo, hi)
 	}
-	return hi, nil
+	return nil
 }
 
 // inWindow reports whether tr's lifetime overlaps the window (lo, hi).
@@ -130,8 +125,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.F == nil {
 		return nil, errNilGDistance
 	}
-	hi, err := windowEnd(cfg.Lo, cfg.Hi)
-	if err != nil {
+	if err := checkWindow(cfg.Lo, cfg.Hi); err != nil {
 		return nil, err
 	}
 	terms := cfg.TimeTerms
@@ -141,14 +135,14 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{
 		f:      cfg.F,
 		lo:     cfg.Lo,
-		hi:     hi,
+		hi:     cfg.Hi,
 		terms:  terms,
 		trajs:  make(map[mod.OID]trajectory.Trajectory),
 		consts: make(map[float64]uint64),
 	}
 	e.sw = core.NewSweeper(core.Config{
 		Start:    cfg.Lo,
-		Horizon:  hi,
+		Horizon:  cfg.Hi,
 		Queue:    cfg.Queue,
 		Audit:    cfg.Audit,
 		OnChange: e.fanout,

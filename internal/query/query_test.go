@@ -66,28 +66,34 @@ func TestKNNSimpleCrossover(t *testing.T) {
 }
 
 func TestKNNWithObjectChurn(t *testing.T) {
-	// Creations and terminations inside the window.
-	db := mod.NewDB(1, -1)
-	must(t, db.Apply(mod.New(1, 0, geom.Of(0), geom.Of(5))))
-	must(t, db.Apply(mod.New(2, 3, geom.Of(0), geom.Of(2)))) // closer, appears at 3
-	must(t, db.Apply(mod.Terminate(2, 6)))                   // disappears at 6
-	knn := NewKNN(1)
-	_, err := RunPast(db, originSq(), 0, 10, knn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans := knn.Answer()
-	iv1 := ans.Intervals(1)
-	// o1 is 1-NN on [0,3] and [6,10].
-	if len(iv1) != 2 {
-		t.Fatalf("o1 intervals %v", iv1)
-	}
-	if math.Abs(iv1[0].Hi-3) > 1e-9 || math.Abs(iv1[1].Lo-6) > 1e-9 {
-		t.Errorf("o1 intervals %v, want [0,3] [6,10]", iv1)
-	}
-	iv2 := ans.Intervals(2)
-	if len(iv2) != 1 || math.Abs(iv2[0].Lo-3) > 1e-9 || math.Abs(iv2[0].Hi-6) > 1e-9 {
-		t.Errorf("o2 intervals %v, want [3,6]", iv2)
+	// Creations and terminations inside the window. Each row plays the
+	// same scene shifted in time; the second one's window ends at 0,
+	// which is a time like any other.
+	for _, shift := range []float64{0, -10} {
+		at := func(t float64) float64 { return t + shift }
+		db := mod.NewDB(1, at(-1))
+		must(t, db.Apply(mod.New(1, at(0), geom.Of(0), geom.Of(5))))
+		must(t, db.Apply(mod.New(2, at(3), geom.Of(0), geom.Of(2)))) // closer, appears at 3
+		must(t, db.Apply(mod.Terminate(2, at(6))))                   // disappears at 6
+		knn := NewKNN(1)
+		_, err := RunPast(db, originSq(), at(0), at(10), knn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans := knn.Answer()
+		iv1 := ans.Intervals(1)
+		// o1 is 1-NN on [0,3] and [6,10].
+		if len(iv1) != 2 {
+			t.Fatalf("shift %g: o1 intervals %v", shift, iv1)
+		}
+		if math.Abs(iv1[0].Lo-at(0)) > 1e-9 || math.Abs(iv1[0].Hi-at(3)) > 1e-9 ||
+			math.Abs(iv1[1].Lo-at(6)) > 1e-9 || math.Abs(iv1[1].Hi-at(10)) > 1e-9 {
+			t.Errorf("shift %g: o1 intervals %v, want [0,3] [6,10] shifted", shift, iv1)
+		}
+		iv2 := ans.Intervals(2)
+		if len(iv2) != 1 || math.Abs(iv2[0].Lo-at(3)) > 1e-9 || math.Abs(iv2[0].Hi-at(6)) > 1e-9 {
+			t.Errorf("shift %g: o2 intervals %v, want [3,6] shifted", shift, iv2)
+		}
 	}
 }
 

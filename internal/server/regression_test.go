@@ -28,7 +28,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/shard"
 	"repro/internal/sub"
-	"repro/internal/trajectory"
 )
 
 // stubBackend lets a test script the query results (answer set, sweep
@@ -45,19 +44,14 @@ type stubBackend struct {
 	subReg  *sub.Registry
 }
 
-func (b *stubBackend) Dim() int                 { return 2 }
-func (b *stubBackend) Tau() float64             { return b.liveTau }
-func (b *stubBackend) Len() int                 { return 1 }
-func (b *stubBackend) Objects() []mod.OID       { return []mod.OID{1} }
-func (b *stubBackend) LiveAt(float64) []mod.OID { return []mod.OID{1} }
-func (b *stubBackend) Traj(mod.OID) (trajectory.Trajectory, error) {
-	return trajectory.Trajectory{}, nil
+func (b *stubBackend) Tau() float64 { return b.liveTau }
+func (b *stubBackend) Snapshots() []*mod.Snap {
+	return []*mod.Snap{mod.NewDB(2, b.liveTau).EpochSnapshot()}
 }
 func (b *stubBackend) Apply(mod.Update) error { return b.updErr }
 func (b *stubBackend) ApplyBatch(us []mod.Update) (int, error) {
 	return len(us), b.updErr
 }
-func (b *stubBackend) Snapshot() *mod.DB { return mod.NewDB(2, b.liveTau) }
 func (b *stubBackend) KNN(gdist.GDistance, int, float64, float64) (*query.AnswerSet, core.Stats, float64, error) {
 	return b.ans, b.stats, b.ansTau, nil
 }

@@ -9,6 +9,9 @@
 // hash-partitioned sharded engine with fan-out query execution
 // (shard.FromDB, selected by cmd/modserve's -shards flag). Answers are
 // identical either way; see internal/shard for the merge arguments.
+// Every GET endpoint reads one Backend.Snapshots() set (one immutable
+// epoch snapshot per shard), so its fields describe one state even while
+// writes land; GET /snapshot encodes their mod.Union.
 //
 // Endpoints:
 //
@@ -28,7 +31,7 @@
 //	                              of point? ("vmax" is the default speed bound
 //	                              for objects without a declared one; omit it
 //	                              to require declarations.)
-//	GET  /snapshot                full JSON snapshot (mod.SaveJSON format);
+//	GET  /snapshot                full JSON snapshot (mod.Snap.SaveJSON format);
 //	                              ?format=binary for the compact binary snapshot
 //	GET  /metrics                 Prometheus exposition (with Options.Metrics)
 //	POST /watch/knn               SSE delta stream of a continuing k-NN query
@@ -48,6 +51,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -65,25 +69,26 @@ import (
 // Backend is the storage-and-query engine the HTTP layer serves. The
 // canonical implementation is shard.Engine, which covers both the
 // unsharded case (one shard adopting a mod.DB) and hash-partitioned
-// parallel fan-out (-shards P in cmd/modserve). Keeping the handlers
+// parallel fan-out (-shards P in cmd/modserve); durable.Engine is the
+// same engine with a journal behind every write. Keeping the handlers
 // behind this interface is what lets later scaling work (batching,
 // replication, alternative backends) slot in without touching the
 // network layer.
 type Backend interface {
-	Dim() int
+	// Tau is the live aggregate last-update time, which a write's
+	// acknowledgement reports.
 	Tau() float64
-	Len() int
-	Objects() []mod.OID
-	LiveAt(t float64) []mod.OID
-	Traj(o mod.OID) (trajectory.Trajectory, error)
+	// Snapshots returns one immutable epoch snapshot per shard, taken
+	// together: the single view every GET endpoint reads, so a response
+	// never mixes states from before and after a concurrent write. The
+	// set is never empty and the shards' object sets are disjoint.
+	Snapshots() []*mod.Snap
 	Apply(u mod.Update) error
 	// ApplyBatch ingests a batch in one backend round trip (grouped by
 	// shard and applied in parallel by sharded backends). It returns
 	// how many updates were applied; on error the applied count is the
 	// durable prefix per shard, not a rollback.
 	ApplyBatch(us []mod.Update) (int, error)
-	// Snapshot returns a consistent unsharded copy of the full state.
-	Snapshot() *mod.DB
 	// KNN and Within evaluate the two built-in past/continuing queries
 	// over [lo, hi] (fanned out across shards by sharded backends).
 	// Besides the answer and the sweep work, they return the tau of the
@@ -133,6 +138,7 @@ type Options struct {
 // so a long query never blocks the update path.
 type Server struct {
 	be      Backend
+	dim     int // the backend's spatial dimension, which never changes
 	mux     *http.ServeMux
 	handler http.Handler // mux, wrapped with instrumentation when enabled
 	log     *log.Logger
@@ -153,7 +159,7 @@ func New(be Backend, logger *log.Logger) *Server {
 // NewWithOptions builds a server with observability options.
 func NewWithOptions(be Backend, opts Options) *Server {
 	s := &Server{
-		be: be, mux: http.NewServeMux(), log: opts.Logger,
+		be: be, dim: be.Snapshots()[0].Dim(), mux: http.NewServeMux(), log: opts.Logger,
 		routes:    make(map[string]bool),
 		slowQuery: opts.SlowQueryThreshold,
 		heartbeat: opts.WatchHeartbeat,
@@ -268,27 +274,40 @@ func finiteVec(name string, v []float64) error {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	snaps := s.be.Snapshots()
+	n := 0
+	for _, sn := range snaps {
+		n += sn.Len()
+	}
 	s.ok(w, map[string]interface{}{
 		"status":  "ok",
-		"dim":     s.be.Dim(),
-		"tau":     s.be.Tau(),
-		"objects": s.be.Len(),
+		"dim":     s.dim,
+		"tau":     mod.MaxTau(snaps),
+		"objects": n,
 	})
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
-	oids := s.be.Objects()
-	tau := s.be.Tau()
-	// "live" counts the objects that can still be updated. LiveAt is
-	// closed at a trajectory's end, so at tau itself it would still list
-	// an object terminated by the very last update; just past tau only
-	// the unterminated remain (every recorded end is <= tau).
-	live := s.be.LiveAt(math.Nextafter(tau, math.Inf(1)))
+	// One snapshot set answers all three fields, so the live count is
+	// the number of listed objects that can still be updated: the
+	// unterminated ones (every recorded end is <= tau).
+	snaps := s.be.Snapshots()
+	var oids []mod.OID
+	live := 0
+	for _, sn := range snaps {
+		for o, tr := range sn.Trajectories() {
+			oids = append(oids, o)
+			if !tr.IsTerminated() {
+				live++
+			}
+		}
+	}
+	slices.Sort(oids)
 	out := struct {
 		Tau     float64   `json:"tau"`
 		Objects []mod.OID `json:"objects"`
 		Live    int       `json:"live"`
-	}{Tau: tau, Objects: oids, Live: len(live)}
+	}{Tau: mod.MaxTau(snaps), Objects: oids, Live: live}
 	s.ok(w, out)
 }
 
@@ -308,7 +327,12 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	tr, err := s.be.Traj(oid)
+	var tr trajectory.Trajectory
+	for _, sn := range s.be.Snapshots() {
+		if tr, err = sn.Traj(oid); err == nil {
+			break
+		}
+	}
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err)
 		return
@@ -432,9 +456,9 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
 		return
 	}
-	if len(req.Point) != s.be.Dim() {
+	if len(req.Point) != s.dim {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.be.Dim()))
+			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
 		return
 	}
 	for _, err := range []error{finite("lo", req.Lo), finite("hi", req.Hi), finiteVec("point", req.Point)} {
@@ -474,9 +498,9 @@ func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
 		return
 	}
-	if len(req.Point) != s.be.Dim() {
+	if len(req.Point) != s.dim {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.be.Dim()))
+			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
 		return
 	}
 	if req.Radius < 0 {
@@ -592,9 +616,9 @@ func (s *Server) handlePossiblyWithin(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
 		return
 	}
-	if len(req.Point) != s.be.Dim() {
+	if len(req.Point) != s.dim {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.be.Dim()))
+			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
 		return
 	}
 	if req.Radius < 0 {
@@ -629,15 +653,17 @@ func (s *Server) handlePossiblyWithin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "binary" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := s.be.Snapshot().SaveBinary(w); err != nil && s.log != nil {
-			s.log.Printf("snapshot: %v", err)
-		}
+	snap, err := mod.Union(s.be.Snapshots()...)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.be.Snapshot().SaveJSON(w); err != nil && s.log != nil {
+	save, ct := snap.SaveJSON, "application/json"
+	if r.URL.Query().Get("format") == "binary" {
+		save, ct = snap.SaveBinary, "application/octet-stream"
+	}
+	w.Header().Set("Content-Type", ct)
+	if err := save(w); err != nil && s.log != nil {
 		s.log.Printf("snapshot: %v", err)
 	}
 }

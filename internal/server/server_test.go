@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *mod.DB) {
@@ -242,6 +245,122 @@ func TestSnapshotEndpointRoundTrips(t *testing.T) {
 	if back.Len() != db.Len() || back.Tau() != db.Tau() {
 		t.Errorf("snapshot round trip: len %d/%d tau %g/%g",
 			back.Len(), db.Len(), back.Tau(), db.Tau())
+	}
+}
+
+// TestSnapshotEndpointIsTheEnginesSnapshot: both encodings of GET
+// /snapshot are byte for byte what the engine's merged copy writes, at
+// one shard and at four, over a population with declared speed bounds
+// and terminated objects.
+func TestSnapshotEndpointIsTheEnginesSnapshot(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		db, err := workload.RandomMovers(workload.Config{Seed: 7, N: 40, Turns: 2, TurnHorizon: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := shard.FromDB(db, shard.Config{Shards: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o := mod.OID(1); o <= 40; o += 3 {
+			if err := eng.Apply(mod.Bound(o, 20+float64(o), 12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for o := mod.OID(2); o <= 40; o += 5 {
+			if err := eng.Apply(mod.Terminate(o, 70+float64(o))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(New(eng, nil))
+		for _, c := range []struct {
+			query string
+			save  func(*mod.DB, io.Writer) error
+		}{
+			{"", (*mod.DB).SaveJSON},
+			{"?format=binary", (*mod.DB).SaveBinary},
+		} {
+			resp, err := http.Get(ts.URL + "/snapshot" + c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("P=%d GET /snapshot%s: code %d, %v", p, c.query, resp.StatusCode, err)
+			}
+			var want bytes.Buffer
+			if err := c.save(eng.Snapshot(), &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("P=%d GET /snapshot%s: %d bytes differ from the engine snapshot's %d", p, c.query, len(got), want.Len())
+			}
+		}
+		ts.Close()
+	}
+}
+
+// writeOnTau is a backend that lands one update the first time its live
+// Tau() is read: a write arriving between two reads of one request.
+type writeOnTau struct {
+	*shard.Engine
+	once sync.Once
+	u    mod.Update
+	err  error // of the write, readable once once.Do has returned
+}
+
+func (b *writeOnTau) Tau() float64 {
+	b.once.Do(func() { b.err = b.Engine.Apply(b.u) })
+	return b.Engine.Tau()
+}
+
+// TestObjectsIsOneView: the list, tau and live count of GET /objects
+// describe one state, even when a write lands while the request reads.
+func TestObjectsIsOneView(t *testing.T) {
+	eng, err := shard.New(shard.Config{Shards: 2, Dim: 2, Tau0: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyAll(
+		mod.New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),
+		mod.New(2, 1, geom.Of(0, 1), geom.Of(5, 5)),
+		mod.New(3, 2, geom.Of(-1, 0), geom.Of(9, 9)),
+		mod.Terminate(2, 3),
+	); err != nil {
+		t.Fatal(err)
+	}
+	terminated := map[uint64]bool{2: true}
+	be := &writeOnTau{Engine: eng, u: mod.New(4, 4, geom.Of(0, 0), geom.Of(1, 1))}
+	ts := httptest.NewServer(New(be, nil))
+	defer ts.Close()
+	var objs struct {
+		Tau     float64  `json:"tau"`
+		Objects []uint64 `json:"objects"`
+		Live    int      `json:"live"`
+	}
+	if code := getJSON(t, ts.URL+"/objects", &objs); code != 200 {
+		t.Fatalf("objects code %d", code)
+	}
+	be.once.Do(func() {})
+	if be.err != nil {
+		t.Fatalf("the write between reads failed: %v", be.err)
+	}
+	unterminated := 0
+	for _, o := range objs.Objects {
+		if !terminated[o] {
+			unterminated++
+		}
+	}
+	if objs.Live != unterminated {
+		t.Errorf("objects = %+v: live %d, but %d listed objects are unterminated", objs, objs.Live, unterminated)
+	}
+	wantTau := 3.0 // the last update among objects 1-3
+	if len(objs.Objects) == 4 {
+		wantTau = 4
+	}
+	if objs.Tau != wantTau {
+		t.Errorf("objects = %+v: tau %g, want %g for the listed objects", objs, objs.Tau, wantTau)
 	}
 }
 

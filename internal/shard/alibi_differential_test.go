@@ -18,7 +18,7 @@ package shard
 // A divergence is shrunk by truncating the update tail and printed with
 // its seed for replay.
 //
-// MOD_ALIBI_SCENARIOS overrides the scenario count (CI runs 1000; each
+// MOD_SCENARIOS overrides the scenario count (CI runs 1000; each
 // scenario asks several alibi pairs and one possibly-within query at
 // P=1 and P=4).
 
@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
-	"strconv"
 	"testing"
 
 	"repro/internal/bead"
@@ -254,14 +252,7 @@ func runAlibiScenario(sc alibiScenario, ps []int) (string, int, error) {
 }
 
 func TestDifferentialAlibiVsOracle(t *testing.T) {
-	scenarios := 60
-	if s := os.Getenv("MOD_ALIBI_SCENARIOS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("MOD_ALIBI_SCENARIOS=%q: %v", s, err)
-		}
-		scenarios = n
-	}
+	scenarios := scenarioCount(t, 60)
 	ps := []int{1, 4}
 	const baseSeed = 173000
 	failures, skipped, checks := 0, 0, 0

@@ -89,7 +89,7 @@ func TestBeadMetricsRecorded(t *testing.T) {
 	if _, _, err := eng.PossiblyWithin(geom.Of(5000, 5000), 1, 0, 50, 2); err != nil {
 		t.Fatal(err)
 	}
-	objs := eng.Objects()
+	objs := eng.Snapshot().Objects()
 	if _, _, err := eng.Alibi(objs[0], objs[1], 0, 50, 2); err != nil {
 		t.Fatal(err)
 	}

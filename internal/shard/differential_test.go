@@ -11,7 +11,7 @@ package shard
 // semantics; a disagreement is shrunk (by truncating the update tail)
 // to a minimal failing stream and printed with its seed for replay.
 //
-// MOD_DIFF_SCENARIOS overrides the scenario count (CI runs 1000; each
+// MOD_SCENARIOS overrides the scenario count (CI runs 1000; each
 // scenario is checked at P=1 and P=4, so CI covers 2000 engine-vs-
 // oracle sweeps per query kind).
 
@@ -184,15 +184,23 @@ func runDiffScenario(sc diffScenario, ps []int) (string, error) {
 	return "", nil
 }
 
-func TestDifferentialSweepVsOracle(t *testing.T) {
-	scenarios := 60
-	if s := os.Getenv("MOD_DIFF_SCENARIOS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("MOD_DIFF_SCENARIOS=%q: %v", s, err)
-		}
-		scenarios = n
+// scenarioCount is the number of scenarios a differential runs: def, or
+// MOD_SCENARIOS when it is set (CI sets it per differential).
+func scenarioCount(t *testing.T, def int) int {
+	t.Helper()
+	s := os.Getenv("MOD_SCENARIOS")
+	if s == "" {
+		return def
 	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		t.Fatalf("MOD_SCENARIOS=%q: %v", s, err)
+	}
+	return n
+}
+
+func TestDifferentialSweepVsOracle(t *testing.T) {
+	scenarios := scenarioCount(t, 60)
 	ps := []int{1, 4}
 	const baseSeed = 94000
 	failures := 0

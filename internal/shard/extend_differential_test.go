@@ -16,15 +16,13 @@ package shard
 // and per shard the index's answers, BeadStats, every object's TrackOf
 // samples and speed bound, and every error.
 //
-// MOD_EXTEND_SCENARIOS overrides the scenario count (CI runs 300 under
+// MOD_SCENARIOS overrides the scenario count (CI runs 300 under
 // the race detector).
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/bead"
@@ -204,14 +202,7 @@ func runExtendScenario(seed int64, p int) (string, int, error) {
 }
 
 func TestDifferentialExtendedVsRebuiltIndex(t *testing.T) {
-	scenarios := 40
-	if s := os.Getenv("MOD_EXTEND_SCENARIOS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("MOD_EXTEND_SCENARIOS=%q: %v", s, err)
-		}
-		scenarios = n
-	}
+	scenarios := scenarioCount(t, 40)
 	const baseSeed = 190000
 	queries := 0
 	for i := 0; i < scenarios; i++ {

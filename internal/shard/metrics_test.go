@@ -27,11 +27,11 @@ func TestInstrumentRecordsEngineWork(t *testing.T) {
 	eng.Instrument(reg)
 
 	tau := eng.Tau()
-	if err := eng.Apply(mod.ChDir(eng.Objects()[0], tau+1, []float64{1, 0})); err != nil {
+	if err := eng.Apply(mod.ChDir(eng.Snapshot().Objects()[0], tau+1, []float64{1, 0})); err != nil {
 		t.Fatal(err)
 	}
 	// A rejected update counts as an error, not an update.
-	if err := eng.Apply(mod.ChDir(eng.Objects()[0], tau, []float64{1, 0})); err == nil {
+	if err := eng.Apply(mod.ChDir(eng.Snapshot().Objects()[0], tau, []float64{1, 0})); err == nil {
 		t.Fatal("stale update should fail")
 	}
 
@@ -76,7 +76,7 @@ func TestUninstrumentedEngineRecordsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Apply(mod.ChDir(eng.Objects()[0], eng.Tau()+1, []float64{1, 0})); err != nil {
+	if err := eng.Apply(mod.ChDir(eng.Snapshot().Objects()[0], eng.Tau()+1, []float64{1, 0})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := eng.KNN(gdist.PointSq{Point: []float64{0, 0}}, 2, 0, 10); err != nil {

@@ -28,7 +28,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -276,34 +275,9 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Objects returns all OIDs across shards in ascending order.
-func (e *Engine) Objects() []mod.OID {
-	var out []mod.OID
-	for _, db := range e.shards {
-		out = append(out, db.Objects()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// LiveAt returns the OIDs live at time t across shards, ascending.
-func (e *Engine) LiveAt(t float64) []mod.OID {
-	var out []mod.OID
-	for _, db := range e.shards {
-		out = append(out, db.LiveAt(t)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Traj returns the trajectory of o from its shard.
 func (e *Engine) Traj(o mod.OID) (trajectory.Trajectory, error) {
 	return e.shards[e.ShardOf(o)].Traj(o)
-}
-
-// Contains reports whether o exists.
-func (e *Engine) Contains(o mod.OID) bool {
-	return e.shards[e.ShardOf(o)].Contains(o)
 }
 
 // Snapshot composes a single unsharded copy of the whole database:

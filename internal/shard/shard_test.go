@@ -86,8 +86,8 @@ func TestApplyRoutesToOwningShard(t *testing.T) {
 			t.Fatalf("shard %d Contains(%s) = %v, want %v", i, o, got, want)
 		}
 	}
-	if !eng.Contains(o) {
-		t.Fatal("engine does not contain applied object")
+	if _, err := eng.Traj(o); err != nil {
+		t.Fatalf("engine does not hold the applied object: %v", err)
 	}
 	// Chronology is enforced by the owning shard.
 	err = eng.Apply(mod.ChDir(o, -5, geom.Of(0, 1)))
@@ -106,20 +106,17 @@ func TestAggregatesComposePerShardState(t *testing.T) {
 	if got, want := eng.Tau(), db.Tau(); got != want {
 		t.Fatalf("Tau = %g, want %g", got, want)
 	}
-	if got, want := len(eng.Objects()), db.Len(); got != want {
+	objs := eng.Snapshot().Objects()
+	if got, want := len(objs), db.Len(); got != want {
 		t.Fatalf("Objects count = %d, want %d", got, want)
 	}
-	for i, o := range eng.Objects() {
+	for i, o := range objs {
 		if want := db.Objects()[i]; o != want {
 			t.Fatalf("Objects[%d] = %s, want %s", i, o, want)
 		}
 	}
-	gotLive, wantLive := eng.LiveAt(1), db.LiveAt(1)
-	if len(gotLive) != len(wantLive) {
-		t.Fatalf("LiveAt(1): %d objects, want %d", len(gotLive), len(wantLive))
-	}
 	// An update advances the aggregate tau past every shard's.
-	if err := eng.Apply(mod.ChDir(eng.Objects()[0], eng.Tau()+5, geom.Of(1, 1))); err != nil {
+	if err := eng.Apply(mod.ChDir(objs[0], eng.Tau()+5, geom.Of(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := eng.Tau(), db.Tau()+5; got != want {

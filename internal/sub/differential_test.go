@@ -17,7 +17,7 @@ package sub_test
 // 0 and ties with the pool's sentinel), and k above the live
 // population.
 //
-// MOD_SUB_SCENARIOS overrides the per-family scenario count (CI runs 500
+// MOD_SCENARIOS overrides the per-family scenario count (CI runs 500
 // under -race; each scenario runs at P=1 and P=4).
 
 import (
@@ -365,10 +365,10 @@ func runSubScenario(sc subScenario, p int) (string, error) {
 
 func TestDifferentialSubscriptionsVsOracle(t *testing.T) {
 	scenarios := 80
-	if s := os.Getenv("MOD_SUB_SCENARIOS"); s != "" {
+	if s := os.Getenv("MOD_SCENARIOS"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
-			t.Fatalf("MOD_SUB_SCENARIOS=%q: %v", s, err)
+			t.Fatalf("MOD_SCENARIOS=%q: %v", s, err)
 		}
 		scenarios = n
 	}
