@@ -358,10 +358,15 @@ func (tr *Track) ChainBoxes(from int) []SegBox {
 // Cap is a live track's trailing bead: from time T on, the object can
 // be anywhere within V·(t−T) of C. Its space-time extent is unbounded,
 // so the broad phase keeps caps out of the box index and tests them in
-// closed form instead: the cap can reach a query ball (center q, radius
-// dist) within [lo, hi] only if hi ≥ T and ‖q−C‖ ≤ dist + V·(hi−T),
-// up to the same conservative margins the boxes carry. A Cap is made by
-// Track.Cap, which works out the magnitude of C its margin needs once.
+// closed form instead (Within): the cap can reach a query ball (center
+// q, radius dist) within [lo, hi] only if hi ≥ T and
+// ‖q−C‖ ≤ dist + V·(hi−T), up to the same conservative margins the
+// boxes carry. When the cap is the only bead of its track that meets
+// the window (T < lo), it can often answer the whole possibly-within
+// question as well — the instant the growing ball first touches the
+// query ball is one division — and Within does, with the kernel's
+// bits. A Cap is made by Track.Cap, which works out the magnitude of C
+// its margin needs once.
 type Cap struct {
 	T    float64
 	C    geom.Vec
@@ -385,18 +390,127 @@ func (tr *Track) Cap() (Cap, bool) {
 // scale.
 func Pad(scale float64) float64 { return boxPad(scale) }
 
-// Reaches reports whether the cap could place its object within dist of
-// q at some instant of [lo, hi], conservatively (false is a proof, true
-// means "run the kernel"). The cap's reachable set at time t is the
-// ball of radius V·(t−T) around C, largest at t = hi; before T the
-// object is covered by the chain boxes instead, and a window entirely
-// before T cannot see the cap. qpad is the query side's inflation,
-// Pad(max_k |q_k| + dist): a query testing every cap works it out once.
-func (c Cap) Reaches(q geom.Vec, dist, qpad, lo, hi float64) bool {
+// reaches reports whether the cap could place its object within dist of
+// a point d = ‖q − C‖ away at some instant of a window ending at hi,
+// conservatively (false is a proof, true means "ask further"). The
+// cap's reachable set at time t is the ball of radius V·(t−T) around
+// C, largest at t = hi; before T the object is covered by the chain
+// boxes instead, and a window entirely before T cannot see the cap.
+// qpad is the query side's inflation, Pad(max_k |q_k| + dist): a query
+// testing every cap works it out once.
+func (c Cap) reaches(d, dist, qpad, hi float64) bool {
 	if hi < c.T {
 		return false
 	}
 	grow := c.V * (hi - c.T)
-	margin := Pad(c.cmag+grow) + qpad
-	return q.Dist(c.C) <= dist+grow+margin
+	// The kernel works the radius out as V·t − V·T, and the rounding of
+	// those two products grows with V·|t| and V·|T|, not with the
+	// radius: at t and T near 1e12 it outgrows both pads. The last term
+	// covers it; every t the kernel asks lies between T and hi.
+	margin := Pad(c.cmag+grow) + qpad + 0x1p-48*c.V*(math.Abs(hi)+math.Abs(c.T))
+	return d <= dist+grow+margin
+}
+
+// CapQuery is a possibly-within question — within dist of q during
+// [lo, hi] — as a broad phase puts it to every live cap (Cap.Within),
+// with what the query side contributes to each test worked out once.
+// It is made by NewCapQuery, for a question Within(dim, q, dist, lo, hi)
+// has accepted.
+type CapQuery struct {
+	q            geom.Vec
+	dist, lo, hi float64
+	pad          float64 // Pad(maxAbs(q) + dist), reaches' qpad
+	scale        float64 // consScale of the query ball, as the kernel walk has it
+}
+
+// NewCapQuery returns the question "within dist of q during [lo, hi]"
+// for Cap.Within. It checks nothing: the question must be one
+// Within(dim, q, dist, lo, hi) accepts.
+func NewCapQuery(q geom.Vec, dist, lo, hi float64) CapQuery {
+	qcons := [1]ball{{c: q, ra: 0, rb: dist}}
+	return CapQuery{q: q, dist: dist, lo: lo, hi: hi,
+		pad: Pad(maxAbs(q) + dist), scale: consScale(qcons[:], lo, hi)}
+}
+
+// CapVerdict is what Cap.Within found out about a cap.
+type CapVerdict uint8
+
+const (
+	// CapMiss: the cap cannot reach the query ball within the window.
+	// It makes no candidate of its object.
+	CapMiss CapVerdict = iota
+	// CapKernel: the object needs the kernel walk of its track. Either
+	// a chain bead meets the window too (T ≥ lo), or the answer lies
+	// too close to a tolerance boundary of the kernel, or the
+	// magnitudes are too large, for the closed form to vouch for its
+	// bits.
+	CapKernel
+	// CapPruned: the cap is the object's only bead in the window, and
+	// the kernel walk's pre-test rejects that window: no instant.
+	CapPruned
+	// CapDecided: the cap is the object's only bead in the window, and
+	// the returned interval is the one the kernel walk finds, bit for
+	// bit.
+	CapDecided
+)
+
+// Within answers cq for this cap's object where that needs no kernel.
+// When the last sample comes before the window (T < lo), the walk of
+// Track.within meets one window, [lo, hi], and hands it two balls: the
+// cap, radius V·(t − T) around C, and the query ball, radius r around
+// q, d = ‖q − C‖ apart. Within repeats that walk's arithmetic on them:
+//
+//   - the window's scale, eps and pruneMargin·scale, from the same
+//     balls through the same consScale;
+//   - disjoint's cross-pair test, whose verdict is CapPruned;
+//   - d + margin ≤ r + rad(lo): both window ends are feasible, and
+//     interval returns the window itself;
+//   - r + rad(lo) + margin < d < r + rad(hi) − margin: lo is
+//     infeasible and hi feasible, and the first feasible candidate of
+//     interval's scan is the external tangency r + rad(t) = d, which
+//     interval appends as −((rb + r) − d)/V, rb = −V·T. Every candidate
+//     before it lies at or below lo, every midpoint before it misses
+//     by half the margin, and at the root itself the two balls touch
+//     up to rounding far below eps — which feasibleAt accepts.
+//
+// Everything else goes to the kernel (CapKernel): the margin band
+// around either case's boundary, where the kernel's own rounding
+// decides; a window end at ±0, which interval sorts by sign; V ≤ 1e-300,
+// which has no tangency root; and magnitudes whose rounding could
+// approach eps — V·|T| or V·|hi| above 2^40·eps, or a scale past 1e300.
+func (c Cap) Within(cq *CapQuery) (Interval, CapVerdict) {
+	d := cq.q.Dist(c.C)
+	if !c.reaches(d, cq.dist, cq.pad, cq.hi) {
+		return Interval{}, CapMiss
+	}
+	if !(c.T < cq.lo) {
+		return Interval{}, CapKernel
+	}
+	// The window of the walk: w0 = max(T, lo) and w1 = min(+Inf, hi).
+	w0, w1 := cq.lo, cq.hi
+	cb := [1]ball{{c: c.C, ra: c.V, rb: -c.V * c.T}} // Track.grow's cap ball
+	scale := math.Max(consScale(cb[:], w0, w1), cq.scale)
+	eps := relEps * scale
+	margin := pruneMargin * scale
+	// disjoint: the query ball's radius is dist at every instant.
+	r0, r1 := cb[0].rad(w0), cb[0].rad(w1)
+	reach, rq := math.Max(r0, r1), cq.dist
+	if reach < -margin || d > math.Max(0, reach)+math.Max(0, rq)+margin {
+		return Interval{}, CapPruned
+	}
+	//modlint:allow floatcmp -- exact: only zero has two encodings
+	if w0 == 0 || w1 == 0 || !(c.V > 1e-300) || !(scale < 1e300) ||
+		!(c.V*math.Max(math.Abs(c.T), math.Abs(w1)) <= 0x1p40*eps) {
+		return Interval{}, CapKernel
+	}
+	switch {
+	case d+margin <= rq+r0:
+		return Interval{Lo: w0, Hi: w1}, CapDecided
+	case rq+r0+margin < d && d < rq+r1-margin:
+		// appendLinearRoot of the pair's external tangency: its slope
+		// is V + 0 = V.
+		b := cb[0].rb + rq - d
+		return Interval{Lo: -b / c.V, Hi: w1}, CapDecided
+	}
+	return Interval{}, CapKernel
 }

@@ -5,7 +5,7 @@ package bead
 // one-directional — a box or cap MISS must be a proof the kernel would
 // reject the window too. The tests sample feasible space-time points
 // straight from the bead constraints and require the boxes to contain
-// every one of them, and cross-check Cap.Reaches against the exact
+// every one of them, and cross-check Cap.reaches against the exact
 // PossiblyWithin decision (never "kernel says yes, cap says no").
 
 import (
@@ -119,7 +119,7 @@ func TestCapReachesConservative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: PossiblyWithin: %v", trial, err)
 		}
-		if cap0.Reaches(q, dist, queryPad(q, dist), lo, hi) {
+		if cap0.reaches(q.Dist(cap0.C), dist, queryPad(q, dist), hi) {
 			kept++
 		} else {
 			pruned++
@@ -134,15 +134,15 @@ func TestCapReachesConservative(t *testing.T) {
 	}
 	// Window entirely before the cap opens: nothing to reach.
 	far, _ := mustTrack(t, 100, true, s(5, 0, 0)).Cap()
-	if far.Reaches(geom.Of(0, 0), 1, queryPad(geom.Of(0, 0), 1), 0, 4) {
+	if far.reaches(far.C.Dist(geom.Of(0, 0)), 1, queryPad(geom.Of(0, 0), 1), 4) {
 		t.Fatal("cap reaches a window that ends before it starts")
 	}
 }
 
-// queryPad is the query-side inflation Cap.Reaches is handed.
+// queryPad is the query-side inflation Cap.reaches is handed.
 func queryPad(q geom.Vec, dist float64) float64 { return Pad(maxAbs(q) + dist) }
 
-// TestCapReachesIsTheExpression holds Cap.Reaches, whose magnitudes are
+// TestCapReachesIsTheExpression holds Cap.reaches, whose magnitudes are
 // worked out once per cap and once per query, to the expression that
 // worked both out on every call, on random caps and windows — windows
 // ending before the cap opens, at its very instant, and after it, at
@@ -153,7 +153,7 @@ func TestCapReachesIsTheExpression(t *testing.T) {
 			return false
 		}
 		reach := dist + c.V*(hi-c.T)
-		margin := Pad(maxAbs(c.C)+c.V*(hi-c.T)) + Pad(maxAbs(q)+dist)
+		margin := Pad(maxAbs(c.C)+c.V*(hi-c.T)) + Pad(maxAbs(q)+dist) + 0x1p-48*c.V*(math.Abs(hi)+math.Abs(c.T))
 		return q.Dist(c.C) <= reach+margin
 	}
 	rng := rand.New(rand.NewSource(43))
@@ -189,7 +189,7 @@ func TestCapReachesIsTheExpression(t *testing.T) {
 			q = c.C.AddScaled(at/dir.Len(), dir)
 			near++
 		}
-		got, want := c.Reaches(q, dist, queryPad(q, dist), lo, hi), expr(c, q, dist, lo, hi)
+		got, want := c.reaches(q.Dist(c.C), dist, queryPad(q, dist), hi), expr(c, q, dist, lo, hi)
 		if got != want {
 			t.Fatalf("trial %d: cap %+v q=%v dist=%g [%g, %g]: Reaches %v, expression %v", trial, c, q, dist, lo, hi, got, want)
 		}

@@ -27,11 +27,20 @@ package query
 // adds bead.Pad on its side, and the two pads together dominate the
 // kernel's boundary tolerance (see bead.SegBox). Live caps are
 // unbounded in space-time and would poison R-tree arithmetic, so they
-// live in a side list tested in closed form (bead.Cap.Reaches). A
-// missed candidate is therefore a proof the kernel would have returned
-// no intervals — the index answers are bit-identical to the scan's.
+// live in a side list, ascending by OID, tested in closed form
+// (bead.Cap.Within, whose first test is the cap's reach). A missed
+// candidate is therefore a proof the kernel would have returned no
+// intervals.
+// The cap pass also answers most cap-only objects — those whose last
+// sample comes before the window, so the cap is the one bead the
+// kernel walk would meet — outright: Cap.Within returns the interval
+// that walk would find, bit for bit, or the walk's pruning verdict, and
+// sends what it cannot vouch for to the walk like any chain candidate.
+// Its answers come out in OID order and merge with the kernel path's.
+// The index answers are bit-identical to the scan's.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -53,7 +62,6 @@ type beadEntry struct {
 	track    *bead.Track
 	err      error // track construction failed; surfaced on query
 	boxIDs   []uint64
-	capIdx   int // index into caps, -1 if none
 }
 
 // capRef ties a live cap in the side list back to its owner.
@@ -62,13 +70,22 @@ type capRef struct {
 	c bead.Cap
 }
 
+// capAnswer is the answer the cap pass decided for a cap-only object,
+// as the one-interval list the kernel walk would have produced.
+type capAnswer struct {
+	o  mod.OID
+	iv [1]bead.Interval
+}
+
 // BeadStats describes the work one broad-phase query did, for metrics.
+// Windows = Pruned + Kernel + Closed.
 type BeadStats struct {
 	Population int // objects in the snapshot
-	Candidates int // objects the broad phase passed to the kernel path
+	Candidates int // objects the broad phase could not rule out
 	Windows    int // bead windows examined across all candidates
 	Pruned     int // windows rejected by the cheap bounding-ball test
 	Kernel     int // windows that reached the closed-form kernel
+	Closed     int // cap windows the cap pass decided without the kernel
 }
 
 // BeadIndex caches bead tracks and indexes their chain boxes for one
@@ -93,8 +110,8 @@ type BeadIndex struct {
 	tree    *rtree.RectTree // dim spatial axes + one time axis
 	owner   map[uint64]mod.OID
 	nextBox uint64
-	dead    int // tombstoned boxes still physically in the tree
-	caps    []capRef
+	dead    int      // tombstoned boxes still physically in the tree
+	caps    []capRef // ascending by OID
 }
 
 // NewBeadIndex returns an index bound to db and registers an update
@@ -185,7 +202,7 @@ func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
 // pass — the first-sync path, far cheaper than n incremental inserts.
 func (ix *BeadIndex) bulkBuild(snap *mod.Snap, defaultVmax float64) {
 	var items []rtree.RectItem
-	for o := range snap.Trajectories() {
+	for _, o := range snap.Objects() { // ascending: every cap is appended
 		items = ix.addEntry(snap, o, defaultVmax, items)
 	}
 	t, err := rtree.BulkRects(items, ix.dim+1, rtree.DefaultFanout)
@@ -256,9 +273,10 @@ func (ix *BeadIndex) extendEntry(snap *mod.Snap, o mod.OID, e *beadEntry, traj t
 		ix.insert(ix.ownBox(o, e, b))
 	}
 	if c, live := tr.Cap(); live {
-		ix.caps[e.capIdx].c = c
+		i, _ := ix.capAt(o)
+		ix.caps[i].c = c
 	} else {
-		ix.dropCap(e)
+		ix.dropCap(o)
 	}
 	return true
 }
@@ -283,7 +301,7 @@ func (ix *BeadIndex) insert(it rtree.RectItem) {
 // registering ownership; bulkBuild packs the returned boxes, diffSync
 // inserts them.
 func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, items []rtree.RectItem) []rtree.RectItem {
-	e := &beadEntry{gen: snap.Gen(o), capIdx: -1}
+	e := &beadEntry{gen: snap.Gen(o)}
 	vmax, ok := snap.SpeedBound(o)
 	e.declared = ok
 	if !ok {
@@ -315,22 +333,22 @@ func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, it
 		items = append(items, ix.ownBox(o, e, b))
 	}
 	if c, ok := e.track.Cap(); ok {
-		e.capIdx = len(ix.caps)
-		ix.caps = append(ix.caps, capRef{o: o, c: c})
+		i, _ := ix.capAt(o)
+		ix.caps = slices.Insert(ix.caps, i, capRef{o: o, c: c})
 	}
 	ix.entries[o] = e
 	return items
 }
 
 // retire drops o's entry: box ownership is severed (the boxes become
-// tombstones, compacted by maybeRebuild), the cap is swap-removed, and
-// the bookkeeping counters are rolled back. Called with mu held.
+// tombstones, compacted by maybeRebuild), the cap is removed, and the
+// bookkeeping counters are rolled back. Called with mu held.
 func (ix *BeadIndex) retire(o mod.OID, e *beadEntry) {
 	for _, id := range e.boxIDs {
 		delete(ix.owner, id)
 		ix.dead++
 	}
-	ix.dropCap(e)
+	ix.dropCap(o)
 	if !e.declared {
 		ix.undeclared--
 	}
@@ -340,19 +358,17 @@ func (ix *BeadIndex) retire(o mod.OID, e *beadEntry) {
 	delete(ix.entries, o)
 }
 
-// dropCap swap-removes e's cap, if it has one, from the side list.
-func (ix *BeadIndex) dropCap(e *beadEntry) {
-	if e.capIdx < 0 {
-		return
+// capAt returns the index of o's cap in the side list, or the index it
+// would be inserted at, and whether o has one.
+func (ix *BeadIndex) capAt(o mod.OID) (int, bool) {
+	return slices.BinarySearchFunc(ix.caps, o, func(cr capRef, o mod.OID) int { return cmp.Compare(cr.o, o) })
+}
+
+// dropCap removes o's cap, if it has one, from the side list.
+func (ix *BeadIndex) dropCap(o mod.OID) {
+	if i, ok := ix.capAt(o); ok {
+		ix.caps = slices.Delete(ix.caps, i, i+1)
 	}
-	last := len(ix.caps) - 1
-	moved := ix.caps[last]
-	ix.caps[e.capIdx] = moved
-	ix.caps = ix.caps[:last]
-	if e.capIdx != last {
-		ix.entries[moved.o].capIdx = e.capIdx
-	}
-	e.capIdx = -1
 }
 
 // maybeRebuild compacts tombstoned boxes away with a fresh STR pack
@@ -379,10 +395,13 @@ func (ix *BeadIndex) maybeRebuild() {
 }
 
 // candidates returns, ascending and deduplicated, every object whose
-// bead chain or cap could intersect the ball (q, dist) during [lo, hi].
-// Called with mu held in either mode; allocates a fresh slice because
-// concurrent queries share the index.
-func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
+// bead chain or cap could intersect the ball (q, dist) during [lo, hi]
+// and whose answer needs the kernel walk, and, ascending, the answers
+// the cap pass decided in closed form for cap-only objects; st counts
+// the cap pass's objects and windows. Called with mu held in either
+// mode; allocates fresh slices because concurrent queries share the
+// index.
+func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64, st *BeadStats) ([]mod.OID, []capAnswer) {
 	qpad := bead.Pad(maxAbsVec(q) + dist)
 	pad := dist + qpad
 	rlo := make(geom.Vec, ix.dim+1)
@@ -400,13 +419,26 @@ func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64) []mod.OID {
 		}
 		return true
 	})
-	for _, cr := range ix.caps {
-		if cr.c.Reaches(q, dist, qpad, lo, hi) {
+	cq := bead.NewCapQuery(q, dist, lo, hi)
+	var closed []capAnswer
+	for i := range ix.caps {
+		cr := &ix.caps[i]
+		switch iv, v := cr.c.Within(&cq); v {
+		case bead.CapKernel:
 			out = append(out, cr.o)
+		case bead.CapPruned:
+			st.Candidates++
+			st.Windows++
+			st.Pruned++
+		case bead.CapDecided:
+			st.Candidates++
+			st.Windows++
+			st.Closed++
+			closed = append(closed, capAnswer{o: cr.o, iv: [1]bead.Interval{iv}})
 		}
 	}
 	slices.Sort(out)
-	return slices.Compact(out)
+	return slices.Compact(out), closed
 }
 
 // firstErr returns the lowest-OID cached construction error — the same
@@ -424,9 +456,10 @@ func (ix *BeadIndex) firstErr(snap *mod.Snap) error {
 // PossiblyWithin answers the possibly-within query through the broad
 // phase: identical results to query.PossiblyWithin on the same snap,
 // plus work statistics. The question is validated before the index is
-// touched (validateWithin); candidates are collected under the index
-// lock; the kernel then runs lock-free over the immutable cached
-// tracks, in ascending OID order like the scan.
+// touched (validateWithin); candidates are collected, and cap-only
+// objects decided, under the index lock; the kernel then runs lock-free
+// over the immutable cached tracks of the rest, and the two ascending
+// runs merge into the answer.
 func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, defaultVmax float64) (*AnswerSet, BeadStats, error) {
 	var st BeadStats
 	within, err := validateWithin(snap, q, dist, lo, hi, defaultVmax)
@@ -434,13 +467,14 @@ func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, de
 		return nil, st, err
 	}
 	var cands []mod.OID
+	var closed []capAnswer
 	var tracks []*bead.Track
 	ix.view(snap, defaultVmax, func() {
 		if ix.errs > 0 {
 			err = ix.firstErr(snap)
 			return
 		}
-		cands = ix.candidates(q, dist, lo, hi)
+		cands, closed = ix.candidates(q, dist, lo, hi, &st)
 		tracks = make([]*bead.Track, len(cands))
 		for i, o := range cands {
 			tracks[i] = ix.entries[o].track
@@ -450,16 +484,23 @@ func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, de
 		return nil, st, err
 	}
 	st.Population = snap.Len()
-	st.Candidates = len(cands)
-	ans := newFinishedAnswerSet(len(cands), hi)
+	st.Candidates += len(cands)
+	ans := newFinishedAnswerSet(len(cands)+len(closed), hi)
 	var ivs []bead.Interval // one candidate's at a time
+	k := 0
 	for i, o := range cands {
+		for ; k < len(closed) && closed[k].o < o; k++ {
+			ans.appendSorted(closed[k].o, closed[k].iv[:])
+		}
 		var pw bead.PWStats
 		ivs, pw = within(tracks[i], ivs[:0])
 		st.Windows += pw.Windows
 		st.Pruned += pw.Pruned
 		st.Kernel += pw.Kernel
 		ans.appendSorted(o, ivs)
+	}
+	for ; k < len(closed); k++ {
+		ans.appendSorted(closed[k].o, closed[k].iv[:])
 	}
 	return ans, st, nil
 }

@@ -214,20 +214,33 @@ func TestBeadIndexTrackOfKeepsToItsSnapshot(t *testing.T) {
 
 // BenchmarkBeadIndexPossiblyWithin is one possibly-within query on one
 // shard of 5000 movers: candidates from the box tree and the cap list,
-// the kernel walk over each, and the answer set.
+// the kernel walk over each, and the answer set. The population's last
+// samples fall in [20, 40]: over [10, 30] every candidate has chain
+// beads in the window, and over [45, 55] — after the last samples, as
+// most of uncertain-read's windows are — every candidate is cap-only.
 func BenchmarkBeadIndexPossiblyWithin(b *testing.B) {
 	db := uncertainPopulation(b, 5000)
 	ix := NewBeadIndex(db)
 	snap := db.EpochSnapshot()
 	q := geom.Of(100, -50)
-	if _, _, err := ix.PossiblyWithin(snap, q, 300, 10, 30, 15); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.PossiblyWithin(snap, q, 300, 10, 30, 15); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range []struct {
+		name           string
+		radius, lo, hi float64
+	}{
+		{"chains", 300, 10, 30},
+		{"caps", 100, 45, 55},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			if _, _, err := ix.PossiblyWithin(snap, q, w.radius, w.lo, w.hi, 15); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ix.PossiblyWithin(snap, q, w.radius, w.lo, w.hi, 15); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -316,3 +316,38 @@ func TestBroadPhaseCandidatesFollowTheQuery(t *testing.T) {
 			candidates, population, 100*share, 100*maxShare)
 	}
 }
+
+// TestCapPassAnswersCapOnlyObjects: when the window lies after every
+// object's last sample, every candidate is cap-only, and the cap pass
+// answers each of them in closed form (bead.Cap.Within): the query
+// reaches the kernel zero times and answers exactly as the scan that
+// walks every track. An index that sent caps back through the kernel
+// walk would count a kernel call per candidate.
+func TestCapPassAnswersCapOnlyObjects(t *testing.T) {
+	db := uncertainPopulation(t, 2000) // last turns by t = 40
+	ix := NewBeadIndex(db)
+	snap := db.EpochSnapshot()
+	rng := rand.New(rand.NewSource(36))
+	closed, found := 0, 0
+	for i := 0; i < 20; i++ {
+		q := geom.Of(1600*(rng.Float64()-0.5), 1600*(rng.Float64()-0.5))
+		radius, hi := 20+200*rng.Float64(), 50+20*rng.Float64()
+		lo := hi - 10
+		want, err := PossiblyWithin(snap, q, radius, lo, hi, 15)
+		must(t, err)
+		got, st, err := ix.PossiblyWithin(snap, q, radius, lo, hi, 15)
+		must(t, err)
+		if diff := answersEqual(want, got); diff != "" {
+			t.Fatalf("query %d: index diverges from the scan: %s", i, diff)
+		}
+		if st.Kernel != 0 || st.Windows != st.Closed+st.Pruned || st.Candidates != st.Windows {
+			t.Fatalf("query %d over [%g, %g]: stats %+v: cap-only candidates went to the kernel", i, lo, hi, st)
+		}
+		closed += st.Closed
+		found += len(got.Objects())
+	}
+	t.Logf("20 queries: %d windows decided in closed form, %d answers", closed, found)
+	if closed == 0 || found == 0 {
+		t.Fatalf("%d windows decided, %d answers: the queries asked nothing of the cap pass", closed, found)
+	}
+}

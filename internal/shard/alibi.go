@@ -133,6 +133,7 @@ func (e *Engine) PossiblyWithin(q geom.Vec, dist, lo, hi, defaultVmax float64) (
 		total.Windows += st.Windows
 		total.Pruned += st.Pruned
 		total.Kernel += st.Kernel
+		total.Closed += st.Closed
 	}
 	e.recordBeadPW(total, dur)
 	return ans, tau, nil

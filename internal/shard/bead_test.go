@@ -114,6 +114,51 @@ func TestBeadMetricsRecorded(t *testing.T) {
 	}
 }
 
+// TestCapWindowsDecidedMetric reads bead_cap_windows_decided_total: on
+// movers that have not turned since they were loaded at t = 0, every
+// object is cap-only for a window after it, so an instrumented engine
+// answers a possibly-within without a kernel call, and each window the
+// cap pass decided is one object of the answer.
+func TestCapWindowsDecidedMetric(t *testing.T) {
+	db, err := workload.RandomMovers(workload.Config{Seed: 7, N: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := FromDB(db, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	eng.Instrument(reg)
+	ans, _, err := eng.PossiblyWithin(geom.Of(0, 0), 300, 10, 20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	value := func(family string) string {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, family+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no %s sample in:\n%s", family, buf.String())
+		return ""
+	}
+	n := len(ans.Objects())
+	if n == 0 {
+		t.Fatal("empty answer: the query decided nothing")
+	}
+	if got, want := value("bead_cap_windows_decided_total"), fmt.Sprint(n); got != want {
+		t.Errorf("bead_cap_windows_decided_total = %s, want %s (one per answered object)", got, want)
+	}
+	if got := value("bead_kernel_invocations_total"); got != "0" {
+		t.Errorf("bead_kernel_invocations_total = %s, want 0: cap-only objects reached the kernel", got)
+	}
+}
+
 // TestPossiblyWithinValidationIgnoresData: whether a possibly-within
 // question is refused, and with which error, is a property of the
 // question alone. Before the question was validated up front the checks

@@ -41,6 +41,7 @@ type metrics struct {
 	beadCandidates *obs.Histogram    // broad-phase candidates per possibly-within
 	beadPruned     *obs.CounterVec   // work rejected before the kernel, by stage
 	beadKernel     *obs.Counter      // closed-form kernel invocations
+	beadClosed     *obs.Counter      // cap windows the cap pass decided without the kernel
 	beadSecs       *obs.HistogramVec // uncertainty query duration, by kind
 }
 
@@ -78,13 +79,15 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		beadQueries: reg.NewCounterVec("bead_queries_total",
 			"uncertainty queries answered, by kind", "kind"),
 		beadCandidates: reg.NewHistogram("bead_broadphase_candidates",
-			"objects the broad phase passed to the kernel path per possibly-within query",
+			"objects the broad phase could not rule out per possibly-within query",
 			obs.DefSizeBuckets),
 		beadPruned: reg.NewCounterVec("bead_broadphase_pruned_total",
 			"work rejected before the exact kernel: whole objects by box/cap miss, bead windows by the bounding-ball distance test",
 			"stage"),
 		beadKernel: reg.NewCounter("bead_kernel_invocations_total",
 			"closed-form feasibility kernel invocations by uncertainty queries"),
+		beadClosed: reg.NewCounter("bead_cap_windows_decided_total",
+			"possibly-within cap windows the broad phase's cap pass decided without the kernel"),
 		beadSecs: reg.NewHistogramVec("bead_query_seconds",
 			"uncertainty query duration including broad phase and kernel, by kind",
 			obs.DefLatencyBuckets, "kind"),
@@ -188,6 +191,7 @@ func (e *Engine) recordBeadPW(st query.BeadStats, dur time.Duration) {
 		m.beadPruned.With("windows").Add(uint64(st.Pruned))
 	}
 	m.beadKernel.Add(uint64(st.Kernel))
+	m.beadClosed.Add(uint64(st.Closed))
 	m.beadSecs.With("possibly-within").Observe(dur.Seconds())
 }
 
