@@ -27,10 +27,11 @@ import (
 // OID identifies a moving object.
 type OID uint64
 
-// MaxOID is the largest OID the database accepts. The plane sweep packs
-// an OID and a time-term index into one 64-bit curve id with 48 bits
-// for the OID (internal/query), so Apply and Load refuse larger ones
-// with ErrBadOperation rather than store an object no query can sweep.
+// MaxOID is the largest OID the database accepts: 48 bits are the
+// input contract of the database, and Apply and Load refuse a larger
+// OID with ErrBadOperation. Every layer above may rely on it; the plane
+// sweep (internal/query), for one, keeps the ids above it for its
+// constant curves.
 const MaxOID OID = 1<<48 - 1
 
 // String renders an OID in the paper's o1, o2, ... style.

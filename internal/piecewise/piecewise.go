@@ -3,9 +3,9 @@
 // evaluator. A "polynomial g-distance" in the paper's sense (Section 5) is
 // exactly a function that "consists of finitely many pieces and is
 // piecewise polynomial"; this package provides that type together with the
-// operations the sweep needs: pointwise algebra, composition with
-// polynomial time terms and, for a pair of curves, the next meeting time
-// and the one-sided signs of their difference (lazy.go, diff.go).
+// operations the sweep needs: pointwise algebra and, for a pair of
+// curves, the next meeting time and the one-sided signs of their
+// difference (lazy.go, diff.go).
 package piecewise
 
 import (
@@ -311,76 +311,6 @@ func (f Func) FirstZeroAfter(t float64) (s float64, coincide, ok bool) {
 		}
 	}
 	return 0, false, false
-}
-
-// Compose returns f(q(t)) on [lo, hi]. The image q([lo, hi]) must lie
-// inside f's domain. Non-monotone q is supported: the domain is split at
-// the solutions of q(t) = b for every piece boundary b of f, so that each
-// resulting segment maps into a single piece.
-//
-// This implements FO(f) time terms (Section 4): a query's real term
-// f(y, p(t)) with polynomial time term p is the curve f_y composed with p.
-func (f Func) Compose(q poly.Poly, lo, hi float64) (Func, error) {
-	if !(lo < hi) {
-		return Func{}, ErrEmptyDomain
-	}
-	flo, fhi := f.Domain()
-	// Collect split points: roots of q - boundary for each interior
-	// boundary and the domain edges (to validate containment).
-	cuts := []float64{lo, hi}
-	addRootsOf := func(target float64) error {
-		if math.IsInf(target, 0) {
-			return nil
-		}
-		diff := q.Sub(poly.Constant(target))
-		roots, ok := diff.RootsIn(lo, hi)
-		if !ok {
-			// q identically equals the boundary; fine, it maps into
-			// both adjacent pieces equally.
-			return nil
-		}
-		cuts = append(cuts, roots...)
-		return nil
-	}
-	for _, pc := range f.pieces {
-		if err := addRootsOf(pc.Start); err != nil {
-			return Func{}, err
-		}
-	}
-	if err := addRootsOf(fhi); err != nil {
-		return Func{}, err
-	}
-	sort.Float64s(cuts)
-	// Deduplicate with tolerance.
-	uniq := cuts[:0]
-	for _, c := range cuts {
-		if len(uniq) == 0 || c-uniq[len(uniq)-1] > poly.RootTol {
-			uniq = append(uniq, c)
-		}
-	}
-	if len(uniq) < 2 || uniq[len(uniq)-1] < hi-poly.RootTol {
-		uniq = append(uniq, hi)
-	}
-	var pieces []Piece
-	for i := 0; i+1 < len(uniq); i++ {
-		a, b := uniq[i], uniq[i+1]
-		var mid float64
-		if math.IsInf(b, 1) {
-			mid = a + 1
-		} else {
-			mid = 0.5 * (a + b)
-		}
-		img := q.Eval(mid)
-		if img < flo-boundTol || img > fhi+boundTol {
-			return Func{}, fmt.Errorf("piecewise: compose image %g at t=%g outside domain [%g,%g]", img, mid, flo, fhi)
-		}
-		fi := f.pieceIndexAt(img)
-		if fi < 0 {
-			return Func{}, fmt.Errorf("piecewise: compose lookup failed at t=%g", mid)
-		}
-		pieces = append(pieces, Piece{Start: a, End: b, P: f.pieces[fi].P.Compose(q)})
-	}
-	return Func{pieces: pieces}, nil
 }
 
 // String renders each piece as "[a,b] p(t)" joined by " | ".

@@ -181,49 +181,6 @@ func TestFirstZeroCoincide(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	// f = t^2 on [0, 100]; q = t+3 -> f(q) = (t+3)^2 on [0, 5].
-	f := FromPoly(poly.New(0, 0, 1), 0, 100)
-	c, err := f.Compose(poly.Linear(1, 3), 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{0, 1, 2.5, 5} {
-		want := (tt + 3) * (tt + 3)
-		if got := c.Eval(tt); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Compose.Eval(%g) = %g, want %g", tt, got, want)
-		}
-	}
-}
-
-func TestComposeNonMonotone(t *testing.T) {
-	// f piecewise: |x| style — f = -x on [-10,0], x on [0,10].
-	f := MustNew(
-		Piece{Start: -10, End: 0, P: poly.Linear(-1, 0)},
-		Piece{Start: 0, End: 10, P: poly.Linear(1, 0)},
-	)
-	// q(t) = t^2 - 4: negative for |t|<2, positive beyond.
-	q := poly.New(-4, 0, 1)
-	c, err := f.Compose(q, -3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []float64{-3, -2.5, -1, 0, 1.5, 2, 3} {
-		want := math.Abs(tt*tt - 4)
-		if got := c.Eval(tt); math.Abs(got-want) > 1e-7 {
-			t.Errorf("Compose.Eval(%g) = %g, want %g", tt, got, want)
-		}
-	}
-}
-
-func TestComposeOutOfDomain(t *testing.T) {
-	f := FromPoly(poly.New(0, 0, 1), 0, 10)
-	// q maps 5 -> 25, outside f's domain.
-	if _, err := f.Compose(poly.Linear(5, 0), 0, 5); err == nil {
-		t.Error("compose outside domain should fail")
-	}
-}
-
 func TestConstantCurve(t *testing.T) {
 	c := Constant(7, 0, inf())
 	if got := c.Eval(1e6); got != 7 {

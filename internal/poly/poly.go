@@ -14,9 +14,8 @@
 // splits the interval at the critical points (the roots of p', found the
 // same way) into monotone stretches and bisects each sign change, with
 // Newton polishing. Degrees in this system are small (g-distances of
-// piecewise-linear trajectories are piecewise quadratic; composed time
-// terms raise the degree modestly), but the code is written to stay
-// robust through degree ~16.
+// piecewise-linear trajectories are piecewise quadratic), but the code is
+// written to stay robust through degree ~16.
 package poly
 
 import (
@@ -54,9 +53,6 @@ func Constant(c float64) Poly {
 
 // Linear returns b + a*t.
 func Linear(a, b float64) Poly { return New(b, a) }
-
-// X returns the identity polynomial t.
-func X() Poly { return Poly{0, 1} }
 
 // FromRoots returns the monic polynomial with the given roots.
 func FromRoots(roots ...float64) Poly {
@@ -279,15 +275,6 @@ func (p Poly) Derivative() Poly {
 	return r.trim()
 }
 
-// Compose returns p(q(t)).
-func (p Poly) Compose(q Poly) Poly {
-	r := Poly{}
-	for i := len(p) - 1; i >= 0; i-- {
-		r = r.Mul(q).Add(Constant(p[i]))
-	}
-	return r
-}
-
 // ApproxEq reports |a-b| <= eps: the repo-wide epsilon comparison for
 // computed floating-point values (curve times, evaluations, coefficients
 // that have been through arithmetic). The static analyzer (cmd/modlint,
@@ -310,27 +297,6 @@ func (p Poly) Equal(q Poly) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether p and q agree coefficient-wise within tol.
-func (p Poly) ApproxEqual(q Poly, tol float64) bool {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	for i := 0; i < n; i++ {
-		var a, b float64
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		if math.Abs(a-b) > tol {
 			return false
 		}
 	}

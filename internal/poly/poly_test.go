@@ -64,15 +64,6 @@ func TestDerivative(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	p := New(0, 0, 1) // t^2
-	q := New(1, 1)    // 1 + t
-	// p(q) = (1+t)^2 = 1 + 2t + t^2
-	if got := p.Compose(q); !got.ApproxEqual(New(1, 2, 1), 1e-12) {
-		t.Errorf("Compose = %v", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	cases := []struct {
 		p    Poly

@@ -67,8 +67,8 @@ func (p Poly) SignAt(t float64) int {
 
 // maxStackCoeffs bounds the coefficient count for which the one-sided
 // sign cascades run allocation-free on a stack buffer. Sweep workloads
-// are piecewise quadratic (composed time terms raise the degree
-// modestly); longer polynomials fall back to the allocating loop.
+// are piecewise quadratic; longer polynomials fall back to the
+// allocating loop.
 const maxStackCoeffs = 12
 
 // derivTrimInPlace replaces buf's coefficients with those of the

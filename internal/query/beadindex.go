@@ -36,8 +36,9 @@ package query
 // kernel walk would meet — outright: Cap.Within returns the interval
 // that walk would find, bit for bit, or the walk's pruning verdict, and
 // sends what it cannot vouch for to the walk like any chain candidate.
-// Its answers come out in OID order and merge with the kernel path's.
-// The index answers are bit-identical to the scan's.
+// It walks the caps in OID order and passes the box tree's candidates
+// on as it goes, so a query's candidates are one OID-sorted list. The
+// index answers are bit-identical to the scan's.
 
 import (
 	"cmp"
@@ -70,12 +71,25 @@ type capRef struct {
 	c bead.Cap
 }
 
-// capAnswer is the answer the cap pass decided for a cap-only object,
-// as the one-interval list the kernel walk would have produced.
-type capAnswer struct {
-	o  mod.OID
-	iv [1]bead.Interval
+// beadCand is one object a possibly-within query answers: the kernel
+// walks its track, or, when track is nil, iv is the answer the cap pass
+// decided for the cap-only object, as the one-interval list the kernel
+// walk would have produced.
+type beadCand struct {
+	o     mod.OID
+	track *bead.Track
+	iv    [1]bead.Interval
 }
+
+// beadCandList is a query's pooled candidate list: the list holds
+// tracks only while its query runs, so a query allocates none of it.
+type beadCandList struct{ l []beadCand }
+
+var beadCandPool = sync.Pool{New: func() any { return new(beadCandList) }}
+
+// maxPooledBeadCands is the longest list the pool keeps: one huge
+// query must not pin its list for every later one.
+const maxPooledBeadCands = 1 << 15
 
 // BeadStats describes the work one broad-phase query did, for metrics.
 // Windows = Pruned + Kernel + Closed.
@@ -394,14 +408,13 @@ func (ix *BeadIndex) maybeRebuild() {
 	ix.dead = 0
 }
 
-// candidates returns, ascending and deduplicated, every object whose
-// bead chain or cap could intersect the ball (q, dist) during [lo, hi]
-// and whose answer needs the kernel walk, and, ascending, the answers
-// the cap pass decided in closed form for cap-only objects; st counts
-// the cap pass's objects and windows. Called with mu held in either
-// mode; allocates fresh slices because concurrent queries share the
-// index.
-func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64, st *BeadStats) ([]mod.OID, []capAnswer) {
+// candidates returns, ascending by OID and deduplicated, every object
+// whose bead chain or cap could intersect the ball (q, dist) during
+// [lo, hi]: with its track when its answer needs the kernel walk, with
+// the answer when the cap pass decided it in closed form. st counts the
+// cap pass's objects and windows. The list lives in buf's storage,
+// which keeps what the list grew to. Called with mu held in either mode.
+func (ix *BeadIndex) candidates(buf *beadCandList, q geom.Vec, dist, lo, hi float64, st *BeadStats) []beadCand {
 	qpad := bead.Pad(maxAbsVec(q) + dist)
 	pad := dist + qpad
 	rlo := make(geom.Vec, ix.dim+1)
@@ -412,20 +425,34 @@ func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64, st *BeadStats)
 	}
 	rlo[ix.dim] = lo
 	rhi[ix.dim] = hi
-	var out []mod.OID
+	l := buf.l[:0]
 	ix.tree.VisitRect(rtree.Rect{Min: rlo, Max: rhi}, func(it rtree.RectItem) bool {
 		if o, ok := ix.owner[it.ID]; ok {
-			out = append(out, o)
+			l = append(l, beadCand{o: o})
 		}
 		return true
 	})
+	slices.SortFunc(l, func(a, b beadCand) int { return cmp.Compare(a.o, b.o) })
+	l = slices.CompactFunc(l, func(a, b beadCand) bool { return a.o == b.o })
+	for i := range l {
+		l[i].track = ix.entries[l[i].o].track
+	}
+	// The box tree's candidates are l[:n]; the cap pass appends the
+	// merged list after them. A decided object has no box in the window
+	// (its last sample comes before lo), so only a kernel verdict can
+	// name a box candidate again.
+	n, next := len(l), 0
 	cq := bead.NewCapQuery(q, dist, lo, hi)
-	var closed []capAnswer
 	for i := range ix.caps {
 		cr := &ix.caps[i]
+		for ; next < n && l[next].o < cr.o; next++ {
+			l = append(l, l[next])
+		}
 		switch iv, v := cr.c.Within(&cq); v {
 		case bead.CapKernel:
-			out = append(out, cr.o)
+			if next == n || l[next].o != cr.o {
+				l = append(l, beadCand{o: cr.o, track: ix.entries[cr.o].track})
+			}
 		case bead.CapPruned:
 			st.Candidates++
 			st.Windows++
@@ -434,11 +461,12 @@ func (ix *BeadIndex) candidates(q geom.Vec, dist, lo, hi float64, st *BeadStats)
 			st.Candidates++
 			st.Windows++
 			st.Closed++
-			closed = append(closed, capAnswer{o: cr.o, iv: [1]bead.Interval{iv}})
+			l = append(l, beadCand{o: cr.o, iv: [1]bead.Interval{iv}})
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out), closed
+	l = append(l, l[next:n]...)
+	buf.l = l
+	return l[n:]
 }
 
 // firstErr returns the lowest-OID cached construction error — the same
@@ -458,49 +486,49 @@ func (ix *BeadIndex) firstErr(snap *mod.Snap) error {
 // plus work statistics. The question is validated before the index is
 // touched (validateWithin); candidates are collected, and cap-only
 // objects decided, under the index lock; the kernel then runs lock-free
-// over the immutable cached tracks of the rest, and the two ascending
-// runs merge into the answer.
+// over the immutable cached tracks of the rest, in the one OID-sorted
+// walk that builds the answer.
 func (ix *BeadIndex) PossiblyWithin(snap *mod.Snap, q geom.Vec, dist, lo, hi, defaultVmax float64) (*AnswerSet, BeadStats, error) {
 	var st BeadStats
 	within, err := validateWithin(snap, q, dist, lo, hi, defaultVmax)
 	if err != nil {
 		return nil, st, err
 	}
-	var cands []mod.OID
-	var closed []capAnswer
-	var tracks []*bead.Track
+	buf := beadCandPool.Get().(*beadCandList)
+	defer beadCandPool.Put(buf)
+	var cands []beadCand
 	ix.view(snap, defaultVmax, func() {
 		if ix.errs > 0 {
 			err = ix.firstErr(snap)
 			return
 		}
-		cands, closed = ix.candidates(q, dist, lo, hi, &st)
-		tracks = make([]*bead.Track, len(cands))
-		for i, o := range cands {
-			tracks[i] = ix.entries[o].track
-		}
+		cands = ix.candidates(buf, q, dist, lo, hi, &st)
 	})
+	defer func() {
+		clear(buf.l) // drop the tracks: the index may retire them
+		if cap(buf.l) > maxPooledBeadCands {
+			buf.l = nil
+		}
+	}()
 	if err != nil {
 		return nil, st, err
 	}
 	st.Population = snap.Len()
-	st.Candidates += len(cands)
-	ans := newFinishedAnswerSet(len(cands)+len(closed), hi)
+	ans := newFinishedAnswerSet(len(cands), hi)
 	var ivs []bead.Interval // one candidate's at a time
-	k := 0
-	for i, o := range cands {
-		for ; k < len(closed) && closed[k].o < o; k++ {
-			ans.appendSorted(closed[k].o, closed[k].iv[:])
+	for i := range cands {
+		c := &cands[i]
+		if c.track == nil {
+			ans.appendSorted(c.o, c.iv[:])
+			continue
 		}
 		var pw bead.PWStats
-		ivs, pw = within(tracks[i], ivs[:0])
+		ivs, pw = within(c.track, ivs[:0])
+		st.Candidates++
 		st.Windows += pw.Windows
 		st.Pruned += pw.Pruned
 		st.Kernel += pw.Kernel
-		ans.appendSorted(o, ivs)
-	}
-	for ; k < len(closed); k++ {
-		ans.appendSorted(closed[k].o, closed[k].iv[:])
+		ans.appendSorted(c.o, ivs)
 	}
 	return ans, st, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gdist"
 	"repro/internal/mod"
 	"repro/internal/piecewise"
-	"repro/internal/poly"
 	"repro/internal/trajectory"
 )
 
@@ -189,7 +188,7 @@ func ScanPast(src TrajSource, f gdist.GDistance, lo, hi float64) (*Scan, error) 
 	trajs := src.Trajectories()
 	sc := &Scan{f: f, lo: lo, hi: hi, cands: make([]candidate, 0, len(trajs))}
 	for o, tr := range trajs {
-		if uint64(o) > oidMask {
+		if o > mod.MaxOID {
 			return nil, fmt.Errorf("%w: %s", ErrBadOID, o)
 		}
 		if !inWindow(tr, lo, hi) {
@@ -197,7 +196,7 @@ func ScanPast(src TrajSource, f gdist.GDistance, lo, hi float64) (*Scan, error) 
 		}
 		cf, err := f.Curve(tr, lo, hi)
 		if err != nil {
-			return nil, fmt.Errorf("query: curve for %s term 0: %w", o, err)
+			return nil, fmt.Errorf("query: curve for %s: %w", o, err)
 		}
 		start, _ := cf.Domain()
 		sc.cands = append(sc.cands, candidate{o: o, tr: tr, curve: cf, first: cf.Eval(start), least: cf.Min()})
@@ -299,7 +298,7 @@ func RunScans(scans []*Scan, evs ...Evaluator) (Run, error) {
 			}
 		}
 		guard := NewGuard(thr, bound.First)
-		st, err := sweepOnce(sc0.f, sc0.lo, sc0.hi, nil, func(e *Engine) error { return e.seed(pool) }, guard, evs)
+		st, err := sweepOnce(sc0.f, sc0.lo, sc0.hi, func(e *Engine) error { return e.seed(pool) }, guard, evs)
 		run.Stats.Add(st)
 		run.Pool = len(pool)
 		run.Attempts++
@@ -311,8 +310,8 @@ func RunScans(scans []*Scan, evs ...Evaluator) (Run, error) {
 
 // sweepOnce runs one past sweep start to finish: attach, seed, guard,
 // finish.
-func sweepOnce(f gdist.GDistance, lo, hi float64, terms []poly.Poly, seed func(*Engine) error, guard *Guard, evs []Evaluator) (core.Stats, error) {
-	e, err := NewEngine(EngineConfig{F: f, Lo: lo, Hi: hi, TimeTerms: terms})
+func sweepOnce(f gdist.GDistance, lo, hi float64, seed func(*Engine) error, guard *Guard, evs []Evaluator) (core.Stats, error) {
+	e, err := NewEngine(EngineConfig{F: f, Lo: lo, Hi: hi})
 	if err != nil {
 		return core.Stats{}, err
 	}

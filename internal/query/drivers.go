@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gdist"
 	"repro/internal/mod"
-	"repro/internal/poly"
 	"repro/internal/trajectory"
 )
 
@@ -32,16 +31,6 @@ func RunPast(db TrajSource, f gdist.GDistance, lo, hi float64, evs ...Evaluator)
 	}
 	run, err := RunScans([]*Scan{sc}, evs...)
 	return run.Stats, err
-}
-
-// RunPastTerms is RunPast with explicit polynomial time terms (the FO(f)
-// queries that use f(z, p(t)) for non-identity p). No evaluator that
-// takes such terms states a bound, so it always sweeps the full order.
-func RunPastTerms(db TrajSource, f gdist.GDistance, lo, hi float64, terms []poly.Poly, evs ...Evaluator) (core.Stats, error) {
-	if len(terms) == 0 {
-		return RunPast(db, f, lo, hi, evs...)
-	}
-	return sweepOnce(f, lo, hi, terms, func(e *Engine) error { return e.Seed(db.Trajectories()) }, nil, evs)
 }
 
 // Session is the future/continuing-query driver (Theorem 5): it seeds the

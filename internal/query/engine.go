@@ -11,28 +11,21 @@ import (
 	"repro/internal/gdist"
 	"repro/internal/mod"
 	"repro/internal/piecewise"
-	"repro/internal/poly"
 	"repro/internal/trajectory"
 )
 
-// Curve-entry id packing. One curve is registered per (object, time term)
-// pair — the paper's treatment of queries with k time terms — plus one
-// curve per real constant appearing in the query.
-const (
-	constBit  = uint64(1) << 63
-	termShift = 48
-	oidMask   = uint64(mod.MaxOID)
-)
+// Curve-entry ids. The sweep holds one curve per object, under its OID
+// (the paper's {f_o | o ∈ O}), plus one curve per real constant appearing
+// in the query, under an id with the top bit set.
+const constBit = uint64(1) << 63
 
-// Every OID the database accepts must fit below the term bits: the
-// array length goes negative, and the build fails, if mod.MaxOID grows
-// past them.
-var _ [1<<termShift - 1 - oidMask]struct{}
+// Every OID the database accepts must stay clear of the constant bit:
+// the array length goes negative, and the build fails, if mod.MaxOID
+// grows into it.
+var _ [constBit - 1 - uint64(mod.MaxOID)]struct{}
 
-// packObj builds the sweep id of (object, time-term index).
-func packObj(o mod.OID, term int) uint64 {
-	return uint64(o)&oidMask | uint64(term)<<termShift
-}
+// packObj builds the sweep id of an object.
+func packObj(o mod.OID) uint64 { return uint64(o) }
 
 // packConst builds the sweep id of constant index i.
 func packConst(i int) uint64 { return constBit | uint64(i) }
@@ -40,10 +33,8 @@ func packConst(i int) uint64 { return constBit | uint64(i) }
 // IsConstID reports whether a sweep id denotes a constant curve.
 func IsConstID(id uint64) bool { return id&constBit != 0 }
 
-// UnpackObj splits a non-constant sweep id into (OID, term index).
-func UnpackObj(id uint64) (mod.OID, int) {
-	return mod.OID(id & oidMask), int(id >> termShift & 0x7fff)
-}
+// UnpackObj returns the OID of a non-constant sweep id.
+func UnpackObj(id uint64) mod.OID { return mod.OID(id) }
 
 // Evaluator consumes the support-change stream. Implementations maintain
 // an AnswerSet incrementally.
@@ -65,9 +56,6 @@ type EngineConfig struct {
 	// Lo, Hi delimit the query interval I. Hi may be math.Inf(1) only
 	// for distances with closed-form curves.
 	Lo, Hi float64
-	// TimeTerms lists the polynomial time terms used by the query;
-	// empty means the single identity term t.
-	TimeTerms []poly.Poly
 	// Queue optionally overrides the event-queue implementation.
 	Queue eventq.Queue
 	// Audit enables internal invariant checking (tests).
@@ -81,7 +69,6 @@ type EngineConfig struct {
 type Engine struct {
 	f       gdist.GDistance
 	lo, hi  float64
-	terms   []poly.Poly
 	sw      *core.Sweeper
 	trajs   map[mod.OID]trajectory.Trajectory
 	pending []pendingInsert
@@ -128,15 +115,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := checkWindow(cfg.Lo, cfg.Hi); err != nil {
 		return nil, err
 	}
-	terms := cfg.TimeTerms
-	if len(terms) == 0 {
-		terms = []poly.Poly{poly.X()}
-	}
 	e := &Engine{
 		f:      cfg.F,
 		lo:     cfg.Lo,
 		hi:     cfg.Hi,
-		terms:  terms,
 		trajs:  make(map[mod.OID]trajectory.Trajectory),
 		consts: make(map[float64]uint64),
 	}
@@ -183,11 +165,11 @@ func (e *Engine) Traj(o mod.OID) (trajectory.Trajectory, bool) {
 }
 
 // NumObjects returns the number of live objects in the sweep (excluding
-// constants, counting each object once regardless of time terms).
+// constants).
 func (e *Engine) NumObjects() int {
 	n := 0
 	for o := range e.trajs {
-		if e.sw.Contains(packObj(o, 0)) {
+		if e.sw.Contains(packObj(o)) {
 			n++
 		}
 	}
@@ -210,46 +192,6 @@ func (e *Engine) ConstID(c float64) (uint64, error) {
 	return id, nil
 }
 
-// buildTermCurve constructs the curve of (trajectory, term) covering
-// [from, hi] (clipped to the trajectory's lifetime).
-func (e *Engine) buildTermCurve(tr trajectory.Trajectory, term int, from float64) (piecewise.Func, error) {
-	p := e.terms[term]
-	if isIdentity(p) {
-		return e.f.Curve(tr, from, e.hi)
-	}
-	imgLo, imgHi := polyImageRange(p, from, e.hi)
-	base, err := e.f.Curve(tr, imgLo, imgHi)
-	if err != nil {
-		return piecewise.Func{}, err
-	}
-	return base.Compose(p, from, e.hi)
-}
-
-// polyImageRange bounds p([lo,hi]) via endpoint and critical-point values.
-func polyImageRange(p poly.Poly, lo, hi float64) (float64, float64) {
-	if math.IsInf(hi, 1) {
-		// Composed time terms require finite windows; callers with
-		// non-identity terms must bound Hi. Guard with a wide window.
-		hi = lo + 1e6
-	}
-	minV := math.Min(p.Eval(lo), p.Eval(hi))
-	maxV := math.Max(p.Eval(lo), p.Eval(hi))
-	if roots, ok := p.Derivative().RootsIn(lo, hi); ok {
-		for _, r := range roots {
-			v := p.Eval(r)
-			minV = math.Min(minV, v)
-			maxV = math.Max(maxV, v)
-		}
-	}
-	return minV, maxV
-}
-
-// isIdentity reports whether p is the polynomial t.
-func isIdentity(p poly.Poly) bool {
-	//modlint:allow floatcmp -- canonical form check: the identity is built from exact literals 0 and 1
-	return p.Degree() == 1 && p[0] == 0 && p[1] == 1
-}
-
 // Seed loads the engine with the trajectories of a MOD snapshot. Objects
 // live at the window start are inserted immediately (the initial
 // O(N log N) sort of Theorem 5(1)); objects whose trajectories begin
@@ -259,7 +201,7 @@ func isIdentity(p poly.Poly) bool {
 func (e *Engine) Seed(trajs map[mod.OID]trajectory.Trajectory) error {
 	entries := make([]candidate, 0, len(trajs))
 	for o, tr := range trajs {
-		if uint64(o) > oidMask {
+		if o > mod.MaxOID {
 			return fmt.Errorf("%w: %s", ErrBadOID, o)
 		}
 		if inWindow(tr, e.lo, e.hi) {
@@ -293,48 +235,30 @@ func (e *Engine) seed(entries []candidate) error {
 	return nil
 }
 
-// insertObject adds the curves of all time terms for o starting at from;
-// a non-empty built is the ready-made curve of the single identity term.
-// On failure, any term curves already inserted are rolled back so the
-// sweep never holds a partially-registered object.
-func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64, built piecewise.Func) (err error) {
-	inserted := make([]uint64, 0, len(e.terms))
-	defer func() {
-		if err == nil {
-			return
+// insertObject adds o's curve from `from` on; a non-empty built is that
+// curve ready-made.
+func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64, built piecewise.Func) error {
+	cf := built
+	if cf.IsZeroLen() {
+		var err error
+		if cf, err = e.f.Curve(tr, from, e.hi); err != nil {
+			return fmt.Errorf("query: curve for %s: %w", o, err)
 		}
-		for _, id := range inserted {
-			_ = e.sw.RemoveCurve(id)
-		}
-	}()
-	for term := range e.terms {
-		cf := built
-		if cf.IsZeroLen() || len(e.terms) > 1 {
-			var berr error
-			if cf, berr = e.buildTermCurve(tr, term, from); berr != nil {
-				return fmt.Errorf("query: curve for %s term %d: %w", o, term, berr)
-			}
-		}
-		id := packObj(o, term)
-		if aerr := e.sw.AddCurve(id, cf); aerr != nil {
-			return aerr
-		}
-		inserted = append(inserted, id)
 	}
-	return nil
+	return e.sw.AddCurve(packObj(o), cf)
 }
 
 // InsertObject registers an object's authoritative trajectory
-// mid-window, inserting its curves from time `from` on — the pool-growth
+// mid-window, inserting its curve from time `from` on — the pool-growth
 // path of a subscription engine: an object that becomes relevant to a
 // maintained query (it moves toward the query region) joins the sweep
-// with its full recorded trajectory, so the curves it contributes are
-// exactly the ones a fresh evaluation over the whole database would
+// with its full recorded trajectory, so the curve it contributes is
+// exactly the one a fresh evaluation over the whole database would
 // build (gdist curves depend only on the trajectory's pieces, not on
 // the clip start). The sweep must already be at `from` (call RunTo
 // first); objects whose lifetime misses [from, hi] are rejected.
 func (e *Engine) InsertObject(o mod.OID, tr trajectory.Trajectory, from float64) error {
-	if uint64(o) > oidMask {
+	if o > mod.MaxOID {
 		return fmt.Errorf("%w: %s", ErrBadOID, o)
 	}
 	if from < e.sw.Now() {
@@ -412,7 +336,7 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 	e.updatesApplied++
 	switch u.Kind {
 	case mod.KindNew:
-		if uint64(u.O) > oidMask {
+		if u.O > mod.MaxOID {
 			return fmt.Errorf("%w: %s", ErrBadOID, u.O)
 		}
 		tr := trajectory.Linear(u.Tau, u.A, u.B)
@@ -428,13 +352,8 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 			return err
 		}
 		e.trajs[u.O] = nt
-		for term := range e.terms {
-			id := packObj(u.O, term)
-			if e.sw.Contains(id) {
-				if err := e.sw.RemoveCurve(id); err != nil {
-					return err
-				}
-			}
+		if id := packObj(u.O); e.sw.Contains(id) {
+			return e.sw.RemoveCurve(id)
 		}
 		return nil
 	case mod.KindChDir:
@@ -447,20 +366,15 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 			return err
 		}
 		e.trajs[u.O] = nt
-		for term := range e.terms {
-			id := packObj(u.O, term)
-			if !e.sw.Contains(id) {
-				continue
-			}
-			cf, err := e.buildTermCurve(nt, term, u.Tau)
-			if err != nil {
-				return err
-			}
-			if err := e.sw.ReplaceCurve(id, cf); err != nil {
-				return err
-			}
+		id := packObj(u.O)
+		if !e.sw.Contains(id) {
+			return nil
 		}
-		return nil
+		cf, err := e.f.Curve(nt, u.Tau, e.hi)
+		if err != nil {
+			return err
+		}
+		return e.sw.ReplaceCurve(id, cf)
 	default:
 		return fmt.Errorf("query: unknown update kind %v", u.Kind)
 	}
@@ -479,17 +393,15 @@ func (e *Engine) ReplaceGDistance(f gdist.GDistance) error {
 	now := e.sw.Now()
 	replacement := make(map[uint64]piecewise.Func)
 	for o, tr := range e.trajs {
-		for term := range e.terms {
-			id := packObj(o, term)
-			if !e.sw.Contains(id) {
-				continue
-			}
-			cf, err := e.buildTermCurve(tr, term, now)
-			if err != nil {
-				return err
-			}
-			replacement[id] = cf
+		id := packObj(o)
+		if !e.sw.Contains(id) {
+			continue
 		}
+		cf, err := e.f.Curve(tr, now, e.hi)
+		if err != nil {
+			return err
+		}
+		replacement[id] = cf
 	}
 	// Constant curves are unaffected but ReplaceAll wants the full set.
 	for _, id := range e.sw.Order() {

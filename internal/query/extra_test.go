@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/piecewise"
-	"repro/internal/poly"
 	"repro/internal/trajectory"
 )
 
@@ -73,53 +72,6 @@ func TestSpeedDiscontinuityRecordedInHistory(t *testing.T) {
 	}
 }
 
-// TestTimeTermLookahead exercises non-identity polynomial time terms
-// (Section 4: time terms are polynomials over t): the query "who will be
-// nearest 5 time units from now" answers 5 units early.
-func TestTimeTermLookahead(t *testing.T) {
-	db := mod.NewDB(1, -1)
-	must(t, db.Load(1, trajectory.Stationary(0, geom.Of(5))))           // dist^2 = 25
-	must(t, db.Load(2, trajectory.Linear(0, geom.Of(-1), geom.Of(15)))) // (15-t)^2
-	// Identity-term 1-NN: o2 takes over when (15-t)^2 < 25, i.e. t > 10.
-	phiNow := ForAll{Var: "z", Body: Atom{L: F{Var: "y"}, Op: LE, R: F{Var: "z"}}}
-	now := NewFormula("y", phiNow)
-	if _, err := RunPast(db, gdist.PointSq{Point: geom.Of(0)}, 0, 14, now); err != nil {
-		t.Fatal(err)
-	}
-	// Lookahead term p(t) = t + 5 (term index 1).
-	phiFuture := ForAll{Var: "z", Body: Atom{
-		L: F{Var: "y", TermIndex: 1}, Op: LE, R: F{Var: "z", TermIndex: 1}}}
-	fut := NewFormula("y", phiFuture)
-	terms := []poly.Poly{poly.X(), poly.New(5, 1)}
-	if _, err := RunPastTerms(db, gdist.PointSq{Point: geom.Of(0)}, 0, 14, terms, fut); err != nil {
-		t.Fatal(err)
-	}
-	if err := fut.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// The identity query hands over at 10; the lookahead one at 5.
-	ivNow := now.Answer().Intervals(2)
-	if len(ivNow) != 1 || math.Abs(ivNow[0].Lo-10) > 1e-6 {
-		t.Errorf("identity handover %v, want at 10", ivNow)
-	}
-	ivFut := fut.Answer().Intervals(2)
-	if len(ivFut) != 1 || math.Abs(ivFut[0].Lo-5) > 1e-6 {
-		t.Errorf("lookahead handover %v, want at 5", ivFut)
-	}
-}
-
-// TestTimeTermOutOfRange: referencing an unregistered time term fails at
-// attach.
-func TestTimeTermOutOfRange(t *testing.T) {
-	db := mod.NewDB(1, -1)
-	must(t, db.Load(1, trajectory.Stationary(0, geom.Of(5))))
-	phi := Atom{L: F{Var: "y", TermIndex: 3}, Op: LE, R: C{Value: 1}}
-	form := NewFormula("y", phi)
-	if _, err := RunPast(db, gdist.PointSq{Point: geom.Of(0)}, 0, 10, form); err == nil {
-		t.Error("out-of-range time term accepted")
-	}
-}
-
 // TestEngineAccessors covers the read-side helpers.
 func TestEngineAccessors(t *testing.T) {
 	db := mod.NewDB(1, -1)
@@ -159,11 +111,11 @@ func TestFormulaStrings(t *testing.T) {
 		X: Atom{L: F{Var: "z"}, Op: NE, R: F{Var: "y"}},
 		Y: Or{
 			X: Atom{L: F{Var: "y"}, Op: LT, R: F{Var: "z"}},
-			Y: Not{X: Exists{Var: "w", Body: Atom{L: F{Var: "w", TermIndex: 1}, Op: GT, R: C{Value: 3}}}},
+			Y: Not{X: Exists{Var: "w", Body: Atom{L: F{Var: "w"}, Op: GT, R: C{Value: 3}}}},
 		},
 	}}
 	s := phi.String()
-	for _, want := range []string{"∀z", "∃w", "f(y,t)", "f(w,p1(t))", "¬", "∨", "→", "3"} {
+	for _, want := range []string{"∀z", "∃w", "f(y,t)", "f(w,t)", "¬", "∨", "→", "3"} {
 		if !contains(s, want) {
 			t.Errorf("String %q missing %q", s, want)
 		}

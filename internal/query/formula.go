@@ -10,11 +10,12 @@ import (
 	"repro/internal/piecewise"
 )
 
-// This file implements the full FO(f) language of Section 4: many-sorted
-// first-order logic whose real terms are f(z, p(t)) for object variables
-// z and polynomial time terms p, plus real constants; formulas combine
+// This file implements the FO(f) language of Section 4 with the identity
+// time term: many-sorted first-order logic whose real terms are f(z, t)
+// for object variables z, plus real constants; formulas combine
 // equality/order atoms with propositional connectives and quantifiers
-// over objects.
+// over objects. Section 4's polynomial time terms f(z, p(t)) are not
+// supported: the sweep holds one curve per object.
 //
 // The generic evaluator re-derives the satisfying set from the precedence
 // relation at every support change (Lemma 8 guarantees nothing changes in
@@ -62,27 +63,20 @@ type Term interface {
 	String() string
 }
 
-// F is the term f(Var, timeTerm). TermIndex selects one of the engine's
-// time terms (0 is the identity t).
+// F is the term f(Var, t).
 type F struct {
-	Var       string
-	TermIndex int
+	Var string
 }
 
 // String implements Term.
-func (f F) String() string {
-	if f.TermIndex == 0 {
-		return fmt.Sprintf("f(%s,t)", f.Var)
-	}
-	return fmt.Sprintf("f(%s,p%d(t))", f.Var, f.TermIndex)
-}
+func (f F) String() string { return fmt.Sprintf("f(%s,t)", f.Var) }
 
 func (f F) curveID(ev *Formula, binds map[string]mod.OID) (uint64, error) {
 	o, ok := binds[f.Var]
 	if !ok {
 		return 0, fmt.Errorf("query: unbound object variable %q", f.Var)
 	}
-	return packObj(o, f.TermIndex), nil
+	return packObj(o), nil
 }
 
 // C is a real constant term.
@@ -295,30 +289,15 @@ func (ev *Formula) Attach(e *Engine) error {
 			}
 			ev.constIDs[c.Value] = id
 		}
-		if f, ok := tm.(F); ok && attachErr == nil {
-			if f.TermIndex < 0 || f.TermIndex >= len(e.terms) {
-				attachErr = fmt.Errorf("query: term index %d out of range (%d time terms)",
-					f.TermIndex, len(e.terms))
-			}
-		}
 	})
 	return attachErr
 }
 
-// liveObjects lists the objects currently in the sweep with ALL their
-// term curves registered (an object mid-insertion — some terms added,
-// others pending — is not yet visible), ascending.
+// liveObjects lists the objects currently in the sweep, ascending.
 func (ev *Formula) liveObjects() []mod.OID {
 	var out []mod.OID
 	for o := range ev.e.trajs {
-		all := true
-		for term := range ev.e.terms {
-			if !ev.e.sw.Contains(packObj(o, term)) {
-				all = false
-				break
-			}
-		}
-		if all {
+		if ev.e.sw.Contains(packObj(o)) {
 			out = append(out, o)
 		}
 	}

@@ -35,9 +35,6 @@ func (q *KNN) Attach(e *Engine) error {
 	if q.K <= 0 {
 		return errors.New("query: KNN needs K >= 1")
 	}
-	if len(e.terms) != 1 || !isIdentity(e.terms[0]) {
-		return errors.New("query: KNN requires the single identity time term")
-	}
 	q.e = e
 	q.ans = NewAnswerSet()
 	q.cur = make(map[mod.OID]bool)
@@ -58,8 +55,7 @@ func (q *KNN) OnChange(c core.Change) {
 		if IsConstID(c.A) || IsConstID(c.B) {
 			return
 		}
-		oa, _ := UnpackObj(c.A)
-		ob, _ := UnpackObj(c.B)
+		oa, ob := UnpackObj(c.A), UnpackObj(c.B)
 		if q.cur[oa] && !q.cur[ob] {
 			q.ans.Point(ob, c.T)
 		}
@@ -122,8 +118,7 @@ func (q *KNN) AppendCurrent(dst []mod.OID) []mod.OID {
 	n := 0
 	q.e.sw.Walk(func(id uint64) bool {
 		if !IsConstID(id) {
-			o, _ := UnpackObj(id)
-			dst = append(dst, o)
+			dst = append(dst, UnpackObj(id))
 			n++
 		}
 		return n < q.K

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"sort"
 
 	"repro/internal/core"
@@ -35,9 +34,6 @@ func NewRankTracker(o mod.OID) *RankTracker { return &RankTracker{O: o} }
 
 // Attach implements Evaluator.
 func (rt *RankTracker) Attach(e *Engine) error {
-	if len(e.terms) != 1 || !isIdentity(e.terms[0]) {
-		return errors.New("query: RankTracker requires the single identity time term")
-	}
 	rt.e = e
 	rt.cur = -2 // sentinel: no step emitted yet
 	return nil
@@ -46,7 +42,7 @@ func (rt *RankTracker) Attach(e *Engine) error {
 // rankNow computes the tracked object's current rank among objects
 // (constant curves excluded), or -1 when absent.
 func (rt *RankTracker) rankNow() int {
-	id := packObj(rt.O, 0)
+	id := packObj(rt.O)
 	if !rt.e.sw.Contains(id) {
 		return -1
 	}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -29,9 +28,6 @@ func NewWithin(c float64) *Within { return &Within{C: c} }
 
 // Attach implements Evaluator.
 func (q *Within) Attach(e *Engine) error {
-	if len(e.terms) != 1 || !isIdentity(e.terms[0]) {
-		return errors.New("query: Within requires the single identity time term")
-	}
 	q.e = e
 	q.ans = NewAnswerSet()
 	q.cur = make(map[mod.OID]bool)
@@ -84,20 +80,12 @@ func (q *Within) OnChange(c core.Change) {
 		if IsConstID(c.A) {
 			return
 		}
-		o, term := UnpackObj(c.A)
-		if term != 0 {
-			return
-		}
-		q.setMembership(o, q.memberAfter(c.A, c.T), c.T)
+		q.setMembership(UnpackObj(c.A), q.memberAfter(c.A, c.T), c.T)
 	case core.ChangeRemove, core.ChangeExpire:
 		if IsConstID(c.A) {
 			return
 		}
-		o, term := UnpackObj(c.A)
-		if term != 0 {
-			return
-		}
-		q.setMembership(o, false, c.T)
+		q.setMembership(UnpackObj(c.A), false, c.T)
 	case core.ChangeEqual, core.ChangeSwap, core.ChangeSeparate:
 		// Only events involving the constant can change membership.
 		var objID uint64
@@ -112,10 +100,7 @@ func (q *Within) OnChange(c core.Change) {
 		if IsConstID(objID) {
 			return
 		}
-		o, term := UnpackObj(objID)
-		if term != 0 {
-			return
-		}
+		o := UnpackObj(objID)
 		member := q.memberAfter(objID, c.T)
 		if c.Kind == core.ChangeEqual && !member && !q.cur[o] {
 			// Tangency from above: <= holds exactly at the instant.

@@ -8,8 +8,10 @@ package shard
 // times either side reports. The two evaluation strategies share no
 // code beyond the trajectory algebra, so agreement over thousands of
 // random scenarios is strong evidence both implement Section 4's
-// semantics; a disagreement is shrunk (by truncating the update tail)
-// to a minimal failing stream and printed with its seed for replay.
+// semantics. Every sweep is also held to Lemma 9's space bound (one
+// queued event per adjacent pair of curves). A disagreement is shrunk
+// (by truncating the update tail) to a minimal failing stream and
+// printed with its seed for replay.
 //
 // MOD_SCENARIOS overrides the scenario count (CI runs 1000; each
 // scenario is checked at P=1 and P=4, so CI covers 2000 engine-vs-
@@ -24,6 +26,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/gdist"
 	"repro/internal/geom"
@@ -144,9 +147,21 @@ func diffDivergence(kind string, p int, ans *query.AnswerSet, naive cql.NNResult
 	return ""
 }
 
+// queueDivergence checks Lemma 9's space bound on a sweep: the event
+// queue holds one event per adjacent pair of curves, so never more than
+// the curves less one. curves bounds what a sweep can hold: every
+// object of the database plus the query's constant curves.
+func queueDivergence(kind string, p int, st core.Stats, curves int) string {
+	if st.MaxQueueLen > max(curves-1, 0) {
+		return fmt.Sprintf("%s P=%d: event queue reached %d with at most %d curves (Lemma 9)", kind, p, st.MaxQueueLen, curves)
+	}
+	return ""
+}
+
 // runDiffScenario evaluates one scenario through both strategies at the
 // given partition counts. It returns a divergence description ("" when
-// the strategies agree) or a hard evaluation error.
+// the strategies agree and every sweep kept Lemma 9's queue bound) or a
+// hard evaluation error.
 func runDiffScenario(sc diffScenario, ps []int) (string, error) {
 	db := mod.NewDB(2, -1)
 	if err := db.ApplyAll(sc.us...); err != nil {
@@ -166,18 +181,24 @@ func runDiffScenario(sc diffScenario, ps []int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		gotKNN, _, _, err := eng.KNN(f, sc.k, diffLo, diffHi)
+		gotKNN, st, _, err := eng.KNN(f, sc.k, diffLo, diffHi)
 		if err != nil {
 			return "", fmt.Errorf("sweep knn P=%d: %w", p, err)
 		}
 		if d := diffDivergence("knn", p, gotKNN, naiveKNN); d != "" {
 			return d, nil
 		}
-		gotW, _, _, err := eng.Within(f, sc.c, diffLo, diffHi)
+		if d := queueDivergence("knn", p, st, db.Len()); d != "" {
+			return d, nil
+		}
+		gotW, st, _, err := eng.Within(f, sc.c, diffLo, diffHi)
 		if err != nil {
 			return "", fmt.Errorf("sweep within P=%d: %w", p, err)
 		}
 		if d := diffDivergence("within", p, gotW, naiveWithin); d != "" {
+			return d, nil
+		}
+		if d := queueDivergence("within", p, st, db.Len()+1); d != "" {
 			return d, nil
 		}
 	}
@@ -233,6 +254,6 @@ func TestDifferentialSweepVsOracle(t *testing.T) {
 		}
 	}
 	if failures == 0 {
-		t.Logf("%d scenarios x P in {1,4} x {knn, within}: zero divergences", scenarios)
+		t.Logf("%d scenarios x P in {1,4} x {knn, within}: zero divergences, Lemma 9's queue bound held", scenarios)
 	}
 }
