@@ -29,7 +29,7 @@ func main() {
 	if err := db.Apply(moq.New(1, 0, moq.V(0, 0), moq.V(10, 0))); err != nil {
 		log.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(shard.Single(db), nil))
+	ts := httptest.NewServer(server.NewWithOptions(shard.Single(db), server.Options{}))
 	defer ts.Close()
 	fmt.Printf("serving a 2-D MOD at %s\n\n", ts.URL)
 

@@ -344,19 +344,30 @@ func (s *Sweeper) emit(c Change) {
 	}
 }
 
+// CompareValues orders two curve values at one instant: -1 or +1 when
+// they differ by more than 1e-9 relative to the larger magnitude (at
+// least 1), and 0 — a tie, for the caller to break — otherwise. It is
+// the one value tie of the curve order: the sweep's comparator, its
+// replacement check and query.Formula's comparisons all decide by it.
+func CompareValues(va, vb float64) int {
+	scale := math.Max(1, math.Max(math.Abs(va), math.Abs(vb)))
+	if d := va - vb; math.Abs(d) > 1e-9*scale {
+		if d < 0 {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
 // cmpAt builds the strict total order at time t: by curve value, then by
 // the sign of the difference immediately after t (so entries inserted at
 // a meeting instant land on the side they will occupy), then by id.
 func (s *Sweeper) cmpAt(t float64) order.Cmp {
 	return func(a, b uint64) int {
 		fa, fb := s.curves[a], s.curves[b]
-		va, vb := fa.Eval(t), fb.Eval(t)
-		scale := math.Max(1, math.Max(math.Abs(va), math.Abs(vb)))
-		if d := va - vb; math.Abs(d) > 1e-9*scale {
-			if d < 0 {
-				return -1
-			}
-			return 1
+		if c := CompareValues(fa.Eval(t), fb.Eval(t)); c != 0 {
+			return c
 		}
 		if sg := piecewise.SignDiffAfter(fa, fb, t); sg != 0 {
 			return sg
@@ -541,8 +552,7 @@ func (s *Sweeper) ReplaceCurve(id uint64, f piecewise.Func) error {
 	newV := f.Eval(s.now)
 	s.curves[id] = f
 	s.gens[id]++
-	scale := math.Max(1, math.Max(math.Abs(oldV), math.Abs(newV)))
-	if math.Abs(newV-oldV) > 1e-9*scale || s.misplaced(id) {
+	if CompareValues(newV, oldV) != 0 || s.misplaced(id) {
 		s.scheduleExpiry(id, f)
 		return s.recertify(id, s.now)
 	}

@@ -173,6 +173,57 @@ func TestInsertRemoveMidSweep(t *testing.T) {
 	}
 }
 
+// TestRemovedCurveTakesItsEventsAlong: a removed curve's scheduled
+// crossing leaves the queue with it, whether the event is keyed by the
+// removed curve (it sat in the middle of the order) or by its
+// predecessor, whose event pointed at it (it was the last curve). Audit
+// mode panics on a stale event, so advancing past the crossing fails
+// here if either is left behind.
+func TestRemovedCurveTakesItsEventsAlong(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		remove    uint64
+		wantOrder []uint64
+		wantEvent int // events processed after the removal
+	}{
+		{"middle", 2, []uint64{3, 1}, 1}, // 1 and 3 still cross at t = 30
+		{"last", 3, []uint64{1, 2}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSweeper(t, nil)
+			mustAdd(t, s, 1, lineCurve(0, 0))
+			mustAdd(t, s, 2, lineCurve(1, 10))
+			mustAdd(t, s, 3, lineCurve(-1, 30)) // crosses 2 at t = 10
+			if err := s.AdvanceTo(5); err != nil {
+				t.Fatal(err)
+			}
+			if at, ok := s.NextEventTime(); !ok || at != 10 {
+				t.Fatalf("next event at %g (%v), want the crossing of 2 and 3 at 10", at, ok)
+			}
+			if err := s.RemoveCurve(tc.remove); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats().Events
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("advancing past the removed curve's crossing: %v", r)
+					}
+				}()
+				if err := s.AdvanceTo(40); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if got := s.Order(); fmt.Sprint(got) != fmt.Sprint(tc.wantOrder) {
+				t.Errorf("order %v, want %v", got, tc.wantOrder)
+			}
+			if got := s.Stats().Events - before; got != tc.wantEvent {
+				t.Errorf("%d events after the removal, want %d", got, tc.wantEvent)
+			}
+		})
+	}
+}
+
 func TestReplaceCurveCancelsCross(t *testing.T) {
 	// Figure 2's A-update: o1 heading to cross o2 at D; a chdir before
 	// the crossing cancels it.

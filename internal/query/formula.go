@@ -320,34 +320,10 @@ func (ev *Formula) cmpCurves(a, b uint64, t float64) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("query: curve %d missing", b)
 	}
-	va, vb := fa.Eval(t), fb.Eval(t)
-	scale := 1.0
-	if s := maxAbs(va, vb); s > 1 {
-		scale = s
+	if c := core.CompareValues(fa.Eval(t), fb.Eval(t)); c != 0 || !ev.after {
+		return c, nil
 	}
-	if d := va - vb; d < -1e-9*scale || d > 1e-9*scale {
-		if d < 0 {
-			return -1, nil
-		}
-		return 1, nil
-	}
-	if ev.after {
-		return piecewise.SignDiffAfter(fa, fb, t), nil
-	}
-	return 0, nil
-}
-
-func maxAbs(a, b float64) float64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	if a > b {
-		return a
-	}
-	return b
+	return piecewise.SignDiffAfter(fa, fb, t), nil
 }
 
 // SnapshotAt evaluates Q[D]_t exactly at instant t (ties count as equal).

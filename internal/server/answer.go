@@ -57,7 +57,7 @@ func (s *Server) okAnswer(w http.ResponseWriter, ans *query.AnswerSet, cls query
 	defer answerPool.Put(buf)
 	data, objects, err := appendAnswer(buf.b[:0], ans, cls, tau, events)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err), nil)
 		return 0, 0
 	}
 	data = append(data, '\n')

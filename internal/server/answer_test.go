@@ -222,7 +222,7 @@ func TestNonFiniteAnswerIsACleanError(t *testing.T) {
 		}
 	}
 
-	ts := httptest.NewServer(New(&stubBackend{ans: bad}, nil))
+	ts := httptest.NewServer(NewWithOptions(&stubBackend{ans: bad}, Options{}))
 	defer ts.Close()
 	for _, req := range []struct{ path, body string }{
 		{"/query/knn", `{"k":1,"lo":0,"hi":1,"point":[0,0]}`},
@@ -387,7 +387,7 @@ func TestOkAnswerSharesThePoolSafely(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for g := range answers {
-		ts := httptest.NewServer(New(&stubBackend{ans: answers[g], ansTau: 7}, nil))
+		ts := httptest.NewServer(NewWithOptions(&stubBackend{ans: answers[g], ansTau: 7}, Options{}))
 		defer ts.Close()
 		url := ts.URL + "/query/possibly-within"
 		wg.Add(1)

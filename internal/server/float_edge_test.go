@@ -36,7 +36,7 @@ func TestNonFiniteResponseSurfacesAs500(t *testing.T) {
 	ans := query.NewAnswerSet()
 	ans.Finish(0)
 	be := &stubBackend{liveTau: math.Inf(-1), ansTau: math.Inf(-1), ans: ans}
-	ts := httptest.NewServer(New(be, nil))
+	ts := httptest.NewServer(NewWithOptions(be, Options{}))
 	defer ts.Close()
 
 	for _, tc := range []struct {
@@ -115,7 +115,7 @@ func TestQueryRejectsNonFiniteParams(t *testing.T) {
 // a 400 rather than poisoning the store.
 func TestBinaryBatchIngest(t *testing.T) {
 	db := mod.NewDB(2, -1)
-	ts := httptest.NewServer(New(shard.Single(db), nil))
+	ts := httptest.NewServer(NewWithOptions(shard.Single(db), Options{}))
 	defer ts.Close()
 
 	good := []mod.Update{

@@ -16,9 +16,8 @@ import (
 
 // httpMetrics is the HTTP-layer instrument set.
 type httpMetrics struct {
-	requests  *obs.CounterVec   // mod_http_requests_total{endpoint,code}
-	latency   *obs.HistogramVec // mod_http_request_seconds{endpoint}
-	batchSize *obs.Histogram    // mod_http_update_batch_size
+	requests *obs.CounterVec   // mod_http_requests_total{endpoint,code}
+	latency  *obs.HistogramVec // mod_http_request_seconds{endpoint}
 }
 
 func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
@@ -27,17 +26,7 @@ func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
 			"HTTP requests served, by endpoint and status code", "endpoint", "code"),
 		latency: reg.NewHistogramVec("mod_http_request_seconds",
 			"HTTP request duration, by endpoint", obs.DefLatencyBuckets, "endpoint"),
-		batchSize: reg.NewHistogram("mod_http_update_batch_size",
-			"updates per POST /update/batch request", obs.DefSizeBuckets),
 	}
-}
-
-// recordBatchSize observes one /update/batch request's size.
-func (s *Server) recordBatchSize(n int) {
-	if s.httpMetrics == nil {
-		return
-	}
-	s.httpMetrics.batchSize.Observe(float64(n))
 }
 
 // endpointLabel normalizes a request to a bounded label set: the

@@ -160,7 +160,7 @@ func TestOIDAboveMaxIsRefused(t *testing.T) {
 // /update/batch; the batch error still carries the applied count.
 func TestDurabilityFailureIs500(t *testing.T) {
 	be := &stubBackend{updErr: fmt.Errorf("%w: shard 0: disk full", mod.ErrNotDurable)}
-	ts := httptest.NewServer(New(be, nil))
+	ts := httptest.NewServer(NewWithOptions(be, Options{}))
 	defer ts.Close()
 	var resp struct {
 		Error   string `json:"error"`
@@ -188,7 +188,7 @@ func TestEmptyIntervalListMarshalsAsArray(t *testing.T) {
 	ans := query.NewAnswerSet()
 	ans.Enter(1, 0) // open membership, no closed intervals yet
 	be := &stubBackend{ans: ans}
-	ts := httptest.NewServer(New(be, nil))
+	ts := httptest.NewServer(NewWithOptions(be, Options{}))
 	defer ts.Close()
 
 	var resp struct {
@@ -220,7 +220,7 @@ func TestClassComesFromSnapshotTau(t *testing.T) {
 	// Live clock says 0 (the window [1,2] would look future); the
 	// snapshot that produced the answer had tau=100 (the window is past).
 	be := &stubBackend{liveTau: 0, ansTau: 100, ans: ans}
-	ts := httptest.NewServer(New(be, nil))
+	ts := httptest.NewServer(NewWithOptions(be, Options{}))
 	defer ts.Close()
 
 	for _, ep := range []string{"/query/knn", "/query/within"} {
@@ -257,7 +257,7 @@ func TestClassTauInvariantUnderConcurrentUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(eng, nil))
+	ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 	defer ts.Close()
 	url := ts.URL
 
@@ -521,7 +521,7 @@ func TestPossiblyWithinInvertedWindowIs400WhateverTheData(t *testing.T) {
 			if err := eng.ApplyAll(updates...); err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(New(eng, nil))
+			ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 			var env struct {
 				Error string `json:"error"`
 			}
@@ -552,7 +552,7 @@ func TestKNNHugeKAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ts := httptest.NewServer(New(eng, nil))
+		ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 		client := &http.Client{Timeout: 2 * time.Second}
 		ask := func(k string) string {
 			t.Helper()

@@ -13,6 +13,12 @@
 // epoch snapshot per shard), so its fields describe one state even while
 // writes land; GET /snapshot encodes their mod.Union.
 //
+// The four /query endpoints take one request path (handleQuery): each
+// decodes its own body type, one check refuses a malformed question
+// with a 400, and one tail classifies the window against the answer's
+// snapshot tau, encodes, writes and logs the SLOWQUERY record. The two
+// /watch endpoints are one handler parameterised by sub.Kind.
+//
 // Endpoints:
 //
 //	GET  /healthz                 liveness + database header
@@ -149,14 +155,9 @@ type Server struct {
 	heartbeat   time.Duration
 }
 
-// New builds a server over be (wrap a plain *mod.DB with
-// shard.FromDB(db, shard.Config{}) for the unsharded engine). logger
-// may be nil (logging disabled).
-func New(be Backend, logger *log.Logger) *Server {
-	return NewWithOptions(be, Options{Logger: logger})
-}
-
-// NewWithOptions builds a server with observability options.
+// NewWithOptions builds a server over be (wrap a plain *mod.DB with
+// shard.Single(db) for the unsharded engine); the zero Options log
+// nothing and serve no metrics.
 func NewWithOptions(be Backend, opts Options) *Server {
 	s := &Server{
 		be: be, dim: be.Snapshots()[0].Dim(), mux: http.NewServeMux(), log: opts.Logger,
@@ -172,13 +173,12 @@ func NewWithOptions(be Backend, opts Options) *Server {
 	s.handle("GET /object", s.handleObject)
 	s.handle("POST /update", s.handleUpdate)
 	s.handle("POST /update/batch", s.handleUpdateBatch)
-	s.handle("POST /query/knn", s.handleKNN)
-	s.handle("POST /query/within", s.handleWithin)
-	s.handle("POST /query/alibi", s.handleAlibi)
-	s.handle("POST /query/possibly-within", s.handlePossiblyWithin)
+	for path, newRequest := range queryEndpoints {
+		s.handleQuery(path, newRequest)
+	}
 	s.handle("GET /snapshot", s.handleSnapshot)
-	s.handle("POST /watch/knn", s.handleWatchKNN)
-	s.handle("POST /watch/within", s.handleWatchWithin)
+	s.handle("POST /watch/knn", s.handleWatch(sub.KNN))
+	s.handle("POST /watch/within", s.handleWatch(sub.Within))
 	// Create the subscription registry up front so its metric series
 	// (instrumented by the backend's own Instrument call) are live
 	// before the first /watch request.
@@ -214,23 +214,15 @@ type httpError struct {
 	Applied *int   `json:"applied,omitempty"`
 }
 
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
+// fail writes err in the error envelope with status code; applied, if
+// not nil, is how many updates of a batch were applied before it.
+func (s *Server) fail(w http.ResponseWriter, code int, err error, applied *int) {
 	if s.log != nil {
 		s.log.Printf("http %d: %v", code, err)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(httpError{Error: err.Error()})
-}
-
-// failBatch is fail carrying the partially-applied count.
-func (s *Server) failBatch(w http.ResponseWriter, code int, err error, applied int) {
-	if s.log != nil {
-		s.log.Printf("http %d: %v", code, err)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(httpError{Error: err.Error(), Applied: &applied})
+	_ = json.NewEncoder(w).Encode(httpError{Error: err.Error(), Applied: applied})
 }
 
 // ok writes v as a JSON answer with status 200 and reports the bytes
@@ -243,34 +235,13 @@ func (s *Server) ok(w http.ResponseWriter, v interface{}) int {
 	// Buffering turns an encode failure into a clean 500.
 	data, err := json.Marshal(v)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err), nil)
 		return 0
 	}
 	data = append(data, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(data)
 	return len(data)
-}
-
-// finite rejects NaN/±Inf request parameters before they reach the
-// engine: a non-finite window bound or query point either derails the
-// sweep or produces an answer JSON cannot encode. Mirrors the /watch
-// body validation (sub.Query normalization).
-func finite(name string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%s is %g, want finite", name, v)
-	}
-	return nil
-}
-
-// finiteVec is finite over a point's components.
-func finiteVec(name string, v []float64) error {
-	for i, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%s[%d] is %g, want finite", name, i, x)
-		}
-	}
-	return nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -324,7 +295,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	// that exist).
 	oid, err := mod.ParseOID(r.URL.Query().Get("oid"))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.fail(w, http.StatusBadRequest, err, nil)
 		return
 	}
 	var tr trajectory.Trajectory
@@ -334,7 +305,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
+		s.fail(w, http.StatusNotFound, err, nil)
 		return
 	}
 	var pieces []jsonTrajPiece
@@ -356,11 +327,11 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var u mod.Update
 	if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode update: %w", err))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode update: %w", err), nil)
 		return
 	}
 	if err := s.be.Apply(u); err != nil {
-		s.fail(w, updateStatus(err), err)
+		s.fail(w, updateStatus(err), err, nil)
 		return
 	}
 	s.ok(w, map[string]interface{}{"applied": u.String(), "tau": s.be.Tau()})
@@ -395,267 +366,25 @@ func (s *Server) handleUpdateBatch(w http.ResponseWriter, r *http.Request) {
 		// "crash mid-write" excuse.
 		var err error
 		if us, err = mod.DecodeUpdatesBinary(r.Body); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("decode binary update batch: %w", err))
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("decode binary update batch: %w", err), nil)
 			return
 		}
 	} else if err := json.NewDecoder(r.Body).Decode(&us); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode update batch: %w", err))
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode update batch: %w", err), nil)
 		return
 	}
-	s.recordBatchSize(len(us))
 	n, err := s.be.ApplyBatch(us)
 	if err != nil {
-		s.failBatch(w, updateStatus(err), err, n)
+		s.fail(w, updateStatus(err), err, &n)
 		return
 	}
 	s.ok(w, map[string]interface{}{"applied": n, "tau": s.be.Tau()})
 }
 
-// knnRequest is the body of /query/knn.
-type knnRequest struct {
-	K     int       `json:"k"`
-	Lo    float64   `json:"lo"`
-	Hi    float64   `json:"hi"`
-	Point []float64 `json:"point"`
-}
-
-// slowQueryRecord is one structured slow-query log line (logged as
-// "SLOWQUERY {json}").
-type slowQueryRecord struct {
-	Endpoint string  `json:"endpoint"`
-	Ms       float64 `json:"ms"`
-	Lo       float64 `json:"lo"`
-	Hi       float64 `json:"hi"`
-	K        int     `json:"k,omitempty"`
-	Radius   float64 `json:"radius,omitempty"`
-	Events   int     `json:"events"`
-	Tau      float64 `json:"tau"`
-	Class    string  `json:"class"`
-	Objects  int     `json:"objects,omitempty"` // objects the answer names
-	Bytes    int     `json:"bytes,omitempty"`   // answer bytes written
-}
-
-// logSlowQuery emits rec if the request exceeded the threshold. Every
-// query handler calls it after the answer is written, so elapsed covers
-// encoding and the write.
-func (s *Server) logSlowQuery(elapsed time.Duration, rec slowQueryRecord) {
-	if s.slowQuery <= 0 || elapsed < s.slowQuery || s.log == nil {
-		return
-	}
-	rec.Ms = float64(elapsed.Nanoseconds()) / 1e6
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	s.log.Printf("SLOWQUERY %s", data)
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req knnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	if len(req.Point) != s.dim {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
-		return
-	}
-	for _, err := range []error{finite("lo", req.Lo), finite("hi", req.Hi), finiteVec("point", req.Point)} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	start := time.Now()
-	ans, st, tau, err := s.be.KNN(gdist.PointSq{Point: geom.Vec(req.Point)}, req.K, req.Lo, req.Hi)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// Classify against the snapshot's tau, not a re-read of the live
-	// Tau(): an update landing mid-query must not relabel the window
-	// the answer was actually computed over.
-	cls, _ := query.Classify(req.Lo, req.Hi, tau)
-	objects, bytes := s.okAnswer(w, ans, cls, tau, st.Events)
-	s.logSlowQuery(time.Since(start), slowQueryRecord{
-		Endpoint: "/query/knn", Lo: req.Lo, Hi: req.Hi, K: req.K,
-		Events: st.Events, Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
-	})
-}
-
-// withinRequest is the body of /query/within.
-type withinRequest struct {
-	Radius float64   `json:"radius"`
-	Lo     float64   `json:"lo"`
-	Hi     float64   `json:"hi"`
-	Point  []float64 `json:"point"`
-}
-
-func (s *Server) handleWithin(w http.ResponseWriter, r *http.Request) {
-	var req withinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	if len(req.Point) != s.dim {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
-		return
-	}
-	if req.Radius < 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("negative radius"))
-		return
-	}
-	for _, err := range []error{finite("lo", req.Lo), finite("hi", req.Hi), finite("radius", req.Radius), finiteVec("point", req.Point)} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	start := time.Now()
-	ans, st, tau, err := s.be.Within(gdist.PointSq{Point: geom.Vec(req.Point)}, req.Radius*req.Radius, req.Lo, req.Hi)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cls, _ := query.Classify(req.Lo, req.Hi, tau)
-	objects, bytes := s.okAnswer(w, ans, cls, tau, st.Events)
-	s.logSlowQuery(time.Since(start), slowQueryRecord{
-		Endpoint: "/query/within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
-		Events: st.Events, Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
-	})
-}
-
-// alibiRequest is the body of /query/alibi. Vmax is the default speed
-// bound for objects without a declared one (mod.KindBound); omitting it
-// requires every involved object to carry a declaration.
-type alibiRequest struct {
-	O1   mod.OID  `json:"o1"`
-	O2   mod.OID  `json:"o2"`
-	Lo   float64  `json:"lo"`
-	Hi   float64  `json:"hi"`
-	Vmax *float64 `json:"vmax"`
-}
-
-// alibiJSON is the wire form of a bead.Result: a certificate, not an
-// interval set — Possible=false is a proof the two objects could not
-// have met anywhere in the window.
-type alibiJSON struct {
-	Possible bool     `json:"possible"`
-	At       *float64 `json:"at,omitempty"` // earliest possible meeting
-	Checked  int      `json:"checked"`      // bead-pair windows examined
-	Pruned   int      `json:"pruned"`       // of those, rejected without the kernel
-	Tau      float64  `json:"tau"`
-	Class    string   `json:"class"`
-}
-
-// defaultVmax maps the optional wire field to the backend's sentinel
-// convention (negative = require declarations) and validates it.
-func defaultVmax(v *float64) (float64, error) {
-	if v == nil {
-		return -1, nil
-	}
-	if err := finite("vmax", *v); err != nil {
-		return 0, err
-	}
-	if *v < 0 {
-		return 0, fmt.Errorf("vmax is %g, want >= 0", *v)
-	}
-	return *v, nil
-}
-
-func (s *Server) handleAlibi(w http.ResponseWriter, r *http.Request) {
-	var req alibiRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	for _, err := range []error{finite("lo", req.Lo), finite("hi", req.Hi)} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	vmax, err := defaultVmax(req.Vmax)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	res, tau, err := s.be.Alibi(req.O1, req.O2, req.Lo, req.Hi, vmax)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cls, _ := query.Classify(req.Lo, req.Hi, tau)
-	out := alibiJSON{Possible: res.Possible, Checked: res.Checked, Pruned: res.Pruned, Tau: tau, Class: cls.String()}
-	if res.Possible {
-		at := res.At
-		out.At = &at
-	}
-	bytes := s.ok(w, out)
-	s.logSlowQuery(time.Since(start), slowQueryRecord{
-		Endpoint: "/query/alibi", Lo: req.Lo, Hi: req.Hi,
-		Tau: tau, Class: cls.String(), Bytes: bytes,
-	})
-}
-
-// possiblyWithinRequest is the body of /query/possibly-within.
-type possiblyWithinRequest struct {
-	Radius float64   `json:"radius"`
-	Lo     float64   `json:"lo"`
-	Hi     float64   `json:"hi"`
-	Point  []float64 `json:"point"`
-	Vmax   *float64  `json:"vmax"`
-}
-
-func (s *Server) handlePossiblyWithin(w http.ResponseWriter, r *http.Request) {
-	var req possiblyWithinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	if len(req.Point) != s.dim {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("point has %d components, database dim %d", len(req.Point), s.dim))
-		return
-	}
-	if req.Radius < 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("negative radius"))
-		return
-	}
-	for _, err := range []error{finite("lo", req.Lo), finite("hi", req.Hi), finite("radius", req.Radius), finiteVec("point", req.Point)} {
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	vmax, err := defaultVmax(req.Vmax)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	ans, tau, err := s.be.PossiblyWithin(geom.Vec(req.Point), req.Radius, req.Lo, req.Hi, vmax)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	cls, _ := query.Classify(req.Lo, req.Hi, tau)
-	// The uncertainty query is not a sweep, so there is no event count;
-	// the envelope stays the same shape as /query/within with Events=0.
-	objects, bytes := s.okAnswer(w, ans, cls, tau, 0)
-	s.logSlowQuery(time.Since(start), slowQueryRecord{
-		Endpoint: "/query/possibly-within", Lo: req.Lo, Hi: req.Hi, Radius: req.Radius,
-		Tau: tau, Class: cls.String(), Objects: objects, Bytes: bytes,
-	})
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap, err := mod.Union(s.be.Snapshots()...)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		s.fail(w, http.StatusInternalServerError, err, nil)
 		return
 	}
 	save, ct := snap.SaveJSON, "application/json"

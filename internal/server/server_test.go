@@ -26,7 +26,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *mod.DB) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(shard.Single(db), nil))
+	ts := httptest.NewServer(NewWithOptions(shard.Single(db), Options{}))
 	t.Cleanup(ts.Close)
 	return ts, db
 }
@@ -272,7 +272,7 @@ func TestSnapshotEndpointIsTheEnginesSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ts := httptest.NewServer(New(eng, nil))
+		ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 		for _, c := range []struct {
 			query string
 			save  func(*mod.DB, io.Writer) error
@@ -332,7 +332,7 @@ func TestObjectsIsOneView(t *testing.T) {
 	}
 	terminated := map[uint64]bool{2: true}
 	be := &writeOnTau{Engine: eng, u: mod.New(4, 4, geom.Of(0, 0), geom.Of(1, 1))}
-	ts := httptest.NewServer(New(be, nil))
+	ts := httptest.NewServer(NewWithOptions(be, Options{}))
 	defer ts.Close()
 	var objs struct {
 		Tau     float64  `json:"tau"`

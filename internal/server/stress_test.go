@@ -35,7 +35,7 @@ func TestStressInterleavedUpdatesAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(eng, nil))
+	ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 	defer ts.Close()
 
 	post := func(path string, body interface{}) (int, error) {

@@ -89,32 +89,17 @@ func deltaEvent(d sub.Delta) watchEvent {
 	}
 }
 
-func (s *Server) handleWatchKNN(w http.ResponseWriter, r *http.Request) {
-	var req watchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode watch: %w", err))
-		return
+// handleWatch serves the /watch endpoint of kind. The body's "k" and
+// "radius" both pass to sub.Query, which reads only its kind's field.
+func (s *Server) handleWatch(kind sub.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req watchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("decode watch: %w", err), nil)
+			return
+		}
+		s.serveWatch(w, r, sub.Query{Kind: kind, K: req.K, Radius: req.Radius, Point: geom.Vec(req.Point), Hi: req.Hi})
 	}
-	s.serveWatch(w, r, sub.Query{
-		Kind:  sub.KNN,
-		K:     req.K,
-		Point: geom.Vec(req.Point),
-		Hi:    req.Hi,
-	})
-}
-
-func (s *Server) handleWatchWithin(w http.ResponseWriter, r *http.Request) {
-	var req watchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode watch: %w", err))
-		return
-	}
-	s.serveWatch(w, r, sub.Query{
-		Kind:   sub.Within,
-		Radius: req.Radius,
-		Point:  geom.Vec(req.Point),
-		Hi:     req.Hi,
-	})
 }
 
 // serveWatch subscribes to q and pumps the stream's deltas to the
@@ -127,7 +112,7 @@ func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request, q sub.Query)
 		if errors.Is(err, sub.ErrClosed) {
 			code = http.StatusServiceUnavailable
 		}
-		s.fail(w, code, err)
+		s.fail(w, code, err, nil)
 		return
 	}
 	defer st.Cancel()
@@ -136,7 +121,7 @@ func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request, q sub.Query)
 	// real flusher.
 	flusher, ok := findFlusher(w)
 	if !ok {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"), nil)
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -140,7 +140,7 @@ func TestWatchKNNStreamsDeltas(t *testing.T) {
 	if err := db.Apply(mod.New(1, 0, geom.Of(0, 0), geom.Of(10, 0))); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(shard.Single(db), nil))
+	ts := httptest.NewServer(NewWithOptions(shard.Single(db), Options{}))
 	defer ts.Close()
 
 	r, closeBody := openWatch(t, ts.URL, "/watch/knn", watchRequest{K: 1, Hi: 1000, Point: []float64{0, 0}})
@@ -201,7 +201,7 @@ func TestWatchWithinStreamsDeltas(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(shard.Single(db), nil))
+	ts := httptest.NewServer(NewWithOptions(shard.Single(db), Options{}))
 	defer ts.Close()
 
 	r, closeBody := openWatch(t, ts.URL, "/watch/within", watchRequest{Radius: 5, Hi: 50, Point: []float64{0, 0}})
@@ -276,7 +276,7 @@ func TestWatchValidation(t *testing.T) {
 	if err := db.Apply(mod.New(1, 0, geom.Of(0, 0), geom.Of(10, 0))); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(shard.Single(db), nil))
+	ts := httptest.NewServer(NewWithOptions(shard.Single(db), Options{}))
 	defer ts.Close()
 
 	nan, inf := math.NaN(), math.Inf(1)
@@ -396,7 +396,7 @@ func TestWatchSharedSubscription(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := shard.Single(db)
-	ts := httptest.NewServer(New(eng, nil))
+	ts := httptest.NewServer(NewWithOptions(eng, Options{}))
 	defer ts.Close()
 
 	req := watchRequest{K: 1, Hi: 1000, Point: []float64{0, 0}}
