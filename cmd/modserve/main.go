@@ -48,9 +48,9 @@
 //
 // The data directory is written in the binary codec of internal/mod
 // (length-prefixed, CRC-framed records, raw IEEE-754 floats). A
-// directory an older build wrote as JSON is imported at boot: recovered
-// as usual, then checkpointed into the binary format before the server
-// accepts an update. The durability flags (-commit, -checkpoint-every)
+// directory an older build wrote as JSON is refused at boot and left as
+// it was; opening it once with a build at or before commit f2b2e8f
+// converts it. The durability flags (-commit, -checkpoint-every)
 // are rejected without -data-dir rather than silently ignored.
 //
 // -load restores a snapshot file (binary or JSON, sniffed) into the

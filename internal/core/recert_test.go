@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -135,5 +136,85 @@ func TestContinuousCurveHasNoRecertEvents(t *testing.T) {
 	}
 	if ds := g.Discontinuities(50, 100); len(ds) != 0 {
 		t.Fatalf("window-excluded discontinuity reported: %v", ds)
+	}
+}
+
+// TestRecertifyTakesItsStaleEventsAlong: a curve's post-jump piece
+// re-inserts it away from its old neighbours, and the crossing events
+// of its old adjacencies leave the queue with it. The old pair still
+// meets after the jump (the pair-difference curve runs across the
+// jump), so a left-behind event stays scheduled: right after the jump
+// the queue holds exactly the events of the new adjacencies, and audit
+// mode panics on a stale event when the sweep reaches it.
+func TestRecertifyTakesItsStaleEventsAlong(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		curves     map[uint64]piecewise.Func
+		before     []uint64 // order before the jump at t = 20
+		after      []uint64 // order right after it
+		wantQueued int      // events of the new adjacencies
+	}{
+		{
+			// 2 sits between 1 and 3 and jumps above 4: its old
+			// (2, 3) event, keyed by 2, must leave.
+			name: "middle to the end",
+			curves: map[uint64]piecewise.Func{
+				1: piecewise.FromPoly(poly.Constant(0), 0, 100),
+				2: step([]float64{0, 20, 100}, []float64{10, 100}),
+				3: piecewise.FromPoly(poly.Linear(1, 30), 0, 100), // meets 100 at t = 70
+				4: piecewise.FromPoly(poly.Constant(90), 0, 100),  // 3 passes it at t = 60
+			},
+			before:     []uint64{1, 2, 3, 4},
+			after:      []uint64{1, 3, 4, 2},
+			wantQueued: 1, // (3, 4) at 60
+		},
+		{
+			// 3 is last and jumps below 2: the (2, 3) event, keyed by
+			// its predecessor 2, must leave.
+			name: "last below its predecessor",
+			curves: map[uint64]piecewise.Func{
+				1: piecewise.FromPoly(poly.Constant(0), 0, 100),
+				2: piecewise.FromPoly(poly.Constant(10), 0, 100),
+				3: piecewise.MustNew(
+					piecewise.Piece{Start: 0, End: 20, P: poly.Constant(30)},
+					piecewise.Piece{Start: 20, End: 100, P: poly.Linear(1, -15)}, // 5 at t = 20, meets 10 at 25
+				),
+			},
+			before:     []uint64{1, 2, 3},
+			after:      []uint64{1, 3, 2},
+			wantQueued: 1, // (3, 2) at 25
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSweeper(Config{Start: 0, Horizon: 100, Audit: true})
+			for _, id := range tc.before {
+				mustAdd(t, s, id, tc.curves[id])
+			}
+			if got := s.Order(); fmt.Sprint(got) != fmt.Sprint(tc.before) {
+				t.Fatalf("order %v, want %v", got, tc.before)
+			}
+			if err := s.AdvanceTo(21); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Order(); fmt.Sprint(got) != fmt.Sprint(tc.after) {
+				t.Fatalf("order after the jump %v, want %v", got, tc.after)
+			}
+			if n := s.QueueLen(); n != tc.wantQueued {
+				t.Errorf("%d events queued after the jump, want %d", n, tc.wantQueued)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("sweeping past the jump: %v", r)
+					}
+				}()
+				if err := s.AdvanceTo(100); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if err := s.AuditOrder(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -90,7 +90,7 @@ func newCommitter(j *mod.Journal, m *engineMetrics) *committer {
 // is. They wait to be buffered, though: mod.Journal.Sync holds the
 // journal's lock across the fsync, and the journal's update listener
 // takes that lock, so an apply on this shard waits out the fsync in
-// flight (ROADMAP item 4, durability finding).
+// flight (ROADMAP item 15, durability finding).
 func (c *committer) run() {
 	defer close(c.done)
 	c.mu.Lock()

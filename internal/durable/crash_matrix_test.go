@@ -13,7 +13,7 @@ package durable_test
 // deterministic for a deterministic caller), then every k in 1..total
 // is the injection point of one matrix entry. One script and one
 // accounting serve every matrix: both commit policies, Apply and
-// ApplyBatch, and the legacy JSON import (migration_test.go).
+// ApplyBatch.
 
 import (
 	"path/filepath"

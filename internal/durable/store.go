@@ -38,15 +38,10 @@
 // steps 2 and 5 survive too. A crash after step 5 merely leaves
 // garbage for the next open to collect.
 //
-// Legacy import: stores written before the binary codec hold
-// snap-N.json (mod.SaveJSON) and wal-N.jsonl (one JSON line per update).
-// They are read, never written. Recovery replays them like any other
-// pair, leaves the .jsonl segment as it found it (torn tail included),
-// puts the live journal on a fresh binary segment, and runs one
-// checkpoint before OpenStore returns — so the store is binary before
-// the first update arrives, and a crash inside that checkpoint is a
-// crash inside a checkpoint: the old manifest still commits to the JSON
-// pair and the next open does it again.
+// Stores written before the binary codec (snap-N.json, wal-N.jsonl) are
+// refused at open, before anything is written: a build at or before
+// commit f2b2e8f imports such a store into the binary pair the first
+// time it opens it, and that is the way to convert one.
 package durable
 
 import (
@@ -113,24 +108,22 @@ const (
 )
 
 // classify recognises the journal-segment and snapshot names a store
-// directory can hold and extracts their sequence number. It is the one
-// place that knows the legacy JSON names; legacy files are only ever
-// read and collected.
-func classify(name string) (kind fileKind, seq uint64, legacy bool) {
+// directory can hold and extracts their sequence number.
+func classify(name string) (kind fileKind, seq uint64) {
 	stem, ext, _ := strings.Cut(name, ".")
 	switch {
-	case strings.HasPrefix(stem, "wal-") && (ext == "wal" || ext == "jsonl"):
-		kind, legacy, stem = walFile, ext == "jsonl", stem[len("wal-"):]
-	case strings.HasPrefix(stem, "snap-") && (ext == "bin" || ext == "json"):
-		kind, legacy, stem = snapFile, ext == "json", stem[len("snap-"):]
+	case strings.HasPrefix(stem, "wal-") && ext == "wal":
+		kind, stem = walFile, stem[len("wal-"):]
+	case strings.HasPrefix(stem, "snap-") && ext == "bin":
+		kind, stem = snapFile, stem[len("snap-"):]
 	default:
-		return otherFile, 0, false
+		return otherFile, 0
 	}
 	seq, err := strconv.ParseUint(stem, 10, 64)
 	if err != nil {
-		return otherFile, 0, false
+		return otherFile, 0
 	}
-	return kind, seq, legacy
+	return kind, seq
 }
 
 // StoreOptions parametrize a store.
@@ -232,7 +225,6 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 		return nil, fmt.Errorf("durable: mkdir %s: %w", dir, err)
 	}
 	man, err := readManifest[storeManifest](fsys, path.Join(dir, manifestName))
-	legacy := false
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		if adopt != nil {
@@ -247,7 +239,7 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	case adopt != nil:
 		return nil, fmt.Errorf("durable: %s already holds a store", dir)
 	default:
-		if legacy, err = s.recover(man); err != nil {
+		if err := s.recover(man); err != nil {
 			return nil, err
 		}
 	}
@@ -260,17 +252,6 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	s.j = mod.NewJournal(s.db, s.jfile)
 	if opts.Commit == CommitGroup {
 		s.c = newCommitter(s.j, opts.commitMetrics)
-	}
-	if legacy {
-		// Recovery read JSON files and left the live journal on a fresh
-		// binary segment. This checkpoint writes the binary snapshot,
-		// commits the binary pair and collects the JSON files before any
-		// update can arrive; if it fails, the manifest still commits to
-		// the JSON pair and the next open starts over.
-		if _, err := s.Checkpoint(); err != nil {
-			_ = s.Close()
-			return nil, fmt.Errorf("durable: %s: import of the legacy JSON store: %w", dir, err)
-		}
 	}
 	s.recovery.Duration = time.Since(start)
 	s.gcLocked() // the store is not shared yet: nothing to lock out
@@ -315,21 +296,6 @@ func (s *Store) initFresh() error {
 	if s.db == nil {
 		s.db = mod.NewDB(dim, s.opts.Tau0)
 	}
-	// No manifest means nothing here was ever committed. A legacy build
-	// that crashed at this point left its first segment under the JSON
-	// name, which the Create below does not overwrite and recovery would
-	// refuse as a second copy of segment 1.
-	names, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("durable: list %s: %w", s.dir, err)
-	}
-	for _, n := range names {
-		if _, _, legacy := classify(n); legacy {
-			if err := s.fs.Remove(path.Join(s.dir, n)); err != nil {
-				return fmt.Errorf("durable: fresh store %s: %w", s.dir, err)
-			}
-		}
-	}
 	f, err := s.createSegment(1)
 	if err != nil {
 		return fmt.Errorf("durable: fresh store %s: %w", s.dir, err)
@@ -347,40 +313,45 @@ func (s *Store) initFresh() error {
 
 // recover restores the database named by the manifest: snapshot, then
 // the manifest's segment and every orphaned newer segment in sequence
-// order, each replayed tolerantly by its own codec. A binary final
-// segment is truncated past its last complete entry and reopened for
-// appending. legacy reports that a JSON file was read (or is named by
-// the manifest): the live journal is then on a fresh binary segment
-// past everything replayed, and the caller owes the checkpoint that
-// commits it.
-func (s *Store) recover(man storeManifest) (legacy bool, err error) {
+// order, each replayed tolerantly. The final segment is truncated past
+// its last complete entry and reopened for appending. A manifest that
+// names anything but a binary snapshot and segment is refused before
+// anything is read or written.
+func (s *Store) recover(man storeManifest) error {
 	if man.Version != 1 {
-		return false, fmt.Errorf("durable: %s: unsupported manifest version %d", s.dir, man.Version)
+		return fmt.Errorf("durable: %s: unsupported manifest version %d", s.dir, man.Version)
 	}
 	if s.opts.Dim != 0 && s.opts.Dim != man.Dim {
-		return false, fmt.Errorf("durable: %s holds a %d-D database, want %d-D", s.dir, man.Dim, s.opts.Dim)
+		return fmt.Errorf("durable: %s holds a %d-D database, want %d-D", s.dir, man.Dim, s.opts.Dim)
 	}
-	_, _, legacy = classify(man.Journal)
+	// A manifest naming anything else belongs to a store the JSON codec
+	// wrote. Opened as it stands, it would find no binary segment and
+	// start an empty one: the store would open empty.
+	jk, _ := classify(man.Journal)
+	sk := snapFile
 	if man.Snapshot != "" {
-		load := mod.LoadBinary
-		if _, _, snapLegacy := classify(man.Snapshot); snapLegacy {
-			legacy = true
-			load = mod.LoadJSON
-		}
+		sk, _ = classify(man.Snapshot)
+	}
+	if jk != walFile || sk != snapFile {
+		return fmt.Errorf("durable: %s: manifest names snapshot %q and journal %q, but this build reads "+
+			"only snap-N.bin and wal-N.wal: a store in the JSON codec converts by opening it once "+
+			"with a build at or before commit f2b2e8f", s.dir, man.Snapshot, man.Journal)
+	}
+	if man.Snapshot != "" {
 		r, err := s.fs.Open(path.Join(s.dir, man.Snapshot))
 		if err != nil {
-			return false, fmt.Errorf("durable: open snapshot: %w", err)
+			return fmt.Errorf("durable: open snapshot: %w", err)
 		}
-		db, lerr := load(r)
+		db, lerr := mod.LoadBinary(r)
 		cerr := r.Close()
 		if lerr != nil {
-			return false, fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, lerr)
+			return fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, lerr)
 		}
 		if cerr != nil {
-			return false, cerr
+			return cerr
 		}
 		if db.Dim() != man.Dim {
-			return false, fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", man.Snapshot, db.Dim(), man.Dim)
+			return fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", man.Snapshot, db.Dim(), man.Dim)
 		}
 		s.db = db
 		s.recovery.SnapshotLoaded = true
@@ -389,7 +360,7 @@ func (s *Store) recover(man storeManifest) (legacy bool, err error) {
 	}
 	segs, err := s.segmentsFrom(man.Seq)
 	if err != nil {
-		return false, err
+		return err
 	}
 	var tail walSegment // the last segment replayed
 	var tailStats mod.ReplayStats
@@ -399,17 +370,12 @@ func (s *Store) recover(man storeManifest) (legacy bool, err error) {
 			continue // gap beyond the manifest segment: nothing to replay
 		}
 		if oerr != nil {
-			return false, fmt.Errorf("durable: open journal %s: %w", seg.name, oerr)
+			return fmt.Errorf("durable: open journal %s: %w", seg.name, oerr)
 		}
-		replay := mod.ReplayTolerantBinary
-		if seg.legacy {
-			legacy = true
-			replay = mod.ReplayTolerant
-		}
-		st, rerr := replay(s.db, r)
+		st, rerr := mod.ReplayTolerantBinary(s.db, r)
 		_ = r.Close()
 		if rerr != nil {
-			return false, fmt.Errorf("durable: replay %s: %w", seg.name, rerr)
+			return fmt.Errorf("durable: replay %s: %w", seg.name, rerr)
 		}
 		s.recovery.Segments++
 		s.recovery.Replay.Applied += st.Applied
@@ -421,65 +387,49 @@ func (s *Store) recover(man storeManifest) (legacy bool, err error) {
 		tail, tailStats = seg, st
 	}
 	s.manifestSeq = man.Seq
-	// The live journal goes on the last segment replayed when that is a
-	// binary segment with at least its header intact. Otherwise a segment
-	// is created: past a JSON tail, which is history and stays as found
-	// (torn tail and all) until the checkpoint collects it; in place of a
-	// segment whose crash came before or inside the header; or, no
+	// The live journal goes on the last segment replayed when it has at
+	// least its header intact. Otherwise a segment is created: in place
+	// of a segment whose crash came before or inside the header; or, no
 	// segment found at all, in place of the manifest's — created and
 	// synced before the manifest committed to it, so that is reachable
 	// only by outside interference.
 	s.walSeq = max(man.Seq, tail.seq)
-	switch {
-	case tail.legacy:
-		s.walSeq++
-	case tailStats.GoodBytes > 0:
+	if tailStats.GoodBytes > 0 {
 		p := path.Join(s.dir, tail.name)
 		if tailStats.TornTail {
 			if err := s.fs.Truncate(p, tailStats.GoodBytes); err != nil {
-				return false, fmt.Errorf("durable: truncate torn tail of %s: %w", tail.name, err)
+				return fmt.Errorf("durable: truncate torn tail of %s: %w", tail.name, err)
 			}
 		}
 		if s.jfile, err = s.fs.Append(p); err != nil {
-			return false, fmt.Errorf("durable: reopen journal %s: %w", tail.name, err)
+			return fmt.Errorf("durable: reopen journal %s: %w", tail.name, err)
 		}
-		return legacy, nil
+		return nil
 	}
 	if s.jfile, err = s.createSegment(s.walSeq); err != nil {
-		return false, fmt.Errorf("durable: recover %s: %w", s.dir, err)
+		return fmt.Errorf("durable: recover %s: %w", s.dir, err)
 	}
-	return legacy, nil
+	return nil
 }
 
 // walSegment names one on-disk journal segment.
 type walSegment struct {
-	seq    uint64
-	name   string
-	legacy bool // a JSON-lines segment: replayed, never appended to
+	seq  uint64
+	name string
 }
 
 // segmentsFrom lists existing journal segments with seq >= from,
-// ascending, across both codecs. The same seq in both codecs cannot
-// arise from any crash of this code (a segment is created in exactly
-// one codec and seqs only grow), so it is outside interference and an
-// error.
+// ascending.
 func (s *Store) segmentsFrom(from uint64) ([]walSegment, error) {
 	names, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("durable: list %s: %w", s.dir, err)
 	}
 	var segs []walSegment
-	seen := make(map[uint64]string)
 	for _, n := range names {
-		kind, seq, legacy := classify(n)
-		if kind != walFile || seq < from {
-			continue
+		if kind, seq := classify(n); kind == walFile && seq >= from {
+			segs = append(segs, walSegment{seq: seq, name: n})
 		}
-		if prev, dup := seen[seq]; dup {
-			return nil, fmt.Errorf("durable: journal segment %d exists as both %s and %s", seq, prev, n)
-		}
-		seen[seq] = n
-		segs = append(segs, walSegment{seq: seq, name: n, legacy: legacy})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	return segs, nil
@@ -639,7 +589,7 @@ func (s *Store) gcLocked() {
 		case n == man.Snapshot || n == man.Journal || n == manifestName:
 			// live
 		default:
-			switch kind, seq, _ := classify(n); kind {
+			switch kind, seq := classify(n); kind {
 			case walFile:
 				// Newer segments than the manifest's hold updates the
 				// manifest pair does not cover — never collect those.

@@ -41,10 +41,9 @@ package mod
 //	magic "MODU" | version byte (1) | record... (journal framing)
 //
 // The version byte is the migration story: readers reject versions they
-// do not know. The JSON formats that preceded this codec remain
-// readable (LoadJSON, ReplayTolerant) but are no longer written to
-// disk: the durable store imports a JSON pair and checkpoints it into
-// this format before it accepts an update.
+// do not know. The JSON snapshot format (SaveJSON/LoadJSON) stays an
+// export and import format; the durable store reads and writes only
+// this codec, and refuses a store the JSON codec wrote.
 
 import (
 	"bufio"
@@ -262,16 +261,18 @@ func readUvarint(br *bufio.Reader) (uint64, int, error) {
 	}
 }
 
-// ReplayTolerantBinary is ReplayTolerant for binary journal segments:
-// it applies a binary journal stream to db with the same torn-tail
-// semantics. A record cut off mid-frame at the end of the stream — or
-// whose CRC fails with nothing after it — is the signature of a crash
-// mid-append: it is dropped and reported in the stats. A CRC failure or
-// undecodable record with further data after it is real corruption and
-// aborts with an error. GoodBytes carries the same contract: truncating
-// the segment there and appending fresh records yields a well-formed
-// journal. A stream torn inside the 5-byte header reports GoodBytes 0;
-// the store rewrites the header before appending.
+// ReplayTolerantBinary applies a binary journal stream to db, skipping
+// entries rejected by Apply (chronology duplicates over a snapshot,
+// stale objects) and tolerating a torn tail. A record cut off mid-frame
+// at the end of the stream — or whose CRC fails with nothing after it —
+// is the signature of a crash mid-append: it is dropped and reported in
+// the stats rather than failing recovery. A CRC failure or undecodable
+// record with further data after it is real corruption and aborts with
+// an error; everything decoded up to that point stays applied and is
+// reflected in the stats. Truncating the segment at GoodBytes and
+// appending fresh records yields a well-formed journal. A stream torn
+// inside the 5-byte header reports GoodBytes 0; the store rewrites the
+// header before appending.
 func ReplayTolerantBinary(db *DB, r io.Reader) (ReplayStats, error) {
 	var st ReplayStats
 	br := bufio.NewReader(r)

@@ -3,8 +3,7 @@ package mod
 // Tests for the binary journal/wire codec: bit-exact float round-trips
 // (the whole reason the codec exists — JSON cannot carry ±Inf, NaN, or
 // guarantee denormals survive a decimal round-trip), torn-tail replay
-// semantics matching the JSON journal's contract, and strict decoding
-// on the HTTP batch path.
+// semantics, and strict decoding on the HTTP batch path.
 
 import (
 	"bytes"

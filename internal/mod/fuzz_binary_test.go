@@ -1,9 +1,9 @@
 package mod
 
-// FuzzReplayTolerantBinary hardens binary-journal recovery exactly as
-// FuzzReplayTolerant hardens the JSON path: arbitrary bytes must never
-// panic, accounting must be internally consistent, and GoodBytes must
-// always be a truncate-and-append boundary. On top of the replay
+// FuzzReplayTolerantBinary hardens journal recovery against arbitrary
+// bytes (corrupted, truncated, interleaved or adversarial): they must
+// never panic, accounting must be internally consistent, and GoodBytes
+// must always be a truncate-and-append boundary. On top of the replay
 // invariants, every state reachable by replay must survive a binary
 // snapshot round-trip StateEqual — the codec's whole contract is that
 // raw IEEE-754 bits (±Inf taus, denormal coefficients) come back

@@ -1,16 +1,12 @@
 package mod
 
 // Journal: a durable append-only update log in the binary record format
-// (binary.go). Snapshot + journal replay reconstructs the database after
-// a restart. JSON lines, the format journals were written in before the
-// binary codec, are still read by ReplayTolerant.
+// (binary.go). Snapshot + journal replay (ReplayTolerantBinary)
+// reconstructs the database after a restart.
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -197,67 +193,9 @@ type ReplayStats struct {
 	// TailBytes is the length of the dropped torn tail, zero otherwise.
 	TailBytes int
 	// GoodBytes is the byte offset just past the last record that
-	// decoded cleanly (including skipped ones and blank lines). It is
-	// always a safe boundary: replaying the first GoodBytes bytes again
-	// reproduces Applied+Skipped exactly, and truncating a journal file
-	// to GoodBytes makes it safe to append to.
+	// decoded cleanly (including skipped ones). It is always a safe
+	// boundary: replaying the first GoodBytes bytes again reproduces
+	// Applied+Skipped exactly, and truncating a journal file to
+	// GoodBytes makes it safe to append to.
 	GoodBytes int64
-}
-
-// ReplayTolerant applies a journal stream to db, skipping entries
-// rejected by Apply (chronology duplicates over a snapshot, stale
-// objects) and tolerating a torn tail: if the final record is
-// incomplete or corrupt — the signature a crash leaves mid-append — it
-// is dropped and reported in the stats rather than failing recovery. A
-// record that fails to decode with further data after it is real
-// corruption and aborts with an error; everything decoded up to that
-// point stays applied and is reflected in the stats.
-//
-// Entries are framed as JSON lines, the format journals were written in
-// before the binary codec (ReplayTolerantBinary reads what Journal
-// writes now); JSON values never contain raw newlines, so line framing
-// is lossless.
-func ReplayTolerant(db *DB, r io.Reader) (ReplayStats, error) {
-	var st ReplayStats
-	br := bufio.NewReader(r)
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return st, fmt.Errorf("mod: journal read at byte %d: %w", st.GoodBytes, rerr)
-		}
-		if rerr == io.EOF && len(line) > 0 {
-			// Unterminated final line: the record's terminating newline
-			// never reached the disk, so the entry was never fully
-			// committed — a torn tail even if the bytes happen to parse.
-			// (Dropping it also keeps GoodBytes a boundary after which
-			// appending "entry\n" yields a well-formed journal.)
-			st.TornTail = true
-			st.TailBytes = len(line)
-			return st, nil
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) > 0 {
-			var u Update
-			if jerr := json.Unmarshal(trimmed, &u); jerr != nil {
-				// Decode failure on a terminated line: a torn tail iff
-				// nothing follows it, otherwise mid-journal corruption.
-				if _, perr := br.Peek(1); perr == io.EOF {
-					st.TornTail = true
-					st.TailBytes = len(line)
-					return st, nil
-				}
-				return st, fmt.Errorf("mod: journal entry %d at byte %d: %w",
-					st.Applied+st.Skipped, st.GoodBytes, jerr)
-			}
-			if aerr := db.Apply(u); aerr != nil {
-				st.Skipped++
-			} else {
-				st.Applied++
-			}
-		}
-		st.GoodBytes += int64(len(line))
-		if rerr == io.EOF {
-			return st, nil
-		}
-	}
 }

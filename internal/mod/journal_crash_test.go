@@ -1,9 +1,8 @@
 package mod
 
 // Crash-shaped journal tests: truncation at every byte offset of the
-// tail record (the state a mid-append crash leaves behind) for the
-// JSON-lines importer, writer rotation at an entry boundary, and the
-// listener-ordering guarantee
+// tail record (the state a mid-append crash leaves behind), writer
+// rotation at an entry boundary, and the listener-ordering guarantee
 // the durable subsystem depends on (journal entries must be written in
 // application order even under concurrent writers).
 
@@ -31,26 +30,22 @@ func crashStream() []Update {
 	}
 }
 
-// TestReplayTolerantTornTailEveryOffset truncates a journal at every
-// byte offset of its final record and asserts tolerant replay recovers
-// exactly the complete entries, reports the torn tail, and returns a
-// GoodBytes boundary that is itself cleanly replayable and appendable.
+// TestReplayTolerantTornTailEveryOffset truncates a journal segment at
+// every byte offset of its final record and asserts tolerant replay
+// recovers exactly the complete entries, reports the torn tail, and
+// returns a GoodBytes boundary that is itself cleanly replayable and
+// appendable.
 func TestReplayTolerantTornTailEveryOffset(t *testing.T) {
 	us := crashStream()
-	data := jsonLines(t, us...)
-	// Locate the tail record: the byte after the second-to-last newline.
-	trimmed := bytes.TrimSuffix(data, []byte("\n"))
-	tailStart := bytes.LastIndexByte(trimmed, '\n') + 1
-	if tailStart <= 0 {
-		t.Fatalf("journal has fewer than 2 records:\n%s", data)
-	}
+	data := binJournal(us...)
+	tailStart := len(binJournal(us[:len(us)-1]...))
 	wantPrefix := NewDB(2, -1)
 	must(t, wantPrefix.ApplyAll(us[:len(us)-1]...))
 
 	for cut := 0; cut < len(data)-tailStart; cut++ {
 		input := data[:tailStart+cut]
 		db := NewDB(2, -1)
-		st, err := ReplayTolerant(db, bytes.NewReader(input))
+		st, err := ReplayTolerantBinary(db, bytes.NewReader(input))
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -74,52 +69,55 @@ func TestReplayTolerantTornTailEveryOffset(t *testing.T) {
 		repaired := append(append([]byte(nil), input[:st.GoodBytes]...),
 			data[tailStart:]...)
 		db2 := NewDB(2, -1)
-		st2, err := ReplayTolerant(db2, bytes.NewReader(repaired))
+		st2, err := ReplayTolerantBinary(db2, bytes.NewReader(repaired))
 		if err != nil || st2.TornTail || st2.Applied != len(us) {
 			t.Fatalf("cut=%d: repaired replay: %+v, %v", cut, st2, err)
 		}
 	}
 }
 
-// TestReplayTolerantMidCorruptionAborts: garbage with complete records
-// after it is corruption, not a torn tail.
+// TestReplayTolerantMidCorruptionAborts: a record whose checksum fails
+// with complete records after it is corruption, not a torn tail.
 func TestReplayTolerantMidCorruptionAborts(t *testing.T) {
 	us := crashStream()
-	data := jsonLines(t, us...)
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	var corrupt []byte
-	for i, l := range lines {
-		if i == 3 {
-			corrupt = append(corrupt, []byte("{\"kind\":\"warp\"}\n")...)
-		}
-		corrupt = append(corrupt, l...)
-	}
+	good := len(binJournal(us[:3]...))
+	bad := AppendUpdateRecord(nil, Update{Kind: KindNew, O: 9, Tau: 2.5, A: geom.Of(0, 0), B: geom.Of(0, 0)})
+	bad[len(bad)-1] ^= 0xff // checksum
+	corrupt := append(append(append([]byte(nil), binJournal(us[:3]...)...), bad...),
+		binJournal(us[3:]...)[BinaryJournalHeaderLen:]...)
 	db := NewDB(2, -1)
-	st, err := ReplayTolerant(db, bytes.NewReader(corrupt))
+	st, err := ReplayTolerantBinary(db, bytes.NewReader(corrupt))
 	if err == nil {
 		t.Fatalf("mid-journal corruption accepted: %+v", st)
 	}
-	if st.Applied != 3 {
-		t.Fatalf("applied %d entries before corruption, want 3", st.Applied)
+	if st.Applied != 3 || st.GoodBytes != int64(good) {
+		t.Fatalf("applied %d entries (%d good bytes) before corruption, want 3 (%d)", st.Applied, st.GoodBytes, good)
 	}
 	// The good prefix is still cleanly replayable.
 	db2 := NewDB(2, -1)
-	st2, err := ReplayTolerant(db2, bytes.NewReader(corrupt[:st.GoodBytes]))
+	st2, err := ReplayTolerantBinary(db2, bytes.NewReader(corrupt[:st.GoodBytes]))
 	if err != nil || st2.Applied != st.Applied || st2.TornTail {
 		t.Fatalf("good prefix replay: %+v, %v", st2, err)
 	}
 }
 
-func TestReplayTolerantBlankLinesAndEmpty(t *testing.T) {
-	db := NewDB(2, -1)
-	st, err := ReplayTolerant(db, bytes.NewReader(nil))
-	if err != nil || st.Applied != 0 || st.TornTail {
-		t.Fatalf("empty journal: %+v, %v", st, err)
-	}
-	input := "\n\n{\"kind\":\"new\",\"oid\":1,\"tau\":1,\"a\":[1,0],\"b\":[0,0]}\n\n"
-	st, err = ReplayTolerant(db, bytes.NewReader([]byte(input)))
-	if err != nil || st.Applied != 1 || st.TornTail || st.GoodBytes != int64(len(input)) {
-		t.Fatalf("blank-line journal: %+v, %v", st, err)
+// TestReplayTolerantEmptyAndHeaderOnly: a segment a crash left before
+// its header write, and one that holds only its header, replay as
+// nothing at all — no entry, no torn tail, no error.
+func TestReplayTolerantEmptyAndHeaderOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+		good int64
+	}{
+		{"empty", nil, 0},
+		{"header only", binJournal(), BinaryJournalHeaderLen},
+	} {
+		db := NewDB(2, -1)
+		st, err := ReplayTolerantBinary(db, bytes.NewReader(tc.data))
+		if err != nil || st.Applied != 0 || st.Skipped != 0 || st.TornTail || st.GoodBytes != tc.good {
+			t.Fatalf("%s: %+v, %v; want nothing replayed and GoodBytes %d", tc.name, st, err, tc.good)
+		}
 	}
 }
 

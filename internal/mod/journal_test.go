@@ -2,7 +2,6 @@ package mod
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,22 +11,6 @@ import (
 // starts with; the journal itself writes records only.
 func newSegment() *bytes.Buffer {
 	return bytes.NewBuffer(BinaryJournalHeader())
-}
-
-// jsonLines renders updates as the JSON-lines journal older builds
-// wrote (one json.Marshal(Update) per line) — the input of the
-// ReplayTolerant importer, which no code in this repository produces
-// any more.
-func jsonLines(t *testing.T, us ...Update) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, u := range us {
-		line, err := json.Marshal(u)
-		must(t, err)
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
 }
 
 func TestJournalRecordsAndReplays(t *testing.T) {
@@ -63,8 +46,7 @@ func TestJournalRecordsAndReplays(t *testing.T) {
 }
 
 // TestReplayTolerantSkipsApplied: the snapshot already contains the
-// first update; tolerant replay skips it and applies the rest, in
-// either codec.
+// first update; tolerant replay skips it and applies the rest.
 func TestReplayTolerantSkipsApplied(t *testing.T) {
 	us := []Update{
 		New(1, 0, geom.Of(1, 0), geom.Of(0, 0)),
@@ -72,32 +54,20 @@ func TestReplayTolerantSkipsApplied(t *testing.T) {
 	}
 	want := NewDB(2, -1)
 	must(t, want.ApplyAll(us...))
-	for _, tc := range []struct {
-		name   string
-		data   []byte
-		replay func(*DB, []byte) (ReplayStats, error)
-	}{
-		{"binary", binJournal(us...), func(db *DB, b []byte) (ReplayStats, error) {
-			return ReplayTolerantBinary(db, bytes.NewReader(b))
-		}},
-		{"json", jsonLines(t, us...), func(db *DB, b []byte) (ReplayStats, error) {
-			return ReplayTolerant(db, bytes.NewReader(b))
-		}},
-	} {
-		restored := NewDB(2, -1)
-		must(t, restored.Apply(us[0]))
-		st, err := tc.replay(restored, tc.data)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if st.Applied != 1 || st.Skipped != 1 {
-			t.Errorf("%s: applied=%d skipped=%d, want 1/1", tc.name, st.Applied, st.Skipped)
-		}
-		if st.TornTail || st.GoodBytes != int64(len(tc.data)) {
-			t.Errorf("%s: stats = %+v, want clean tail covering %d bytes", tc.name, st, len(tc.data))
-		}
-		if !restored.StateEqual(want) {
-			t.Errorf("%s: state differs after tolerant replay", tc.name)
-		}
+	data := binJournal(us...)
+	restored := NewDB(2, -1)
+	must(t, restored.Apply(us[0]))
+	st, err := ReplayTolerantBinary(restored, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied != 1 || st.Skipped != 1 {
+		t.Errorf("applied=%d skipped=%d, want 1/1", st.Applied, st.Skipped)
+	}
+	if st.TornTail || st.GoodBytes != int64(len(data)) {
+		t.Errorf("stats = %+v, want clean tail covering %d bytes", st, len(data))
+	}
+	if !restored.StateEqual(want) {
+		t.Error("state differs after tolerant replay")
 	}
 }

@@ -17,10 +17,9 @@ package query
 // nothing else. An entry whose object only gained samples since (chdir,
 // terminate) is not rebuilt: its track is extended (bead.Track.Extend)
 // and only the new chain boxes enter the tree, so a sync costs what the
-// updates added, whatever the object's history. The update listener
-// only sets a dirty bit; all real work happens on the query path,
-// against an immutable snapshot, so cached answers are exactly what the
-// scan path would compute on the same snap.
+// updates added, whatever the object's history. All work happens on
+// the query path, against an immutable snapshot, so cached answers are
+// exactly what the scan path would compute on the same snap.
 //
 // Candidate collection is conservative by construction: every chain
 // bead's box is inflated by bead.Pad on the track side, the query ball
@@ -45,7 +44,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bead"
 	"repro/internal/geom"
@@ -106,14 +104,13 @@ type BeadStats struct {
 // database (one shard). Safe for concurrent use: queries that find the
 // index in step with their snapshot collect candidates under the read
 // lock, side by side; a sync takes the write lock; kernel evaluation
-// runs outside both on immutable tracks. The update listener touches
-// only dirty, never mu: it runs inside the database's apply section,
-// and an update must not wait for a sync or a re-pack.
+// runs outside both on immutable tracks. Updates never touch the index:
+// the database bumps its epoch under its write lock on every mutation,
+// so an index synced to a snapshot's epoch is exactly that snapshot.
 type BeadIndex struct {
 	mu    sync.RWMutex
 	dim   int
 	built bool
-	dirty atomic.Bool // an update was applied since the last sync
 
 	syncedEpoch uint64
 	defBits     uint64 // bits of the defaultVmax entries were built with
@@ -128,10 +125,9 @@ type BeadIndex struct {
 	caps    []capRef // ascending by OID
 }
 
-// NewBeadIndex returns an index bound to db and registers an update
-// listener that marks it dirty. The listener does no other work: the
-// index is rebuilt incrementally on the next query, against that
-// query's snapshot.
+// NewBeadIndex returns an empty index for db's snapshots. It is built
+// on the first query and brought up to date incrementally on each later
+// one, against that query's snapshot.
 func NewBeadIndex(db *mod.DB) *BeadIndex {
 	ix := &BeadIndex{
 		dim:     db.Dim(),
@@ -139,7 +135,6 @@ func NewBeadIndex(db *mod.DB) *BeadIndex {
 		tree:    rtree.NewRectTree(db.Dim()+1, rtree.DefaultFanout),
 		owner:   make(map[uint64]mod.OID),
 	}
-	db.OnUpdate(func(mod.Update) { ix.dirty.Store(true) })
 	return ix
 }
 
@@ -169,7 +164,7 @@ func (ix *BeadIndex) boxRect(b bead.SegBox) rtree.Rect {
 // inStep reports whether the index already reflects snap under
 // defaultVmax. Called with mu held, in either mode.
 func (ix *BeadIndex) inStep(snap *mod.Snap, defaultVmax float64) bool {
-	return ix.built && !ix.dirty.Load() && ix.syncedEpoch == snap.Epoch() &&
+	return ix.built && ix.syncedEpoch == snap.Epoch() &&
 		(ix.undeclared == 0 || ix.defBits == math.Float64bits(defaultVmax))
 }
 
@@ -199,9 +194,6 @@ func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
 		return
 	}
 	defBits := math.Float64bits(defaultVmax)
-	// Post-snapshot updates set dirty again through the listener and
-	// bump the epoch, so clearing it against this snap is safe.
-	ix.dirty.Store(false)
 	if !ix.built {
 		ix.bulkBuild(snap, defaultVmax)
 	} else {
@@ -233,11 +225,8 @@ func (ix *BeadIndex) bulkBuild(snap *mod.Snap, defaultVmax float64) {
 // diffSync brings up to date exactly the entries whose object changed
 // since they were built (gen mismatch), appeared, disappeared, or
 // depended on a default speed bound that differs from this query's. It
-// finds them by walking the snapshot's generation stamps, not from the
-// update listener: the listener runs after the database's lock is
-// released, so snap can already hold an update the listener has yet to
-// report. A changed entry is extended when it can be, else retired and
-// rebuilt.
+// finds them by walking the snapshot's generation stamps. A changed
+// entry is extended when it can be, else retired and rebuilt.
 func (ix *BeadIndex) diffSync(snap *mod.Snap, defaultVmax float64) {
 	defBits := math.Float64bits(defaultVmax)
 	objs := snap.Trajectories()

@@ -123,8 +123,8 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestBeadIndexConcurrentQueriesAndUpdates runs possibly-within and
 // TrackOf from several goroutines while updates keep invalidating the
 // index; under -race it checks the read-lock path, the upgrade to the
-// write lock for a sync, the listener's dirty store, and kernel walks
-// over tracks a sync is extending, against each other. Every answer
+// write lock for a sync, and kernel walks over tracks a sync is
+// extending, against each other. Every answer
 // must be the scan's on the same snapshot.
 func TestBeadIndexConcurrentQueriesAndUpdates(t *testing.T) {
 	db := uncertainPopulation(t, 300)

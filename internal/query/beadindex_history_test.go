@@ -15,10 +15,10 @@ import (
 	"repro/internal/trajectory"
 )
 
-// TestUpdateDoesNotWaitForTheIndex: the index's update listener runs
-// inside the database's apply section, so if it took the index lock a
-// chdir would queue behind a running sync or re-pack, and every writer
-// behind the chdir. With the lock held for writing, Apply must return.
+// TestUpdateDoesNotWaitForTheIndex: were the index to hook the
+// database's apply section, a chdir could queue behind a running sync
+// or re-pack, and every writer behind the chdir. With the lock held for
+// writing, Apply must return.
 func TestUpdateDoesNotWaitForTheIndex(t *testing.T) {
 	db := mod.NewDB(2, -1)
 	must(t, db.Apply(mod.New(1, 1, geom.Of(1, 0), geom.Of(0, 0))))
@@ -40,6 +40,31 @@ func TestUpdateDoesNotWaitForTheIndex(t *testing.T) {
 	must(t, err)
 	if n := len(tr.Samples()); n != 2 {
 		t.Fatalf("track has %d samples after the chdir, want 2", n)
+	}
+}
+
+// TestUpdateLeavesTheSyncedSnapshotInStep: an index synced to a
+// snapshot is that snapshot until it syncs again, whatever the database
+// does meanwhile. A query on the synced snapshot, issued after a later
+// update, reads under the read lock instead of syncing every object of
+// the shard again.
+func TestUpdateLeavesTheSyncedSnapshotInStep(t *testing.T) {
+	db := mod.NewDB(2, -1)
+	must(t, db.Apply(mod.New(1, 1, geom.Of(1, 0), geom.Of(0, 0))))
+	ix := NewBeadIndex(db)
+	snap := db.EpochSnapshot()
+	if _, err := ix.TrackOf(snap, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	must(t, db.Apply(mod.ChDir(1, 2, geom.Of(0, 1))))
+	ix.mu.RLock()
+	synced, newer := ix.inStep(snap, 1), ix.inStep(db.EpochSnapshot(), 1)
+	ix.mu.RUnlock()
+	if !synced {
+		t.Error("an update put the index out of step with the snapshot it synced to")
+	}
+	if newer {
+		t.Error("the index claims the snapshot after the update without syncing to it")
 	}
 }
 

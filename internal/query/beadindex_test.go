@@ -6,8 +6,8 @@ package query
 // object churn (so the gen-diff sync retires and rebuilds entries),
 // default-speed-bound changes (so default-dependent entries are
 // invalidated), and live caps (windows past the last sample). The index
-// is deliberately created BEFORE the history is applied, so its update
-// listener and incremental path are exercised, not just bulk build.
+// is deliberately created BEFORE the history is applied, so its
+// incremental path is exercised, not just bulk build.
 
 import (
 	"errors"

@@ -24,17 +24,11 @@ const constBit = uint64(1) << 63
 // grows into it.
 var _ [constBit - 1 - uint64(mod.MaxOID)]struct{}
 
-// packObj builds the sweep id of an object.
-func packObj(o mod.OID) uint64 { return uint64(o) }
-
 // packConst builds the sweep id of constant index i.
 func packConst(i int) uint64 { return constBit | uint64(i) }
 
 // IsConstID reports whether a sweep id denotes a constant curve.
 func IsConstID(id uint64) bool { return id&constBit != 0 }
-
-// UnpackObj returns the OID of a non-constant sweep id.
-func UnpackObj(id uint64) mod.OID { return mod.OID(id) }
 
 // Evaluator consumes the support-change stream. Implementations maintain
 // an AnswerSet incrementally.
@@ -88,7 +82,7 @@ type pendingInsert struct {
 // Errors returned by the engine.
 var (
 	ErrBadWindow = errors.New("query: empty or inverted window")
-	ErrBadOID    = errors.New("query: OID exceeds 48-bit id space")
+	ErrBadOID    = errors.New("query: OID exceeds mod.MaxOID (2^48-1); sweep ids with bit 63 set are constant curves")
 
 	errNilGDistance = errors.New("query: nil g-distance")
 	errNoScans      = errors.New("query: no scans to sweep")
@@ -169,7 +163,7 @@ func (e *Engine) Traj(o mod.OID) (trajectory.Trajectory, bool) {
 func (e *Engine) NumObjects() int {
 	n := 0
 	for o := range e.trajs {
-		if e.sw.Contains(packObj(o)) {
+		if e.sw.Contains(uint64(o)) {
 			n++
 		}
 	}
@@ -245,7 +239,7 @@ func (e *Engine) insertObject(o mod.OID, tr trajectory.Trajectory, from float64,
 			return fmt.Errorf("query: curve for %s: %w", o, err)
 		}
 	}
-	return e.sw.AddCurve(packObj(o), cf)
+	return e.sw.AddCurve(uint64(o), cf)
 }
 
 // InsertObject registers an object's authoritative trajectory
@@ -352,7 +346,7 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 			return err
 		}
 		e.trajs[u.O] = nt
-		if id := packObj(u.O); e.sw.Contains(id) {
+		if id := uint64(u.O); e.sw.Contains(id) {
 			return e.sw.RemoveCurve(id)
 		}
 		return nil
@@ -366,7 +360,7 @@ func (e *Engine) ApplyUpdate(u mod.Update) error {
 			return err
 		}
 		e.trajs[u.O] = nt
-		id := packObj(u.O)
+		id := uint64(u.O)
 		if !e.sw.Contains(id) {
 			return nil
 		}
@@ -393,7 +387,7 @@ func (e *Engine) ReplaceGDistance(f gdist.GDistance) error {
 	now := e.sw.Now()
 	replacement := make(map[uint64]piecewise.Func)
 	for o, tr := range e.trajs {
-		id := packObj(o)
+		id := uint64(o)
 		if !e.sw.Contains(id) {
 			continue
 		}

@@ -76,7 +76,7 @@ func (f F) curveID(ev *Formula, binds map[string]mod.OID) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("query: unbound object variable %q", f.Var)
 	}
-	return packObj(o), nil
+	return uint64(o), nil
 }
 
 // C is a real constant term.
@@ -297,7 +297,7 @@ func (ev *Formula) Attach(e *Engine) error {
 func (ev *Formula) liveObjects() []mod.OID {
 	var out []mod.OID
 	for o := range ev.e.trajs {
-		if ev.e.sw.Contains(packObj(o)) {
+		if ev.e.sw.Contains(uint64(o)) {
 			out = append(out, o)
 		}
 	}

@@ -55,7 +55,7 @@ func (q *KNN) OnChange(c core.Change) {
 		if IsConstID(c.A) || IsConstID(c.B) {
 			return
 		}
-		oa, ob := UnpackObj(c.A), UnpackObj(c.B)
+		oa, ob := mod.OID(c.A), mod.OID(c.B)
 		if q.cur[oa] && !q.cur[ob] {
 			q.ans.Point(ob, c.T)
 		}
@@ -118,7 +118,7 @@ func (q *KNN) AppendCurrent(dst []mod.OID) []mod.OID {
 	n := 0
 	q.e.sw.Walk(func(id uint64) bool {
 		if !IsConstID(id) {
-			dst = append(dst, UnpackObj(id))
+			dst = append(dst, mod.OID(id))
 			n++
 		}
 		return n < q.K

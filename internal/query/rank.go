@@ -42,7 +42,7 @@ func (rt *RankTracker) Attach(e *Engine) error {
 // rankNow computes the tracked object's current rank among objects
 // (constant curves excluded), or -1 when absent.
 func (rt *RankTracker) rankNow() int {
-	id := packObj(rt.O)
+	id := uint64(rt.O)
 	if !rt.e.sw.Contains(id) {
 		return -1
 	}

@@ -80,12 +80,12 @@ func (q *Within) OnChange(c core.Change) {
 		if IsConstID(c.A) {
 			return
 		}
-		q.setMembership(UnpackObj(c.A), q.memberAfter(c.A, c.T), c.T)
+		q.setMembership(mod.OID(c.A), q.memberAfter(c.A, c.T), c.T)
 	case core.ChangeRemove, core.ChangeExpire:
 		if IsConstID(c.A) {
 			return
 		}
-		q.setMembership(UnpackObj(c.A), false, c.T)
+		q.setMembership(mod.OID(c.A), false, c.T)
 	case core.ChangeEqual, core.ChangeSwap, core.ChangeSeparate:
 		// Only events involving the constant can change membership.
 		var objID uint64
@@ -100,7 +100,7 @@ func (q *Within) OnChange(c core.Change) {
 		if IsConstID(objID) {
 			return
 		}
-		o := UnpackObj(objID)
+		o := mod.OID(objID)
 		member := q.memberAfter(objID, c.T)
 		if c.Kind == core.ChangeEqual && !member && !q.cur[o] {
 			// Tangency from above: <= holds exactly at the instant.
