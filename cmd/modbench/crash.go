@@ -216,7 +216,7 @@ func runCrashCheck(base string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("/snapshot: http %d", resp.StatusCode)
 	}
-	rec, err := mod.LoadJSON(resp.Body)
+	rec, err := mod.LoadBinary(resp.Body)
 	if err != nil {
 		return fmt.Errorf("decode /snapshot: %w", err)
 	}

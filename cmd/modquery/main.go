@@ -19,13 +19,12 @@
 //	within <r> <lo> <hi> <qpos>      objects within distance r
 //	entering <lo> <hi> <min> <max>   objects entering a box
 //	collide <r> <lo> <hi>            pairs within distance r (exact intervals)
-//	save <file> | open <file>        snapshot persistence (JSON)
+//	save <file> | open <file>        binary snapshot (mod.SaveBinary), any file name
 //	help | quit
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -99,28 +98,21 @@ entering <lo> <hi> <min> <max> | collide <r> <lo> <hi> | save <file> | open <fil
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		// A .bin suffix selects the compact binary snapshot codec; it
-		// round-trips every float bit-exactly (±Inf taus, denormals).
-		if strings.HasSuffix(args[0], ".bin") {
-			return db.SaveBinary(f)
+		if err := db.SaveBinary(f); err != nil {
+			_ = f.Close()
+			return err
 		}
-		return db.SaveJSON(f)
+		return f.Close()
 	case "open":
 		if len(args) != 1 {
 			return fmt.Errorf("usage: open <file>")
 		}
-		data, err := os.ReadFile(args[0])
+		f, err := os.Open(args[0])
 		if err != nil {
 			return err
 		}
-		// Sniff the codec: binary snapshots start with "MODS".
-		var loaded *mod.DB
-		if bytes.HasPrefix(data, mod.SnapshotMagic()) {
-			loaded, err = mod.LoadBinary(bytes.NewReader(data))
-		} else {
-			loaded, err = mod.LoadJSON(bytes.NewReader(data))
-		}
+		loaded, err := mod.LoadBinary(f)
+		_ = f.Close()
 		if err != nil {
 			return err
 		}

@@ -39,18 +39,25 @@ func TestShellUpdateAndQueryFlow(t *testing.T) {
 	}
 }
 
+// TestShellSaveOpenRoundTrip: save writes the binary snapshot whatever
+// the file is called (here a name with no suffix at all), and open
+// reads it back to the saved state.
 func TestShellSaveOpenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "snap.json")
+	file := filepath.Join(t.TempDir(), "snapshot")
 	sh := newShell()
-	run(t, sh, "new 1 0 1,0 -5,3", "save "+file)
+	run(t, sh, "new 1 0 1,0 -5,3", "chdir 1 2 0,1", "save "+file)
+	saved := sh.db.Snapshot()
 	run(t, sh, "new 2 5 0,0 9,9")
-	run(t, sh, "open "+file)
-	if sh.db.Len() != 1 || !sh.db.Contains(1) {
-		t.Errorf("after open: len=%d", sh.db.Len())
-	}
-	if _, err := os.Stat(file); err != nil {
+	data, err := os.ReadFile(file)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "MODS\x03") {
+		t.Errorf("saved file starts %q, want the version-3 binary snapshot header", data[:min(5, len(data))])
+	}
+	run(t, sh, "open "+file)
+	if !sh.db.StateEqual(saved) || sh.db.Len() != 1 {
+		t.Errorf("after open: len=%d, or not the saved state", sh.db.Len())
 	}
 }
 

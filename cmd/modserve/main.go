@@ -48,13 +48,16 @@
 //
 // The data directory is written in the binary codec of internal/mod
 // (length-prefixed, CRC-framed records, raw IEEE-754 floats). A
-// directory an older build wrote as JSON is refused at boot and left as
-// it was; opening it once with a build at or before commit f2b2e8f
-// converts it. The durability flags (-commit, -checkpoint-every)
+// directory an older build wrote as JSON, or whose snapshots carry the
+// update log (snapshot versions 1 and 2), is refused at boot and left
+// as it was; opening it once with a build at or before commit f2b2e8f
+// (JSON) or dfaf821 (versions 1 and 2) and shutting down, which
+// checkpoints, converts it. The durability flags (-commit, -checkpoint-every)
 // are rejected without -data-dir rather than silently ignored.
 //
-// -load restores a snapshot file (binary or JSON, sniffed) into the
-// in-memory mode and is mutually exclusive with -data-dir.
+// -load restores a binary snapshot file (what GET /snapshot and
+// modquery's save write) into the in-memory mode and is mutually
+// exclusive with -data-dir.
 //
 // Observability (internal/obs):
 //
@@ -83,7 +86,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"expvar"
@@ -111,7 +113,7 @@ var (
 	shardsFlag  = flag.Int("shards", 1, "hash-partition objects across P independent shards; queries fan out and merge")
 	dataDirFlag = flag.String("data-dir", "", "durable data directory: recover at boot, journal every update, checkpoint on signal/interval")
 	ckptFlag    = flag.Duration("checkpoint-every", 0, "checkpoint period with -data-dir (0 = only at shutdown)")
-	loadFlag    = flag.String("load", "", "snapshot file to restore at startup (exclusive with -data-dir)")
+	loadFlag    = flag.String("load", "", "binary snapshot file (as GET /snapshot writes) to restore at startup (exclusive with -data-dir)")
 	commitFlag  = flag.String("commit", "flush", "update durability with -data-dir: flush | group (see header)")
 	demoFlag    = flag.Bool("seed-demo", false, "seed 50 random movers for demos")
 	slowFlag    = flag.Duration("slow-query-threshold", 0, "log a structured SLOWQUERY line for queries at least this slow (0 disables)")
@@ -284,18 +286,12 @@ func openEphemeral(logger *log.Logger) *shard.Engine {
 	var db *mod.DB
 	switch {
 	case *loadFlag != "":
-		data, err := os.ReadFile(*loadFlag)
+		f, err := os.Open(*loadFlag)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		// Sniff the codec: binary snapshots start with the "MODS" magic,
-		// anything else is the JSON snapshot format.
-		var loaded *mod.DB
-		if bytes.HasPrefix(data, mod.SnapshotMagic()) {
-			loaded, err = mod.LoadBinary(bytes.NewReader(data))
-		} else {
-			loaded, err = mod.LoadJSON(bytes.NewReader(data))
-		}
+		loaded, err := mod.LoadBinary(f)
+		_ = f.Close()
 		if err != nil {
 			logger.Fatal(err)
 		}

@@ -143,6 +143,15 @@ func Open(dir string, cfg Config) (*Engine, error) {
 		if cfg.Dim != 0 && cfg.Dim != man.Dim {
 			return nil, fmt.Errorf("durable: %s holds a %d-D database, want %d-D", dir, man.Dim, cfg.Dim)
 		}
+		// Every shard is checked before any is opened or any garbage is
+		// collected: opening recovers a shard, and recovery writes (it
+		// cuts a torn tail), so a refusal at shard i after shards 0..i-1
+		// had opened would leave them changed.
+		for i := 0; i < man.Shards; i++ {
+			if err := checkStore(fsys, path.Join(dir, shardDirName(man.Generation, i)), man.Dim); err != nil {
+				return nil, fmt.Errorf("durable: shard %d: %w", i, err)
+			}
+		}
 	}
 	e.gen = man.Generation
 	// Leftovers of other generations (a crashed re-shard, or the

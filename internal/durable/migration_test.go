@@ -5,8 +5,11 @@ package durable_test
 //   - every filesystem operation of an Open is faulted in every mode,
 //     with the shard count kept and changed (a re-sharding Open, which
 //     migrates the state into a new generation of stores);
-//   - a store in the JSON codec (what builds before the binary codec
-//     wrote) is refused, and the refused Open writes nothing.
+//   - a data dir this build cannot read is refused, and the refused Open
+//     writes nothing: a store in the JSON codec (what builds before the
+//     binary codec wrote), one whose snapshots are version 2 (they
+//     carried the update log), and a data dir where only one shard is
+//     such a store and another is a readable one with a torn tail.
 
 import (
 	"encoding/json"
@@ -30,6 +33,13 @@ import (
 func copyTree(t *testing.T, from string) string {
 	t.Helper()
 	to := filepath.Join(t.TempDir(), "data")
+	copyTreeTo(t, from, to)
+	return to
+}
+
+// copyTreeTo copies the directory tree at from to to.
+func copyTreeTo(t *testing.T, from, to string) {
+	t.Helper()
 	err := filepath.WalkDir(from, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,7 +57,6 @@ func copyTree(t *testing.T, from string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return to
 }
 
 // treeOf maps every path under dir to its contents ("/" for a
@@ -236,6 +245,41 @@ func journalOnlyJSONStore(t *testing.T) string {
 	return dir
 }
 
+// refusedUntouched opens dir at the given shard count (0 keeps the
+// stored one) and wants a refusal whose error contains want. The
+// refused Open may only make sure existing directories exist: every
+// other filesystem operation in its trace fails the test, and so does
+// any file or directory under dir that changed, appeared or went.
+func refusedUntouched(t *testing.T, dir string, shards int, want string) {
+	t.Helper()
+	before := treeOf(t, dir)
+	trace := errfs.New(vfs.OS{}, 0, errfs.FailOp)
+	eng, err := durable.Open(dir, durable.Config{Shards: shards, FS: trace})
+	if err == nil {
+		_ = eng.Close()
+		t.Fatalf("the data dir opened, holding %d objects", eng.Snapshot().Len())
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("the refusal does not say how to convert the store (want %q): %v", want, err)
+	}
+	for _, op := range trace.Trace() {
+		if !strings.HasPrefix(op, "mkdirall(") {
+			t.Errorf("the refused open wrote: %s", op)
+		}
+	}
+	after := treeOf(t, dir)
+	for p, data := range before {
+		if got, ok := after[p]; !ok || got != data {
+			t.Errorf("%s changed (%d bytes before, %d after)", p, len(data), len(got))
+		}
+	}
+	for p := range after {
+		if _, ok := before[p]; !ok {
+			t.Errorf("%s appeared", p)
+		}
+	}
+}
+
 // TestOpenRefusesAJSONStore: a store in the JSON codec opens only as an
 // error that says how to convert it, at its own and at another shard
 // count, and the refused Open leaves every file as it found it.
@@ -250,33 +294,90 @@ func TestOpenRefusesAJSONStore(t *testing.T) {
 		{"journal-only manifest", journalOnlyJSONStore, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := tc.dir(t)
-			before := treeOf(t, dir)
-			trace := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-			eng, err := durable.Open(dir, durable.Config{Shards: tc.shards, FS: trace})
-			if err == nil {
-				_ = eng.Close()
-				t.Fatalf("a JSON store opened, holding %d objects", eng.Snapshot().Len())
-			}
-			if !strings.Contains(err.Error(), "f2b2e8f") {
-				t.Errorf("the refusal does not say how to convert the store: %v", err)
-			}
-			for _, op := range trace.Trace() {
-				if !strings.HasPrefix(op, "mkdirall(") {
-					t.Errorf("the refused open wrote: %s", op)
-				}
-			}
-			after := treeOf(t, dir)
-			for p, data := range before {
-				if got, ok := after[p]; !ok || got != data {
-					t.Errorf("%s changed", p)
-				}
-			}
-			for p := range after {
-				if _, ok := before[p]; !ok {
-					t.Errorf("%s appeared", p)
-				}
-			}
+			refusedUntouched(t, tc.dir(t), tc.shards, "f2b2e8f")
 		})
+	}
+}
+
+// parentFixture is a data dir the last commit whose snapshots carried
+// the applied-update log (ea2cb6c) wrote: two shards, each a version-2
+// snapshot taken after the first seven updates of history plus a
+// journal tail holding the rest (see internal/mod/compat_test.go).
+const parentFixture = "testdata/parent-datadir"
+
+// TestOpenRefusesAVersion2Store: a data dir whose snapshots are version
+// 2 is refused with the conversion, at its own and at another shard
+// count, with every file as it was; OpenStore refuses one of its shard
+// stores the same way.
+func TestOpenRefusesAVersion2Store(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join(parentFixture, "g0001-shard-*", "snap-*.bin"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("snapshot files %v, %v; want one per shard", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil || len(data) < 5 || data[4] != 2 {
+			t.Fatalf("%s is not a version-2 snapshot (%v)", f, err)
+		}
+	}
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("P=%d", shards), func(t *testing.T) {
+			refusedUntouched(t, copyTree(t, parentFixture), shards, "dfaf821")
+		})
+	}
+	t.Run("OpenStore", func(t *testing.T) {
+		dir := filepath.Join(copyTree(t, parentFixture), "g0001-shard-0000")
+		before := treeOf(t, dir)
+		if st, err := durable.OpenStore(vfs.OS{}, dir, durable.StoreOptions{}); err == nil {
+			_ = st.Close()
+			t.Fatal("a version-2 store opened")
+		} else if !strings.Contains(err.Error(), "dfaf821") {
+			t.Errorf("the refusal does not say how to convert the store: %v", err)
+		}
+		if after := treeOf(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Error("the refused OpenStore changed the store")
+		}
+	})
+}
+
+// TestOpenRefusesAMixedDataDir: shard 0 is a binary store whose segment
+// ends in a torn record, which opening it would cut away; shard 1 is a
+// store this build refuses. The Open is refused before it recovers
+// shard 0, at the stored shard count and re-sharding, so the torn tail
+// is still there afterwards.
+func TestOpenRefusesAMixedDataDir(t *testing.T) {
+	fixture := fixtureDir(t)
+	seg := filepath.Join(fixture, "g0001-shard-0000", "wal-0000002.wal")
+	info, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := os.Open(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mod.ReplayTolerantBinary(mod.NewDB(2, 0), torn)
+	_ = torn.Close()
+	if err != nil || !st.TornTail {
+		t.Fatalf("shard 0's segment has no torn tail to cut (%+v, %v)", st, err)
+	}
+	for _, refused := range []struct{ name, fixture, want string }{
+		{"JSON shard 1", jsonFixture, "f2b2e8f"},
+		{"version-2 shard 1", parentFixture, "dfaf821"},
+	} {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s P=%d", refused.name, shards), func(t *testing.T) {
+				dir := copyTree(t, fixture)
+				shard1 := filepath.Join(dir, "g0001-shard-0001")
+				if err := os.RemoveAll(shard1); err != nil {
+					t.Fatal(err)
+				}
+				copyTreeTo(t, filepath.Join(refused.fixture, "g0001-shard-0001"), shard1)
+				refusedUntouched(t, dir, shards, refused.want)
+			})
+		}
 	}
 }

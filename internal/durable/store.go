@@ -38,10 +38,13 @@
 // steps 2 and 5 survive too. A crash after step 5 merely leaves
 // garbage for the next open to collect.
 //
-// Stores written before the binary codec (snap-N.json, wal-N.jsonl) are
-// refused at open, before anything is written: a build at or before
-// commit f2b2e8f imports such a store into the binary pair the first
-// time it opens it, and that is the way to convert one.
+// A store this build cannot read is refused at open, before anything is
+// written (checkStore): one written before the binary codec
+// (snap-N.json, wal-N.jsonl), which a build at or before commit f2b2e8f
+// imports into the binary pair the first time it opens it; and one whose
+// snapshot is version 1 or 2 (it carried the update log), which a build
+// at or before commit dfaf821 rewrites as version 3 at its next
+// checkpoint. Opening with such a build is the way to convert either.
 package durable
 
 import (
@@ -49,6 +52,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path"
@@ -239,6 +243,9 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	case adopt != nil:
 		return nil, fmt.Errorf("durable: %s already holds a store", dir)
 	default:
+		if err := checkManifest(fsys, dir, man, opts.Dim); err != nil {
+			return nil, err
+		}
 		if err := s.recover(man); err != nil {
 			return nil, err
 		}
@@ -311,22 +318,34 @@ func (s *Store) initFresh() error {
 	return nil
 }
 
-// recover restores the database named by the manifest: snapshot, then
-// the manifest's segment and every orphaned newer segment in sequence
-// order, each replayed tolerantly. The final segment is truncated past
-// its last complete entry and reopened for appending. A manifest that
-// names anything but a binary snapshot and segment is refused before
-// anything is read or written.
-func (s *Store) recover(man storeManifest) error {
+// checkStore refuses the store in dir when this build cannot recover it
+// (see checkManifest), reading only its manifest and its snapshot's
+// header and writing nothing. A directory without a manifest is a fresh
+// store and passes. The engine checks every shard this way before it
+// opens any, so a refused Open leaves every file as it was.
+func checkStore(fsys vfs.FS, dir string, dim int) error {
+	man, err := readManifest[storeManifest](fsys, path.Join(dir, manifestName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return checkManifest(fsys, dir, man, dim)
+}
+
+// checkManifest refuses a store manifest this build cannot recover
+// from: another manifest version or dimension (dim 0 accepts any), file
+// names other than snap-N.bin and wal-N.wal (a store the JSON codec
+// wrote, which would otherwise find no binary segment and open empty),
+// or a snapshot whose 5-byte header mod.CheckSnapshotHeader refuses.
+func checkManifest(fsys vfs.FS, dir string, man storeManifest, dim int) error {
 	if man.Version != 1 {
-		return fmt.Errorf("durable: %s: unsupported manifest version %d", s.dir, man.Version)
+		return fmt.Errorf("durable: %s: unsupported manifest version %d", dir, man.Version)
 	}
-	if s.opts.Dim != 0 && s.opts.Dim != man.Dim {
-		return fmt.Errorf("durable: %s holds a %d-D database, want %d-D", s.dir, man.Dim, s.opts.Dim)
+	if dim != 0 && dim != man.Dim {
+		return fmt.Errorf("durable: %s holds a %d-D database, want %d-D", dir, man.Dim, dim)
 	}
-	// A manifest naming anything else belongs to a store the JSON codec
-	// wrote. Opened as it stands, it would find no binary segment and
-	// start an empty one: the store would open empty.
 	jk, _ := classify(man.Journal)
 	sk := snapFile
 	if man.Snapshot != "" {
@@ -335,8 +354,33 @@ func (s *Store) recover(man storeManifest) error {
 	if jk != walFile || sk != snapFile {
 		return fmt.Errorf("durable: %s: manifest names snapshot %q and journal %q, but this build reads "+
 			"only snap-N.bin and wal-N.wal: a store in the JSON codec converts by opening it once "+
-			"with a build at or before commit f2b2e8f", s.dir, man.Snapshot, man.Journal)
+			"with a build at or before commit f2b2e8f", dir, man.Snapshot, man.Journal)
 	}
+	if man.Snapshot == "" {
+		return nil
+	}
+	r, err := fsys.Open(path.Join(dir, man.Snapshot))
+	if err != nil {
+		return fmt.Errorf("durable: open snapshot: %w", err)
+	}
+	hdr := make([]byte, mod.BinaryJournalHeaderLen)
+	_, err = io.ReadFull(r, hdr)
+	_ = r.Close()
+	if err == nil {
+		err = mod.CheckSnapshotHeader(hdr)
+	}
+	if err != nil {
+		return fmt.Errorf("durable: %s: snapshot %s: %w", dir, man.Snapshot, err)
+	}
+	return nil
+}
+
+// recover restores the database named by the manifest, which
+// checkManifest passed: snapshot, then the manifest's segment and every
+// orphaned newer segment in sequence order, each replayed tolerantly.
+// The final segment is truncated past its last complete entry and
+// reopened for appending.
+func (s *Store) recover(man storeManifest) error {
 	if man.Snapshot != "" {
 		r, err := s.fs.Open(path.Join(s.dir, man.Snapshot))
 		if err != nil {

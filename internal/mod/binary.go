@@ -30,10 +30,9 @@ package mod
 //
 // The body is the state (O, T, tau) and nothing else, so its size is a
 // function of the state, not of the history that produced it. Versions
-// 1 and 2 are read-only: both carried the applied-update log between
-// the objects and the bounds (uvarint #log | unframed update payloads;
-// version 1 had no bounds section), and LoadBinary decodes that section
-// to step over it and discards it. SaveBinary writes version 3 only.
+// 1 and 2 carried the applied-update log as well; they are refused with
+// an error naming the conversion (open the file with a build at or
+// before commit dfaf821, then checkpoint or re-save it).
 //
 // Wire batch layout (EncodeUpdatesBinary/DecodeUpdatesBinary, the
 // POST /update/batch binary body):
@@ -41,9 +40,8 @@ package mod
 //	magic "MODU" | version byte (1) | record... (journal framing)
 //
 // The version byte is the migration story: readers reject versions they
-// do not know. The JSON snapshot format (SaveJSON/LoadJSON) stays an
-// export and import format; the durable store reads and writes only
-// this codec, and refuses a store the JSON codec wrote.
+// do not know. This is the one snapshot format: the durable store, GET
+// /snapshot and the command-line tools all read and write it.
 
 import (
 	"bufio"
@@ -64,8 +62,8 @@ import (
 // kind, and the framing is identical.
 const binaryVersion = 1
 
-// snapVersion is the version byte SaveBinary writes; LoadBinary reads
-// 1..snapVersion (see the layout comment for what 1 and 2 carried).
+// snapVersion is the version byte SaveBinary writes and the only one
+// LoadBinary reads.
 const snapVersion = 3
 
 // BinaryJournalHeaderLen is the size of the header a binary journal
@@ -96,8 +94,27 @@ func BinaryJournalHeader() []byte {
 	return []byte{journalMagic[0], journalMagic[1], journalMagic[2], journalMagic[3], binaryVersion}
 }
 
-// SnapshotMagic returns the 4-byte magic prefix of binary snapshots.
-func SnapshotMagic() []byte { return append([]byte(nil), snapMagic[:]...) }
+// CheckSnapshotHeader checks hdr, the first BinaryJournalHeaderLen
+// bytes of a snapshot, for the magic and the version this build reads.
+// A version-1 or -2 snapshot (one that carried the update log) is
+// refused with an error naming the conversion.
+func CheckSnapshotHeader(hdr []byte) error {
+	if len(hdr) < BinaryJournalHeaderLen {
+		return fmt.Errorf("mod: binary snapshot truncated (%d bytes)", len(hdr))
+	}
+	if [4]byte(hdr[:4]) != snapMagic {
+		return fmt.Errorf("mod: not a binary snapshot (magic %q)", hdr[:4])
+	}
+	switch v := hdr[4]; {
+	case v == 1 || v == 2:
+		return fmt.Errorf("mod: binary snapshot version %d carries an update log and this build reads only "+
+			"version %d: convert it by opening it with a build at or before commit dfaf821, then checkpoint "+
+			"or re-save it", v, snapVersion)
+	case v != snapVersion:
+		return fmt.Errorf("mod: binary snapshot version %d, this build reads only version %d", v, snapVersion)
+	}
+	return nil
+}
 
 // appendFloat appends the raw IEEE-754 bits of v, little-endian.
 func appendFloat(buf []byte, v float64) []byte {
@@ -359,8 +376,8 @@ func (db *DB) SaveBinary(w io.Writer) error { return db.EpochSnapshot().SaveBina
 
 // SaveBinary writes the snapshot to w in the raw-bits layout: dimension,
 // tau, every trajectory piece and the declared speed bounds, with a
-// trailing CRC over the body. Unlike SaveJSON it represents every
-// reachable state, including the -Inf seed tau and open-ended pieces.
+// trailing CRC over the body. It represents every reachable state,
+// including the -Inf seed tau and open-ended pieces, bit for bit.
 // The body is built once in a buffer sized from the piece counts, and
 // header, body and CRC go to w in turn, so no second copy of the
 // snapshot is alive while it is written.
@@ -414,11 +431,10 @@ func (s *Snap) SaveBinary(w io.Writer) error {
 	return err
 }
 
-// LoadBinary reads a snapshot produced by SaveBinary (any version) and
-// reconstructs the database. The body CRC is verified before any of it
-// is parsed and trajectories are validated for continuity on the way
-// in. The update-log section of a version 1 or 2 snapshot is decoded
-// only to find its end; the state never depended on it.
+// LoadBinary reads a snapshot produced by SaveBinary and reconstructs
+// the database. The header is checked by CheckSnapshotHeader, the body
+// CRC is verified before any of the body is parsed, and trajectories
+// are validated for continuity on the way in.
 func LoadBinary(r io.Reader) (*DB, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -427,12 +443,8 @@ func LoadBinary(r io.Reader) (*DB, error) {
 	if len(raw) < BinaryJournalHeaderLen+4 {
 		return nil, fmt.Errorf("mod: binary snapshot truncated (%d bytes)", len(raw))
 	}
-	if [4]byte(raw[:4]) != snapMagic {
-		return nil, fmt.Errorf("mod: not a binary snapshot (magic %q)", raw[:4])
-	}
-	version := raw[4]
-	if version < 1 || version > snapVersion {
-		return nil, fmt.Errorf("mod: binary snapshot version %d, this build reads 1..%d", version, snapVersion)
+	if err := CheckSnapshotHeader(raw); err != nil {
+		return nil, err
 	}
 	body := raw[BinaryJournalHeaderLen : len(raw)-4]
 	wantSum := binary.LittleEndian.Uint32(raw[len(raw)-4:])
@@ -500,42 +512,29 @@ func LoadBinary(r io.Reader) (*DB, error) {
 			return nil, err
 		}
 	}
-	if version < 3 {
-		nLog, err := c.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("mod: binary snapshot log count: %w", err)
-		}
-		for i := uint64(0); i < nLog; i++ {
-			if _, err := c.update(); err != nil {
-				return nil, fmt.Errorf("mod: binary snapshot log entry %d: %w", i, err)
-			}
-		}
+	nBounds, err := c.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("mod: binary snapshot bound count: %w", err)
 	}
-	if version >= 2 {
-		nBounds, err := c.uvarint()
+	if nBounds > uint64(len(c.p))/9 { // each bound is ≥ 1 varint byte + 8 float bytes
+		return nil, fmt.Errorf("mod: binary snapshot bounds: %w", errTruncated)
+	}
+	for i := uint64(0); i < nBounds; i++ {
+		oid, err := c.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("mod: binary snapshot bound count: %w", err)
+			return nil, fmt.Errorf("mod: binary snapshot bound %d: %w", i, err)
 		}
-		if nBounds > uint64(len(c.p))/9 { // each bound is ≥ 1 varint byte + 8 float bytes
-			return nil, fmt.Errorf("mod: binary snapshot bounds: %w", errTruncated)
+		v, err := c.float()
+		if err != nil {
+			return nil, fmt.Errorf("mod: binary snapshot bound %d: %w", i, err)
 		}
-		for i := uint64(0); i < nBounds; i++ {
-			oid, err := c.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("mod: binary snapshot bound %d: %w", i, err)
-			}
-			v, err := c.float()
-			if err != nil {
-				return nil, fmt.Errorf("mod: binary snapshot bound %d: %w", i, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("mod: binary snapshot bound for object %d: bad vmax %g", oid, v)
-			}
-			if !db.Contains(OID(oid)) {
-				return nil, fmt.Errorf("mod: binary snapshot bound for unknown object %d", oid)
-			}
-			db.bounds[OID(oid)] = v
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("mod: binary snapshot bound for object %d: bad vmax %g", oid, v)
 		}
+		if !db.Contains(OID(oid)) {
+			return nil, fmt.Errorf("mod: binary snapshot bound for unknown object %d", oid)
+		}
+		db.bounds[OID(oid)] = v
 	}
 	if len(c.p) != 0 {
 		return nil, fmt.Errorf("mod: binary snapshot has %d trailing bytes", len(c.p))

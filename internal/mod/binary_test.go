@@ -7,6 +7,9 @@ package mod
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -91,9 +94,8 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 		t.Fatal("binary snapshot round-trip is not StateEqual")
 	}
 
-	// A fresh database still at the -Inf seed tau: the state SaveJSON
-	// once refused to encode at all. The binary codec stores raw bits,
-	// so -Inf needs no sentinel.
+	// A fresh database still at the -Inf seed tau: the codec stores raw
+	// bits, so -Inf needs no sentinel.
 	fresh := NewDB(3, math.Inf(-1))
 	buf.Reset()
 	must(t, fresh.SaveBinary(&buf))
@@ -128,6 +130,62 @@ func TestLoadBinaryRejectsCorruption(t *testing.T) {
 	if _, err := LoadBinary(bytes.NewReader(mid)); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Errorf("flipped body bit: %v, want checksum error", err)
+	}
+}
+
+// TestLoadBinaryTruncations cuts a snapshot with objects, closed and
+// open pieces and speed bounds at every length. As it stands on disk a
+// cut file fails the CRC (or the minimum-length check); with the CRC
+// recomputed over the cut body — corruption the checksum cannot see —
+// the decoder has to notice by itself that it ran out of bytes, in every
+// section. Neither may panic or load.
+func TestLoadBinaryTruncations(t *testing.T) {
+	db := NewDB(2, 0)
+	must(t, db.ApplyAll(fixtureUpdates()...))
+	var buf bytes.Buffer
+	must(t, db.SaveBinary(&buf))
+	whole := buf.Bytes()
+	for n := 0; n < len(whole); n++ {
+		_, err := LoadBinary(bytes.NewReader(whole[:n]))
+		if err == nil || !(strings.Contains(err.Error(), "checksum") || strings.Contains(err.Error(), "truncated")) {
+			t.Fatalf("snapshot cut to %d of %d bytes: %v, want a checksum or truncation error", n, len(whole), err)
+		}
+	}
+	body := whole[BinaryJournalHeaderLen : len(whole)-4]
+	for n := 0; n < len(body); n++ {
+		cut := append([]byte(nil), whole[:BinaryJournalHeaderLen+n]...)
+		cut = binary.LittleEndian.AppendUint32(cut, crc32.Checksum(body[:n], crcTable))
+		if _, err := LoadBinary(bytes.NewReader(cut)); !errors.Is(err, errTruncated) {
+			t.Fatalf("body cut to %d of %d bytes, CRC recomputed: %v, want errTruncated", n, len(body), err)
+		}
+	}
+}
+
+// TestDecodeUpdatePayloadTruncations: a journal or batch record's CRC
+// covers its payload, so a writer bug or a crafted record can still hand
+// the payload decoder a cut or malformed payload under a valid CRC.
+// Every proper prefix of every kind's payload is errTruncated, an unknown
+// kind byte and a trailing byte are refused, and the whole payload
+// decodes back to its update.
+func TestDecodeUpdatePayloadTruncations(t *testing.T) {
+	for _, u := range append(fixtureUpdates(), Terminate(2, 12)) {
+		payload := appendUpdatePayload(nil, u)
+		for n := 0; n < len(payload); n++ {
+			if _, err := decodeUpdatePayload(payload[:n]); !errors.Is(err, errTruncated) {
+				t.Fatalf("%v: payload cut to %d of %d bytes: %v, want errTruncated", u, n, len(payload), err)
+			}
+		}
+		got, err := decodeUpdatePayload(payload)
+		if err != nil || got.Kind != u.Kind || got.O != u.O || got.Tau != u.Tau || !got.A.Equal(u.A) || !got.B.Equal(u.B) {
+			t.Fatalf("%v: decoded %v, %v", u, got, err)
+		}
+		if _, err := decodeUpdatePayload(append(payload, 0)); err == nil {
+			t.Fatalf("%v: payload with a trailing byte decoded", u)
+		}
+		bad := append([]byte{byte(KindBound) + 1}, payload[1:]...)
+		if _, err := decodeUpdatePayload(bad); err == nil {
+			t.Fatalf("%v: payload with kind byte %d decoded", u, bad[0])
+		}
 	}
 }
 

@@ -75,21 +75,6 @@ func TestBoundApplySemantics(t *testing.T) {
 func TestBoundSnapshotRoundTrips(t *testing.T) {
 	db := boundedDB(t)
 
-	var js bytes.Buffer
-	if err := db.SaveJSON(&js); err != nil {
-		t.Fatalf("SaveJSON: %v", err)
-	}
-	if !strings.Contains(js.String(), `"bounds"`) {
-		t.Fatalf("JSON snapshot has no bounds section:\n%s", js.String())
-	}
-	fromJSON, err := LoadJSON(bytes.NewReader(js.Bytes()))
-	if err != nil {
-		t.Fatalf("LoadJSON: %v", err)
-	}
-	if !fromJSON.StateEqual(db) {
-		t.Fatal("JSON round-trip not StateEqual (bounds compared)")
-	}
-
 	var bin bytes.Buffer
 	if err := db.SaveBinary(&bin); err != nil {
 		t.Fatalf("SaveBinary: %v", err)
@@ -127,12 +112,14 @@ func TestBoundSnapshotRoundTrips(t *testing.T) {
 	}
 }
 
-// TestBinarySnapshotOldVersionsCompat proves the read-only layouts still
-// load, built by hand from today's writer: a version-3 body of a
-// bound-free database ends in a zero bounds count; version 1 had the
-// update log in that place and no bounds section, version 2 the log
-// followed by the bounds. (The fixture test in compat_test.go loads a
-// version-2 file the parent commit's writer produced.)
+// TestBinarySnapshotOldVersionsCompat: the layouts that carried the
+// update log, built by hand from today's writer, are refused with an
+// error naming the conversion (a version-3 body of a bound-free database
+// ends in a zero bounds count; version 1 had the update log in that
+// place and no bounds section, version 2 the log followed by the
+// bounds). The file written by the last commit that kept the log is
+// TestLoadSnapshotsWrittenWithALog's. A version this build does not
+// know is refused too.
 func TestBinarySnapshotOldVersionsCompat(t *testing.T) {
 	db := NewDB(2, 0)
 	us := []Update{
@@ -156,18 +143,25 @@ func TestBinarySnapshotOldVersionsCompat(t *testing.T) {
 	for _, u := range us {
 		v1body = appendUpdatePayload(v1body, u)
 	}
-	for version, oldBody := range map[byte][]byte{1: v1body, 2: append(append([]byte(nil), v1body...), 0)} {
-		old := append(append([]byte(nil), raw[:4]...), version)
-		old = append(old, oldBody...)
-		old = binary.LittleEndian.AppendUint32(old,
-			crc32.Checksum(oldBody, crc32.MakeTable(crc32.Castagnoli)))
-		got, err := LoadBinary(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("LoadBinary(v%d): %v", version, err)
+	reframe := func(version byte, body []byte) []byte {
+		out := append(append([]byte(nil), raw[:4]...), version)
+		out = append(out, body...)
+		return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	for name, old := range map[string][]byte{
+		"v1 by hand": reframe(1, v1body),
+		"v2 by hand": reframe(2, append(append([]byte(nil), v1body...), 0)),
+	} {
+		_, err := LoadBinary(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), "dfaf821") {
+			t.Errorf("%s: LoadBinary = %v, want a refusal naming the conversion", name, err)
 		}
-		if !got.StateEqual(db) {
-			t.Fatalf("v%d snapshot loads to different state", version)
-		}
+	}
+	if _, err := LoadBinary(bytes.NewReader(reframe(4, body))); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("version 4: LoadBinary = %v, want a refusal naming the version", err)
+	}
+	if got, err := LoadBinary(bytes.NewReader(reframe(3, body))); err != nil || !got.StateEqual(db) {
+		t.Errorf("version 3 re-framed: %v, or a different state", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package mod
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -24,10 +23,10 @@ func buildSampleDB(t *testing.T) *DB {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := buildSampleDB(t)
 	var buf bytes.Buffer
-	if err := db.SaveJSON(&buf); err != nil {
+	if err := db.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadJSON(&buf)
+	back, err := LoadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	if !back.StateEqual(db) {
-		t.Error("JSON snapshot round-trip is not StateEqual")
+		t.Error("snapshot round-trip is not StateEqual")
 	}
 	// The restored DB keeps enforcing chronology from the restored tau.
 	if err := back.Apply(ChDir(1, 5, geom.Of(0, 0))); err == nil {
@@ -81,34 +80,5 @@ func TestUpdateJSONRoundTrip(t *testing.T) {
 	var bad Update
 	if err := json.Unmarshal([]byte(`{"kind":"warp","oid":1,"tau":2}`), &bad); err == nil {
 		t.Error("unknown kind accepted")
-	}
-}
-
-func TestLoadJSONErrors(t *testing.T) {
-	cases := []string{
-		`{`,         // malformed
-		`{"dim":0}`, // bad dimension
-		`{"dim":2,"tau":0,"objects":[{"oid":1,"pieces":[]}]}`,                            // empty trajectory
-		`{"dim":2,"tau":0,"objects":[{"oid":1,"pieces":[{"start":0,"a":[1],"b":[1]}]}]}`, // dim mismatch
-		`{"dim":1,"tau":0,"bogus":true}`,                                                 // unknown field
-	}
-	for _, c := range cases {
-		if _, err := LoadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("LoadJSON(%q) accepted", c)
-		}
-	}
-}
-
-func TestSaveJSONStableOrder(t *testing.T) {
-	db := buildSampleDB(t)
-	var a, b bytes.Buffer
-	must(t, db.SaveJSON(&a))
-	must(t, db.SaveJSON(&b))
-	if a.String() != b.String() {
-		t.Error("snapshot serialization not deterministic")
-	}
-	// The snapshot is the state, not the history that produced it.
-	if strings.Contains(a.String(), `"log"`) || strings.Contains(a.String(), `"kind"`) {
-		t.Errorf("snapshot carries an update log: %s", a.String())
 	}
 }

@@ -138,23 +138,22 @@ func FuzzReplayTolerantBinary(f *testing.F) {
 }
 
 // FuzzLoadBinary: arbitrary bytes must never panic the snapshot reader,
-// and whatever it accepts — in any of the three layout versions — must
-// come back StateEqual through today's writer. The seeds are the
-// version-2 file the parent commit wrote (with its log section), the
-// same file cut inside that section, and its version-3 re-save.
+// and whatever it accepts must come back StateEqual through the writer.
+// The seeds are a version-3 snapshot of the compatibility history, the
+// same snapshot cut short, and the version-2 file of that history an
+// older writer produced (refused by its header).
 func FuzzLoadBinary(f *testing.F) {
-	v2 := readFixture(f, "snapshot-v2.bin")
-	db, err := LoadBinary(bytes.NewReader(v2))
-	if err != nil {
+	db := NewDB(2, 0)
+	if err := db.ApplyAll(fixtureUpdates()...); err != nil {
 		f.Fatal(err)
 	}
 	var v3 bytes.Buffer
 	if err := db.SaveBinary(&v3); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2)
-	f.Add(v2[:len(v2)-40])
 	f.Add(v3.Bytes())
+	f.Add(v3.Bytes()[:v3.Len()-40])
+	f.Add(readFixture(f, "snapshot-v2.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := LoadBinary(bytes.NewReader(data))
 		if err != nil {

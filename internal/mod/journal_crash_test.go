@@ -216,15 +216,15 @@ func TestStateEqual(t *testing.T) {
 	if !a.StateEqual(b) || !b.StateEqual(a) {
 		t.Fatal("identical update streams produced unequal state")
 	}
-	// Snapshot JSON round-trip preserves state bit-exactly.
+	// A snapshot round-trip preserves state bit-exactly.
 	var buf bytes.Buffer
-	must(t, a.SaveJSON(&buf))
-	c, err := LoadJSON(&buf)
+	must(t, a.SaveBinary(&buf))
+	c, err := LoadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.StateEqual(c) {
-		t.Fatal("JSON round-trip changed state")
+		t.Fatal("snapshot round-trip changed state")
 	}
 	// Divergence in tau, membership or pieces is detected.
 	must(t, b.Apply(ChDir(1, 100, geom.Of(5, 5))))

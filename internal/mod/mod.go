@@ -521,7 +521,7 @@ func (db *DB) Snapshot() *DB {
 // bounds. Two databases reaching one state along different paths
 // (direct updates vs snapshot-load plus journal replay) are equal. The
 // bit-exact float comparison is intentional: recovery is required to
-// reproduce state exactly, and JSON float64 round-tripping is lossless.
+// reproduce state exactly, and the binary snapshot stores raw float bits.
 func (db *DB) StateEqual(other *DB) bool {
 	if db == other {
 		return true

@@ -1,13 +1,13 @@
 package mod
 
 // Copy-on-write epoch snapshots: the one view of the state (O, T, tau)
-// that readers, query fan-out and the snapshot codecs share. Every
+// that readers, query fan-out and the snapshot codec share. Every
 // mutation bumps the database's epoch counter; the first reader after a
 // mutation pays one O(n) map copy under the read lock and publishes it,
 // and every subsequent reader of the same epoch gets that immutable view
 // with two atomic loads and no lock at all. This rebuild is the only
 // place that copies the object map under db.mu: DB.Snapshot, Merge,
-// Partition, SaveBinary and SaveJSON all start from the Snap it returns,
+// Partition and SaveBinary all start from the Snap it returns,
 // so neither a query nor a checkpoint contends with the writer for the
 // shard lock beyond that one copy per epoch.
 

@@ -174,8 +174,9 @@ func TestBinaryBatchIngest(t *testing.T) {
 	}
 }
 
-// TestBinarySnapshotEndpoint: GET /snapshot?format=binary streams the
-// compact snapshot; LoadBinary round-trips it StateEqual.
+// TestBinarySnapshotEndpoint: GET /snapshot?format=binary, the request
+// clients written for the old format switch send, still streams the
+// binary snapshot; LoadBinary round-trips it StateEqual.
 func TestBinarySnapshotEndpoint(t *testing.T) {
 	ts, db := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/snapshot?format=binary")

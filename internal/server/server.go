@@ -37,8 +37,8 @@
 //	                              of point? ("vmax" is the default speed bound
 //	                              for objects without a declared one; omit it
 //	                              to require declarations.)
-//	GET  /snapshot                full JSON snapshot (mod.Snap.SaveJSON format);
-//	                              ?format=binary for the compact binary snapshot
+//	GET  /snapshot                the binary snapshot (mod.Snap.SaveBinary),
+//	                              application/octet-stream
 //	GET  /metrics                 Prometheus exposition (with Options.Metrics)
 //	POST /watch/knn               SSE delta stream of a continuing k-NN query
 //	POST /watch/within            SSE delta stream of a continuing within query
@@ -381,18 +381,14 @@ func (s *Server) handleUpdateBatch(w http.ResponseWriter, r *http.Request) {
 	s.ok(w, map[string]interface{}{"applied": n, "tau": s.be.Tau()})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	snap, err := mod.Union(s.be.Snapshots()...)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err, nil)
 		return
 	}
-	save, ct := snap.SaveJSON, "application/json"
-	if r.URL.Query().Get("format") == "binary" {
-		save, ct = snap.SaveBinary, "application/octet-stream"
-	}
-	w.Header().Set("Content-Type", ct)
-	if err := save(w); err != nil && s.log != nil {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := snap.SaveBinary(w); err != nil && s.log != nil {
 		s.log.Printf("snapshot: %v", err)
 	}
 }

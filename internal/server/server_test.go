@@ -238,20 +238,21 @@ func TestSnapshotEndpointRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	back, err := mod.LoadJSON(resp.Body)
+	back, err := mod.LoadBinary(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != db.Len() || back.Tau() != db.Tau() {
-		t.Errorf("snapshot round trip: len %d/%d tau %g/%g",
+	if !back.StateEqual(db) {
+		t.Errorf("snapshot round trip: len %d/%d tau %g/%g, or the trajectories differ",
 			back.Len(), db.Len(), back.Tau(), db.Tau())
 	}
 }
 
-// TestSnapshotEndpointIsTheEnginesSnapshot: both encodings of GET
-// /snapshot are byte for byte what the engine's merged copy writes, at
-// one shard and at four, over a population with declared speed bounds
-// and terminated objects.
+// TestSnapshotEndpointIsTheEnginesSnapshot: GET /snapshot serves one
+// format and reads no parameter: with and without ?format=binary it is
+// byte for byte what the engine's merged copy writes with SaveBinary,
+// as application/octet-stream, at one shard and at four, over a
+// population with declared speed bounds and terminated objects.
 func TestSnapshotEndpointIsTheEnginesSnapshot(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		db, err := workload.RandomMovers(workload.Config{Seed: 7, N: 40, Turns: 2, TurnHorizon: 10})
@@ -273,28 +274,25 @@ func TestSnapshotEndpointIsTheEnginesSnapshot(t *testing.T) {
 			}
 		}
 		ts := httptest.NewServer(NewWithOptions(eng, Options{}))
-		for _, c := range []struct {
-			query string
-			save  func(*mod.DB, io.Writer) error
-		}{
-			{"", (*mod.DB).SaveJSON},
-			{"?format=binary", (*mod.DB).SaveBinary},
-		} {
-			resp, err := http.Get(ts.URL + "/snapshot" + c.query)
+		var want bytes.Buffer
+		if err := eng.Snapshot().SaveBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range []string{"", "?format=binary"} {
+			resp, err := http.Get(ts.URL + "/snapshot" + query)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, err := io.ReadAll(resp.Body)
 			_ = resp.Body.Close()
 			if err != nil || resp.StatusCode != 200 {
-				t.Fatalf("P=%d GET /snapshot%s: code %d, %v", p, c.query, resp.StatusCode, err)
+				t.Fatalf("P=%d GET /snapshot%s: code %d, %v", p, query, resp.StatusCode, err)
 			}
-			var want bytes.Buffer
-			if err := c.save(eng.Snapshot(), &want); err != nil {
-				t.Fatal(err)
+			if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+				t.Errorf("P=%d GET /snapshot%s: Content-Type %q", p, query, ct)
 			}
 			if !bytes.Equal(got, want.Bytes()) {
-				t.Errorf("P=%d GET /snapshot%s: %d bytes differ from the engine snapshot's %d", p, c.query, len(got), want.Len())
+				t.Errorf("P=%d GET /snapshot%s: %d bytes differ from the engine snapshot's %d", p, query, len(got), want.Len())
 			}
 		}
 		ts.Close()

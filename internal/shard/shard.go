@@ -320,7 +320,7 @@ func (e *Engine) Subscriptions() *sub.Registry {
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
 	if e.subReg == nil {
-		e.subReg = sub.NewRegistry(e, sub.Config{})
+		e.subReg = sub.NewRegistry(e)
 		if e.subObs != nil {
 			e.subReg.Instrument(e.subObs)
 		}

@@ -147,10 +147,10 @@ func TestSnapshotMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want, got bytes.Buffer
-		if err := db.SaveJSON(&want); err != nil {
+		if err := db.SaveBinary(&want); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Snapshot().SaveJSON(&got); err != nil {
+		if err := eng.Snapshot().SaveBinary(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {

@@ -52,8 +52,8 @@ func newStream(r *Registry, s *subscription) *Stream {
 		reg:    r,
 		sub:    s,
 		kind:   s.q.Kind,
-		qcap:   r.cfg.QueueCap,
-		maxCo:  r.cfg.MaxCoalesce,
+		qcap:   r.qcap,
+		maxCo:  r.maxCo,
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}

@@ -278,7 +278,7 @@ func runSubScenario(sc subScenario, p int) (string, error) {
 			return "", fmt.Errorf("initial apply %s: %w", u, err)
 		}
 	}
-	reg := sub.NewRegistry(eng, sub.Config{})
+	reg := sub.NewRegistry(eng)
 	defer reg.Close()
 
 	var clients []*subClient

@@ -27,8 +27,9 @@ import (
 // so the pump tolerates out-of-order arrival (applyStale).
 type Registry struct {
 	src Source
-	cfg Config
 	dim int
+
+	qcap, maxCo int // each stream's queue bound and coalesce budget
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -64,11 +65,14 @@ type task struct {
 
 // NewRegistry starts a registry over src and hooks its update stream.
 // Close releases the pump goroutine.
-func NewRegistry(src Source, cfg Config) *Registry {
+func NewRegistry(src Source) *Registry { return newRegistry(src, queueCap, maxCoalesce) }
+
+func newRegistry(src Source, qcap, maxCo int) *Registry {
 	r := &Registry{
 		src:       src,
-		cfg:       cfg.withDefaults(),
 		dim:       src.Dim(),
+		qcap:      qcap,
+		maxCo:     maxCo,
 		subs:      make(map[string]*subscription),
 		trackedBy: make(map[mod.OID]map[*subscription]struct{}),
 		wake:      eventq.NewHeap(),
@@ -173,8 +177,8 @@ func (r *Registry) Counts() (subs, streams int) {
 // full answer at registration time plus deltas from there on.
 // Bitwise-identical queries share one materialized subscription.
 func (r *Registry) Subscribe(q Query) (*Stream, error) {
-	q = q.normalized(r.cfg)
-	if err := q.validate(r.dim, r.cfg.MaxHorizon); err != nil {
+	q = q.normalized()
+	if err := q.validate(r.dim); err != nil {
 		return nil, err
 	}
 	var (
@@ -416,7 +420,7 @@ func (r *Registry) route(u mod.Update) {
 		// trajectory piece overlapping [tau, maxHi], tested against the
 		// interest boxes. (Terminations only matter to subscriptions
 		// already tracking the object.)
-		hR := math.Min(r.cfg.MaxHorizon, r.maxHi)
+		hR := math.Min(MaxHorizon, r.maxHi)
 		tr, err := r.src.Traj(u.O)
 		if err != nil {
 			if u.Kind != mod.KindNew {

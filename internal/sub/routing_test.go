@@ -49,7 +49,7 @@ func coldStorm(t *testing.T, cold int) routingCounts {
 			t.Fatal(err)
 		}
 	}
-	reg := sub.NewRegistry(eng, sub.Config{})
+	reg := sub.NewRegistry(eng)
 	defer reg.Close()
 	metrics := obs.NewRegistry()
 	reg.Instrument(metrics)

@@ -16,8 +16,8 @@ package sub_test
 // answer changes into a few records. So after the storm one fresh
 // object zigzags across every slow consumer's radius with a Sync
 // between legs: each leg is exactly one guaranteed membership flip,
-// and a handful of flips overflows a QueueCap=2/MaxCoalesce=2 queue
-// regardless of how the storm interleaved.
+// and a handful of flips overflows a queue of 2 with a coalesce budget
+// of 2 regardless of how the storm interleaved.
 
 import (
 	"fmt"
@@ -59,7 +59,7 @@ func TestStressChurnEvictionCheckpoint(t *testing.T) {
 		}
 	}
 
-	reg := sub.NewRegistry(eng, sub.Config{QueueCap: 2, MaxCoalesce: 2})
+	reg := sub.NewRegistryWithQueue(eng, 2, 2)
 	defer reg.Close()
 
 	const updates = 1500

@@ -81,8 +81,8 @@ type Query struct {
 	Radius float64
 	// Point is the query center.
 	Point geom.Vec
-	// Hi is the absolute end of the watch window; 0 means "until the
-	// registry's MaxHorizon".
+	// Hi is the absolute end of the watch window; 0 means "until
+	// MaxHorizon".
 	Hi float64
 }
 
@@ -100,11 +100,11 @@ var (
 	ErrCanceled = errors.New("sub: subscription canceled")
 )
 
-// normalized resolves the unset-horizon sentinel against the registry
-// configuration and defensively copies the point.
-func (q Query) normalized(cfg Config) Query {
+// normalized resolves the unset-horizon sentinel to MaxHorizon and
+// defensively copies the point.
+func (q Query) normalized() Query {
 	if q.Hi == 0 { //modlint:allow floatcmp -- unset-field sentinel: absent horizon decodes to exactly 0
-		q.Hi = cfg.MaxHorizon
+		q.Hi = MaxHorizon
 	}
 	q.Point = q.Point.Clone()
 	return q
@@ -112,7 +112,7 @@ func (q Query) normalized(cfg Config) Query {
 
 // validate rejects malformed queries: NaN/Inf point components poison
 // every distance comparison in the sweep, so they are refused up front.
-func (q Query) validate(dim int, maxHorizon float64) error {
+func (q Query) validate(dim int) error {
 	switch q.Kind {
 	case KNN:
 		if q.K < 1 {
@@ -136,8 +136,8 @@ func (q Query) validate(dim int, maxHorizon float64) error {
 	if math.IsNaN(q.Hi) || math.IsInf(q.Hi, 0) || q.Hi < 0 {
 		return fmt.Errorf("sub: horizon must be a finite time >= 0, got %g", q.Hi)
 	}
-	if q.Hi > maxHorizon {
-		return fmt.Errorf("sub: horizon %g beyond registry max %g", q.Hi, maxHorizon)
+	if q.Hi > MaxHorizon {
+		return fmt.Errorf("sub: horizon %g beyond registry max %g", q.Hi, float64(MaxHorizon))
 	}
 	return nil
 }
@@ -203,31 +203,18 @@ type Source interface {
 	OnUpdate(l mod.Listener)
 }
 
-// Config tunes a registry.
-type Config struct {
-	// MaxHorizon bounds open-ended subscriptions (Hi == 0). Default 1e9.
-	MaxHorizon float64
-	// QueueCap bounds each subscriber's delta queue; an overflowing
-	// queue coalesces into one resync record. Default 64.
-	QueueCap int
-	// MaxCoalesce is how many consecutive resync-coalesces (with no
-	// intervening drain) a subscriber survives before eviction.
-	// Default 64.
-	MaxCoalesce int
-}
+// MaxHorizon is the end of an open-ended subscription's window
+// (Query.Hi == 0) and the latest Hi a subscription may ask for.
+const MaxHorizon = 1e9
 
-func (c Config) withDefaults() Config {
-	if c.MaxHorizon <= 0 {
-		c.MaxHorizon = 1e9
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 64
-	}
-	return c
-}
+const (
+	// queueCap bounds each subscriber's delta queue; an overflowing
+	// queue coalesces into one resync record.
+	queueCap = 64
+	// maxCoalesce is how many consecutive resync-coalesces (with no
+	// intervening drain) a subscriber survives before eviction.
+	maxCoalesce = 64
+)
 
 // reaches reports whether tr's motion during [from, hi] can bring f's
 // curve down to the pool threshold r2 — the query layer's pool-membership

@@ -161,7 +161,7 @@ func TestWithinDeltasMatchOracle(t *testing.T) {
 	mustLoad(t, db, 3, 0, []float64{-1, 0}, []float64{30, 0})    // approaching
 	mustLoad(t, db, 4, 0, []float64{0.5, 0.5}, []float64{2, -2}) // leaving
 
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 5, Point: geom.Vec{0, 0}, Hi: 200}
@@ -200,7 +200,7 @@ func TestKNNDeltasWithPoolRefresh(t *testing.T) {
 	mustLoad(t, db, 2, 0, []float64{0}, []float64{10}) // outside initial pool
 	mustLoad(t, db, 3, 0, []float64{0}, []float64{25})
 
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	q := Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 100}
@@ -252,7 +252,7 @@ func TestKNNLadder(t *testing.T) {
 	for i := 0; i < 44; i++ { // at rest, 50 to 93 away
 		mustLoad(t, db, mod.OID(20+i), 0, []float64{0, 0}, []float64{0, float64(50 + i)})
 	}
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 	instruments := obs.NewRegistry()
 	reg.Instrument(instruments)
@@ -291,7 +291,7 @@ func TestUnchangedAnswerAllocatesNothing(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		mustLoad(t, db, mod.OID(i), 0, []float64{0, 0}, []float64{float64(9 - i), 0})
 	}
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 	for _, q := range []Query{
 		{Kind: KNN, K: 3, Point: geom.Vec{0, 0}, Hi: 100},
@@ -328,7 +328,7 @@ func TestWakeTimestamps(t *testing.T) {
 	mustLoad(t, db, 1, 0, []float64{1}, []float64{-5}) // passes through [-2, 2] during t in [3, 7]
 	mustLoad(t, db, 2, 0, []float64{0}, []float64{50}) // far bystander
 
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	st, err := reg.Subscribe(Query{Kind: Within, Radius: 2, Point: geom.Vec{0}, Hi: 100})
@@ -365,7 +365,7 @@ func TestWakeTimestamps(t *testing.T) {
 
 func TestSubscribeValidation(t *testing.T) {
 	db := mod.NewDB(2, 0)
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	cases := []Query{
@@ -399,7 +399,7 @@ func TestHorizonDone(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 5})
@@ -433,7 +433,7 @@ func TestSharedSubscriptionAndCancel(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 3, Point: geom.Vec{0}, Hi: 50}
@@ -475,7 +475,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 	db := mod.NewDB(1, 0)
 	mustLoad(t, db, 1, 0, []float64{0}, []float64{1})
 
-	reg := NewRegistry(single{db}, Config{QueueCap: 2, MaxCoalesce: 1000})
+	reg := NewRegistryWithQueue(single{db}, 2, 1000)
 	defer reg.Close()
 
 	q := Query{Kind: Within, Radius: 10, Point: geom.Vec{0}, Hi: 1000}
@@ -515,7 +515,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 		t.Fatalf("subscribe 2: %v", err)
 	}
 	_ = st2
-	reg2 := NewRegistry(single{db}, Config{QueueCap: 1, MaxCoalesce: 1})
+	reg2 := NewRegistryWithQueue(single{db}, 1, 1)
 	defer reg2.Close()
 	ev, err := reg2.Subscribe(Query{Kind: Within, Radius: 10, Point: geom.Vec{0}, Hi: 1000})
 	if err != nil {
@@ -542,7 +542,7 @@ func TestSlowConsumerCoalesceAndEvict(t *testing.T) {
 
 func TestRegistryClose(t *testing.T) {
 	db := mod.NewDB(1, 0)
-	reg := NewRegistry(single{db}, Config{})
+	reg := NewRegistry(single{db})
 	st, err := reg.Subscribe(Query{Kind: KNN, K: 1, Point: geom.Vec{0}, Hi: 10})
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
