@@ -3,16 +3,15 @@ package durable_test
 // Ack tests: the ack contract of both commit policies (no Apply or
 // ApplyBatch returns nil before its entries are durable, and a journal
 // fault is an error, not a silent loss), and fsync coalescing under
-// group commit. The crash matrices over both policies are in
-// crash_matrix_test.go.
+// group commit. The durability driver (driver_test.go) crashes both
+// policies.
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/errfs"
@@ -21,36 +20,38 @@ import (
 	"repro/internal/vfs"
 )
 
-// countFS wraps a vfs.FS counting file fsyncs — the denominator of the
-// coalescing ratio.
-type countFS struct {
+// syncFS wraps a vfs.FS counting file fsyncs — the denominator of the
+// coalescing ratio — and, while hold is set, holding each one: it
+// signals held and waits for release.
+type syncFS struct {
 	vfs.FS
-	syncs atomic.Int64
+	syncs         atomic.Int64
+	hold          atomic.Bool
+	held, release chan struct{}
 }
 
-func (c *countFS) Create(name string) (vfs.File, error) {
-	f, err := c.FS.Create(name)
+func (c *syncFS) Create(name string) (vfs.File, error) { return c.wrap(c.FS.Create(name)) }
+
+func (c *syncFS) Append(name string) (vfs.File, error) { return c.wrap(c.FS.Append(name)) }
+
+func (c *syncFS) wrap(f vfs.File, err error) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countFile{File: f, fs: c}, nil
+	return &syncFile{File: f, fs: c}, nil
 }
 
-func (c *countFS) Append(name string) (vfs.File, error) {
-	f, err := c.FS.Append(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countFile{File: f, fs: c}, nil
-}
-
-type countFile struct {
+type syncFile struct {
 	vfs.File
-	fs *countFS
+	fs *syncFS
 }
 
-func (f *countFile) Sync() error {
+func (f *syncFile) Sync() error {
 	f.fs.syncs.Add(1)
+	if f.fs.hold.Load() {
+		f.fs.held <- struct{}{}
+		<-f.fs.release
+	}
 	return f.File.Sync()
 }
 
@@ -63,73 +64,14 @@ func newStream(n int) []mod.Update {
 	return us
 }
 
-// groupConfig is matrixConfig with group commit enabled.
-func groupConfig(fs vfs.FS) durable.Config {
-	cfg := matrixConfig(fs)
-	cfg.Commit = durable.CommitGroup
-	return cfg
-}
-
-// TestGroupCommitConcurrentAck drives concurrent appliers (one per
-// shard partition — the chronology discipline forces serialization
-// within a shard) through group commit and asserts the ack contract:
-// every Apply that returned nil is durable, so a clean reopen must
-// recover all of them. Run under -race this exercises the
-// committer/waiter synchronization from many goroutines at once.
+// TestGroupCommitConcurrentAck drives two appliers per shard at P = 4
+// through group commit, on the durability driver without faults, and
+// wants every update the database applied recovered after a power
+// loss. Run under -race this exercises the committer/waiter
+// synchronization from many goroutines at once.
 func TestGroupCommitConcurrentAck(t *testing.T) {
-	const n = 200
-	dir := filepath.Join(t.TempDir(), "data")
-	cfg := groupConfig(vfs.OS{})
-	cfg.Shards = 4
-	eng, err := durable.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Partition the stream by owning shard; each partition is a
-	// chronological subsequence, so one goroutine per partition is the
-	// maximum concurrency the stream discipline allows for Apply.
-	us := newStream(n)
-	groups := make([][]mod.Update, eng.NumShards())
-	for _, u := range us {
-		i := eng.ShardOf(u.O)
-		groups[i] = append(groups[i], u)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(groups))
-	for i, g := range groups {
-		wg.Add(1)
-		go func(i int, g []mod.Update) {
-			defer wg.Done()
-			for _, u := range g {
-				if err := eng.Apply(u); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i, g)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("partition %d: %v", i, err)
-		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every ack was a durability promise: a clean reopen must see all n.
-	rcfg := matrixConfig(vfs.OS{})
-	rcfg.Shards = 4
-	rec, err := durable.Open(dir, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Len() != n {
-		t.Fatalf("recovered %d of %d acked updates", rec.Len(), n)
-	}
+	r := newRun(t, drive{shards: 4, writers: 2, commit: durable.CommitGroup}, 1)
+	r.cleanLife(r.mem, 4, r.seeded(50))
 }
 
 // TestGroupCommitBatchCoalescing asserts the fsync economics that
@@ -140,65 +82,29 @@ func TestGroupCommitConcurrentAck(t *testing.T) {
 // next apply — so the batch path is where the ratio shows up.)
 func TestGroupCommitBatchCoalescing(t *testing.T) {
 	const n, batch = 200, 50
-	dir := filepath.Join(t.TempDir(), "data")
-	cfs := &countFS{FS: vfs.OS{}}
-	eng, err := durable.Open(dir, groupConfig(cfs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := newStream(n)
-	base := cfs.syncs.Load()
-	for lo := 0; lo < n; lo += batch {
-		if _, err := eng.ApplyBatch(us[lo : lo+batch]); err != nil {
-			t.Fatalf("batch at %d: %v", lo, err)
+	r := newRun(t, drive{shards: 2, commit: durable.CommitGroup}, 1)
+	cfs := &syncFS{FS: r.mem}
+	r.cleanLife(cfs, 2, func(eng *durable.Engine) {
+		us, base := newStream(n), cfs.syncs.Load()
+		for lo := 0; lo < n; lo += batch {
+			r.apply(eng, us[lo:lo+batch]...)
 		}
-	}
-	syncs := cfs.syncs.Load() - base
-	// Expect about one fsync per shard per batch: 2*4 = 8. Allow 4x
-	// slack for committer-cycle races; n/4 still proves >=4x coalescing.
-	if syncs > n/4 {
-		t.Fatalf("batched ingest of %d updates issued %d fsyncs — not coalescing", n, syncs)
-	}
-	t.Logf("%d updates acked with %d fsyncs (%.1f entries/fsync)",
-		n, syncs, float64(n)/float64(syncs))
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := durable.Open(dir, matrixConfig(vfs.OS{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Len() != n {
-		t.Fatalf("recovered %d of %d acked updates", rec.Len(), n)
-	}
+		// Expect about one fsync per shard per batch: 2*4 = 8. Allow 4x
+		// slack for committer-cycle races; n/4 still proves >=4x
+		// coalescing.
+		if syncs := cfs.syncs.Load() - base; syncs > n/4 {
+			t.Errorf("batched ingest of %d updates issued %d fsyncs — not coalescing", n, syncs)
+		} else {
+			t.Logf("%d updates acked with %d fsyncs (%.1f entries/fsync)", n, syncs, float64(n)/float64(syncs))
+		}
+	})
 }
 
-// TestGroupCommitCloseDrains pins the committer's drain: a Close with
-// pending waiters must resolve them (one final fsync), and updates
-// applied before Close must survive.
+// TestGroupCommitCloseDrains: updates a batch applied before Close
+// survive a power loss after it.
 func TestGroupCommitCloseDrains(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "data")
-	eng, err := durable.Open(dir, groupConfig(vfs.OS{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := newStream(8)
-	if n, err := eng.ApplyBatch(us); err != nil || n != len(us) {
-		t.Fatalf("batch: n=%d err=%v", n, err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := durable.Open(dir, matrixConfig(vfs.OS{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Len() != len(us) {
-		t.Fatalf("recovered %d of %d", rec.Len(), len(us))
-	}
+	r := newRun(t, drive{shards: 2, commit: durable.CommitGroup}, 1)
+	r.cleanLife(r.mem, 2, func(eng *durable.Engine) { r.apply(eng, newStream(8)...) })
 }
 
 // TestFlushAckSurfacesJournalFault: under CommitFlush the ack is the
@@ -207,49 +113,56 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 // returned nil.
 func TestFlushAckSurfacesJournalFault(t *testing.T) {
 	us := stream10()[:3]
-	cfg := durable.Config{Shards: 1, Dim: 2, Tau0: -1}
-
 	// Every operation Open makes precedes the first journal write.
-	probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	cfg.FS = probe
-	eng, err := durable.Open(filepath.Join(t.TempDir(), "probe"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opens := probe.Ops()
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	probe := newRun(t, drive{shards: 1}, 1)
+	probe.inj = errfs.New(probe.mem, 0, errfs.FailOp)
+	opens := probe.inj.Ops()
+	_ = probe.open(probe.inj, 1).Close()
+	opens = probe.inj.Ops() - opens - 1 // Close fsyncs the journal once
 
-	dir := filepath.Join(t.TempDir(), "data")
-	inj := errfs.New(vfs.OS{}, opens+1, errfs.FailOp)
-	cfg.FS = inj
-	eng, err = durable.Open(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acked := 0
-	for i, u := range us {
-		err := eng.Apply(u)
-		if i == 0 && !errors.Is(err, mod.ErrNotDurable) {
-			t.Fatalf("first Apply with the journal write failing returned %v, want mod.ErrNotDurable", err)
+	r := newRun(t, drive{shards: 1}, 1)
+	r.inj = errfs.New(r.mem, opens+1, errfs.FailOp)
+	r.live(1, func(eng *durable.Engine) {
+		if err := eng.Apply(us[0]); !errors.Is(err, mod.ErrNotDurable) {
+			t.Errorf("first Apply with the journal write failing returned %v, want mod.ErrNotDurable", err)
 		}
-		if err == nil {
-			acked++
-		}
+		r.apply(eng, us[1])
+		r.apply(eng, us[2])
+	})
+	if op := r.before[opens]; !strings.HasPrefix(op, "write(") || !strings.Contains(op, ".wal, ") {
+		t.Fatalf("the fault hit %s, not a journal write", op)
 	}
-	if tr := inj.Trace(); !strings.HasPrefix(tr[opens], "write(") || !strings.Contains(tr[opens], ".wal, ") {
-		t.Fatalf("the fault did not hit a journal write:\n%s", traceOf(inj))
+	if r.finish(1); len(r.kept) != 1 {
+		t.Fatalf("recovered %d updates, want only the one applied after recovery", len(r.kept))
 	}
-	_ = eng.Close()
+}
 
-	rec, err := durable.Open(dir, durable.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if !rec.Snapshot().StateEqual(prefixDB(t, us, acked)) {
-		t.Fatalf("recovered %d objects at tau %g, want exactly the %d acked updates",
-			rec.Len(), rec.Tau(), acked)
-	}
+// TestApplyWhileJournalFsyncs: while the group-commit fsync of one
+// update is held, another update on the same shard is applied and
+// reaches the journal's buffer — the journal's lock is not held across
+// the fsync — and once the fsync returns both survive a power loss.
+func TestApplyWhileJournalFsyncs(t *testing.T) {
+	r := newRun(t, drive{shards: 1, commit: durable.CommitGroup}, 1)
+	fsys := &syncFS{FS: r.mem, held: make(chan struct{}), release: make(chan struct{})}
+	r.cleanLife(fsys, 1, func(eng *durable.Engine) {
+		us := newStream(2)
+		fsys.hold.Store(true)
+		acked := make(chan int, 1)
+		go func() { acked <- r.apply(eng, us[0]) }()
+		<-fsys.held
+		applied := make(chan error, 1)
+		se := eng.Engine
+		go func() { applied <- se.Apply(us[1]) }()
+		select {
+		case err := <-applied:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Error("an apply on the shard waited for the fsync in flight")
+		}
+		fsys.hold.Store(false)
+		close(fsys.release)
+		<-acked
+	})
 }

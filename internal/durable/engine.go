@@ -31,6 +31,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path"
 	"sync"
@@ -149,7 +150,7 @@ func Open(dir string, cfg Config) (*Engine, error) {
 		// had opened would leave them changed.
 		for i := 0; i < man.Shards; i++ {
 			if err := checkStore(fsys, path.Join(dir, shardDirName(man.Generation, i)), man.Dim); err != nil {
-				return nil, fmt.Errorf("durable: shard %d: %w", i, err)
+				return nil, err // names the shard's directory
 			}
 		}
 	}
@@ -182,7 +183,7 @@ func (e *Engine) openGeneration(man rootManifest, cfg Config, opts StoreOptions)
 		st, err := OpenStore(e.fs, path.Join(e.dir, shardDirName(e.gen, i)), opts)
 		if err != nil {
 			closeStores(stores[:i])
-			return fmt.Errorf("durable: shard %d: %w", i, err)
+			return err // names the shard's directory
 		}
 		stores[i] = st
 		dbs[i] = st.DB()
@@ -300,7 +301,7 @@ func (e *Engine) Apply(u mod.Update) error {
 	if err := e.Engine.Apply(u); err != nil {
 		return err
 	}
-	return e.waitDurable(e.ShardOf(u.O))
+	return e.waitDurable(e.ShardOf(u.O), u.Tau, u.Tau)
 }
 
 // ApplyAll applies us in order through Apply, stopping at the first
@@ -315,23 +316,29 @@ func (e *Engine) ApplyAll(us ...mod.Update) error {
 }
 
 // ApplyBatch ingests a batch (via the embedded engine's sharded batch
-// path) and acknowledges it through WaitDurable once per touched shard.
-// The applied count reflects in-memory application; the error includes
-// any durability failure (wrapping mod.ErrNotDurable), so a nil error
-// acks the whole batch as durable.
+// path) and acknowledges it through WaitDurable once per touched shard,
+// for the taus of the batch's updates on that shard: a shard applies
+// its group in order, so its entries are one run of the journal. The
+// applied count reflects in-memory application; the error includes any
+// durability failure (wrapping mod.ErrNotDurable), so a nil error acks
+// the whole batch as durable.
 func (e *Engine) ApplyBatch(us []mod.Update) (int, error) {
 	n, err := e.Engine.ApplyBatch(us)
 	if n == 0 {
 		return n, err
 	}
-	touched := make([]bool, len(e.stores))
+	lo, hi := make([]float64, len(e.stores)), make([]float64, len(e.stores))
+	for i := range lo {
+		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+	}
 	for _, u := range us {
-		touched[e.ShardOf(u.O)] = true
+		i := e.ShardOf(u.O)
+		lo[i], hi[i] = min(lo[i], u.Tau), max(hi[i], u.Tau)
 	}
 	var waitErrs []error
 	for i := range e.stores {
-		if touched[i] {
-			if werr := e.waitDurable(i); werr != nil {
+		if lo[i] <= hi[i] {
+			if werr := e.waitDurable(i, lo[i], hi[i]); werr != nil {
 				waitErrs = append(waitErrs, werr)
 			}
 		}
@@ -339,10 +346,10 @@ func (e *Engine) ApplyBatch(us []mod.Update) (int, error) {
 	return n, errors.Join(err, errors.Join(waitErrs...))
 }
 
-// waitDurable acknowledges shard i's journaled updates, wrapping a
-// failure in mod.ErrNotDurable.
-func (e *Engine) waitDurable(i int) error {
-	if err := e.stores[i].WaitDurable(); err != nil {
+// waitDurable acknowledges the updates with taus in [lo, hi] on shard
+// i, wrapping a failure in mod.ErrNotDurable.
+func (e *Engine) waitDurable(i int, lo, hi float64) error {
+	if err := e.stores[i].WaitDurable(lo, hi); err != nil {
 		return fmt.Errorf("%w: shard %d: %w", mod.ErrNotDurable, i, err)
 	}
 	return nil

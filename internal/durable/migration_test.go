@@ -1,21 +1,21 @@
 package durable_test
 
-// Opening a data dir that a previous process left behind, two angles:
-//
-//   - every filesystem operation of an Open is faulted in every mode,
-//     with the shard count kept and changed (a re-sharding Open, which
-//     migrates the state into a new generation of stores);
-//   - a data dir this build cannot read is refused, and the refused Open
-//     writes nothing: a store in the JSON codec (what builds before the
-//     binary codec wrote), one whose snapshots are version 2 (they
-//     carried the update log), and a data dir where only one shard is
-//     such a store and another is a readable one with a torn tail.
+// Opening a data dir that a previous process left behind and this
+// build cannot read: the Open is refused, and the refused Open writes
+// nothing. A store in the JSON codec (what builds before the binary
+// codec wrote), one whose snapshots are version 2 (they carried the
+// update log), and a data dir where only one shard is such a store and
+// another is a readable one with a torn tail. Each is loaded into a
+// vfs.Mem. (The durability driver's faulted-open configurations fault
+// every operation of an Open that succeeds.)
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,63 +27,26 @@ import (
 	"repro/internal/vfs"
 )
 
-// copyTree copies the directory tree at from into the fresh directory
-// it returns. Open writes (GC, checkpoints), so fixtures and reference
-// recoveries work on copies.
-func copyTree(t *testing.T, from string) string {
-	t.Helper()
-	to := filepath.Join(t.TempDir(), "data")
-	copyTreeTo(t, from, to)
-	return to
-}
-
-// copyTreeTo copies the directory tree at from to to.
-func copyTreeTo(t *testing.T, from, to string) {
+// load copies the directory tree at from, on disk, to the path to in
+// mem.
+func load(t *testing.T, mem *vfs.Mem, from, to string) {
 	t.Helper()
 	err := filepath.WalkDir(from, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		dst := filepath.Join(to, strings.TrimPrefix(p, from))
-		if d.IsDir() {
-			return os.MkdirAll(dst, 0o755)
+		dst := path.Join(to, filepath.ToSlash(strings.TrimPrefix(p, from)))
+		if err != nil || d.IsDir() {
+			return errors.Join(err, mem.MkdirAll(dst))
 		}
 		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(dst, data, 0o644)
+		return errors.Join(err, vfs.WriteFileAtomic(mem, dst, data))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// treeOf maps every path under dir to its contents ("/" for a
-// directory), so two calls tell whether anything under dir changed.
-func treeOf(t *testing.T, dir string) map[string]string {
-	t.Helper()
-	tree := map[string]string{}
-	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			tree[p] = "/"
-			return nil
-		}
-		data, err := os.ReadFile(p)
-		tree[p] = string(data)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
-}
-
-// history is the update history of both fixtures below: the JSON one
-// an old build wrote, and the binary one fixtureDir writes.
+// history is the update history of the JSON fixture an old build
+// wrote, of the binary one fixtureDir writes, and of the driver's
+// faulted-open fixture.
 func history() []mod.Update {
 	return []mod.Update{
 		mod.New(1, 1, geom.Of(1, 0), geom.Of(0, 0)),
@@ -100,114 +63,6 @@ func history() []mod.Update {
 	}
 }
 
-func historyDB(t *testing.T) *mod.DB {
-	t.Helper()
-	want := mod.NewDB(2, 0)
-	if err := want.ApplyAll(history()...); err != nil {
-		t.Fatal(err)
-	}
-	return want
-}
-
-// fixtureDir writes a two-shard binary data dir and returns it: the
-// first seven updates of history, a checkpoint, the remaining four, then
-// one more update whose record a crash cut five bytes short. Opening it
-// therefore replays journal tails over snapshots and truncates a torn
-// tail, and recovers history.
-func fixtureDir(t *testing.T) string {
-	t.Helper()
-	dir := filepath.Join(t.TempDir(), "data")
-	eng, err := durable.Open(dir, durable.Config{Shards: 2, Dim: 2, Tau0: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := history()
-	if err := eng.ApplyAll(us[:7]...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	torn := mod.ChDir(2, 12, geom.Of(0.25, -8))
-	if err := eng.ApplyAll(append(us[7:], torn)...); err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, fmt.Sprintf("g0001-shard-%04d", eng.ShardOf(torn.O)), "wal-0000002.wal")
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
-// TestMigratingOpenFaultMatrix faults every filesystem operation of the
-// Open of a binary data dir, in every mode, with the shard count kept
-// and changed. Whatever the faulted Open did, a clean Open afterwards
-// recovers the history at the asked shard count.
-func TestMigratingOpenFaultMatrix(t *testing.T) {
-	want := historyDB(t)
-	fixture := fixtureDir(t)
-	for _, shards := range []int{2, 4} {
-		probe := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-		probeDir := copyTree(t, fixture)
-		eng, err := durable.Open(probeDir, durable.Config{Shards: shards, FS: probe})
-		if err != nil {
-			t.Fatalf("P=%d: un-faulted open: %v", shards, err)
-		}
-		total := probe.Ops()
-		if !eng.Snapshot().StateEqual(want) {
-			t.Fatalf("P=%d: un-faulted open recovers the wrong state", shards)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The sweep covers what the Open must do: cut the torn tail, and
-		// at a new shard count commit the new generation's root manifest.
-		trace := strings.Join(probe.Trace(), "\n")
-		if !strings.Contains(trace, "truncate(") {
-			t.Fatalf("P=%d: the open truncated no torn tail:\n%s", shards, trace)
-		}
-		reshard := shards != 2
-		if flip := "-> " + filepath.Join(probeDir, "MANIFEST") + ")"; strings.Contains(trace, flip) != reshard {
-			t.Fatalf("P=%d: root manifest rewritten = %v, want %v:\n%s", shards, !reshard, reshard, trace)
-		}
-		t.Logf("P=%d: sweeping %d fault points x 3 modes", shards, total)
-
-		for _, mode := range []errfs.Mode{errfs.FailOp, errfs.ShortWrite, errfs.FailSync} {
-			for k := 1; k <= total; k++ {
-				dir := copyTree(t, fixture)
-				inj := errfs.New(vfs.OS{}, k, mode)
-				if eng, err := durable.Open(dir, durable.Config{Shards: shards, FS: inj}); err == nil {
-					// The fault hit a best-effort step (garbage collection).
-					_ = eng.Close()
-				}
-				if !inj.Crashed() {
-					t.Fatalf("P=%d mode=%v k=%d: injection never fired (%d ops)", shards, mode, k, inj.Ops())
-				}
-
-				rec, err := durable.Open(dir, durable.Config{Shards: shards})
-				if err != nil {
-					t.Fatalf("P=%d mode=%v k=%d: open after the faulted open: %v\ntrace:\n%s",
-						shards, mode, k, err, traceOf(inj))
-				}
-				if rec.NumShards() != shards || !rec.Snapshot().StateEqual(want) {
-					t.Fatalf("P=%d mode=%v k=%d: %d shards, or state differs from the history\ntrace:\n%s",
-						shards, mode, k, rec.NumShards(), traceOf(inj))
-				}
-				if err := rec.Close(); err != nil {
-					t.Fatalf("P=%d mode=%v k=%d: close: %v", shards, mode, k, err)
-				}
-			}
-		}
-	}
-}
-
 // jsonFixture is a data dir the JSON writer of commit 1cd52ea wrote with
 // two shards and dimension 2: the first seven updates of history, a
 // checkpoint, the next five, Close; then the last line of shard 1's
@@ -218,13 +73,8 @@ const jsonFixture = "testdata/json-datadir"
 // journalOnlyJSONStore writes a one-shard data dir whose store never
 // checkpointed under the JSON codec: its manifest names a .jsonl journal
 // and no snapshot.
-func journalOnlyJSONStore(t *testing.T) string {
+func journalOnlyJSONStore(t *testing.T) *vfs.Mem {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "data")
-	shard := filepath.Join(dir, "g0001-shard-0000")
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	var lines []byte
 	for _, u := range history()[:3] {
 		line, err := json.Marshal(u)
@@ -233,28 +83,28 @@ func journalOnlyJSONStore(t *testing.T) string {
 		}
 		lines = append(append(lines, line...), '\n')
 	}
+	mem, shard := vfs.NewMem(), path.Join(root, "g0001-shard-0000")
 	for p, data := range map[string]string{
-		filepath.Join(dir, "MANIFEST"):            `{"version":1,"dim":2,"shards":1,"generation":1}` + "\n",
-		filepath.Join(shard, "MANIFEST"):          `{"version":1,"seq":1,"journal":"wal-0000001.jsonl","dim":2,"tau0":0}` + "\n",
-		filepath.Join(shard, "wal-0000001.jsonl"): string(lines),
+		path.Join(root, "MANIFEST"):           `{"version":1,"dim":2,"shards":1,"generation":1}` + "\n",
+		path.Join(shard, "MANIFEST"):          `{"version":1,"seq":1,"journal":"wal-0000001.jsonl","dim":2,"tau0":0}` + "\n",
+		path.Join(shard, "wal-0000001.jsonl"): string(lines),
 	} {
-		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+		if err := errors.Join(mem.MkdirAll(shard), vfs.WriteFileAtomic(mem, p, []byte(data))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return dir
+	return mem
 }
 
-// refusedUntouched opens dir at the given shard count (0 keeps the
-// stored one) and wants a refusal whose error contains want. The
-// refused Open may only make sure existing directories exist: every
-// other filesystem operation in its trace fails the test, and so does
-// any file or directory under dir that changed, appeared or went.
-func refusedUntouched(t *testing.T, dir string, shards int, want string) {
+// refusedUntouched opens the data dir in mem at the given shard count
+// (0 keeps the stored one) and wants a refusal whose error contains want
+// and names the refused shard's directory, under one "durable: "
+// prefix. The refused Open may only make sure existing directories
+// exist, and mem must hold what it held before.
+func refusedUntouched(t *testing.T, mem *vfs.Mem, shards int, want string) {
 	t.Helper()
-	before := treeOf(t, dir)
-	trace := errfs.New(vfs.OS{}, 0, errfs.FailOp)
-	eng, err := durable.Open(dir, durable.Config{Shards: shards, FS: trace})
+	before, trace := memTree(mem, "/"), errfs.New(mem, 0, errfs.FailOp)
+	eng, err := durable.Open(root, durable.Config{Shards: shards, FS: trace})
 	if err == nil {
 		_ = eng.Close()
 		t.Fatalf("the data dir opened, holding %d objects", eng.Snapshot().Len())
@@ -262,22 +112,24 @@ func refusedUntouched(t *testing.T, dir string, shards int, want string) {
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("the refusal does not say how to convert the store (want %q): %v", want, err)
 	}
+	if strings.Count(err.Error(), "durable: ") != 1 || strings.Count(err.Error(), "-shard-") != 1 {
+		t.Errorf("the refusal does not name its prefix and the shard's directory once each: %v", err)
+	}
 	for _, op := range trace.Trace() {
 		if !strings.HasPrefix(op, "mkdirall(") {
 			t.Errorf("the refused open wrote: %s", op)
 		}
 	}
-	after := treeOf(t, dir)
-	for p, data := range before {
-		if got, ok := after[p]; !ok || got != data {
-			t.Errorf("%s changed (%d bytes before, %d after)", p, len(data), len(got))
-		}
+	if memTree(mem, "/") != before {
+		t.Error("the refused open changed the data dir")
 	}
-	for p := range after {
-		if _, ok := before[p]; !ok {
-			t.Errorf("%s appeared", p)
-		}
-	}
+}
+
+// fixture loads the data dir at dir on disk into a fresh Mem.
+func fixture(t *testing.T, dir string) *vfs.Mem {
+	mem := vfs.NewMem()
+	load(t, mem, dir, root)
+	return mem
 }
 
 // TestOpenRefusesAJSONStore: a store in the JSON codec opens only as an
@@ -286,15 +138,15 @@ func refusedUntouched(t *testing.T, dir string, shards int, want string) {
 func TestOpenRefusesAJSONStore(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		dir    func(*testing.T) string
+		mem    func(*testing.T) *vfs.Mem
 		shards int
 	}{
-		{"fixture P=2", func(t *testing.T) string { return copyTree(t, jsonFixture) }, 2},
-		{"fixture re-sharded to P=4", func(t *testing.T) string { return copyTree(t, jsonFixture) }, 4},
+		{"fixture P=2", func(t *testing.T) *vfs.Mem { return fixture(t, jsonFixture) }, 2},
+		{"fixture re-sharded to P=4", func(t *testing.T) *vfs.Mem { return fixture(t, jsonFixture) }, 4},
 		{"journal-only manifest", journalOnlyJSONStore, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			refusedUntouched(t, tc.dir(t), tc.shards, "f2b2e8f")
+			refusedUntouched(t, tc.mem(t), tc.shards, "f2b2e8f")
 		})
 	}
 }
@@ -322,19 +174,19 @@ func TestOpenRefusesAVersion2Store(t *testing.T) {
 	}
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("P=%d", shards), func(t *testing.T) {
-			refusedUntouched(t, copyTree(t, parentFixture), shards, "dfaf821")
+			refusedUntouched(t, fixture(t, parentFixture), shards, "dfaf821")
 		})
 	}
 	t.Run("OpenStore", func(t *testing.T) {
-		dir := filepath.Join(copyTree(t, parentFixture), "g0001-shard-0000")
-		before := treeOf(t, dir)
-		if st, err := durable.OpenStore(vfs.OS{}, dir, durable.StoreOptions{}); err == nil {
+		mem := fixture(t, parentFixture)
+		before := memTree(mem, "/")
+		if st, err := durable.OpenStore(mem, path.Join(root, "g0001-shard-0000"), durable.StoreOptions{}); err == nil {
 			_ = st.Close()
 			t.Fatal("a version-2 store opened")
 		} else if !strings.Contains(err.Error(), "dfaf821") {
 			t.Errorf("the refusal does not say how to convert the store: %v", err)
 		}
-		if after := treeOf(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		if memTree(mem, "/") != before {
 			t.Error("the refused OpenStore changed the store")
 		}
 	})
@@ -346,37 +198,31 @@ func TestOpenRefusesAVersion2Store(t *testing.T) {
 // shard 0, at the stored shard count and re-sharding, so the torn tail
 // is still there afterwards.
 func TestOpenRefusesAMixedDataDir(t *testing.T) {
-	fixture := fixtureDir(t)
-	seg := filepath.Join(fixture, "g0001-shard-0000", "wal-0000002.wal")
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := os.Open(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := mod.ReplayTolerantBinary(mod.NewDB(2, 0), torn)
-	_ = torn.Close()
-	if err != nil || !st.TornTail {
-		t.Fatalf("shard 0's segment has no torn tail to cut (%+v, %v)", st, err)
-	}
 	for _, refused := range []struct{ name, fixture, want string }{
 		{"JSON shard 1", jsonFixture, "f2b2e8f"},
 		{"version-2 shard 1", parentFixture, "dfaf821"},
 	} {
 		for _, shards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("%s P=%d", refused.name, shards), func(t *testing.T) {
-				dir := copyTree(t, fixture)
-				shard1 := filepath.Join(dir, "g0001-shard-0001")
-				if err := os.RemoveAll(shard1); err != nil {
-					t.Fatal(err)
+				// The driver's faulted-open fixture, with shard 0's segment
+				// (also) cut five bytes short and shard 1 replaced.
+				r := newRun(t, drive{shards: 2}, 0)
+				r.inj = errfs.New(r.mem, 0, errfs.FailOp)
+				r.fixture()
+				seg, shard1 := path.Join(root, "g0001-shard-0000", "wal-0000002.wal"), path.Join(root, "g0001-shard-0001")
+				data, err := vfs.ReadFile(r.mem, seg)
+				if err == nil {
+					err = r.mem.Truncate(seg, int64(len(data)-5))
 				}
-				copyTreeTo(t, filepath.Join(refused.fixture, "g0001-shard-0001"), shard1)
-				refusedUntouched(t, dir, shards, refused.want)
+				if st, rerr := mod.ReplayTolerantBinary(mod.NewDB(2, 0), strings.NewReader(string(data[:len(data)-5]))); err != nil || rerr != nil || !st.TornTail {
+					t.Fatalf("shard 0's segment has no torn tail to cut (%+v, %v, %v)", st, err, rerr)
+				}
+				names, _ := r.mem.ReadDir(shard1)
+				for _, n := range names {
+					_ = r.mem.Remove(path.Join(shard1, n))
+				}
+				load(t, r.mem, filepath.Join(refused.fixture, "g0001-shard-0001"), shard1)
+				refusedUntouched(t, r.mem, shards, refused.want)
 			})
 		}
 	}

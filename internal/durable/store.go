@@ -20,7 +20,7 @@
 //	                   checksummed binary record per applied update
 //
 // Checkpoint protocol (see DESIGN.md "Durability & recovery" for the
-// crash matrix):
+// durability driver that crashes it):
 //
 //  1. create wal-(k+1), fsync the directory        (segment durable, empty)
 //  2. swap the live journal onto wal-(k+1)         (old segment flushed+fsynced)
@@ -36,7 +36,9 @@
 // the old manifest pointing at the old pair, and recovery additionally
 // replays any orphaned newer segments, so updates journaled between
 // steps 2 and 5 survive too. A crash after step 5 merely leaves
-// garbage for the next open to collect.
+// garbage for the next open to collect. If the old segment has failed,
+// step 2 runs steps 3-5 before it swaps, and swaps only if they
+// succeed (see Checkpoint).
 //
 // A store this build cannot read is refused at open, before anything is
 // written (checkStore): one written before the binary codec
@@ -190,7 +192,7 @@ type Store struct {
 	snapBytes   int      // size of the last snapshot written: pre-sizes the next one's buffer
 	closed      bool
 
-	c *committer // non-nil iff the policy is CommitGroup
+	c *committer
 
 	opts     StoreOptions
 	recovery RecoveryInfo
@@ -257,9 +259,7 @@ func openStore(fsys vfs.FS, dir string, opts StoreOptions, adopt *mod.DB) (*Stor
 	// flushes it. The journal writes to the segment file directly;
 	// checkpoint rotation redirects it with Journal.Rotate.
 	s.j = mod.NewJournal(s.db, s.jfile)
-	if opts.Commit == CommitGroup {
-		s.c = newCommitter(s.j, opts.commitMetrics)
-	}
+	s.c = newCommitter(s.j, opts.Commit == CommitGroup, opts.commitMetrics)
 	s.recovery.Duration = time.Since(start)
 	s.gcLocked() // the store is not shared yet: nothing to lock out
 	return s, nil
@@ -290,8 +290,9 @@ func (s *Store) createSegment(seq uint64) (vfs.File, error) {
 }
 
 // initFresh lays out a brand-new store: an empty first journal segment,
-// then the manifest committing to it. Crash between the two steps
-// leaves a manifest-less directory that the next open re-initializes.
+// then the manifest committing to it, then the directory's own entry.
+// Crash between the steps leaves a manifest-less directory that the
+// next open re-initializes, or none.
 func (s *Store) initFresh() error {
 	dim := s.opts.Dim
 	if dim <= 0 {
@@ -311,6 +312,13 @@ func (s *Store) initFresh() error {
 	if err := writeManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
 		_ = f.Close()
 		return err
+	}
+	// The directory itself may be new: its entry is durable only once
+	// its parent is synced, and until then a power loss can take the
+	// whole store, acked updates and all.
+	if err := s.fs.SyncDir(path.Dir(s.dir)); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("durable: fresh store %s: sync parent: %w", s.dir, err)
 	}
 	s.jfile = f
 	s.manifestSeq = 1
@@ -389,13 +397,13 @@ func (s *Store) recover(man storeManifest) error {
 		db, lerr := mod.LoadBinary(r)
 		cerr := r.Close()
 		if lerr != nil {
-			return fmt.Errorf("durable: snapshot %s: %w", man.Snapshot, lerr)
+			return fmt.Errorf("durable: snapshot %s: %w", path.Join(s.dir, man.Snapshot), lerr)
 		}
 		if cerr != nil {
 			return cerr
 		}
 		if db.Dim() != man.Dim {
-			return fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", man.Snapshot, db.Dim(), man.Dim)
+			return fmt.Errorf("durable: snapshot %s is %d-D, manifest says %d-D", path.Join(s.dir, man.Snapshot), db.Dim(), man.Dim)
 		}
 		s.db = db
 		s.recovery.SnapshotLoaded = true
@@ -419,7 +427,7 @@ func (s *Store) recover(man storeManifest) error {
 		st, rerr := mod.ReplayTolerantBinary(s.db, r)
 		_ = r.Close()
 		if rerr != nil {
-			return fmt.Errorf("durable: replay %s: %w", seg.name, rerr)
+			return fmt.Errorf("durable: replay %s: %w", path.Join(s.dir, seg.name), rerr)
 		}
 		s.recovery.Segments++
 		s.recovery.Replay.Applied += st.Applied
@@ -517,84 +525,96 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 	}
 
 	// 2. Redirect the live journal. From here on every new entry goes
-	// to wal-newSeq; the old segment is flushed and fsynced. A flush
-	// error on the old segment is swallowed deliberately: entries it
-	// may have lost were applied before the swap and are therefore in
-	// the snapshot taken next. Under group commit the rotation also
-	// resolves every waiter whose entry the old segment's final fsync
-	// covered (with its outcome — a failure is never acked, even though
-	// the snapshot below would persist those entries, because a crash
-	// before the manifest commit would lose them).
-	old := s.jfile
-	if s.c != nil {
-		_ = s.c.rotate(f) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next; waiters get the outcome via resolve
-	} else {
-		_, _ = s.j.Rotate(f) //modlint:allow syncorder -- old-segment flush loss is covered by the snapshot taken next
+	// to wal-newSeq; the old segment is flushed and fsynced. The
+	// rotation also resolves every entry the old segment held with that
+	// outcome — a failure is never acked, even though the snapshot
+	// below persists those entries, because a crash before the manifest
+	// commit would lose them. If the old segment failed (now, or at an
+	// earlier flush or fsync), entries are missing from it, and the
+	// rotation runs steps 3–5 itself, with the journal held, before any
+	// later entry can reach wal-newSeq; the journal stays on the failed
+	// segment, dropping entries, if they fail.
+	stalled := false
+	var snapBytes int
+	var perr error
+	_ = s.c.rotate(f, func() error { //modlint:allow syncorder -- the old segment's error is its entries' outcome, resolved inside rotate; the snapshot persist takes covers them
+		stalled = true
+		snapBytes, perr = s.persist(newSeq)
+		return perr
+	})
+	if perr != nil {
+		_ = f.Close()
+		return CheckpointInfo{}, perr
 	}
+	old := s.jfile
 	s.jfile = f
 	s.walSeq = newSeq
 	if old != nil {
 		_ = old.Close()
 	}
-
-	// 3+4. Snapshot after the swap, persist atomically. The epoch
-	// snapshot is immutable and taken without the database lock, and it
-	// still covers the old segment: mod.DB bumps its epoch under its
-	// write lock before it notifies the journal listener, so every entry
-	// that reached the old segment before the swap above had already
-	// moved the epoch, and EpochSnapshot never returns a view older than
-	// the current epoch. Entries applied but not yet journaled land in
-	// the new segment; replay deduplicates those the snapshot also has.
-	var buf bytes.Buffer
-	buf.Grow(s.snapBytes + s.snapBytes/8)
-	if err := s.db.EpochSnapshot().SaveBinary(&buf); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: encode snapshot: %w", err)
+	if !stalled {
+		var err error
+		if snapBytes, err = s.persist(newSeq); err != nil {
+			return CheckpointInfo{}, err
+		}
 	}
-	s.snapBytes = buf.Len()
-	newSnap := snapName(newSeq)
-	if err := vfs.WriteFileAtomic(s.fs, path.Join(s.dir, newSnap), buf.Bytes()); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("durable: checkpoint: write snapshot: %w", err)
-	}
-
-	// 5. Commit.
-	man := storeManifest{
-		Version: 1, Seq: newSeq,
-		Snapshot: newSnap, Journal: walName(newSeq),
-		Dim: s.db.Dim(), Tau0: tau0Ptr(s.opts.Tau0),
-	}
-	if err := writeManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
-		return CheckpointInfo{}, err
-	}
-	s.manifestSeq = newSeq
 
 	// 6. Collect the superseded pair (best-effort; recovery GCs too).
 	s.gcLocked()
-	return CheckpointInfo{Seq: newSeq, SnapshotBytes: buf.Len(), Duration: time.Since(start)}, nil
+	return CheckpointInfo{Seq: newSeq, SnapshotBytes: snapBytes, Duration: time.Since(start)}, nil
+}
+
+// persist runs steps 3–5 of a checkpoint to seq: snapshot the database,
+// write the snapshot atomically, and commit {snap-seq, wal-seq} in the
+// manifest. It returns the snapshot's size.
+//
+// The epoch snapshot is immutable and taken without the database lock,
+// and it still covers the old segment: mod.DB bumps its epoch under its
+// write lock before it notifies the journal listener, so every entry
+// that reached the old segment before the swap had already moved the
+// epoch, and EpochSnapshot never returns a view older than the current
+// epoch. Entries applied but not yet journaled land in the new segment;
+// replay deduplicates those the snapshot also has.
+func (s *Store) persist(seq uint64) (int, error) {
+	var buf bytes.Buffer
+	buf.Grow(s.snapBytes + s.snapBytes/8)
+	if err := s.db.EpochSnapshot().SaveBinary(&buf); err != nil {
+		return 0, fmt.Errorf("durable: checkpoint: encode snapshot: %w", err)
+	}
+	s.snapBytes = buf.Len()
+	snap := snapName(seq)
+	if err := vfs.WriteFileAtomic(s.fs, path.Join(s.dir, snap), buf.Bytes()); err != nil {
+		return 0, fmt.Errorf("durable: checkpoint: write snapshot: %w", err)
+	}
+	man := storeManifest{
+		Version: 1, Seq: seq,
+		Snapshot: snap, Journal: walName(seq),
+		Dim: s.db.Dim(), Tau0: tau0Ptr(s.opts.Tau0),
+	}
+	if err := writeManifest(s.fs, path.Join(s.dir, manifestName), man); err != nil {
+		return 0, err
+	}
+	s.manifestSeq = seq
+	return buf.Len(), nil
 }
 
 // WaitDurable is the ack point of every update: apply, then
-// WaitDurable. It returns nil exactly when every journal entry buffered
-// before the call is durable under the store's commit policy. Under
-// CommitFlush it flushes the journal to the segment file and returns
-// the journal's error; under CommitGroup it waits for the committer's
-// fsync covering the entries.
-func (s *Store) WaitDurable() error {
-	if s.c == nil {
-		return s.j.Flush()
-	}
-	if err := s.j.Err(); err != nil {
-		return err
-	}
-	return s.c.waitFor(s.j.Seq())
+// WaitDurable with the taus of the caller's own updates, lo to hi. It
+// returns nil exactly when every entry the journal holds with a tau in
+// [lo, hi] is durable under the store's commit policy: under
+// CommitFlush once the flush it runs has written them to the segment
+// file, under CommitGroup once the committer's fsync covering them
+// returns. An entry a failed flush, fsync or rotation lost is an error
+// whatever succeeded since.
+func (s *Store) WaitDurable(lo, hi float64) error {
+	return s.c.wait(lo, hi)
 }
 
 // Close flushes and fsyncs the journal and closes the segment file.
 // The store's database remains readable; further updates are no longer
 // journaled (the journal rejects them once closed).
 func (s *Store) Close() error {
-	if s.c != nil {
-		s.c.shutdown() // final drain: one last fsync for pending waiters
-	}
+	s.c.shutdown() // final drain: one last fsync for pending waiters
 	cerr := s.j.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -40,20 +40,6 @@ func prefixDB(t *testing.T, us []mod.Update, j int) *mod.DB {
 	return db
 }
 
-// prefixLen maps a recovered Tau back to the stream prefix length that
-// produces it, or -1 if the tau matches no prefix (a non-prefix state).
-func prefixLen(tau float64, us []mod.Update) int {
-	if tau == -1 {
-		return 0
-	}
-	for j, u := range us {
-		if u.Tau == tau {
-			return j + 1
-		}
-	}
-	return -1
-}
-
 func TestStoreJournalOnlyReopen(t *testing.T) {
 	dir := t.TempDir()
 	us := stream10()

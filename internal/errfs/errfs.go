@@ -1,28 +1,32 @@
 // Package errfs is a deterministic fault injector for the durability
-// protocol: it wraps a real vfs.FS and fails exactly the Nth mutating
-// operation, after which every further mutating operation fails too —
-// modelling a process that dies at that point and never touches the
-// disk again. Reads keep working (recovery inspects the wreckage), and
-// everything before the crash point really happened on the backing
-// filesystem, so a test can re-open the directory with a clean vfs.OS
-// and assert what recovery makes of the exact on-disk state a crash at
-// that step leaves behind.
+// protocol: it wraps a vfs.FS (the power-loss model vfs.Mem, or the real
+// vfs.OS) and fails exactly the Nth mutating operation, after which
+// every further mutating operation fails too — modelling a process that
+// dies at that point and never touches the disk again. Reads keep
+// working (recovery inspects the wreckage), and everything before the
+// crash point really happened on the inner filesystem. A test then
+// re-opens the directory through the inner filesystem, as it is (a
+// process kill) or after vfs.Mem's Crash (a power loss), and asserts
+// what recovery makes of it.
 //
-// Three fault shapes cover the protocol's failure modes:
+// Four fault shapes cover the protocol's failure modes:
 //
 //   - FailOp: the operation returns an error with no effect — a clean
 //     crash between two filesystem operations.
 //   - ShortWrite: a Write persists only half its bytes, then the crash —
 //     the torn-write state a dying process leaves in a journal or a
 //     snapshot temp file. Non-write operations degrade to FailOp.
-//   - FailSync: a Sync/SyncDir reports failure (the data may in fact
-//     have reached the backing store — fsync failure says nothing
-//     either way), then the crash. Non-sync operations degrade to
-//     FailOp.
+//   - FailSync: a Sync/SyncDir reports failure without syncing, then the
+//     crash. Non-sync operations degrade to FailOp.
+//   - FailOnce: the operation returns an error with no effect, and the
+//     process lives on — a transient I/O error (a full disk, say) that
+//     the program must survive without acknowledging what it lost.
 //
 // Operation counting is deterministic for a deterministic caller, so
 // sweeping FailAt over 1..Ops() exercises every crash point exactly
-// once (the crash-matrix test in internal/durable).
+// once (the durability driver in internal/durable). Two injectors
+// stack: a FailOnce outside a crashing one gives a transient fault
+// followed by a crash.
 package errfs
 
 import (
@@ -46,6 +50,9 @@ const (
 	// FailSync fails a Sync or SyncDir without performing it; for
 	// non-sync operations it behaves like FailOp.
 	FailSync
+	// FailOnce fails the operation with no effect and injects nothing
+	// more: the process lives on.
+	FailOnce
 )
 
 // String implements fmt.Stringer.
@@ -57,6 +64,8 @@ func (m Mode) String() string {
 		return "short-write"
 	case FailSync:
 		return "fail-sync"
+	case FailOnce:
+		return "fail-once"
 	default:
 		return "unknown"
 	}
@@ -66,8 +75,8 @@ func (m Mode) String() string {
 // on.
 var ErrInjected = errors.New("errfs: injected fault")
 
-// ErrCrashed is returned by every mutating operation after the fault:
-// the simulated process is dead.
+// ErrCrashed is returned by every mutating operation after the fault
+// (but FailOnce's): the simulated process is dead.
 var ErrCrashed = errors.New("errfs: crashed (operation after injection point)")
 
 // FS wraps an inner filesystem with deterministic fault injection. The
@@ -77,12 +86,12 @@ var ErrCrashed = errors.New("errfs: crashed (operation after injection point)")
 type FS struct {
 	inner vfs.FS
 
-	mu      sync.Mutex
-	failAt  int // 1-based operation index to fail; 0 disables
-	mode    Mode
-	n       int // mutating operations seen
-	crashed bool
-	trace   []string
+	mu     sync.Mutex
+	failAt int // 1-based operation index to fail; 0 disables
+	mode   Mode
+	n      int // mutating operations seen
+	fired  bool
+	trace  []string
 }
 
 // New wraps inner, failing the failAt'th mutating operation with the
@@ -99,11 +108,19 @@ func (f *FS) Ops() int {
 	return f.n
 }
 
-// Crashed reports whether the fault has fired.
+// Fired reports whether the fault has fired.
+func (f *FS) Fired() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fired
+}
+
+// Crashed reports whether the simulated process is dead: the fault has
+// fired, in a mode other than FailOnce.
 func (f *FS) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.crashed
+	return f.fired && f.mode != FailOnce
 }
 
 // Trace returns the operation log — one "op(args)" line per mutating
@@ -122,13 +139,13 @@ func (f *FS) Trace() []string {
 func (f *FS) step(op string) (inject bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.crashed {
+	if f.fired && f.mode != FailOnce {
 		f.trace = append(f.trace, op+" [dead]")
 		return false, ErrCrashed
 	}
 	f.n++
 	if f.failAt > 0 && f.n == f.failAt {
-		f.crashed = true
+		f.fired = true
 		f.trace = append(f.trace, fmt.Sprintf("%s [inject %s]", op, f.mode))
 		return true, nil
 	}

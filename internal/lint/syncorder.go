@@ -106,7 +106,7 @@ type opCall struct {
 // checkRenameOrder applies rules 1 (rename-before-sync) and 2
 // (rename-without-dirsync) to one function body. Ordering is lexical —
 // the durability code is written straight-line by design, and the
-// crash matrix keeps it honest at runtime; this check catches the
+// durability driver keeps it honest at runtime; this check catches the
 // protocol being edited out of order.
 func checkRenameOrder(pass *Pass, body *ast.BlockStmt) []Diagnostic {
 	var ops []opCall

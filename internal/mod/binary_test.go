@@ -81,31 +81,49 @@ func TestDecodeUpdatesBinaryStrict(t *testing.T) {
 }
 
 func TestBinarySnapshotRoundTrip(t *testing.T) {
-	// A database with history: closed pieces, an open-ended piece, a
-	// terminated object, and a log.
-	db := buildSampleDB(t)
-	var buf bytes.Buffer
-	must(t, db.SaveBinary(&buf))
-	got, err := LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.StateEqual(db) {
-		t.Fatal("binary snapshot round-trip is not StateEqual")
-	}
+	// A database with history: closed pieces, an open-ended piece and a
+	// terminated object. Every trajectory comes back piece for piece,
+	// and the restored database keeps enforcing chronology from the
+	// restored tau.
+	t.Run("history", func(t *testing.T) {
+		db := buildSampleDB(t)
+		var buf bytes.Buffer
+		must(t, db.SaveBinary(&buf))
+		got, err := LoadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.StateEqual(db) {
+			t.Fatal("binary snapshot round-trip is not StateEqual")
+		}
+		for _, o := range db.Objects() {
+			a, _ := db.Traj(o)
+			if b, err := got.Traj(o); err != nil || !a.Equal(b) {
+				t.Errorf("%s differs after round trip (%v):\n%s\nvs\n%s", o, err, a, b)
+			}
+		}
+		if err := got.Apply(ChDir(1, 5, geom.Of(0, 0))); err == nil {
+			t.Error("pre-tau update accepted after restore")
+		}
+		if err := got.Apply(ChDir(1, 8, geom.Of(0, 0))); err != nil {
+			t.Errorf("post-tau update rejected after restore: %v", err)
+		}
+	})
 
 	// A fresh database still at the -Inf seed tau: the codec stores raw
 	// bits, so -Inf needs no sentinel.
-	fresh := NewDB(3, math.Inf(-1))
-	buf.Reset()
-	must(t, fresh.SaveBinary(&buf))
-	got, err = LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.StateEqual(fresh) || !math.IsInf(got.Tau(), -1) {
-		t.Fatalf("fresh -Inf db round-trip: tau=%g", got.Tau())
-	}
+	t.Run("fresh -Inf", func(t *testing.T) {
+		fresh := NewDB(3, math.Inf(-1))
+		var buf bytes.Buffer
+		must(t, fresh.SaveBinary(&buf))
+		got, err := LoadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.StateEqual(fresh) || !math.IsInf(got.Tau(), -1) {
+			t.Fatalf("fresh -Inf db round-trip: tau=%g", got.Tau())
+		}
+	})
 }
 
 func TestLoadBinaryRejectsCorruption(t *testing.T) {

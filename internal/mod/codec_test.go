@@ -1,7 +1,6 @@
 package mod
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -18,42 +17,6 @@ func buildSampleDB(t *testing.T) *DB {
 		Terminate(2, 7),
 	))
 	return db
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := buildSampleDB(t)
-	var buf bytes.Buffer
-	if err := db.SaveBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Dim() != db.Dim() || back.Tau() != db.Tau() || back.Len() != db.Len() {
-		t.Fatalf("header mismatch: dim %d/%d tau %g/%g len %d/%d",
-			back.Dim(), db.Dim(), back.Tau(), db.Tau(), back.Len(), db.Len())
-	}
-	for _, o := range db.Objects() {
-		a, _ := db.Traj(o)
-		b, err := back.Traj(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(b) {
-			t.Errorf("%s differs after round trip:\n%s\nvs\n%s", o, a, b)
-		}
-	}
-	if !back.StateEqual(db) {
-		t.Error("snapshot round-trip is not StateEqual")
-	}
-	// The restored DB keeps enforcing chronology from the restored tau.
-	if err := back.Apply(ChDir(1, 5, geom.Of(0, 0))); err == nil {
-		t.Error("pre-tau update accepted after restore")
-	}
-	if err := back.Apply(ChDir(1, 8, geom.Of(0, 0))); err != nil {
-		t.Errorf("post-tau update rejected after restore: %v", err)
-	}
 }
 
 func TestUpdateJSONRoundTrip(t *testing.T) {

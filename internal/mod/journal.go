@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -23,14 +24,25 @@ type SyncWriter interface {
 // and every successful update is recorded, in the order the database
 // applied them. Flush, Sync and Rotate may run concurrently with Apply:
 // entries are serialized internally, each as one framed, checksummed
-// record.
+// record, and no fsync runs under the lock an entry takes.
 type Journal struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	syncer SyncWriter // non-nil when the underlying writer can fsync
 	err    error
 	closed bool
-	seq    uint64 // entries successfully buffered since creation
+	mark   Mark
+}
+
+// Mark is a position in a journal: Seq counts the entries handed to it,
+// and Tau is the time of the last one. A database applies updates in
+// strictly increasing tau and the journal records them in that order,
+// so an entry's tau is also its place in the journal: the entries up to
+// a mark are exactly those with tau <= Mark.Tau. An update's durability
+// is decided by its own tau, never by what other writers appended since.
+type Mark struct {
+	Seq uint64
+	Tau float64
 }
 
 // recordBuf is a pooled encode scratch: updates are serialized into it
@@ -55,17 +67,18 @@ var ErrNotDurable = errors.New("mod: update applied but not durable")
 // can arrive (the durable store does this when it creates a segment).
 // Call Close before closing the underlying writer.
 func NewJournal(db *DB, w io.Writer) *Journal {
-	j := &Journal{w: bufio.NewWriter(w)}
+	j := &Journal{w: bufio.NewWriter(w), mark: Mark{Tau: math.Inf(-1)}}
 	j.syncer, _ = w.(SyncWriter)
 	db.OnUpdate(func(u Update) {
 		rec := recordPool.Get().(*recordBuf)
 		b := AppendUpdateRecord(rec.b[:0], u)
 		j.mu.Lock()
+		// The mark moves for an entry the journal drops, too: the flush
+		// or sync that covers it then fails, which is its outcome.
+		j.mark = Mark{Seq: j.mark.Seq + 1, Tau: u.Tau}
 		if j.err == nil && !j.closed {
 			if _, werr := j.w.Write(b); werr != nil {
 				j.err = werr
-			} else {
-				j.seq++
 			}
 		}
 		j.mu.Unlock()
@@ -75,18 +88,18 @@ func NewJournal(db *DB, w io.Writer) *Journal {
 	return j
 }
 
-// Seq returns the number of entries successfully buffered so far. A
-// Sync that begins after Seq returns n covers at least the first n
-// entries: once it succeeds they are on stable storage. Group commit
-// uses this as the ack watermark.
-func (j *Journal) Seq() uint64 {
+// Mark returns the journal's position: the last entry handed to it. A
+// Flush or Sync that begins after Mark returns covers every entry up to
+// the mark; once it succeeds they are written, or on stable storage.
+func (j *Journal) Mark() Mark {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seq
+	return j.mark
 }
 
 // Flush forces buffered entries to the underlying writer. A flush
-// failure becomes the journal's sticky error.
+// failure becomes the journal's sticky error, and so does a flush of a
+// closed journal: entries that reached it after Close were dropped.
 func (j *Journal) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -97,6 +110,9 @@ func (j *Journal) flushLocked() error {
 	if j.err != nil {
 		return j.err
 	}
+	if j.closed {
+		return ErrJournalClosed
+	}
 	if err := j.w.Flush(); err != nil {
 		j.err = err
 		return err
@@ -105,54 +121,71 @@ func (j *Journal) flushLocked() error {
 }
 
 // Sync flushes and, when the underlying writer supports it, forces the
-// journal to stable storage.
+// journal to stable storage. The flush runs under the journal's lock and
+// the fsync after it is released, so updates keep reaching the buffer
+// while the fsync is in flight; they ride the next one. A failed fsync
+// becomes the sticky error of the writer it ran on (a later fsync of
+// that writer may succeed without having kept what this one lost).
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
-}
-
-func (j *Journal) syncLocked() error {
-	if err := j.flushLocked(); err != nil {
+	err := j.flushLocked()
+	w, syncer := j.w, j.syncer
+	j.mu.Unlock()
+	if err != nil || syncer == nil {
 		return err
 	}
-	if j.syncer != nil {
-		if err := j.syncer.Sync(); err != nil {
+	if err := syncer.Sync(); err != nil {
+		j.mu.Lock()
+		if j.w == w && j.err == nil {
 			j.err = err
-			return err
 		}
+		j.mu.Unlock()
+		return err
 	}
 	return nil
 }
 
-// Rotate atomically redirects subsequent entries to w: it flushes (and
-// fsyncs, when supported) the current writer, then installs w as the
-// journal's sink. The swap happens at an entry boundary — entries are
-// serialized under the journal's lock — so no entry is ever split
-// across writers. A sticky error is cleared by a successful rotation:
-// the caller is rotating to a fresh segment precisely because everything
-// the old writer held is being superseded by a snapshot, so the old
-// writer's failure no longer taints the new segment. The flush/sync
-// error of the old writer is still reported so the caller can decide
-// whether the old segment's tail is trustworthy. The returned sequence
-// number is that of the last entry written to the old writer — taken
-// under the same lock as the swap, so group commit can resolve exactly
-// the entries whose durability the old writer's final flush+fsync
-// decided.
-func (j *Journal) Rotate(w io.Writer) (uint64, error) {
+// Rotate redirects subsequent entries to w. Under the journal's lock it
+// flushes and fsyncs the current writer and, when that succeeds,
+// installs w: the swap happens at an entry boundary, so no entry is
+// ever split across writers, and none reaches w before every earlier
+// one is on stable storage.
+//
+// When the current writer has failed — now, or at an earlier write or
+// fsync, which is its sticky error — entries are missing from it, and w
+// must not take later ones unless what the database holds is durable
+// some other way: a later entry recovered without an earlier one is a
+// state the database never had. Rotate then runs persist (the caller's
+// snapshot of the database), still holding the lock, so no entry is
+// handed to the journal meanwhile, and installs w, clearing the error,
+// only if persist succeeds. Otherwise — or with a nil persist — the
+// journal keeps the error and keeps dropping entries, and w is not
+// installed.
+//
+// The returned mark is that of the last entry handed to the old writer,
+// and the error is the old writer's: together they decide exactly the
+// entries up to the mark, so the caller can refuse to acknowledge them
+// when it is non-nil.
+func (j *Journal) Rotate(w io.Writer, persist func() error) (Mark, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	m := j.mark
 	if j.closed {
-		return j.seq, ErrJournalClosed
+		return m, ErrJournalClosed
 	}
-	oldErr := j.err
-	if oldErr == nil {
-		oldErr = j.syncLocked()
+	err := j.flushLocked()
+	if err == nil && j.syncer != nil {
+		if err = j.syncer.Sync(); err != nil {
+			j.err = err
+		}
+	}
+	if err != nil && (persist == nil || persist() != nil) {
+		return m, err
 	}
 	j.w = bufio.NewWriter(w)
 	j.syncer, _ = w.(SyncWriter)
 	j.err = nil
-	return j.seq, oldErr
+	return m, err
 }
 
 // Close flushes (and fsyncs, if supported), stops recording further
@@ -168,8 +201,14 @@ func (j *Journal) Close() error {
 		}
 		return ErrJournalClosed
 	}
+	err := j.flushLocked()
+	if err == nil && j.syncer != nil {
+		if err = j.syncer.Sync(); err != nil {
+			j.err = err
+		}
+	}
 	j.closed = true
-	return j.syncLocked()
+	return err
 }
 
 // Err returns the first write error, if any.

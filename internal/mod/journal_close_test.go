@@ -30,11 +30,14 @@ func TestJournalCloseFlushesAndSyncs(t *testing.T) {
 	if err := db.Apply(New(1, 0, geom.Of(1, 0), geom.Of(0, 0))); err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Sync(); err != nil || w.syncs != 1 {
+		t.Fatalf("Sync = %v after %d syncs, want nil after 1", err, w.syncs)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if w.syncs != 1 {
-		t.Fatalf("Close performed %d syncs, want 1", w.syncs)
+	if w.syncs != 2 {
+		t.Fatalf("Close performed %d syncs, want 1", w.syncs-1)
 	}
 	if st, err := ReplayTolerantBinary(NewDB(2, -1), bytes.NewReader(w.Bytes())); err != nil || st.Applied != 1 || st.TornTail {
 		t.Fatalf("closed journal not flushed: %+v, %v", st, err)
@@ -134,17 +137,17 @@ func TestJournalConcurrentShardWriters(t *testing.T) {
 		}
 		if n%4 == 0 {
 			next := &syncRecorder{Buffer: *newSegment()}
-			seq, err := j.Rotate(next)
+			m, err := j.Rotate(next, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			segs, seqs = append(segs, next), append(seqs, seq)
+			segs, seqs = append(segs, next), append(seqs, m.Seq)
 		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seqs = append(seqs, j.Seq())
+	seqs = append(seqs, j.Mark().Seq)
 	replayed := NewDB(2, -1)
 	total := 0
 	for i, seg := range segs {

@@ -131,8 +131,8 @@ func TestJournalRotate(t *testing.T) {
 	j := NewJournal(db, seg1)
 	us := crashStream()
 	must(t, db.ApplyAll(us[:4]...))
-	if seq, err := j.Rotate(seg2); err != nil || seq != 4 {
-		t.Fatalf("Rotate = %d, %v; want 4 entries in the old segment", seq, err)
+	if m, err := j.Rotate(seg2, nil); err != nil || m != (Mark{Seq: 4, Tau: us[3].Tau}) {
+		t.Fatalf("Rotate = %+v, %v; want 4 entries in the old segment", m, err)
 	}
 	must(t, db.ApplyAll(us[4:]...))
 	must(t, j.Close())
@@ -150,8 +150,8 @@ func TestJournalRotate(t *testing.T) {
 		t.Fatal("segments do not replay to the journaled state")
 	}
 	// A closed journal refuses to rotate.
-	if seq, err := j.Rotate(seg1); err != ErrJournalClosed || seq != uint64(len(us)) {
-		t.Fatalf("rotate after close: %d, %v", seq, err)
+	if m, err := j.Rotate(seg1, nil); err != ErrJournalClosed || m.Seq != uint64(len(us)) {
+		t.Fatalf("rotate after close: %+v, %v", m, err)
 	}
 }
 

@@ -29,8 +29,8 @@ func TestJournalRecordsAndReplays(t *testing.T) {
 	if j.Err() != nil {
 		t.Fatal(j.Err())
 	}
-	if j.Seq() != 4 {
-		t.Fatalf("journal buffered %d entries, want 4", j.Seq())
+	if m := j.Mark(); m != (Mark{Seq: 4, Tau: 8}) {
+		t.Fatalf("journal mark %+v, want 4 entries up to tau 8", m)
 	}
 
 	// Replay into a fresh database reproduces the state.
