@@ -8,6 +8,7 @@ package durable_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -100,11 +101,61 @@ func TestGroupCommitBatchCoalescing(t *testing.T) {
 	})
 }
 
-// TestGroupCommitCloseDrains: updates a batch applied before Close
-// survive a power loss after it.
-func TestGroupCommitCloseDrains(t *testing.T) {
+// TestGroupCommitAckedBatchSurvivesClose: updates a batch applied and
+// had acked before Close survive a power loss after it. (The batch waits
+// for its own acks, so no waiter is pending at Close here;
+// TestGroupCommitCloseResolvesWaiters closes on one.)
+func TestGroupCommitAckedBatchSurvivesClose(t *testing.T) {
 	r := newRun(t, drive{shards: 2, commit: durable.CommitGroup}, 1)
 	r.cleanLife(r.mem, 2, func(eng *durable.Engine) { r.apply(eng, newStream(8)...) })
+}
+
+// TestGroupCommitCloseResolvesWaiters: Close runs while a writer waits
+// for its ack. The first update's fsync is held; a second update is
+// applied and waits behind it; Close starts; the fsync is released. The
+// waiter is resolved — acked by the last fsync of Close's drain, or
+// refused with mod.ErrNotDurable when Close reached the committer first
+// — and, either way, every update the database applied survives the
+// power loss after Close.
+func TestGroupCommitCloseResolvesWaiters(t *testing.T) {
+	r := newRun(t, drive{shards: 1, commit: durable.CommitGroup}, 1)
+	fsys := &syncFS{FS: r.mem, held: make(chan struct{}), release: make(chan struct{})}
+	r.cleanLife(fsys, 1, func(eng *durable.Engine) {
+		us := newStream(2)
+		fsys.hold.Store(true)
+		acked := make(chan int, 1)
+		go func() { acked <- r.apply(eng, us[0]) }()
+		<-fsys.held
+		fsys.hold.Store(false)
+		waited := make(chan error, 1)
+		go func() { waited <- eng.Apply(us[1]) }()
+		for !eng.Store(0).DB().Contains(us[1].O) {
+			runtime.Gosched()
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- eng.Close() }()
+		// Close has no hook to wait on; the pause lets it reach the
+		// committer before the fsync returns. Either order resolves the
+		// waiter one of the two ways checked below.
+		time.Sleep(20 * time.Millisecond)
+		syncs := fsys.syncs.Load()
+		close(fsys.release)
+		<-acked
+		switch err := <-waited; {
+		case err == nil:
+			r.mu.Lock()
+			r.acked[us[1].Tau] = true
+			r.mu.Unlock()
+			t.Logf("the waiter was acked, after %d more fsyncs", fsys.syncs.Load()-syncs)
+		case errors.Is(err, mod.ErrNotDurable):
+			t.Logf("the waiter was refused: %v", err)
+		default:
+			t.Errorf("the waiter pending at Close got %v, neither an ack nor mod.ErrNotDurable", err)
+		}
+		if err := <-closed; err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
 }
 
 // TestFlushAckSurfacesJournalFault: under CommitFlush the ack is the

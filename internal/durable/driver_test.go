@@ -470,6 +470,36 @@ func TestDurabilityDriver(t *testing.T) {
 		})
 	}
 
+	// A checkpoint whose snapshot write fails once leaves the journal on
+	// the segment the checkpoint created, and the updates after it are
+	// acked by that segment's fsyncs; only the segment's own directory
+	// sync makes them survive the power loss that follows. The fault is
+	// placed by a probe life without it: a life with one writer is the
+	// same operations for the same seed.
+	t.Run("failed checkpoint/group", func(t *testing.T) {
+		t.Parallel()
+		d := drive{shards: 1, writers: 1, commit: durable.CommitGroup}
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			probe := newRun(t, d, seed)
+			probe.inj = errfs.New(probe.mem, 0, errfs.FailOp)
+			probe.live(1, probe.failedCheckpoint)
+			at := slices.IndexFunc(probe.before, func(op string) bool {
+				return strings.HasPrefix(op, "write(") && strings.Contains(op, "/snap-")
+			})
+			if at < 0 {
+				t.Fatalf("seed %d: the checkpoint wrote no snapshot:\n%s", seed, strings.Join(probe.before, "\n"))
+			}
+			r := newRun(t, d, seed)
+			r.inj = errfs.New(r.mem, 0, errfs.FailOp)
+			r.once = []*errfs.FS{errfs.New(r.inj, at+1, errfs.FailOnce)}
+			r.live(1, r.failedCheckpoint)
+			if !r.once[0].Fired() {
+				t.Fatalf("seed %d: the snapshot write never failed", seed)
+			}
+			r.finish(1)
+		}
+	})
+
 	// Every crash point of the fixed script, in every mode.
 	for name, d := range map[string]drive{
 		"crash points/flush apply": {shards: 2},
@@ -529,6 +559,20 @@ func sweep(t *testing.T, d drive, least int, do func(*run)) *run {
 	}
 	t.Logf("%d crash points x %d modes", total, len(crashModes))
 	return probe
+}
+
+// failedCheckpoint is the body of the failed-checkpoint lives: a few
+// acked updates, a checkpoint (whose snapshot write the caller's
+// injector fails), and a few more acked updates.
+func (r *run) failedCheckpoint(eng *durable.Engine) {
+	before, after := 1+r.rng.Intn(4), 1+r.rng.Intn(4)
+	for i := 0; i < before+after; i++ {
+		if i == before {
+			r.checkpoint(eng)
+		}
+		o := mod.OID(1_000_000*(r.life+1) + i)
+		r.apply(eng, mod.New(o, float64(r.tau.Add(1)), geom.Of(1, 0), geom.Of(float64(i), 0)))
+	}
 }
 
 // script is the fixed body of the crash-point sweep: stream10 in three

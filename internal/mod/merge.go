@@ -16,8 +16,8 @@ import (
 // Union combines snapshots with pairwise-disjoint object sets into one
 // snapshot: the union of the objects and of their speed bounds, and tau
 // the maximum of the parts' taus. It copies the object and bound maps
-// once; the result carries no generation stamps and epoch 0, so it is
-// for encoding and reading, not for incremental caches.
+// once; the result has epoch 0 and no change log (Snap.Diff refuses
+// it), so it is for encoding and reading, not for incremental caches.
 func Union(snaps ...*Snap) (*Snap, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: union of zero snapshots", ErrBadOperation)

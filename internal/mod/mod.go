@@ -161,17 +161,12 @@ type DB struct {
 	// object without an entry has no declared bound; the uncertainty
 	// layer then needs a caller-supplied default to reason about it.
 	bounds map[OID]float64
-	// gens stamps each object with a per-object generation counter,
-	// bumped on every update (of any kind) that names the object and on
-	// bulk load. Derived caches keyed by object state — the bead track
-	// cache in internal/query — compare a snapshot's stamp against the
-	// one they built from, so "did this object change since I looked?"
-	// is one integer compare instead of a trajectory diff. Objects
-	// created by paths that predate the stamp (Partition's struct
-	// literals) implicitly sit at generation 0 until their next update;
-	// that is consistent, because a stamp only has to CHANGE when the
-	// object does.
-	gens      map[OID]uint64
+	// changes is the change log: the OID of every applied update and
+	// Load with the epoch it produced, in epoch order. It is appended
+	// under mu, and compacted to the latest entry per object into a new
+	// array once it outgrows compactFactor times the object count, so a
+	// published Snap's prefix of it never changes. Snap.Diff reads it.
+	changes   []change
 	tau       float64
 	listeners []Listener
 	// notifyMu serializes the whole apply-then-notify section so
@@ -200,7 +195,6 @@ func NewDB(dim int, tau0 float64) *DB {
 		dim:    dim,
 		objs:   make(map[OID]trajectory.Trajectory),
 		bounds: make(map[OID]float64),
-		gens:   make(map[OID]uint64),
 		tau:    tau0,
 	}
 }
@@ -386,11 +380,7 @@ func (db *DB) applyLocked(u Update) error {
 		return fmt.Errorf("%w: kind %d", ErrBadOperation, u.Kind)
 	}
 	db.tau = u.Tau
-	if db.gens == nil {
-		db.gens = make(map[OID]uint64)
-	}
-	db.gens[u.O]++
-	db.epoch.Add(1)
+	db.logChange(u.O)
 	return nil
 }
 
@@ -410,15 +400,6 @@ func (db *DB) SpeedBound(o OID) (float64, bool) {
 	defer db.mu.RUnlock()
 	v, ok := db.bounds[o]
 	return v, ok
-}
-
-// Gen returns o's generation stamp. The stamp changes whenever the
-// object does (any update kind, including speed-bound declarations);
-// 0 means the object has not changed since the database was assembled.
-func (db *DB) Gen(o OID) uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.gens[o]
 }
 
 // Load inserts a pre-existing trajectory directly, bypassing the
@@ -454,11 +435,7 @@ func (db *DB) Load(o OID, tr trajectory.Trajectory) error {
 	if t > db.tau {
 		db.tau = t
 	}
-	if db.gens == nil {
-		db.gens = make(map[OID]uint64)
-	}
-	db.gens[o]++
-	db.epoch.Add(1)
+	db.logChange(o)
 	return nil
 }
 
@@ -512,7 +489,7 @@ func (db *DB) ApplyBatch(us []Update) (int, error) {
 // original. Readers that do not need to mutate use EpochSnapshot.
 func (db *DB) Snapshot() *DB {
 	s := db.EpochSnapshot()
-	return &DB{dim: s.dim, tau: s.tau, objs: maps.Clone(s.objs), bounds: maps.Clone(s.bounds), gens: maps.Clone(s.gens)}
+	return &DB{dim: s.dim, tau: s.tau, objs: maps.Clone(s.objs), bounds: maps.Clone(s.bounds)}
 }
 
 // StateEqual reports whether two databases hold identical state: same

@@ -3,17 +3,25 @@ package mod
 // Copy-on-write epoch snapshots: the one view of the state (O, T, tau)
 // that readers, query fan-out and the snapshot codec share. Every
 // mutation bumps the database's epoch counter; the first reader after a
-// mutation pays one O(n) map copy under the read lock and publishes it,
-// and every subsequent reader of the same epoch gets that immutable view
-// with two atomic loads and no lock at all. This rebuild is the only
-// place that copies the object map under db.mu: DB.Snapshot, Merge,
-// Partition and SaveBinary all start from the Snap it returns,
-// so neither a query nor a checkpoint contends with the writer for the
-// shard lock beyond that one copy per epoch.
+// mutation pays one O(n) copy of the object and bound maps under the
+// read lock and publishes it, and every subsequent reader of the same
+// epoch gets that immutable view with two atomic loads and no lock at
+// all. This rebuild is the only place that copies the object map under
+// db.mu: DB.Snapshot, Merge, Partition and SaveBinary all start from
+// the Snap it returns, so neither a query nor a checkpoint contends
+// with the writer for the shard lock beyond that one copy per epoch.
+//
+// A snapshot also captures its prefix of the database's change log
+// (DB.changes), which costs a slice header, so two snapshots of one
+// database name the objects that changed between them (Snap.Diff) in
+// time proportional to the changes, not to the object count. Caches
+// derived from one snapshot — the bead index in internal/query — bring
+// themselves up to another that way.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trajectory"
@@ -30,7 +38,10 @@ type Snap struct {
 	epoch  uint64
 	objs   map[OID]trajectory.Trajectory
 	bounds map[OID]float64
-	gens   map[OID]uint64
+	// db is the database the snapshot was taken of and changes its
+	// change log as of the snapshot's epoch; both are nil for a Union.
+	db      *DB
+	changes []change
 }
 
 // Dim returns the spatial dimension.
@@ -89,11 +100,74 @@ func (s *Snap) SpeedBound(o OID) (float64, bool) {
 	return v, ok
 }
 
-// Gen returns o's generation stamp as of the snapshot (see DB.Gen).
-// Caches derived from an older snapshot compare stamps to find exactly
-// the objects that changed in between; an object absent from the stamp
-// map reads as generation 0, which is consistent with DB.Gen.
-func (s *Snap) Gen(o OID) uint64 { return s.gens[o] }
+// Diff returns, ascending, the objects whose state differs between s
+// and other: every object an update or Load named after the earlier of
+// the two snapshots, up to the later one. It works in either direction
+// and costs O(k log k) for k changes, whatever the object count. ok is
+// false when the two are not snapshots of one database, or either is a
+// Union; the caller then has to compare the snapshots whole.
+func (s *Snap) Diff(other *Snap) (changed []OID, ok bool) {
+	if s.db == nil || s.db != other.db {
+		return nil, false
+	}
+	newer, older := s, other
+	if newer.epoch < older.epoch {
+		newer, older = older, newer
+	}
+	// The newer log holds every object's latest change up to its epoch
+	// (compaction drops only superseded entries), so the objects changed
+	// after older.epoch are exactly its entries past that epoch.
+	log := newer.changes
+	i := sort.Search(len(log), func(i int) bool { return log[i].epoch > older.epoch })
+	if i == len(log) {
+		return nil, true
+	}
+	changed = make([]OID, len(log)-i)
+	for j, c := range log[i:] {
+		changed[j] = c.o
+	}
+	slices.Sort(changed)
+	return slices.Compact(changed), true
+}
+
+// change is one change-log entry: an update or Load named o and
+// produced epoch.
+type change struct {
+	o     OID
+	epoch uint64
+}
+
+// compactFactor bounds the change log: once it holds more than
+// compactFactor entries per object, it is cut to each object's latest.
+// A compaction costs O(entries) and comes at most once every
+// (compactFactor-1)·objects changes, so it is O(1) per change, and the
+// log never holds more than compactFactor·objects entries.
+const compactFactor = 2
+
+// logChange advances the epoch and records that o produced it. Called
+// with mu held for writing, after the mutation.
+func (db *DB) logChange(o OID) {
+	db.changes = append(db.changes, change{o: o, epoch: db.epoch.Add(1)})
+	if len(db.changes) > compactFactor*len(db.objs) {
+		db.changes = compactChanges(db.changes, compactFactor*len(db.objs)+1)
+	}
+}
+
+// compactChanges returns the latest entry per object of log, in epoch
+// order, in a new array of capacity c: published snapshots still read
+// the old one.
+func compactChanges(log []change, c int) []change {
+	seen := make(map[OID]struct{}, c/compactFactor)
+	out := make([]change, 0, c)
+	for i := len(log) - 1; i >= 0; i-- {
+		if _, dup := seen[log[i].o]; !dup {
+			seen[log[i].o] = struct{}{}
+			out = append(out, log[i])
+		}
+	}
+	slices.Reverse(out)
+	return out
+}
 
 // EpochSnapshot returns an immutable snapshot of the current epoch.
 // The fast path is lock-free: if the cached snapshot is current, it is
@@ -124,11 +198,8 @@ func (db *DB) EpochSnapshot() *Snap {
 	for o, v := range db.bounds {
 		bounds[o] = v
 	}
-	gens := make(map[OID]uint64, len(db.gens))
-	for o, g := range db.gens {
-		gens[o] = g
-	}
-	s := &Snap{dim: db.dim, tau: db.tau, epoch: db.epoch.Load(), objs: objs, bounds: bounds, gens: gens}
+	s := &Snap{dim: db.dim, tau: db.tau, epoch: db.epoch.Load(), objs: objs, bounds: bounds,
+		db: db, changes: slices.Clip(db.changes)}
 	db.mu.RUnlock()
 	db.snap.Store(s)
 	return s

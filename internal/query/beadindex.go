@@ -1,25 +1,28 @@
 package query
 
-// BeadIndex is the uncertainty layer's broad phase: a gen-stamped cache
-// of bead tracks plus a space-time R-tree over their chain-bead
-// bounding boxes, so PossiblyWithin collects candidates by box
-// intersection instead of running the kernel against every chain, and
-// Alibi reuses cached tracks instead of rebuilding them per query.
+// BeadIndex is the uncertainty layer's broad phase: a cache of bead
+// tracks plus a space-time R-tree over their chain-bead bounding boxes,
+// so PossiblyWithin collects candidates by box intersection instead of
+// running the kernel against every chain, and Alibi reuses cached
+// tracks instead of rebuilding them per query.
 //
 // Consistency model: the index is synchronized lazily against the
-// *mod.Snap a query runs on. The fast path compares the snap's epoch to
-// the last-synced epoch; on mismatch a diff pass walks the snapshot and
-// rebuilds exactly the entries whose per-object generation stamp
-// (mod.Snap.Gen) changed — an entry built at gen g is valid for every
-// snapshot that still reports gen g for its object. Entries whose track
-// was built from the query's defaultVmax additionally remember the
-// default they used, so changing the default invalidates them and
-// nothing else. An entry whose object only gained samples since (chdir,
-// terminate) is not rebuilt: its track is extended (bead.Track.Extend)
-// and only the new chain boxes enter the tree, so a sync costs what the
-// updates added, whatever the object's history. All work happens on
-// the query path, against an immutable snapshot, so cached answers are
-// exactly what the scan path would compute on the same snap.
+// *mod.Snap a query runs on, and remembers the snapshot it is synced
+// to. The fast path compares the two; on mismatch the query's snapshot
+// names the objects that changed since the synced one (mod.Snap.Diff,
+// read off the database's change log, in either direction), and only
+// their entries are brought up to date, so a sync costs O(changes ·
+// log N) whatever the shard holds. Entries whose track was built from
+// the query's defaultVmax additionally remember the default they used,
+// so changing the default rebuilds them and nothing else. An entry
+// whose object only gained samples since (chdir, terminate) is not
+// rebuilt: its track is extended (bead.Track.Extend) and only the new
+// chain boxes enter the tree, so a sync costs what the updates added,
+// whatever the object's history. A snapshot with no common log with the
+// synced one (another database, a mod.Union) rebuilds the index whole.
+// All work happens on the query path, against an immutable snapshot, so
+// cached answers are exactly what the scan path would compute on the
+// same snap.
 //
 // Candidate collection is conservative by construction: every chain
 // bead's box is inflated by bead.Pad on the track side, the query ball
@@ -55,7 +58,6 @@ import (
 // beadEntry is one object's cached track and its registrations in the
 // broad-phase structures.
 type beadEntry struct {
-	gen      uint64
 	declared bool   // speed bound came from the object, not the default
 	vmaxBits uint64 // bits of the vmax the track was built with
 	track    *bead.Track
@@ -105,17 +107,18 @@ type BeadStats struct {
 // index in step with their snapshot collect candidates under the read
 // lock, side by side; a sync takes the write lock; kernel evaluation
 // runs outside both on immutable tracks. Updates never touch the index:
-// the database bumps its epoch under its write lock on every mutation,
-// so an index synced to a snapshot's epoch is exactly that snapshot.
+// the database logs every mutation under its write lock, so an index
+// synced to a snapshot stays exactly that snapshot, and the next
+// snapshot names what changed since.
 type BeadIndex struct {
-	mu    sync.RWMutex
-	dim   int
-	built bool
+	mu  sync.RWMutex
+	dim int
 
-	syncedEpoch uint64
-	defBits     uint64 // bits of the defaultVmax entries were built with
-	undeclared  int    // entries whose track depends on the default
-	errs        int    // entries whose track construction failed
+	synced     *mod.Snap // the snapshot the index reflects; nil before the first sync
+	defBits    uint64    // bits of the defaultVmax entries were built with
+	undeclared int       // entries whose track depends on the default
+	errs       int       // entries whose track construction failed
+	resynced   int       // entries the syncs since the last bulk build examined
 
 	entries map[mod.OID]*beadEntry
 	tree    *rtree.RectTree // dim spatial axes + one time axis
@@ -164,7 +167,7 @@ func (ix *BeadIndex) boxRect(b bead.SegBox) rtree.Rect {
 // inStep reports whether the index already reflects snap under
 // defaultVmax. Called with mu held, in either mode.
 func (ix *BeadIndex) inStep(snap *mod.Snap, defaultVmax float64) bool {
-	return ix.built && ix.syncedEpoch == snap.Epoch() &&
+	return ix.synced == snap &&
 		(ix.undeclared == 0 || ix.defBits == math.Float64bits(defaultVmax))
 }
 
@@ -194,19 +197,40 @@ func (ix *BeadIndex) sync(snap *mod.Snap, defaultVmax float64) {
 		return
 	}
 	defBits := math.Float64bits(defaultVmax)
-	if !ix.built {
+	var changed []mod.OID
+	ok := false
+	if ix.synced != nil {
+		changed, ok = snap.Diff(ix.synced)
+	}
+	if !ok {
 		ix.bulkBuild(snap, defaultVmax)
 	} else {
-		ix.diffSync(snap, defaultVmax)
+		if ix.undeclared > 0 && ix.defBits != defBits {
+			for o, e := range ix.entries {
+				if !e.declared {
+					changed = append(changed, o)
+				}
+			}
+			slices.Sort(changed)
+			changed = slices.Compact(changed)
+		}
+		for _, o := range changed {
+			ix.resync(snap, o, defaultVmax)
+		}
+		ix.maybeRebuild()
 	}
-	ix.built = true
-	ix.syncedEpoch = snap.Epoch()
+	ix.synced = snap
 	ix.defBits = defBits
 }
 
-// bulkBuild constructs every entry and STR-packs the box tree in one
-// pass — the first-sync path, far cheaper than n incremental inserts.
+// bulkBuild constructs every entry from scratch and STR-packs the box
+// tree in one pass — the first-sync path, far cheaper than n
+// incremental inserts.
 func (ix *BeadIndex) bulkBuild(snap *mod.Snap, defaultVmax float64) {
+	clear(ix.entries)
+	clear(ix.owner)
+	ix.caps = ix.caps[:0]
+	ix.undeclared, ix.errs, ix.resynced = 0, 0, 0
 	var items []rtree.RectItem
 	for _, o := range snap.Objects() { // ascending: every cap is appended
 		items = ix.addEntry(snap, o, defaultVmax, items)
@@ -222,35 +246,25 @@ func (ix *BeadIndex) bulkBuild(snap *mod.Snap, defaultVmax float64) {
 	ix.dead = 0
 }
 
-// diffSync brings up to date exactly the entries whose object changed
-// since they were built (gen mismatch), appeared, disappeared, or
-// depended on a default speed bound that differs from this query's. It
-// finds them by walking the snapshot's generation stamps. A changed
-// entry is extended when it can be, else retired and rebuilt.
-func (ix *BeadIndex) diffSync(snap *mod.Snap, defaultVmax float64) {
-	defBits := math.Float64bits(defaultVmax)
-	objs := snap.Trajectories()
-	for o, traj := range objs {
-		e := ix.entries[o]
-		if e != nil && e.gen == snap.Gen(o) && (e.declared || e.vmaxBits == defBits) {
-			continue
+// resync brings o's entry up to snap: o changed since the synced
+// snapshot, or its track depends on a default speed bound that differs
+// from this query's. The entry is extended when it can be, else retired
+// and rebuilt, or only retired when snap does not hold o.
+func (ix *BeadIndex) resync(snap *mod.Snap, o mod.OID, defaultVmax float64) {
+	ix.resynced++
+	e := ix.entries[o]
+	traj, err := snap.Traj(o)
+	if e != nil {
+		if err == nil && ix.extendEntry(snap, o, e, traj, defaultVmax) {
+			return
 		}
-		if e != nil {
-			if ix.extendEntry(snap, o, e, traj, defaultVmax) {
-				continue
-			}
-			ix.retire(o, e)
-		}
+		ix.retire(o, e)
+	}
+	if err == nil {
 		for _, it := range ix.addEntry(snap, o, defaultVmax, nil) {
 			ix.insert(it)
 		}
 	}
-	for o, e := range ix.entries {
-		if _, ok := objs[o]; !ok {
-			ix.retire(o, e)
-		}
-	}
-	ix.maybeRebuild()
 }
 
 // extendEntry brings e up to snap by extending its track with the
@@ -271,7 +285,7 @@ func (ix *BeadIndex) extendEntry(snap *mod.Snap, o mod.OID, e *beadEntry, traj t
 	if !ok {
 		return false
 	}
-	e.gen, e.track = snap.Gen(o), tr
+	e.track = tr
 	for _, b := range tr.ChainBoxes(len(e.boxIDs)) {
 		ix.insert(ix.ownBox(o, e, b))
 	}
@@ -301,10 +315,10 @@ func (ix *BeadIndex) insert(it rtree.RectItem) {
 }
 
 // addEntry caches o's track and appends its chain boxes to items,
-// registering ownership; bulkBuild packs the returned boxes, diffSync
+// registering ownership; bulkBuild packs the returned boxes, resync
 // inserts them.
 func (ix *BeadIndex) addEntry(snap *mod.Snap, o mod.OID, defaultVmax float64, items []rtree.RectItem) []rtree.RectItem {
-	e := &beadEntry{gen: snap.Gen(o)}
+	e := &beadEntry{}
 	vmax, ok := snap.SpeedBound(o)
 	e.declared = ok
 	if !ok {

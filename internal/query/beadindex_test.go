@@ -3,7 +3,7 @@ package query
 // Differential tests for the uncertainty broad phase: on random update
 // histories, BeadIndex.PossiblyWithin must return bit-identical answer
 // sets to the scan-path PossiblyWithin on the same snapshot — across
-// object churn (so the gen-diff sync retires and rebuilds entries),
+// object churn (so the change-log sync retires and rebuilds entries),
 // default-speed-bound changes (so default-dependent entries are
 // invalidated), and live caps (windows past the last sample). The index
 // is deliberately created BEFORE the history is applied, so its
